@@ -202,6 +202,40 @@ func TestAlignerIncrementalUpsertRemove(t *testing.T) {
 	a.Remove(12345) // unknown: no-op
 }
 
+func TestAlignerEmptyUpsertRemovesKnownStory(t *testing.T) {
+	// A story that lost every snippet must not leave its previous version,
+	// its edges or its entity counts behind.
+	fix := twoSourceFixture()
+	a := NewAligner(DefaultConfig())
+	for _, sts := range fix {
+		for _, st := range sts {
+			a.Upsert(st)
+		}
+	}
+	if got := len(a.Matches()); got != 1 {
+		t.Fatalf("fixture has %d matches, want 1", got)
+	}
+	before := a.entTotal
+	a.Upsert(event.NewStory(2, "wsj")) // the wsj crash story, now empty
+	if a.Len() != 2 {
+		t.Fatalf("Len = %d after the empty upsert, want 2", a.Len())
+	}
+	if got := len(a.Matches()); got != 0 {
+		t.Fatalf("%d matches survive the emptied story", got)
+	}
+	for _, o := range a.adj[1] {
+		if o == 2 {
+			t.Fatalf("story 1 still lists the emptied story among its candidates %v", a.adj[1])
+		}
+	}
+	if a.entTotal >= before {
+		t.Fatalf("entity mentions %d -> %d: the emptied story's counts are still resident", before, a.entTotal)
+	}
+	if len(a.Result().MultiSource()) != 0 {
+		t.Fatal("emptied story still integrated")
+	}
+}
+
 func TestAlignIncrementalEqualsBatch(t *testing.T) {
 	cfg := datagen.DefaultConfig()
 	cfg.Sources = 4

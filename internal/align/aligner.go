@@ -42,12 +42,12 @@ type Config struct {
 	// (pure single-linkage, which snowballs at scale).
 	ComponentGuard float64
 	// GuardGrowth stiffens the guard as components grow: the effective
-	// guard is ComponentGuard * (1 + GuardGrowth*ln(1+minMembers)), where
+	// guard is ComponentGuard * (1 + GuardGrowth*ln(minMembers)), where
 	// minMembers is the smaller component's member-story count. Larger
 	// corpora produce more fragments per real story and more same-topic
 	// near-misses, so the evidence bar for merging already-large
 	// components must rise with their size; singleton merges keep the
-	// base guard.
+	// base guard (ln 1 = 0).
 	GuardGrowth float64
 
 	// UseSketchFilter short-circuits candidate pairs through MinHash
@@ -137,12 +137,15 @@ type Aligner struct {
 	order   []event.StoryID
 	// edges holds match scores keyed by (min,max) story ID.
 	edges map[[2]event.StoryID]float64
-	// cands remembers every candidate pair that passed the temporal (and
-	// sketch) filters, including pairs that scored below threshold. Under
-	// IDF entity weighting, scores depend on the global entity statistics
-	// at scoring time; when those statistics drift, Result rescores the
-	// candidates so the outcome is independent of upsert order.
-	cands map[[2]event.StoryID]bool
+	// adj is the candidate graph: for each story, the stories it forms a
+	// candidate pair with — every pair that passed the temporal (and
+	// sketch) filters, including pairs that scored below threshold. The
+	// lists are symmetric and are the only record of the pairs, so removing
+	// a story costs its degree, not a scan of the corpus. Under IDF entity
+	// weighting, scores depend on the global entity statistics at scoring
+	// time; when those statistics drift, Result rescores the candidates so
+	// the outcome is independent of upsert order.
+	adj map[event.StoryID][]event.StoryID
 	// lastScored is the entTotal at the last full rescore; drifting more
 	// than 20% in either direction (growth from upserts, shrinkage from
 	// source removal) triggers the next one.
@@ -179,7 +182,7 @@ func NewAligner(cfg Config) *Aligner {
 		cfg:         cfg,
 		stories:     make(map[event.StoryID]*event.Story),
 		edges:       make(map[[2]event.StoryID]float64),
-		cands:       make(map[[2]event.StoryID]bool),
+		adj:         make(map[event.StoryID][]event.StoryID),
 		bucketWidth: bw,
 		buckets:     make(map[int64][]event.StoryID),
 	}
@@ -259,9 +262,14 @@ func (a *Aligner) bucketRange(st *event.Story) (lo, hi int64) {
 }
 
 // Upsert adds a story to the aligner, or refreshes a story whose content
-// changed, recomputing only that story's match edges.
+// changed, recomputing only that story's match edges. A story that has
+// lost all its snippets is removed.
 func (a *Aligner) Upsert(st *event.Story) {
-	if st == nil || st.Len() == 0 {
+	if st == nil {
+		return
+	}
+	if st.Len() == 0 {
+		a.Remove(st.ID)
 		return
 	}
 	span := metUpsertLat.Start()
@@ -292,15 +300,16 @@ func (a *Aligner) Upsert(st *event.Story) {
 		a.sigs[st.ID] = sig
 	}
 	// Score against candidates from different sources in shared buckets.
-	seen := map[event.StoryID]bool{st.ID: true}
+	// A story sits in a contiguous run of buckets, so a pair is handled
+	// only in the first bucket both runs share.
+	own := a.adj[st.ID]
 	for b := lo; b <= hi; b++ {
 		for _, oid := range a.buckets[b] {
-			if seen[oid] {
-				continue
-			}
-			seen[oid] = true
 			other := a.stories[oid]
 			if other == nil || other.Source == st.Source {
+				continue
+			}
+			if otherLo, _ := a.bucketRange(other); b != max(lo, otherLo) {
 				continue
 			}
 			if !st.Overlaps(other, a.cfg.Slack) {
@@ -313,15 +322,18 @@ func (a *Aligner) Upsert(st *event.Story) {
 					continue
 				}
 			}
-			key := edgeKey(st.ID, oid)
-			a.cands[key] = true
+			own = append(own, oid)
+			a.adj[oid] = append(a.adj[oid], st.ID)
 			score := similarity.Stories(st, other, a.storyCfg)
 			a.stats.Comparisons++
 			if score >= a.cfg.MatchThreshold {
-				a.edges[key] = score
+				a.edges[edgeKey(st.ID, oid)] = score
 				a.stats.Matches++
 			}
 		}
+	}
+	if len(own) > 0 {
+		a.adj[st.ID] = own
 	}
 }
 
@@ -332,20 +344,31 @@ func (a *Aligner) Remove(id event.StoryID) {
 	}
 	a.removeInternal(id)
 	delete(a.stories, id)
-	// Compact the insertion-order list once stale entries dominate.
-	if len(a.order) > 2*len(a.stories)+16 {
-		live := a.order[:0]
-		for _, s := range a.order {
-			if _, ok := a.stories[s]; ok {
-				live = append(live, s)
-			}
+	delete(a.adj, id)
+	// Drop the ID from the insertion order here, not lazily: a stale entry
+	// would list the story twice once it is upserted again.
+	for i, s := range a.order {
+		if s == id {
+			a.order = append(a.order[:i], a.order[i+1:]...)
+			break
 		}
-		a.order = live
 	}
 }
 
-// removeInternal clears indexes and edges but keeps the order slice (which
-// tolerates stale entries).
+// dropID swap-removes the first occurrence of id from list.
+func dropID(list []event.StoryID, id event.StoryID) []event.StoryID {
+	for i, x := range list {
+		if x == id {
+			list[i] = list[len(list)-1]
+			return list[:len(list)-1]
+		}
+	}
+	return list
+}
+
+// removeInternal clears indexes and edges but keeps the story's place in
+// the insertion order and the capacity of its neighbour list, which a
+// re-upsert refills.
 func (a *Aligner) removeInternal(id event.StoryID) {
 	st := a.stories[id]
 	if st != nil {
@@ -356,14 +379,7 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 	if st != nil {
 		lo, hi := a.bucketRange(st)
 		for b := lo; b <= hi; b++ {
-			bucket := a.buckets[b]
-			for i, x := range bucket {
-				if x == id {
-					bucket[i] = bucket[len(bucket)-1]
-					bucket = bucket[:len(bucket)-1]
-					break
-				}
-			}
+			bucket := dropID(a.buckets[b], id)
 			if len(bucket) == 0 {
 				delete(a.buckets, b)
 			} else {
@@ -371,15 +387,12 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 			}
 		}
 	}
-	for k := range a.edges {
-		if k[0] == id || k[1] == id {
-			delete(a.edges, k)
+	if nbrs := a.adj[id]; len(nbrs) > 0 {
+		for _, o := range nbrs {
+			delete(a.edges, edgeKey(id, o))
+			a.adj[o] = dropID(a.adj[o], id)
 		}
-	}
-	for k := range a.cands {
-		if k[0] == id || k[1] == id {
-			delete(a.cands, k)
-		}
+		a.adj[id] = nbrs[:0]
 	}
 	if a.sigs != nil {
 		delete(a.sigs, id)
@@ -400,16 +413,16 @@ func (a *Aligner) rescoreIfDrifted() {
 		return
 	}
 	a.edges = make(map[[2]event.StoryID]float64, len(a.edges))
-	for k := range a.cands {
-		x, y := a.stories[k[0]], a.stories[k[1]]
-		if x == nil || y == nil {
-			delete(a.cands, k)
-			continue
-		}
-		score := similarity.Stories(x, y, a.storyCfg)
-		a.stats.Comparisons++
-		if score >= a.cfg.MatchThreshold {
-			a.edges[k] = score
+	for id, nbrs := range a.adj {
+		for _, o := range nbrs {
+			if id > o {
+				continue // each pair once, from its smaller endpoint
+			}
+			score := similarity.Stories(a.stories[id], a.stories[o], a.storyCfg)
+			a.stats.Comparisons++
+			if score >= a.cfg.MatchThreshold {
+				a.edges[[2]event.StoryID{id, o}] = score
+			}
 		}
 	}
 	a.lastScored = a.entTotal
@@ -532,37 +545,33 @@ func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time
 	for id := range a.stories {
 		parent[id] = id
 	}
-	for k := range a.cands {
-		if _, ok := a.stories[k[0]]; !ok {
-			continue
-		}
-		if _, ok := a.stories[k[1]]; !ok {
-			continue
-		}
-		if coldSet[k[0]] && coldSet[k[1]] {
-			if _, matched := a.edges[k]; !matched {
-				// A below-threshold pair between two cold stories is
-				// inert: a score only changes when an endpoint is
-				// re-upserted, and new evidence would make that endpoint
-				// warm first. Traversing such edges would chain long runs
-				// of unrelated cold stories to a warm component and pin
-				// them all resident. (Under IDF weighting a drift rescore
-				// could still flip the pair, but a merge of two cold
-				// stories lies wholly outside the active window — the
-				// documented IDF equivalence caveat.)
-				continue
+	for id, nbrs := range a.adj {
+		for _, o := range nbrs {
+			if id > o {
+				continue // each pair once, from its smaller endpoint
 			}
+			if coldSet[id] && coldSet[o] {
+				if _, matched := a.edges[[2]event.StoryID{id, o}]; !matched {
+					// A below-threshold pair between two cold stories is
+					// inert: a score only changes when an endpoint is
+					// re-upserted, and new evidence would make that endpoint
+					// warm first. Traversing such edges would chain long runs
+					// of unrelated cold stories to a warm component and pin
+					// them all resident. (Under IDF weighting a drift rescore
+					// could still flip the pair, but a merge of two cold
+					// stories lies wholly outside the active window — the
+					// documented IDF equivalence caveat.)
+					continue
+				}
+			}
+			parent[find(id)] = find(o)
 		}
-		parent[find(k[0])] = find(k[1])
 	}
 	members := make(map[event.StoryID][]event.StoryID, len(a.stories))
 	retirable := make(map[event.StoryID]bool, len(a.stories))
 	var rootOrder []event.StoryID
 	for _, id := range a.order {
 		st := a.stories[id]
-		if st == nil {
-			continue
-		}
 		r := find(id)
 		if _, seen := members[r]; !seen {
 			rootOrder = append(rootOrder, r)
@@ -715,9 +724,6 @@ func (a *Aligner) Result() *Result {
 	groups := make(map[event.StoryID][]*event.Story)
 	for _, id := range a.order {
 		st := a.stories[id]
-		if st == nil {
-			continue
-		}
 		r := find(id)
 		// Members are snapshots: the returned Result may be read long
 		// after the live stories have changed (concurrent ingestion),
@@ -799,8 +805,11 @@ func (r *Result) IntegratedOf(id event.StoryID) *event.IntegratedStory {
 func (r *Result) MultiSource() []*event.IntegratedStory {
 	var out []*event.IntegratedStory
 	for _, is := range r.Integrated {
-		if len(is.Sources()) > 1 {
-			out = append(out, is)
+		for _, m := range is.Members {
+			if m.Source != is.Members[0].Source {
+				out = append(out, is)
+				break
+			}
 		}
 	}
 	return out

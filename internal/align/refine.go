@@ -83,6 +83,18 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 	}
 	var plans []plan
 
+	// Only a story spanning two sources can hold both a target of the
+	// snippet's own source and support from another, and only one with a
+	// snippet within SupportScale of the snippet's time can support it.
+	type reach struct {
+		is       *event.IntegratedStory
+		from, to time.Time // extent widened by SupportScale
+	}
+	var multi []reach
+	for _, is := range res.MultiSource() {
+		start, end := is.Extent()
+		multi = append(multi, reach{is, start.Add(-cfg.SupportScale), end.Add(cfg.SupportScale)})
+	}
 	for _, is := range res.Integrated {
 		for _, home := range is.Members {
 			mover := movers[home.Source]
@@ -102,11 +114,14 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 				// this snippet. The support requirement is the paper's
 				// "irregularity" signal: related snippets in other
 				// sources sit with the candidate story, not the home.
-				for _, other := range res.Integrated {
-					if !hasCrossSourceSupport(sn, other, cfg) {
+				// Support does not depend on the scores, so it is searched
+				// for only once a target of the component could win.
+				for _, other := range multi {
+					if sn.Timestamp.Before(other.from) || sn.Timestamp.After(other.to) {
 						continue
 					}
-					for _, cand := range other.Members {
+					supported := false
+					for _, cand := range other.is.Members {
 						if cand.Source != home.Source || cand.ID == home.ID {
 							continue
 						}
@@ -114,6 +129,12 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 						score := similarity.SnippetStoryIDs(sn, cand.EntityFreq, cand.Centroid,
 							cand.CentroidNorm(), ref, cfg.TemporalScale, cfg.Weights, nil)
 						if score > bestScore {
+							if !supported {
+								if !hasCrossSourceSupport(sn, other.is, cfg) {
+									break
+								}
+								supported = true
+							}
 							bestScore = score
 							best = plan{
 								c: Correction{

@@ -541,7 +541,15 @@ func (e *Engine) alignLocked() *align.Result {
 			touchedSources[src] = true
 		}
 	}
+	// Upsert in sorted order: the aligner scores a pair against the entity
+	// statistics as they stand at that upsert and groups by insertion
+	// order, so a map-ordered walk would make the result depend on it.
+	sources := make([]event.SourceID, 0, len(touchedSources))
 	for src := range touchedSources {
+		sources = append(sources, src)
+	}
+	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
+	for _, src := range sources {
 		stories := e.snapshotStories(src)
 		if stories == nil {
 			// Source raced away (or was removed): drop its leftovers.
@@ -584,7 +592,12 @@ func (e *Engine) alignLocked() *align.Result {
 				e.dirty[c.From] = true
 				e.dirty[c.To] = true
 			}
+			moved := make([]event.StoryID, 0, len(e.dirty))
 			for sid := range e.dirty {
+				moved = append(moved, sid)
+			}
+			sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+			for _, sid := range moved {
 				if src, ok := e.storyOwner[sid]; ok {
 					if st := e.snapshotStory(src, sid); st != nil {
 						e.aligner.Upsert(st)

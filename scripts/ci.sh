@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: build, vet, unit tests, the full suite under the race
-# detector, then a one-iteration smoke run of the Figure-7 benchmarks
-# (catches benchmark bit-rot; the numbers themselves are not gated).
+# CI gate: build, vet, unit tests, the full suite once under the race
+# detector with the named gate tests checked off against that pass, then
+# a one-iteration smoke run of the Figure-7 benchmarks (catches benchmark
+# bit-rot; the numbers themselves are not gated).
 # Fails on the first broken step. Run from the repo root (the script
 # cd's there itself so it also works from hooks).
 set -eu
@@ -17,18 +18,56 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+# The one race pass. Every expensive suite runs exactly once, here; the
+# gates below do not run anything again, they read this pass's event log
+# and fail unless each test they name ran in it and passed (-count=1: a
+# cached result is not a run; a skipped or deleted test is not a pass).
+echo "==> go test -race -count=1 -json ./..."
+log="${TMPDIR:-/tmp}/storypivot-ci-race.$$.json"
+if ! go test -race -count=1 -json ./... >"$log"; then
+  echo "ci: the race pass failed; these tests or packages did (full event log: $log):" >&2
+  grep '"Action":"fail"' "$log" | sed 's/.*"Package":"\([^"]*\)"\(,"Test":"\([^"]*\)"\)\{0,1\}.*/  \1 \3/' >&2
+  # The output of the failing packages, as go test would have shown it
+  # (JSON string escapes left as they are).
+  for pkg in $(sed -n 's/.*"Action":"fail","Package":"\([^"]*\)","Elapsed".*/\1/p' "$log"); do
+    grep "\"Action\":\"output\",\"Package\":\"$pkg\"" "$log" |
+      sed 's/.*"Output":"\(.*\)"}$/\1/; s/\\n$//; s/\\t/\t/g; s/\\"/"/g' | grep -v '^=== \|^--- PASS\|^PASS$' >&2
+  done
+  exit 1
+fi
+trap 'rm -f "$log"' EXIT
+sed -n 's/.*"Action":"pass","Package":"\([^"]*\)","Elapsed":\([0-9.]*\).*/ok  \1 \2s/p' "$log"
+
+missing=0
+# gate TITLE NAME...: every NAME ran and passed in the race pass. A NAME
+# is a top-level test (in whichever package holds it), a prefix of test
+# names ending in '*' (at least one such test), or a package directory
+# ending in '/' (the package passed as a whole).
+gate() {
+  echo "==> gate (read from the race pass): $1"
+  shift
+  for name in "$@"; do
+    case "$name" in
+    */) pat="\"Action\":\"pass\",\"Package\":\"repro/${name%/}\",\"Elapsed\"" ;;
+    *\*) pat="\"Action\":\"pass\",\"Package\":\"[^\"]*\",\"Test\":\"${name%\*}[^\"/]*\"" ;;
+    *) pat="\"Action\":\"pass\",\"Package\":\"[^\"]*\",\"Test\":\"$name\"" ;;
+    esac
+    if ! grep -q "$pat" "$log"; then
+      echo "ci: gate test $name did not run and pass under -race" >&2
+      missing=1
+    fi
+  done
+}
 
 # Serving-layer resilience gate: the fault-injection suites must prove
 # shutdown drains in-flight requests, overload sheds with 429, panics
 # are contained, and reads are not serialized behind rebuilds — all
 # under the race detector (ROADMAP's bar for concurrency-touching PRs).
-echo "==> fault-injection suite (-race, httpx/server/faults)"
-go test -race -count=1 \
-  -run 'TestShutdownDrainsInflight|TestShutdownGraceExpiryForcesClose|TestRealSIGTERMDrains|TestOverloadShedsUnderRealLoad|TestPanicContainedUnderRealServer|TestReadsNotSerializedBehindRebuild|TestConcurrentReadsDuringSelectChurn|TestHandlerPanicContained' \
-  ./internal/httpx ./internal/server
-go test -race -count=1 ./internal/faults
+gate "fault injection (httpx/server/faults)" \
+  TestShutdownDrainsInflight TestShutdownGraceExpiryForcesClose TestRealSIGTERMDrains \
+  TestOverloadShedsUnderRealLoad TestPanicContainedUnderRealServer \
+  TestReadsNotSerializedBehindRebuild TestConcurrentReadsDuringSelectChurn \
+  TestHandlerPanicContained internal/faults/
 
 # Feed resilience gate: the continuous-ingest fault-injection suite
 # must prove, under the race detector, that a flapping source recovers
@@ -36,24 +75,20 @@ go test -race -count=1 ./internal/faults
 # probes, malformed records land in the DLQ without poisoning their
 # batch, cursors resume after restart with zero duplicates, and a
 # mid-burst drain loses nothing it acknowledged.
-echo "==> feed fault-injection suite (-race, feed + checkpoint restore)"
-go test -race -count=1 \
-  -run 'TestFeedFlapAndRecover|TestFeedBreakerLifecycle|TestFeedDLQCaptureNoPoisoning|TestFeedCursorResumeNoDuplicates|TestFeedDrainMidBurstNoAcknowledgedLoss|TestFeedFetchTimeoutRecovers|TestFeedFetcherPanicContained|TestFeedShedPolicyCountsDrops' \
-  ./internal/feed
-go test -race -count=1 -run 'TestFeedCheckpointRestoreUnderIngest' .
-go test -race -count=1 -run 'TestFeedsEndpointAndHealthz|TestHealthzWithoutFeeds' ./internal/server
+gate "feed fault injection (feed + checkpoint restore)" \
+  TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
+  TestFeedCursorResumeNoDuplicates TestFeedDrainMidBurstNoAcknowledgedLoss \
+  TestFeedFetchTimeoutRecovers TestFeedFetcherPanicContained TestFeedShedPolicyCountsDrops \
+  TestFeedCheckpointRestoreUnderIngest TestFeedsEndpointAndHealthz TestHealthzWithoutFeeds
 
 # Cache/quota gate: the differential coherence oracles (pipeline-layer
 # and HTTP-layer) must prove zero stale responses across seeds with
 # refinement on and mid-stream source removal, and the hammer must
 # survive concurrent query/ingest/invalidation/sweep/admin-update
 # traffic under the race detector.
-echo "==> cache coherence + quota gate (-race)"
-go test -race -count=1 -run 'TestCacheCoherenceDifferential' .
-go test -race -count=1 \
-  -run 'TestHTTPCacheCoherence|TestCacheQuotaIngestRace|TestQuota429VsGate429|TestQuotaAdminFlow' \
-  ./internal/server
-go test -race -count=1 ./internal/qcache ./internal/quota
+gate "cache coherence + quota" \
+  TestCacheCoherenceDifferential TestHTTPCacheCoherence TestCacheQuotaIngestRace \
+  TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
 
 # Cluster gate: the scatter-gather layer must prove, under the race
 # detector, that the merge agrees with a full sort, the ring is
@@ -62,12 +97,10 @@ go test -race -count=1 ./internal/qcache ./internal/quota
 # paged windows and a mid-stream source removal on one shard), a dead
 # worker degrades to 200 + "partial": true (never 5xx) with quorum
 # health semantics, and routed ingest lands on the ring owner.
-echo "==> cluster scatter-gather gate (-race)"
-go test -race -count=1 -run 'TestMergeRanked' ./internal/index
-go test -race -count=1 \
-  -run 'TestRing|TestClusterDifferential|TestClusterDegradedServing|TestClusterIngestRouting|TestClusterMembersReconfigure' \
-  ./internal/cluster
-go test -race -count=1 -run 'TestEmptyResultsSerialiseAsArray|TestStoriesByEntityEndpoint' ./internal/server
+gate "cluster scatter-gather" \
+  'TestMergeRanked*' 'TestRing*' TestClusterDifferential TestClusterDegradedServing \
+  TestClusterIngestRouting TestClusterMembersReconfigure \
+  TestEmptyResultsSerialiseAsArray TestStoriesByEntityEndpoint
 
 # Retirement gate: the lifecycle differential must prove byte-identical
 # active-window responses across seeds (refinement on, mid-stream source
@@ -75,12 +108,10 @@ go test -race -count=1 -run 'TestEmptyResultsSerialiseAsArray|TestStoriesByEntit
 # kill-during-retire restart must reconcile the archive against the
 # checkpoint, and the retire/reactivate/ingest/rebase interleaving must
 # survive the race detector.
-echo "==> story retirement gate (-race)"
-go test -race -count=1 \
-  -run 'TestRetireDifferential|TestRetireReactivation|TestRetireBoundedResident|TestRetireIngestRace|TestRecoveryKillDuringRetire|TestRecoveryArchiveReconcile' .
-go test -race -count=1 ./internal/retire
-go test -race -count=1 -run 'TestArchive' ./internal/storage
-go test -race -count=1 -run 'TestWindowEndpoint' ./internal/server
+gate "story retirement" \
+  TestRetireDifferential 'TestRetireReactivation*' TestRetireBoundedResident TestRetireIngestRace \
+  TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
+  'TestArchive*' 'TestWindowEndpoint*'
 
 # Tiered-storage gate: the chunk tier suite (demotion/promotion,
 # crash-point recovery at both the storage and pipeline layers, the
@@ -89,14 +120,10 @@ go test -race -count=1 -run 'TestWindowEndpoint' ./internal/server
 # differential must stay byte-identical on every endpoint. The paged
 # envelope boundaries ride along: they share the pagination code the
 # tiers must not perturb.
-echo "==> tiered storage gate (-race)"
-go test -race -count=1 -run 'TestTier' ./internal/storage
-go test -race -count=1 \
-  -run 'TestRecoveryTiered|TestTieredIngestQueryRace' .
-go test -race -count=1 \
-  -run 'TestTieredServerDifferential|TestPagedEnvelopeBoundaries' ./internal/server
-go test -race -count=1 -run 'TestClusterPagedEnvelopeEdgeCases' ./internal/cluster
-go test -race -count=1 -run 'TestDLQ|TestArchiveTornFrame|TestArchiveReset' ./internal/storage
+gate "tiered storage" \
+  'TestTier*' 'TestRecoveryTiered*' TestTieredIngestQueryRace \
+  TestTieredServerDifferential TestPagedEnvelopeBoundaries \
+  TestClusterPagedEnvelopeEdgeCases 'TestDLQ*' 'TestArchiveTornFrame*' 'TestArchiveReset*'
 
 # Self-healing cluster gate: the chaos suite must prove, under the race
 # detector, that killing one worker of three mid ingest-and-query-replay
@@ -108,11 +135,21 @@ go test -race -count=1 -run 'TestDLQ|TestArchiveTornFrame|TestArchiveReset' ./in
 # acknowledged-record loss and zero duplicates. The hedging contract,
 # the health state machine + per-member metrics, the failover placement
 # walk, and the worker-side assignment lifecycle ride along.
-echo "==> self-healing cluster chaos gate (-race)"
-go test -race -count=1 \
-  -run 'TestClusterChaosFailover|TestClientHedging|TestHealthMonitorStateMachine|TestRingOwnerIndexAmong' \
-  ./internal/cluster
-go test -race -count=1 -run 'TestAssignLifecycle|TestAssignValidation' ./internal/feed
+gate "self-healing cluster chaos" \
+  TestClusterChaosFailover 'TestClientHedging*' 'TestHealthMonitorStateMachine*' \
+  TestRingOwnerIndexAmong 'TestAssignLifecycle*' 'TestAssignValidation*'
+
+# Settle exactness gate: Refine must return the corrections of the
+# literal support-first loop, the aligner's candidate graph must equal
+# the brute-force one under interleaved Upsert/Remove/Result, and
+# identically fed refinement-on pipelines must agree at every settle.
+gate "settle exactness (align + engine digest)" \
+  TestRefineMatchesReference TestAlignerStructureQuick TestSettleDigestDeterministic
+
+if [ "$missing" -ne 0 ]; then
+  echo "ci: a gate names a test the race pass did not run and pass" >&2
+  exit 1
+fi
 
 echo "==> bench smoke (scripts/bench.sh --smoke)"
 ./scripts/bench.sh --smoke
