@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,15 +20,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/index"
 	"repro/internal/obs"
-)
-
-// Pagination bounds, mirroring internal/server: the router's public
-// envelope must carry exactly the offset/limit a single node would, so
-// the two layers clamp identically.
-const (
-	defaultPageLimit = 50
-	maxPageLimit     = 500
-	deepPageLimit    = 10000
 )
 
 // Router is the scatter-gather front of a sharded deployment. It owns
@@ -256,66 +246,6 @@ func (rt *Router) rawMux() http.Handler {
 	return mux
 }
 
-// encodeJSON matches server.encodeJSON byte for byte: two-space indent,
-// trailing newline. json.Indent re-tokenises embedded RawMessage
-// contents, so worker-encoded members come out in canonical form and
-// the merged envelope is byte-identical to a single node's.
-func encodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := encodeJSON(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "response encoding failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func pageParams(w http.ResponseWriter, vals url.Values) (offset, limit int, ok bool) {
-	offset, limit = 0, defaultPageLimit
-	if v := vals.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "invalid offset parameter")
-			return 0, 0, false
-		}
-		offset = n
-	}
-	if v := vals.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "invalid limit parameter")
-			return 0, 0, false
-		}
-		limit = n
-	}
-	ceil := maxPageLimit
-	if vals.Get("deep") == "1" {
-		ceil = deepPageLimit
-	}
-	if limit > ceil {
-		limit = ceil
-	}
-	return offset, limit, true
-}
-
 // scatter runs f once per member concurrently and collects the
 // results; errs[i] != nil marks shard i failed.
 func scatter[T any](ctx context.Context, members []Member, f func(ctx context.Context, m Member) (T, error)) ([]T, []error) {
@@ -342,10 +272,10 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 	vals := r.URL.Query()
 	qv := vals.Get(param)
 	if qv == "" {
-		httpError(w, http.StatusBadRequest, "missing "+param+" parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing "+param+" parameter")
 		return
 	}
-	offset, limit, ok := pageParams(w, vals)
+	offset, limit, ok := httpx.PageParams(w, vals)
 	if !ok {
 		return
 	}
@@ -358,8 +288,8 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 		k = math.MaxInt
 	}
 	shardLimit := k
-	if shardLimit > deepPageLimit {
-		shardLimit = deepPageLimit
+	if shardLimit > httpx.DeepPageLimit {
+		shardLimit = httpx.DeepPageLimit
 	}
 	q := url.Values{
 		param:    {qv},
@@ -406,7 +336,7 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 	if partial {
 		metPartial.Inc()
 	}
-	writeJSON(w, http.StatusOK, PageEnv{
+	httpx.WriteJSON(w, http.StatusOK, PageEnv{
 		Total: total, Offset: offset, Limit: limit,
 		Results: results, Partial: partial,
 	})
@@ -420,10 +350,10 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	vals := r.URL.Query()
 	e := vals.Get("entity")
 	if e == "" {
-		httpError(w, http.StatusBadRequest, "missing entity parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing entity parameter")
 		return
 	}
-	offset, limit, ok := pageParams(w, vals)
+	offset, limit, ok := httpx.PageParams(w, vals)
 	if !ok {
 		return
 	}
@@ -436,8 +366,8 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		k = math.MaxInt
 	}
 	shardLimit := k
-	if shardLimit > deepPageLimit {
-		shardLimit = deepPageLimit
+	if shardLimit > httpx.DeepPageLimit {
+		shardLimit = httpx.DeepPageLimit
 	}
 	q := url.Values{
 		"entity": {e},
@@ -488,7 +418,7 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		metPartial.Inc()
 	}
-	writeJSON(w, http.StatusOK, PageEnv{
+	httpx.WriteJSON(w, http.StatusOK, PageEnv{
 		Total: total, Offset: offset, Limit: limit,
 		Results: results, Partial: partial,
 	})
@@ -548,10 +478,10 @@ func (rt *Router) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	}
 	if partial {
 		metPartial.Inc()
-		writeJSON(w, http.StatusOK, map[string]any{"documents": out, "partial": true})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"documents": out, "partial": true})
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleAddDocument routes an ingest to the worker owning the
@@ -569,18 +499,18 @@ func (rt *Router) handleDocuments(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 	var dv struct {
 		Source string `json:"source"`
 	}
 	if err := json.Unmarshal(body, &dv); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid document JSON: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "invalid document JSON: "+err.Error())
 		return
 	}
 	if dv.Source == "" {
-		httpError(w, http.StatusBadRequest, "document needs a source")
+		httpx.Error(w, http.StatusBadRequest, "document needs a source")
 		return
 	}
 	owner := rt.Ring().Owner(dv.Source)
@@ -606,14 +536,14 @@ func (rt *Router) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 			if rt.monitor.State(owner.Name) == MemberQuarantined {
 				rt.ingestUnavailable(w, owner.Name, lastErr)
 			} else {
-				httpError(w, http.StatusBadGateway,
+				httpx.Error(w, http.StatusBadGateway,
 					fmt.Sprintf("shard %s failed after %d attempts: %s", owner.Name, attempt+1, lastErr))
 			}
 			return
 		}
 		select {
 		case <-r.Context().Done():
-			httpError(w, http.StatusBadGateway,
+			httpx.Error(w, http.StatusBadGateway,
 				fmt.Sprintf("shard %s: request cancelled during retry: %s", owner.Name, lastErr))
 			return
 		case <-time.After(ingestBackoff(rt.ingest, attempt)):
@@ -646,7 +576,7 @@ func (rt *Router) ingestUnavailable(w http.ResponseWriter, ownerName, lastErr st
 	if lastErr != "" {
 		msg += ": " + lastErr
 	}
-	httpError(w, http.StatusServiceUnavailable, msg)
+	httpx.Error(w, http.StatusServiceUnavailable, msg)
 }
 
 // handleSelect broadcasts a selection change; every worker applies it
@@ -654,14 +584,14 @@ func (rt *Router) ingestUnavailable(w http.ResponseWriter, ownerName, lastErr st
 func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 	var req struct {
 		URLs []string `json:"urls"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid selection JSON: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "invalid selection JSON: "+err.Error())
 		return
 	}
 	members, skipped := rt.scatterSet()
@@ -687,7 +617,7 @@ func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
 		metPartial.Inc()
 		resp["partial"] = true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRemoveDocument broadcasts a removal; the owning worker answers
@@ -695,7 +625,7 @@ func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleRemoveDocument(w http.ResponseWriter, r *http.Request) {
 	u := r.URL.Query().Get("url")
 	if u == "" {
-		httpError(w, http.StatusBadRequest, "missing url parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing url parameter")
 		return
 	}
 	q := url.Values{"url": {u}}
@@ -721,7 +651,7 @@ func (rt *Router) handleRemoveDocument(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, "document not selected: "+u)
+	httpx.Error(w, http.StatusNotFound, "document not selected: "+u)
 }
 
 // handleFeeds aggregates every worker's feed status keyed by member
@@ -753,13 +683,13 @@ func (rt *Router) handleFeeds(w http.ResponseWriter, r *http.Request) {
 		metPartial.Inc()
 		out["partial"] = true
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMembersGet reports the live ring configuration.
 func (rt *Router) handleMembersGet(w http.ResponseWriter, _ *http.Request) {
 	ring := rt.Ring()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":    "router",
 		"members": ring.Members(),
 		"pins":    ring.Pins(),
@@ -775,12 +705,12 @@ func (rt *Router) handleMembersPut(w http.ResponseWriter, r *http.Request) {
 		Pins    map[string]string `json:"pins"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid members JSON: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "invalid members JSON: "+err.Error())
 		return
 	}
 	ring, err := NewRing(req.Members, req.Pins)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rt.ring.Store(ring)
@@ -819,7 +749,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	} else if up < len(snap) {
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{"status": status, "workers": workers})
+	httpx.WriteJSON(w, code, map[string]any{"status": status, "workers": workers})
 }
 
 // handleFeedAssignments reports the coordinator's assignment table:
@@ -828,10 +758,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // observed for it.
 func (rt *Router) handleFeedAssignments(w http.ResponseWriter, _ *http.Request) {
 	if rt.coord == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"assignments": []any{}})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"assignments": []any{}})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"assignments": rt.coord.statusView()})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"assignments": rt.coord.statusView()})
 }
 
 // relay re-emits a worker's response verbatim.

@@ -3,10 +3,22 @@ package event
 import (
 	"testing"
 	"time"
+
+	"repro/internal/vocab"
 )
 
 func ts(day int) time.Time {
 	return time.Date(2014, time.July, day, 0, 0, 0, 0, time.UTC)
+}
+
+// entityFreqMap renders a story's entity frequencies keyed by entity
+// string, through the same TopEntities the display panels use.
+func entityFreqMap(st *Story) map[Entity]int {
+	out := make(map[Entity]int)
+	for _, ec := range st.TopEntities(0) {
+		out[ec.Entity] = ec.Count
+	}
+	return out
 }
 
 func snip(id SnippetID, src SourceID, day int, ents []Entity, terms ...Term) *Snippet {
@@ -135,7 +147,7 @@ func TestStoryAddMaintainsOrderAndAggregates(t *testing.T) {
 			t.Fatal("snippets not chronological after out-of-order Add")
 		}
 	}
-	ef, cen := st.EntityFreqMap(), st.CentroidMap()
+	ef, cen := entityFreqMap(st), st.CentroidMap()
 	if ef["UKR"] != 3 || ef["MAL"] != 1 || ef["RUS"] != 1 {
 		t.Errorf("EntityFreq = %v", ef)
 	}
@@ -171,7 +183,7 @@ func TestStoryRemove(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", st.Len())
 	}
-	ef, cen := st.EntityFreqMap(), st.CentroidMap()
+	ef, cen := entityFreqMap(st), st.CentroidMap()
 	if _, ok := ef["MAL"]; ok {
 		t.Error("MAL frequency not cleaned up")
 	}
@@ -233,12 +245,21 @@ func TestWindowedCentroid(t *testing.T) {
 	st := NewStory(1, "nyt")
 	st.Add(snip(1, "nyt", 10, []Entity{"A"}, Term{"old", 5}))
 	st.Add(snip(2, "nyt", 20, []Entity{"B"}, Term{"new", 2}))
-	cen, ents := st.WindowedCentroid(ts(15), ts(25))
-	if len(cen) != 1 || cen["new"] != 2 {
+	cen, ents := st.AppendWindowedCentroidIDs(ts(15), ts(25), nil, nil)
+	if len(cen) != 1 || vocab.Terms.String(cen[0].ID) != "new" || cen[0].W != 2 {
 		t.Errorf("windowed centroid = %v", cen)
 	}
-	if len(ents) != 1 || ents["B"] != 1 {
+	if len(ents) != 1 || vocab.Entities.String(ents[0].ID) != "B" || ents[0].N != 1 {
 		t.Errorf("windowed entities = %v", ents)
+	}
+	// The buffers are reused: a second window into the emptied slices
+	// replaces, not accumulates.
+	cen, ents = st.AppendWindowedCentroidIDs(ts(5), ts(12), cen[:0], ents[:0])
+	if len(cen) != 1 || vocab.Terms.String(cen[0].ID) != "old" || cen[0].W != 5 {
+		t.Errorf("reused-buffer centroid = %v", cen)
+	}
+	if len(ents) != 1 || vocab.Entities.String(ents[0].ID) != "A" {
+		t.Errorf("reused-buffer entities = %v", ents)
 	}
 }
 

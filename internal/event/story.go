@@ -18,7 +18,7 @@ import (
 // The aggregates are flat sorted sparse vectors over the process-wide
 // vocab symbol tables (see internal/vocab): the similarity kernels
 // merge-walk them with zero allocation per comparison. The string-keyed
-// map forms survive only at API edges, via EntityFreqMap/CentroidMap.
+// map forms survive only at API edges, via TopEntities/CentroidMap.
 type Story struct {
 	ID     StoryID
 	Source SourceID
@@ -158,17 +158,6 @@ func (st *Story) CentroidNorm() float64 {
 	return st.centroidNorm
 }
 
-// EntityFreqMap returns the entity frequencies keyed by entity string —
-// the API-edge form used by display, export, and the knowledge-base
-// context lookups. Allocates; do not call on a similarity hot path.
-func (st *Story) EntityFreqMap() map[Entity]int {
-	out := make(map[Entity]int, len(st.EntityFreq))
-	for _, ec := range st.EntityFreq {
-		out[Entity(vocab.Entities.String(ec.ID))] = int(ec.N)
-	}
-	return out
-}
-
 // CentroidMap returns the term centroid keyed by token string — the
 // API-edge form. Allocates; do not call on a similarity hot path.
 func (st *Story) CentroidMap() map[string]float64 {
@@ -195,41 +184,20 @@ func (st *Story) WindowSnippets(from, to time.Time) []*Snippet {
 	return st.Snippets[lo:hi]
 }
 
-// WindowedCentroidIDs computes the flat term centroid and entity
-// frequencies over only the snippets inside [from, to]. Temporal story
-// identification uses this to compare a new snippet against the story
-// "as it currently is" rather than its entire history (paper §2.2,
-// Figure 2b).
-func (st *Story) WindowedCentroidIDs(from, to time.Time) (centroid []vocab.IDWeight, entities []vocab.IDCount) {
-	return st.AppendWindowedCentroidIDs(from, to, nil, nil)
-}
-
-// AppendWindowedCentroidIDs is WindowedCentroidIDs accumulating into the
-// given buffers (emptied, capacity reused). The temporal identifier's
-// aggregate cache rebuilds windows on every bucket advance, so reusing
-// the previous window's backing arrays keeps the steady-state rebuild
-// allocation-free.
+// AppendWindowedCentroidIDs computes the flat term centroid and entity
+// frequencies over only the snippets inside [from, to], accumulating into
+// the given buffers (emptied by the caller, capacity reused). Temporal
+// story identification uses this to compare a new snippet against the
+// story "as it currently is" rather than its entire history (paper §2.2,
+// Figure 2b); its aggregate cache rebuilds windows on every bucket
+// advance, so reusing the previous window's backing arrays keeps the
+// steady-state rebuild allocation-free.
 func (st *Story) AppendWindowedCentroidIDs(from, to time.Time, cen []vocab.IDWeight, ents []vocab.IDCount) ([]vocab.IDWeight, []vocab.IDCount) {
 	for _, s := range st.WindowSnippets(from, to) {
 		cen = vocab.AddWeights(cen, s.TermIDs)
 		ents = vocab.IncCounts(ents, s.EntityIDs)
 	}
 	return cen, ents
-}
-
-// WindowedCentroid is WindowedCentroidIDs in the string-keyed API-edge
-// form.
-func (st *Story) WindowedCentroid(from, to time.Time) (centroid map[string]float64, entities map[Entity]int) {
-	cen, ents := st.WindowedCentroidIDs(from, to)
-	centroid = make(map[string]float64, len(cen))
-	for _, tw := range cen {
-		centroid[vocab.Terms.String(tw.ID)] = tw.W
-	}
-	entities = make(map[Entity]int, len(ents))
-	for _, ec := range ents {
-		entities[Entity(vocab.Entities.String(ec.ID))] = int(ec.N)
-	}
-	return centroid, entities
 }
 
 // Snapshot returns a copy of the story that is safe to read while the

@@ -54,15 +54,6 @@ func TruthAssignment(c *datagen.Corpus) eval.Assignment {
 	return truth
 }
 
-// IdentAssignment converts identifier output into an eval.Assignment.
-func IdentAssignment(ids map[event.SourceID]*identify.Identifier) eval.Assignment {
-	out := eval.Assignment{}
-	for k, v := range identify.MergedAssignment(ids) {
-		out[k] = uint64(v)
-	}
-	return out
-}
-
 // PerSourceF1 micro-averages identification quality per source: each
 // source's assignment is scored against ground truth restricted to that
 // source's snippets, weighting sources by snippet count. This isolates SI

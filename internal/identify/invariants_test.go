@@ -67,7 +67,10 @@ func checkInvariants(t *testing.T, seed int64, cfg Config) bool {
 					centroid[tm.Token] += tm.Weight
 				}
 			}
-			gotFreq, gotCen := st.EntityFreqMap(), st.CentroidMap()
+			gotFreq, gotCen := make(map[event.Entity]int), st.CentroidMap()
+			for _, ec := range st.TopEntities(0) {
+				gotFreq[ec.Entity] = ec.Count
+			}
 			if len(entFreq) != len(gotFreq) {
 				t.Logf("seed %d: story %d entity aggregate drift", seed, st.ID)
 				return false

@@ -8,7 +8,6 @@ import (
 	"repro/internal/similarity"
 )
 
-func sqrt(x float64) float64 { return math.Sqrt(x) }
 func logf(x float64) float64 { return math.Log(x) }
 
 // splitWeights is the similarity combination used for the intra-story

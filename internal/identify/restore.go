@@ -26,8 +26,8 @@ func (a *IDAlloc) Bump(n uint64) {
 	}
 }
 
-// Restore rebuilds an identifier from a persisted assignment: the
-// snippets of one source plus the snippet→story mapping captured by a
+// RestoreWithArchived rebuilds an identifier from a persisted assignment:
+// the snippets of one source plus the snippet→story mapping captured by a
 // checkpoint. The rebuilt identifier is behaviourally identical to the
 // one that produced the checkpoint — same stories, same aggregates, same
 // entity statistics — but costs O(n) map updates instead of the full
@@ -35,18 +35,14 @@ func (a *IDAlloc) Bump(n uint64) {
 //
 // Snippets not present in the assignment are rejected (the checkpoint is
 // stale); callers should fall back to reprocessing in that case.
-func Restore(source event.SourceID, cfg Config, alloc *IDAlloc,
-	snippets []*event.Snippet, assign map[event.SnippetID]event.StoryID) (*Identifier, error) {
-	return RestoreWithArchived(source, cfg, alloc, snippets, assign, nil)
-}
-
-// RestoreWithArchived is Restore for engines running under story
-// retirement: snippets assigned to an archived story are accounted for —
-// assignment entry, processed count, entity IDF statistics, all of which
-// the live identifier retained past the story's detachment — but their
-// stories are NOT rebuilt, so a restart stays as bounded as the process
-// that wrote the checkpoint. The archived stories themselves live in the
-// cold-story archive and return through the reactivation path.
+//
+// Under story retirement, snippets assigned to an archived story are
+// accounted for — assignment entry, processed count, entity IDF
+// statistics, all of which the live identifier retained past the story's
+// detachment — but their stories are NOT rebuilt, so a restart stays as
+// bounded as the process that wrote the checkpoint. The archived stories
+// themselves live in the cold-story archive and return through the
+// reactivation path.
 func RestoreWithArchived(source event.SourceID, cfg Config, alloc *IDAlloc,
 	snippets []*event.Snippet, assign map[event.SnippetID]event.StoryID,
 	archived map[event.StoryID]bool) (*Identifier, error) {

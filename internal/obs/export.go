@@ -171,22 +171,6 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts the debug mux on addr in a background goroutine and
-// returns immediately; errors (e.g. the port being taken) are reported
-// through the returned channel. It is the implementation behind the
-// cmds' --metrics-addr flag.
-//
-// Deprecated-in-spirit: the listener cannot be stopped. New code should
-// use StartDebug, which binds synchronously (so a taken port fails
-// fast) and shuts down cleanly during process drain.
-func ServeDebug(addr string) <-chan error {
-	errc := make(chan error, 1)
-	go func() {
-		errc <- http.ListenAndServe(addr, DebugMux())
-	}()
-	return errc
-}
-
 // DebugServer is a running debug/metrics listener that participates in
 // graceful shutdown.
 type DebugServer struct {

@@ -117,13 +117,9 @@ func groupOf(kind byte, sym string) uint16 {
 	return uint16(fnv64aString(fnv64aByte(fnvOffset64, kind), sym) % numGroups)
 }
 
-// GroupOfEntity exposes the entity-group hash (tests only).
-func GroupOfEntity(name string) uint16 { return groupOf(kindEntity, name) }
-
 // Deps is the dependency set of one cached response.
 type Deps struct {
 	bits Bits
-	all  bool
 }
 
 // AddEntity declares a dependency on an entity symbol.
@@ -133,10 +129,6 @@ func (d *Deps) AddEntity(name string) { d.bits.Set(groupOf(kindEntity, name)) }
 // same processed token form the index matches on, i.e. the output of
 // text.Pipeline).
 func (d *Deps) AddTerm(tok string) { d.bits.Set(groupOf(kindTerm, tok)) }
-
-// AddAll declares a dependency on every published change (wildcard for
-// responses derived from the whole result set).
-func (d *Deps) AddAll() { d.all = true }
 
 // Token is the validity witness of one cached computation: the
 // dependency set plus the global bump-clock value at Begin time.
@@ -200,13 +192,11 @@ type Cache struct {
 
 	// clock hands out bump ordinals; vers[g] holds the ordinal of
 	// group g's latest bump, epoch the ordinal of the latest coarse
-	// invalidation, anyVer the ordinal of the latest bump of any kind.
-	// An entry begun at stamp s is valid while every version it
-	// depends on is <= s.
-	clock  atomic.Uint64
-	vers   [numGroups]atomic.Uint64
-	epoch  atomic.Uint64
-	anyVer atomic.Uint64
+	// invalidation. An entry begun at stamp s is valid while every
+	// version it depends on is <= s.
+	clock atomic.Uint64
+	vers  [numGroups]atomic.Uint64
+	epoch atomic.Uint64
 
 	now func() time.Time
 
@@ -264,9 +254,6 @@ func (c *Cache) Begin(deps Deps) Token {
 func (c *Cache) valid(tok Token) bool {
 	if c.epoch.Load() > tok.stamp {
 		return false
-	}
-	if tok.deps.all {
-		return c.anyVer.Load() <= tok.stamp
 	}
 	for i, w := range tok.deps.bits {
 		for w != 0 {
@@ -375,7 +362,6 @@ func (c *Cache) Bump(b Bits) {
 			}
 		}
 	}
-	c.anyVer.Store(stamp)
 }
 
 // BumpAll invalidates everything (pipeline rebuild, corpus reload,
@@ -384,7 +370,6 @@ func (c *Cache) Bump(b Bits) {
 func (c *Cache) BumpAll() {
 	stamp := c.clock.Add(1)
 	c.epoch.Store(stamp)
-	c.anyVer.Store(stamp)
 }
 
 // Len returns the current entry count (tests and debug).

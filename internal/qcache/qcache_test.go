@@ -16,7 +16,7 @@ func distinctEntities(t *testing.T, n int) []string {
 	var out []string
 	for i := 0; len(out) < n && i < 10000; i++ {
 		name := fmt.Sprintf("entity_%d", i)
-		g := GroupOfEntity(name)
+		g := groupOf(kindEntity, name)
 		if !used[g] {
 			used[g] = true
 			out = append(out, name)
@@ -97,7 +97,7 @@ func TestBumpInvalidatesOnlyDependents(t *testing.T) {
 	put("k1", ents[1])
 
 	var hit Bits
-	hit.Set(GroupOfEntity(ents[0]))
+	hit.Set(groupOf(kindEntity, ents[0]))
 	c.Bump(hit)
 
 	if _, _, ok := c.Get("k0"); ok {
@@ -123,7 +123,7 @@ func TestBeginBeforeBumpIsConservative(t *testing.T) {
 	// A publish lands between Begin and Put: the computation may have
 	// read the pre-publish index, so the entry must never be served.
 	var b Bits
-	b.Set(GroupOfEntity(ents[0]))
+	b.Set(groupOf(kindEntity, ents[0]))
 	c.Bump(b)
 	c.Put("k", tok, []byte("maybe stale"), `"t"`)
 	if _, _, ok := c.Get("k"); ok {
@@ -138,19 +138,17 @@ func TestWildcardAndEpoch(t *testing.T) {
 	ents := distinctEntities(t, 2)
 	c := New(Config{SweepInterval: -1})
 
-	var all Deps
-	all.AddAll()
-	c.Put("any", c.Begin(all), []byte("x"), `"t"`)
-	var one Bits
-	one.Set(GroupOfEntity(ents[0]))
-	c.Bump(one)
-	if _, _, ok := c.Get("any"); ok {
-		t.Fatal("wildcard entry survived a bump")
-	}
-
+	// A narrow bump leaves an entry on another group alone; BumpAll is
+	// the wildcard that takes it out regardless of its dependencies.
 	var d Deps
 	d.AddEntity(ents[1])
 	c.Put("narrow", c.Begin(d), []byte("y"), `"t"`)
+	var one Bits
+	one.Set(groupOf(kindEntity, ents[0]))
+	c.Bump(one)
+	if _, _, ok := c.Get("narrow"); !ok {
+		t.Fatal("entry lost to a bump of a group it does not depend on")
+	}
 	c.BumpAll()
 	if _, _, ok := c.Get("narrow"); ok {
 		t.Fatal("entry survived BumpAll")
@@ -201,7 +199,7 @@ func TestSweepRemovesExpiredAndInvalid(t *testing.T) {
 
 	now = now.Add(2 * time.Second) // "expired" ages out
 	var b Bits
-	b.Set(GroupOfEntity(ents[1])) // "invalid" loses its dep
+	b.Set(groupOf(kindEntity, ents[1])) // "invalid" loses its dep
 	c.Bump(b)
 
 	// Re-add a live entry after the bump.
@@ -249,7 +247,7 @@ func TestConcurrentUse(t *testing.T) {
 			var d Deps
 			d.AddEntity(ent)
 			var b Bits
-			b.Set(GroupOfEntity(ent))
+			b.Set(groupOf(kindEntity, ent))
 			for i := 0; i < 500; i++ {
 				key := Key("search", ent, 0, 10)
 				if body, _, ok := c.Get(key); ok {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"repro/internal/feed"
+	"repro/internal/httpx"
 )
 
 // FeedAssignPut is the PUT /api/cluster/feeds request: the router's
@@ -33,10 +34,10 @@ type FeedAssignView struct {
 func (s *Server) handleFeedAssignGet(w http.ResponseWriter, _ *http.Request) {
 	m := s.feeds.Load()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "no feed manager attached")
+		httpx.Error(w, http.StatusNotFound, "no feed manager attached")
 		return
 	}
-	writeJSON(w, FeedAssignView{
+	httpx.WriteJSON(w, http.StatusOK, FeedAssignView{
 		Epoch:   s.feedEpoch.Load(),
 		Running: m.Assigned(),
 	})
@@ -45,12 +46,12 @@ func (s *Server) handleFeedAssignGet(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleFeedAssignPut(w http.ResponseWriter, r *http.Request) {
 	m := s.feeds.Load()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "no feed manager attached")
+		httpx.Error(w, http.StatusNotFound, "no feed manager attached")
 		return
 	}
 	var req FeedAssignPut
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid assignment JSON: "+err.Error())
+		httpx.Error(w, http.StatusBadRequest, "invalid assignment JSON: "+err.Error())
 		return
 	}
 	// Epoch check and apply race only against other assignment PUTs, and
@@ -68,11 +69,11 @@ func (s *Server) handleFeedAssignPut(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := m.Assign(req.Assignments)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.feedEpoch.Store(req.Epoch)
-	writeJSON(w, FeedAssignView{
+	httpx.WriteJSON(w, http.StatusOK, FeedAssignView{
 		Epoch:   req.Epoch,
 		Running: res.Running,
 		Stopped: res.Stopped,

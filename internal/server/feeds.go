@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"repro/internal/feed"
+	"repro/internal/httpx"
 	"repro/internal/retire"
 )
 
@@ -47,7 +48,7 @@ func (s *Server) Feeds() *feed.Manager {
 func (s *Server) handleFeeds(w http.ResponseWriter, _ *http.Request) {
 	m := s.feeds.Load()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "no feed manager attached")
+		httpx.Error(w, http.StatusNotFound, "no feed manager attached")
 		return
 	}
 	h, d, q := m.StateCounts()
@@ -61,7 +62,7 @@ func (s *Server) handleFeeds(w http.ResponseWriter, _ *http.Request) {
 	if dlq := m.DLQ(); dlq != nil {
 		view.DLQDepth = dlq.Len()
 	}
-	writeJSON(w, view)
+	httpx.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleHealthz is the load-balancer probe. 503 means "stop routing

@@ -237,7 +237,7 @@ func TestWriteJSONRecordsWriteErrors(t *testing.T) {
 	c := obs.GetCounter("storypivot_http_write_errors_total", "")
 	before := c.Value()
 	w := &failAfterWriter{ResponseRecorder: *httptest.NewRecorder()}
-	writeJSON(w, map[string]string{"hello": "world"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"hello": "world"})
 	if got := c.Value(); got != before+1 {
 		t.Fatalf("write-error counter = %d, want %d", got, before+1)
 	}
@@ -254,7 +254,7 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 	rec := httptest.NewRecorder()
 	// A channel is not JSON-encodable: the failure must surface as a
 	// clean 500 error envelope, not a half-written 200.
-	writeJSON(rec, map[string]any{"bad": make(chan int)})
+	httpx.WriteJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("encode failure = %d, want 500", rec.Code)
 	}
@@ -269,7 +269,7 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 
 func TestWriteJSONSetsContentLength(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, map[string]int{"n": 1})
+	httpx.WriteJSON(rec, http.StatusOK, map[string]int{"n": 1})
 	cl := rec.Header().Get("Content-Length")
 	if cl == "" {
 		t.Fatal("no Content-Length on buffered response")

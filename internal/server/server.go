@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,16 +23,11 @@ import (
 	"repro/internal/text"
 )
 
-// Response-path instrumentation; request counting and latency live in
-// httpx.Instrument, and the pipeline stages report their own metrics.
-var (
-	metEncodeErrors = obs.GetCounter("storypivot_http_encode_errors_total",
-		"responses whose JSON encoding failed before any bytes were sent")
-	metWriteErrors = obs.GetCounter("storypivot_http_write_errors_total",
-		"responses aborted mid-write (client gone or connection cut)")
-	metEncodesSkipped = obs.GetCounter("storypivot_http_encodes_skipped_total",
-		"responses served without running the JSON encoder (cache hits and 304s)")
-)
+// Response-path instrumentation; request counting, latency and the
+// encode/write-error counters live in httpx, and the pipeline stages
+// report their own metrics.
+var metEncodesSkipped = obs.GetCounter("storypivot_http_encodes_skipped_total",
+	"responses served without running the JSON encoder (cache hits and 304s)")
 
 // Server is the demonstration backend. It owns a set of available
 // documents (Figure 3's document-selection module); the selected subset is
@@ -299,7 +292,7 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, _ *http.Request) {
 		role = "worker"
 		peers = append(peers, *p...)
 	}
-	writeJSON(w, map[string]any{"role": role, "peers": peers})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"role": role, "peers": peers})
 }
 
 // Close releases the server's pipeline: the index background compactor
@@ -369,50 +362,6 @@ func (s *Server) rawMux() http.Handler {
 	return mux
 }
 
-// encodeJSON renders v exactly as writeJSON would send it. Split out so
-// the cache can store the encoded bytes and later serve them — or a
-// 304 — without re-running the encoder.
-func encodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeBody commits an already-encoded JSON body: the status line goes
-// out only once a full body exists, and write errors on aborted
-// connections are recorded rather than dropped.
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		metWriteErrors.Inc()
-	}
-}
-
-// writeJSON encodes v completely before touching the connection, so an
-// encoding failure becomes a clean 500 instead of a half-written
-// response that the instrumentation would count as a 200.
-func writeJSON(w http.ResponseWriter, v any) {
-	body, err := encodeJSON(v)
-	if err != nil {
-		metEncodeErrors.Inc()
-		httpError(w, http.StatusInternalServerError, "response encoding failed: "+err.Error())
-		return
-	}
-	writeBody(w, body)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
 func (s *Server) handleDocuments(w http.ResponseWriter, _ *http.Request) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -431,7 +380,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, _ *http.Request) {
 			Selected:  s.selected[d.URL],
 		})
 	}
-	writeJSON(w, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // decodeStatus maps a request-body decode failure to its status:
@@ -447,12 +396,12 @@ func decodeStatus(err error) int {
 func (s *Server) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 	var d storypivot.Document
 	if err := json.NewDecoder(r.Body).Decode(&d); err != nil {
-		httpError(w, decodeStatus(err), "invalid document JSON: "+err.Error())
+		httpx.Error(w, decodeStatus(err), "invalid document JSON: "+err.Error())
 		return
 	}
 	accepted, ingestErrs, err := s.AddDocument(&d)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		httpx.Error(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	resp := map[string]any{
@@ -474,7 +423,7 @@ func (s *Server) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["errors"] = msgs
 	}
-	writeJSON(w, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -482,42 +431,42 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		URLs []string `json:"urls"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, decodeStatus(err), "invalid selection JSON: "+err.Error())
+		httpx.Error(w, decodeStatus(err), "invalid selection JSON: "+err.Error())
 		return
 	}
 	if err := s.Select(req.URLs); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"status": "selected", "count": len(req.URLs)})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "selected", "count": len(req.URLs)})
 }
 
 func (s *Server) handleRemoveDocument(w http.ResponseWriter, r *http.Request) {
 	url := r.URL.Query().Get("url")
 	if url == "" {
-		httpError(w, http.StatusBadRequest, "missing url parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing url parameter")
 		return
 	}
 	ok, err := s.RemoveDocument(url)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpx.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !ok {
-		httpError(w, http.StatusNotFound, "document not selected: "+url)
+		httpx.Error(w, http.StatusNotFound, "document not selected: "+url)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "removed", "url": url})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "removed", "url": url})
 }
 
 func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Pipeline().Sources())
+	httpx.WriteJSON(w, http.StatusOK, s.Pipeline().Sources())
 }
 
 func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 	src := r.URL.Query().Get("source")
 	if src == "" {
-		httpError(w, http.StatusBadRequest, "missing source parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing source parameter")
 		return
 	}
 	p := s.Pipeline()
@@ -527,7 +476,7 @@ func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 		out = append(out, storyView(p, st, r.URL.Query().Get("detail") == "1"))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleIntegrated(w http.ResponseWriter, _ *http.Request) {
@@ -539,68 +488,23 @@ func (s *Server) handleIntegrated(w http.ResponseWriter, _ *http.Request) {
 	for _, is := range res.Integrated() {
 		out = append(out, integratedView(p, is, false))
 	}
-	writeJSON(w, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleIntegratedOne(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid story id")
+		httpx.Error(w, http.StatusBadRequest, "invalid story id")
 		return
 	}
 	p := s.Pipeline()
 	for _, is := range p.Result().Integrated() {
 		if uint64(is.ID) == id {
-			writeJSON(w, integratedView(p, is, true))
+			httpx.WriteJSON(w, http.StatusOK, integratedView(p, is, true))
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, "no such integrated story")
-}
-
-// Pagination bounds for the query endpoints: requests without a limit
-// get defaultPageLimit results; limit is capped at maxPageLimit so the
-// server never serialises unbounded result sets. deep=1 raises the cap
-// to deepPageLimit — the scatter-gather router must fetch offset+limit
-// results per shard to paginate globally, so a deep client page (say
-// offset 4500, limit 500) becomes a limit-5000 shard fetch that the
-// default cap would truncate, silently corrupting global pagination.
-const (
-	defaultPageLimit = 50
-	maxPageLimit     = 500
-	deepPageLimit    = 10000
-)
-
-// pageParams parses offset/limit from already-parsed query values (the
-// cached handlers parse r.URL.Query() exactly once per request),
-// applying the default and cap. It reports ok=false (after writing the
-// error) on malformed values.
-func pageParams(w http.ResponseWriter, vals url.Values) (offset, limit int, ok bool) {
-	offset, limit = 0, defaultPageLimit
-	if v := vals.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "invalid offset parameter")
-			return 0, 0, false
-		}
-		offset = n
-	}
-	if v := vals.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "invalid limit parameter")
-			return 0, 0, false
-		}
-		limit = n
-	}
-	ceil := maxPageLimit
-	if vals.Get("deep") == "1" {
-		ceil = deepPageLimit
-	}
-	if limit > ceil {
-		limit = ceil
-	}
-	return offset, limit, true
+	httpx.Error(w, http.StatusNotFound, "no such integrated story")
 }
 
 // cacheMode classifies the request's Cache-Control directives: normal
@@ -661,7 +565,7 @@ func serveEncoded(w http.ResponseWriter, r *http.Request, body []byte, etag, xca
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeBody(w, body)
+	httpx.WriteBody(w, http.StatusOK, body)
 }
 
 func searchPage(rd snippetTexter, hits []*storypivot.IntegratedStory, scores []float64, total, offset, limit int) SearchPageView {
@@ -694,10 +598,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	vals := r.URL.Query()
 	q := vals.Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	offset, limit, ok := pageParams(w, vals)
+	offset, limit, ok := httpx.PageParams(w, vals)
 	if !ok {
 		return
 	}
@@ -712,7 +616,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache == nil {
 		view, _ := compute(s.Pipeline())
-		writeJSON(w, view)
+		httpx.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	s.cachedQuery(w, r, scoredEndpoint("search", withScores), q,
@@ -733,10 +637,10 @@ func (s *Server) handleStoriesByEntity(w http.ResponseWriter, r *http.Request) {
 	vals := r.URL.Query()
 	e := vals.Get("entity")
 	if e == "" {
-		httpError(w, http.StatusBadRequest, "missing entity parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing entity parameter")
 		return
 	}
-	offset, limit, ok := pageParams(w, vals)
+	offset, limit, ok := httpx.PageParams(w, vals)
 	if !ok {
 		return
 	}
@@ -751,7 +655,7 @@ func (s *Server) handleStoriesByEntity(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache == nil {
 		view, _ := compute(s.Pipeline())
-		writeJSON(w, view)
+		httpx.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	s.cachedQuery(w, r, scoredEndpoint("by-entity", withScores), e,
@@ -763,17 +667,17 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	vals := r.URL.Query()
 	e := vals.Get("entity")
 	if e == "" {
-		httpError(w, http.StatusBadRequest, "missing entity parameter")
+		httpx.Error(w, http.StatusBadRequest, "missing entity parameter")
 		return
 	}
-	offset, limit, ok := pageParams(w, vals)
+	offset, limit, ok := httpx.PageParams(w, vals)
 	if !ok {
 		return
 	}
 	if s.cache == nil {
 		p := s.Pipeline()
 		sns, total := p.TimelineN(storypivot.Entity(e), offset, limit)
-		writeJSON(w, timelinePage(p, sns, total, offset, limit))
+		httpx.WriteJSON(w, http.StatusOK, timelinePage(p, sns, total, offset, limit))
 		return
 	}
 	s.cachedQuery(w, r, "timeline", e,
@@ -810,10 +714,8 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, q
 	if !ok {
 		return // compute wrote its own error response
 	}
-	body, err := encodeJSON(view)
-	if err != nil {
-		metEncodeErrors.Inc()
-		httpError(w, http.StatusInternalServerError, "response encoding failed: "+err.Error())
+	body, ok := httpx.EncodeJSON(w, view)
+	if !ok {
 		return
 	}
 	etag := qcache.ETagFor(body)
@@ -830,29 +732,29 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, q
 // handleQuotasGet exposes the live quota configuration.
 func (s *Server) handleQuotasGet(w http.ResponseWriter, _ *http.Request) {
 	if s.quotas == nil {
-		httpError(w, http.StatusNotFound, "quota enforcement not enabled")
+		httpx.Error(w, http.StatusNotFound, "quota enforcement not enabled")
 		return
 	}
-	writeJSON(w, s.quotas.Snapshot())
+	httpx.WriteJSON(w, http.StatusOK, s.quotas.Snapshot())
 }
 
 // handleQuotasPut applies a quota.Update — new default and/or tenant
 // overrides — without restart, answering with the resulting config.
 func (s *Server) handleQuotasPut(w http.ResponseWriter, r *http.Request) {
 	if s.quotas == nil {
-		httpError(w, http.StatusNotFound, "quota enforcement not enabled")
+		httpx.Error(w, http.StatusNotFound, "quota enforcement not enabled")
 		return
 	}
 	var u quota.Update
 	if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
-		httpError(w, decodeStatus(err), "invalid quota JSON: "+err.Error())
+		httpx.Error(w, decodeStatus(err), "invalid quota JSON: "+err.Error())
 		return
 	}
 	if err := s.quotas.Apply(u); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, s.quotas.Snapshot())
+	httpx.WriteJSON(w, http.StatusOK, s.quotas.Snapshot())
 }
 
 // handleContext resolves an integrated story's entities against the
@@ -860,27 +762,27 @@ func (s *Server) handleQuotasPut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleContext(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid story id")
+		httpx.Error(w, http.StatusBadRequest, "invalid story id")
 		return
 	}
 	p := s.Pipeline()
 	if p.KnowledgeBase() == nil {
-		httpError(w, http.StatusNotImplemented, "no knowledge base attached")
+		httpx.Error(w, http.StatusNotImplemented, "no knowledge base attached")
 		return
 	}
 	for _, is := range p.Result().Integrated() {
 		if uint64(is.ID) == id {
-			writeJSON(w, p.Context(is))
+			httpx.WriteJSON(w, http.StatusOK, p.Context(is))
 			return
 		}
 	}
-	httpError(w, http.StatusNotFound, "no such integrated story")
+	httpx.Error(w, http.StatusNotFound, "no such integrated story")
 }
 
 // handleProfiles serves the per-source reporting profiles (timeliness,
 // coverage, exclusivity) derived from the current alignment.
 func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Pipeline().SourceProfiles())
+	httpx.WriteJSON(w, http.StatusOK, s.Pipeline().SourceProfiles())
 }
 
 // TrendView is one row of the trending endpoint.
@@ -901,7 +803,7 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("now"); v != "" {
 		t, err := time.Parse(time.RFC3339, v)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid now (want RFC3339)")
+			httpx.Error(w, http.StatusBadRequest, "invalid now (want RFC3339)")
 			return
 		}
 		now = t
@@ -910,7 +812,7 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("window"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, "invalid window duration")
+			httpx.Error(w, http.StatusBadRequest, "invalid window duration")
 			return
 		}
 		window = d
@@ -924,7 +826,7 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 			Score:  tr.Score,
 		})
 	}
-	writeJSON(w, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -962,7 +864,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	view.EntityCount = int(p.Engine().DistinctEntities())
 	view.StartDate, view.EndDate = p.Engine().TimeRange()
-	writeJSON(w, view)
+	httpx.WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

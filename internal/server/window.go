@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/retire"
 )
 
@@ -22,10 +23,10 @@ type WindowUpdate struct {
 func (s *Server) handleWindowGet(w http.ResponseWriter, _ *http.Request) {
 	m := s.Pipeline().Retire()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "story retirement not enabled")
+		httpx.Error(w, http.StatusNotFound, "story retirement not enabled")
 		return
 	}
-	writeJSON(w, m.Snapshot())
+	httpx.WriteJSON(w, http.StatusOK, m.Snapshot())
 }
 
 // handleWindowPut rebases the live retirement policy without restart,
@@ -33,19 +34,19 @@ func (s *Server) handleWindowGet(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleWindowPut(w http.ResponseWriter, r *http.Request) {
 	m := s.Pipeline().Retire()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "story retirement not enabled")
+		httpx.Error(w, http.StatusNotFound, "story retirement not enabled")
 		return
 	}
 	var body WindowUpdate
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, decodeStatus(err), "invalid window JSON: "+err.Error())
+		httpx.Error(w, decodeStatus(err), "invalid window JSON: "+err.Error())
 		return
 	}
 	var u retire.Update
 	if body.Window != nil {
 		d, err := time.ParseDuration(*body.Window)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid window duration: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid window duration: "+err.Error())
 			return
 		}
 		u.Window = &d
@@ -53,15 +54,15 @@ func (s *Server) handleWindowPut(w http.ResponseWriter, r *http.Request) {
 	if body.Grace != nil {
 		d, err := time.ParseDuration(*body.Grace)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid grace duration: "+err.Error())
+			httpx.Error(w, http.StatusBadRequest, "invalid grace duration: "+err.Error())
 			return
 		}
 		u.Grace = &d
 	}
 	u.MinResident = body.MinResident
 	if err := m.Apply(u); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpx.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, m.Snapshot())
+	httpx.WriteJSON(w, http.StatusOK, m.Snapshot())
 }

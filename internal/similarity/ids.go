@@ -7,15 +7,16 @@ import (
 	"repro/internal/vocab"
 )
 
-// ID-based kernels: the hot-path forms of the similarity measures,
-// operating on the flat sorted sparse vectors of internal/vocab instead
-// of string-keyed maps. Every function here is a linear merge walk over
+// The similarity kernels operate on the flat sorted sparse vectors of
+// internal/vocab. Every function here is a linear merge walk over
 // pre-sorted integer IDs and performs zero heap allocations per call
 // (enforced by TestKernelAllocs).
 
 // IDWeighter assigns a positive importance weight to an interned entity
-// symbol. It is the ID-space analogue of EntityWeighter; nil means
-// uniform weights.
+// symbol. IDF-style weighters down-weight ubiquitous entities ("Ukraine"
+// appears in every story of a crisis month and carries little
+// discriminating signal), which matters on the Zipf-distributed entity
+// mentions of real event feeds. A nil IDWeighter means uniform weights.
 type IDWeighter func(uint32) float64
 
 // CosineIDs computes cosine similarity between two sorted weighted ID
@@ -56,7 +57,8 @@ func CosineIDsNorm(a []vocab.IDWeight, aNorm float64, b []vocab.IDWeight, bNorm 
 }
 
 // JaccardIDs computes |A∩B| / |A∪B| between a snippet's sorted entity
-// symbols and a story's entity frequency vector.
+// symbols and a story's entity frequency vector. Both empty yields 0 (no
+// evidence is not a match).
 func JaccardIDs(a []uint32, b []vocab.IDCount) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0

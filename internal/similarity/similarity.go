@@ -44,217 +44,6 @@ func (w Weights) Normalized() Weights {
 	return Weights{w.Entity / sum, w.Description / sum, w.Temporal / sum}
 }
 
-// CosineTerms computes the cosine similarity between two sparse term
-// vectors given as token->weight maps. Empty vectors yield 0.
-func CosineTerms(a, b map[string]float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	// Iterate the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var dot float64
-	for tok, wa := range a {
-		if wb, ok := b[tok]; ok {
-			dot += wa * wb
-		}
-	}
-	if dot == 0 {
-		return 0
-	}
-	na, nb := norm(a), norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	s := dot / (na * nb)
-	// Guard against floating point drift slightly above 1.
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-// CosineTermsNorm is CosineTerms with the second vector's norm precomputed
-// (stories cache their centroid norm).
-func CosineTermsNorm(a, b map[string]float64, bNorm float64) float64 {
-	if len(a) == 0 || len(b) == 0 || bNorm == 0 {
-		return 0
-	}
-	var dot float64
-	if len(a) <= len(b) {
-		for tok, wa := range a {
-			if wb, ok := b[tok]; ok {
-				dot += wa * wb
-			}
-		}
-	} else {
-		for tok, wb := range b {
-			if wa, ok := a[tok]; ok {
-				dot += wa * wb
-			}
-		}
-	}
-	if dot == 0 {
-		return 0
-	}
-	na := norm(a)
-	if na == 0 {
-		return 0
-	}
-	s := dot / (na * bNorm)
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-func norm(v map[string]float64) float64 {
-	var sum float64
-	for _, w := range v {
-		sum += w * w
-	}
-	return math.Sqrt(sum)
-}
-
-// TermsToMap converts a snippet's sorted term slice into a token->weight
-// map for vector arithmetic.
-func TermsToMap(terms []event.Term) map[string]float64 {
-	m := make(map[string]float64, len(terms))
-	for _, t := range terms {
-		m[t.Token] += t.Weight
-	}
-	return m
-}
-
-// EntityWeighter assigns a positive importance weight to an entity.
-// IDF-style weighters down-weight ubiquitous entities ("Ukraine" appears
-// in every story of a crisis month and carries little discriminating
-// signal), which matters on the Zipf-distributed entity mentions of real
-// event feeds. A nil EntityWeighter means uniform weights.
-type EntityWeighter func(event.Entity) float64
-
-// WeightedJaccardEntities is JaccardEntities with per-entity weights:
-// Σw(A∩B) / Σw(A∪B). The slice must be sorted and deduplicated (the
-// normalized-snippet invariant).
-func WeightedJaccardEntities(a []event.Entity, b map[event.Entity]int, ew EntityWeighter) float64 {
-	if ew == nil {
-		return JaccardEntities(a, b)
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var inter, union float64
-	for _, e := range a {
-		w := ew(e)
-		union += w
-		if b[e] > 0 {
-			inter += w
-		}
-	}
-	for e, n := range b {
-		if n <= 0 {
-			continue
-		}
-		// Entities of b not in a. a is sorted and deduplicated.
-		if !containsEntity(a, e) {
-			union += ew(e)
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return inter / union
-}
-
-func containsEntity(a []event.Entity, e event.Entity) bool {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && a[lo] == e
-}
-
-// WeightedJaccardEntitySets is JaccardEntitySets with per-entity weights.
-func WeightedJaccardEntitySets(a, b map[event.Entity]int, ew EntityWeighter) float64 {
-	if ew == nil {
-		return JaccardEntitySets(a, b)
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var inter, union float64
-	for e, n := range a {
-		if n <= 0 {
-			continue
-		}
-		w := ew(e)
-		union += w
-		if b[e] > 0 {
-			inter += w
-		}
-	}
-	for e, n := range b {
-		if n <= 0 {
-			continue
-		}
-		if an, ok := a[e]; !ok || an <= 0 {
-			union += ew(e)
-		}
-	}
-	if union == 0 {
-		return 0
-	}
-	return inter / union
-}
-
-// JaccardEntities computes the Jaccard coefficient |A∩B| / |A∪B| between a
-// snippet's entity list (sorted, deduplicated) and a story's entity
-// frequency map. Both empty yields 0 (no evidence is not a match).
-func JaccardEntities(a []event.Entity, b map[event.Entity]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	for _, e := range a {
-		if b[e] > 0 {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// JaccardEntitySets computes the Jaccard coefficient between two entity
-// frequency maps (story vs story).
-func JaccardEntitySets(a, b map[event.Entity]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for e := range a {
-		if b[e] > 0 {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // TemporalDecay maps the distance between two timestamps to (0, 1] with an
 // exponential kernel exp(-|Δt| / scale). Identical timestamps score 1;
 // at Δt = scale the score is 1/e ≈ 0.37.
@@ -305,82 +94,12 @@ func adaptive(w Weights, hasEnt, hasDesc bool) Weights {
 	return Weights{we.Entity / sum, we.Description / sum, we.Temporal / sum}
 }
 
-// SnippetStory scores how well snippet s matches a story summarised by the
-// given entity frequencies and term centroid (which may be windowed), with
-// refTime the story-side reference timestamp for the temporal component
-// (typically the timestamp of the story's nearest snippet). Components for
-// which either side has no evidence are dropped and the weights
-// renormalised.
-func SnippetStory(s *event.Snippet, entities map[event.Entity]int,
-	centroid map[string]float64, centroidNorm float64,
-	refTime time.Time, scale time.Duration, w Weights) float64 {
-	return SnippetStoryW(s, entities, centroid, centroidNorm, refTime, scale, w, nil)
-}
-
-// SnippetStoryW is SnippetStory with an optional entity weighter.
-func SnippetStoryW(s *event.Snippet, entities map[event.Entity]int,
-	centroid map[string]float64, centroidNorm float64,
-	refTime time.Time, scale time.Duration, w Weights, ew EntityWeighter) float64 {
-	we := adaptive(w,
-		len(s.Entities) > 0 && len(entities) > 0,
-		len(s.Terms) > 0 && len(centroid) > 0)
-	sim := 0.0
-	if we.Entity > 0 {
-		sim += we.Entity * WeightedJaccardEntities(s.Entities, entities, ew)
-	}
-	if we.Description > 0 {
-		sim += we.Description * CosineTermsNorm(TermsToMap(s.Terms), centroid, centroidNorm)
-	}
-	sim += we.Temporal * TemporalDecay(s.Timestamp, refTime, scale)
-	return sim
-}
-
 // Snippets scores the similarity of two snippets directly (used by the
 // split/merge connectivity graph and by align-vs-enrich classification).
-// As in SnippetStory, components with no evidence on either side are
+// As in SnippetStoryIDs, components with no evidence on either side are
 // dropped and the weights renormalised.
 func Snippets(a, b *event.Snippet, scale time.Duration, w Weights) float64 {
 	a.EnsureInterned()
 	b.EnsureInterned()
 	return SnippetsIDs(a, b, scale, w)
 }
-
-// cosineSortedTerms computes cosine similarity over two token-sorted term
-// slices with a linear merge, avoiding map allocation on the hot path.
-func cosineSortedTerms(a, b []event.Term) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Token == b[j].Token:
-			dot += a[i].Weight * b[j].Weight
-			i++
-			j++
-		case a[i].Token < b[j].Token:
-			i++
-		default:
-			j++
-		}
-	}
-	for _, t := range a {
-		na += t.Weight * t.Weight
-	}
-	for _, t := range b {
-		nb += t.Weight * t.Weight
-	}
-	if dot == 0 || na == 0 || nb == 0 {
-		return 0
-	}
-	s := dot / math.Sqrt(na*nb)
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-// CosineSnippetTerms exposes the allocation-free sorted-slice cosine for
-// callers that hold raw snippets.
-func CosineSnippetTerms(a, b []event.Term) float64 { return cosineSortedTerms(a, b) }

@@ -3,11 +3,13 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/vocab"
 )
 
 func day(d int) time.Time { return time.Date(2014, 7, d, 0, 0, 0, 0, time.UTC) }
@@ -33,41 +35,74 @@ func TestWeightsNormalized(t *testing.T) {
 	}
 }
 
+// weightVec interns a token->weight map into the sorted ID vector the
+// kernels take.
+func weightVec(m map[string]float64) []vocab.IDWeight {
+	out := make([]vocab.IDWeight, 0, len(m))
+	for tok, w := range m {
+		out = append(out, vocab.IDWeight{ID: vocab.Terms.ID(tok), W: w})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// countVec interns an entity->count map into a story-side frequency
+// vector. Zero counts are kept: the kernels must treat them as absent.
+func countVec(m map[event.Entity]int) []vocab.IDCount {
+	out := make([]vocab.IDCount, 0, len(m))
+	for e, n := range m {
+		out = append(out, vocab.IDCount{ID: vocab.Entities.ID(string(e)), N: int32(n)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// entityIDs interns a snippet-side entity list (sorted, deduplicated).
+func entityIDs(ents ...event.Entity) []uint32 {
+	out := make([]uint32, 0, len(ents))
+	for _, e := range ents {
+		out = append(out, vocab.Entities.ID(string(e)))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func TestCosineTerms(t *testing.T) {
-	a := map[string]float64{"crash": 1, "plane": 1}
-	b := map[string]float64{"crash": 1, "plane": 1}
-	if got := CosineTerms(a, b); math.Abs(got-1) > 1e-12 {
+	a := weightVec(map[string]float64{"crash": 1, "plane": 1})
+	b := weightVec(map[string]float64{"crash": 1, "plane": 1})
+	if got := CosineIDs(a, b); math.Abs(got-1) > 1e-12 {
 		t.Errorf("identical vectors cosine = %g, want 1", got)
 	}
-	c := map[string]float64{"sanctions": 1}
-	if got := CosineTerms(a, c); got != 0 {
+	c := weightVec(map[string]float64{"sanctions": 1})
+	if got := CosineIDs(a, c); got != 0 {
 		t.Errorf("orthogonal vectors cosine = %g, want 0", got)
 	}
-	if got := CosineTerms(nil, a); got != 0 {
+	if got := CosineIDs(nil, a); got != 0 {
 		t.Errorf("empty vector cosine = %g, want 0", got)
 	}
 	// Scaling invariance.
-	d := map[string]float64{"crash": 10, "plane": 10}
-	if got := CosineTerms(a, d); math.Abs(got-1) > 1e-12 {
+	d := weightVec(map[string]float64{"crash": 10, "plane": 10})
+	if got := CosineIDs(a, d); math.Abs(got-1) > 1e-12 {
 		t.Errorf("scaled vectors cosine = %g, want 1", got)
 	}
 }
 
 func TestCosineSymmetryAndRangeQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	vocab := []string{"a", "b", "c", "d", "e", "f"}
-	genVec := func() map[string]float64 {
+	toks := []string{"a", "b", "c", "d", "e", "f"}
+	genVec := func() []vocab.IDWeight {
 		v := make(map[string]float64)
-		for _, tok := range vocab {
+		for _, tok := range toks {
 			if rng.Intn(2) == 0 {
 				v[tok] = rng.Float64() * 10
 			}
 		}
-		return v
+		return weightVec(v)
 	}
 	f := func(int64) bool {
 		a, b := genVec(), genVec()
-		s1, s2 := CosineTerms(a, b), CosineTerms(b, a)
+		an, bn := vocab.WeightNorm(a), vocab.WeightNorm(b)
+		s1, s2 := CosineIDsNorm(a, an, b, bn), CosineIDsNorm(b, bn, a, an)
 		if math.Abs(s1-s2) > 1e-12 {
 			return false
 		}
@@ -79,47 +114,46 @@ func TestCosineSymmetryAndRangeQuick(t *testing.T) {
 }
 
 func TestCosineTermsNormMatchesCosineTerms(t *testing.T) {
-	a := map[string]float64{"crash": 2, "plane": 1}
-	b := map[string]float64{"crash": 1, "shot": 3}
-	var nb float64
-	for _, w := range b {
-		nb += w * w
-	}
-	got := CosineTermsNorm(a, b, math.Sqrt(nb))
-	want := CosineTerms(a, b)
+	a := weightVec(map[string]float64{"crash": 2, "plane": 1})
+	b := weightVec(map[string]float64{"crash": 1, "shot": 3})
+	got := CosineIDsNorm(a, math.Sqrt(5), b, math.Sqrt(10))
+	want := CosineIDs(a, b)
 	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("CosineTermsNorm = %g, CosineTerms = %g", got, want)
+		t.Fatalf("CosineIDsNorm = %g, CosineIDs = %g", got, want)
 	}
-	if CosineTermsNorm(a, b, 0) != 0 {
+	if want := 2 / math.Sqrt(50); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("CosineIDsNorm = %g, want %g", got, want)
+	}
+	if CosineIDsNorm(a, math.Sqrt(5), b, 0) != 0 || CosineIDsNorm(a, 0, b, math.Sqrt(10)) != 0 {
 		t.Error("zero norm must yield 0")
 	}
 }
 
 func TestJaccardEntities(t *testing.T) {
-	story := map[event.Entity]int{"UKR": 3, "MAL": 1}
-	if got := JaccardEntities([]event.Entity{"UKR", "MAL"}, story); got != 1 {
+	story := countVec(map[event.Entity]int{"UKR": 3, "MAL": 1})
+	if got := JaccardIDs(entityIDs("UKR", "MAL"), story); got != 1 {
 		t.Errorf("full overlap = %g, want 1", got)
 	}
-	if got := JaccardEntities([]event.Entity{"UKR", "RUS"}, story); got != 1.0/3 {
+	if got := JaccardIDs(entityIDs("UKR", "RUS"), story); got != 1.0/3 {
 		t.Errorf("partial = %g, want 1/3", got)
 	}
-	if got := JaccardEntities(nil, story); got != 0 {
+	if got := JaccardIDs(nil, story); got != 0 {
 		t.Errorf("empty snippet = %g", got)
 	}
-	if got := JaccardEntities([]event.Entity{"UKR"}, nil); got != 0 {
+	if got := JaccardIDs(entityIDs("UKR"), nil); got != 0 {
 		t.Errorf("empty story = %g", got)
 	}
-	// Zero-count entries in the story map are treated as absent.
-	story2 := map[event.Entity]int{"UKR": 0}
-	if got := JaccardEntities([]event.Entity{"UKR"}, story2); got != 0 {
+	// Zero-count entries in the story vector are treated as absent.
+	story2 := countVec(map[event.Entity]int{"UKR": 0})
+	if got := JaccardIDs(entityIDs("UKR"), story2); got != 0 {
 		t.Errorf("zero-count entity counted: %g", got)
 	}
 }
 
 func TestJaccardEntitySetsSymmetric(t *testing.T) {
-	a := map[event.Entity]int{"A": 1, "B": 2, "C": 1}
-	b := map[event.Entity]int{"B": 5, "C": 1, "D": 2}
-	s1, s2 := JaccardEntitySets(a, b), JaccardEntitySets(b, a)
+	a := countVec(map[event.Entity]int{"A": 1, "B": 2, "C": 1})
+	b := countVec(map[event.Entity]int{"B": 5, "C": 1, "D": 2})
+	s1, s2 := JaccardIDSets(a, b), JaccardIDSets(b, a)
 	if s1 != s2 {
 		t.Fatalf("asymmetric: %g vs %g", s1, s2)
 	}
@@ -201,15 +235,20 @@ func TestSnippetsPairScore(t *testing.T) {
 }
 
 func TestCosineSnippetTerms(t *testing.T) {
-	a := []event.Term{{Token: "a", Weight: 1}, {Token: "b", Weight: 2}}
-	b := []event.Term{{Token: "b", Weight: 2}, {Token: "c", Weight: 1}}
-	got := CosineSnippetTerms(a, b)
-	want := CosineTerms(map[string]float64{"a": 1, "b": 2}, map[string]float64{"b": 2, "c": 1})
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sorted-slice cosine %g != map cosine %g", got, want)
+	// The description cosine as SnippetsIDs computes it: over the term
+	// vectors and norms interning leaves on the snippets.
+	a := snip(1, "s", 1, nil, event.Term{Token: "a", Weight: 1}, event.Term{Token: "b", Weight: 2})
+	b := snip(2, "s", 1, nil, event.Term{Token: "b", Weight: 2}, event.Term{Token: "c", Weight: 1})
+	got := CosineIDsNorm(a.TermIDs, a.TermNorm, b.TermIDs, b.TermNorm)
+	if want := 4.0 / 5.0; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("snippet term cosine %g, want %g", got, want)
 	}
-	if CosineSnippetTerms(nil, b) != 0 {
-		t.Error("empty slice must yield 0")
+	if want := CosineIDs(a.TermIDs, b.TermIDs); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("cached-norm cosine %g != recomputed-norm cosine %g", got, want)
+	}
+	none := snip(3, "s", 1, nil)
+	if CosineIDsNorm(none.TermIDs, none.TermNorm, b.TermIDs, b.TermNorm) != 0 {
+		t.Error("empty term vector must yield 0")
 	}
 }
 
@@ -292,71 +331,79 @@ func TestEvolutionSimilarity(t *testing.T) {
 }
 
 func TestWeightedJaccardEntities(t *testing.T) {
-	story := map[event.Entity]int{"POPULAR": 3, "RARE": 1}
-	uniform := func(event.Entity) float64 { return 1 }
-	// Uniform weights reduce to plain Jaccard. The slice follows the
-	// normalized-snippet invariant: sorted, deduplicated.
-	snip := []event.Entity{"OTHER", "POPULAR"}
-	if got, want := WeightedJaccardEntities(snip, story, uniform),
-		JaccardEntities(snip, story); math.Abs(got-want) > 1e-12 {
+	story := countVec(map[event.Entity]int{"POPULAR": 3, "RARE": 1})
+	popular := vocab.Entities.ID("POPULAR")
+	uniform := func(uint32) float64 { return 1 }
+	// Uniform weights reduce to plain Jaccard.
+	sn := entityIDs("OTHER", "POPULAR")
+	if got, want := WeightedJaccardIDs(sn, story, uniform),
+		JaccardIDs(sn, story); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("uniform weighted %g != plain %g", got, want)
 	}
 	// Nil weighter delegates to plain Jaccard.
-	if got, want := WeightedJaccardEntities(snip, story, nil),
-		JaccardEntities(snip, story); got != want {
+	if got, want := WeightedJaccardIDs(sn, story, nil),
+		JaccardIDs(sn, story); got != want {
 		t.Fatalf("nil weighter %g != plain %g", got, want)
 	}
 	// Down-weighting the shared popular entity lowers the score.
-	idf := func(e event.Entity) float64 {
-		if e == "POPULAR" {
+	idf := func(id uint32) float64 {
+		if id == popular {
 			return 0.1
 		}
 		return 1
 	}
-	weighted := WeightedJaccardEntities(snip, story, idf)
-	plain := JaccardEntities(snip, story)
+	weighted := WeightedJaccardIDs(sn, story, idf)
+	plain := JaccardIDs(sn, story)
 	if !(weighted < plain) {
 		t.Fatalf("IDF-weighted %g not below plain %g", weighted, plain)
 	}
+	if weighted < 0 || weighted > 1 {
+		t.Fatalf("weighted score out of range: %g", weighted)
+	}
 	// Empty sides.
-	if WeightedJaccardEntities(nil, story, idf) != 0 ||
-		WeightedJaccardEntities(snip, nil, idf) != 0 {
+	if WeightedJaccardIDs(nil, story, idf) != 0 ||
+		WeightedJaccardIDs(sn, nil, idf) != 0 {
 		t.Fatal("empty side must yield 0")
 	}
 	// Zero-count story entries are ignored.
-	zeroed := map[event.Entity]int{"POPULAR": 0, "RARE": 1}
-	if got := WeightedJaccardEntities([]event.Entity{"POPULAR"}, zeroed, idf); got != 0 {
+	zeroed := countVec(map[event.Entity]int{"POPULAR": 0, "RARE": 1})
+	if got := WeightedJaccardIDs(entityIDs("POPULAR"), zeroed, idf); got != 0 {
 		t.Fatalf("zero-count entity counted: %g", got)
 	}
 }
 
 func TestWeightedJaccardEntitySets(t *testing.T) {
-	a := map[event.Entity]int{"A": 1, "B": 2}
-	b := map[event.Entity]int{"B": 1, "C": 4}
-	uniform := func(event.Entity) float64 { return 1 }
-	if got, want := WeightedJaccardEntitySets(a, b, uniform),
-		JaccardEntitySets(a, b); math.Abs(got-want) > 1e-12 {
+	a := countVec(map[event.Entity]int{"A": 1, "B": 2})
+	b := countVec(map[event.Entity]int{"B": 1, "C": 4})
+	shared := vocab.Entities.ID("B")
+	uniform := func(uint32) float64 { return 1 }
+	if got, want := WeightedJaccardIDSets(a, b, uniform),
+		JaccardIDSets(a, b); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("uniform weighted %g != plain %g", got, want)
 	}
-	if got, want := WeightedJaccardEntitySets(a, b, nil), JaccardEntitySets(a, b); got != want {
+	if got, want := WeightedJaccardIDSets(a, b, nil), JaccardIDSets(a, b); got != want {
 		t.Fatalf("nil weighter %g != plain %g", got, want)
 	}
-	// Symmetry under weighting.
-	idf := func(e event.Entity) float64 {
-		if e == "B" {
+	// Symmetry and range under weighting.
+	idf := func(id uint32) float64 {
+		if id == shared {
 			return 0.2
 		}
 		return 1
 	}
-	if s1, s2 := WeightedJaccardEntitySets(a, b, idf), WeightedJaccardEntitySets(b, a, idf); math.Abs(s1-s2) > 1e-12 {
+	s1, s2 := WeightedJaccardIDSets(a, b, idf), WeightedJaccardIDSets(b, a, idf)
+	if math.Abs(s1-s2) > 1e-12 {
 		t.Fatalf("asymmetric: %g vs %g", s1, s2)
 	}
-	if WeightedJaccardEntitySets(nil, b, idf) != 0 || WeightedJaccardEntitySets(a, nil, idf) != 0 {
+	if s1 <= 0 || s1 > 1 {
+		t.Fatalf("weighted score out of range: %g", s1)
+	}
+	if WeightedJaccardIDSets(nil, b, idf) != 0 || WeightedJaccardIDSets(a, nil, idf) != 0 {
 		t.Fatal("empty side must yield 0")
 	}
-	zeroA := map[event.Entity]int{"A": 0, "B": 1}
-	zeroB := map[event.Entity]int{"B": 1, "C": 0}
-	if got := WeightedJaccardEntitySets(zeroA, zeroB, idf); math.Abs(got-1) > 1e-12 {
+	zeroA := countVec(map[event.Entity]int{"A": 0, "B": 1})
+	zeroB := countVec(map[event.Entity]int{"B": 1, "C": 0})
+	if got := WeightedJaccardIDSets(zeroA, zeroB, idf); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("zero-count entries not ignored: %g", got)
 	}
 }

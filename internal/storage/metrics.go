@@ -2,7 +2,7 @@ package storage
 
 import "repro/internal/obs"
 
-// Event-store instrumentation: append/replay/compaction throughput and
+// Event-store instrumentation: append/replay throughput and
 // the recovery counters that back Store.RecoveryWarnings.
 var (
 	metAppends = obs.GetCounter("storypivot_storage_appends_total",
@@ -15,8 +15,6 @@ var (
 		"fsyncs issued by the durability policy")
 	metRotations = obs.GetCounter("storypivot_storage_rotations_total",
 		"segment rotations")
-	metCompactions = obs.GetCounter("storypivot_storage_compactions_total",
-		"segment compactions completed")
 	metOpenLat = obs.GetHistogram("storypivot_storage_open_seconds",
 		"store open latency including full replay")
 	metReplayed = obs.GetCounter("storypivot_storage_replayed_records_total",

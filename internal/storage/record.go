@@ -1,14 +1,14 @@
 // Package storage implements StoryPivot's embedded event repository: a
-// crash-safe, append-only store for information snippets with time, entity,
-// and source indexes.
+// crash-safe, append-only store for information snippets.
 //
 // The paper assumes extractions are "stored in repositories that get
 // updated regularly" (GDELT/EventRegistry-style). This package is the
 // offline substitute: a write-ahead segmented log on disk (every append is
 // a CRC-framed record; torn tails are detected and truncated at recovery)
-// plus in-memory indexes rebuilt on open that serve the access patterns
-// the pipeline needs — chronological scans, per-source partitions, and
-// entity lookups.
+// plus an in-memory map by snippet ID rebuilt on open. It serves what the
+// pipeline needs of it — append, fetch by ID, and one chronological replay
+// at open; entity, time, and source lookups over the live result belong to
+// internal/index.
 package storage
 
 import (

@@ -105,36 +105,16 @@ func TestStoreAppendAndIndexes(t *testing.T) {
 	if got := st.Get(99); got != nil {
 		t.Fatal("Get(99) should be nil")
 	}
-	srcs := st.Sources()
-	if len(srcs) != 2 || srcs[0] != "nyt" || srcs[1] != "wsj" {
-		t.Fatalf("Sources = %v", srcs)
+	// Chronological All despite out-of-order append.
+	all := st.All()
+	if len(all) != 3 || all[0].ID != 3 || all[1].ID != 1 || all[2].ID != 2 {
+		t.Fatalf("All order = %v", all)
 	}
-	if got := st.BySource("nyt"); len(got) != 2 {
-		t.Fatalf("BySource(nyt) = %d", len(got))
+	if text, _, ok := st.SnippetText(1); !ok || text != all[1].Text {
+		t.Fatalf("SnippetText(1) = %q, %v", text, ok)
 	}
-	if got := st.ByEntity("UKR"); len(got) != 2 || got[0].ID != 1 {
-		t.Fatalf("ByEntity(UKR) = %v", got)
-	}
-	// Chronological scan despite out-of-order append.
-	var ids []event.SnippetID
-	st.ScanRange(day(1), day(30), func(s *event.Snippet) bool {
-		ids = append(ids, s.ID)
-		return true
-	})
-	if len(ids) != 3 || ids[0] != 3 || ids[1] != 1 || ids[2] != 2 {
-		t.Fatalf("ScanRange order = %v", ids)
-	}
-	// Early stop.
-	count := 0
-	st.ScanRange(day(1), day(30), func(*event.Snippet) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
-	}
-	// Bounded range.
-	count = 0
-	st.ScanRange(day(17), day(17), func(*event.Snippet) bool { count++; return true })
-	if count != 1 {
-		t.Fatalf("bounded range visited %d", count)
+	if _, _, ok := st.SnippetText(99); ok {
+		t.Fatal("SnippetText(99) should miss")
 	}
 }
 
@@ -326,8 +306,8 @@ func TestStoreConcurrentAppendAndRead(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 100; i++ {
-				st.ScanRange(day(1), day(28), func(*event.Snippet) bool { return true })
-				st.ByEntity("UKR")
+				st.All()
+				st.Get(event.SnippetID(i + 1))
 			}
 			done <- nil
 		}()
@@ -370,70 +350,8 @@ func TestListSegmentsIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-func TestCompactCoalescesSegments(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 60; i++ {
-		if err := st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, _ := st.SegmentCount()
-	if before < 3 {
-		t.Skipf("only %d segments; rotation config too large", before)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := st.SegmentCount()
-	if after != 2 { // one compacted sealed + one active
-		t.Fatalf("segments after compact = %d, want 2 (was %d)", after, before)
-	}
-	// Everything still readable after reopen.
-	st.Close()
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 60 {
-		t.Fatalf("recovered %d snippets after compaction, want 60", st2.Len())
-	}
-	// Appends continue normally.
-	if err := st2.Append(snip(61, "nyt", 5, "UKR")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompactNoopOnSingleSegment(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	st.Append(snip(1, "nyt", 1, "UKR"))
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := st.SegmentCount()
-	if n != 1 {
-		t.Fatalf("segments = %d", n)
-	}
-}
-
-func TestCompactClosedStore(t *testing.T) {
-	st, _ := Open(t.TempDir(), Options{})
-	st.Close()
-	if err := st.Compact(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Compact on closed store: %v", err)
-	}
-}
-
 func TestReplaySkipsDuplicateRecords(t *testing.T) {
-	// Simulate the crash window: the same record present in two segments.
+	// The same record present in two segments is indexed once.
 	dir := t.TempDir()
 	st, _ := Open(dir, Options{})
 	st.Append(snip(1, "nyt", 1, "UKR"))
@@ -453,22 +371,6 @@ func TestReplaySkipsDuplicateRecords(t *testing.T) {
 	defer st2.Close()
 	if st2.Len() != 1 {
 		t.Fatalf("Len with duplicated segments = %d, want 1", st2.Len())
-	}
-}
-
-func TestIterate(t *testing.T) {
-	st, _ := Open(t.TempDir(), Options{})
-	defer st.Close()
-	for i := 1; i <= 5; i++ {
-		st.Append(snip(event.SnippetID(i), "nyt", i, "UKR"))
-	}
-	var got []event.SnippetID
-	st.Iterate(func(s *event.Snippet) bool {
-		got = append(got, s.ID)
-		return len(got) < 3
-	})
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Iterate = %v", got)
 	}
 }
 
@@ -525,44 +427,49 @@ func TestStoreQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreAll pins All's order: chronological, ties by ascending ID,
+// whatever order the snippets were appended in — live and after the log
+// is replayed on reopen. Nothing keeps the store sorted between calls;
+// All sorts when asked.
 func TestStoreAll(t *testing.T) {
-	st, _ := Open(t.TempDir(), Options{})
-	defer st.Close()
-	st.Append(snip(2, "nyt", 5, "A"))
-	st.Append(snip(1, "nyt", 3, "A"))
-	all := st.All()
-	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
-		t.Fatalf("All = %v", all)
-	}
-}
-
-func TestCompactConcurrentWithAppends(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256})
+	st, err := Open(dir, Options{SegmentSize: 256}) // several segments
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	for i := 1; i <= 40; i++ {
-		st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR"))
-	}
-	done := make(chan error, 2)
-	go func() {
-		for i := 41; i <= 80; i++ {
-			if err := st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR")); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	go func() { done <- st.Compact() }()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
+	rng := rand.New(rand.NewSource(5))
+	const n = 60
+	for _, i := range rng.Perm(n) {
+		// Three snippets per day, so every timestamp has ID ties.
+		if err := st.Append(snip(event.SnippetID(i+1), "nyt", 1+i%20, "A")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st.Len() != 80 {
-		t.Fatalf("Len = %d", st.Len())
+	check := func(when string, all []*event.Snippet) {
+		t.Helper()
+		if len(all) != n {
+			t.Fatalf("%s: All returned %d snippets, want %d", when, len(all), n)
+		}
+		for i := 1; i < len(all); i++ {
+			a, b := all[i-1], all[i]
+			if b.Timestamp.Before(a.Timestamp) || (b.Timestamp.Equal(a.Timestamp) && b.ID <= a.ID) {
+				t.Fatalf("%s: All[%d]=(%s, %d) follows (%s, %d)", when, i, b.Timestamp, b.ID, a.Timestamp, a.ID)
+			}
+		}
 	}
+	check("live", st.All())
+	// The returned slice is the caller's: reordering it does not disturb
+	// the next call.
+	all := st.All()
+	all[0], all[n-1] = all[n-1], all[0]
+	check("after caller mutation", st.All())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check("reopened", st2.All())
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/event"
 )
@@ -32,7 +31,7 @@ type Options struct {
 	Sync SyncPolicy
 	// SyncEvery is the batch size for SyncBatch (default 256).
 	SyncEvery int
-	// Tier, when non-nil, replaces the flat log + fully-resident indexes
+	// Tier, when non-nil, replaces the flat log + fully-resident ID map
 	// with the chunked hot/warm/cold store: only per-chunk metadata stays
 	// in memory and snippet payloads are fetched from their tier on
 	// demand. See TierOptions. Accessors behave identically except that
@@ -52,8 +51,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is the embedded event repository. All snippets are persisted in an
-// append-only segmented log and indexed in memory by ID, time, source, and
-// entity. A Store is safe for concurrent use.
+// append-only segmented log and held in memory by ID; entity, time, and
+// source lookups are the query index's job (internal/index), not the
+// store's. A Store is safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -66,18 +66,14 @@ type Store struct {
 	recoveryDrop int64    // bytes dropped from torn tails at open
 	warnings     []string // partial-corruption findings from replay at open
 
-	// Indexes. byTime is kept sorted by (timestamp, ID); the common append
-	// pattern is mostly-chronological so insertion is near the end.
-	// In tiered mode these stay nil and tier serves every lookup.
-	byID     map[event.SnippetID]*event.Snippet
-	byTime   []*event.Snippet
-	bySource map[event.SourceID][]*event.Snippet
-	byEntity map[event.Entity][]*event.Snippet
-	tier     *TierStore
+	// byID holds every snippet; in tiered mode it stays nil and tier
+	// serves every lookup.
+	byID map[event.SnippetID]*event.Snippet
+	tier *TierStore
 }
 
 // Open opens (creating if necessary) a store in dir, replaying all
-// segments to rebuild the indexes. Partial corruption does not fail the
+// segments to rebuild the ID map. Partial corruption does not fail the
 // open; it is surfaced instead: torn tails from a previous crash are
 // truncated (RecoveredDrop reports how many bytes were discarded),
 // well-framed records whose payload no longer decodes are skipped, and
@@ -90,13 +86,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		byID:     make(map[event.SnippetID]*event.Snippet),
-		bySource: make(map[event.SourceID][]*event.Snippet),
-		byEntity: make(map[event.Entity][]*event.Snippet),
-	}
+	s := &Store{dir: dir, opts: opts}
 	if opts.Tier != nil {
 		t, err := openTierStore(dir, *opts.Tier, opts.Sync, opts.SyncEvery)
 		if err != nil {
@@ -111,9 +101,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.tier = t
 		s.warnings = append(s.warnings, t.warnings...)
 		s.recoveryDrop += t.dropped
-		s.byID, s.bySource, s.byEntity = nil, nil, nil
 		return s, nil
 	}
+	s.byID = make(map[event.SnippetID]*event.Snippet)
 	indices, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -132,12 +122,12 @@ func Open(dir string, opts Options) (*Store, error) {
 				metReplayCorrupt.Inc()
 				return nil
 			}
-			// Replay is idempotent: a crash mid-compaction can leave the
-			// same record in two segments; the first occurrence wins.
+			// Replay is idempotent: a record that appears in two
+			// segments is kept once; the first occurrence wins.
 			if _, dup := s.byID[sn.ID]; dup {
 				return nil
 			}
-			s.indexLocked(sn)
+			s.byID[sn.ID] = sn
 			return nil
 		})
 		if err != nil {
@@ -154,10 +144,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.recoveryDrop += dropped
 	}
-	// Replay may leave byTime unsorted if ingestion was out of order
-	// across segments; normalise once.
-	sort.Sort(event.ByTimestamp(s.byTime))
-
 	next := 1
 	if len(indices) > 0 {
 		next = indices[len(indices)-1]
@@ -186,8 +172,8 @@ func (s *Store) RecoveryWarnings() []string {
 	return append([]string(nil), s.warnings...)
 }
 
-// Append validates, persists, and indexes a snippet. The snippet must have
-// a unique ID; duplicate IDs are rejected.
+// Append validates and persists a snippet. The snippet must have a unique
+// ID; duplicate IDs are rejected.
 func (s *Store) Append(sn *event.Snippet) error {
 	if err := sn.Validate(); err != nil {
 		return err
@@ -237,7 +223,7 @@ func (s *Store) Append(sn *event.Snippet) error {
 	}
 	metAppends.Inc()
 	metAppendBytes.Add(uint64(len(s.frameBuf)))
-	s.indexLocked(sn.Clone())
+	s.byID[sn.ID] = sn.Clone()
 	span.End()
 	return nil
 }
@@ -256,31 +242,6 @@ func (s *Store) rotateLocked() error {
 	s.active = seg
 	metRotations.Inc()
 	return nil
-}
-
-func (s *Store) indexLocked(sn *event.Snippet) {
-	s.byID[sn.ID] = sn
-	// Insert into byTime maintaining order; appends are usually in order.
-	n := len(s.byTime)
-	if n == 0 || !lessSnip(sn, s.byTime[n-1]) {
-		s.byTime = append(s.byTime, sn)
-	} else {
-		i := sort.Search(n, func(i int) bool { return lessSnip(sn, s.byTime[i]) })
-		s.byTime = append(s.byTime, nil)
-		copy(s.byTime[i+1:], s.byTime[i:])
-		s.byTime[i] = sn
-	}
-	s.bySource[sn.Source] = append(s.bySource[sn.Source], sn)
-	for _, e := range sn.Entities {
-		s.byEntity[e] = append(s.byEntity[e], sn)
-	}
-}
-
-func lessSnip(a, b *event.Snippet) bool {
-	if !a.Timestamp.Equal(b.Timestamp) {
-		return a.Timestamp.Before(b.Timestamp)
-	}
-	return a.ID < b.ID
 }
 
 // Get returns the snippet with the given ID, or nil if absent. In
@@ -341,126 +302,35 @@ func (s *Store) Len() int {
 	return len(s.byID)
 }
 
-// Sources returns the distinct source IDs present, sorted.
-func (s *Store) Sources() []event.SourceID {
-	s.mu.RLock()
-	var out []event.SourceID
-	if s.tier != nil {
-		out = s.tier.SourceIDs()
-	} else {
-		out = make([]event.SourceID, 0, len(s.bySource))
-		for src := range s.bySource {
-			out = append(out, src)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ScanRange invokes fn with every snippet whose timestamp lies in
-// [from, to], in chronological order, stopping early if fn returns false.
-func (s *Store) ScanRange(from, to time.Time, fn func(*event.Snippet) bool) {
-	if s.tier != nil {
-		for _, sn := range s.scanTier(func(sn *event.Snippet) bool {
-			return !sn.Timestamp.Before(from) && !sn.Timestamp.After(to)
-		}, true) {
-			if !fn(sn) {
-				return
-			}
-		}
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lo := sort.Search(len(s.byTime), func(i int) bool {
-		return !s.byTime[i].Timestamp.Before(from)
-	})
-	for i := lo; i < len(s.byTime); i++ {
-		if s.byTime[i].Timestamp.After(to) {
-			return
-		}
-		if !fn(s.byTime[i]) {
-			return
-		}
-	}
-}
-
-// scanTier collects the snippets matching keep from every chunk,
-// chronologically sorted when chrono is set (chunk order otherwise).
-func (s *Store) scanTier(keep func(*event.Snippet) bool, chrono bool) []*event.Snippet {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+// All returns every snippet in chronological order (timestamp, then
+// ID), sorted on each call — the pipeline asks once, to replay at open.
+// In tiered mode the returned snippets carry entities, terms, and
+// timestamps but have their display text and source document stripped —
+// replay and identification never read them, and keeping 10M text
+// bodies out of one slice is the whole point of the tiers. Callers that
+// render text hydrate through SnippetText.
+func (s *Store) All() []*event.Snippet {
 	var out []*event.Snippet
-	err := s.tier.Scan(func(sn *event.Snippet) error {
-		if keep == nil || keep(sn) {
+	s.mu.Lock() // a tier scan mutates LRU/promotion state
+	if s.tier == nil {
+		out = make([]*event.Snippet, 0, len(s.byID))
+		for _, sn := range s.byID {
 			out = append(out, sn)
 		}
-		return nil
-	})
-	if err != nil {
-		s.warnings = append(s.warnings, err.Error())
+	} else if !s.closed {
+		err := s.tier.Scan(func(sn *event.Snippet) error {
+			sn.Text, sn.Document = "", ""
+			out = append(out, sn)
+			return nil
+		})
+		if err != nil {
+			s.warnings = append(s.warnings, err.Error())
+		}
 	}
 	s.mu.Unlock()
-	if chrono {
-		sort.Sort(event.ByTimestamp(out))
-	}
-	return out
-}
-
-// BySource returns the snippets of a source in insertion order. The
-// returned slice is a copy.
-func (s *Store) BySource(src event.SourceID) []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool { return sn.Source == src }, false)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*event.Snippet(nil), s.bySource[src]...)
-}
-
-// ByEntity returns the snippets mentioning the entity, chronologically.
-func (s *Store) ByEntity(e event.Entity) []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool {
-			for _, se := range sn.Entities {
-				if se == e {
-					return true
-				}
-			}
-			return false
-		}, true)
-	}
-	s.mu.RLock()
-	out := append([]*event.Snippet(nil), s.byEntity[e]...)
-	s.mu.RUnlock()
 	sort.Sort(event.ByTimestamp(out))
 	return out
 }
-
-// All returns every snippet in chronological order (a copy). In tiered
-// mode the returned snippets carry entities, terms, and timestamps but
-// have their display text and source document stripped — replay and
-// identification never read them, and keeping 10M text bodies out of
-// one slice is the whole point of the tiers. Callers that render text
-// hydrate through SnippetText.
-func (s *Store) All() []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool {
-			sn.Text, sn.Document = "", ""
-			return true
-		}, true)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*event.Snippet(nil), s.byTime...)
-}
-
-// Tiered reports whether the store runs the chunked hot/warm/cold tiers.
-func (s *Store) Tiered() bool { return s.tier != nil }
 
 // TierStats summarises chunk tier occupancy; ok is false when tiering
 // is off.

@@ -188,7 +188,6 @@ type TierStore struct {
 	lru []inflated
 
 	rows     int64
-	sources  map[event.SourceID]int64
 	warnings []string
 	dropped  int64
 
@@ -307,7 +306,6 @@ func openTierStore(dir string, opts TierOptions, sync SyncPolicy, syncEvery int)
 		opts:      opts.withDefaults(),
 		sync:      sync,
 		syncEvery: syncEvery,
-		sources:   make(map[event.SourceID]int64),
 		ordered:   true,
 	}
 	raw, cold, err := t.listChunks()
@@ -615,9 +613,6 @@ func (t *TierStore) addChunkLocked(c *chunk) {
 		t.open = c
 	}
 	t.rows += int64(c.rows)
-	for _, src := range c.sources {
-		t.sources[src] += 0 // presence only; counts refined on append
-	}
 }
 
 // noteSealed registers a sealed chunk with the lookup structures.
@@ -713,7 +708,6 @@ func (t *TierStore) Append(sn *event.Snippet) error {
 	c.rawBytes = int64(len(c.data))
 	c.noteRow(sn)
 	t.rows++
-	t.sources[sn.Source]++
 	metAppends.Inc()
 	metAppendBytes.Add(uint64(len(t.frameBuf)))
 	if c.rows >= t.opts.ChunkRows {
@@ -1012,41 +1006,8 @@ func (t *TierStore) Scan(fn func(*event.Snippet) error) error {
 	return nil
 }
 
-// ScanOverlap is Scan restricted to chunks whose event-time bounds
-// intersect [fromNS, toNS].
-func (t *TierStore) ScanOverlap(fromNS, toNS int64, fn func(*event.Snippet) error) error {
-	for _, c := range t.chunks {
-		if c.rows == 0 || c.minTS > toNS || c.maxTS < fromNS {
-			continue
-		}
-		data, offs, err := t.rowBytes(c)
-		if err != nil {
-			return err
-		}
-		for _, off := range offs {
-			sn, derr := event.Decode(framePayload(data, off))
-			if derr != nil {
-				continue
-			}
-			if err := fn(sn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Rows returns the number of stored snippets.
 func (t *TierStore) Rows() int64 { return t.rows }
-
-// SourceIDs returns the distinct sources seen, unsorted.
-func (t *TierStore) SourceIDs() []event.SourceID {
-	out := make([]event.SourceID, 0, len(t.sources))
-	for src := range t.sources {
-		out = append(out, src)
-	}
-	return out
-}
 
 func (t *TierStore) updateGauges() {
 	hot, warm, cold := t.tierCounts()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,19 +150,20 @@ func TestTieredAccessorsMatchFlat(t *testing.T) {
 		}
 	}
 	eq("All", ids(flat.All()), ids(tiered.All()))
-	for _, src := range srcs {
-		eq("BySource "+string(src), ids(flat.BySource(src)), ids(tiered.BySource(src)))
+	if flat.Len() != tiered.Len() {
+		t.Fatalf("Len: %d vs %d", flat.Len(), tiered.Len())
 	}
-	for i := 0; i < 5; i++ {
-		e := event.Entity(fmt.Sprintf("e%d", i))
-		eq("ByEntity", ids(flat.ByEntity(e)), ids(tiered.ByEntity(e)))
-	}
-	var a, b []event.SnippetID
-	flat.ScanRange(day(5), day(15), func(sn *event.Snippet) bool { a = append(a, sn.ID); return true })
-	tiered.ScanRange(day(5), day(15), func(sn *event.Snippet) bool { b = append(b, sn.ID); return true })
-	eq("ScanRange", a, b)
-	if got, want := fmt.Sprint(tiered.Sources()), fmt.Sprint(flat.Sources()); got != want {
-		t.Fatalf("Sources: %s vs %s", got, want)
+	for i := 0; i <= 61; i++ { // 0 and 61 are absent from both
+		id := event.SnippetID(i)
+		f, g := flat.Get(id), tiered.Get(id)
+		if !reflect.DeepEqual(f, g) {
+			t.Fatalf("Get(%d): flat %+v vs tiered %+v", id, f, g)
+		}
+		ft, fd, fok := flat.SnippetText(id)
+		gt, gd, gok := tiered.SnippetText(id)
+		if ft != gt || fd != gd || fok != gok {
+			t.Fatalf("SnippetText(%d): flat (%q, %q, %v) vs tiered (%q, %q, %v)", id, ft, fd, fok, gt, gd, gok)
+		}
 	}
 }
 
@@ -482,7 +484,7 @@ func TestTierManifestReconcile(t *testing.T) {
 }
 
 // TestTierConcurrentHammer mixes ingest, point reads (forcing cold
-// faults and promotions), text hydration, and range scans; run under
+// faults and promotions), text hydration, and full scans; run under
 // -race this is the tier manager's concurrency gate.
 func TestTierConcurrentHammer(t *testing.T) {
 	opts := tinyTier()
@@ -527,7 +529,7 @@ func TestTierConcurrentHammer(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					st.ScanRange(day(1), day(20), func(*event.Snippet) bool { return true })
+					st.All()
 					st.Len()
 					st.TierStats()
 				}

@@ -96,23 +96,19 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// RestoreEngine rebuilds an engine from persisted snippets plus a
+// RestoreEngineArchived rebuilds an engine from persisted snippets plus a
 // checkpoint. The snippets are partitioned by source; every snippet must
 // be covered by the checkpoint or ErrCheckpointStale is returned (the
 // caller then falls back to replaying through Ingest). The restored
 // engine's dedup filters, entity statistics, and time range are rebuilt
 // from the snippets.
-func RestoreEngine(opts Options, snippets []*event.Snippet, cp *Checkpoint) (*Engine, error) {
-	return RestoreEngineArchived(opts, snippets, cp, nil)
-}
-
-// RestoreEngineArchived is RestoreEngine for checkpoints written under
-// story retirement. verify reports whether an archived story ID is still
-// present in the cold archive; every ID in the checkpoint's Archived
-// lists must pass it, otherwise the checkpoint and archive have diverged
-// and ErrCheckpointStale sends the caller to replay. A nil verify with a
-// non-empty Archived list is likewise stale: the caller has no archive
-// to recover those stories from.
+//
+// For checkpoints written under story retirement, verify reports whether
+// an archived story ID is still present in the cold archive; every ID in
+// the checkpoint's Archived lists must pass it, otherwise the checkpoint
+// and archive have diverged and ErrCheckpointStale sends the caller to
+// replay. A nil verify with a non-empty Archived list is likewise stale:
+// the caller has no archive to recover those stories from.
 func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoint,
 	verify func(event.StoryID) bool) (*Engine, error) {
 	if cp == nil || cp.Sources == nil {

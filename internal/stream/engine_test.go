@@ -299,7 +299,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := RestoreEngine(DefaultOptions(), corpus.Snippets, cp)
+	e2, err := RestoreEngineArchived(DefaultOptions(), corpus.Snippets, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,11 @@ func TestRestoreEngineStaleCheckpoint(t *testing.T) {
 	cp := e.Checkpoint()
 
 	// Restoring against MORE snippets than the checkpoint covers fails.
-	if _, err := RestoreEngine(DefaultOptions(), corpus.Snippets, cp); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := RestoreEngineArchived(DefaultOptions(), corpus.Snippets, cp, nil); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("stale checkpoint accepted: %v", err)
 	}
 	// Nil checkpoint fails.
-	if _, err := RestoreEngine(DefaultOptions(), corpus.Snippets, nil); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := RestoreEngineArchived(DefaultOptions(), corpus.Snippets, nil, nil); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("nil checkpoint accepted: %v", err)
 	}
 	// Wrong version rejected at read time.

@@ -37,42 +37,6 @@ func WeightNorm(v []IDWeight) float64 {
 	return math.Sqrt(sum)
 }
 
-// WeightAt returns the weight of id in v (0 when absent) via binary
-// search.
-func WeightAt(v []IDWeight, id uint32) float64 {
-	lo, hi := 0, len(v)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(v) && v[lo].ID == id {
-		return v[lo].W
-	}
-	return 0
-}
-
-// CountAt returns the count of id in v (0 when absent) via binary
-// search.
-func CountAt(v []IDCount, id uint32) int {
-	lo, hi := 0, len(v)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(v) && v[lo].ID == id {
-		return int(v[lo].N)
-	}
-	return 0
-}
-
 // AddWeights merges add into dst (both sorted by ID), summing weights of
 // shared IDs, and returns the updated vector. When every ID of add is
 // already present the update is fully in place; when new IDs fit in

@@ -140,9 +140,6 @@ func TestAddSubWeightsAgainstMap(t *testing.T) {
 			if math.Abs(e.W-model[e.ID]) > 1e-9 {
 				t.Fatalf("step %d: id %d weight %g, model %g", step, e.ID, e.W, model[e.ID])
 			}
-			if WeightAt(vec, e.ID) != e.W {
-				t.Fatalf("WeightAt(%d) mismatch", e.ID)
-			}
 		}
 	}
 }
@@ -182,9 +179,6 @@ func TestIncDecCountsAgainstMap(t *testing.T) {
 		for _, e := range vec {
 			if int(e.N) != model[e.ID] {
 				t.Fatalf("step %d: id %d count %d, model %d", step, e.ID, e.N, model[e.ID])
-			}
-			if CountAt(vec, e.ID) != model[e.ID] {
-				t.Fatalf("CountAt(%d) mismatch", e.ID)
 			}
 		}
 	}

@@ -12,14 +12,13 @@ import (
 
 // config collects everything New needs; Options mutate it.
 type config struct {
-	stream      stream.Options
-	gazetteer   *extract.Gazetteer
-	kb          *kb.KB
-	bigrams     bool
-	storageDir  string
-	storageOpt  storage.Options
-	scanQueries bool
-	retire      retire.Config
+	stream     stream.Options
+	gazetteer  *extract.Gazetteer
+	kb         *kb.KB
+	bigrams    bool
+	storageDir string
+	storageOpt storage.Options
+	retire     retire.Config
 }
 
 // Option configures a Pipeline.
@@ -131,7 +130,8 @@ func WithStorageSync(policy int) Option {
 // responses hydrate text through the pipeline's SnippetReader, so
 // resident memory stops scaling with corpus size while responses stay
 // byte-identical. Values ≤ 0 select the defaults (4 hot, 16 warm).
-// Requires WithStorage.
+// Requires WithStorage: New fails without it, as there would be no store
+// to hydrate the stripped text from.
 func WithTieredStorage(hotChunks, warmChunks int, compress bool) Option {
 	return func(c *config) {
 		t := ensureTier(c)
@@ -165,15 +165,6 @@ func ensureTier(c *config) *storage.TierOptions {
 		c.storageOpt.Tier = &storage.TierOptions{}
 	}
 	return c.storageOpt.Tier
-}
-
-// WithScanQueries serves Search/StoriesByEntity/Timeline from the
-// legacy full-scan implementations instead of the incremental query
-// index. The scan path is the correctness oracle: it is what the
-// differential tests compare the indexed path against. Production
-// serving should leave this off.
-func WithScanQueries(on bool) Option {
-	return func(c *config) { c.scanQueries = on }
 }
 
 // WithRetireWindow enables sliding-window story retirement: a story

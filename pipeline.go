@@ -44,7 +44,6 @@ type Pipeline struct {
 	kb             *KnowledgeBase
 	index          *index.Index
 	retire         *retire.Manager // nil unless WithRetireWindow; immutable after New
-	scanQueries    bool
 	checkpointPath string
 	// stripText marks tiered storage: the engine (and so the query
 	// index, stories, and archive) holds snippets with display text and
@@ -73,6 +72,12 @@ func New(opts ...Option) (*Pipeline, error) {
 	}
 	if err := cfg.stream.Align.Validate(); err != nil {
 		return nil, fmt.Errorf("storypivot: %w", err)
+	}
+	if cfg.storageOpt.Tier != nil && cfg.storageDir == "" {
+		// Tiering strips display text from the engine's snippets and
+		// hydrates it back from the store; with no store the text would be
+		// lost.
+		return nil, fmt.Errorf("storypivot: tiered storage requires WithStorage")
 	}
 	p := &Pipeline{
 		engine:    stream.NewEngine(cfg.stream),
@@ -165,11 +170,9 @@ func New(opts ...Option) (*Pipeline, error) {
 	}
 	// The query index attaches after the engine is final (restore may
 	// have replaced it) so its first publish sees whatever result the
-	// engine already computed. It is maintained even under
-	// WithScanQueries so the two paths can be compared on one pipeline.
+	// engine already computed.
 	p.index = index.New(index.Options{})
 	p.index.StartCompactor(0)
-	p.scanQueries = cfg.scanQueries
 	p.engine.SetResultSink(p.index)
 	return p, nil
 }
@@ -451,9 +454,7 @@ func (p *Pipeline) Close() error {
 		return ErrClosed
 	}
 	p.closed = true
-	if p.index != nil {
-		p.index.Close()
-	}
+	p.index.Close()
 	var err error
 	if p.store != nil {
 		err = p.store.Close()

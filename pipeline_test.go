@@ -271,6 +271,11 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"threshold zero", []Option{WithAttachThreshold(0)}},
 		{"bad align threshold", []Option{WithAlignThreshold(2)}},
 		{"negative slack", []Option{WithAlignSlack(-time.Hour)}},
+		// Tiering strips display text from resident snippets; with no store
+		// to hydrate it from, responses would silently lose it.
+		{"tiered without storage", []Option{WithTieredStorage(2, 2, false)}},
+		{"tier chunk rows without storage", []Option{WithTierChunkRows(8)}},
+		{"tier cold cache without storage", []Option{WithTierColdCache(1, 2)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,21 +3,17 @@ package storypivot
 import (
 	"sort"
 	"strings"
-
-	"repro/internal/text"
 )
 
 // Query helpers implement the demo's exploration interactions (paper
 // §4.2: "queries will consist of enquiries about specified real-world
 // events or entities").
 //
-// Two execution paths exist. The default serves every query from the
-// incremental index (internal/index): entity and term postings plus
-// per-entity timeline segments, updated by delta on every alignment
-// pass, so query cost scales with the result set instead of the corpus.
-// WithScanQueries(true) selects the original full-scan implementations,
-// kept as the correctness oracle — the differential tests assert the
-// two paths return identical results.
+// Every query is served from the incremental index (internal/index):
+// entity and term postings plus per-entity timeline segments, updated by
+// delta on every alignment pass, so query cost scales with the result set
+// instead of the corpus. The full-scan implementations the index replaced
+// live on in query_scan_test.go as the differential tests' oracle.
 
 // StoriesByEntity returns the integrated stories mentioning the entity,
 // ordered by how prominently they mention it (descending mention count,
@@ -31,9 +27,6 @@ func (p *Pipeline) StoriesByEntity(e Entity) []*IntegratedStory {
 // ranked window [offset, offset+limit) and the total hit count.
 // limit < 0 returns everything from offset on.
 func (p *Pipeline) StoriesByEntityN(e Entity, offset, limit int) ([]*IntegratedStory, int) {
-	if p.scanQueries || p.index == nil {
-		return pageOf(p.scanStoriesByEntity(e), offset, limit)
-	}
 	p.engine.Result() // re-align (and publish) if ingests happened
 	return p.index.StoriesByEntity(e, offset, limit)
 }
@@ -51,9 +44,6 @@ func (p *Pipeline) Search(query string) []*IntegratedStory {
 // [offset, offset+limit) and the total hit count. limit < 0 returns
 // everything from offset on.
 func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory, int) {
-	if p.scanQueries || p.index == nil {
-		return pageOf(p.scanSearch(query), offset, limit)
-	}
 	p.engine.Result()
 	return p.index.Search(query, offset, limit)
 }
@@ -64,12 +54,6 @@ func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory,
 // ties by ascending integrated ID); they are not part of the public
 // response envelope unless explicitly requested.
 func (p *Pipeline) SearchScoredN(query string, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	if p.scanQueries || p.index == nil {
-		all, scores := p.scanSearchScored(query)
-		out, total := pageOf(all, offset, limit)
-		s, _ := pageOf(scores, offset, limit)
-		return out, s, total
-	}
 	p.engine.Result()
 	return p.index.SearchScored(query, offset, limit)
 }
@@ -77,12 +61,6 @@ func (p *Pipeline) SearchScoredN(query string, offset, limit int) ([]*Integrated
 // StoriesByEntityScoredN is StoriesByEntityN plus the per-result ranking
 // scores, for the same router-side merge as SearchScoredN.
 func (p *Pipeline) StoriesByEntityScoredN(e Entity, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	if p.scanQueries || p.index == nil {
-		all, scores := p.scanStoriesByEntityScored(e)
-		out, total := pageOf(all, offset, limit)
-		s, _ := pageOf(scores, offset, limit)
-		return out, s, total
-	}
 	p.engine.Result()
 	return p.index.StoriesByEntityScored(e, offset, limit)
 }
@@ -99,126 +77,8 @@ func (p *Pipeline) Timeline(e Entity) []*Snippet {
 // window [offset, offset+limit) and the total snippet count. limit < 0
 // returns everything from offset on.
 func (p *Pipeline) TimelineN(e Entity, offset, limit int) ([]*Snippet, int) {
-	if p.scanQueries || p.index == nil {
-		return pageOf(p.scanTimeline(e), offset, limit)
-	}
 	p.engine.Result()
 	return p.index.Timeline(e, offset, limit)
-}
-
-// pageOf windows a fully materialised result list (the scan path's
-// pagination).
-func pageOf[T any](all []T, offset, limit int) ([]T, int) {
-	total := len(all)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	hi := total
-	if limit >= 0 && offset+limit < total {
-		hi = offset + limit
-	}
-	return all[offset:hi], total
-}
-
-// scanStoriesByEntity is the legacy full-scan implementation: it walks
-// every integrated story and materialises its merged entity-frequency
-// map. Retained as the correctness oracle for the indexed path.
-func (p *Pipeline) scanStoriesByEntity(e Entity) []*IntegratedStory {
-	out, _ := p.scanStoriesByEntityScored(e)
-	return out
-}
-
-func (p *Pipeline) scanStoriesByEntityScored(e Entity) ([]*IntegratedStory, []float64) {
-	type scored struct {
-		is    *IntegratedStory
-		count int
-	}
-	var hits []scored
-	for _, is := range p.Result().Integrated() {
-		if c := is.EntityFreq()[e]; c > 0 {
-			hits = append(hits, scored{is, c})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].count != hits[j].count {
-			return hits[i].count > hits[j].count
-		}
-		return hits[i].is.ID < hits[j].is.ID
-	})
-	out := make([]*IntegratedStory, len(hits))
-	scores := make([]float64, len(hits))
-	for i, h := range hits {
-		out[i] = h.is
-		scores[i] = float64(h.count)
-	}
-	return out, scores
-}
-
-// scanSearch is the legacy full-scan search: it materialises every
-// integrated story's merged centroid map per query. Retained as the
-// correctness oracle for the indexed path.
-func (p *Pipeline) scanSearch(query string) []*IntegratedStory {
-	out, _ := p.scanSearchScored(query)
-	return out
-}
-
-func (p *Pipeline) scanSearchScored(query string) ([]*IntegratedStory, []float64) {
-	toks := text.Pipeline(query)
-	if len(toks) == 0 {
-		return []*IntegratedStory{}, []float64{}
-	}
-	type scored struct {
-		is *IntegratedStory
-		w  float64
-	}
-	var hits []scored
-	for _, is := range p.Result().Integrated() {
-		centroid := is.Centroid()
-		var w float64
-		for _, tok := range toks {
-			w += centroid[tok]
-		}
-		if w > 0 {
-			hits = append(hits, scored{is, w})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].w != hits[j].w {
-			return hits[i].w > hits[j].w
-		}
-		return hits[i].is.ID < hits[j].is.ID
-	})
-	out := make([]*IntegratedStory, len(hits))
-	scores := make([]float64, len(hits))
-	for i, h := range hits {
-		out[i] = h.is
-		scores[i] = h.w
-	}
-	return out, scores
-}
-
-// scanTimeline is the legacy full-scan timeline: it visits every snippet
-// of every integrated story. Retained as the correctness oracle for the
-// indexed path.
-func (p *Pipeline) scanTimeline(e Entity) []*Snippet {
-	out := []*Snippet{}
-	for _, is := range p.Result().Integrated() {
-		for _, sn := range is.Snippets() {
-			if sn.HasEntity(e) {
-				out = append(out, sn)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Timestamp.Equal(out[j].Timestamp) {
-			return out[i].Timestamp.Before(out[j].Timestamp)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // Perspectives summarises how each source covers an integrated story: the

@@ -1,8 +1,9 @@
 #!/bin/sh
-# CI gate: build, vet, unit tests, the full suite once under the race
-# detector with the named gate tests checked off against that pass, then
-# a one-iteration smoke run of the Figure-7 benchmarks (catches benchmark
-# bit-rot; the numbers themselves are not gated).
+# CI gate: build, vet, the unused-function check, unit tests, the full
+# suite once under the race detector with the named gate tests checked
+# off against that pass, then a one-iteration smoke run of the Figure-7
+# benchmarks (catches benchmark bit-rot; the numbers themselves are not
+# gated).
 # Fails on the first broken step. Run from the repo root (the script
 # cd's there itself so it also works from hooks).
 set -eu
@@ -14,6 +15,12 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# Replaced code must not linger: every package-level function under
+# internal/ is used by some non-test file or is on the check's allowlist
+# with a reason.
+echo "==> go run ./scripts/unusedfuncs"
+go run ./scripts/unusedfuncs
 
 echo "==> go test ./..."
 go test ./...
