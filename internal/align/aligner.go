@@ -142,13 +142,15 @@ type Aligner struct {
 	// sketch) filters, including pairs that scored below threshold. The
 	// lists are symmetric and are the only record of the pairs, so removing
 	// a story costs its degree, not a scan of the corpus. Under IDF entity
-	// weighting, scores depend on the global entity statistics at scoring
-	// time; when those statistics drift, Result rescores the candidates so
-	// the outcome is independent of upsert order.
+	// weighting every score reads the frozen statistics epoch (frozen*
+	// below), never the live counts, so an edge's score is a pure function
+	// of its two stories and the epoch: upsert order cannot change it, and
+	// re-upserting an unchanged story reproduces the edges it already has.
 	adj map[event.StoryID][]event.StoryID
-	// lastScored is the entTotal at the last full rescore; drifting more
-	// than 20% in either direction (growth from upserts, shrinkage from
-	// source removal) triggers the next one.
+	// lastScored is the entTotal at the last freeze; the live total
+	// drifting more than 20% from it in either direction (growth from
+	// upserts, shrinkage from source removal) makes the next Result start
+	// a new epoch.
 	lastScored int
 
 	hasher *sketch.MinHasher
@@ -167,7 +169,15 @@ type Aligner struct {
 	entCount    []int32
 	entTotal    int
 	entDistinct int
-	storyCfg    similarity.StoryConfig // cfg.Story plus the weighter
+	// frozenCount/Total/Distinct are the statistics epoch the IDF weights
+	// are read from: a copy of the live table taken by rescoreIfDrifted
+	// right before it rescores every candidate pair. Until the next freeze
+	// the weights do not move however many stories arrive or leave; an
+	// entity unseen at freeze time counts 0.
+	frozenCount    []int32
+	frozenTotal    int
+	frozenDistinct int
+	storyCfg       similarity.StoryConfig // cfg.Story plus the weighter
 
 	stats Stats
 }
@@ -189,15 +199,16 @@ func NewAligner(cfg Config) *Aligner {
 	a.storyCfg = cfg.Story
 	if cfg.UseEntityIDF {
 		// Mean-normalised inverse-frequency weighting over interned entity
-		// symbols; see the identify package for rationale.
+		// symbols, read from the frozen epoch; see the identify package for
+		// rationale.
 		a.storyCfg.EntityWeight = func(e uint32) float64 {
 			mean := 1.0
-			if a.entDistinct > 0 {
-				mean = float64(a.entTotal) / float64(a.entDistinct)
+			if a.frozenDistinct > 0 {
+				mean = float64(a.frozenTotal) / float64(a.frozenDistinct)
 			}
 			var c int32
-			if int(e) < len(a.entCount) {
-				c = a.entCount[e]
+			if int(e) < len(a.frozenCount) {
+				c = a.frozenCount[e]
 			}
 			return 1 / (1 + logFloat(1+float64(c)/mean))
 		}
@@ -218,6 +229,15 @@ func (a *Aligner) Stats() Stats { return a.stats }
 
 // Len returns the number of stories under alignment.
 func (a *Aligner) Len() int { return len(a.stories) }
+
+// Holds reports whether the aligner holds story id at mutation counter
+// gen. Re-upserting such a story would reproduce exactly the edges it
+// already has (scores read the frozen epoch, not the live counts), so a
+// caller may skip it.
+func (a *Aligner) Holds(id event.StoryID, gen uint64) bool {
+	st := a.stories[id]
+	return st != nil && st.Gen() == gen
+}
 
 // noteEntity adjusts the IDF statistics by delta mentions of entity
 // symbol e (negative when a story is removed).
@@ -263,7 +283,9 @@ func (a *Aligner) bucketRange(st *event.Story) (lo, hi int64) {
 
 // Upsert adds a story to the aligner, or refreshes a story whose content
 // changed, recomputing only that story's match edges. A story that has
-// lost all its snippets is removed.
+// lost all its snippets is removed. The aligner keeps st itself and
+// Result publishes it as an integrated-story member, so the caller must
+// not mutate st afterwards (the stream engine hands over snapshots).
 func (a *Aligner) Upsert(st *event.Story) {
 	if st == nil {
 		return
@@ -286,6 +308,9 @@ func (a *Aligner) Upsert(st *event.Story) {
 	} else {
 		a.order = append(a.order, st.ID)
 	}
+	// Fill the lazy norm cache before any Result publishes st, so readers
+	// of a published result only ever read it.
+	st.CentroidNorm()
 	a.stories[st.ID] = st
 	for _, ec := range st.EntityFreq {
 		a.noteEntity(ec.ID, ec.N)
@@ -399,11 +424,13 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 	}
 }
 
-// rescoreIfDrifted recomputes every candidate pair's score when the
-// global entity statistics have grown materially since the last full
-// scoring pass. This makes the final result independent of upsert order
-// under IDF weighting: early edges were scored against early statistics,
-// and without a rescore their scores would be stale.
+// rescoreIfDrifted starts a new statistics epoch when the live entity
+// statistics have drifted materially from the frozen ones (and on the
+// first Result): it copies the live table into the frozen one and
+// rescores every candidate pair against it. Between two epochs every score
+// — from Upsert, from this rescan, from the merge guard — reads the same
+// frozen table, so the edges are a pure function of the resident stories
+// and the epoch, whatever order the stories arrived in.
 func (a *Aligner) rescoreIfDrifted() {
 	if a.storyCfg.EntityWeight == nil {
 		return // uniform weights never drift
@@ -412,6 +439,8 @@ func (a *Aligner) rescoreIfDrifted() {
 	if a.lastScored > 0 && a.entTotal >= lo && a.entTotal <= hi {
 		return
 	}
+	a.frozenCount = append(a.frozenCount[:0], a.entCount...)
+	a.frozenTotal, a.frozenDistinct = a.entTotal, a.entDistinct
 	a.edges = make(map[[2]event.StoryID]float64, len(a.edges))
 	for id, nbrs := range a.adj {
 		for _, o := range nbrs {
@@ -664,6 +693,13 @@ func (a *Aligner) componentsSimilar(x, y *component) bool {
 // with every unmatched story becoming a singleton integrated story (paper
 // §2.3: stories that appear in only one source remain in the result).
 // Snippet roles are classified per component.
+//
+// The members of the integrated stories are the upserted stories
+// themselves, shared with the aligner and with every other Result that
+// contains them, not copies: they are read-only. They stay valid after
+// the live stories change, because Upsert's caller hands over a story it
+// no longer mutates (the stream engine's snapshots), and a re-upsert
+// replaces the aligner's pointer rather than writing through it.
 func (a *Aligner) Result() *Result {
 	span := metResultLat.Start()
 	defer span.End()
@@ -723,12 +759,8 @@ func (a *Aligner) Result() *Result {
 	}
 	groups := make(map[event.StoryID][]*event.Story)
 	for _, id := range a.order {
-		st := a.stories[id]
 		r := find(id)
-		// Members are snapshots: the returned Result may be read long
-		// after the live stories have changed (concurrent ingestion),
-		// so it must be self-contained.
-		groups[r] = append(groups[r], st.Snapshot())
+		groups[r] = append(groups[r], a.stories[id])
 	}
 	roots := make([]event.StoryID, 0, len(groups))
 	for r := range groups {
@@ -859,7 +891,8 @@ func classifyRoles(is *event.IntegratedStory, cfg Config) {
 }
 
 // Align is the batch convenience: build an aligner over all per-source
-// story sets and return the integrated result.
+// story sets and return the integrated result, whose members are the
+// given stories themselves (see Result).
 func Align(bySource map[event.SourceID][]*event.Story, cfg Config) *Result {
 	a := NewAligner(cfg)
 	// Deterministic insertion order: sources sorted, stories by ID.

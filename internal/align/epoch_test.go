@@ -1,0 +1,204 @@
+package align
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/datagen"
+	"repro/internal/event"
+	"repro/internal/identify"
+)
+
+// resultDigest chains a sha256 over one Result onto chain: every
+// integrated ID with its member story IDs, then every honoured match with
+// the bits of its score.
+func resultDigest(chain [sha256.Size]byte, res *Result) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write(chain[:])
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(uint64(len(res.Integrated)))
+	for _, is := range res.Integrated {
+		word(uint64(is.ID))
+		word(uint64(len(is.Members)))
+		for _, m := range is.Members {
+			word(uint64(m.ID))
+		}
+	}
+	word(uint64(len(res.Matches)))
+	for _, m := range res.Matches {
+		word(uint64(m.A))
+		word(uint64(m.B))
+		word(math.Float64bits(m.Score))
+	}
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// TestAlignerUpsertOrderIndependent runs the schedule the stream engine
+// runs — a round of upserts, then Result, again and again — on six
+// aligners that each upsert every round in their own order. Every score
+// reads the frozen statistics epoch, so the six must agree after every
+// round. (Scored against the live entity counts, a pair's score depended
+// on which stories of its round had been upserted before it.)
+func TestAlignerUpsertOrderIndependent(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := datagen.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Sources = 8
+		cfg.Stories = 30
+		cfg.EventsPerStory = 12
+		c := datagen.Generate(cfg)
+		var stories []*event.Story
+		for _, sts := range identify.StoriesBySource(identify.RunAll(c.Snippets, identify.DefaultConfig(), nil)) {
+			stories = append(stories, sts...)
+		}
+		sort.Slice(stories, func(i, j int) bool { return stories[i].ID < stories[j].ID })
+		for _, k := range []int{7, 25} {
+			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
+				var want [sha256.Size]byte
+				for i := 0; i < 6; i++ {
+					rng := rand.New(rand.NewSource(int64(i)))
+					a := NewAligner(DefaultConfig())
+					var chain [sha256.Size]byte
+					for lo := 0; lo < len(stories); lo += k {
+						round := append([]*event.Story(nil), stories[lo:min(lo+k, len(stories))]...)
+						if i > 0 {
+							rng.Shuffle(len(round), func(x, y int) { round[x], round[y] = round[y], round[x] })
+						}
+						for _, st := range round {
+							a.Upsert(st)
+						}
+						chain = resultDigest(chain, a.Result())
+					}
+					if i == 0 {
+						want = chain
+						t.Logf("%d stories, digest %x", len(stories), want)
+					} else if chain != want {
+						t.Fatalf("aligner %d settled differently: %x, ID-ordered aligner %x", i, chain, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// adjSets returns the candidate lists as sorted copies, so two aligners
+// (or one aligner before and after a re-upsert, which reorders the
+// lists) compare by the pairs they hold.
+func adjSets(a *Aligner) map[event.StoryID][]event.StoryID {
+	out := make(map[event.StoryID][]event.StoryID, len(a.adj))
+	for id, nbrs := range a.adj {
+		if len(nbrs) == 0 {
+			continue
+		}
+		s := append([]event.StoryID(nil), nbrs...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		out[id] = s
+	}
+	return out
+}
+
+// freshTwin builds a new aligner from a's live stories, upserted in ID
+// order, at a's frozen statistics epoch and drift reference.
+func freshTwin(a *Aligner) *Aligner {
+	b := NewAligner(a.cfg)
+	b.frozenCount = append([]int32(nil), a.frozenCount...)
+	b.frozenTotal, b.frozenDistinct, b.lastScored = a.frozenTotal, a.frozenDistinct, a.lastScored
+	ids := make([]event.StoryID, 0, len(a.stories))
+	for id := range a.stories {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		b.Upsert(a.stories[id])
+	}
+	return b
+}
+
+// TestAlignerPureFunctionQuick pins the invariant the engine's Gen-skip
+// rests on, with IDF weighting on (the default). Under random Upsert /
+// re-Upsert of a changed version / Remove / Result: re-upserting a
+// resident story unchanged leaves edges, the candidate graph and Result
+// as they were; and at every step the edges — and at every Result the
+// result — equal those of a fresh aligner given the same live stories at
+// the same frozen epoch.
+func TestAlignerPureFunctionQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bySource, _ := alignFixture(rng.Int63n(500))
+		var pool []*event.Story
+		for _, sts := range bySource {
+			pool = append(pool, sts...)
+		}
+		sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
+		a := NewAligner(DefaultConfig())
+		if a.storyCfg.EntityWeight == nil {
+			t.Fatal("default config runs without IDF weighting: the test is vacuous")
+		}
+		for step := 0; step < 6*len(pool); step++ {
+			st := pool[rng.Intn(len(pool))]
+			switch op := rng.Intn(8); {
+			case op == 0:
+				a.Remove(st.ID)
+			case op == 1:
+				twin := freshTwin(a)
+				got, want := resultDigest([sha256.Size]byte{}, a.Result()), resultDigest([sha256.Size]byte{}, twin.Result())
+				if got != want {
+					t.Logf("seed %d step %d: Result differs from a fresh aligner's at the same epoch", seed, step)
+					return false
+				}
+			case op == 2 && len(a.stories) > 0:
+				// Re-upsert a resident story at its unchanged Gen.
+				var held *event.Story
+				for _, p := range pool {
+					if held = a.stories[p.ID]; held != nil {
+						break
+					}
+				}
+				before := resultDigest([sha256.Size]byte{}, a.Result())
+				edges, adj := make(map[[2]event.StoryID]float64, len(a.edges)), adjSets(a)
+				for k, s := range a.edges {
+					edges[k] = s
+				}
+				if !a.Holds(held.ID, held.Gen()) {
+					t.Logf("seed %d step %d: Holds(%d, %d) = false for the resident version", seed, step, held.ID, held.Gen())
+					return false
+				}
+				a.Upsert(held)
+				if !reflect.DeepEqual(a.edges, edges) || !reflect.DeepEqual(adjSets(a), adj) {
+					t.Logf("seed %d step %d: re-upserting story %d unchanged moved its edges or candidates", seed, step, held.ID)
+					return false
+				}
+				if after := resultDigest([sha256.Size]byte{}, a.Result()); after != before {
+					t.Logf("seed %d step %d: re-upserting story %d unchanged moved the Result", seed, step, held.ID)
+					return false
+				}
+			case op < 5:
+				st = halfStory(st)
+				fallthrough
+			default:
+				a.Upsert(st)
+			}
+			if twin := freshTwin(a); !reflect.DeepEqual(a.edges, twin.edges) || !reflect.DeepEqual(adjSets(a), adjSets(twin)) {
+				t.Logf("seed %d step %d: edges or candidates differ from a fresh aligner's at the same epoch", seed, step)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -38,9 +38,9 @@ const vnodesPerMember = 128
 // atomically; in-flight requests keep the ring they started with.
 type Ring struct {
 	members []Member
-	points  []ringPoint      // sorted by hash
-	pins    map[string]int   // source → member index
-	byName  map[string]int   // member name → index
+	points  []ringPoint    // sorted by hash
+	pins    map[string]int // source → member index
+	byName  map[string]int // member name → index
 }
 
 type ringPoint struct {

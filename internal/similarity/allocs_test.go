@@ -33,18 +33,29 @@ func TestKernelAllocs(t *testing.T) {
 	sn2.ID = 2
 	sn2.Intern()
 	ref := sn.Timestamp.Add(24 * time.Hour)
+	sn3 := sn.Clone()
+	sn3.ID = 3
+	sn3.Timestamp = sn.Timestamp.Add(48 * time.Hour)
+	sn3.Intern()
+	st1, st2 := event.NewStory(1, "nyt"), event.NewStory(2, "nyt")
+	st1.Add(sn)
+	st1.Add(sn3)
+	st2.Add(sn2)
+	storyCfg := DefaultStoryConfig()
+	storyCfg.EntityWeight = ew
 
 	kernels := map[string]func(){
-		"CosineIDs":            func() { CosineIDs(a, b) },
-		"CosineIDsNorm":        func() { CosineIDsNorm(a, an, b, bn) },
-		"JaccardIDs":           func() { JaccardIDs(ids, counts) },
-		"WeightedJaccardIDs":   func() { WeightedJaccardIDs(ids, counts, ew) },
-		"JaccardIDSets":        func() { JaccardIDSets(counts, counts2) },
+		"CosineIDs":             func() { CosineIDs(a, b) },
+		"CosineIDsNorm":         func() { CosineIDsNorm(a, an, b, bn) },
+		"JaccardIDs":            func() { JaccardIDs(ids, counts) },
+		"WeightedJaccardIDs":    func() { WeightedJaccardIDs(ids, counts, ew) },
+		"JaccardIDSets":         func() { JaccardIDSets(counts, counts2) },
 		"WeightedJaccardIDSets": func() { WeightedJaccardIDSets(counts, counts2, ew) },
 		"SnippetStoryIDs": func() {
 			SnippetStoryIDs(sn, counts, a, an, ref, 72*time.Hour, DefaultWeights(), ew)
 		},
 		"SnippetsIDs": func() { SnippetsIDs(sn, sn2, 72*time.Hour, DefaultWeights()) },
+		"Stories":     func() { Stories(st1, st2, storyCfg) },
 	}
 	for name, fn := range kernels {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -89,8 +89,17 @@ func evolutionSimilarity(a, b *event.Story, k int) float64 {
 		// All snippets at the same instant: identical (degenerate) shape.
 		return 1
 	}
-	pa := profile(a, start, span, k)
-	pb := profile(b, start, span, k)
+	// Alignment runs this once per candidate pair: the profiles live on
+	// the stack up to profileStack buckets (the default is 8).
+	var bufA, bufB [profileStack]float64
+	var pa, pb []float64
+	if k <= profileStack {
+		pa, pb = bufA[:k], bufB[:k]
+	} else {
+		pa, pb = make([]float64, k), make([]float64, k)
+	}
+	profile(pa, a, start, span)
+	profile(pb, b, start, span)
 	var dot, na, nb float64
 	for i := 0; i < k; i++ {
 		dot += pa[i] * pb[i]
@@ -107,8 +116,14 @@ func evolutionSimilarity(a, b *event.Story, k int) float64 {
 	return s
 }
 
-func profile(st *event.Story, start time.Time, span time.Duration, k int) []float64 {
-	p := make([]float64, k)
+// profileStack is the bucket count evolutionSimilarity profiles without
+// a heap allocation.
+const profileStack = 8
+
+// profile fills the zeroed p with the story's snippet counts per bucket
+// of the len(p) equal-width buckets over [start, start+span].
+func profile(p []float64, st *event.Story, start time.Time, span time.Duration) {
+	k := len(p)
 	for _, s := range st.Snippets {
 		idx := int(float64(s.Timestamp.Sub(start)) / float64(span) * float64(k))
 		if idx >= k {
@@ -119,5 +134,4 @@ func profile(st *event.Story, start time.Time, span time.Duration, k int) []floa
 		}
 		p[idx]++
 	}
-	return p
 }

@@ -469,6 +469,31 @@ func (e *Engine) snapshotStories(src event.SourceID) []*event.Story {
 	return out
 }
 
+// changedStories enumerates one source's live stories under the shard
+// lock: it returns their IDs, and snapshots of only those the aligner
+// does not already hold at their current Gen. ok is false when the
+// source is gone. Called with e.mu held: it reads the aligner.
+func (e *Engine) changedStories(src event.SourceID) (live map[event.StoryID]bool, changed []*event.Story, ok bool) {
+	sh := e.lookupShard(src)
+	if sh == nil {
+		return nil, nil, false
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.gone {
+		return nil, nil, false
+	}
+	stories := sh.id.Stories()
+	live = make(map[event.StoryID]bool, len(stories))
+	for _, st := range stories {
+		live[st.ID] = true
+		if !e.aligner.Holds(st.ID, st.Gen()) {
+			changed = append(changed, st.Snapshot())
+		}
+	}
+	return live, changed, true
+}
+
 // snapshotStory returns a snapshot of one story, or nil if it no longer
 // exists.
 func (e *Engine) snapshotStory(src event.SourceID, sid event.StoryID) *event.Story {
@@ -528,30 +553,34 @@ func (e *Engine) alignLocked() *align.Result {
 	defer span.End()
 	metAlignRuns.Inc()
 	defer func() { metDirtyGauge.Set(int64(len(e.dirty))) }()
-	// Reconcile: identifier repair can retire story IDs (merge/split) at
-	// any time, so dirty bookkeeping is advisory; we resync the touched
-	// sources' full story sets, which is still far cheaper than global
-	// recomputation when few sources changed. The aligner holds story
-	// *snapshots*, never live stories: concurrent shards keep mutating
-	// their stories while alignment runs, and the aligner must see a
-	// frozen, internally consistent view.
+	// Reconcile: the dirty set names the sources that changed, but not
+	// every story that did — identifier repair merges and splits stories
+	// without reporting their IDs — so each touched source's live stories
+	// are walked under its shard lock. Only those whose Gen the aligner
+	// does not already hold are snapshotted and upserted: every score
+	// reads the aligner's frozen statistics epoch, so re-upserting an
+	// unchanged story would reproduce exactly the edges it has, and
+	// skipping it is exact. The aligner holds story *snapshots*, never
+	// live stories: concurrent shards keep mutating their stories while
+	// alignment runs, and the aligner must see a frozen, internally
+	// consistent view.
 	touchedSources := make(map[event.SourceID]bool)
 	for sid := range e.dirty {
 		if src, ok := e.storyOwner[sid]; ok {
 			touchedSources[src] = true
 		}
 	}
-	// Upsert in sorted order: the aligner scores a pair against the entity
-	// statistics as they stand at that upsert and groups by insertion
-	// order, so a map-ordered walk would make the result depend on it.
+	// Upsert in sorted order: scores do not depend on it, but new stories
+	// join the aligner's insertion order, which a map-ordered walk would
+	// make vary between runs.
 	sources := make([]event.SourceID, 0, len(touchedSources))
 	for src := range touchedSources {
 		sources = append(sources, src)
 	}
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
 	for _, src := range sources {
-		stories := e.snapshotStories(src)
-		if stories == nil {
+		live, changed, ok := e.changedStories(src)
+		if !ok {
 			// Source raced away (or was removed): drop its leftovers.
 			for sid, owner := range e.storyOwner {
 				if owner == src {
@@ -561,9 +590,7 @@ func (e *Engine) alignLocked() *align.Result {
 			}
 			continue
 		}
-		live := make(map[event.StoryID]bool)
-		for _, st := range stories {
-			live[st.ID] = true
+		for _, st := range changed {
 			e.aligner.Upsert(st)
 			e.storyOwner[st.ID] = src
 		}
@@ -599,11 +626,15 @@ func (e *Engine) alignLocked() *align.Result {
 			sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
 			for _, sid := range moved {
 				if src, ok := e.storyOwner[sid]; ok {
-					if st := e.snapshotStory(src, sid); st != nil {
-						e.aligner.Upsert(st)
-					} else {
+					// Every story here took part in a move, which advanced
+					// its Gen, so the check skips nothing today; it keeps
+					// the settle's one rule: upsert only what the aligner
+					// does not hold.
+					if st := e.snapshotStory(src, sid); st == nil {
 						e.aligner.Remove(sid)
 						delete(e.storyOwner, sid)
+					} else if !e.aligner.Holds(sid, st.Gen()) {
+						e.aligner.Upsert(st)
 					}
 				}
 			}

@@ -24,8 +24,8 @@ import (
 type Interner struct {
 	ids sync.Map // string → uint32, lock-free reads
 
-	mu   sync.Mutex     // serialises writers
-	list []string       // authoritative id → string, guarded by mu
+	mu   sync.Mutex               // serialises writers
+	list []string                 // authoritative id → string, guarded by mu
 	snap atomic.Pointer[[]string] // published immutable view of list
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gate: build, vet, the unused-function check, unit tests, the full
-# suite once under the race detector with the named gate tests checked
+# CI gate: build, vet, gofmt, the unused-function check, unit tests, the
+# full suite once under the race detector with the named gate tests checked
 # off against that pass, then a one-iteration smoke run of the Figure-7
 # benchmarks (catches benchmark bit-rot; the numbers themselves are not
 # gated).
@@ -15,6 +15,16 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# Formatting: gofmt has nothing to change in any Go file of the checkout
+# (hidden directories such as the bench's build cache excluded).
+echo "==> gofmt -l"
+unformatted=$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+  echo "ci: gofmt would reformat these files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 # Replaced code must not linger: every package-level function under
 # internal/ is used by some non-test file or is on the check's allowlist
@@ -148,10 +158,14 @@ gate "self-healing cluster chaos" \
 
 # Settle exactness gate: Refine must return the corrections of the
 # literal support-first loop, the aligner's candidate graph must equal
-# the brute-force one under interleaved Upsert/Remove/Result, and
-# identically fed refinement-on pipelines must agree at every settle.
+# the brute-force one under interleaved Upsert/Remove/Result, aligners
+# fed the same rounds in different orders must agree after every round,
+# the aligner must equal a fresh one built from its live stories at the
+# same frozen epoch (the engine's Gen-skip rests on it), and identically
+# fed refinement-on pipelines must agree at every settle.
 gate "settle exactness (align + engine digest)" \
-  TestRefineMatchesReference TestAlignerStructureQuick TestSettleDigestDeterministic
+  TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
+  TestAlignerPureFunctionQuick TestSettleDigestDeterministic
 
 if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
