@@ -837,14 +837,20 @@ func (r *Result) IntegratedOf(id event.StoryID) *event.IntegratedStory {
 func (r *Result) MultiSource() []*event.IntegratedStory {
 	var out []*event.IntegratedStory
 	for _, is := range r.Integrated {
-		for _, m := range is.Members {
-			if m.Source != is.Members[0].Source {
-				out = append(out, is)
-				break
-			}
+		if multiSource(is) {
+			out = append(out, is)
 		}
 	}
 	return out
+}
+
+func multiSource(is *event.IntegratedStory) bool {
+	for _, m := range is.Members {
+		if m.Source != is.Members[0].Source {
+			return true
+		}
+	}
+	return false
 }
 
 // classifyRoles marks each snippet of the integrated story as aligning

@@ -20,6 +20,6 @@ var (
 		"refinement pass latency")
 	metRefineRuns = obs.GetCounter("storypivot_refine_runs_total",
 		"refinement passes executed")
-	metRefineMovesApplied = obs.GetCounter("storypivot_refine_moves_total",
-		"snippet moves applied by refinement")
+	metRefineScores = obs.GetCounter("storypivot_refine_scores_total",
+		"snippet-story scores computed by refinement (home and candidate)")
 )

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -62,134 +63,386 @@ type Correction struct {
 	Gain     float64 // target score minus home score
 }
 
-// Refine examines every snippet of every integrated story and moves
-// snippets whose cross-source evidence places them in a different story of
-// their own source (paper Figure 1d: v¹₄ moves from c¹₁ to c¹₃). Moves are
-// applied through the per-source movers so identifier state stays
-// consistent. The alignment result is stale after refinement; the caller
-// re-runs alignment if it needs fresh integrated stories.
+// Refine runs one refinement pass with a fresh Refiner: it plans every
+// snippet of every integrated story and moves snippets whose cross-source
+// evidence places them in a different story of their own source (paper
+// Figure 1d: v¹₄ moves from c¹₁ to c¹₃). Moves are applied through the
+// per-source movers so identifier state stays consistent. The alignment
+// result is stale after refinement; the caller re-runs alignment if it
+// needs fresh integrated stories. A caller that refines result after
+// result keeps one Refiner instead, which re-plans only what changed.
 func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Correction {
+	return NewRefiner(cfg).Refine(res, movers)
+}
+
+// Refiner runs refinement passes over successive alignment results and
+// remembers what each pass computed, so the next one re-scores only what
+// a changed story can affect (DESIGN.md §3.3). A snippet's plan has two
+// parts. Its home score is a function of its home story alone. The rest
+// is a fold, in result order, over the multi-source integrated stories in
+// its reach, where each contributes its first maximal same-source
+// candidate, that candidate's score and whether the integrated story
+// supports the snippet; those depend on the snippet, its home story's ID
+// and source and the integrated story's members, not on the home score.
+// Both are re-derived only when their inputs' (ID, Gen) tokens change, so
+// every pass returns exactly the corrections a fresh Refiner would.
+//
+// The memo holds IDs and numbers, no story pointers: the GC has nothing
+// in it to scan and a result it saw is not kept alive. Not safe for
+// concurrent use.
+type Refiner struct {
+	cfg RefineConfig
+
+	// version numbers the member lists of multi-source integrated stories
+	// (see versionComponents); it only grows, so a version names one member
+	// list of one integrated story.
+	version uint32
+	comps   []compMemo  // last pass's multi-source integrated stories
+	members []memberGen // their members, comps[i].lo ..+n
+
+	// The last pass's plans: per home story visited, per snippet of it,
+	// per integrated story that could take the snippet.
+	homes   []homeMemo
+	homeAt  map[event.StoryID]int32 // index into homes
+	snips   []snipMemo
+	targets []target
+
+	// Scratch, valid within one pass.
+	multi []reach
+	near  []int32 // indexes into multi within reach of one home story
+	cen   []vocab.IDWeight
+	ents  []vocab.IDCount
+}
+
+// compMemo is one multi-source integrated story of the last pass.
+type compMemo struct {
+	id    event.IntegratedID
+	ver   uint32
+	lo, n int32
+}
+
+type memberGen struct {
+	id  event.StoryID
+	gen uint64
+}
+
+// homeMemo is one home story of the last pass: its (ID, Gen) and its
+// snippets' memos snips[lo ..+n], in the story's snippet order.
+type homeMemo struct {
+	id    event.StoryID
+	gen   uint64
+	lo, n int32
+}
+
+// snipMemo is one snippet's home score and its targets[lo ..+n].
+type snipMemo struct {
+	id        event.SnippetID
+	homeScore float64
+	lo, n     int32
+}
+
+// target is what one multi-source integrated story, at version ver,
+// offers one snippet: the first of its same-source candidates with the
+// maximal score, and the support verdict once it has been searched for.
+// Only targets scoring above MinTargetScore are kept: the bar a candidate
+// must clear never falls below it.
+type target struct {
+	score   float64
+	to      event.StoryID
+	ver     uint32
+	support int8 // 0 not searched yet, 1 supported, -1 not supported
+}
+
+// reach is a multi-source integrated story of the current pass with its
+// version and its extent widened by SupportScale.
+type reach struct {
+	is       *event.IntegratedStory
+	ver      uint32
+	from, to time.Time
+}
+
+// NewRefiner returns a Refiner with an empty memo; its first pass plans
+// everything, as a one-shot Refine does.
+func NewRefiner(cfg RefineConfig) *Refiner {
+	return &Refiner{cfg: cfg, homeAt: make(map[event.StoryID]int32)}
+}
+
+// Refine plans one pass over res and applies it through movers, exactly
+// as the package-level Refine would.
+func (r *Refiner) Refine(res *Result, movers map[event.SourceID]Mover) []Correction {
 	span := metRefineLat.Start()
 	defer span.End()
 	metRefineRuns.Inc()
-	var corrections []Correction
-	defer func() { metRefineMovesApplied.Add(uint64(len(corrections))) }()
-
 	// Plan all moves first, then apply: applying while scanning would make
 	// later scores depend on earlier moves within the same pass.
-	type plan struct {
-		c      Correction
-		target *event.Story
-	}
-	var plans []plan
-
-	// Only a story spanning two sources can hold both a target of the
-	// snippet's own source and support from another, and only one with a
-	// snippet within SupportScale of the snippet's time can support it.
-	type reach struct {
-		is       *event.IntegratedStory
-		from, to time.Time // extent widened by SupportScale
-	}
-	var multi []reach
-	for _, is := range res.MultiSource() {
-		start, end := is.Extent()
-		multi = append(multi, reach{is, start.Add(-cfg.SupportScale), end.Add(cfg.SupportScale)})
-	}
-	for _, is := range res.Integrated {
-		for _, home := range is.Members {
-			mover := movers[home.Source]
-			if mover == nil {
-				continue
-			}
-			for _, sn := range home.Snippets {
-				homeScore := scoreWithoutSelf(sn, home, cfg)
-				best := plan{}
-				bestScore := homeScore + cfg.Margin
-				if bestScore < cfg.MinTargetScore {
-					bestScore = cfg.MinTargetScore
-				}
-				// Candidate targets: other stories of the same source —
-				// in other integrated components or the snippet's own —
-				// inside components that have cross-source support for
-				// this snippet. The support requirement is the paper's
-				// "irregularity" signal: related snippets in other
-				// sources sit with the candidate story, not the home.
-				// Support does not depend on the scores, so it is searched
-				// for only once a target of the component could win.
-				for _, other := range multi {
-					if sn.Timestamp.Before(other.from) || sn.Timestamp.After(other.to) {
-						continue
-					}
-					supported := false
-					for _, cand := range other.is.Members {
-						if cand.Source != home.Source || cand.ID == home.ID {
-							continue
-						}
-						ref := nearestTime(cand, sn.Timestamp)
-						score := similarity.SnippetStoryIDs(sn, cand.EntityFreq, cand.Centroid,
-							cand.CentroidNorm(), ref, cfg.TemporalScale, cfg.Weights, nil)
-						if score > bestScore {
-							if !supported {
-								if !hasCrossSourceSupport(sn, other.is, cfg) {
-									break
-								}
-								supported = true
-							}
-							bestScore = score
-							best = plan{
-								c: Correction{
-									Snippet: sn.ID, Source: home.Source,
-									From: home.ID, To: cand.ID,
-									Gain: score - homeScore,
-								},
-								target: cand,
-							}
-						}
-					}
-				}
-				if best.target != nil {
-					plans = append(plans, best)
-				}
-			}
-		}
-	}
+	plans := r.plan(res, movers)
 	// Apply best-gain-first; once a story has been modified by an applied
 	// move, the remaining plans that read or write it are stale — their
 	// scores were computed against the old contents — so they are skipped
 	// and left for the next refinement round.
 	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].c.Gain != plans[j].c.Gain {
-			return plans[i].c.Gain > plans[j].c.Gain
+		if plans[i].Gain != plans[j].Gain {
+			return plans[i].Gain > plans[j].Gain
 		}
-		return plans[i].c.Snippet < plans[j].c.Snippet
+		return plans[i].Snippet < plans[j].Snippet
 	})
+	var corrections []Correction
 	touched := make(map[event.StoryID]bool)
-	for _, p := range plans {
-		if touched[p.c.From] || touched[p.c.To] {
+	for _, c := range plans {
+		if touched[c.From] || touched[c.To] {
 			continue
 		}
-		if movers[p.c.Source].Move(p.c.Snippet, p.c.To) {
-			corrections = append(corrections, p.c)
-			touched[p.c.From] = true
-			touched[p.c.To] = true
+		if movers[c.Source].Move(c.Snippet, c.To) {
+			corrections = append(corrections, c)
+			touched[c.From] = true
+			touched[c.To] = true
 		}
 	}
 	return corrections
 }
 
+// plan returns each snippet's best supported move, reusing the last
+// pass's home scores and targets wherever their inputs are unchanged, and
+// replaces the memo with this pass's.
+func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correction {
+	cfg := r.cfg
+	// Every snippet with a memo was planned in the last pass, when the
+	// counter stood at planned.
+	planned := r.version
+	r.versionComponents(res)
+	homes := make([]homeMemo, 0, len(r.homes))
+	snips := make([]snipMemo, 0, len(r.snips))
+	targets := make([]target, 0, len(r.targets))
+	var plans []Correction
+	scores := 0
+	for _, is := range res.Integrated {
+		for _, home := range is.Members {
+			if movers[home.Source] == nil || home.Len() == 0 {
+				continue
+			}
+			// The snippets' memos are reusable only under the same home ID.
+			// Under the same Gen too the snippets are the same, in the same
+			// order, and so are their home scores.
+			var old homeMemo
+			if i, ok := r.homeAt[home.ID]; ok {
+				old = r.homes[i]
+			}
+			same := old.n > 0 && old.gen == home.Gen() && int(old.n) == home.Len()
+			r.reachOf(home)
+			cursor := int32(0)
+			lo := len(snips)
+			for i, sn := range home.Snippets {
+				sn.EnsureInterned()
+				var memo *snipMemo
+				switch {
+				case same:
+					memo = &r.snips[old.lo+int32(i)]
+				case old.n > 0:
+					// The story changed: find the snippet among the old
+					// ones, searching on from the last match.
+					for k := int32(0); k < old.n; k++ {
+						j := (cursor + k) % old.n
+						if r.snips[old.lo+j].id == sn.ID {
+							memo, cursor = &r.snips[old.lo+j], j+1
+							break
+						}
+					}
+				}
+				var homeScore float64
+				if same {
+					homeScore = memo.homeScore
+				} else {
+					homeScore = r.scoreWithoutSelf(sn, home)
+					scores++
+				}
+				// An integrated story whose version is at or below seen had
+				// its current members when the snippet was last planned: its
+				// target, if any, is in prev. A snippet new to its home was
+				// never planned under it.
+				seen := uint32(0)
+				var prev []target
+				if memo != nil {
+					seen = planned
+					prev = r.targets[memo.lo : memo.lo+memo.n]
+				}
+				var best Correction
+				moved := false
+				bestScore := homeScore + cfg.Margin
+				if bestScore < cfg.MinTargetScore {
+					bestScore = cfg.MinTargetScore
+				}
+				first := len(targets)
+				// Candidate targets: other stories of the same source — in
+				// other integrated components or the snippet's own — inside
+				// components that have cross-source support for this
+				// snippet. The support requirement is the paper's
+				// "irregularity" signal: related snippets in other sources
+				// sit with the candidate story, not the home. Support does
+				// not depend on the scores, so it is searched for only once
+				// a target of the component could win.
+				for _, k := range r.near {
+					m := &r.multi[k]
+					var t target
+					if m.ver <= seen {
+						found := false
+						for _, p := range prev {
+							if p.ver == m.ver {
+								t, found = p, true
+								break
+							}
+						}
+						if !found {
+							continue
+						}
+					} else {
+						if sn.Timestamp.Before(m.from) || sn.Timestamp.After(m.to) {
+							continue
+						}
+						var n int
+						t, n = r.bestCandidate(sn, home, m)
+						scores += n
+						if !(t.score > cfg.MinTargetScore) {
+							continue
+						}
+					}
+					if t.score > bestScore {
+						if t.support == 0 {
+							t.support = -1
+							if hasCrossSourceSupport(sn, m.is, cfg) {
+								t.support = 1
+							}
+						}
+						if t.support > 0 {
+							bestScore, moved = t.score, true
+							best = Correction{
+								Snippet: sn.ID, Source: home.Source,
+								From: home.ID, To: t.to,
+								Gain: t.score - homeScore,
+							}
+						}
+					}
+					targets = append(targets, t)
+				}
+				snips = append(snips, snipMemo{id: sn.ID, homeScore: homeScore,
+					lo: int32(first), n: int32(len(targets) - first)})
+				if moved {
+					plans = append(plans, best)
+				}
+			}
+			homes = append(homes, homeMemo{id: home.ID, gen: home.Gen(), lo: int32(lo), n: int32(len(snips) - lo)})
+		}
+	}
+	metRefineScores.Add(uint64(scores))
+	clear(r.homeAt)
+	for i, h := range homes {
+		r.homeAt[h.id] = int32(i)
+	}
+	r.homes, r.snips, r.targets = homes, snips, targets
+	clear(r.multi) // the memo keeps no pointer into res
+	r.multi = r.multi[:0]
+	return plans
+}
+
+// versionComponents collects this pass's multi-source integrated stories
+// into r.multi, in result order, and versions them. Only a story spanning
+// two sources can hold both a target of a snippet's own source and
+// support from another. A story keeps the version it had in the last pass
+// when its ordered member (ID, Gen) list is unchanged, and otherwise takes
+// the next value of the counter — never a value shared with another
+// story, which a per-pass number would be for two stories new in the same
+// pass.
+func (r *Refiner) versionComponents(res *Result) {
+	comps := make([]compMemo, 0, len(r.comps))
+	members := make([]memberGen, 0, len(r.members))
+	p := 0 // results list integrated stories by ascending ID
+	for _, is := range res.Integrated {
+		if !multiSource(is) {
+			continue
+		}
+		var ver uint32
+		for p < len(r.comps) && r.comps[p].id < is.ID {
+			p++
+		}
+		if p < len(r.comps) && r.comps[p].id == is.ID {
+			if c := r.comps[p]; sameMembers(is.Members, r.members[c.lo:c.lo+c.n]) {
+				ver = c.ver
+			}
+			p++
+		}
+		if ver == 0 {
+			r.version++
+			ver = r.version
+		}
+		lo := len(members)
+		for _, m := range is.Members {
+			members = append(members, memberGen{m.ID, m.Gen()})
+		}
+		comps = append(comps, compMemo{id: is.ID, ver: ver, lo: int32(lo), n: int32(len(is.Members))})
+		start, end := is.Extent()
+		r.multi = append(r.multi, reach{is, ver, start.Add(-r.cfg.SupportScale), end.Add(r.cfg.SupportScale)})
+	}
+	r.comps, r.members = comps, members
+}
+
+func sameMembers(ms []*event.Story, old []memberGen) bool {
+	if len(ms) != len(old) {
+		return false
+	}
+	for i, m := range ms {
+		if m.ID != old[i].id || m.Gen() != old[i].gen {
+			return false
+		}
+	}
+	return true
+}
+
+// reachOf fills r.near with the multi-source integrated stories whose
+// widened extent overlaps the home story's snippets, in result order: no
+// other can be in reach of any of them.
+func (r *Refiner) reachOf(home *event.Story) {
+	first, last := home.Snippets[0].Timestamp, home.Snippets[home.Len()-1].Timestamp
+	r.near = r.near[:0]
+	for k := range r.multi {
+		if m := &r.multi[k]; !first.After(m.to) && !last.Before(m.from) {
+			r.near = append(r.near, int32(k))
+		}
+	}
+}
+
+// bestCandidate scores sn against the members of m's integrated story
+// that could take it — its own source, not its home — and returns the
+// first one with the maximal score, and how many it scored.
+func (r *Refiner) bestCandidate(sn *event.Snippet, home *event.Story, m *reach) (target, int) {
+	t := target{score: math.Inf(-1), ver: m.ver}
+	n := 0
+	for _, cand := range m.is.Members {
+		if cand.Source != home.Source || cand.ID == home.ID {
+			continue
+		}
+		ref := nearestTime(cand, sn.Timestamp)
+		score := similarity.SnippetStoryIDs(sn, cand.EntityFreq, cand.Centroid,
+			cand.CentroidNorm(), ref, r.cfg.TemporalScale, r.cfg.Weights, nil)
+		n++
+		if score > t.score {
+			t.score, t.to = score, cand.ID
+		}
+	}
+	return t, n
+}
+
 // scoreWithoutSelf computes the snippet's similarity to its home story
 // with the snippet's own contribution removed from the aggregates, so a
-// snippet cannot vouch for itself.
-func scoreWithoutSelf(sn *event.Snippet, home *event.Story, cfg RefineConfig) float64 {
+// snippet cannot vouch for itself. The reduced aggregates are built in
+// the Refiner's scratch buffers.
+func (r *Refiner) scoreWithoutSelf(sn *event.Snippet, home *event.Story) float64 {
 	if home.Len() <= 1 {
 		return 0 // alone in its story: any supported alternative wins
 	}
-	sn.EnsureInterned()
-	centroid := vocab.SubWeights(append([]vocab.IDWeight(nil), home.Centroid...), sn.TermIDs)
-	ents := vocab.DecCounts(append([]vocab.IDCount(nil), home.EntityFreq...), sn.EntityIDs)
+	r.cen = vocab.SubWeights(append(r.cen[:0], home.Centroid...), sn.TermIDs)
+	r.ents = vocab.DecCounts(append(r.ents[:0], home.EntityFreq...), sn.EntityIDs)
 	ref := nearestOtherTime(home, sn)
-	return similarity.SnippetStoryIDs(sn, ents, centroid, vocab.WeightNorm(centroid), ref,
-		cfg.TemporalScale, cfg.Weights, nil)
+	return similarity.SnippetStoryIDs(sn, r.ents, r.cen, vocab.WeightNorm(r.cen), ref,
+		r.cfg.TemporalScale, r.cfg.Weights, nil)
 }
 
 // hasCrossSourceSupport reports whether the integrated story contains a

@@ -156,6 +156,9 @@ type Engine struct {
 	// result, and dataset statistics.
 	mu      sync.Mutex
 	aligner *align.Aligner
+	// refiner runs every refinement pass. It keeps the last pass's plans,
+	// so a pass re-plans only what changed since.
+	refiner *align.Refiner
 	dirty   map[event.StoryID]bool
 	// storyOwner tracks which source produced a story so removals can
 	// clean the aligner.
@@ -198,6 +201,7 @@ func NewEngine(opts Options) *Engine {
 		allocs:     make(map[event.SourceID]*identify.IDAlloc),
 		tagOwner:   make(map[uint32]event.SourceID),
 		aligner:    align.NewAligner(opts.Align),
+		refiner:    align.NewRefiner(opts.Refine),
 		dirty:      make(map[event.StoryID]bool),
 		storyOwner: make(map[event.StoryID]event.SourceID),
 		entHLL:     hll,
@@ -612,7 +616,7 @@ func (e *Engine) alignLocked() *align.Result {
 			movers[src] = lockedMover{sh}
 		}
 		e.regMu.RUnlock()
-		if corr := align.Refine(e.result, movers, e.opts.Refine); len(corr) > 0 {
+		if corr := e.refiner.Refine(e.result, movers); len(corr) > 0 {
 			metRefineMoves.Add(uint64(len(corr)))
 			// Moves changed story contents; refresh and re-align once.
 			for _, c := range corr {
