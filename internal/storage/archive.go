@@ -1,13 +1,10 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -16,9 +13,8 @@ import (
 )
 
 // Archive is the cold-story archive: a reopenable, append-only segment
-// log holding the full state of retired stories — members, aggregate
-// vectors, and mutation counter — in the same CRC-framed record format
-// as the event store and the feed DLQ. One record archives one story;
+// log (segment.go) holding the full state of retired stories — members,
+// aggregate vectors, and mutation counter. One record archives one story;
 // records written in the same retirement pass share a group ticket so
 // reactivation can restore a whole retired alignment component at once.
 //
@@ -33,10 +29,7 @@ import (
 // An Archive is not safe for concurrent use; the retirement manager
 // serialises access behind its own lock.
 type Archive struct {
-	dir      string
-	segLimit int64
-
-	seg    *segment
+	*segLog
 	closed bool
 }
 
@@ -79,75 +72,25 @@ type ArchivedStoryMeta struct {
 // every segment, returning the metadata of each intact record in scan
 // order (oldest first; for re-archived stories the latest record is the
 // live one — callers reconcile by keeping the last meta per story ID).
-// Torn tails are truncated exactly like the event store's recovery scan.
+// Torn tails are truncated as in every segment log. Unlike the event
+// store, which skips a well-framed record it cannot decode, the archive
+// truncates there too: corruption the CRC cannot explain ends the
+// segment's trusted prefix.
 func OpenArchive(dir string) (*Archive, []ArchivedStoryMeta, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("storage: creating archive dir: %w", err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, nil, err
-	}
 	var metas []ArchivedStoryMeta
-	last := 0
-	for _, idx := range segs {
-		if idx > last {
-			last = idx
-		}
-		ms, err := scanArchiveSegment(dir, idx)
+	log, err := openSegLog(dir, archiveSegLimit, SyncAlways, 0, func(seg int, off int64, payload []byte) error {
+		meta, err := decodeArchiveMeta(payload)
 		if err != nil {
-			return nil, nil, err
+			return err // matches ErrCorruptRecord: cut the segment here
 		}
-		metas = append(metas, ms...)
-	}
-	seg, err := openSegmentForAppend(dir, last)
+		meta.Loc = ArchiveLoc{Seg: seg, Off: off, Len: headerSize + len(payload)}
+		metas = append(metas, meta)
+		return nil
+	}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Archive{dir: dir, segLimit: archiveSegLimit, seg: seg}, metas, nil
-}
-
-// scanArchiveSegment replays one segment, collecting record metadata with
-// byte-accurate locations, truncating a torn or corrupt tail.
-func scanArchiveSegment(dir string, idx int) ([]ArchivedStoryMeta, error) {
-	path := segmentPath(dir, idx)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var metas []ArchivedStoryMeta
-	var off int64
-	var buf []byte
-	for {
-		payload, rerr := readRecord(f, buf)
-		if rerr == io.EOF {
-			return metas, nil
-		}
-		if errors.Is(rerr, ErrCorruptRecord) {
-			if terr := os.Truncate(path, off); terr != nil {
-				return nil, fmt.Errorf("storage: truncating torn archive tail of %s: %w", path, terr)
-			}
-			return metas, nil
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		frameLen := headerSize + len(payload)
-		meta, merr := decodeArchiveMeta(payload)
-		if merr != nil {
-			// An intact frame with an undecodable payload is corruption the
-			// CRC cannot explain; treat like a torn tail (WAL semantics).
-			if terr := os.Truncate(path, off); terr != nil {
-				return nil, fmt.Errorf("storage: truncating corrupt archive record of %s: %w", path, terr)
-			}
-			return metas, nil
-		}
-		meta.Loc = ArchiveLoc{Seg: idx, Off: off, Len: frameLen}
-		metas = append(metas, meta)
-		off += int64(frameLen)
-		buf = payload[:0]
-	}
+	return &Archive{segLog: log}, metas, nil
 }
 
 // AppendGroup archives the given stories under one group ticket: all
@@ -162,38 +105,26 @@ func (a *Archive) AppendGroup(group uint64, watermark time.Time, stories []*even
 	if a.closed {
 		return nil, 0, ErrArchiveClosed
 	}
-	if a.seg.size > a.segLimit {
-		next, err := openSegmentForAppend(a.dir, a.seg.index+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.seg.close()
-		a.seg = next
+	payloads := make([][]byte, len(stories))
+	for i, st := range stories {
+		payloads[i] = appendArchivedStory(nil, group, watermark, st)
+	}
+	seg, off, err := a.append(payloads...)
+	if err != nil {
+		return nil, 0, err
 	}
 	metas := make([]ArchivedStoryMeta, 0, len(stories))
-	var frame []byte
-	off := a.seg.size
-	for _, st := range stories {
-		payload := appendArchivedStory(nil, group, watermark, st)
-		if len(payload) > maxRecordSize {
-			return nil, 0, fmt.Errorf("storage: archived story %d exceeds record limit (%d bytes)", st.ID, len(payload))
-		}
-		before := len(frame)
-		frame = appendRecord(frame, payload)
+	var n int64
+	for _, payload := range payloads {
 		meta, err := decodeArchiveMeta(payload)
 		if err != nil {
 			return nil, 0, err // unreachable: we just encoded it
 		}
-		meta.Loc = ArchiveLoc{Seg: a.seg.index, Off: off + int64(before), Len: len(frame) - before}
+		meta.Loc = ArchiveLoc{Seg: seg, Off: off + n, Len: headerSize + len(payload)}
 		metas = append(metas, meta)
+		n += int64(meta.Loc.Len)
 	}
-	if err := a.seg.append(frame); err != nil {
-		return nil, 0, err
-	}
-	if err := a.seg.sync(); err != nil {
-		return nil, 0, err
-	}
-	return metas, int64(len(frame)), nil
+	return metas, n, nil
 }
 
 // ReadStory decodes the full archived story at loc. The returned story
@@ -203,18 +134,9 @@ func (a *Archive) ReadStory(loc ArchiveLoc) (*event.Story, error) {
 	if a.closed {
 		return nil, ErrArchiveClosed
 	}
-	f, err := os.Open(segmentPath(a.dir, loc.Seg))
+	payload, err := a.readAt(loc.Seg, loc.Off, loc.Len)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, loc.Len)
-	if _, err := f.ReadAt(buf, loc.Off); err != nil {
 		return nil, fmt.Errorf("storage: reading archived story: %w", err)
-	}
-	payload, err := readRecord(bytes.NewReader(buf), nil)
-	if err != nil {
-		return nil, err
 	}
 	return decodeArchivedStory(payload)
 }
@@ -227,22 +149,7 @@ func (a *Archive) Reset() error {
 	if a.closed {
 		return ErrArchiveClosed
 	}
-	a.seg.close()
-	segs, err := listSegments(a.dir)
-	if err != nil {
-		return err
-	}
-	for _, idx := range segs {
-		if err := os.Remove(segmentPath(a.dir, idx)); err != nil {
-			return err
-		}
-	}
-	seg, err := openSegmentForAppend(a.dir, 0)
-	if err != nil {
-		return err
-	}
-	a.seg = seg
-	return nil
+	return a.reset()
 }
 
 // Close releases the append handle.
@@ -251,7 +158,7 @@ func (a *Archive) Close() error {
 		return nil
 	}
 	a.closed = true
-	return a.seg.close()
+	return a.seg.Close()
 }
 
 // record payload codec ------------------------------------------------------

@@ -162,7 +162,7 @@ func TestArchiveTornTail(t *testing.T) {
 	}
 	arch.Close()
 
-	seg := segmentPath(dir, 0)
+	seg := segmentPath(dir, 1)
 	st, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -381,8 +381,8 @@ func TestArchiveResetRemovesAllSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 || segs[0] != 0 {
-		t.Fatalf("segments after Reset = %v, want just the fresh seg 0", segs)
+	if len(segs) != 1 || segs[0] != 1 {
+		t.Fatalf("segments after Reset = %v, want just the fresh seg 1", segs)
 	}
 	if _, _, err := arch.AppendGroup(99, day(20), []*event.Story{archStory(99, "alpha", 1, "gaza")}); err != nil {
 		t.Fatal(err)

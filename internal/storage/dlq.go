@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -29,25 +28,21 @@ type DLQEntry struct {
 	Raw    []byte    // the offending bytes, verbatim
 }
 
-// DLQ is an append-only, crash-safe dead-letter queue. Entries use the
-// same CRC-framed record layout as the event log, so torn tails from a
-// crash are truncated on open rather than poisoning recovery. Appends
-// are fsynced: a dead-lettered record is evidence of a misbehaving
-// upstream, and losing it to a crash defeats its purpose. A DLQ is safe
-// for concurrent use.
 // dlqSegLimit rotates DLQ segments past this size, matching the event
 // log and archive. Without rotation one misbehaving upstream grows a
 // single unbounded file whose full rescan every open pays for.
 const dlqSegLimit = 64 << 20
 
+// DLQ is an append-only, crash-safe dead-letter queue: a segment log
+// (segment.go), so torn tails from a crash are truncated on open rather
+// than poisoning recovery. Appends are fsynced: a dead-lettered record is
+// evidence of a misbehaving upstream, and losing it to a crash defeats
+// its purpose. A DLQ is safe for concurrent use.
 type DLQ struct {
-	mu       sync.Mutex
-	dir      string
-	segLimit int64
-	seg      *segment
-	frameBuf []byte
-	entries  []DLQEntry
-	closed   bool
+	*segLog
+	mu      sync.Mutex
+	entries []DLQEntry
+	closed  bool
 }
 
 // OpenDLQ opens (creating if necessary) a dead-letter queue in dir,
@@ -55,33 +50,17 @@ type DLQ struct {
 // payloads are skipped — the DLQ must never refuse to open because of
 // the very corruption it exists to capture.
 func OpenDLQ(dir string) (*DLQ, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	d := &DLQ{dir: dir, segLimit: dlqSegLimit}
-	indices, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, idx := range indices {
-		if _, err := scanSegment(segmentPath(dir, idx), func(payload []byte) error {
-			if e, derr := decodeDLQEntry(payload); derr == nil {
-				d.entries = append(d.entries, e)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
+	d := &DLQ{}
+	log, err := openSegLog(dir, dlqSegLimit, SyncAlways, 0, func(_ int, _ int64, payload []byte) error {
+		if e, derr := decodeDLQEntry(payload); derr == nil {
+			d.entries = append(d.entries, e)
 		}
-	}
-	next := 1
-	if len(indices) > 0 {
-		next = indices[len(indices)-1]
-	}
-	seg, err := openSegmentForAppend(dir, next)
+		return nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	d.seg = seg
+	d.segLog = log
 	metDLQDepth.Set(int64(len(d.entries)))
 	return d, nil
 }
@@ -96,19 +75,7 @@ func (d *DLQ) Append(e DLQEntry) error {
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}
-	if d.seg.size > d.segLimit {
-		next, err := openSegmentForAppend(d.dir, d.seg.index+1)
-		if err != nil {
-			return err
-		}
-		d.seg.close()
-		d.seg = next
-	}
-	d.frameBuf = appendRecord(d.frameBuf[:0], encodeDLQEntry(nil, e))
-	if err := d.seg.append(d.frameBuf); err != nil {
-		return err
-	}
-	if err := d.seg.sync(); err != nil {
+	if _, _, err := d.append(encodeDLQEntry(nil, e)); err != nil {
 		return err
 	}
 	// Entries hold their own copy: callers commonly pass scan buffers.
@@ -141,7 +108,7 @@ func (d *DLQ) Close() error {
 		return ErrClosed
 	}
 	d.closed = true
-	return d.seg.close()
+	return d.seg.Close()
 }
 
 // DLQ entry payload layout (all little-endian):

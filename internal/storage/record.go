@@ -14,9 +14,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // Record framing on disk:
@@ -24,14 +22,15 @@ import (
 //	u32 magic | u8 version | u32 payloadLen | u32 crc32(payload) | payload
 //
 // The magic number guards against scanning garbage after a torn write; the
-// CRC detects partial or corrupted payloads. Records are written with a
-// single Write call so a crash can only tear the final record of a segment.
+// CRC detects partial or corrupted payloads. An append writes its records
+// with a single Write call, so a crash can only tear a segment's tail.
 const (
 	recordMagic   = 0x53505631 // "SPV1"
 	recordVersion = 1
 	headerSize    = 4 + 1 + 4 + 4
-	// maxRecordSize bounds payload length to keep a corrupt length prefix
-	// from driving huge allocations during recovery scans.
+	// maxRecordSize bounds payload length. A scan reads a longer length
+	// prefix as corruption, so appends refuse such a payload rather than
+	// acknowledge a record the next open would discard.
 	maxRecordSize = 64 << 20
 )
 
@@ -59,46 +58,32 @@ func appendRecord(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readRecord reads one framed record from r. It returns io.EOF cleanly at
-// end of stream, and ErrCorruptRecord for torn or damaged data.
-func readRecord(r io.Reader, payloadBuf []byte) ([]byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
+// scanFrames walks the framing of data, returning the offsets of its
+// leading intact frames and the number of bytes they span. Anything past
+// valid (a bad magic, version, length or CRC, or a frame cut short) is the
+// signature of a torn tail.
+func scanFrames(data []byte) (offs []uint32, valid int) {
+	off := 0
+	for off+headerSize <= len(data) {
+		if binary.LittleEndian.Uint32(data[off:off+4]) != recordMagic || data[off+4] != recordVersion {
+			break
 		}
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		// A header torn mid-way is a torn tail.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: torn header", ErrCorruptRecord)
+		n := int(binary.LittleEndian.Uint32(data[off+5 : off+9]))
+		if n > maxRecordSize || off+headerSize+n > len(data) {
+			break
 		}
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptRecord)
-	}
-	if hdr[4] != recordVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorruptRecord, hdr[4])
-	}
-	n := binary.LittleEndian.Uint32(hdr[5:9])
-	if n > maxRecordSize {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorruptRecord, n)
-	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[9:13])
-	if cap(payloadBuf) < int(n) {
-		payloadBuf = make([]byte, n)
-	}
-	payloadBuf = payloadBuf[:n]
-	if _, err := io.ReadFull(r, payloadBuf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: torn payload", ErrCorruptRecord)
+		payload := data[off+headerSize : off+headerSize+n]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+9:off+13]) {
+			break
 		}
-		return nil, err
+		offs = append(offs, uint32(off))
+		off += headerSize + n
 	}
-	if crc32.Checksum(payloadBuf, crcTable) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
-	}
-	return payloadBuf, nil
+	return offs, off
+}
+
+// framePayload returns the payload of the frame starting at off.
+func framePayload(data []byte, off uint32) []byte {
+	n := binary.LittleEndian.Uint32(data[off+5 : off+9])
+	return data[off+headerSize : uint32(headerSize)+off+n]
 }

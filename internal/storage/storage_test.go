@@ -2,9 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,51 +31,47 @@ func snip(id event.SnippetID, src event.SourceID, d int, ents ...event.Entity) *
 func TestRecordRoundTrip(t *testing.T) {
 	payload := []byte("hello snippets")
 	frame := appendRecord(nil, payload)
-	got, err := readRecord(bytes.NewReader(frame), nil)
-	if err != nil {
-		t.Fatalf("readRecord: %v", err)
+	offs, valid := scanFrames(frame)
+	if len(offs) != 1 || valid != len(frame) {
+		t.Fatalf("scanFrames = %v, %d; want one frame spanning %d bytes", offs, valid, len(frame))
 	}
-	if !bytes.Equal(got, payload) {
+	if got := framePayload(frame, offs[0]); !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: %q", got)
 	}
-	// Subsequent read hits EOF cleanly.
-	r := bytes.NewReader(frame)
-	readRecord(r, nil)
-	if _, err := readRecord(r, nil); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+	// A second frame follows the first cleanly, and the scan ends exactly
+	// at the end of the data.
+	two := appendRecord(append([]byte(nil), frame...), []byte("x"))
+	if offs, valid := scanFrames(two); len(offs) != 2 || offs[1] != uint32(len(frame)) || valid != len(two) {
+		t.Fatalf("two frames: scanFrames = %v, %d", offs, valid)
 	}
 }
 
+// TestRecordCorruption: each kind of damage ends the scan at the damaged
+// frame, keeping the intact frame before it.
 func TestRecordCorruption(t *testing.T) {
 	payload := []byte("data")
 	frame := appendRecord(nil, payload)
-
-	// Flip a payload byte -> checksum error.
-	bad := append([]byte(nil), frame...)
-	bad[len(bad)-1] ^= 0xff
-	if _, err := readRecord(bytes.NewReader(bad), nil); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("flipped payload: %v", err)
+	lead := appendRecord(nil, []byte("intact"))
+	damaged := func(name string, bad []byte) {
+		t.Helper()
+		data := append(append([]byte(nil), lead...), bad...)
+		if offs, valid := scanFrames(data); len(offs) != 1 || valid != len(lead) {
+			t.Errorf("%s: scanFrames = %v, %d; want the one intact frame of %d bytes", name, offs, valid, len(lead))
+		}
 	}
-	// Bad magic.
-	bad2 := append([]byte(nil), frame...)
-	bad2[0] ^= 0xff
-	if _, err := readRecord(bytes.NewReader(bad2), nil); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("bad magic: %v", err)
+	edit := func(at int, b byte) []byte {
+		bad := append([]byte(nil), frame...)
+		bad[at] = b
+		return bad
 	}
-	// Torn header.
-	if _, err := readRecord(bytes.NewReader(frame[:5]), nil); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("torn header: %v", err)
-	}
-	// Torn payload.
-	if _, err := readRecord(bytes.NewReader(frame[:len(frame)-2]), nil); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("torn payload: %v", err)
-	}
-	// Unknown version.
-	bad3 := append([]byte(nil), frame...)
-	bad3[4] = 99
-	if _, err := readRecord(bytes.NewReader(bad3), nil); !errors.Is(err, ErrCorruptRecord) {
-		t.Errorf("bad version: %v", err)
-	}
+	damaged("bad CRC (flipped payload)", edit(len(frame)-1, frame[len(frame)-1]^0xff))
+	damaged("bad magic", edit(0, frame[0]^0xff))
+	damaged("torn header", frame[:5])
+	damaged("torn payload", frame[:len(frame)-2])
+	damaged("bad version", edit(4, 99))
+	oversized := append([]byte(nil), frame...)
+	binary.LittleEndian.PutUint32(oversized[5:9], maxRecordSize+1)
+	damaged("oversized length", oversized)
 }
 
 func TestStoreAppendAndIndexes(t *testing.T) {

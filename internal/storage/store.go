@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -55,14 +54,9 @@ func (o Options) withDefaults() Options {
 // source lookups are the query index's job (internal/index), not the
 // store's. A Store is safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
-
 	mu           sync.RWMutex
-	active       *segment
+	log          *segLog // the flat log; nil in tiered mode
 	closed       bool
-	sinceSync    int
-	frameBuf     []byte
 	recoveryDrop int64    // bytes dropped from torn tails at open
 	warnings     []string // partial-corruption findings from replay at open
 
@@ -83,10 +77,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	span := metOpenLat.Start()
 	defer span.End()
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{}
 	if opts.Tier != nil {
 		t, err := openTierStore(dir, *opts.Tier, opts.Sync, opts.SyncEvery)
 		if err != nil {
@@ -104,55 +95,41 @@ func Open(dir string, opts Options) (*Store, error) {
 		return s, nil
 	}
 	s.byID = make(map[event.SnippetID]*event.Snippet)
-	indices, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, idx := range indices {
-		corrupt := 0
-		dropped, err := scanSegment(segmentPath(dir, idx), func(payload []byte) error {
-			metReplayed.Inc()
-			sn, derr := event.Decode(payload)
-			if derr != nil {
-				// The frame's CRC was intact but the payload is not a
-				// snippet: logical corruption (or a foreign writer).
-				// Dropping one record loses one snippet; failing the
-				// open loses the store. Skip, count, and report.
-				corrupt++
-				metReplayCorrupt.Inc()
-				return nil
-			}
-			// Replay is idempotent: a record that appears in two
-			// segments is kept once; the first occurrence wins.
-			if _, dup := s.byID[sn.ID]; dup {
-				return nil
-			}
-			s.byID[sn.ID] = sn
+	corrupt := 0
+	log, err := openSegLog(dir, opts.SegmentSize, opts.Sync, opts.SyncEvery, func(_ int, _ int64, payload []byte) error {
+		metReplayed.Inc()
+		sn, derr := event.Decode(payload)
+		if derr != nil {
+			// The frame's CRC was intact but the payload is not a
+			// snippet: logical corruption (or a foreign writer).
+			// Dropping one record loses one snippet; failing the
+			// open loses the store. Skip, count, and report.
+			corrupt++
+			metReplayCorrupt.Inc()
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		// Replay is idempotent: a record that appears in two
+		// segments is kept once; the first occurrence wins.
+		if _, dup := s.byID[sn.ID]; !dup {
+			s.byID[sn.ID] = sn
+		}
+		return nil
+	}, func(seg int, torn int64) {
 		if corrupt > 0 {
 			s.warnings = append(s.warnings, fmt.Sprintf(
-				"segment %d: skipped %d well-framed records with undecodable payloads", idx, corrupt))
+				"segment %d: skipped %d well-framed records with undecodable payloads", seg, corrupt))
+			corrupt = 0
 		}
-		if dropped > 0 {
-			metReplayTornBytes.Add(uint64(dropped))
+		if torn > 0 {
 			s.warnings = append(s.warnings, fmt.Sprintf(
-				"segment %d: truncated %d torn-tail bytes", idx, dropped))
+				"segment %d: truncated %d torn-tail bytes", seg, torn))
+			s.recoveryDrop += torn
 		}
-		s.recoveryDrop += dropped
-	}
-	next := 1
-	if len(indices) > 0 {
-		next = indices[len(indices)-1]
-	}
-	seg, err := openSegmentForAppend(dir, next)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.active = seg
+	s.log = log
 	return s, nil
 }
 
@@ -197,50 +174,14 @@ func (s *Store) Append(sn *event.Snippet) error {
 	if _, dup := s.byID[sn.ID]; dup {
 		return fmt.Errorf("%w %d", ErrDuplicate, sn.ID)
 	}
-	s.frameBuf = appendRecord(s.frameBuf[:0], event.AppendEncode(nil, sn))
-	if err := s.active.append(s.frameBuf); err != nil {
+	payload := event.AppendEncode(nil, sn)
+	if _, _, err := s.log.append(payload); err != nil {
 		return err
-	}
-	switch s.opts.Sync {
-	case SyncAlways:
-		if err := s.active.sync(); err != nil {
-			return err
-		}
-		metSyncs.Inc()
-	case SyncBatch:
-		if s.sinceSync++; s.sinceSync >= s.opts.SyncEvery {
-			if err := s.active.sync(); err != nil {
-				return err
-			}
-			metSyncs.Inc()
-			s.sinceSync = 0
-		}
-	}
-	if s.active.size >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
 	}
 	metAppends.Inc()
-	metAppendBytes.Add(uint64(len(s.frameBuf)))
+	metAppendBytes.Add(uint64(headerSize + len(payload)))
 	s.byID[sn.ID] = sn.Clone()
 	span.End()
-	return nil
-}
-
-func (s *Store) rotateLocked() error {
-	if err := s.active.sync(); err != nil {
-		return err
-	}
-	if err := s.active.close(); err != nil {
-		return err
-	}
-	seg, err := openSegmentForAppend(s.dir, s.active.index+1)
-	if err != nil {
-		return err
-	}
-	s.active = seg
-	metRotations.Inc()
 	return nil
 }
 
@@ -376,7 +317,7 @@ func (s *Store) Sync() error {
 	if s.tier != nil {
 		return s.tier.Sync()
 	}
-	return s.active.sync()
+	return s.log.seg.Sync()
 }
 
 // Close syncs and closes the store. Further operations return ErrClosed.
@@ -390,9 +331,5 @@ func (s *Store) Close() error {
 	if s.tier != nil {
 		return s.tier.Close()
 	}
-	if err := s.active.sync(); err != nil {
-		s.active.close()
-		return err
-	}
-	return s.active.close()
+	return s.log.seg.Close()
 }

@@ -2,15 +2,12 @@ package storage
 
 import (
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/event"
@@ -19,7 +16,7 @@ import (
 
 // Tiered chunk storage. In tiered mode the flat segment log is replaced
 // by fixed-row chunk files under <dir>/chunks/: every append goes into
-// the open chunk (the same CRC framing as the segment log, so a crash
+// the open chunk (a segment, written like the segment log's, so a crash
 // can only tear the final record), and sealed chunks migrate through
 // three tiers as they age:
 //
@@ -172,12 +169,10 @@ type TierStore struct {
 	sync SyncPolicy
 	// syncEvery batches fsyncs under SyncBatch.
 	syncEvery int
-	sinceSync int
 
 	chunks   []*chunk // ascending index; last is the open chunk
 	open     *chunk
-	openFile *os.File
-	frameBuf []byte
+	openFile *segment
 	// lookup holds the sealed non-empty chunks in seal order. While
 	// ordered is true their ID ranges are disjoint and ascending
 	// (monotone extractor IDs, the common case), so a binary search
@@ -261,36 +256,6 @@ func (c *chunk) meta() chunkMeta {
 	return m
 }
 
-// scanFrames walks the CRC framing of raw chunk bytes, returning the
-// frame offsets and the number of leading valid bytes. A torn or corrupt
-// tail simply ends the scan (valid < len(data)); that is the crash
-// signature of the open chunk.
-func scanFrames(data []byte) (offs []uint32, valid int) {
-	off := 0
-	for off+headerSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:off+4]) != recordMagic || data[off+4] != recordVersion {
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off+5 : off+9]))
-		if n > maxRecordSize || off+headerSize+n > len(data) {
-			break
-		}
-		payload := data[off+headerSize : off+headerSize+n]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[off+9:off+13]) {
-			break
-		}
-		offs = append(offs, uint32(off))
-		off += headerSize + n
-	}
-	return offs, off
-}
-
-// framePayload returns the payload of the frame starting at offs[row].
-func framePayload(data []byte, off uint32) []byte {
-	n := binary.LittleEndian.Uint32(data[off+5 : off+9])
-	return data[off+headerSize : uint32(headerSize)+off+n]
-}
-
 // openTierStore opens (creating if necessary) the chunk directory under
 // dir, reconciling any crash leftovers: *.tmp files are removed, a chunk
 // present both raw and compressed keeps whichever copy is intact
@@ -326,16 +291,13 @@ func openTierStore(dir string, opts TierOptions, sync SyncPolicy, syncEvery int)
 		t.addChunkLocked(c)
 	}
 	if t.open == nil || t.open.sealed {
-		if err := t.startChunkLocked(t.nextIndex()); err != nil {
-			return nil, err
-		}
+		err = t.startChunkLocked(t.nextIndex())
 	} else {
 		// Reopen the recovered open chunk for appending.
-		f, err := os.OpenFile(chunkRawPath(t.dir, t.open.index), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		t.openFile = f
+		t.openFile, err = openSegment(chunkRawPath(t.dir, t.open.index), t.open.index, sync, syncEvery)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := t.rebalanceLocked(); err != nil {
 		return nil, err
@@ -356,27 +318,11 @@ func (t *TierStore) listChunks() (raw, cold map[int]bool, err error) {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
 			os.Remove(filepath.Join(t.dir, name))
-			continue
+		} else if n, ok := fileIndex(name, chunkPrefix, chunkRawSuffix); ok {
+			raw[n] = true
+		} else if n, ok := fileIndex(name, chunkPrefix, chunkColdSuffix); ok {
+			cold[n] = true
 		}
-		if !strings.HasPrefix(name, chunkPrefix) {
-			continue
-		}
-		var set map[int]bool
-		switch {
-		case strings.HasSuffix(name, chunkRawSuffix):
-			set = raw
-		case strings.HasSuffix(name, chunkColdSuffix):
-			set = cold
-		default:
-			continue
-		}
-		numStr := strings.TrimSuffix(strings.TrimSuffix(
-			strings.TrimPrefix(name, chunkPrefix), chunkRawSuffix), chunkColdSuffix)
-		n, err := strconv.Atoi(numStr)
-		if err != nil {
-			continue
-		}
-		set[n] = true
 	}
 	return raw, cold, nil
 }
@@ -452,10 +398,9 @@ func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta,
 				t.warnings = append(t.warnings, fmt.Sprintf(
 					"chunk %d: sealed chunk truncated from %d to %d rows", idx, meta.Rows, len(offs)))
 			}
-			if err := os.Truncate(rawPath, int64(valid)); err != nil {
-				return nil, fmt.Errorf("storage: truncating torn chunk %s: %w", rawPath, err)
+			if err := truncateTorn(rawPath, int64(valid), int64(len(data))); err != nil {
+				return nil, err
 			}
-			metReplayTornBytes.Add(uint64(len(data) - valid))
 			t.dropped += int64(len(data) - valid)
 			if last {
 				t.warnings = append(t.warnings, fmt.Sprintf(
@@ -637,14 +582,14 @@ func (t *TierStore) nextIndex() int {
 
 // startChunkLocked creates and opens a fresh chunk for appending.
 func (t *TierStore) startChunkLocked(idx int) error {
-	f, err := os.OpenFile(chunkRawPath(t.dir, idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	seg, err := openSegment(chunkRawPath(t.dir, idx), idx, t.sync, t.syncEvery)
 	if err != nil {
 		return err
 	}
 	c := &chunk{index: idx, dense: true, state: tierHot}
 	t.chunks = append(t.chunks, c)
 	t.open = c
-	t.openFile = f
+	t.openFile = seg
 	return nil
 }
 
@@ -683,33 +628,18 @@ func (t *TierStore) locate(id event.SnippetID) (*chunk, int, bool) {
 // Append frames and persists one snippet into the open chunk, sealing
 // and rebalancing the tiers when the chunk fills.
 func (t *TierStore) Append(sn *event.Snippet) error {
-	t.frameBuf = appendRecord(t.frameBuf[:0], event.AppendEncode(nil, sn))
-	if _, err := t.openFile.Write(t.frameBuf); err != nil {
+	frame, err := t.openFile.append(event.AppendEncode(nil, sn))
+	if err != nil {
 		return err
-	}
-	switch t.sync {
-	case SyncAlways:
-		if err := t.openFile.Sync(); err != nil {
-			return err
-		}
-		metSyncs.Inc()
-	case SyncBatch:
-		if t.sinceSync++; t.sinceSync >= t.syncEvery {
-			if err := t.openFile.Sync(); err != nil {
-				return err
-			}
-			metSyncs.Inc()
-			t.sinceSync = 0
-		}
 	}
 	c := t.open
 	c.offs = append(c.offs, uint32(len(c.data)))
-	c.data = append(c.data, t.frameBuf...)
+	c.data = append(c.data, frame...)
 	c.rawBytes = int64(len(c.data))
 	c.noteRow(sn)
 	t.rows++
 	metAppends.Inc()
-	metAppendBytes.Add(uint64(len(t.frameBuf)))
+	metAppendBytes.Add(uint64(len(frame)))
 	if c.rows >= t.opts.ChunkRows {
 		return t.sealOpenLocked()
 	}
@@ -720,9 +650,6 @@ func (t *TierStore) Append(sn *event.Snippet) error {
 // the tiers, and persists the manifest.
 func (t *TierStore) sealOpenLocked() error {
 	c := t.open
-	if err := t.openFile.Sync(); err != nil {
-		return err
-	}
 	if err := t.openFile.Close(); err != nil {
 		return err
 	}
@@ -1107,12 +1034,7 @@ func (t *TierStore) Sync() error { return t.openFile.Sync() }
 func (t *TierStore) Close() error {
 	var first error
 	if t.openFile != nil {
-		if err := t.openFile.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := t.openFile.Close(); err != nil && first == nil {
-			first = err
-		}
+		first = t.openFile.Close()
 		t.openFile = nil
 	}
 	for _, c := range t.chunks {
@@ -1135,28 +1057,21 @@ func (t *TierStore) Close() error {
 // tiering was enabled carries its corpus forward. Records already
 // present in a chunk are skipped, making the import idempotent.
 func (t *TierStore) importSegments(dir string) error {
-	indices, err := listSegments(dir)
+	imported := 0
+	indices, err := scanLog(dir, func(_ int, _ int64, payload []byte) error {
+		sn, derr := event.Decode(payload)
+		if derr != nil {
+			metReplayCorrupt.Inc()
+			return nil
+		}
+		if t.Has(sn.ID) {
+			return nil
+		}
+		imported++
+		return t.Append(sn)
+	}, func(_ int, torn int64) { t.dropped += torn })
 	if err != nil {
 		return err
-	}
-	imported := 0
-	for _, idx := range indices {
-		dropped, err := scanSegment(segmentPath(dir, idx), func(payload []byte) error {
-			sn, derr := event.Decode(payload)
-			if derr != nil {
-				metReplayCorrupt.Inc()
-				return nil
-			}
-			if t.Has(sn.ID) {
-				return nil
-			}
-			imported++
-			return t.Append(sn)
-		})
-		if err != nil {
-			return err
-		}
-		t.dropped += dropped
 	}
 	if imported > 0 {
 		t.warnings = append(t.warnings, fmt.Sprintf(

@@ -130,14 +130,18 @@ gate "story retirement" \
   TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
   'TestArchive*' 'TestWindowEndpoint*'
 
-# Tiered-storage gate: the chunk tier suite (demotion/promotion,
+# Storage-log gate: the framed log under the event store, DLQ, archive
+# and chunks must keep exactly the complete frames before a crash at
+# every byte offset and refuse a record recovery would discard; the whole
+# storage package passes; the chunk tier suite (demotion/promotion,
 # crash-point recovery at both the storage and pipeline layers, the
 # manifest reconcile, and the ingest/query/cold-read hammer) must pass
 # under the race detector, and the 3-seed tiered-vs-all-hot server
 # differential must stay byte-identical on every endpoint. The paged
 # envelope boundaries ride along: they share the pagination code the
 # tiers must not perturb.
-gate "tiered storage" \
+gate "storage logs + tiers" \
+  TestSegLogCrashAtEveryOffset TestSegLogRejectsOversizedRecord internal/storage/ \
   'TestTier*' 'TestRecoveryTiered*' TestTieredIngestQueryRace \
   TestTieredServerDifferential TestPagedEnvelopeBoundaries \
   TestClusterPagedEnvelopeEdgeCases 'TestDLQ*' 'TestArchiveTornFrame*' 'TestArchiveReset*'
