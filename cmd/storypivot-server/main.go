@@ -65,9 +65,9 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated URLs of the other workers (cluster mode, advertised on GET /api/cluster/members)")
 
 		storeDir      = flag.String("store-dir", "", "persist snippets to this event-store directory (replayed on restart)")
-		storeHot      = flag.Int("store-hot-chunks", 0, "tiered storage: sealed chunks kept fully resident in memory; setting any -store-* tier flag enables the tiered hot/warm/cold layout (0 = default 4, requires -store-dir)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "tiered storage: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
-		storeColdComp = flag.Bool("store-cold-compress", true, "tiered storage: gzip-compress chunks demoted to the cold tier")
+		storeHot      = flag.Int("store-hot-chunks", 0, "bound store residency: sealed chunks kept fully resident in memory; setting any -store-* tier flag bounds the hot and warm tiers and strips display text from the engine (default: every chunk stays hot; 0 = 4 once bounded; requires -store-dir)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeColdComp = flag.Bool("store-cold-compress", true, "bound store residency: gzip-compress chunks demoted to the cold tier")
 
 		window            = flag.Duration("window", 0, "story retirement window W of event time: stories with no new evidence for W are archived and evicted, bounding resident memory (0 = retirement disabled); tune live via PUT /api/admin/window")
 		retireDir         = flag.String("retire-dir", "", "cold-story archive directory (required when -window > 0)")
@@ -78,9 +78,8 @@ func main() {
 	registerFeedFlags(&ff)
 	flag.Parse()
 
-	// Tiered storage engages when any tier flag is given explicitly, so
-	// the plain -store-dir flat layout stays the default (and the
-	// baseline the scale benchmarks compare against).
+	// The tier budgets engage when any tier flag is given explicitly; a
+	// plain -store-dir keeps every chunk hot.
 	tiered := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {

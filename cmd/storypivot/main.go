@@ -42,9 +42,9 @@ func main() {
 		storeDir  = flag.String("store", "", "persist snippets to this event-store directory")
 		storeDir2 = flag.String("store-dir", "", "alias for -store (matches the server binary's flag)")
 
-		storeHot      = flag.Int("store-hot-chunks", 0, "tiered storage: sealed chunks kept fully resident in memory; setting any -store-* tier flag enables the tiered hot/warm/cold layout (0 = default 4, requires -store)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "tiered storage: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
-		storeColdComp = flag.Bool("store-cold-compress", true, "tiered storage: gzip-compress chunks demoted to the cold tier")
+		storeHot      = flag.Int("store-hot-chunks", 0, "bound store residency: sealed chunks kept fully resident in memory; setting any -store-* tier flag bounds the hot and warm tiers and strips display text from the engine (default: every chunk stays hot; 0 = 4 once bounded; requires -store)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeColdComp = flag.Bool("store-cold-compress", true, "bound store residency: gzip-compress chunks demoted to the cold tier")
 		topK          = flag.Int("top", 10, "number of integrated stories to print")
 		profiles      = flag.Bool("profiles", false, "print per-source reporting profiles")
 		trending      = flag.Bool("trending", false, "print trending stories at the corpus end")

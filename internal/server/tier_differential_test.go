@@ -88,10 +88,12 @@ func fetchRaw(t *testing.T, base, path string) (int, []byte) {
 
 // TestTieredServerDifferential is the correctness oracle of the tiered
 // snippet store at the API boundary: two servers ingest the same corpus
-// — one all-in-memory, one with the hot/warm/cold chunk tiers sized so
-// most chunks go cold and compressed — and every query endpoint must
-// return byte-identical responses. The tiers may move payload bytes
-// between memory, mmap, and gzip; they may never change a response.
+// — one over a store without budgets (every chunk hot, the engine keeps
+// text), one with the hot/warm/cold budgets sized so most chunks go cold
+// and compressed (the engine's text stripped and hydrated) — and every
+// query endpoint must return byte-identical responses. The tiers may
+// move payload bytes between memory, mmap, and gzip; they may never
+// change a response.
 func TestTieredServerDifferential(t *testing.T) {
 	for _, seed := range []int64{7, 21, 63} {
 		seed := seed
@@ -99,7 +101,7 @@ func TestTieredServerDifferential(t *testing.T) {
 			t.Parallel()
 			corpus := tierDiffCorpus(400, 3, seed)
 
-			flat, err := New()
+			flat, err := New(storypivot.WithStorage(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,6 +127,9 @@ func TestTieredServerDifferential(t *testing.T) {
 			}
 			flat.Pipeline().Result()
 			tiered.Pipeline().Result()
+			if st, _ := flat.Pipeline().TierStats(); st.Warm+st.Cold != 0 {
+				t.Fatalf("store without budgets demoted chunks: %+v", st)
+			}
 			if st, ok := tiered.Pipeline().TierStats(); !ok || st.Cold == 0 {
 				t.Fatalf("tiered pipeline has no cold chunks; differential exercises nothing: %+v", st)
 			}

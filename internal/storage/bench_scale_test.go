@@ -13,11 +13,11 @@ import (
 )
 
 // The GDELT-scale benchmarks ingest 1M/5M/10M synthetic snippets into
-// the tiered store and the flat (fully resident) store and report the
-// Go heap after ingest plus the random-read latency over the full ID
-// space. The acceptance criterion is the shape, not the absolute
-// numbers: tiered heap must stay flat from 1M to 10M while flat-store
-// heap grows linearly.
+// a store with tier budgets (Tiered) and one without, every chunk hot
+// (Flat), and report the Go heap after ingest plus the random-read
+// latency over the full ID space. The acceptance criterion is the
+// shape, not the absolute numbers: tiered heap must stay flat from 1M
+// to 10M while the all-hot heap grows linearly.
 //
 // heap_MB is runtime.ReadMemStats HeapAlloc after a forced GC. Warm
 // chunks are mmap'd, so their bytes are deliberately outside this
@@ -88,8 +88,8 @@ func benchScale(b *testing.B, n int, tier *TierOptions) {
 		b.ReportMetric(before, "heap_base_MB")
 
 		// Random reads across the whole ID space: cold faults, LRU
-		// churn, and promotions for the tiered arm; map lookups for the
-		// flat arm. The stride jumps chunks so the tiered p99 is the
+		// churn, and promotions for the tiered arm; hot-chunk reads for
+		// the flat arm. The stride jumps chunks so the tiered p99 is the
 		// cold-read path (inflate + decode), not a hot-tier hit.
 		const probes = 2000
 		lats := make([]float64, probes)
@@ -111,11 +111,10 @@ func benchScale(b *testing.B, n int, tier *TierOptions) {
 		b.ReportMetric(float64(total.Microseconds())/probes, "read_us")
 		b.ReportMetric(lats[probes/2], "read_p50_us")
 		b.ReportMetric(lats[probes*99/100], "read_p99_us")
-		if ts, ok := st.TierStats(); ok {
-			b.ReportMetric(float64(ts.Hot), "hot_chunks")
-			b.ReportMetric(float64(ts.Warm), "warm_chunks")
-			b.ReportMetric(float64(ts.Cold), "cold_chunks")
-		}
+		ts := st.TierStats()
+		b.ReportMetric(float64(ts.Hot), "hot_chunks")
+		b.ReportMetric(float64(ts.Warm), "warm_chunks")
+		b.ReportMetric(float64(ts.Cold), "cold_chunks")
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}

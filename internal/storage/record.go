@@ -3,9 +3,10 @@
 //
 // The paper assumes extractions are "stored in repositories that get
 // updated regularly" (GDELT/EventRegistry-style). This package is the
-// offline substitute: a write-ahead segmented log on disk (every append is
-// a CRC-framed record; torn tails are detected and truncated at recovery)
-// plus an in-memory map by snippet ID rebuilt on open. It serves what the
+// offline substitute: append-only chunk files on disk (every append is a
+// CRC-framed record; torn tails are detected and truncated at recovery)
+// with a per-chunk ID index, hot in memory or tiered out to mmap and
+// compressed files. It serves what the
 // pipeline needs of it — append, fetch by ID, and one chronological replay
 // at open; entity, time, and source lookups over the live result belong to
 // internal/index.

@@ -27,9 +27,7 @@ func TestRecoveryWarningsTornTail(t *testing.T) {
 	}
 	st.Close()
 
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(newestChunk(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +74,7 @@ func TestRecoveryWarningsUndecodableRecord(t *testing.T) {
 	st.Close()
 
 	// Splice a well-framed garbage record between two valid ones.
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(newestChunk(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +103,7 @@ func TestRecoveryWarningsUndecodableRecord(t *testing.T) {
 }
 
 // TestRecoveryWarningsBothKinds stacks logical corruption and a torn
-// tail in the same segment: both findings must be reported.
+// tail in the same chunk: both findings must be reported.
 func TestRecoveryWarningsBothKinds(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -119,9 +115,7 @@ func TestRecoveryWarningsBothKinds(t *testing.T) {
 	}
 	st.Close()
 
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(newestChunk(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,9 +176,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	st.Close()
 
 	// Simulate a crash mid-write: append garbage + a truncated frame.
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(newestChunk(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +210,11 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreSegmentRotation: appends rotate into fresh chunk files as each
+// one fills, and a reopen recovers every row across them.
 func TestStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256}) // tiny segments
+	st, err := Open(dir, Options{Tier: &TierOptions{ChunkRows: 4}}) // tiny chunks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,21 +224,21 @@ func TestStoreSegmentRotation(t *testing.T) {
 		}
 	}
 	st.Close()
-	segs, err := listSegments(dir)
+	chunks, err := filepath.Glob(filepath.Join(dir, "chunks", "chunk-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, got %d segments", len(segs))
+	if len(chunks) < 13 {
+		t.Fatalf("expected 12 sealed chunks and an open one, got %d chunk files", len(chunks))
 	}
-	// Everything still recoverable across segments.
+	// Everything still recoverable across chunks.
 	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
 	if st2.Len() != 50 {
-		t.Fatalf("recovered %d snippets across segments, want 50", st2.Len())
+		t.Fatalf("recovered %d snippets across chunks, want 50", st2.Len())
 	}
 }
 
@@ -347,12 +347,9 @@ func TestListSegmentsIgnoresForeignFiles(t *testing.T) {
 }
 
 func TestReplaySkipsDuplicateRecords(t *testing.T) {
-	// The same record present in two segments is indexed once.
+	// The same record present in two flat-log segments is migrated once.
 	dir := t.TempDir()
-	st, _ := Open(dir, Options{})
-	st.Append(snip(1, "nyt", 1, "UKR"))
-	st.Close()
-	// Duplicate segment 1's content into a new segment 2.
+	writeFlatLog(t, dir, 1<<20, [][]byte{event.Encode(snip(1, "nyt", 1, "UKR"))})
 	data, err := os.ReadFile(segmentPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +376,7 @@ func TestStoreQuickRoundTrip(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		st, err := Open(dir, Options{SegmentSize: 512})
+		st, err := Open(dir, Options{Tier: &TierOptions{ChunkRows: 4}})
 		if err != nil {
 			return false
 		}
@@ -424,12 +421,12 @@ func TestStoreQuickRoundTrip(t *testing.T) {
 }
 
 // TestStoreAll pins All's order: chronological, ties by ascending ID,
-// whatever order the snippets were appended in — live and after the log
-// is replayed on reopen. Nothing keeps the store sorted between calls;
+// whatever order the snippets were appended in — live and after the
+// chunks are recovered on reopen. Nothing keeps the store sorted between calls;
 // All sorts when asked.
 func TestStoreAll(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256}) // several segments
+	st, err := Open(dir, Options{Tier: &TierOptions{ChunkRows: 8}}) // several chunks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,4 +465,34 @@ func TestStoreAll(t *testing.T) {
 	}
 	defer st2.Close()
 	check("reopened", st2.All())
+}
+
+// newestChunk returns the path of the store's highest-index raw chunk
+// file, the one a crash can tear.
+func newestChunk(t *testing.T, dir string) string {
+	t.Helper()
+	chunks, err := filepath.Glob(filepath.Join(dir, "chunks", "chunk-*.log"))
+	if err != nil || len(chunks) == 0 {
+		t.Fatalf("no chunk files in %s (%v)", dir, err)
+	}
+	return chunks[len(chunks)-1]
+}
+
+// writeFlatLog writes payloads into a seg-*.log directory the way the
+// flat store's Append did: one framed record per append, rotating once a
+// segment holds segLimit bytes.
+func writeFlatLog(t *testing.T, dir string, segLimit int64, payloads [][]byte) {
+	t.Helper()
+	l, err := openSegLog(dir, segLimit, SyncNever, 256, func(int, int64, []byte) error { return nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, _, err := l.append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.seg.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

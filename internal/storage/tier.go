@@ -14,11 +14,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Tiered chunk storage. In tiered mode the flat segment log is replaced
-// by fixed-row chunk files under <dir>/chunks/: every append goes into
-// the open chunk (a segment, written like the segment log's, so a crash
-// can only tear the final record), and sealed chunks migrate through
-// three tiers as they age:
+// Chunk storage, the one layout of the event store: snippets live in
+// fixed-row chunk files under <dir>/chunks/. Every append goes into the
+// open chunk (a segment, written like the segment log's, so a crash can
+// only tear the final record), and sealed chunks migrate through three
+// tiers as they age:
 //
 //	hot   — the newest sealed chunks, raw bytes resident in memory;
 //	warm  — older chunks mmap'd read-only (page cache owns the bytes);
@@ -27,10 +27,11 @@ import (
 //
 // Only per-chunk metadata (ID range, row count, event-time bounds) stays
 // resident for cold chunks, so process RSS is bounded by the hot+warm
-// budgets instead of the corpus size. A manifest (chunks/manifest.json)
-// caches sealed-chunk metadata so reopen does not have to decode the
-// whole corpus; the chunk files themselves stay the source of truth, and
-// any divergence (crash mid-demotion, deleted manifest) is reconciled at
+// budgets instead of the corpus size; without budgets (Options.Tier nil)
+// every chunk stays hot. A manifest (chunks/manifest.json) caches
+// sealed-chunk metadata so reopen does not have to decode the whole
+// corpus; the chunk files themselves stay the source of truth, and any
+// divergence (crash mid-demotion, deleted manifest) is reconciled at
 // open by rescanning the affected chunk.
 const (
 	chunkPrefix     = "chunk-"
@@ -46,9 +47,9 @@ const (
 	tierCold
 )
 
-// TierOptions configures the tiered chunk store. The zero value of every
-// field selects a sensible default; tiering as a whole is enabled by
-// setting Options.Tier to a non-nil TierOptions.
+// TierOptions bounds the chunk store's residency. The zero value of every
+// field selects a sensible default; with Options.Tier nil instead, every
+// chunk stays hot.
 type TierOptions struct {
 	// ChunkRows is the number of snippets per sealed chunk (default 4096).
 	ChunkRows int
@@ -113,16 +114,22 @@ type chunk struct {
 	state int
 	// sealed is false only for the single open chunk.
 	sealed bool
-	rows   int
+	// rows counts frames, dead ones included, so a row is a frame index.
+	rows int
+	// dead counts rows whose payload no longer decodes: they keep their
+	// frame's place but carry no ID, so no lookup reaches them.
+	dead int
 	// dense chunks hold exactly the consecutive IDs firstID..lastID in
 	// order, so a row is located by subtraction and no per-row ID list
 	// is kept resident. Extractor-assigned IDs are monotonic, so almost
-	// every chunk is dense; sparse chunks (out-of-order external IDs)
-	// keep ids.
+	// every chunk is dense. Sparse chunks (out-of-order external IDs) and
+	// the open chunk keep ids, the ID of every row, and order, the live
+	// rows sorted by ID, which a lookup binary-searches.
 	firstID event.SnippetID
 	lastID  event.SnippetID
 	dense   bool
 	ids     []event.SnippetID
+	order   []uint32
 	// Event-time bounds (unix nanos) for range pruning.
 	minTS, maxTS int64
 	// data is the raw framed bytes: a heap copy for hot chunks, an mmap
@@ -139,18 +146,39 @@ type chunk struct {
 }
 
 func (c *chunk) hasID(id event.SnippetID) (int, bool) {
-	if c.rows == 0 || id < c.firstID || id > c.lastID {
+	if c.rows == c.dead || id < c.firstID || id > c.lastID {
 		return 0, false
 	}
 	if c.dense {
 		return int(id - c.firstID), true
 	}
-	for i, cid := range c.ids {
-		if cid == id {
-			return i, true
-		}
+	if k := c.search(id); k < len(c.order) && c.ids[c.order[k]] == id {
+		return int(c.order[k]), true
 	}
 	return 0, false
+}
+
+// search returns the position in order of the first row whose ID is not
+// below id.
+func (c *chunk) search(id event.SnippetID) int {
+	lo, hi := 0, len(c.order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.ids[c.order[m]] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// seal makes the chunk immutable; a dense chunk drops its per-row IDs.
+func (c *chunk) seal() {
+	c.sealed = true
+	if c.dense {
+		c.ids, c.order = nil, nil
+	}
 }
 
 // inflated is one entry of the cold-chunk LRU.
@@ -173,18 +201,20 @@ type TierStore struct {
 	chunks   []*chunk // ascending index; last is the open chunk
 	open     *chunk
 	openFile *segment
+	buf      []byte // encode buffer reused across appends
 	// lookup holds the sealed non-empty chunks in seal order. While
 	// ordered is true their ID ranges are disjoint and ascending
 	// (monotone extractor IDs, the common case), so a binary search
-	// finds the owning chunk; out-of-order IDs drop to a linear scan.
+	// finds the owning chunk; out-of-order IDs probe every chunk whose
+	// ID range covers the ID.
 	lookup  []*chunk
 	ordered bool
 
 	lru []inflated
 
-	rows     int64
-	warnings []string
-	dropped  int64
+	rows     int64    // live rows
+	warnings []string // partial-corruption findings at open, then failed reads
+	dropped  int64    // torn-tail bytes truncated at open
 
 	faults, promotions, demotions uint64
 }
@@ -208,6 +238,7 @@ type chunkManifest struct {
 type chunkMeta struct {
 	Index      int      `json:"index"`
 	Rows       int      `json:"rows"`
+	Dead       int      `json:"dead,omitempty"`
 	FirstID    uint64   `json:"first_id"`
 	LastID     uint64   `json:"last_id"`
 	Dense      bool     `json:"dense"`
@@ -235,6 +266,7 @@ func (c *chunk) meta() chunkMeta {
 	m := chunkMeta{
 		Index:      c.index,
 		Rows:       c.rows,
+		Dead:       c.dead,
 		FirstID:    uint64(c.firstID),
 		LastID:     uint64(c.lastID),
 		Dense:      c.dense,
@@ -281,7 +313,13 @@ func openTierStore(dir string, opts TierOptions, sync SyncPolicy, syncEvery int)
 	indices := unionSorted(raw, cold)
 	for _, idx := range indices {
 		last := idx == indices[len(indices)-1]
-		c, err := t.recoverChunk(idx, raw[idx], cold[idx], manifest[idx], last)
+		meta := manifest[idx]
+		if last {
+			// The newest chunk may be the open one, which needs its
+			// per-row IDs, so it is always rescanned.
+			meta = nil
+		}
+		c, err := t.recoverChunk(idx, raw[idx], cold[idx], meta, last)
 		if err != nil {
 			return nil, err
 		}
@@ -361,8 +399,11 @@ func (t *TierStore) loadManifest() map[int]*chunkMeta {
 		return out
 	}
 	for i := range m.Chunks {
-		cm := m.Chunks[i]
-		out[cm.Index] = &cm
+		if cm := m.Chunks[i]; cm.Dead == 0 {
+			// A chunk with undecodable rows is rescanned instead: the
+			// manifest does not say which rows they are.
+			out[cm.Index] = &cm
+		}
 	}
 	return out
 }
@@ -410,10 +451,9 @@ func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta,
 		}
 		c := t.buildChunk(idx, data, offs, meta)
 		c.rawBytes = int64(valid)
-		c.sealed = !last || c.rows >= t.opts.ChunkRows
 		c.state = tierHot
-		if c.sealed && c.dense {
-			c.ids = nil
+		if !last || c.rows >= t.opts.ChunkRows {
+			c.seal()
 		}
 		return c, nil
 	}
@@ -454,12 +494,9 @@ func (t *TierStore) recoverColdChunk(idx int, coldPath string, meta *chunkMeta) 
 	c := t.buildChunk(idx, data, offs, nil)
 	c.rawBytes = int64(valid)
 	c.compressed = true
-	c.sealed = true
+	c.seal()
 	c.state = tierCold
 	c.data, c.offs = nil, nil
-	if c.dense {
-		c.ids = nil
-	}
 	return c, nil
 }
 
@@ -478,9 +515,12 @@ func metaChunk(idx int, m *chunkMeta) *chunk {
 	}
 	if !m.Dense {
 		c.ids = make([]event.SnippetID, len(m.IDs))
+		c.order = make([]uint32, len(m.IDs))
 		for i, id := range m.IDs {
 			c.ids[i] = event.SnippetID(id)
+			c.order[i] = uint32(i)
 		}
+		sort.Slice(c.order, func(a, b int) bool { return c.ids[c.order[a]] < c.ids[c.order[b]] })
 	}
 	for _, s := range m.Sources {
 		c.sources = append(c.sources, event.SourceID(s))
@@ -488,17 +528,18 @@ func metaChunk(idx int, m *chunkMeta) *chunk {
 	return c
 }
 
-// buildChunk decodes raw chunk bytes into resident chunk state. When a
-// trusted manifest entry matches the file size, the per-row decode is
-// skipped and metadata comes from the manifest.
+// buildChunk decodes raw chunk bytes, which it takes ownership of, into
+// resident chunk state. When a trusted manifest entry matches the file
+// size, the per-row decode is skipped and metadata comes from the
+// manifest.
 func (t *TierStore) buildChunk(idx int, data []byte, offs []uint32, meta *chunkMeta) *chunk {
 	if meta != nil && meta.RawBytes == int64(len(data)) && meta.Rows == len(offs) {
 		c := metaChunk(idx, meta)
-		c.data = append([]byte(nil), data...)
+		c.data = data
 		c.offs = offs
 		return c
 	}
-	c := &chunk{index: idx, dense: true, data: append([]byte(nil), data...), offs: offs}
+	c := &chunk{index: idx, dense: true, data: data, offs: offs}
 	for _, off := range offs {
 		sn, err := event.Decode(framePayload(data, off))
 		if err != nil {
@@ -506,7 +547,11 @@ func (t *TierStore) buildChunk(idx int, data []byte, offs []uint32, meta *chunkM
 			// it but keep the row so offsets stay aligned with frames.
 			metReplayCorrupt.Inc()
 			t.warnings = append(t.warnings, fmt.Sprintf("chunk %d: undecodable record skipped", idx))
-			sn = &event.Snippet{}
+			c.ids = append(c.ids, 0)
+			c.rows++
+			c.dead++
+			c.dense = false
+			continue
 		}
 		c.noteRow(sn)
 	}
@@ -516,7 +561,7 @@ func (t *TierStore) buildChunk(idx int, data []byte, offs []uint32, meta *chunkM
 // noteRow folds one decoded snippet into the chunk's metadata.
 func (c *chunk) noteRow(sn *event.Snippet) {
 	ts := sn.Timestamp.UnixNano()
-	if c.rows == 0 {
+	if c.rows == c.dead {
 		c.firstID, c.lastID = sn.ID, sn.ID
 		c.minTS, c.maxTS = ts, ts
 	} else {
@@ -536,6 +581,10 @@ func (c *chunk) noteRow(sn *event.Snippet) {
 			c.maxTS = ts
 		}
 	}
+	k := c.search(sn.ID)
+	c.order = append(c.order, 0)
+	copy(c.order[k+1:], c.order[k:])
+	c.order[k] = uint32(c.rows)
 	c.ids = append(c.ids, sn.ID)
 	c.rows++
 	found := false
@@ -557,12 +606,12 @@ func (t *TierStore) addChunkLocked(c *chunk) {
 	} else {
 		t.open = c
 	}
-	t.rows += int64(c.rows)
+	t.rows += int64(c.rows - c.dead)
 }
 
 // noteSealed registers a sealed chunk with the lookup structures.
 func (t *TierStore) noteSealed(c *chunk) {
-	if c.rows == 0 {
+	if c.rows == c.dead {
 		return
 	}
 	if n := len(t.lookup); n > 0 && c.firstID <= t.lookup[n-1].lastID {
@@ -601,12 +650,12 @@ func (t *TierStore) Has(id event.SnippetID) bool {
 
 // locate finds the chunk and row holding id. The open chunk is probed
 // first (recent IDs dominate), then the sealed chunks — by binary
-// search over their disjoint ascending ranges in the common case.
+// search over their disjoint ascending ranges in the common case, else
+// every chunk whose [firstID, lastID] covers id, newest first. Each
+// probe is a subtraction (dense) or a binary search (sparse).
 func (t *TierStore) locate(id event.SnippetID) (*chunk, int, bool) {
-	if t.open != nil {
-		if row, ok := t.open.hasID(id); ok {
-			return t.open, row, true
-		}
+	if row, ok := t.open.hasID(id); ok {
+		return t.open, row, true
 	}
 	if t.ordered {
 		i := sort.Search(len(t.lookup), func(i int) bool { return t.lookup[i].firstID > id })
@@ -628,7 +677,8 @@ func (t *TierStore) locate(id event.SnippetID) (*chunk, int, bool) {
 // Append frames and persists one snippet into the open chunk, sealing
 // and rebalancing the tiers when the chunk fills.
 func (t *TierStore) Append(sn *event.Snippet) error {
-	frame, err := t.openFile.append(event.AppendEncode(nil, sn))
+	t.buf = event.AppendEncode(t.buf[:0], sn)
+	frame, err := t.openFile.append(t.buf)
 	if err != nil {
 		return err
 	}
@@ -654,10 +704,7 @@ func (t *TierStore) sealOpenLocked() error {
 		return err
 	}
 	t.openFile = nil
-	c.sealed = true
-	if c.dense {
-		c.ids = nil
-	}
+	c.seal()
 	t.noteSealed(c)
 	if err := t.startChunkLocked(c.index + 1); err != nil {
 		return err
@@ -913,7 +960,7 @@ func (t *TierStore) Get(id event.SnippetID) (*event.Snippet, error) {
 // snippet is freshly allocated and owned by fn.
 func (t *TierStore) Scan(fn func(*event.Snippet) error) error {
 	for _, c := range t.chunks {
-		if c.rows == 0 {
+		if c.rows == c.dead {
 			continue
 		}
 		data, offs, err := t.rowBytes(c)
@@ -1052,30 +1099,54 @@ func (t *TierStore) Close() error {
 	return first
 }
 
-// importSegments replays legacy flat-log segments (seg-*.log) found in
-// the parent directory into the chunk store, so a store created before
-// tiering was enabled carries its corpus forward. Records already
-// present in a chunk are skipped, making the import idempotent.
-func (t *TierStore) importSegments(dir string) error {
-	imported := 0
+// migrateSegments moves a store written as a flat segment log
+// (seg-*.log in dir) into chunks, once: it appends every decodable
+// record not already stored, makes the chunks durable and the manifest
+// current, and only then unlinks the segments. A crash before the
+// unlink leaves the segments in place and the next open repeats the
+// migration; the rows an earlier attempt stored are skipped, so the
+// repeat neither loses nor duplicates a row.
+func (t *TierStore) migrateSegments(dir string) error {
+	corrupt := 0
 	indices, err := scanLog(dir, func(_ int, _ int64, payload []byte) error {
+		metReplayed.Inc()
 		sn, derr := event.Decode(payload)
 		if derr != nil {
+			corrupt++
 			metReplayCorrupt.Inc()
 			return nil
 		}
 		if t.Has(sn.ID) {
 			return nil
 		}
-		imported++
 		return t.Append(sn)
-	}, func(_ int, torn int64) { t.dropped += torn })
-	if err != nil {
+	}, func(seg int, torn int64) {
+		if corrupt > 0 {
+			t.warnings = append(t.warnings, fmt.Sprintf(
+				"segment %d: skipped %d well-framed records with undecodable payloads", seg, corrupt))
+			corrupt = 0
+		}
+		if torn > 0 {
+			t.warnings = append(t.warnings, fmt.Sprintf(
+				"segment %d: truncated %d torn-tail bytes", seg, torn))
+			t.dropped += torn
+		}
+	})
+	if err != nil || len(indices) == 0 {
 		return err
 	}
-	if imported > 0 {
-		t.warnings = append(t.warnings, fmt.Sprintf(
-			"imported %d snippets from %d legacy segment files", imported, len(indices)))
+	// writeManifest fsyncs the chunk directory, making the chunk files
+	// created above durable before the segments go.
+	if err := t.Sync(); err != nil {
+		return err
+	}
+	if err := t.writeManifest(); err != nil {
+		return err
+	}
+	for _, idx := range indices {
+		if err := os.Remove(segmentPath(dir, idx)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -64,10 +67,7 @@ func TestTierAppendGetRoundtrip(t *testing.T) {
 	if err := st.Append(tsnip(3, 3)); err == nil {
 		t.Fatal("duplicate append accepted")
 	}
-	stats, ok := st.TierStats()
-	if !ok {
-		t.Fatal("TierStats reported non-tiered")
-	}
+	stats := st.TierStats()
 	// 50 rows / 4 per chunk = 12 sealed + open. Budgets: 1 hot sealed
 	// (+ open), 2 warm, rest cold.
 	if stats.Cold == 0 || stats.Warm == 0 || stats.Hot == 0 {
@@ -83,34 +83,10 @@ func TestTierAppendGetRoundtrip(t *testing.T) {
 	}
 }
 
-func TestTierAllStripsTextButKeepsMetadata(t *testing.T) {
-	st := openTiered(t, t.TempDir(), tinyTier())
-	defer st.Close()
-	for i := 1; i <= 20; i++ {
-		if err := st.Append(tsnip(event.SnippetID(i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := st.All()
-	if len(all) != 20 {
-		t.Fatalf("All len = %d", len(all))
-	}
-	for i, sn := range all {
-		if sn.Text != "" || sn.Document != "" {
-			t.Fatalf("All()[%d] carries display text in tiered mode", i)
-		}
-		if len(sn.Entities) == 0 || len(sn.Terms) == 0 {
-			t.Fatalf("All()[%d] lost identification metadata", i)
-		}
-		if i > 0 && all[i-1].Timestamp.After(sn.Timestamp) {
-			t.Fatal("All() not chronological")
-		}
-	}
-}
-
-// TestTieredAccessorsMatchFlat drives the same corpus through a flat and
-// a tiered store and asserts every accessor answers identically (modulo
-// the documented text-stripping of tiered All).
+// TestTieredAccessorsMatchFlat drives the same corpus through a store
+// with no budgets (every chunk hot) and one with tiny budgets (most
+// chunks warm or cold and compressed) and asserts every accessor answers
+// identically.
 func TestTieredAccessorsMatchFlat(t *testing.T) {
 	flat, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -138,18 +114,12 @@ func TestTieredAccessorsMatchFlat(t *testing.T) {
 		}
 		return out
 	}
-	eq := func(name string, a, b []event.SnippetID) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d results", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: position %d: %d vs %d", name, i, a[i], b[i])
-			}
-		}
+	if f, g := flat.All(), tiered.All(); !reflect.DeepEqual(f, g) {
+		t.Fatalf("All: flat %v vs tiered %v", ids(f), ids(g))
 	}
-	eq("All", ids(flat.All()), ids(tiered.All()))
+	if ts := flat.TierStats(); ts.Warm+ts.Cold != 0 {
+		t.Fatalf("store without budgets demoted chunks: %+v", ts)
+	}
 	if flat.Len() != tiered.Len() {
 		t.Fatalf("Len: %d vs %d", flat.Len(), tiered.Len())
 	}
@@ -374,7 +344,7 @@ func TestTierPromotionAfterRepeatedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := st.TierStats()
+	before := st.TierStats()
 	if before.Cold == 0 {
 		t.Fatalf("no cold chunks: %+v", before)
 	}
@@ -387,7 +357,7 @@ func TestTierPromotionAfterRepeatedFaults(t *testing.T) {
 			}
 		}
 	}
-	after, _ := st.TierStats()
+	after := st.TierStats()
 	if after.Faults == 0 {
 		t.Fatalf("cold reads recorded no faults: %+v", after)
 	}
@@ -396,60 +366,191 @@ func TestTierPromotionAfterRepeatedFaults(t *testing.T) {
 	}
 }
 
+// TestTierSparseIDs stores out-of-order IDs, so every chunk is sparse
+// and the chunks' ID ranges overlap: at least five sealed chunks plus the
+// open one, across all three tiers. Has/Get must answer for every stored
+// ID and miss every absent one — inside a chunk's range and between
+// ranges — live, after a reopen from the manifest, and after a reopen
+// that has to rescan the chunks.
 func TestTierSparseIDs(t *testing.T) {
 	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	const n = 30 // 7 sealed chunks of 4 rows and an open one of 2
+	var ids []event.SnippetID
+	stored := map[event.SnippetID]bool{}
+	for _, i := range rng.Perm(n) {
+		id := event.SnippetID(10 * (i + 1)) // 9 absent IDs between neighbours
+		ids = append(ids, id)
+		stored[id] = true
+	}
 	st := openTiered(t, dir, tinyTier())
-	ids := []event.SnippetID{100, 7, 350, 12, 90, 200, 5, 999, 404, 1}
 	for i, id := range ids {
-		if err := st.Append(tsnip(id, 1+i)); err != nil {
+		if err := st.Append(tsnip(id, 1+i%28)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.Close()
-	st = openTiered(t, dir, tinyTier())
-	defer st.Close()
-	for _, id := range ids {
-		if sn := st.Get(id); sn == nil || sn.ID != id {
-			t.Fatalf("Get(%d) after sparse reopen = %+v", id, sn)
+	check := func(when string) {
+		t.Helper()
+		sealed := 0
+		for _, c := range st.tier.chunks {
+			if c.sealed {
+				sealed++
+				if c.dense {
+					t.Fatalf("%s: chunk %d of shuffled IDs is dense", when, c.index)
+				}
+			}
+		}
+		if sealed < 5 || st.tier.open.rows == 0 || st.tier.ordered {
+			t.Fatalf("%s: %d sealed chunks (ordered %v), open rows %d; want >= 5 overlapping and a non-empty open chunk",
+				when, sealed, st.tier.ordered, st.tier.open.rows)
+		}
+		for id := event.SnippetID(0); id <= 10*n+20; id++ {
+			sn := st.Get(id)
+			if has := st.tier.Has(id); stored[id] != (sn != nil) || stored[id] != has {
+				t.Fatalf("%s: stored %v, Get(%d) = %+v, Has = %v", when, stored[id], id, sn, has)
+			}
+			if sn != nil && (sn.ID != id || sn.Document != fmt.Sprintf("doc-%d", id)) {
+				t.Fatalf("%s: Get(%d) = %+v", when, id, sn)
+			}
+		}
+		if err := st.Append(tsnip(ids[0], 3)); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("%s: sparse duplicate: err = %v", when, err)
 		}
 	}
-	if st.Get(55) != nil {
-		t.Fatal("Get of absent ID in sparse range returned a snippet")
+	check("live")
+	st.Close()
+	st = openTiered(t, dir, tinyTier())
+	check("reopened from the manifest")
+	st.Close()
+	if err := os.Remove(filepath.Join(dir, "chunks", manifestName)); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Append(tsnip(100, 3)); err == nil {
-		t.Fatal("sparse duplicate accepted")
-	}
+	st = openTiered(t, dir, tinyTier())
+	defer st.Close()
+	check("reopened by rescan")
 }
 
-func TestTierImportsLegacySegments(t *testing.T) {
-	dir := t.TempDir()
-	flat, err := Open(dir, Options{})
+// TestOpenMigratesFlatSegments opens a directory the flat segment-log
+// store wrote — rotated segments, an undecodable frame, a torn tail —
+// and checks the one-shot migration into chunks: every surviving record
+// reads back as the flat store served it, text included; the recovery
+// findings name the torn bytes and the skipped record; the segments are
+// gone. Two crash points of the migration converge to the same rows
+// with no duplicates: a kill after the chunks synced but before the
+// segments were unlinked, and a kill mid-append.
+func TestOpenMigratesFlatSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var want []*event.Snippet
+	var payloads [][]byte
+	for i, p := range rng.Perm(40) {
+		sn := tsnip(event.SnippetID(1000+p), 1+p%28)
+		want = append(want, sn)
+		payloads = append(payloads, event.AppendEncode(nil, sn))
+		if i == 17 {
+			payloads = append(payloads, []byte("not a snippet payload"))
+		}
+	}
+	base := t.TempDir()
+	fixture := filepath.Join(base, "flat")
+	writeFlatLog(t, fixture, 1024, payloads)
+	segs, err := listSegments(fixture)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("fixture holds segments %v (%v), want at least 3", segs, err)
+	}
+	// A crash mid-append tore the newest segment's tail.
+	torn := appendRecord(nil, event.Encode(tsnip(999, 1)))[:20]
+	f, err := os.OpenFile(segmentPath(fixture, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 12; i++ {
-		if err := flat.Append(tsnip(event.SnippetID(i), i)); err != nil {
+	f.Write(torn)
+	f.Close()
+	copySegments := func(dst string, segments []int) {
+		t.Helper()
+		if err := os.MkdirAll(dst, 0o755); err != nil {
 			t.Fatal(err)
 		}
-	}
-	flat.Close()
-
-	st := openTiered(t, dir, tinyTier())
-	if st.Len() != 12 {
-		t.Fatalf("tiered open imported %d snippets, want 12", st.Len())
-	}
-	for i := 1; i <= 12; i++ {
-		if sn := st.Get(event.SnippetID(i)); sn == nil || sn.Text == "" {
-			t.Fatalf("imported snippet %d unreadable", i)
+		for _, idx := range segments {
+			data, err := os.ReadFile(segmentPath(fixture, idx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segmentPath(dst, idx), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	st.Close()
-	// Second tiered open must not duplicate the imported records.
-	st = openTiered(t, dir, tinyTier())
-	defer st.Close()
-	if st.Len() != 12 {
-		t.Fatalf("re-import duplicated records: Len = %d", st.Len())
+	sorted := append([]*event.Snippet(nil), want...)
+	sort.Sort(event.ByTimestamp(sorted))
+	open := func(dir string) *Store {
+		t.Helper()
+		st, err := Open(dir, Options{Tier: &TierOptions{ChunkRows: 8}})
+		if err != nil {
+			t.Fatalf("open %s: %v", dir, err)
+		}
+		return st
 	}
+	verify := func(name, dir string) *Store {
+		t.Helper()
+		st := open(dir)
+		if left, _ := listSegments(dir); len(left) != 0 {
+			t.Fatalf("%s: segments %v survived the migration", name, left)
+		}
+		if all := st.All(); !reflect.DeepEqual(all, sorted) {
+			t.Fatalf("%s: All() holds %d snippets, want the %d the flat store served", name, len(all), len(sorted))
+		}
+		for _, sn := range want {
+			if got := st.Get(sn.ID); !reflect.DeepEqual(got, sn) {
+				t.Fatalf("%s: Get(%d) = %+v, want %+v", name, sn.ID, got, sn)
+			}
+			if text, doc, ok := st.SnippetText(sn.ID); !ok || text != sn.Text || doc != sn.Document {
+				t.Fatalf("%s: SnippetText(%d) = %q, %q, %v", name, sn.ID, text, doc, ok)
+			}
+		}
+		if st.Len() != len(want) || st.Get(999) != nil {
+			t.Fatalf("%s: Len = %d, want %d and no torn record", name, st.Len(), len(want))
+		}
+		return st
+	}
+
+	clean := filepath.Join(base, "clean")
+	copySegments(clean, segs)
+	st := verify("first open", clean)
+	if st.RecoveredDrop() != int64(len(torn)) {
+		t.Fatalf("RecoveredDrop = %d, want the %d torn bytes", st.RecoveredDrop(), len(torn))
+	}
+	joined := strings.Join(st.RecoveryWarnings(), "\n")
+	if !strings.Contains(joined, "torn-tail") || !strings.Contains(joined, "undecodable") {
+		t.Fatalf("warnings = %q, want a torn-tail and an undecodable finding", st.RecoveryWarnings())
+	}
+	st.Close()
+	st = verify("second open", clean)
+	if w := st.RecoveryWarnings(); len(w) != 0 {
+		t.Fatalf("second open reported %q", w)
+	}
+	st.Close()
+
+	// Kill after the chunks synced, before the unlink: every row is in a
+	// chunk and every segment is still there.
+	unlinked := filepath.Join(base, "before-unlink")
+	copySegments(unlinked, segs)
+	open(unlinked).Close()
+	copySegments(unlinked, segs)
+	verify("after a kill before the unlink", unlinked).Close()
+
+	// Kill mid-append: the chunks hold the rows of the first segments and
+	// a torn frame of the next, and no segment is gone yet.
+	midway := filepath.Join(base, "mid-append")
+	copySegments(midway, segs[:2])
+	open(midway).Close()
+	f, err = os.OpenFile(newestChunk(t, midway), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(appendRecord(nil, payloads[len(payloads)-1])[:30])
+	f.Close()
+	copySegments(midway, segs)
+	verify("after a kill mid-append", midway).Close()
 }
 
 func TestTierManifestReconcile(t *testing.T) {

@@ -110,7 +110,10 @@ func WithBigrams(on bool) Option {
 
 // WithStorage persists every ingested snippet to a crash-safe event store
 // in dir; on reopening a pipeline over the same directory the snippets are
-// replayed through identification so state survives restarts.
+// replayed through identification so state survives restarts. Alone it
+// keeps every chunk of the store hot and the engine's snippets keep their
+// text; a directory an older flat segment log wrote is migrated into
+// chunks on first open.
 func WithStorage(dir string) Option {
 	return func(c *config) { c.storageDir = dir }
 }
@@ -121,10 +124,9 @@ func WithStorageSync(policy int) Option {
 	return func(c *config) { c.storageOpt.Sync = storage.SyncPolicy(policy) }
 }
 
-// WithTieredStorage switches the event store to the chunked
-// hot/warm/cold layout: snippet payloads live in fixed-row chunk files,
-// the newest hotChunks sealed chunks stay resident in memory, the next
-// warmChunks are mmap'd read-only, and older chunks go cold on disk
+// WithTieredStorage bounds the event store's residency: the newest
+// hotChunks sealed chunks stay resident in memory, the next warmChunks
+// are mmap'd read-only, and older chunks go cold on disk
 // (gzip-compressed when compress is set) with on-demand inflation.
 // The engine then holds display-text-stripped snippets and query
 // responses hydrate text through the pipeline's SnippetReader, so

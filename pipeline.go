@@ -47,8 +47,8 @@ type Pipeline struct {
 	checkpointPath string
 	// stripText marks tiered storage: the engine (and so the query
 	// index, stories, and archive) holds snippets with display text and
-	// source document removed, and rendering hydrates through
-	// SnippetText. Immutable after New.
+	// source document removed, live and replayed alike (stripForEngine),
+	// and rendering hydrates through SnippetText. Immutable after New.
 	stripText bool
 	warnings  []string // recovery findings from New (immutable after)
 
@@ -113,6 +113,9 @@ func New(opts ...Option) (*Pipeline, error) {
 		p.checkpointPath = filepath.Join(cfg.storageDir, "checkpoint.json")
 		p.warnings = append(p.warnings, st.RecoveryWarnings()...)
 		all := st.All()
+		for _, sn := range all {
+			p.stripForEngine(sn) // the decoded copies are ours
+		}
 
 		// Fast path: a valid checkpoint rebuilds identification state in
 		// O(n) map inserts. Any inconsistency (stale, corrupt, missing)
@@ -267,7 +270,7 @@ func (p *Pipeline) WriteCheckpoint() error {
 	// never leave a temp file behind.
 	cp := p.engine.Checkpoint()
 	if st != nil {
-		if m, err := st.TierManifestJSON(); err == nil && len(m) > 0 {
+		if m, err := st.TierManifestJSON(); err == nil {
 			cp.Tier = m
 		}
 	}
@@ -326,18 +329,26 @@ func (p *Pipeline) Ingest(sn *Snippet) error {
 	}
 	eng := sn
 	if p.stripText && (sn.Text != "" || sn.Document != "") {
-		// Tiered storage: the store holds the full payload; everything
-		// downstream of it (engine, index, archive) gets a copy with the
-		// display-only fields stripped so resident story state stops
-		// scaling with text size. Rendering hydrates via SnippetText.
-		eng = sn.Clone()
-		eng.Text, eng.Document = "", ""
+		eng = sn.Clone() // the caller's snippet keeps its text
+		p.stripForEngine(eng)
 	}
 	_, err := p.engine.Ingest(eng)
 	if err == nil {
 		span.End()
 	}
 	return err
+}
+
+// stripForEngine applies the one rule for what text the engine holds:
+// under tiered storage the store keeps the full payload and everything
+// downstream of it (engine, index, archive) gets the snippet with its
+// display-only fields stripped, so resident story state stops scaling
+// with text size; rendering hydrates via SnippetText. Otherwise the
+// engine keeps the text.
+func (p *Pipeline) stripForEngine(sn *Snippet) {
+	if p.stripText {
+		sn.Text, sn.Document = "", ""
+	}
 }
 
 // IngestAll ingests a batch, skipping snippets that fail, and returns the
@@ -428,8 +439,8 @@ func (p *Pipeline) SnippetText(id SnippetID) (text, document string, ok bool) {
 	return st.SnippetText(id)
 }
 
-// TierStats reports the tiered store's chunk occupancy and fault
-// counters; ok is false when tiered storage is not enabled.
+// TierStats reports the store's chunk occupancy and fault counters; ok
+// is false when there is no store.
 func (p *Pipeline) TierStats() (storage.TierStats, bool) {
 	p.mu.Lock()
 	st := p.store
@@ -437,7 +448,7 @@ func (p *Pipeline) TierStats() (storage.TierStats, bool) {
 	if st == nil {
 		return storage.TierStats{}, false
 	}
-	return st.TierStats()
+	return st.TierStats(), true
 }
 
 // Close releases the pipeline's resources, writing a checkpoint and

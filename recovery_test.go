@@ -114,15 +114,15 @@ func TestRecoveryWarningsTruncatedSegment(t *testing.T) {
 	p.IngestAll(corpus.Snippets)
 	p.Close()
 
-	// Tear the final record of the newest segment mid-frame, and remove
-	// the checkpoint so the reopen replays the (now shorter) log rather
+	// Tear the final record of the newest chunk mid-frame, and remove
+	// the checkpoint so the reopen replays the (now shorter) store rather
 	// than restoring counts that no longer match.
 	os.Remove(filepath.Join(dir, "checkpoint.json"))
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
+	chunks, err := filepath.Glob(filepath.Join(dir, "chunks", "chunk-*.log"))
+	if err != nil || len(chunks) == 0 {
+		t.Fatalf("no chunks: %v", err)
 	}
-	last := segs[len(segs)-1]
+	last := chunks[len(chunks)-1]
 	st, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestRecoveryWarningsTruncatedSegment(t *testing.T) {
 	defer p2.Close()
 	warns := p2.RecoveryWarnings()
 	if len(warns) == 0 {
-		t.Fatal("torn segment tail produced no warnings")
+		t.Fatal("torn chunk tail produced no warnings")
 	}
 	found := false
 	for _, w := range warns {

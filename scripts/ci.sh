@@ -132,8 +132,11 @@ gate "story retirement" \
 
 # Storage-log gate: the framed log under the event store, DLQ, archive
 # and chunks must keep exactly the complete frames before a crash at
-# every byte offset and refuse a record recovery would discard; the whole
-# storage package passes; the chunk tier suite (demotion/promotion,
+# every byte offset and refuse a record recovery would discard; a flat
+# segment-log directory must migrate into chunks once, crash-safe, with
+# nothing lost or duplicated; sparse (out-of-order) IDs must be found in
+# every chunk and tier; the whole storage package passes; the chunk tier
+# suite (demotion/promotion,
 # crash-point recovery at both the storage and pipeline layers, the
 # manifest reconcile, and the ingest/query/cold-read hammer) must pass
 # under the race detector, and the 3-seed tiered-vs-all-hot server
@@ -141,7 +144,8 @@ gate "story retirement" \
 # envelope boundaries ride along: they share the pagination code the
 # tiers must not perturb.
 gate "storage logs + tiers" \
-  TestSegLogCrashAtEveryOffset TestSegLogRejectsOversizedRecord internal/storage/ \
+  TestSegLogCrashAtEveryOffset TestSegLogRejectsOversizedRecord TestOpenMigratesFlatSegments \
+  TestTierSparseIDs internal/storage/ \
   'TestTier*' 'TestRecoveryTiered*' TestTieredIngestQueryRace \
   TestTieredServerDifferential TestPagedEnvelopeBoundaries \
   TestClusterPagedEnvelopeEdgeCases 'TestDLQ*' 'TestArchiveTornFrame*' 'TestArchiveReset*'

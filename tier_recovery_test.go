@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -283,5 +284,83 @@ func TestRecoveryTieredManifestDrift(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("warnings = %v, want a tier-reconcile finding", p2.RecoveryWarnings())
+	}
+}
+
+// TestReplayStripsTextLikeIngest: a reopen gives the engine what live
+// Ingest gave it, by checkpoint restore and by replay alike — snippets
+// with their display text under WithStorage alone, and under
+// WithTieredStorage snippets stripped of text and document but keeping
+// the entities, terms and timestamps identification reads.
+func TestReplayStripsTextLikeIngest(t *testing.T) {
+	corpus := tierCorpus(120, 2, 5)
+	byID := map[SnippetID]*Snippet{}
+	for _, sn := range corpus.Snippets {
+		byID[sn.ID] = sn
+	}
+	for _, tc := range []struct {
+		name  string
+		opts  func(dir string) []Option
+		strip bool
+	}{
+		{"all-hot", func(dir string) []Option { return []Option{WithStorage(dir)} }, false},
+		{"tiered", tierRecoveryOpts, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(when string, p *Pipeline) {
+				t.Helper()
+				seen := 0
+				for _, is := range p.Result().Integrated() {
+					for _, sn := range is.Snippets() {
+						want := byID[sn.ID]
+						seen++
+						text, doc := want.Text, want.Document
+						if tc.strip {
+							text, doc = "", ""
+						}
+						if sn.Text != text || sn.Document != doc {
+							t.Fatalf("%s: engine holds snippet %d with (%q, %q), want (%q, %q)",
+								when, sn.ID, sn.Text, sn.Document, text, doc)
+						}
+						if !reflect.DeepEqual(sn.Entities, want.Entities) || !reflect.DeepEqual(sn.Terms, want.Terms) ||
+							!sn.Timestamp.Equal(want.Timestamp) {
+							t.Fatalf("%s: engine's snippet %d lost identification metadata", when, sn.ID)
+						}
+					}
+				}
+				if seen != len(corpus.Snippets) {
+					t.Fatalf("%s: engine holds %d snippets, want %d", when, seen, len(corpus.Snippets))
+				}
+			}
+			dir := t.TempDir()
+			reopen := func(when string) {
+				t.Helper()
+				p, err := New(tc.opts(dir)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := p.RecoveryWarnings(); len(w) != 0 {
+					t.Fatalf("%s: warnings %q", when, w)
+				}
+				check(when, p)
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := New(tc.opts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.IngestAll(corpus.Snippets)
+			check("live", p)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopen("restored from the checkpoint")
+			if err := os.Remove(filepath.Join(dir, "checkpoint.json")); err != nil {
+				t.Fatal(err)
+			}
+			reopen("replayed")
+		})
 	}
 }
