@@ -55,10 +55,9 @@ func main() {
 		failThreshold = flag.Int("fail-threshold", 3, "consecutive failures (probe or live traffic) that quarantine a worker")
 		cooldown      = flag.Duration("cooldown", 10*time.Second, "how long a quarantined worker waits before a half-open readmission probe")
 
-		ingestRetries    = flag.Int("ingest-retries", 3, "retries for a routed ingest whose owner shard fails transiently")
-		ingestRetryBase  = flag.Duration("ingest-retry-base", 50*time.Millisecond, "base of the full-jitter backoff between ingest retries")
-		ingestRetryCap   = flag.Duration("ingest-retry-cap", 2*time.Second, "cap of the full-jitter backoff between ingest retries")
-		ingestRetryAfter = flag.Duration("ingest-retry-after", 10*time.Second, "Retry-After hint when the owner shard is quarantined (503)")
+		ingestRetries   = flag.Int("ingest-retries", 3, "retries for a routed ingest whose owner shard fails transiently")
+		ingestRetryBase = flag.Duration("ingest-retry-base", 50*time.Millisecond, "base of the full-jitter backoff between ingest retries")
+		ingestRetryCap  = flag.Duration("ingest-retry-cap", 2*time.Second, "cap of the full-jitter backoff between ingest retries")
 
 		feedReplay        = flag.Int("feed-replay", 0, "cluster-managed feeds: replay a generated corpus of ~N snippets, each source's runner placed on its ring owner and failed over on quarantine (0 = off)")
 		feedSources       = flag.Int("feed-replay-sources", 3, "number of sources in the cluster-replayed corpus")
@@ -100,10 +99,9 @@ func main() {
 			Cooldown:      *cooldown,
 		},
 		Ingest: cluster.IngestConfig{
-			Retries:    *ingestRetries,
-			RetryBase:  *ingestRetryBase,
-			RetryCap:   *ingestRetryCap,
-			RetryAfter: *ingestRetryAfter,
+			Retries:   *ingestRetries,
+			RetryBase: *ingestRetryBase,
+			RetryCap:  *ingestRetryCap,
 		},
 		Feeds:             specs,
 		ReconcileInterval: *reconcileInterval,

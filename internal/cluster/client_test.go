@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,6 +88,8 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 		ProbeTimeout:  2 * time.Second,
 	}, NewClient(ClientConfig{Timeout: 2 * time.Second}))
 	mon.SetMembers([]Member{{Name: name, URL: ts.URL}})
+	clock := time.Unix(1000, 0)
+	mon.SetNow(func() time.Time { return clock })
 	ctx := context.Background()
 
 	stateGauge := func() int64 {
@@ -151,16 +154,20 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 
 	// A failed half-open probe restarts the cooldown.
 	mode.Store("draining")
-	time.Sleep(80 * time.Millisecond)
+	clock = clock.Add(80 * time.Millisecond)
 	mon.ProbeRound(ctx)
 	if mon.State(name) != MemberQuarantined {
 		t.Fatal("draining 503 readmitted")
+	}
+	// The failed probe extends the streak, as a feed runner's does.
+	if v := mon.Snapshot()[0]; v.ConsecutiveFailures != 3 {
+		t.Fatalf("consecutive failures after a failed probe = %d, want 3", v.ConsecutiveFailures)
 	}
 
 	// Past the (restarted) cooldown, a successful half-open probe
 	// readmits.
 	mode.Store("ok")
-	time.Sleep(80 * time.Millisecond)
+	clock = clock.Add(80 * time.Millisecond)
 	mon.ProbeRound(ctx)
 	if mon.State(name) != MemberHealthy || stateGauge() != 0 {
 		t.Fatalf("half-open probe did not readmit: state %v gauge %d", mon.State(name), stateGauge())
@@ -173,6 +180,52 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 	mon.SetMembers(nil)
 	if len(mon.Snapshot()) != 0 {
 		t.Fatal("removed member still tracked")
+	}
+}
+
+// TestIngestRetryAfterFollowsCooldown: a routed ingest to a quarantined
+// owner answers 503 with the owner's remaining cooldown as Retry-After —
+// rounded up, at least 1s — read at instants of an injected clock.
+func TestIngestRetryAfterFollowsCooldown(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer owner.Close()
+	rt, err := NewRouter(Config{
+		Members: []Member{{Name: "w0", URL: owner.URL}},
+		Health:  HealthConfig{FailThreshold: 1, Cooldown: 10 * time.Second},
+		Ingest:  IngestConfig{RetryBase: time.Millisecond, RetryCap: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Unix(1000, 0)
+	rt.Health().SetNow(func() time.Time { return clock })
+	h := rt.Handler()
+	retryAfter := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/documents", strings.NewReader(`{"source":"s"}`)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("ingest to a quarantined owner: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Header().Get("Retry-After")
+	}
+
+	// The first POST fails at the owner and trips its breaker: the whole
+	// cooldown is left.
+	if got := retryAfter(); got != "10" {
+		t.Fatalf("Retry-After at the trip = %q, want 10", got)
+	}
+	clock = clock.Add(6500 * time.Millisecond)
+	if got := retryAfter(); got != "4" {
+		t.Fatalf("Retry-After with 3.5s of cooldown left = %q, want 4", got)
+	}
+	// Past the cooldown the probe is due, but the member stays quarantined
+	// until it answers one.
+	clock = clock.Add(time.Minute)
+	if got := retryAfter(); got != "1" {
+		t.Fatalf("Retry-After past the cooldown = %q, want 1", got)
 	}
 }
 

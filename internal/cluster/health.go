@@ -10,22 +10,24 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/retry"
 )
 
-// MemberState is a worker's position in the router's health state
-// machine — the cluster-level analogue of the per-source circuit
-// breaker in internal/feed/breaker.go:
+// MemberState is a worker's health as the router reports it, read off
+// the member's retry.Breaker (the same breaker a feed runner keeps per
+// source):
 //
-//	healthy ──(failure)──▶ suspect ──(threshold consecutive)──▶ quarantined
-//	quarantined ──(cooldown elapses, half-open probe succeeds)──▶ healthy
-//	suspect ──(any success)──▶ healthy
+//	closed, no failures   → ok
+//	closed, failing       → suspect
+//	open or half-open     → quarantined
 //
 // Failures come from two channels: the background prober, and passive
 // signals from live scatter/ingest traffic (a failed shard request is
-// a free probe). Readmission is probe-only: a quarantined member must
-// answer a deliberate half-open /healthz probe before it re-enters the
-// scatter set, so a flapping worker cannot readmit itself off a single
-// lucky response.
+// a free probe). Passive signals move the breaker only while it is
+// closed; only ProbeRound moves an open or half-open one. Readmission is
+// therefore probe-only: a quarantined member must answer a deliberate
+// half-open /healthz probe before it re-enters the scatter set, so a
+// flapping worker cannot readmit itself off a single lucky response.
 type MemberState int
 
 const (
@@ -57,10 +59,12 @@ type HealthConfig struct {
 	// ProbeTimeout bounds each health probe request.
 	ProbeTimeout time.Duration // default 1s
 	// FailThreshold is the number of consecutive failures (probe or
-	// passive) that quarantines a member.
+	// passive) that opens a member's breaker: quarantine.
 	FailThreshold int // default 3
 	// Cooldown is how long a quarantined member waits before the prober
-	// grants it a half-open readmission probe.
+	// grants it a half-open readmission probe. Routed ingest to a
+	// quarantined owner answers 503 with the cooldown left as its
+	// Retry-After.
 	Cooldown time.Duration // default 10s
 }
 
@@ -95,17 +99,25 @@ var (
 
 // memberHealth is the monitor's per-member record.
 type memberHealth struct {
-	url           string
-	state         MemberState
-	fails         int // consecutive failures since last success
-	quarantinedAt time.Time
-	lastErr       string
-	lastProbe     time.Time
+	url       string
+	br        retry.Breaker
+	lastErr   string
+	lastProbe time.Time
 
 	// Per-member series, named with an inline label so the flat obs
 	// registry exports them as one Prometheus family.
 	errCounter *obs.Counter
 	stateGauge *obs.Gauge
+}
+
+func (mh *memberHealth) state() MemberState {
+	switch {
+	case mh.br.State() != retry.Closed:
+		return MemberQuarantined
+	case mh.br.Failures() > 0:
+		return MemberSuspect
+	}
+	return MemberHealthy
 }
 
 // MemberHealthView is the externally visible health snapshot of one
@@ -130,6 +142,7 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
+	now     func() time.Time
 }
 
 func newMonitor(cfg HealthConfig, client *Client) *Monitor {
@@ -137,7 +150,15 @@ func newMonitor(cfg HealthConfig, client *Client) *Monitor {
 		cfg:     cfg.withDefaults(),
 		client:  client,
 		members: make(map[string]*memberHealth),
+		now:     time.Now,
 	}
+}
+
+// SetNow overrides the clock (tests only).
+func (mon *Monitor) SetNow(now func() time.Time) {
+	mon.mu.Lock()
+	mon.now = now
+	mon.mu.Unlock()
 }
 
 // SetMembers reconciles the tracked set against a new member list. New
@@ -156,6 +177,7 @@ func (mon *Monitor) SetMembers(members []Member) {
 		}
 		mon.members[m.Name] = &memberHealth{
 			url: m.URL,
+			br:  retry.Breaker{Threshold: mon.cfg.FailThreshold, Cooldown: mon.cfg.Cooldown},
 			errCounter: obs.GetCounter(
 				fmt.Sprintf("storypivot_cluster_shard_errors_total{member=%q}", m.Name),
 				"shard requests that failed, by member"),
@@ -173,79 +195,82 @@ func (mon *Monitor) SetMembers(members []Member) {
 	mon.refreshGaugesLocked()
 }
 
-// State returns a member's cached health state. Unknown members report
+// State returns a member's health state. Unknown members report
 // healthy — the scatter path should try them rather than invent a
 // verdict.
 func (mon *Monitor) State(name string) MemberState {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
 	if mh, ok := mon.members[name]; ok {
-		return mh.state
+		return mh.state()
 	}
 	return MemberHealthy
 }
 
+// CooldownRemaining returns how long a quarantined member waits before
+// its readmission probe: 0 when it is not quarantined or the probe is
+// due.
+func (mon *Monitor) CooldownRemaining(name string) time.Duration {
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	if mh, ok := mon.members[name]; ok {
+		return mh.br.Remaining(mon.now())
+	}
+	return 0
+}
+
 // RecordSuccess feeds a passive success signal (a shard request that
-// answered) into the state machine. It never readmits a quarantined
+// answered) into a closed breaker. It never readmits a quarantined
 // member — that is the half-open probe's job.
 func (mon *Monitor) RecordSuccess(name string) {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
 	mh, ok := mon.members[name]
-	if !ok || mh.state == MemberQuarantined {
+	if !ok || mh.br.State() != retry.Closed {
 		return
 	}
-	mh.fails = 0
-	mon.setStateLocked(name, mh, MemberHealthy)
+	prev := mh.state()
+	mh.br.Success()
+	mon.publishLocked(mh, prev)
 }
 
 // RecordFailure feeds a passive failure signal (a failed shard request)
-// into the state machine and bumps the member's error series.
+// into the member's error series and, while it is closed, its breaker.
 func (mon *Monitor) RecordFailure(name, reason string) {
 	mon.mu.Lock()
-	changed := mon.failLocked(name, reason, time.Time{})
+	mh, ok := mon.members[name]
+	tripped := ok && mon.failureLocked(mh, reason, mon.now(), true)
 	mon.mu.Unlock()
-	if changed && mon.onChange != nil {
+	if tripped && mon.onChange != nil {
 		mon.onChange()
 	}
 }
 
-// failLocked applies one failure. When now is non-zero the failure came
-// from a probe, and a quarantined member's cooldown restarts (a failed
-// half-open probe re-opens the breaker). Returns true on a transition
-// into quarantine.
-func (mon *Monitor) failLocked(name, reason string, now time.Time) bool {
-	mh, ok := mon.members[name]
-	if !ok {
-		return false
-	}
+// failureLocked counts one failure against mh and, unless it is passive
+// and the breaker is not closed, records it in the breaker at now. It
+// reports a quarantine: the breaker tripped out of closed.
+func (mon *Monitor) failureLocked(mh *memberHealth, reason string, now time.Time, passive bool) bool {
 	mh.errCounter.Inc()
 	mh.lastErr = reason
-	if mh.state == MemberQuarantined {
-		if !now.IsZero() {
-			mh.quarantinedAt = now
-		}
+	prev := mh.state()
+	if passive && prev == MemberQuarantined {
 		return false
 	}
-	mh.fails++
-	if mh.fails >= mon.cfg.FailThreshold {
-		if now.IsZero() {
-			now = time.Now()
-		}
-		mh.quarantinedAt = now
-		mon.setStateLocked(name, mh, MemberQuarantined)
+	tripped := mh.br.Failure(now) && prev != MemberQuarantined
+	if tripped {
 		metQuarantines.Inc()
-		return true
 	}
-	mon.setStateLocked(name, mh, MemberSuspect)
-	return false
+	mon.publishLocked(mh, prev)
+	return tripped
 }
 
-func (mon *Monitor) setStateLocked(name string, mh *memberHealth, next MemberState) {
-	if mh.state == next {
+// publishLocked moves the state gauges when mh's state changed from
+// prev.
+func (mon *Monitor) publishLocked(mh *memberHealth, prev MemberState) {
+	next := mh.state()
+	if next == prev {
 		return
 	}
-	mh.state = next
 	mh.stateGauge.Set(int64(next))
 	mon.refreshGaugesLocked()
 }
@@ -253,7 +278,7 @@ func (mon *Monitor) setStateLocked(name string, mh *memberHealth, next MemberSta
 func (mon *Monitor) refreshGaugesLocked() {
 	var suspect, quarantined int64
 	for _, mh := range mon.members {
-		switch mh.state {
+		switch mh.state() {
 		case MemberSuspect:
 			suspect++
 		case MemberQuarantined:
@@ -271,8 +296,8 @@ func (mon *Monitor) Snapshot() []MemberHealthView {
 	for name, mh := range mon.members {
 		out = append(out, MemberHealthView{
 			Name:                name,
-			State:               mh.state,
-			ConsecutiveFailures: mh.fails,
+			State:               mh.state(),
+			ConsecutiveFailures: mh.br.Failures(),
 			LastError:           mh.lastErr,
 			LastProbe:           mh.lastProbe,
 		})
@@ -296,30 +321,26 @@ func (mon *Monitor) run(ctx context.Context) {
 	}
 }
 
-// ProbeRound probes every member once, synchronously (members in
-// parallel). Quarantined members inside their cooldown are skipped;
-// past it, the probe is the half-open readmission attempt. Exposed (via
-// Router.ProbeNow) so tests drive the state machine deterministically.
+// ProbeRound probes every member its breaker admits, synchronously
+// (members in parallel): closed members always, quarantined members only
+// past their cooldown, when the probe is the half-open readmission
+// attempt. Exposed (via Router.ProbeNow) so tests drive the state
+// machine deterministically.
 func (mon *Monitor) ProbeRound(ctx context.Context) {
-	type target struct {
-		name, url string
-		skip      bool
-	}
-	now := time.Now()
+	type target struct{ name, url string }
 	mon.mu.Lock()
+	now := mon.now()
 	targets := make([]target, 0, len(mon.members))
 	for name, mh := range mon.members {
-		cooling := mh.state == MemberQuarantined && now.Sub(mh.quarantinedAt) < mon.cfg.Cooldown
-		targets = append(targets, target{name: name, url: mh.url, skip: cooling})
+		if ok, _ := mh.br.Allow(now); ok {
+			targets = append(targets, target{name: name, url: mh.url})
+		}
 	}
 	mon.mu.Unlock()
 
 	var wg sync.WaitGroup
 	results := make([]string, len(targets)) // "" = success, else failure reason
 	for i, tg := range targets {
-		if tg.skip {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, tg target) {
 			defer wg.Done()
@@ -331,30 +352,21 @@ func (mon *Monitor) ProbeRound(ctx context.Context) {
 	changed := false
 	mon.mu.Lock()
 	for i, tg := range targets {
-		if tg.skip {
-			continue
-		}
 		mh, ok := mon.members[tg.name]
 		if !ok {
 			continue
 		}
 		mh.lastProbe = now
-		if results[i] == "" {
-			if mh.state == MemberQuarantined {
-				// Half-open probe succeeded: readmit.
-				mh.fails = 0
-				mon.setStateLocked(tg.name, mh, MemberHealthy)
-				metReadmissions.Inc()
-				changed = true
-			} else {
-				mh.fails = 0
-				mon.setStateLocked(tg.name, mh, MemberHealthy)
-			}
+		if results[i] != "" {
+			changed = mon.failureLocked(mh, results[i], now, false) || changed
 			continue
 		}
-		if mon.failLocked(tg.name, results[i], now) {
+		prev := mh.state()
+		if mh.br.Success() {
+			metReadmissions.Inc()
 			changed = true
 		}
+		mon.publishLocked(mh, prev)
 	}
 	mon.mu.Unlock()
 	if changed && mon.onChange != nil {

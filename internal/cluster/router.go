@@ -20,6 +20,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/retry"
 )
 
 // Router is the scatter-gather front of a sharded deployment. It owns
@@ -52,12 +53,10 @@ type IngestConfig struct {
 	// Retries is how many times a failed ingest is retried against the
 	// owner before giving up (attempts = Retries+1).
 	Retries int // default 3
-	// RetryBase/RetryCap bound the full-jitter backoff between retries.
+	// RetryBase/RetryCap bound the full-jitter backoff between retries
+	// (retry.Jitter).
 	RetryBase time.Duration // default 50ms
 	RetryCap  time.Duration // default 2s
-	// RetryAfter is the hint returned in the Retry-After header when the
-	// owner is quarantined and the client should come back later.
-	RetryAfter time.Duration // default 10s
 }
 
 func (c IngestConfig) withDefaults() IngestConfig {
@@ -69,9 +68,6 @@ func (c IngestConfig) withDefaults() IngestConfig {
 	}
 	if c.RetryCap <= 0 {
 		c.RetryCap = 2 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 10 * time.Second
 	}
 	return c
 }
@@ -541,36 +537,19 @@ func (rt *Router) handleAddDocument(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		select {
-		case <-r.Context().Done():
+		if !retry.Sleep(r.Context(), retry.Jitter(rt.ingest.RetryBase, rt.ingest.RetryCap, attempt, rand.Int63n)) {
 			httpx.Error(w, http.StatusBadGateway,
 				fmt.Sprintf("shard %s: request cancelled during retry: %s", owner.Name, lastErr))
 			return
-		case <-time.After(ingestBackoff(rt.ingest, attempt)):
 		}
 	}
 }
 
-// ingestBackoff returns the full-jitter delay before retry attempt+1:
-// uniform in [0, min(cap, base<<attempt)]. Full jitter (rather than
-// equal or decorrelated) because the common failure here is a worker
-// restarting — spreading the herd matters more than a tight lower
-// bound.
-func ingestBackoff(cfg IngestConfig, attempt int) time.Duration {
-	ceil := cfg.RetryBase << uint(attempt)
-	if ceil > cfg.RetryCap || ceil <= 0 {
-		ceil = cfg.RetryCap
-	}
-	return time.Duration(rand.Int63n(int64(ceil) + 1))
-}
-
 // ingestUnavailable answers an ingest whose owner is quarantined: 503
-// with a Retry-After hint sized to the readmission cooldown.
+// with a Retry-After of the owner's remaining cooldown — when the prober
+// will next try to readmit it — rounded up, at least 1s.
 func (rt *Router) ingestUnavailable(w http.ResponseWriter, ownerName, lastErr string) {
-	secs := int(rt.ingest.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
+	secs := httpx.RetryAfterSeconds(rt.monitor.CooldownRemaining(ownerName))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	msg := fmt.Sprintf("shard %s quarantined; retry later", ownerName)
 	if lastErr != "" {

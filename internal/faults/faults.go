@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // Blocker is a two-phase rendezvous for holding requests in flight.
@@ -77,12 +79,7 @@ func serveInner(inner http.Handler, w http.ResponseWriter, r *http.Request) {
 // is cancelled) before delegating to inner.
 func Slow(d time.Duration, inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-r.Context().Done():
-		}
+		retry.Sleep(r.Context(), d)
 		serveInner(inner, w, r)
 	})
 }

@@ -127,19 +127,8 @@ func (m *Manager) Assign(assignments []Assignment) (AssignResult, error) {
 		if cursor == "" {
 			cursor = m.cursors[src].Cursor
 		}
-		r := &runner{
-			m:        m,
-			f:        starts[src],
-			src:      src,
-			assigned: true,
-			spec:     a.Spec,
-			interim:  a.Interim,
-			bo:       newBackoff(m.cfg.BackoffBase, m.cfg.BackoffCap, m.cfg.Seed+int64(len(m.runners))),
-			br:       newBreaker(m.cfg.BreakerThreshold, m.cfg.BreakerCooldown),
-			cursor:   cursor,
-			state:    StateHealthy,
-		}
-		m.runners = append(m.runners, r)
+		r := m.addRunnerLocked(starts[src], cursor)
+		r.assigned, r.spec, r.interim = true, a.Spec, a.Interim
 		m.startRunnerLocked(r)
 		m.mu.Unlock()
 		metAssignStarts.Inc()

@@ -96,7 +96,6 @@ func fastCfg() Config {
 		BatchSize:        8,
 		QueueDepth:       16,
 		PollInterval:     3 * time.Millisecond,
-		Seed:             1,
 	}
 }
 

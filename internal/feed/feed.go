@@ -95,14 +95,16 @@ type Checkpointer interface {
 // every field falls back to the default below.
 type Config struct {
 	// BackoffBase and BackoffCap bound the exponential retry backoff:
-	// the sleep before attempt n is uniform in [0, min(Cap, Base·2ⁿ⁻¹)]
-	// (full jitter).
+	// after the n-th consecutive failure (the breaker's streak) the
+	// runner sleeps uniform in [0, min(Cap, Base·2ⁿ⁻¹)] (retry.Jitter),
+	// runner i drawing from seed 1+i.
 	BackoffBase time.Duration // default 100ms
 	BackoffCap  time.Duration // default 30s
 
 	// BreakerThreshold is the number of consecutive fetch failures that
-	// opens a source's circuit breaker; BreakerCooldown is how long the
-	// breaker stays open before admitting a half-open probe.
+	// opens a source's circuit breaker (retry.Breaker); BreakerCooldown
+	// is how long the breaker stays open before admitting a half-open
+	// probe.
 	BreakerThreshold int           // default 5
 	BreakerCooldown  time.Duration // default 30s
 
@@ -139,12 +141,6 @@ type Config struct {
 	// checkpoint always happens during Close.
 	CheckpointEvery time.Duration
 
-	// Seed makes the jitter deterministic for tests; 0 uses the default
-	// seed (jitter is deterministic per-process either way — the
-	// fault-injection tests drive failure *sequences* via injectors and
-	// keep timing bounded by Base/Cap).
-	Seed int64
-
 	// SpecFetcher builds Fetchers for Assign specs whose Type the feed
 	// package does not know natively ("ndjson" is built in). Required
 	// only when the manager receives cluster feed assignments of other
@@ -179,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }

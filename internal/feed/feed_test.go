@@ -11,83 +11,31 @@ import (
 	"repro/internal/event"
 )
 
-func TestBackoffBoundsAndReset(t *testing.T) {
-	base, cap := 10*time.Millisecond, 80*time.Millisecond
-	b := newBackoff(base, cap, 42)
-	for n := 1; n <= 10; n++ {
-		d := b.next()
-		limit := base << (n - 1)
-		if limit > cap || limit <= 0 {
-			limit = cap
+// TestRunnerBackoffDraws pins runner 0's first eight failure sleeps
+// (base 10ms, cap 80ms, eight consecutive failures): the draw sequence
+// of seed 1 through full jitter over the breaker's failure streak.
+func TestRunnerBackoffDraws(t *testing.T) {
+	m, err := NewManager(newRecSink(0), Config{
+		BackoffBase:      10 * time.Millisecond,
+		BackoffCap:       80 * time.Millisecond,
+		BreakerThreshold: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Add(NewReplay("a", nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{7155986, 8914084, 29034361, 10000754, 49744346, 3859253, 65536758, 6334907}
+	r := m.runners[0]
+	for i, w := range want {
+		if got := r.record(errors.New("fetch failed")); got != w {
+			t.Fatalf("sleep %d = %d, want %d", i+1, got, w)
 		}
-		if d < 0 || d > limit {
-			t.Fatalf("attempt %d: sleep %v outside [0, %v]", n, d, limit)
-		}
 	}
-	b.reset()
-	if d := b.next(); d > base {
-		t.Fatalf("after reset, first sleep %v > base %v", d, base)
-	}
-}
-
-func TestBackoffFullJitterSpread(t *testing.T) {
-	// Full jitter must actually spread: over many draws at a saturated
-	// exponent the samples should not all collapse to one value.
-	b := newBackoff(time.Millisecond, 64*time.Millisecond, 7)
-	b.n = 20 // saturated at cap
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 50; i++ {
-		b.n = 20
-		seen[b.next()] = true
-	}
-	if len(seen) < 10 {
-		t.Fatalf("jitter produced only %d distinct sleeps in 50 draws", len(seen))
-	}
-}
-
-func TestBreakerTransitions(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	br := newBreaker(3, time.Minute)
-
-	// closed → open after 3 consecutive failures.
-	if br.failure(t0) || br.failure(t0) {
-		t.Fatal("breaker opened before threshold")
-	}
-	if !br.failure(t0) {
-		t.Fatal("threshold failure did not open the breaker")
-	}
-	if st, _ := br.snapshot(); st != breakerOpen {
-		t.Fatalf("state = %v, want open", st)
-	}
-
-	// Open: rejects until the cooldown elapses.
-	if ok, wait := br.allow(t0.Add(30 * time.Second)); ok || wait != 30*time.Second {
-		t.Fatalf("allow mid-cooldown = (%v, %v)", ok, wait)
-	}
-
-	// Cooldown elapsed: half-open admits one probe.
-	if ok, _ := br.allow(t0.Add(61 * time.Second)); !ok {
-		t.Fatal("half-open probe rejected")
-	}
-	if st, _ := br.snapshot(); st != breakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", st)
-	}
-
-	// Failed probe re-opens and restarts the cooldown.
-	if !br.failure(t0.Add(61 * time.Second)) {
-		t.Fatal("failed probe did not re-open")
-	}
-	if ok, _ := br.allow(t0.Add(90 * time.Second)); ok {
-		t.Fatal("allow during restarted cooldown")
-	}
-	if ok, _ := br.allow(t0.Add(3 * time.Minute)); !ok {
-		t.Fatal("second probe rejected")
-	}
-
-	// Successful probe closes and clears the streak.
-	br.success()
-	if st, fails := br.snapshot(); st != breakerClosed || fails != 0 {
-		t.Fatalf("after success: state %v fails %d", st, fails)
+	if st := r.status(); st.ConsecutiveFailures != len(want) || st.State != StateDegraded {
+		t.Fatalf("after %d failures: %+v", len(want), st)
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"sort"
 	"sync"
 
 	"repro/internal/event"
+	"repro/internal/retry"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -152,17 +154,25 @@ func (m *Manager) Add(f Fetcher) error {
 			return fmt.Errorf("feed: duplicate source %q", src)
 		}
 	}
+	m.addRunnerLocked(f, m.cursors[src].Cursor)
+	return nil
+}
+
+// addRunnerLocked builds the runner for f resuming at cursor and
+// registers it. Runner i draws its backoff jitter from seed 1+i, so the
+// retry timing of a given fetcher set is reproducible. Caller holds m.mu.
+func (m *Manager) addRunnerLocked(f Fetcher, cursor string) *runner {
 	r := &runner{
 		m:      m,
 		f:      f,
-		src:    src,
-		bo:     newBackoff(m.cfg.BackoffBase, m.cfg.BackoffCap, m.cfg.Seed+int64(len(m.runners))),
-		br:     newBreaker(m.cfg.BreakerThreshold, m.cfg.BreakerCooldown),
-		cursor: m.cursors[src].Cursor,
+		src:    string(f.Source()),
+		rng:    rand.New(rand.NewSource(1 + int64(len(m.runners)))),
+		br:     retry.Breaker{Threshold: m.cfg.BreakerThreshold, Cooldown: m.cfg.BreakerCooldown},
+		cursor: cursor,
 		state:  StateHealthy,
 	}
 	m.runners = append(m.runners, r)
-	return nil
+	return r
 }
 
 // Start launches the ingest workers, one runner per fetcher, and the
@@ -347,7 +357,7 @@ func (m *Manager) Checkpoint() error {
 // checkpointLoop checkpoints on the configured period until shutdown.
 func (m *Manager) checkpointLoop() {
 	defer m.loopWG.Done()
-	for sleepCtx(m.ctx, m.cfg.CheckpointEvery) {
+	for retry.Sleep(m.ctx, m.cfg.CheckpointEvery) {
 		m.Checkpoint()
 	}
 }
@@ -356,35 +366,7 @@ func (m *Manager) checkpointLoop() {
 // queue flushes through the workers, a final checkpoint persists the
 // cursors (and the sink's checkpoint), and the DLQ closes. Idempotent
 // in effect; second and later calls return ErrManagerState.
-func (m *Manager) Close() error {
-	m.mu.Lock()
-	if m.closed || m.closing {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: double Close", ErrManagerState)
-	}
-	m.closing = true
-	started := m.started
-	m.mu.Unlock()
-
-	m.cancel()
-	if started {
-		m.runnerWG.Wait()
-		close(m.queue)
-		m.workerWG.Wait()
-		m.loopWG.Wait()
-	}
-	err := m.Checkpoint()
-	if m.dlq != nil {
-		if cerr := m.dlq.Close(); cerr != nil && !errors.Is(cerr, storage.ErrClosed) {
-			err = errors.Join(err, cerr)
-		}
-	}
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.updateStateGauges()
-	return err
-}
+func (m *Manager) Close() error { return m.shutdown(true) }
 
 // Abort stops the subsystem like a crash would: runners and workers
 // stop and the queue drains (acknowledged data is never thrown away),
@@ -392,11 +374,15 @@ func (m *Manager) Close() error {
 // the last periodic checkpoint left it. Chaos tests and kill drills use
 // this to exercise the restart path the sink-first checkpoint ordering
 // exists for; production shutdown should use Close.
-func (m *Manager) Abort() error {
+func (m *Manager) Abort() error { return m.shutdown(false) }
+
+// shutdown is Close (checkpoint set) and Abort: stop the runners, drain
+// the queue, optionally write the final checkpoint, close the DLQ.
+func (m *Manager) shutdown(checkpoint bool) error {
 	m.mu.Lock()
 	if m.closed || m.closing {
 		m.mu.Unlock()
-		return fmt.Errorf("%w: Abort after Close", ErrManagerState)
+		return fmt.Errorf("%w: already closed", ErrManagerState)
 	}
 	m.closing = true
 	started := m.started
@@ -410,9 +396,12 @@ func (m *Manager) Abort() error {
 		m.loopWG.Wait()
 	}
 	var err error
+	if checkpoint {
+		err = m.Checkpoint()
+	}
 	if m.dlq != nil {
 		if cerr := m.dlq.Close(); cerr != nil && !errors.Is(cerr, storage.ErrClosed) {
-			err = cerr
+			err = errors.Join(err, cerr)
 		}
 	}
 	m.mu.Lock()

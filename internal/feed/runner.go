@@ -3,9 +3,12 @@ package feed
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // runner drives one source: fetch → decode → enqueue → ack → advance
@@ -17,8 +20,7 @@ type runner struct {
 	m   *Manager
 	f   Fetcher
 	src string
-	bo  *backoff
-	br  *breaker
+	rng *rand.Rand // backoff jitter; used by the runner goroutine only
 
 	// Cluster-assignment plumbing: assigned runners are started and
 	// stopped at runtime by Manager.Assign; cancel/done give each one an
@@ -29,6 +31,7 @@ type runner struct {
 	done     chan struct{}
 
 	mu        sync.Mutex
+	br        retry.Breaker
 	cursor    string
 	caughtUp  bool
 	state     State
@@ -53,10 +56,12 @@ func (r *runner) run(ctx context.Context) {
 	for ctx.Err() == nil {
 		// Quarantine gate: while the breaker is open the runner sleeps
 		// out the cooldown instead of hammering a dead source. When the
-		// cooldown elapses, allow admits exactly one half-open probe.
-		if ok, wait := r.br.allow(time.Now()); !ok {
-			r.refreshState()
-			if !sleepCtx(ctx, wait) {
+		// cooldown elapses, Allow admits exactly one half-open probe.
+		r.mu.Lock()
+		ok, wait := r.br.Allow(time.Now())
+		r.mu.Unlock()
+		if !ok {
+			if !retry.Sleep(ctx, wait) {
 				return
 			}
 			continue
@@ -68,20 +73,13 @@ func (r *runner) run(ctx context.Context) {
 			}
 			r.fetchErrors.Add(1)
 			metFetchErrors.Inc()
-			r.setLastError(err.Error())
-			if r.br.failure(time.Now()) {
-				metBreakerOpens.Inc()
-			}
-			r.refreshState()
 			metRetries.Inc()
-			if !sleepCtx(ctx, r.bo.next()) {
+			if !retry.Sleep(ctx, r.record(err)) {
 				return
 			}
 			continue
 		}
-		r.bo.reset()
-		r.br.success()
-		r.refreshState()
+		r.record(nil)
 
 		// Malformed records are acknowledged into the DLQ: the cursor
 		// moves past them, so one poison record is quarantined once
@@ -97,7 +95,7 @@ func (r *runner) run(ctx context.Context) {
 		r.advance(batch.Next, batch.Done)
 		if batch.Done {
 			// Caught up: poll for growth instead of spinning.
-			if !sleepCtx(ctx, r.m.cfg.PollInterval) {
+			if !retry.Sleep(ctx, r.m.cfg.PollInterval) {
 				return
 			}
 		}
@@ -135,24 +133,35 @@ func (r *runner) advance(next string, done bool) {
 	r.mu.Unlock()
 }
 
-// refreshState re-derives the health state from the breaker and
-// failure streak, updating the obs gauges on transitions.
-func (r *runner) refreshState() {
-	bst, fails := r.br.snapshot()
+// record applies one fetch outcome to the breaker and re-derives the
+// health state, updating the obs gauges on transitions. After a failure
+// it returns the backoff before the next attempt: the breaker's failure
+// streak is the exponent.
+func (r *runner) record(fetchErr error) (backoff time.Duration) {
+	r.mu.Lock()
+	if fetchErr == nil {
+		r.br.Success()
+	} else {
+		r.lastError = fetchErr.Error()
+		if r.br.Failure(time.Now()) {
+			metBreakerOpens.Inc()
+		}
+		backoff = retry.Jitter(r.m.cfg.BackoffBase, r.m.cfg.BackoffCap, r.br.Failures()-1, r.rng.Int63n)
+	}
 	next := StateHealthy
 	switch {
-	case bst != breakerClosed:
+	case r.br.State() != retry.Closed:
 		next = StateQuarantined
-	case fails > 0:
+	case r.br.Failures() > 0:
 		next = StateDegraded
 	}
-	r.mu.Lock()
 	changed := r.state != next
 	r.state = next
 	r.mu.Unlock()
 	if changed {
 		r.m.updateStateGauges()
 	}
+	return backoff
 }
 
 func (r *runner) setLastError(msg string) {
@@ -186,15 +195,14 @@ func (r *runner) cursorSnapshot() (string, bool) {
 
 // status snapshots the runner for /api/feeds.
 func (r *runner) status() SourceStatus {
-	bst, fails := r.br.snapshot()
 	r.mu.Lock()
 	st := SourceStatus{
 		Source:              r.src,
 		State:               r.state,
-		Breaker:             bst.String(),
+		Breaker:             r.br.State().String(),
 		Cursor:              r.cursor,
 		CaughtUp:            r.caughtUp,
-		ConsecutiveFailures: fails,
+		ConsecutiveFailures: r.br.Failures(),
 		LastError:           r.lastError,
 		LastFetch:           r.lastFetch,
 	}
@@ -207,20 +215,4 @@ func (r *runner) status() SourceStatus {
 	st.IngestErrors = r.ingestErrors.Load()
 	st.Shed = r.shed.Load()
 	return st
-}
-
-// sleepCtx sleeps d or until ctx is cancelled; it reports whether the
-// full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

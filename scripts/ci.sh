@@ -91,9 +91,10 @@ gate "fault injection (httpx/server/faults)" \
 # via backoff, the breaker quarantines and re-admits via half-open
 # probes, malformed records land in the DLQ without poisoning their
 # batch, cursors resume after restart with zero duplicates, and a
-# mid-burst drain loses nothing it acknowledged.
+# mid-burst drain loses nothing it acknowledged. The breaker and the
+# backoff themselves live in internal/retry, which passes whole.
 gate "feed fault injection (feed + checkpoint restore)" \
-  TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
+  internal/retry/ TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
   TestFeedCursorResumeNoDuplicates TestFeedDrainMidBurstNoAcknowledgedLoss \
   TestFeedFetchTimeoutRecovers TestFeedFetcherPanicContained TestFeedShedPolicyCountsDrops \
   TestFeedCheckpointRestoreUnderIngest TestFeedsEndpointAndHealthz TestHealthzWithoutFeeds
@@ -158,11 +159,14 @@ gate "storage logs + tiers" \
 # the restarted worker via a half-open probe with its WAL restored past
 # the cursor file, rebalances the runner home, and ends with zero
 # acknowledged-record loss and zero duplicates. The hedging contract,
-# the health state machine + per-member metrics, the failover placement
-# walk, and the worker-side assignment lifecycle ride along.
+# the health state machine + per-member metrics (on internal/retry's
+# breaker, which passes whole), the 503's Retry-After following the
+# owner's cooldown, the failover placement walk, and the worker-side
+# assignment lifecycle ride along.
 gate "self-healing cluster chaos" \
-  TestClusterChaosFailover 'TestClientHedging*' 'TestHealthMonitorStateMachine*' \
-  TestRingOwnerIndexAmong 'TestAssignLifecycle*' 'TestAssignValidation*'
+  internal/retry/ TestClusterChaosFailover 'TestClientHedging*' 'TestHealthMonitorStateMachine*' \
+  TestRingOwnerIndexAmong 'TestAssignLifecycle*' 'TestAssignValidation*' \
+  TestIngestRetryAfterFollowsCooldown
 
 # Settle exactness gate: Refine must return the corrections of the
 # literal support-first loop, the aligner's candidate graph must equal
