@@ -12,9 +12,11 @@
 package align
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,6 +128,7 @@ type Stats struct {
 	SketchSkipped  int // pairs rejected by the sketch filter
 	Comparisons    int // full story-similarity evaluations
 	Matches        int // pairs above threshold
+	Regrouped      int // stories whose component Result recomputed
 }
 
 // Aligner maintains the cross-source story match graph incrementally.
@@ -179,7 +182,27 @@ type Aligner struct {
 	frozenDistinct int
 	storyCfg       similarity.StoryConfig // cfg.Story plus the weighter
 
+	// What Result keeps between passes. touched holds every story upserted
+	// or removed since the last pass and every story that shared an
+	// above-threshold edge with one, before or after the change: no other
+	// story's edges moved. best holds each story's best above-threshold
+	// edge into every other source as of the last pass; two stories are
+	// reciprocal-best matches when each one's slot names the other. integ
+	// (ascending ID) and honoured (merge order) are the last pass's
+	// integrated stories and honoured matches, in slices no Result shares.
+	touched  map[event.StoryID]struct{}
+	best     map[event.StoryID][]slot
+	integ    []*event.IntegratedStory
+	honoured []Match
+
 	stats Stats
+}
+
+// slot is a story's best above-threshold edge into one other source.
+type slot struct {
+	src   event.SourceID
+	other event.StoryID
+	score float64
 }
 
 // NewAligner creates an empty aligner.
@@ -195,6 +218,8 @@ func NewAligner(cfg Config) *Aligner {
 		adj:         make(map[event.StoryID][]event.StoryID),
 		bucketWidth: bw,
 		buckets:     make(map[int64][]event.StoryID),
+		touched:     make(map[event.StoryID]struct{}),
+		best:        make(map[event.StoryID][]slot),
 	}
 	a.storyCfg = cfg.Story
 	if cfg.UseEntityIDF {
@@ -308,6 +333,7 @@ func (a *Aligner) Upsert(st *event.Story) {
 	} else {
 		a.order = append(a.order, st.ID)
 	}
+	a.touched[st.ID] = struct{}{}
 	// Fill the lazy norm cache before any Result publishes st, so readers
 	// of a published result only ever read it.
 	st.CentroidNorm()
@@ -353,6 +379,7 @@ func (a *Aligner) Upsert(st *event.Story) {
 			a.stats.Comparisons++
 			if score >= a.cfg.MatchThreshold {
 				a.edges[edgeKey(st.ID, oid)] = score
+				a.touched[oid] = struct{}{}
 				a.stats.Matches++
 			}
 		}
@@ -368,6 +395,7 @@ func (a *Aligner) Remove(id event.StoryID) {
 		return
 	}
 	a.removeInternal(id)
+	a.touched[id] = struct{}{}
 	delete(a.stories, id)
 	delete(a.adj, id)
 	// Drop the ID from the insertion order here, not lazily: a stale entry
@@ -393,7 +421,8 @@ func dropID(list []event.StoryID, id event.StoryID) []event.StoryID {
 
 // removeInternal clears indexes and edges but keeps the story's place in
 // the insertion order and the capacity of its neighbour list, which a
-// re-upsert refills.
+// re-upsert refills. It marks the stories it drops a match edge to as
+// touched.
 func (a *Aligner) removeInternal(id event.StoryID) {
 	st := a.stories[id]
 	if st != nil {
@@ -414,7 +443,11 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 	}
 	if nbrs := a.adj[id]; len(nbrs) > 0 {
 		for _, o := range nbrs {
-			delete(a.edges, edgeKey(id, o))
+			k := edgeKey(id, o)
+			if _, matched := a.edges[k]; matched {
+				a.touched[o] = struct{}{}
+				delete(a.edges, k)
+			}
 			a.adj[o] = dropID(a.adj[o], id)
 		}
 		a.adj[id] = nbrs[:0]
@@ -426,8 +459,9 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 
 // rescoreIfDrifted starts a new statistics epoch when the live entity
 // statistics have drifted materially from the frozen ones (and on the
-// first Result): it copies the live table into the frozen one and
-// rescores every candidate pair against it. Between two epochs every score
+// first Result): it copies the live table into the frozen one, rescores
+// every candidate pair against it and marks every story touched, so the
+// Result that follows regroups them all. Between two epochs every score
 // — from Upsert, from this rescan, from the merge guard — reads the same
 // frozen table, so the edges are a pure function of the resident stories
 // and the epoch, whatever order the stories arrived in.
@@ -454,6 +488,9 @@ func (a *Aligner) rescoreIfDrifted() {
 			}
 		}
 	}
+	for id := range a.stories {
+		a.touched[id] = struct{}{}
+	}
 	a.lastScored = a.entTotal
 }
 
@@ -465,56 +502,60 @@ func (a *Aligner) Matches() []Match {
 	for k, s := range a.edges {
 		out = append(out, Match{A: k[0], B: k[1], Score: s})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, byScore)
 	return out
 }
 
-// reciprocalEdges filters the raw above-threshold edges down to
-// reciprocal best matches: an edge (A, B) survives only if B is A's
-// highest-scoring match in B's source and vice versa. Raw thresholding
+// byScore orders matches strongest first, then by (A, B).
+func byScore(x, y Match) int {
+	if x.Score != y.Score {
+		if x.Score > y.Score {
+			return -1
+		}
+		return 1
+	}
+	if x.A != y.A {
+		return cmp.Compare(x.A, y.A)
+	}
+	return cmp.Compare(x.B, y.B)
+}
+
+// bestEdges refills buf with story id's best above-threshold edge into
+// each other source: the highest score, ties to the smaller story ID.
+// Result integrates on reciprocal best matches only — an edge (A, B)
+// whose B is A's best in B's source and vice versa. Raw thresholding
 // alone lets thematically related but distinct stories (stories of the
 // same topic family) chain transitively into giant components; reciprocal
 // matching is the selectivity that keeps components story-sized while a
 // real counterpart — which is almost always the mutual best match —
 // still aligns.
-func (a *Aligner) reciprocalEdges() map[[2]event.StoryID]float64 {
-	type slot struct {
-		other event.StoryID
-		score float64
-	}
-	best := make(map[event.StoryID]map[event.SourceID]slot, len(a.stories))
-	note := func(self, other event.StoryID, score float64) {
-		osrc := a.stories[other].Source
-		m := best[self]
-		if m == nil {
-			m = make(map[event.SourceID]slot)
-			best[self] = m
+func (a *Aligner) bestEdges(id event.StoryID, buf []slot) []slot {
+	for _, o := range a.adj[id] {
+		score, ok := a.edges[edgeKey(id, o)]
+		if !ok {
+			continue
 		}
-		cur, ok := m[osrc]
-		if !ok || score > cur.score || (score == cur.score && other < cur.other) {
-			m[osrc] = slot{other, score}
+		src := a.stories[o].Source
+		i := slices.IndexFunc(buf, func(s slot) bool { return s.src == src })
+		switch {
+		case i < 0:
+			buf = append(buf, slot{src, o, score})
+		case score > buf[i].score || (score == buf[i].score && o < buf[i].other):
+			buf[i] = slot{src, o, score}
 		}
 	}
-	for k, s := range a.edges {
-		note(k[0], k[1], s)
-		note(k[1], k[0], s)
-	}
-	out := make(map[[2]event.StoryID]float64)
-	for k, s := range a.edges {
-		x, y := k[0], k[1]
-		if best[x][a.stories[y].Source].other == y && best[y][a.stories[x].Source].other == x {
-			out[k] = s
+	return buf
+}
+
+// mutual reports whether y's best edge into x's source leads to x, that
+// is, whether an edge from x's best slot to y is reciprocal.
+func (a *Aligner) mutual(x, y event.StoryID) bool {
+	for _, s := range a.best[y] {
+		if s.other == x {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // RetirableSets computes which stories the retirement policy may evict,
@@ -633,21 +674,18 @@ type component struct {
 	ents       []vocab.IDCount
 	centroid   []vocab.IDWeight
 	start, end time.Time
-	members    int // member stories, for the size-adaptive guard
+	members    int  // member stories, for the size-adaptive guard
+	shared     bool // ents and centroid are still its one story's vectors
 }
 
-func newComponent(st *event.Story) *component {
-	return &component{
-		members:  1,
-		ents:     append([]vocab.IDCount(nil), st.EntityFreq...),
-		centroid: append([]vocab.IDWeight(nil), st.Centroid...),
-		start:    st.Start,
-		end:      st.End,
-	}
-}
-
-// absorb merges other into c.
+// absorb merges other into c, copying c's vectors first if they are a
+// story's.
 func (c *component) absorb(other *component) {
+	if c.shared {
+		c.ents = append(make([]vocab.IDCount, 0, len(c.ents)+len(other.ents)), c.ents...)
+		c.centroid = append(make([]vocab.IDWeight, 0, len(c.centroid)+len(other.centroid)), c.centroid...)
+		c.shared = false
+	}
 	c.ents = vocab.AddCounts(c.ents, other.ents)
 	c.centroid = vocab.AddWeights(c.centroid, other.centroid)
 	if other.start.Before(c.start) {
@@ -694,9 +732,22 @@ func (a *Aligner) componentsSimilar(x, y *component) bool {
 // §2.3: stories that appear in only one source remain in the result).
 // Snippet roles are classified per component.
 //
-// The members of the integrated stories are the upserted stories
-// themselves, shared with the aligner and with every other Result that
-// contains them, not copies: they are read-only. They stay valid after
+// A pass regroups only what changed since the last one. The guarded
+// merges inside one connected component of the reciprocal-edge graph read
+// only that component's edges, in score order, and its own aggregates, so
+// a component without a touched story groups exactly as it did. The pass
+// reruns the merges over the components, old and new, of every touched
+// story (regroupRegion) and keeps every other integrated story and
+// honoured match of the last pass. An integrated story whose member
+// pointers are unchanged is kept, roles and all, even inside a recomputed
+// component. A new statistics epoch touches every story, so its pass
+// regroups them all.
+//
+// Every Result has its own Integrated and Matches slices and lookup map,
+// and none of them is written after it is returned. The integrated
+// stories, their Roles and their members are shared with the aligner and
+// with every other Result that holds them: they are read-only. Members
+// are the upserted stories themselves, not copies. They stay valid after
 // the live stories change, because Upsert's caller hands over a story it
 // no longer mutates (the stream engine's snapshots), and a re-upsert
 // replaces the aligner's pointer rather than writing through it.
@@ -708,43 +759,73 @@ func (a *Aligner) Result() *Result {
 		metComparisons.Add(uint64(a.stats.Comparisons - startComparisons))
 	}()
 	a.rescoreIfDrifted()
-	// Union-find over story IDs with per-root component aggregates.
-	parent := make(map[event.StoryID]event.StoryID, len(a.stories))
-	comps := make(map[event.StoryID]*component, len(a.stories))
-	var find func(event.StoryID) event.StoryID
-	find = func(x event.StoryID) event.StoryID {
+	region, at := a.regroupRegion()
+	fresh, honoured := a.regroup(region, at)
+	regrouped := func(id event.StoryID) bool {
+		_, ok := at[id]
+		return ok
+	}
+	// The region is a union of the last pass's components, so each kept
+	// integrated story and match lies wholly inside it or wholly outside.
+	a.integ = keepMerge(a.integ, fresh, func(is *event.IntegratedStory) bool { return regrouped(is.Members[0].ID) }, byID)
+	a.honoured = keepMerge(a.honoured, honoured, func(m Match) bool { return regrouped(m.A) }, byScore)
+
+	res := &Result{Matches: slices.Clone(a.honoured), byStory: make(map[event.StoryID]*event.IntegratedStory, len(a.stories))}
+	if len(a.integ) > 0 {
+		res.Integrated = slices.Clone(a.integ)
+	}
+	for _, is := range a.integ {
+		for _, m := range is.Members {
+			res.byStory[m.ID] = is
+		}
+	}
+	return res
+}
+
+// regroup runs the guarded merge over the region's stories and returns
+// its integrated stories in ascending ID order and the reciprocal matches
+// it honoured (both endpoints ended up in the same component), strongest
+// first.
+func (a *Aligner) regroup(region []event.StoryID, at map[event.StoryID]int32) ([]*event.IntegratedStory, []Match) {
+	// Union-find over region positions with per-root component aggregates.
+	// A removed story keeps its position but has no aggregate and no edge:
+	// it only brought its old component into the region.
+	parent := make([]int32, len(region))
+	comps := make([]component, len(region))
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for id, st := range a.stories {
-		parent[id] = id
-		comps[id] = newComponent(st)
+	live := make([]int32, 0, len(region))
+	var recip []Match
+	for i, id := range region {
+		parent[i] = int32(i)
+		st := a.stories[id]
+		if st == nil {
+			continue
+		}
+		live = append(live, int32(i))
+		comps[i] = component{ents: st.EntityFreq, centroid: st.Centroid, start: st.Start, end: st.End,
+			members: 1, shared: true}
+		for _, s := range a.best[id] {
+			if id < s.other && a.mutual(id, s.other) {
+				recip = append(recip, Match{A: id, B: s.other, Score: s.score})
+			}
+		}
 	}
-	recip := a.reciprocalEdges()
+	a.stats.Regrouped += len(live)
 	// Strongest matches first, so the guard evaluates high-confidence
 	// merges before aggregates drift.
-	order := make([]Match, 0, len(recip))
-	for k, s := range recip {
-		order = append(order, Match{A: k[0], B: k[1], Score: s})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Score != order[j].Score {
-			return order[i].Score > order[j].Score
-		}
-		if order[i].A != order[j].A {
-			return order[i].A < order[j].A
-		}
-		return order[i].B < order[j].B
-	})
-	for _, m := range order {
-		ra, rb := find(m.A), find(m.B)
+	slices.SortFunc(recip, byScore)
+	for _, m := range recip {
+		ra, rb := find(at[m.A]), find(at[m.B])
 		if ra == rb {
 			continue
 		}
-		ca, cb := comps[ra], comps[rb]
+		ca, cb := &comps[ra], &comps[rb]
 		if a.cfg.ComponentGuard > 0 && !a.componentsSimilar(ca, cb) {
 			continue
 		}
@@ -755,17 +836,17 @@ func (a *Aligner) Result() *Result {
 		}
 		ca.absorb(cb)
 		parent[rb] = ra
-		delete(comps, rb)
 	}
-	groups := make(map[event.StoryID][]*event.Story)
-	for _, id := range a.order {
-		r := find(id)
-		groups[r] = append(groups[r], a.stories[id])
+	for _, i := range live {
+		parent[i] = find(i)
 	}
-	roots := make([]event.StoryID, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
+	honoured := recip[:0]
+	for _, m := range recip {
+		if parent[at[m.A]] == parent[at[m.B]] {
+			honoured = append(honoured, m)
+		}
 	}
+
 	// Integrated IDs are content-derived: a component's ID is its
 	// smallest member story ID. That makes the ID a pure function of the
 	// grouping — deterministic across processes, which is what lets a
@@ -774,30 +855,107 @@ func (a *Aligner) Result() *Result {
 	// /api/integrated/{id} links, the Gen-keyed query cache) rely on: the
 	// ID only moves when a regrouping actually gains or loses the
 	// smallest member. IDs are unique within a pass because components
-	// partition the member stories. Sorting roots by that minimum also
-	// fixes the result order: ascending IntegratedID, the invariant the
-	// query index's position-based tie-breaks assume.
-	sort.Slice(roots, func(i, j int) bool {
-		return minStoryID(groups[roots[i]]) < minStoryID(groups[roots[j]])
-	})
-	// Report the reciprocal matches the integration actually honoured
-	// (both endpoints ended up in the same component).
-	matches := make([]Match, 0, len(order))
-	for _, m := range order {
-		if find(m.A) == find(m.B) {
-			matches = append(matches, m)
+	// partition the member stories. Results list them in ascending
+	// IntegratedID order, the invariant the query index's position-based
+	// tie-breaks assume.
+	slices.SortFunc(live, func(x, y int32) int { return cmp.Compare(parent[x], parent[y]) })
+	var fresh []*event.IntegratedStory
+	var group []*event.Story
+	for lo := 0; lo < len(live); {
+		r := parent[live[lo]]
+		group = group[:0]
+		for ; lo < len(live) && parent[live[lo]] == r; lo++ {
+			group = append(group, a.stories[region[live[lo]]])
 		}
-	}
-	res := &Result{Matches: matches, byStory: make(map[event.StoryID]*event.IntegratedStory)}
-	for _, r := range roots {
-		is := event.NewIntegratedStory(event.IntegratedID(minStoryID(groups[r])), groups[r])
+		id := event.IntegratedID(minStoryID(group))
+		if i, ok := slices.BinarySearchFunc(a.integ, id, func(is *event.IntegratedStory, id event.IntegratedID) int {
+			return cmp.Compare(is.ID, id)
+		}); ok && a.holdsGroup(a.integ[i], group, r, parent, at) {
+			fresh = append(fresh, a.integ[i])
+			continue
+		}
+		is := event.NewIntegratedStory(id, group)
 		classifyRoles(is, a.cfg)
-		res.Integrated = append(res.Integrated, is)
-		for _, m := range is.Members {
-			res.byStory[m.ID] = is
+		fresh = append(fresh, is)
+	}
+	slices.SortFunc(fresh, byID)
+	return fresh, honoured
+}
+
+// regroupRegion returns the stories this pass regroups, with each one's
+// position in the list: every touched story and every story it reaches
+// over reciprocal-best edges, in the last pass's graph and in the current
+// one. Both graphs differ only in edges at a touched story, so a component
+// without one is the same in both, and the union holds every other
+// component of either graph whole. On the way it brings the touched
+// stories' best-edge slots up to date.
+func (a *Aligner) regroupRegion() ([]event.StoryID, map[event.StoryID]int32) {
+	at := make(map[event.StoryID]int32, len(a.touched))
+	var region []event.StoryID
+	enter := func(id event.StoryID) {
+		if _, ok := at[id]; !ok {
+			at[id] = int32(len(region))
+			region = append(region, id)
 		}
 	}
-	return res
+	flood := func() {
+		for i := 0; i < len(region); i++ {
+			x := region[i]
+			for _, s := range a.best[x] {
+				if a.mutual(x, s.other) {
+					enter(s.other)
+				}
+			}
+		}
+	}
+	for id := range a.touched {
+		enter(id)
+	}
+	flood() // the last pass's graph: the slots are still its own
+	for id := range a.touched {
+		if b := a.bestEdges(id, a.best[id][:0]); len(b) > 0 {
+			a.best[id] = b
+		} else {
+			delete(a.best, id)
+		}
+	}
+	clear(a.touched)
+	flood() // the current graph, from everything the last one reached
+	return region, at
+}
+
+// holdsGroup reports whether old, an integrated story of the last pass,
+// has exactly the stories of group, those under root r, as its members.
+func (a *Aligner) holdsGroup(old *event.IntegratedStory, group []*event.Story, r int32, parent []int32, at map[event.StoryID]int32) bool {
+	if len(old.Members) != len(group) {
+		return false
+	}
+	for _, m := range old.Members {
+		p, ok := at[m.ID]
+		if !ok || a.stories[m.ID] != m || parent[p] != r {
+			return false
+		}
+	}
+	return true
+}
+
+func byID(x, y *event.IntegratedStory) int { return cmp.Compare(x.ID, y.ID) }
+
+// keepMerge returns, in a new slice, the entries of kept that drop does
+// not reject merged with fresh; both are sorted by cmp.
+func keepMerge[T any](kept, fresh []T, drop func(T) bool, cmp func(T, T) int) []T {
+	out := make([]T, 0, len(kept)+len(fresh))
+	j := 0
+	for _, x := range kept {
+		if drop(x) {
+			continue
+		}
+		for ; j < len(fresh) && cmp(fresh[j], x) < 0; j++ {
+			out = append(out, fresh[j])
+		}
+		out = append(out, x)
+	}
+	return append(out, fresh[j:]...)
 }
 
 func minStoryID(sts []*event.Story) event.StoryID {

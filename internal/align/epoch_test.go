@@ -17,8 +17,9 @@ import (
 )
 
 // resultDigest chains a sha256 over one Result onto chain: every
-// integrated ID with its member story IDs, then every honoured match with
-// the bits of its score.
+// integrated ID with its member story IDs and Gens and the role of every
+// member snippet, then every honoured match with the bits of its score.
+// A kept integrated story whose members or roles went stale moves it.
 func resultDigest(chain [sha256.Size]byte, res *Result) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(chain[:])
@@ -33,6 +34,11 @@ func resultDigest(chain [sha256.Size]byte, res *Result) [sha256.Size]byte {
 		word(uint64(len(is.Members)))
 		for _, m := range is.Members {
 			word(uint64(m.ID))
+			word(m.Gen())
+			for _, sn := range m.Snippets {
+				word(uint64(sn.ID))
+				word(uint64(is.Roles[sn.ID]))
+			}
 		}
 	}
 	word(uint64(len(res.Matches)))
@@ -127,14 +133,67 @@ func freshTwin(a *Aligner) *Aligner {
 	return b
 }
 
+// checkResult compares a.Result() with the whole-corpus oracle over a and
+// with a fresh aligner's Result at the same frozen epoch.
+func checkResult(a *Aligner) error {
+	got := resultDigest([sha256.Size]byte{}, a.Result())
+	if ref := resultDigest([sha256.Size]byte{}, referenceResult(a)); got != ref {
+		return fmt.Errorf("Result differs from the whole-corpus pass")
+	}
+	if twin := resultDigest([sha256.Size]byte{}, freshTwin(a).Result()); got != twin {
+		return fmt.Errorf("Result differs from a fresh aligner's at the same epoch")
+	}
+	return nil
+}
+
 // TestAlignerPureFunctionQuick pins the invariant the engine's Gen-skip
 // rests on, with IDF weighting on (the default). Under random Upsert /
 // re-Upsert of a changed version / Remove / Result: re-upserting a
 // resident story unchanged leaves edges, the candidate graph and Result
-// as they were; and at every step the edges — and at every Result the
-// result — equal those of a fresh aligner given the same live stories at
-// the same frozen epoch.
+// as they were; at every step the edges equal those of a fresh aligner
+// given the same live stories at the same frozen epoch; and after every
+// step the incremental Result equals the whole-corpus pass and the fresh
+// aligner's. A fixed schedule first crosses an epoch boundary between
+// incremental passes.
 func TestAlignerPureFunctionQuick(t *testing.T) {
+	t.Run("epoch", func(t *testing.T) {
+		bySource, _ := alignFixture(11)
+		var pool []*event.Story
+		for _, sts := range bySource {
+			pool = append(pool, sts...)
+		}
+		sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
+		a := NewAligner(DefaultConfig())
+		// Half the pool, then a quarter of it removed, then the rest: the
+		// mention total drifts past 20 % between passes that regroup only
+		// what changed.
+		var schedule []func()
+		for _, st := range pool[:len(pool)/2] {
+			schedule = append(schedule, func() { a.Upsert(st) })
+		}
+		for _, st := range pool[:len(pool)/4] {
+			schedule = append(schedule, func() { a.Remove(st.ID) })
+		}
+		for _, st := range pool[len(pool)/2:] {
+			schedule = append(schedule, func() { a.Upsert(halfStory(st)) })
+		}
+		epochs, partial := 0, 0
+		for step, op := range schedule {
+			op()
+			before, regrouped := a.lastScored, a.stats.Regrouped
+			if err := checkResult(a); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if a.lastScored != before {
+				epochs++
+			} else if a.stats.Regrouped-regrouped < a.Len() {
+				partial++
+			}
+		}
+		if epochs < 2 || partial == 0 {
+			t.Fatalf("%d epochs started and %d passes regrouped part of the corpus: the schedule crosses no epoch between incremental passes", epochs, partial)
+		}
+	})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		bySource, _ := alignFixture(rng.Int63n(500))
@@ -153,10 +212,9 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 			case op == 0:
 				a.Remove(st.ID)
 			case op == 1:
-				twin := freshTwin(a)
-				got, want := resultDigest([sha256.Size]byte{}, a.Result()), resultDigest([sha256.Size]byte{}, twin.Result())
-				if got != want {
-					t.Logf("seed %d step %d: Result differs from a fresh aligner's at the same epoch", seed, step)
+				// A pass right after the last step's: nothing is touched.
+				if err := checkResult(a); err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
 					return false
 				}
 			case op == 2 && len(a.stories) > 0:
@@ -193,6 +251,10 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 			}
 			if twin := freshTwin(a); !reflect.DeepEqual(a.edges, twin.edges) || !reflect.DeepEqual(adjSets(a), adjSets(twin)) {
 				t.Logf("seed %d step %d: edges or candidates differ from a fresh aligner's at the same epoch", seed, step)
+				return false
+			}
+			if err := checkResult(a); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 		}

@@ -173,14 +173,16 @@ gate "self-healing cluster chaos" \
 # the brute-force one under interleaved Upsert/Remove/Result, aligners
 # fed the same rounds in different orders must agree after every round,
 # the aligner must equal a fresh one built from its live stories at the
-# same frozen epoch (the engine's Gen-skip rests on it), a persistent
-# Refiner must return a fresh one's corrections after every edit and score
-# nothing over an unchanged result, and identically fed refinement-on
-# pipelines must agree at every settle.
+# same frozen epoch (the engine's Gen-skip rests on it) and its incremental
+# Result must equal the whole-corpus pass after every operation, regroup
+# nothing over an unchanged corpus and never rewrite a published result, a
+# persistent Refiner must return a fresh one's corrections after every edit
+# and score nothing over an unchanged result, and identically fed
+# refinement-on pipelines must agree at every settle.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
-  TestAlignerPureFunctionQuick TestRefinerMatchesOneShotQuick TestRefinerScoresOnlyWhatChanged \
-  TestSettleDigestDeterministic
+  TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
+  TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic
 
 if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
