@@ -190,10 +190,12 @@ type Aligner struct {
 	// reciprocal-best matches when each one's slot names the other. integ
 	// (ascending ID) and honoured (merge order) are the last pass's
 	// integrated stories and honoured matches, in slices no Result shares.
+	// version is the last IntegratedStory.Version handed out.
 	touched  map[event.StoryID]struct{}
 	best     map[event.StoryID][]slot
 	integ    []*event.IntegratedStory
 	honoured []Match
+	version  uint64
 
 	stats Stats
 }
@@ -739,9 +741,11 @@ func (a *Aligner) componentsSimilar(x, y *component) bool {
 // reruns the merges over the components, old and new, of every touched
 // story (regroupRegion) and keeps every other integrated story and
 // honoured match of the last pass. An integrated story whose member
-// pointers are unchanged is kept, roles and all, even inside a recomputed
-// component. A new statistics epoch touches every story, so its pass
-// regroups them all.
+// pointers are unchanged is kept, roles, Version and all, even inside a
+// recomputed component; every other one is new and takes the next
+// version. Only the last pass's stories can be kept, so a story dropped
+// from a result never comes back. A new statistics epoch touches every
+// story, so its pass regroups them all.
 //
 // Every Result has its own Integrated and Matches slices and lookup map,
 // and none of them is written after it is returned. The integrated
@@ -879,6 +883,14 @@ func (a *Aligner) regroup(region []event.StoryID, at map[event.StoryID]int32) ([
 		fresh = append(fresh, is)
 	}
 	slices.SortFunc(fresh, byID)
+	// Version the new stories in ID order, so the numbers do not depend on
+	// the region's map-ordered start.
+	for _, is := range fresh {
+		if is.Version == 0 {
+			a.version++
+			is.Version = a.version
+		}
+	}
 	return fresh, honoured
 }
 

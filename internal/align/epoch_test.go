@@ -133,10 +133,50 @@ func freshTwin(a *Aligner) *Aligner {
 	return b
 }
 
+// versionLog follows the results of one aligner. In each, no two
+// integrated stories share a version, and every story that is not the same
+// object as in the previous result has a version above all earlier ones.
+type versionLog struct {
+	prev map[*event.IntegratedStory]bool
+	top  uint64
+}
+
+func (v *versionLog) check(res *Result) error {
+	seen := make(map[uint64]bool, len(res.Integrated))
+	top := v.top
+	for _, is := range res.Integrated {
+		if seen[is.Version] {
+			return fmt.Errorf("two integrated stories at version %d", is.Version)
+		}
+		seen[is.Version] = true
+		if !v.prev[is] && is.Version <= v.top {
+			return fmt.Errorf("new integrated story %d at version %d, not above the earlier %d", is.ID, is.Version, v.top)
+		}
+		top = max(top, is.Version)
+	}
+	v.prev = make(map[*event.IntegratedStory]bool, len(res.Integrated))
+	for _, is := range res.Integrated {
+		v.prev[is] = true
+	}
+	v.top = top
+	return nil
+}
+
+// result returns a.Result() once v has checked it.
+func (v *versionLog) result(a *Aligner) (*Result, error) {
+	res := a.Result()
+	return res, v.check(res)
+}
+
 // checkResult compares a.Result() with the whole-corpus oracle over a and
-// with a fresh aligner's Result at the same frozen epoch.
-func checkResult(a *Aligner) error {
-	got := resultDigest([sha256.Size]byte{}, a.Result())
+// with a fresh aligner's Result at the same frozen epoch, and checks its
+// versions against v.
+func checkResult(a *Aligner, v *versionLog) error {
+	res, err := v.result(a)
+	if err != nil {
+		return err
+	}
+	got := resultDigest([sha256.Size]byte{}, res)
 	if ref := resultDigest([sha256.Size]byte{}, referenceResult(a)); got != ref {
 		return fmt.Errorf("Result differs from the whole-corpus pass")
 	}
@@ -153,8 +193,8 @@ func checkResult(a *Aligner) error {
 // as they were; at every step the edges equal those of a fresh aligner
 // given the same live stories at the same frozen epoch; and after every
 // step the incremental Result equals the whole-corpus pass and the fresh
-// aligner's. A fixed schedule first crosses an epoch boundary between
-// incremental passes.
+// aligner's, with its versions in order (versionLog). A fixed schedule
+// first crosses an epoch boundary between incremental passes.
 func TestAlignerPureFunctionQuick(t *testing.T) {
 	t.Run("epoch", func(t *testing.T) {
 		bySource, _ := alignFixture(11)
@@ -164,6 +204,7 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 		}
 		sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
 		a := NewAligner(DefaultConfig())
+		var versions versionLog
 		// Half the pool, then a quarter of it removed, then the rest: the
 		// mention total drifts past 20 % between passes that regroup only
 		// what changed.
@@ -181,7 +222,7 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 		for step, op := range schedule {
 			op()
 			before, regrouped := a.lastScored, a.stats.Regrouped
-			if err := checkResult(a); err != nil {
+			if err := checkResult(a, &versions); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			if a.lastScored != before {
@@ -203,6 +244,7 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 		}
 		sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
 		a := NewAligner(DefaultConfig())
+		var versions versionLog
 		if a.storyCfg.EntityWeight == nil {
 			t.Fatal("default config runs without IDF weighting: the test is vacuous")
 		}
@@ -213,7 +255,7 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 				a.Remove(st.ID)
 			case op == 1:
 				// A pass right after the last step's: nothing is touched.
-				if err := checkResult(a); err != nil {
+				if err := checkResult(a, &versions); err != nil {
 					t.Logf("seed %d step %d: %v", seed, step, err)
 					return false
 				}
@@ -225,7 +267,12 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 						break
 					}
 				}
-				before := resultDigest([sha256.Size]byte{}, a.Result())
+				res, err := versions.result(a)
+				if err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+				before := resultDigest([sha256.Size]byte{}, res)
 				edges, adj := make(map[[2]event.StoryID]float64, len(a.edges)), adjSets(a)
 				for k, s := range a.edges {
 					edges[k] = s
@@ -239,7 +286,12 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 					t.Logf("seed %d step %d: re-upserting story %d unchanged moved its edges or candidates", seed, step, held.ID)
 					return false
 				}
-				if after := resultDigest([sha256.Size]byte{}, a.Result()); after != before {
+				res, err = versions.result(a)
+				if err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+				if after := resultDigest([sha256.Size]byte{}, res); after != before {
 					t.Logf("seed %d step %d: re-upserting story %d unchanged moved the Result", seed, step, held.ID)
 					return false
 				}
@@ -253,7 +305,7 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 				t.Logf("seed %d step %d: edges or candidates differ from a fresh aligner's at the same epoch", seed, step)
 				return false
 			}
-			if err := checkResult(a); err != nil {
+			if err := checkResult(a, &versions); err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}

@@ -84,8 +84,15 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 // candidate, that candidate's score and whether the integrated story
 // supports the snippet; those depend on the snippet, its home story's ID
 // and source and the integrated story's members, not on the home score.
-// Both are re-derived only when their inputs' (ID, Gen) tokens change, so
-// every pass returns exactly the corrections a fresh Refiner would.
+// The home score is re-derived only when the home story's (ID, Gen)
+// changes, the rest only for integrated stories of a version the snippet
+// was not planned against, so every pass returns exactly the corrections
+// a fresh Refiner would.
+//
+// A Refiner reads the results of one Aligner. The aligner's versions only
+// grow, a kept integrated story keeps its version and a dropped one never
+// comes back, so an integrated story whose version is at most the largest
+// of the last pass's result was in that result, with the same members.
 //
 // The memo holds IDs and numbers, no story pointers: the GC has nothing
 // in it to scan and a result it saw is not kept alive. Not safe for
@@ -93,12 +100,9 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 type Refiner struct {
 	cfg RefineConfig
 
-	// version numbers the member lists of multi-source integrated stories
-	// (see versionComponents); it only grows, so a version names one member
-	// list of one integrated story.
-	version uint32
-	comps   []compMemo  // last pass's multi-source integrated stories
-	members []memberGen // their members, comps[i].lo ..+n
+	// planned is the largest integrated-story version of the last pass's
+	// result.
+	planned uint64
 
 	// The last pass's plans: per home story visited, per snippet of it,
 	// per integrated story that could take the snippet.
@@ -112,18 +116,6 @@ type Refiner struct {
 	near  []int32 // indexes into multi within reach of one home story
 	cen   []vocab.IDWeight
 	ents  []vocab.IDCount
-}
-
-// compMemo is one multi-source integrated story of the last pass.
-type compMemo struct {
-	id    event.IntegratedID
-	ver   uint32
-	lo, n int32
-}
-
-type memberGen struct {
-	id  event.StoryID
-	gen uint64
 }
 
 // homeMemo is one home story of the last pass: its (ID, Gen) and its
@@ -149,15 +141,14 @@ type snipMemo struct {
 type target struct {
 	score   float64
 	to      event.StoryID
-	ver     uint32
+	ver     uint64
 	support int8 // 0 not searched yet, 1 supported, -1 not supported
 }
 
 // reach is a multi-source integrated story of the current pass with its
-// version and its extent widened by SupportScale.
+// extent widened by SupportScale.
 type reach struct {
 	is       *event.IntegratedStory
-	ver      uint32
 	from, to time.Time
 }
 
@@ -206,10 +197,10 @@ func (r *Refiner) Refine(res *Result, movers map[event.SourceID]Mover) []Correct
 // replaces the memo with this pass's.
 func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correction {
 	cfg := r.cfg
-	// Every snippet with a memo was planned in the last pass, when the
-	// counter stood at planned.
-	planned := r.version
-	r.versionComponents(res)
+	// Every snippet with a memo was planned in the last pass, against
+	// versions up to planned.
+	planned := r.planned
+	r.planned = r.collectMulti(res)
 	homes := make([]homeMemo, 0, len(r.homes))
 	snips := make([]snipMemo, 0, len(r.snips))
 	targets := make([]target, 0, len(r.targets))
@@ -255,14 +246,12 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 					homeScore = r.scoreWithoutSelf(sn, home)
 					scores++
 				}
-				// An integrated story whose version is at or below seen had
+				// An integrated story whose version is at or below planned had
 				// its current members when the snippet was last planned: its
 				// target, if any, is in prev. A snippet new to its home was
 				// never planned under it.
-				seen := uint32(0)
 				var prev []target
 				if memo != nil {
-					seen = planned
 					prev = r.targets[memo.lo : memo.lo+memo.n]
 				}
 				var best Correction
@@ -283,10 +272,10 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 				for _, k := range r.near {
 					m := &r.multi[k]
 					var t target
-					if m.ver <= seen {
+					if memo != nil && m.is.Version <= planned {
 						found := false
 						for _, p := range prev {
-							if p.ver == m.ver {
+							if p.ver == m.is.Version {
 								t, found = p, true
 								break
 							}
@@ -343,57 +332,20 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 	return plans
 }
 
-// versionComponents collects this pass's multi-source integrated stories
-// into r.multi, in result order, and versions them. Only a story spanning
-// two sources can hold both a target of a snippet's own source and
-// support from another. A story keeps the version it had in the last pass
-// when its ordered member (ID, Gen) list is unchanged, and otherwise takes
-// the next value of the counter — never a value shared with another
-// story, which a per-pass number would be for two stories new in the same
-// pass.
-func (r *Refiner) versionComponents(res *Result) {
-	comps := make([]compMemo, 0, len(r.comps))
-	members := make([]memberGen, 0, len(r.members))
-	p := 0 // results list integrated stories by ascending ID
+// collectMulti collects this pass's multi-source integrated stories into
+// r.multi, in result order, and returns the largest version in res. Only
+// a story spanning two sources can hold both a target of a snippet's own
+// source and support from another.
+func (r *Refiner) collectMulti(res *Result) uint64 {
+	var top uint64
 	for _, is := range res.Integrated {
-		if !multiSource(is) {
-			continue
-		}
-		var ver uint32
-		for p < len(r.comps) && r.comps[p].id < is.ID {
-			p++
-		}
-		if p < len(r.comps) && r.comps[p].id == is.ID {
-			if c := r.comps[p]; sameMembers(is.Members, r.members[c.lo:c.lo+c.n]) {
-				ver = c.ver
-			}
-			p++
-		}
-		if ver == 0 {
-			r.version++
-			ver = r.version
-		}
-		lo := len(members)
-		for _, m := range is.Members {
-			members = append(members, memberGen{m.ID, m.Gen()})
-		}
-		comps = append(comps, compMemo{id: is.ID, ver: ver, lo: int32(lo), n: int32(len(is.Members))})
-		start, end := is.Extent()
-		r.multi = append(r.multi, reach{is, ver, start.Add(-r.cfg.SupportScale), end.Add(r.cfg.SupportScale)})
-	}
-	r.comps, r.members = comps, members
-}
-
-func sameMembers(ms []*event.Story, old []memberGen) bool {
-	if len(ms) != len(old) {
-		return false
-	}
-	for i, m := range ms {
-		if m.ID != old[i].id || m.Gen() != old[i].gen {
-			return false
+		top = max(top, is.Version)
+		if multiSource(is) {
+			start, end := is.Extent()
+			r.multi = append(r.multi, reach{is, start.Add(-r.cfg.SupportScale), end.Add(r.cfg.SupportScale)})
 		}
 	}
-	return true
+	return top
 }
 
 // reachOf fills r.near with the multi-source integrated stories whose
@@ -413,7 +365,7 @@ func (r *Refiner) reachOf(home *event.Story) {
 // that could take it — its own source, not its home — and returns the
 // first one with the maximal score, and how many it scored.
 func (r *Refiner) bestCandidate(sn *event.Snippet, home *event.Story, m *reach) (target, int) {
-	t := target{score: math.Inf(-1), ver: m.ver}
+	t := target{score: math.Inf(-1), ver: m.is.Version}
 	n := 0
 	for _, cand := range m.is.Members {
 		if cand.Source != home.Source || cand.ID == home.ID {

@@ -43,6 +43,13 @@ func (r SnippetRole) String() string {
 type IntegratedStory struct {
 	ID IntegratedID
 
+	// Version is set by the aligner that builds the story, from one
+	// counter that only grows: no two stories of one aligner share a
+	// version, and a story the aligner keeps from pass to pass keeps it.
+	// A version therefore names one member list, whose members are never
+	// written again. Zero means the story was built by hand.
+	Version uint64
+
 	// Members are the per-source stories merged into this integrated
 	// story, sorted by (source, story ID) for determinism.
 	Members []*Story

@@ -1,12 +1,12 @@
 // Package qcache is the query-result cache: a sharded, expiring map
 // from (endpoint, query, offset, limit) to the encoded response bytes
-// and their ETag, invalidated by the same Gen-delta publishes that
+// and their ETag, invalidated by the same alignment publishes that
 // maintain internal/index. Stories' entity and term symbols are hashed
 // into numGroups invalidation groups, each with a version stamp; an entry
 // remembers which groups its query depends on and the global stamp at
 // which its computation began, and is valid only while none of those
 // groups (nor the coarse epoch) was bumped past that stamp. Publishes
-// whose stories' Gens did not change bump nothing, so a quiet engine
+// whose integrated stories keep their versions bump nothing, so a quiet engine
 // serves hits indefinitely (until TTL); a publish that changes stories
 // bumps only the groups their integrated stories' symbols hash into.
 //

@@ -7,10 +7,12 @@
 // story touches — including symbols of members whose own Gen did not
 // move (a story "stolen" into another component changes both
 // components' rendered pages without either unchanged member mutating).
-// To detect that, the sink fingerprints each member's integrated story
-// as a commutative hash over (memberID, Gen) of ALL members, and keeps
-// the integrated story's full symbol-group bitmap per member. A publish
-// where every fingerprint is unchanged bumps nothing.
+// The aligner's IntegratedStory.Version says exactly that: a story it
+// kept has the version it had, and any other story has a new one. So the
+// sink remembers, per integrated ID of the last publish, the version and
+// the story's symbol-group bitmap, and bumps the old bitmap of every ID
+// that is gone or has a new version and the new bitmap of every new
+// version. A publish of the same versions bumps nothing.
 package qcache
 
 import (
@@ -21,122 +23,86 @@ import (
 	"repro/internal/vocab"
 )
 
-// memberState is what the sink remembers about one per-source story:
-// the fingerprint of the integrated story it belonged to at the last
-// publish, and that integrated story's symbol groups.
-type memberState struct {
-	intKey uint64
-	bits   Bits
-}
-
-// ownState caches a story's own symbol groups keyed by Gen, so an
-// unchanged story costs one map lookup per publish instead of a walk
-// over its entity and centroid vectors.
-type ownState struct {
-	gen  uint64
+// seen is what the sink remembers about one integrated story of the last
+// publish.
+type seen struct {
+	id   event.IntegratedID
+	ver  uint64
 	bits Bits
 }
 
 // Sink subscribes a Cache to an engine's alignment publishes (attach
 // with stream.Engine.AddResultSink, AFTER the index's primary slot so
 // bumps never precede the index state they describe). One Sink belongs
-// to one engine: when the pipeline is rebuilt, create a fresh Sink for
-// the new engine and BumpAll the cache — a stale sink's bookkeeping
-// only ever produces conservative extra bumps, but its absence of
-// state must not be mistaken for an absence of change.
+// to one engine: versions are numbered per aligner, so another engine's
+// story can carry a version this sink remembers for other members. When
+// the pipeline is rebuilt, create a fresh Sink for the new engine and
+// BumpAll the cache: the fresh sink never saw the old engine's stories,
+// so it cannot bump the ones that are gone.
 type Sink struct {
 	c *Cache
 
 	// mu serialises Publish (the engine already does, under its own
 	// mutex, but the sink must also stay safe if an orphaned engine
 	// publishes concurrently with its replacement's sink).
-	mu      sync.Mutex
-	members map[event.StoryID]memberState
-	own     map[event.StoryID]ownState
-	live    map[event.StoryID]bool // scratch, reused across publishes
+	mu   sync.Mutex
+	last []seen // the last publish's integrated stories, by ascending ID
 }
 
 // NewSink creates an invalidator feeding c.
 func NewSink(c *Cache) *Sink {
-	return &Sink{
-		c:       c,
-		members: make(map[event.StoryID]memberState),
-		own:     make(map[event.StoryID]ownState),
-		live:    make(map[event.StoryID]bool),
-	}
+	return &Sink{c: c}
 }
 
 // Publish implements stream.ResultSink.
 func (s *Sink) Publish(res *align.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.c.Bump(s.changes(res))
+}
+
+// changes returns the groups res invalidates against the last publish
+// and makes res the last publish. Results list integrated stories by
+// ascending ID, so one merge walk pairs old and new.
+func (s *Sink) changes(res *align.Result) Bits {
 	var acc Bits
-	clear(s.live)
+	next := make([]seen, 0, len(res.Integrated))
+	i := 0
 	for _, is := range res.Integrated {
-		// Fingerprint and symbol groups of the whole integrated story,
-		// computed once and attributed to every member. The fingerprint
-		// is order-independent (members are sorted, but cheap insurance)
-		// and covers both membership and every member's Gen.
-		var sum, xor uint64
-		var ibits Bits
-		for _, m := range is.Members {
-			h := mixSink(uint64(m.ID)*0x9E3779B97F4A7C15 ^ m.Gen())
-			sum += h
-			xor ^= h
-			ibits = ibits.Or(s.ownBits(m))
+		for ; i < len(s.last) && s.last[i].id < is.ID; i++ {
+			acc = acc.Or(s.last[i].bits) // gone
 		}
-		intKey := mixSink(sum ^ (xor * 0xD6E8FEB86659FD93))
-
-		for _, m := range is.Members {
-			s.live[m.ID] = true
-			old, seen := s.members[m.ID]
-			switch {
-			case !seen:
-				acc = acc.Or(ibits)
-			case old.intKey != intKey:
-				// Changed content or changed membership: both the old
-				// and the new renderings are affected.
-				acc = acc.Or(old.bits).Or(ibits)
+		if i < len(s.last) && s.last[i].id == is.ID {
+			old := s.last[i]
+			i++
+			if old.ver == is.Version {
+				next = append(next, old)
+				continue
 			}
-			s.members[m.ID] = memberState{intKey: intKey, bits: ibits}
+			acc = acc.Or(old.bits)
 		}
+		e := seen{id: is.ID, ver: is.Version, bits: storyBits(is)}
+		acc = acc.Or(e.bits)
+		next = append(next, e)
 	}
-	// Members that vanished (RemoveSource, identifier repair): their
-	// old pages are stale.
-	for id, st := range s.members {
-		if !s.live[id] {
-			acc = acc.Or(st.bits)
-			delete(s.members, id)
-			delete(s.own, id)
-		}
+	for ; i < len(s.last); i++ {
+		acc = acc.Or(s.last[i].bits)
 	}
-	s.c.Bump(acc)
+	s.last = next
+	return acc
 }
 
-// ownBits returns the symbol groups of one story, cached per Gen.
-func (s *Sink) ownBits(m *event.Story) Bits {
-	if st, ok := s.own[m.ID]; ok && st.gen == m.Gen() {
-		return st.bits
-	}
+// storyBits returns the symbol groups of every member of an integrated
+// story.
+func storyBits(is *event.IntegratedStory) Bits {
 	var b Bits
-	for _, ec := range m.EntityFreq {
-		b.Set(groupOf(kindEntity, vocab.Entities.String(ec.ID)))
+	for _, m := range is.Members {
+		for _, ec := range m.EntityFreq {
+			b.Set(groupOf(kindEntity, vocab.Entities.String(ec.ID)))
+		}
+		for _, tw := range m.Centroid {
+			b.Set(groupOf(kindTerm, vocab.Terms.String(tw.ID)))
+		}
 	}
-	for _, tw := range m.Centroid {
-		b.Set(groupOf(kindTerm, vocab.Terms.String(tw.ID)))
-	}
-	s.own[m.ID] = ownState{gen: m.Gen(), bits: b}
 	return b
-}
-
-// mixSink is splitmix64's finalizer: a cheap bijective scrambler so
-// structured (ID, Gen) pairs spread over the full hash space before
-// the commutative sum/xor combine.
-func mixSink(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }

@@ -33,6 +33,14 @@ func result(iss ...*event.IntegratedStory) *align.Result {
 	return &align.Result{Integrated: iss}
 }
 
+// integrated builds an integrated story at a version, as the aligner
+// stamps it: a new member list always comes under a new version.
+func integrated(id event.IntegratedID, ver uint64, members ...*event.Story) *event.IntegratedStory {
+	is := event.NewIntegratedStory(id, members)
+	is.Version = ver
+	return is
+}
+
 // putFor caches an entry depending on one entity and returns its key.
 func putFor(c *Cache, ent string) string {
 	key := Key("timeline", ent, 0, 10)
@@ -63,17 +71,14 @@ func TestSinkUnchangedPublishBumpsNothing(t *testing.T) {
 
 	a := mkStory(1, "s1", 1, ents[0], "alpha")
 	b := mkStory(2, "s2", 2, ents[1], "beta")
-	res := result(
-		event.NewIntegratedStory(1, []*event.Story{a}),
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	)
+	res := result(integrated(1, 1, a), integrated(2, 2, b))
 	sink.Publish(res) // first sight: bumps, cache still empty
 
 	ka := putFor(c, ents[0])
 	kb := putFor(c, ents[1])
 
-	// Re-publishing the identical result (same Gens, same membership)
-	// must leave both entries alone.
+	// Re-publishing the identical result (same versions) must leave both
+	// entries alone.
 	sink.Publish(res)
 	mustHit(t, c, ka, "unchanged publish")
 	mustHit(t, c, kb, "unchanged publish")
@@ -86,21 +91,17 @@ func TestSinkGenChangeInvalidatesOnlyTouchedGroups(t *testing.T) {
 
 	a := mkStory(1, "s1", 1, ents[0], "alpha")
 	b := mkStory(2, "s2", 2, ents[1], "beta")
-	sink.Publish(result(
-		event.NewIntegratedStory(1, []*event.Story{a}),
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	))
+	sink.Publish(result(integrated(1, 1, a), integrated(2, 2, b)))
 
 	ka := putFor(c, ents[0])
 	kb := putFor(c, ents[1])
 	kc := putFor(c, ents[2]) // depends on an entity no story mentions
 
-	// Mutate story a (Gen advances), republish.
+	// Story a gains a snippet (Gen advances): the aligner publishes the
+	// new snapshot in a new version of its integrated story.
+	a = a.Snapshot()
 	a.Add(mkSnippet(3, "s1", ents[0], "gamma"))
-	sink.Publish(result(
-		event.NewIntegratedStory(1, []*event.Story{a}),
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	))
+	sink.Publish(result(integrated(1, 3, a), integrated(2, 2, b)))
 
 	mustMiss(t, c, ka, "story a changed")
 	mustHit(t, c, kb, "story b untouched")
@@ -117,19 +118,14 @@ func TestSinkMembershipChangeWithoutGenChange(t *testing.T) {
 
 	a := mkStory(1, "s1", 1, ents[0], "alpha")
 	b := mkStory(2, "s2", 2, ents[1], "beta")
-	sink.Publish(result(
-		event.NewIntegratedStory(1, []*event.Story{a}),
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	))
+	sink.Publish(result(integrated(1, 1, a), integrated(2, 2, b)))
 
 	ka := putFor(c, ents[0])
 	kb := putFor(c, ents[1])
 	kc := putFor(c, ents[2])
 
 	// Same stories, same Gens — but now one merged component.
-	sink.Publish(result(
-		event.NewIntegratedStory(1, []*event.Story{a, b}),
-	))
+	sink.Publish(result(integrated(1, 3, a, b)))
 
 	mustMiss(t, c, ka, "a's component gained a member")
 	mustMiss(t, c, kb, "b joined another component")
@@ -143,18 +139,13 @@ func TestSinkRemovalInvalidates(t *testing.T) {
 
 	a := mkStory(1, "s1", 1, ents[0], "alpha")
 	b := mkStory(2, "s2", 2, ents[1], "beta")
-	sink.Publish(result(
-		event.NewIntegratedStory(1, []*event.Story{a}),
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	))
+	sink.Publish(result(integrated(1, 1, a), integrated(2, 2, b)))
 
 	ka := putFor(c, ents[0])
 	kb := putFor(c, ents[1])
 
 	// RemoveSource s1: story a vanishes from the next publish.
-	sink.Publish(result(
-		event.NewIntegratedStory(2, []*event.Story{b}),
-	))
+	sink.Publish(result(integrated(2, 2, b)))
 
 	mustMiss(t, c, ka, "a's source removed")
 	mustHit(t, c, kb, "b untouched")
@@ -162,8 +153,8 @@ func TestSinkRemovalInvalidates(t *testing.T) {
 
 func TestSinkManyStoriesScale(t *testing.T) {
 	// Sanity: many integrated stories, repeated unchanged publishes,
-	// then one mutation — the sink's per-Gen own-bits cache must not
-	// degrade correctness.
+	// then one mutation — walking old and new in step must not degrade
+	// correctness.
 	c := New(Config{SweepInterval: -1})
 	sink := NewSink(c)
 
@@ -173,7 +164,7 @@ func TestSinkManyStoriesScale(t *testing.T) {
 		st := mkStory(event.StoryID(i+1), "src", event.SnippetID(i+1),
 			fmt.Sprintf("bulk_entity_%d", i), fmt.Sprintf("bulkterm%d", i))
 		stories = append(stories, st)
-		iss = append(iss, event.NewIntegratedStory(event.IntegratedID(i+1), []*event.Story{st}))
+		iss = append(iss, integrated(event.IntegratedID(i+1), uint64(i+1), st))
 	}
 	sink.Publish(result(iss...))
 	key := putFor(c, "bulk_entity_7")
@@ -182,7 +173,33 @@ func TestSinkManyStoriesScale(t *testing.T) {
 	}
 	mustHit(t, c, key, "repeated unchanged publishes")
 
-	stories[7].Add(mkSnippet(9999, "src", "bulk_entity_7", "fresh"))
+	st := stories[7].Snapshot()
+	st.Add(mkSnippet(9999, "src", "bulk_entity_7", "fresh"))
+	iss[7] = integrated(8, 201, st)
 	sink.Publish(result(iss...))
 	mustMiss(t, c, key, "story 7 mutated")
+}
+
+// TestSinkComparesVersionsOnly pins the version contract from both sides:
+// a new version bumps its groups even when its members are the same
+// stories (the aligner renews a story whenever a member is a new
+// snapshot, at the same Gen or not), and republishing the same versions
+// in new objects bumps nothing.
+func TestSinkComparesVersionsOnly(t *testing.T) {
+	ents := distinctEntities(t, 2)
+	sink := NewSink(New(Config{SweepInterval: -1}))
+	a := mkStory(1, "s1", 1, ents[0], "alpha")
+	b := mkStory(2, "s2", 2, ents[1], "beta")
+	sink.changes(result(integrated(1, 1, a), integrated(2, 2, b)))
+
+	if got := sink.changes(result(integrated(1, 1, a), integrated(2, 2, b))); got.Any() {
+		t.Fatalf("republishing the same versions bumped %d groups", got.Count())
+	}
+	got := sink.changes(result(integrated(1, 1, a), integrated(2, 3, b.Snapshot())))
+	var want Bits
+	want.Set(groupOf(kindEntity, ents[1]))
+	want.Set(groupOf(kindTerm, "beta"))
+	if got != want {
+		t.Fatalf("a new version with unchanged content bumped %d groups, want b's %d", got.Count(), want.Count())
+	}
 }

@@ -649,16 +649,17 @@ func (e *Engine) alignLocked() *align.Result {
 	// Retirement walks the settled (post-refinement) active set: cold
 	// alignment components are archived and detached, then the result is
 	// recomputed once so the publish below already excludes them — the
-	// sinks' Gen-delta protocols (query index liveness, cache
-	// invalidation) see the eviction as an ordinary delta.
+	// sinks (query index liveness, cache invalidation) see the eviction
+	// as stories gone from an ordinary result.
 	if e.retirer != nil && e.retirer.Due(len(e.storyOwner), e.lastTS) {
 		if e.retireLocked() > 0 {
 			e.result = e.aligner.Result()
 		}
 	}
-	// Published after refinement so the sinks' delta protocols (keyed
-	// on Story.Gen) see refine moves exactly once, as part of the
-	// final result of the pass.
+	// Only the final result of the pass is published. Each sink compares
+	// it with the last one it saw (the index by member Story.Gen, the
+	// cache invalidator by IntegratedStory.Version), so the results
+	// computed in between need no record.
 	for _, s := range e.sinks {
 		s.Publish(e.result)
 	}

@@ -101,11 +101,12 @@ gate "feed fault injection (feed + checkpoint restore)" \
 
 # Cache/quota gate: the differential coherence oracles (pipeline-layer
 # and HTTP-layer) must prove zero stale responses across seeds with
-# refinement on and mid-stream source removal, and the hammer must
+# refinement on and mid-stream source removal, the version sink must
+# bump what the fingerprint sink it replaced bumped, and the hammer must
 # survive concurrent query/ingest/invalidation/sweep/admin-update
 # traffic under the race detector.
 gate "cache coherence + quota" \
-  TestCacheCoherenceDifferential TestHTTPCacheCoherence TestCacheQuotaIngestRace \
+  TestCacheCoherenceDifferential TestHTTPCacheCoherence TestSinkMatchesFingerprintOracle TestCacheQuotaIngestRace \
   TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
 
 # Cluster gate: the scatter-gather layer must prove, under the race
