@@ -860,8 +860,8 @@ func (a *Aligner) regroup(region []event.StoryID, at map[event.StoryID]int32) ([
 	// ID only moves when a regrouping actually gains or loses the
 	// smallest member. IDs are unique within a pass because components
 	// partition the member stories. Results list them in ascending
-	// IntegratedID order, the invariant the query index's position-based
-	// tie-breaks assume.
+	// IntegratedID order, so the query index and the cache invalidator
+	// pair a result with the last one in a single merge walk.
 	slices.SortFunc(live, func(x, y int32) int { return cmp.Compare(parent[x], parent[y]) })
 	var fresh []*event.IntegratedStory
 	var group []*event.Story

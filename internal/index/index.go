@@ -13,11 +13,12 @@
 //   - timeline segments: entity symbol → time-bucketed chronological
 //     snippet runs, backing Timeline without walking unrelated stories.
 //
-// The index is updated by delta, never rebuilt: Publish diffs each fresh
-// alignment result against the entry table keyed on Story.Gen (the
-// mutation counter introduced for the windowed-aggregate cache). A story
-// whose generation is unchanged costs an O(1) position update; a changed
-// story tombstones its old postings in O(1) — the entry's generation
+// The index is updated by delta, never rebuilt: Publish walks each fresh
+// alignment result in step with the last one by (IntegratedID,
+// IntegratedStory.Version) and touches only the integrated stories the
+// aligner renewed or dropped. Within a new version, a member whose
+// Story.Gen is unchanged only moves to the new version's slot; a changed
+// member tombstones its old postings in O(1) — the entry's generation
 // moves past them — and appends new ones. Stale postings are skipped by
 // readers and physically removed by the compactor once they exceed a
 // fraction of the live set.
@@ -35,14 +36,6 @@ import (
 	"repro/internal/align"
 	"repro/internal/event"
 )
-
-// Writer is the narrow mutation interface through which the stream
-// engine feeds the index: every freshly computed alignment result —
-// whether triggered by ingest, auto-alignment, refinement moves, or
-// source removal — is published exactly once. *Index implements it.
-type Writer interface {
-	Publish(res *align.Result)
-}
 
 // Options configures an Index. The zero value selects defaults.
 type Options struct {
@@ -71,28 +64,41 @@ func (o Options) withDefaults() Options {
 }
 
 // storyEntry is the per-story index record. The generation is the
-// liveness oracle for every posting of the story; pos locates the
-// integrated story the member currently belongs to (positions are
-// reassigned wholesale on every publish, so they are never stale).
+// liveness oracle for every posting of the story; slot locates the
+// integrated story the member currently belongs to.
 type storyEntry struct {
 	gen   uint64
-	pos   int32
+	slot  int32
 	npost int32 // postings written for this (story, gen): entity + term + timeline
+}
+
+// held is one integrated story of the last publish and the slot it holds.
+type held struct {
+	is   *event.IntegratedStory
+	slot int32
 }
 
 // Index is the incrementally maintained read index. It is safe for
 // concurrent use: any number of readers proceed in parallel; Publish
-// and Sweep serialise behind the write lock.
+// and Sweep serialise behind the write lock. One Index belongs to one
+// engine: versions are numbered per aligner, so another engine's story
+// can carry a version this index holds for other members.
 type Index struct {
 	opts        Options
 	bucketWidth time.Duration
 
-	mu         sync.RWMutex
-	stories    map[event.StoryID]*storyEntry
-	ents       map[uint32][]cpost
-	terms      map[uint32][]wpost
-	timelines  map[uint32]*timeline
-	integrated []*event.IntegratedStory
+	mu        sync.RWMutex
+	stories   map[event.StoryID]*storyEntry
+	ents      map[uint32][]post
+	terms     map[uint32][]post
+	timelines map[uint32]*timeline
+
+	// last is the last publish's integrated stories by ascending ID, each
+	// in its slot of slots (nil: free, listed in free) for as long as its
+	// version is published; next is the buffer Publish builds the new list in.
+	last, next []held
+	slots      []*event.IntegratedStory
+	free       []int32
 
 	// livePosts/stalePosts track posting population for sweep pacing.
 	livePosts  int
@@ -121,19 +127,21 @@ func New(opts Options) *Index {
 		opts:        opts,
 		bucketWidth: opts.TimelineBucket,
 		stories:     make(map[event.StoryID]*storyEntry),
-		ents:        make(map[uint32][]cpost),
-		terms:       make(map[uint32][]wpost),
+		ents:        make(map[uint32][]post),
+		terms:       make(map[uint32][]post),
 		timelines:   make(map[uint32]*timeline),
 		stopCh:      make(chan struct{}),
 	}
 }
 
-// Publish applies one alignment result to the index as a delta. Member
-// stories are diffed against the entry table by Story.Gen: unchanged
-// generations only refresh their integrated-story position; changed or
-// new stories rebuild their postings from the flat vocab vectors
-// (EntityFreq, Centroid, snippet EntityIDs); stories absent from the
-// result are tombstoned. Implements Writer.
+// Publish applies one alignment result to the index as a delta
+// (implements stream.ResultSink). One merge walk by ascending ID pairs
+// the result's integrated stories with the last publish's. A kept version
+// costs nothing. A new version takes a slot, and each member moves there
+// (same Story.Gen) or rebuilds its postings from the flat vocab vectors
+// (EntityFreq, Centroid, snippet EntityIDs). Gone and renewed stories
+// then free their slots and tombstone the members no new version claimed:
+// those still pointing at the old slot.
 func (x *Index) Publish(res *align.Result) {
 	if res == nil {
 		return
@@ -145,45 +153,61 @@ func (x *Index) Publish(res *align.Result) {
 	x.epoch++
 	metPublishes.Inc()
 
-	seen := make(map[event.StoryID]struct{}, len(x.stories))
-	var updated, skipped uint64
-	for pos, is := range res.Integrated {
+	var updated, skipped, removed uint64
+	next, i := x.next[:0], 0
+	for _, is := range res.Integrated {
+		for ; i < len(x.last) && x.last[i].is.ID < is.ID; i++ {
+			x.slots[x.last[i].slot] = nil // gone
+		}
+		if i < len(x.last) && x.last[i].is.ID == is.ID {
+			old := x.last[i]
+			i++
+			if old.is.Version == is.Version {
+				next = append(next, old)
+				skipped += uint64(len(is.Members))
+				continue
+			}
+			x.slots[old.slot] = nil // renewed
+		}
+		slot := x.takeSlot(is)
+		next = append(next, held{is: is, slot: slot})
 		for _, m := range is.Members {
-			seen[m.ID] = struct{}{}
 			e := x.stories[m.ID]
-			switch {
-			case e != nil && e.gen == m.Gen():
-				e.pos = int32(pos)
+			if e != nil && e.gen == m.Gen() {
+				e.slot = slot
 				skipped++
-			case e != nil:
+				continue
+			}
+			if e == nil {
+				e = &storyEntry{}
+				x.stories[m.ID] = e
+			} else {
 				// Changed: the generation bump below invalidates every
 				// posting written for the old generation.
 				x.stalePosts += int(e.npost)
 				x.livePosts -= int(e.npost)
-				e.gen = m.Gen()
-				e.pos = int32(pos)
-				e.npost = x.addPostings(m)
-				updated++
-			default:
-				x.stories[m.ID] = &storyEntry{
-					gen:   m.Gen(),
-					pos:   int32(pos),
-					npost: x.addPostings(m),
-				}
-				updated++
+			}
+			e.gen, e.slot, e.npost = m.Gen(), slot, x.addPostings(m)
+			updated++
+		}
+	}
+	for j, old := range x.last {
+		if j < i && x.slots[old.slot] != nil {
+			continue // kept
+		}
+		for _, m := range old.is.Members {
+			if e := x.stories[m.ID]; e != nil && e.slot == old.slot {
+				x.stalePosts += int(e.npost)
+				x.livePosts -= int(e.npost)
+				delete(x.stories, m.ID)
+				removed++
 			}
 		}
+		x.slots[old.slot] = nil
+		x.free = append(x.free, old.slot)
 	}
-	var removed uint64
-	for id, e := range x.stories {
-		if _, ok := seen[id]; !ok {
-			x.stalePosts += int(e.npost)
-			x.livePosts -= int(e.npost)
-			delete(x.stories, id)
-			removed++
-		}
-	}
-	x.integrated = res.Integrated
+	clear(x.last) // the spare buffer must not pin old versions
+	x.last, x.next = next, x.last[:0]
 	x.finishTimelines()
 	if x.shouldSweepLocked() {
 		x.sweepLocked()
@@ -197,6 +221,19 @@ func (x *Index) Publish(res *align.Result) {
 	metStaleGauge.Set(int64(x.stalePosts))
 }
 
+// takeSlot puts is in a free slot, or a new one, and returns it. Slots
+// the publish in progress frees are not free until after its walk.
+func (x *Index) takeSlot(is *event.IntegratedStory) int32 {
+	if n := len(x.free); n > 0 {
+		s := x.free[n-1]
+		x.free = x.free[:n-1]
+		x.slots[s] = is
+		return s
+	}
+	x.slots = append(x.slots, is)
+	return int32(len(x.slots) - 1)
+}
+
 // addPostings writes the story's postings under the given entry
 // generation and returns how many were written. Reads only the flat
 // interned vectors — never the map-form aggregates.
@@ -204,11 +241,11 @@ func (x *Index) addPostings(st *event.Story) int32 {
 	gen := st.Gen()
 	n := 0
 	for _, ec := range st.EntityFreq {
-		x.ents[ec.ID] = append(x.ents[ec.ID], cpost{story: st.ID, gen: gen, n: ec.N})
+		x.ents[ec.ID] = append(x.ents[ec.ID], post{story: st.ID, gen: gen, w: float64(ec.N)})
 		n++
 	}
 	for _, tw := range st.Centroid {
-		x.terms[tw.ID] = append(x.terms[tw.ID], wpost{story: st.ID, gen: gen, w: tw.W})
+		x.terms[tw.ID] = append(x.terms[tw.ID], post{story: st.ID, gen: gen, w: tw.W})
 		n++
 	}
 	n += x.addTimelinePosts(st, gen)
@@ -250,7 +287,7 @@ func (x *Index) Stats() Stats {
 		Stories:       len(x.stories),
 		LivePostings:  x.livePosts,
 		StalePostings: x.stalePosts,
-		Integrated:    len(x.integrated),
+		Integrated:    len(x.last),
 	}
 }
 
@@ -284,37 +321,7 @@ func (x *Index) sweepLocked() {
 	span := metSweepLat.Start()
 	defer span.End()
 	metSweeps.Inc()
-	var swept uint64
-	for id, list := range x.ents {
-		w := 0
-		for _, p := range list {
-			if _, ok := x.live(p.story, p.gen); ok {
-				list[w] = p
-				w++
-			}
-		}
-		swept += uint64(len(list) - w)
-		if w == 0 {
-			delete(x.ents, id)
-		} else {
-			x.ents[id] = list[:w]
-		}
-	}
-	for id, list := range x.terms {
-		w := 0
-		for _, p := range list {
-			if _, ok := x.live(p.story, p.gen); ok {
-				list[w] = p
-				w++
-			}
-		}
-		swept += uint64(len(list) - w)
-		if w == 0 {
-			delete(x.terms, id)
-		} else {
-			x.terms[id] = list[:w]
-		}
-	}
+	swept := x.sweepPosts(x.ents) + x.sweepPosts(x.terms)
 	for eid, tl := range x.timelines {
 		keys := tl.keys[:0]
 		for _, key := range tl.keys {
@@ -343,6 +350,27 @@ func (x *Index) sweepLocked() {
 	metSweptPostings.Add(swept)
 	metStaleGauge.Set(0)
 	metLiveGauge.Set(int64(x.livePosts))
+}
+
+// sweepPosts compacts every list of an entity or term posting map and
+// returns how many postings it dropped.
+func (x *Index) sweepPosts(lists map[uint32][]post) (swept uint64) {
+	for id, list := range lists {
+		w := 0
+		for _, p := range list {
+			if _, ok := x.live(p.story, p.gen); ok {
+				list[w] = p
+				w++
+			}
+		}
+		swept += uint64(len(list) - w)
+		if w == 0 {
+			delete(lists, id)
+		} else {
+			lists[id] = list[:w]
+		}
+	}
+	return swept
 }
 
 // StartCompactor launches the background tombstone compactor: a

@@ -1,10 +1,12 @@
 package index_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/stream"
@@ -65,13 +67,18 @@ func (h *harness) seed() {
 	}
 }
 
-// TestPublishDelta verifies the Gen-diff protocol: republishing an
-// unchanged result costs no postings, mutating one story tombstones
-// exactly its old postings, and removing a source tombstones its
-// stories.
+// TestPublishDelta verifies the delta protocol: republishing an
+// unchanged result costs no postings and no allocations, mutating one
+// story tombstones exactly its old postings, and removing a source
+// tombstones its stories.
 func TestPublishDelta(t *testing.T) {
 	h := newHarness(t, index.Options{})
 	h.seed()
+	// Unrelated one-snippet stories, enough that a map sized by the
+	// corpus would not fit on the stack.
+	for i := 0; i < 16; i++ {
+		h.add("nyt", 10*i, []event.Entity{event.Entity(fmt.Sprintf("TOPIC%d", i))}, fmt.Sprintf("topic%d", i))
+	}
 	h.eng.Result() // publish
 	s0 := h.idx.Stats()
 	if s0.Stories == 0 || s0.LivePostings == 0 || s0.Integrated == 0 {
@@ -82,14 +89,23 @@ func TestPublishDelta(t *testing.T) {
 	}
 	epoch := h.idx.Epoch()
 
-	// Re-align with nothing changed: every story has an unchanged Gen,
-	// so the publish is a pure position refresh.
+	// Re-align with nothing changed: every integrated story keeps its
+	// version, so the publish touches nothing.
 	h.eng.Align()
 	if got := h.idx.Epoch(); got != epoch+1 {
 		t.Fatalf("epoch = %d, want %d", got, epoch+1)
 	}
 	if s := h.idx.Stats(); s != s0 {
 		t.Fatalf("no-op publish changed stats: %+v -> %+v", s0, s)
+	}
+	// Republishing the same result meets every version as it was: the
+	// walk reuses its buffers and allocates nothing.
+	res := h.eng.Result()
+	if allocs := testing.AllocsPerRun(20, func() { h.idx.Publish(res) }); allocs != 0 {
+		t.Fatalf("republishing an unchanged result: %v allocs, want 0", allocs)
+	}
+	if s := h.idx.Stats(); s != s0 {
+		t.Fatalf("republishing changed stats: %+v -> %+v", s0, s)
 	}
 
 	// Mutate one story: its entry's generation moves on, tombstoning the
@@ -133,6 +149,51 @@ func TestPublishDelta(t *testing.T) {
 	h.idx.Publish(nil)
 	if h.idx.Epoch() != before {
 		t.Fatal("Publish(nil) bumped the epoch")
+	}
+}
+
+// tieStory builds a one-snippet story mentioning MAL and "crash", so any
+// two of them score the same on both queries.
+func tieStory(id event.StoryID, src event.SourceID, sn event.SnippetID) *event.Story {
+	st := event.NewStory(id, src)
+	s := &event.Snippet{
+		ID:        sn,
+		Source:    src,
+		Timestamp: time.Date(2014, 7, 17, int(sn), 0, 0, 0, time.UTC),
+		Entities:  []event.Entity{"MAL"},
+		Terms:     []event.Term{{Token: "crash", Weight: 1}},
+	}
+	s.Normalize()
+	st.Add(s)
+	return st
+}
+
+// TestTiesRankByIntegratedID publishes two integrated stories that tie on
+// score, where the lower ID takes the later slot: it is published after
+// the higher one, whose version is kept. Both ranked queries must order
+// them by ascending ID, paged or not.
+func TestTiesRankByIntegratedID(t *testing.T) {
+	idx := index.New(index.Options{})
+	high := event.NewIntegratedStory(5, []*event.Story{tieStory(5, "nyt", 1)})
+	high.Version = 1
+	low := event.NewIntegratedStory(3, []*event.Story{tieStory(3, "wsj", 2)})
+	low.Version = 2
+	idx.Publish(&align.Result{Integrated: []*event.IntegratedStory{high}})
+	idx.Publish(&align.Result{Integrated: []*event.IntegratedStory{low, high}})
+
+	for _, tc := range []struct {
+		name string
+		run  func(limit int) []*event.IntegratedStory
+	}{
+		{"Search", func(limit int) []*event.IntegratedStory { got, _ := idx.Search("crash", 0, limit); return got }},
+		{"StoriesByEntity", func(limit int) []*event.IntegratedStory { got, _ := idx.StoriesByEntity("MAL", 0, limit); return got }},
+	} {
+		if got := tc.run(-1); len(got) != 2 || got[0] != low || got[1] != high {
+			t.Errorf("%s: got %v, want integrated stories 3 then 5", tc.name, got)
+		}
+		if got := tc.run(1); len(got) != 1 || got[0] != low {
+			t.Errorf("%s top 1: got %v, want integrated story 3", tc.name, got)
+		}
 	}
 }
 

@@ -14,34 +14,27 @@ import (
 // moves on — and the stale entries are physically removed later by the
 // compactor (see sweepLocked). Readers only ever skip them.
 
-// cpost is one entity posting: the story mentions the entity in n
-// snippets.
-type cpost struct {
-	story event.StoryID
-	gen   uint64
-	n     int32
-}
-
-// wpost is one term posting: the story's centroid carries weight w for
-// the term.
-type wpost struct {
+// post is one ranked posting: the story scores w for the symbol — for an
+// entity the number of snippets mentioning it, for a term its centroid
+// weight.
+type post struct {
 	story event.StoryID
 	gen   uint64
 	w     float64
 }
 
-// hit is one scored integrated story during query ranking. pos indexes
-// the published integrated slice; integrated IDs ascend with position,
-// so ordering by pos equals ordering by IntegratedID.
+// hit is one scored integrated story during query ranking: its slot in
+// the index's slot table and its ID, the tie-break key.
 type hit struct {
-	pos   int32
+	id    event.IntegratedID
+	slot  int32
 	score float64
 }
 
 // accum is the per-query scratch: a dense score accumulator over
-// integrated-story positions plus the list of touched positions (so
-// reset cost is proportional to the result, not the corpus) and a
-// reusable hits buffer. Pooled so steady-state queries do not allocate.
+// integrated-story slots plus the list of touched slots (so reset cost
+// is proportional to the result, not the corpus) and a reusable hits
+// buffer. Pooled so steady-state queries do not allocate.
 type accum struct {
 	score   []float64
 	touched []int32
@@ -60,41 +53,40 @@ func getAccum(n int) *accum {
 }
 
 func putAccum(a *accum) {
-	for _, pos := range a.touched {
-		a.score[pos] = 0
+	for _, slot := range a.touched {
+		a.score[slot] = 0
 	}
 	a.touched = a.touched[:0]
 	a.hits = a.hits[:0]
 	accumPool.Put(a)
 }
 
-// add accumulates delta into position pos, tracking first touches.
-func (a *accum) add(pos int32, delta float64) {
-	if a.score[pos] == 0 {
-		a.touched = append(a.touched, pos)
+// add accumulates delta into slot, tracking first touches.
+func (a *accum) add(slot int32, delta float64) {
+	if a.score[slot] == 0 {
+		a.touched = append(a.touched, slot)
 	}
-	a.score[pos] += delta
+	a.score[slot] += delta
 }
 
-// collectHits materialises the touched positions with positive scores
-// into the hits buffer.
-func (a *accum) collectHits() []hit {
-	for _, pos := range a.touched {
-		if s := a.score[pos]; s > 0 {
-			a.hits = append(a.hits, hit{pos: pos, score: s})
+// collectHits materialises the touched slots with positive scores into
+// the hits buffer.
+func (a *accum) collectHits(slots []*event.IntegratedStory) []hit {
+	for _, slot := range a.touched {
+		if s := a.score[slot]; s > 0 {
+			a.hits = append(a.hits, hit{id: slots[slot].ID, slot: slot, score: s})
 		}
 	}
 	return a.hits
 }
 
 // better reports whether x ranks strictly before y: higher score first,
-// ties by ascending position (== ascending IntegratedID, matching the
-// legacy scan path's tie-break).
+// ties by ascending IntegratedID (the scan path's tie-break).
 func better(x, y hit) bool {
 	if x.score != y.score {
 		return x.score > y.score
 	}
-	return x.pos < y.pos
+	return x.id < y.id
 }
 
 // rankHits orders hits so that the first min(k, len) entries are the

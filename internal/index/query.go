@@ -48,7 +48,7 @@ func (x *Index) searchOpt(query string, offset, limit int, withScores bool) ([]*
 	metQueries.Inc()
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	a := getAccum(len(x.integrated))
+	a := getAccum(len(x.slots))
 	defer putAccum(a)
 	for _, tok := range toks {
 		tid, ok := vocab.Terms.Lookup(tok)
@@ -57,7 +57,7 @@ func (x *Index) searchOpt(query string, offset, limit int, withScores bool) ([]*
 		}
 		for _, p := range x.terms[tid] {
 			if e, ok := x.live(p.story, p.gen); ok {
-				a.add(e.pos, p.w)
+				a.add(e.slot, p.w)
 			}
 		}
 	}
@@ -87,11 +87,11 @@ func (x *Index) entityOpt(ent event.Entity, offset, limit int, withScores bool) 
 	if !ok {
 		return emptyStories, emptyScores, 0
 	}
-	a := getAccum(len(x.integrated))
+	a := getAccum(len(x.slots))
 	defer putAccum(a)
 	for _, p := range x.ents[eid] {
 		if e, ok := x.live(p.story, p.gen); ok {
-			a.add(e.pos, float64(p.n))
+			a.add(e.slot, p.w)
 		}
 	}
 	return x.pageHits(a, offset, limit, withScores)
@@ -101,7 +101,7 @@ func (x *Index) entityOpt(ent event.Entity, offset, limit int, withScores bool) 
 // page, optionally with the parallel score slice. Caller holds the read
 // lock.
 func (x *Index) pageHits(a *accum, offset, limit int, withScores bool) ([]*event.IntegratedStory, []float64, int) {
-	hits := a.collectHits()
+	hits := a.collectHits(x.slots)
 	total := len(hits)
 	k := -1
 	if limit >= 0 {
@@ -121,7 +121,7 @@ func (x *Index) pageHits(a *accum, offset, limit int, withScores bool) ([]*event
 		scores = make([]float64, hi-lo)
 	}
 	for i := lo; i < hi; i++ {
-		out[i-lo] = x.integrated[ranked[i].pos]
+		out[i-lo] = x.slots[ranked[i].slot]
 		if withScores {
 			scores[i-lo] = ranked[i].score
 		}
@@ -145,47 +145,22 @@ func (x *Index) Timeline(ent event.Entity, offset, limit int) ([]*event.Snippet,
 	if tl == nil {
 		return emptySnippets, 0
 	}
+	lo := max(offset, 0)
 	if limit < 0 {
-		// Unbounded page: count the live postings first so the result
-		// slice is allocated exactly once at its final size, then fill.
-		total := 0
+		// Unbounded page: count the live postings first, so the page
+		// below is allocated once at its final size.
+		limit = -lo
 		for _, key := range tl.keys {
 			for _, p := range tl.buckets[key].posts {
 				if _, ok := x.live(p.story, p.gen); ok {
-					total++
+					limit++
 				}
 			}
 		}
-		lo, hi := pageBounds(total, offset, limit)
-		if hi == lo {
-			return emptySnippets, total
-		}
-		out := make([]*event.Snippet, 0, hi-lo)
-		i := 0
-		for _, key := range tl.keys {
-			for _, p := range tl.buckets[key].posts {
-				if _, ok := x.live(p.story, p.gen); !ok {
-					continue
-				}
-				if i >= lo {
-					out = append(out, p.sn)
-					if len(out) == hi-lo {
-						return out, total
-					}
-				}
-				i++
-			}
-		}
-		return out, total
 	}
-	// Bounded page: a single walk both counts the live postings and
-	// fills the window, so liveness resolves once per posting instead of
-	// twice. The page slice is allocated lazily at cap limit — empty
-	// pages (offset past the end, limit 0) stay allocation-free.
-	lo := offset
-	if lo < 0 {
-		lo = 0
-	}
+	// One walk both counts the live postings and fills the window. The
+	// page slice is allocated lazily at cap limit — empty pages (offset
+	// past the end, limit 0) stay allocation-free.
 	var out []*event.Snippet
 	total := 0
 	for _, key := range tl.keys {

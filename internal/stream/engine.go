@@ -52,11 +52,11 @@ func DefaultOptions() Options {
 }
 
 // ResultSink consumes every freshly computed alignment result. The
-// query-serving index (internal/index, via its Writer interface)
-// implements it; the engine publishes synchronously from every
-// alignment pass — ingest-triggered, auto-align, explicit Align, and
-// post-refinement re-alignment — so a sink always reflects the result
-// the engine would hand to readers.
+// query-serving index (internal/index) and the cache invalidator
+// (internal/qcache) implement it; the engine publishes synchronously
+// from every alignment pass — ingest-triggered, auto-align, explicit
+// Align, and post-refinement re-alignment — so a sink always reflects
+// the result the engine would hand to readers.
 type ResultSink interface {
 	Publish(res *align.Result)
 }
@@ -657,9 +657,9 @@ func (e *Engine) alignLocked() *align.Result {
 		}
 	}
 	// Only the final result of the pass is published. Each sink compares
-	// it with the last one it saw (the index by member Story.Gen, the
-	// cache invalidator by IntegratedStory.Version), so the results
-	// computed in between need no record.
+	// it with the last one it saw by IntegratedStory.Version (the index
+	// and the cache invalidator alike), so the results computed in
+	// between need no record.
 	for _, s := range e.sinks {
 		s.Publish(e.result)
 	}

@@ -15,11 +15,9 @@ import (
 // the score accumulator, and the ranking heap are all allocation-free.
 // The legacy scan path materialises per-story entity/centroid maps and
 // re-sorts the corpus per query, so it cannot meet these bounds — the
-// pins are what keep the indexed path honest.
+// pins are what keep the indexed path honest. sync.Pool bypasses its
+// caches under the race detector, so there the queries run unpinned.
 func TestQuerySteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool bypasses its caches under the race detector; the pins hold only in normal builds")
-	}
 	corpus := datagen.Generate(experiments.CorpusScale(2000, 5, 17))
 	p, err := New()
 	if err != nil {
@@ -60,7 +58,7 @@ func TestQuerySteadyStateAllocs(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(100, tc.run)
 			t.Logf("%s: %v allocs/op", tc.name, allocs)
-			if allocs > tc.max {
+			if allocs > tc.max && !raceEnabled {
 				t.Errorf("%s: %v allocs/op, want <= %v", tc.name, allocs, tc.max)
 			}
 		})

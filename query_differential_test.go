@@ -2,6 +2,7 @@ package storypivot
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -120,16 +121,17 @@ func panelQueries(c *datagen.Corpus, n int) []string {
 }
 
 // comparePanel runs every panel query through both paths and requires
-// identical ranked ID sequences and totals.
+// identical totals and ranked sequences. Integrated stories compare by
+// pointer, not by ID: a stale version served under its ID is a mismatch.
 func comparePanel(t *testing.T, p *Pipeline, entities []Entity, queries []string, at string) {
 	t.Helper()
 	p.Result() // settle alignment once so both paths see the same state
 	for _, e := range entities {
-		want := storyIDs(p.scanStoriesByEntity(e))
+		want := p.scanStoriesByEntity(e)
 		got, total := p.StoriesByEntityN(e, 0, -1)
-		if total != len(want) || fmt.Sprint(storyIDs(got)) != fmt.Sprint(want) {
-			t.Fatalf("%s: StoriesByEntity(%s):\nindexed (total %d): %v\nscan: %v",
-				at, e, total, storyIDs(got), want)
+		if total != len(want) || !slices.Equal(got, want) {
+			t.Fatalf("%s: StoriesByEntity(%s), compared by pointer:\nindexed (total %d): %v\nscan: %v",
+				at, e, total, storyIDs(got), storyIDs(want))
 		}
 		wantTL := snippetIDs(p.scanTimeline(e))
 		gotTL, tlTotal := p.TimelineN(e, 0, -1)
@@ -139,11 +141,11 @@ func comparePanel(t *testing.T, p *Pipeline, entities []Entity, queries []string
 		}
 	}
 	for _, q := range queries {
-		want := storyIDs(p.scanSearch(q))
+		want := p.scanSearch(q)
 		got, total := p.SearchN(q, 0, -1)
-		if total != len(want) || fmt.Sprint(storyIDs(got)) != fmt.Sprint(want) {
-			t.Fatalf("%s: Search(%q):\nindexed (total %d): %v\nscan: %v",
-				at, q, total, storyIDs(got), want)
+		if total != len(want) || !slices.Equal(got, want) {
+			t.Fatalf("%s: Search(%q), compared by pointer:\nindexed (total %d): %v\nscan: %v",
+				at, q, total, storyIDs(got), storyIDs(want))
 		}
 	}
 }

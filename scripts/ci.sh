@@ -109,6 +109,16 @@ gate "cache coherence + quota" \
   TestCacheCoherenceDifferential TestHTTPCacheCoherence TestSinkMatchesFingerprintOracle TestCacheQuotaIngestRace \
   TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
 
+# Query-index gate: indexed queries must return the scan oracle's
+# integrated stories, pointer for pointer, across seeds with refinement on
+# and a mid-stream source removal; the index's version walk must keep the
+# per-member Gen diff's entries, slots, stats and counters after every
+# publish; queries must survive ingest and sweeps under the race detector.
+# The allocation pins hold in the plain test step; here the queries run.
+gate "query index" \
+  TestQueryDifferential TestQueryIngestRace TestQuerySteadyStateAllocs TestPublishMatchesGenDiff \
+  internal/index/
+
 # Cluster gate: the scatter-gather layer must prove, under the race
 # detector, that the merge agrees with a full sort, the ring is
 # deterministic/balanced/pinnable, a sharded deployment answers
