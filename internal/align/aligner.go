@@ -410,6 +410,15 @@ func (a *Aligner) Remove(id event.StoryID) {
 	}
 }
 
+// RemoveSource removes every story of source src.
+func (a *Aligner) RemoveSource(src event.SourceID) {
+	for _, id := range slices.Clone(a.order) {
+		if a.stories[id].Source == src {
+			a.Remove(id)
+		}
+	}
+}
+
 // dropID swap-removes the first occurrence of id from list.
 func dropID(list []event.StoryID, id event.StoryID) []event.StoryID {
 	for i, x := range list {
@@ -581,8 +590,8 @@ func (a *Aligner) mutual(x, y event.StoryID) bool {
 // entity weighting the global statistics do shift — the documented
 // equivalence caveat, same as sharding; see DESIGN.md.)
 //
-// Sets and their members are returned in deterministic insertion order.
-func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time.Duration) [][]event.StoryID {
+// Sets of held snapshots are returned in deterministic insertion order.
+func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time.Duration) [][]*event.Story {
 	if len(a.stories) == 0 {
 		return nil
 	}
@@ -639,7 +648,7 @@ func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time
 			parent[find(id)] = find(o)
 		}
 	}
-	members := make(map[event.StoryID][]event.StoryID, len(a.stories))
+	members := make(map[event.StoryID][]*event.Story, len(a.stories))
 	retirable := make(map[event.StoryID]bool, len(a.stories))
 	var rootOrder []event.StoryID
 	for _, id := range a.order {
@@ -649,7 +658,7 @@ func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time
 			rootOrder = append(rootOrder, r)
 			retirable[r] = true
 		}
-		members[r] = append(members[r], id)
+		members[r] = append(members[r], st)
 		if !coldSet[id] {
 			retirable[r] = false
 			continue
@@ -661,7 +670,7 @@ func (a *Aligner) RetirableSets(cold func(*event.Story) bool, sameSourcePad time
 			retirable[r] = false
 		}
 	}
-	var out [][]event.StoryID
+	var out [][]*event.Story
 	for _, r := range rootOrder {
 		if retirable[r] {
 			out = append(out, members[r])

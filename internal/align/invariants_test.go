@@ -218,7 +218,7 @@ func checkAlignerStructure(a *Aligner, live map[event.StoryID]*event.Story) erro
 	pivot := ends[len(ends)/2]
 	cold := func(st *event.Story) bool { return st.End.Before(pivot) }
 	for _, pad := range []time.Duration{-1, 48 * time.Hour} {
-		var ref [][]event.StoryID
+		var ref [][]*event.Story
 		done := map[event.StoryID]bool{}
 		for _, root := range a.order {
 			if live[root] == nil || done[root] {
@@ -241,14 +241,14 @@ func checkAlignerStructure(a *Aligner, live map[event.StoryID]*event.Story) erro
 				}
 			}
 			retirable := true
-			var members []event.StoryID
+			var members []*event.Story
 			for _, id := range a.order {
 				if !set[id] || done[id] && id != root {
 					continue
 				}
 				done[id] = true
-				members = append(members, id)
 				st := live[id]
+				members = append(members, st)
 				retirable = retirable && cold(st)
 				for _, w := range live {
 					if pad >= 0 && w.Source == st.Source && !cold(w) && !st.End.Add(pad).Before(w.Start) {

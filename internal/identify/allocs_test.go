@@ -71,4 +71,18 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("steady-state Process: %v allocs/op, want 0", allocs)
 	}
+
+	// The stream engine drains the record after every few Process calls;
+	// the record and Drain's result buffer are reused.
+	drainCycle := func() {
+		cycle()
+		if drained := id.Drain(); len(drained) != 1 {
+			t.Fatalf("Drain after one attach = %v, want the one story", drained)
+		}
+	}
+	id.Drain() // the warm-up's stories
+	drainCycle()
+	if allocs := testing.AllocsPerRun(100, drainCycle); allocs != 0 {
+		t.Errorf("steady-state Process+Drain: %v allocs/op, want 0", allocs)
+	}
 }

@@ -2,6 +2,7 @@ package identify
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -69,6 +70,11 @@ type Identifier struct {
 	sigScratch sketch.Signature
 	lshScratch []uint64
 
+	// touched records every story created, mutated or dropped since the
+	// last Drain; drained is Drain's reused result buffer.
+	touched map[event.StoryID]struct{}
+	drained []event.StoryID
+
 	sinceRepair int
 	stats       Stats
 }
@@ -86,6 +92,7 @@ func New(source event.SourceID, cfg Config, alloc *IDAlloc) *Identifier {
 		stories:  make(map[event.StoryID]*event.Story),
 		assign:   make(map[event.SnippetID]event.StoryID),
 		winCache: make(map[event.StoryID]*windowAggregate),
+		touched:  make(map[event.StoryID]struct{}),
 	}
 	if cfg.UseEntityIDF {
 		id.ew = id.entityWeightID
@@ -160,6 +167,7 @@ func (id *Identifier) Process(s *event.Snippet) event.StoryID {
 		target = st.ID
 	}
 	id.assign[s.ID] = target
+	id.touch(target)
 	metProcessed.Inc()
 	metComparisons.Add(uint64(id.stats.Comparisons - startComparisons))
 	span.End()
@@ -172,6 +180,30 @@ func (id *Identifier) Process(s *event.Snippet) event.StoryID {
 	}
 	return target
 }
+
+// touch records stories for the next Drain.
+func (id *Identifier) touch(sids ...event.StoryID) {
+	for _, sid := range sids {
+		id.touched[sid] = struct{}{}
+	}
+}
+
+// Drain returns the ID of every story created, mutated or dropped since
+// the last Drain, in ascending order, and clears the record. The slice is
+// reused: it is valid until the next Drain.
+func (id *Identifier) Drain() []event.StoryID {
+	out := id.drained[:0]
+	for sid := range id.touched {
+		out = append(out, sid)
+	}
+	clear(id.touched)
+	slices.Sort(out)
+	id.drained = out
+	return out
+}
+
+// Pending returns how many stories the next Drain would return.
+func (id *Identifier) Pending() int { return len(id.touched) }
 
 // candidates returns the stories worth scoring for snippet s, per the
 // configured mode (Figure 2) and sketch-index setting.
@@ -416,6 +448,7 @@ func (id *Identifier) Move(snID event.SnippetID, to event.StoryID) bool {
 	from.Remove(snID)
 	target.Add(moved)
 	id.assign[snID] = to
+	id.touch(fromID, to)
 	id.reindexStory(from)
 	id.reindexStory(target)
 	if from.Len() == 0 {
@@ -439,6 +472,7 @@ func (id *Identifier) Detach(sid event.StoryID) *event.Story {
 		return nil
 	}
 	id.dropStory(sid)
+	id.touch(sid)
 	return st
 }
 
@@ -457,11 +491,16 @@ func (id *Identifier) Adopt(st *event.Story) {
 		return
 	}
 	id.stories[st.ID] = st
-	id.order = append(id.order, st.ID)
+	// Detach leaves the ID in order until dropStory compacts it; a second
+	// entry would list the story twice.
+	if !slices.Contains(id.order, st.ID) {
+		id.order = append(id.order, st.ID)
+	}
 	for _, sn := range st.Snippets {
 		id.assign[sn.ID] = st.ID
 	}
 	id.indexStory(st)
+	id.touch(st.ID)
 }
 
 // sketch maintenance --------------------------------------------------------

@@ -79,9 +79,11 @@ func (id *Identifier) repairSplits() {
 			id.stories[ns.ID] = ns
 			id.order = append(id.order, ns.ID)
 			id.indexStory(ns)
+			id.touch(ns.ID)
 			id.stats.Splits++
 		}
 		id.reindexStory(st)
+		id.touch(sid)
 	}
 }
 
@@ -189,6 +191,7 @@ func (id *Identifier) repairMerges() {
 			absorbed[small.ID] = true
 			id.dropStory(small.ID)
 			id.reindexStory(big)
+			id.touch(big.ID, small.ID)
 			id.stats.Merges++
 			if big == b { // a was absorbed; stop extending it
 				break

@@ -34,7 +34,8 @@ func (a *IDAlloc) Bump(n uint64) {
 // similarity search of reprocessing.
 //
 // Snippets not present in the assignment are rejected (the checkpoint is
-// stale); callers should fall back to reprocessing in that case.
+// stale); callers should fall back to reprocessing in that case. Every
+// rebuilt story starts recorded for the first Drain.
 //
 // Under story retirement, snippets assigned to an archived story are
 // accounted for — assignment entry, processed count, entity IDF
@@ -75,6 +76,7 @@ func RestoreWithArchived(source event.SourceID, cfg Config, alloc *IDAlloc,
 			st = event.NewStory(sid, source)
 			id.stories[sid] = st
 			id.order = append(id.order, sid)
+			id.touch(sid)
 		}
 		st.Add(sn) // interns sn as a side effect
 		id.assign[sn.ID] = sid

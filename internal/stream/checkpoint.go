@@ -160,10 +160,7 @@ func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoi
 			}
 		}
 		e.shards[src] = sh
-		for _, st := range id.Stories() {
-			e.dirty[st.ID] = true
-			e.storyOwner[st.ID] = src
-		}
+		e.dirty[src] = id.Pending()
 		for _, sn := range bySource[src] {
 			e.ingested++
 			for _, ent := range sn.Entities {
@@ -179,6 +176,6 @@ func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoi
 	}
 	metRestoreOK.Inc()
 	metSourcesGauge.Set(int64(len(e.shards)))
-	metDirtyGauge.Set(int64(len(e.dirty)))
+	e.setDirtyGauge()
 	return e, nil
 }

@@ -2,14 +2,16 @@
 // identification and story alignment (paper §2.4): snippets arrive
 // continuously — and not necessarily in timestamp order — from a changing
 // set of data sources; the engine routes each snippet through its source's
-// incremental identifier, tracks which stories changed, and re-aligns only
-// the dirty stories, so users always see near-real-time integrated
-// stories.
+// incremental identifier, which records every story it creates, changes or
+// drops, and a settle re-aligns exactly those dirty stories, so users
+// always see near-real-time integrated stories.
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -159,10 +161,9 @@ type Engine struct {
 	// refiner runs every refinement pass. It keeps the last pass's plans,
 	// so a pass re-plans only what changed since.
 	refiner *align.Refiner
-	dirty   map[event.StoryID]bool
-	// storyOwner tracks which source produced a story so removals can
-	// clean the aligner.
-	storyOwner map[event.StoryID]event.SourceID
+	// dirty holds, per source whose identifier has recorded stories the
+	// aligner has not reconciled, how many it recorded (Pending).
+	dirty map[event.SourceID]int
 
 	sinceAlign int
 	ingested   uint64
@@ -196,15 +197,14 @@ func NewEngine(opts Options) *Engine {
 		panic(err) // precision 12 is statically valid
 	}
 	return &Engine{
-		opts:       opts,
-		shards:     make(map[event.SourceID]*shard),
-		allocs:     make(map[event.SourceID]*identify.IDAlloc),
-		tagOwner:   make(map[uint32]event.SourceID),
-		aligner:    align.NewAligner(opts.Align),
-		refiner:    align.NewRefiner(opts.Refine),
-		dirty:      make(map[event.StoryID]bool),
-		storyOwner: make(map[event.StoryID]event.SourceID),
-		entHLL:     hll,
+		opts:     opts,
+		shards:   make(map[event.SourceID]*shard),
+		allocs:   make(map[event.SourceID]*identify.IDAlloc),
+		tagOwner: make(map[uint32]event.SourceID),
+		aligner:  align.NewAligner(opts.Align),
+		refiner:  align.NewRefiner(opts.Refine),
+		dirty:    make(map[event.SourceID]int),
+		entHLL:   hll,
 	}
 }
 
@@ -326,15 +326,10 @@ func (e *Engine) RemoveSource(src event.SourceID) bool {
 	sh.mu.Lock()
 	sh.gone = true
 	sh.mu.Unlock()
-	for sid, owner := range e.storyOwner {
-		if owner == src {
-			e.aligner.Remove(sid)
-			delete(e.dirty, sid)
-			delete(e.storyOwner, sid)
-		}
-	}
+	e.aligner.RemoveSource(src)
+	delete(e.dirty, src)
 	e.result = nil
-	metDirtyGauge.Set(int64(len(e.dirty)))
+	e.setDirtyGauge()
 	if e.retirer != nil {
 		e.retirer.ForgetSource(src)
 	}
@@ -354,7 +349,7 @@ func (e *Engine) Sources() []event.SourceID {
 }
 
 // Ingest routes one snippet through its source's identifier and marks the
-// touched story dirty for the next alignment. Unknown sources are
+// source dirty for the next alignment. Unknown sources are
 // registered on first sight. Returns the per-source story the snippet
 // joined.
 //
@@ -406,19 +401,18 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 		sh.dedup.Add(key)
 	}
 	sid := sh.id.Process(s)
+	pending := sh.id.Pending()
 	sh.mu.Unlock()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.dirty[sid] = true
-	e.storyOwner[sid] = s.Source
 	for _, st := range reactivated {
-		e.dirty[st.ID] = true
-		e.storyOwner[st.ID] = st.Source
+		e.dirty[st.Source]++
 	}
+	e.dirty[s.Source] = pending
 	e.ingested++
 	metIngested.Inc()
-	metDirtyGauge.Set(int64(len(e.dirty)))
+	e.setDirtyGauge()
 	for _, ent := range s.Entities {
 		e.entHLL.Add(string(ent))
 	}
@@ -473,48 +467,17 @@ func (e *Engine) snapshotStories(src event.SourceID) []*event.Story {
 	return out
 }
 
-// changedStories enumerates one source's live stories under the shard
-// lock: it returns their IDs, and snapshots of only those the aligner
-// does not already hold at their current Gen. ok is false when the
-// source is gone. Called with e.mu held: it reads the aligner.
-func (e *Engine) changedStories(src event.SourceID) (live map[event.StoryID]bool, changed []*event.Story, ok bool) {
-	sh := e.lookupShard(src)
+// changedSince reports whether the live story behind a snapshot the
+// aligner holds has changed or gone since.
+func (e *Engine) changedSince(held *event.Story) bool {
+	sh := e.lookupShard(held.Source)
 	if sh == nil {
-		return nil, nil, false
+		return true
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.gone {
-		return nil, nil, false
-	}
-	stories := sh.id.Stories()
-	live = make(map[event.StoryID]bool, len(stories))
-	for _, st := range stories {
-		live[st.ID] = true
-		if !e.aligner.Holds(st.ID, st.Gen()) {
-			changed = append(changed, st.Snapshot())
-		}
-	}
-	return live, changed, true
-}
-
-// snapshotStory returns a snapshot of one story, or nil if it no longer
-// exists.
-func (e *Engine) snapshotStory(src event.SourceID, sid event.StoryID) *event.Story {
-	sh := e.lookupShard(src)
-	if sh == nil {
-		return nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.gone {
-		return nil
-	}
-	st := sh.id.Story(sid)
-	if st == nil {
-		return nil
-	}
-	return st.Snapshot()
+	live := sh.id.Story(held.ID)
+	return live == nil || live.Gen() != held.Gen()
 }
 
 // adoptStory re-homes a reactivated story into its source's identifier.
@@ -531,21 +494,82 @@ func (e *Engine) adoptStory(st *event.Story) {
 }
 
 // lockedMover applies refinement moves under the shard lock, so refine
-// passes stay correct while other sources keep ingesting.
-type lockedMover struct{ sh *shard }
+// passes stay correct while other sources keep ingesting, and marks the
+// source dirty (the settle running the refinement holds e.mu).
+type lockedMover struct {
+	e   *Engine
+	src event.SourceID
+	sh  *shard
+}
 
 func (m lockedMover) Move(snID event.SnippetID, to event.StoryID) bool {
 	m.sh.mu.Lock()
 	defer m.sh.mu.Unlock()
-	if m.sh.gone {
+	if m.sh.gone || !m.sh.id.Move(snID, to) {
 		return false
 	}
-	return m.sh.id.Move(snID, to)
+	m.e.dirty[m.src] = m.sh.id.Pending()
+	return true
+}
+
+// setDirtyGauge publishes how many stories await the next reconcile.
+func (e *Engine) setDirtyGauge() {
+	n := 0
+	for _, c := range e.dirty {
+		n += c
+	}
+	metDirtyGauge.Set(int64(n))
+}
+
+// reconcile brings the aligner up to date with the identifiers. Under its
+// shard lock, each dirty source's identifier names every story it created,
+// mutated or dropped since the last reconcile (Identifier.Drain). A gone
+// story is upserted empty, which removes it; a live one is upserted as a
+// snapshot (shards keep mutating their stories while alignment runs)
+// unless the aligner holds it at its Gen, which is exact because every
+// score reads the aligner's frozen statistics epoch (DESIGN.md §3.2).
+//
+// Sources go in sorted order, IDs ascending, so new stories join the
+// aligner's insertion order the same way on every run; with byID (after
+// refinement), IDs ascend across sources. The order changes no edge, only
+// whether an Upsert scores a pair against a story the same reconcile
+// removes, which only the comparison counter sees: each phase keeps its
+// order so that counter stays comparable across changes. Called with e.mu
+// held, under which every registered shard is live.
+func (e *Engine) reconcile(byID bool) {
+	sources := make([]event.SourceID, 0, len(e.dirty))
+	for src := range e.dirty {
+		sources = append(sources, src)
+	}
+	slices.Sort(sources)
+	clear(e.dirty)
+	metDirtyGauge.Set(0)
+	var changed []*event.Story
+	for _, src := range sources {
+		sh := e.lookupShard(src)
+		if sh == nil {
+			continue // removed: RemoveSource took its stories out of the aligner
+		}
+		sh.mu.Lock()
+		for _, sid := range sh.id.Drain() {
+			if st := sh.id.Story(sid); st == nil {
+				changed = append(changed, event.NewStory(sid, src))
+			} else if !e.aligner.Holds(sid, st.Gen()) {
+				changed = append(changed, st.Snapshot())
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if byID {
+		slices.SortFunc(changed, func(a, b *event.Story) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	for _, st := range changed {
+		e.aligner.Upsert(st)
+	}
 }
 
 // Align re-aligns the dirty stories and returns the fresh integrated
-// result. Repair inside identifiers may have split/merged stories since
-// the last call; stories that vanished are removed from the aligner.
+// result.
 func (e *Engine) Align() *align.Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -556,93 +580,20 @@ func (e *Engine) alignLocked() *align.Result {
 	span := metAlignLat.Start()
 	defer span.End()
 	metAlignRuns.Inc()
-	defer func() { metDirtyGauge.Set(int64(len(e.dirty))) }()
-	// Reconcile: the dirty set names the sources that changed, but not
-	// every story that did — identifier repair merges and splits stories
-	// without reporting their IDs — so each touched source's live stories
-	// are walked under its shard lock. Only those whose Gen the aligner
-	// does not already hold are snapshotted and upserted: every score
-	// reads the aligner's frozen statistics epoch, so re-upserting an
-	// unchanged story would reproduce exactly the edges it has, and
-	// skipping it is exact. The aligner holds story *snapshots*, never
-	// live stories: concurrent shards keep mutating their stories while
-	// alignment runs, and the aligner must see a frozen, internally
-	// consistent view.
-	touchedSources := make(map[event.SourceID]bool)
-	for sid := range e.dirty {
-		if src, ok := e.storyOwner[sid]; ok {
-			touchedSources[src] = true
-		}
-	}
-	// Upsert in sorted order: scores do not depend on it, but new stories
-	// join the aligner's insertion order, which a map-ordered walk would
-	// make vary between runs.
-	sources := make([]event.SourceID, 0, len(touchedSources))
-	for src := range touchedSources {
-		sources = append(sources, src)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	for _, src := range sources {
-		live, changed, ok := e.changedStories(src)
-		if !ok {
-			// Source raced away (or was removed): drop its leftovers.
-			for sid, owner := range e.storyOwner {
-				if owner == src {
-					e.aligner.Remove(sid)
-					delete(e.storyOwner, sid)
-				}
-			}
-			continue
-		}
-		for _, st := range changed {
-			e.aligner.Upsert(st)
-			e.storyOwner[st.ID] = src
-		}
-		// Drop stories of this source that no longer exist.
-		for sid, owner := range e.storyOwner {
-			if owner == src && !live[sid] {
-				e.aligner.Remove(sid)
-				delete(e.storyOwner, sid)
-			}
-		}
-	}
-	e.dirty = make(map[event.StoryID]bool)
+	e.reconcile(false)
 	e.result = e.aligner.Result()
 
 	if e.opts.RefineOnAlign {
 		e.regMu.RLock()
 		movers := make(map[event.SourceID]align.Mover, len(e.shards))
 		for src, sh := range e.shards {
-			movers[src] = lockedMover{sh}
+			movers[src] = lockedMover{e, src, sh}
 		}
 		e.regMu.RUnlock()
 		if corr := e.refiner.Refine(e.result, movers); len(corr) > 0 {
 			metRefineMoves.Add(uint64(len(corr)))
-			// Moves changed story contents; refresh and re-align once.
-			for _, c := range corr {
-				e.dirty[c.From] = true
-				e.dirty[c.To] = true
-			}
-			moved := make([]event.StoryID, 0, len(e.dirty))
-			for sid := range e.dirty {
-				moved = append(moved, sid)
-			}
-			sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
-			for _, sid := range moved {
-				if src, ok := e.storyOwner[sid]; ok {
-					// Every story here took part in a move, which advanced
-					// its Gen, so the check skips nothing today; it keeps
-					// the settle's one rule: upsert only what the aligner
-					// does not hold.
-					if st := e.snapshotStory(src, sid); st == nil {
-						e.aligner.Remove(sid)
-						delete(e.storyOwner, sid)
-					} else if !e.aligner.Holds(sid, st.Gen()) {
-						e.aligner.Upsert(st)
-					}
-				}
-			}
-			e.dirty = make(map[event.StoryID]bool)
+			// Moves changed story contents; reconcile and re-align once.
+			e.reconcile(true)
 			e.result = e.aligner.Result()
 		}
 	}
@@ -651,7 +602,7 @@ func (e *Engine) alignLocked() *align.Result {
 	// recomputed once so the publish below already excludes them — the
 	// sinks (query index liveness, cache invalidation) see the eviction
 	// as stories gone from an ordinary result.
-	if e.retirer != nil && e.retirer.Due(len(e.storyOwner), e.lastTS) {
+	if e.retirer != nil && e.retirer.Due(e.aligner.Len(), e.lastTS) {
 		if e.retireLocked() > 0 {
 			e.result = e.aligner.Result()
 		}
@@ -669,9 +620,10 @@ func (e *Engine) alignLocked() *align.Result {
 // retireLocked runs one retirement walk under e.mu and returns how many
 // stories were retired. Per retirable set the protocol is:
 //
-//  1. snapshot every member under its shard lock, re-verifying coldness
-//     against the live story (any member that changed aborts the set);
-//  2. archive the snapshots durably (fsynced) — on error retirement
+//  1. verify under each member's shard lock that the live story still is
+//     the snapshot the aligner holds (any member that changed aborts the
+//     set);
+//  2. archive those snapshots durably (fsynced) — on error retirement
 //     stops for this pass, nothing was detached;
 //  3. detach each member, verifying under the shard lock that its Gen
 //     still equals the snapshot's — a story that raced new evidence
@@ -695,33 +647,17 @@ func (e *Engine) retireLocked() int {
 	sets := e.aligner.RetirableSets(cold, pad)
 	total := 0
 	for _, set := range sets {
-		snaps := make([]*event.Story, 0, len(set))
-		ok := true
-		for _, sid := range set {
-			src, owned := e.storyOwner[sid]
-			if !owned {
-				ok = false
-				break
-			}
-			st := e.snapshotStory(src, sid)
-			if st == nil || !e.retirer.Cold(sid, st.End, watermark) {
-				ok = false
-				break
-			}
-			snaps = append(snaps, st)
-		}
-		if !ok || len(snaps) == 0 {
+		if slices.ContainsFunc(set, e.changedSince) {
 			continue
 		}
-		ticket, err := e.retirer.Archive(snaps, watermark)
+		ticket, err := e.retirer.Archive(set, watermark)
 		if err != nil {
 			metRetireArchiveErrors.Inc()
 			break
 		}
-		retired := make([]event.StoryID, 0, len(snaps))
-		for _, snap := range snaps {
-			src := e.storyOwner[snap.ID]
-			sh := e.lookupShard(src)
+		retired := make([]event.StoryID, 0, len(set))
+		for _, snap := range set {
+			sh := e.lookupShard(snap.Source)
 			if sh == nil {
 				continue
 			}
@@ -734,8 +670,6 @@ func (e *Engine) retireLocked() int {
 			sh.id.Detach(snap.ID)
 			sh.mu.Unlock()
 			e.aligner.Remove(snap.ID)
-			delete(e.storyOwner, snap.ID)
-			delete(e.dirty, snap.ID)
 			retired = append(retired, snap.ID)
 		}
 		if len(retired) == 0 {

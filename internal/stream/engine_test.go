@@ -3,14 +3,18 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/event"
+	"repro/internal/retire"
 )
 
 func day(d int) time.Time { return time.Date(2014, 7, d, 0, 0, 0, 0, time.UTC) }
@@ -413,5 +417,100 @@ func TestEngineSoakBoundedState(t *testing.T) {
 	}
 	if splits+merges == 0 {
 		t.Fatal("no repair churn during soak")
+	}
+}
+
+// holdsCheck is a result sink that checks, at every publish, that the
+// aligner holds exactly the live stories of every registered source, each
+// at its current Gen.
+type holdsCheck struct {
+	t       *testing.T
+	e       *Engine
+	name    string
+	settles int
+}
+
+func (c *holdsCheck) Publish(*align.Result) {
+	c.settles++
+	live := 0
+	for _, src := range c.e.Sources() {
+		for _, st := range c.e.Identifier(src).Stories() {
+			live++
+			if !c.e.aligner.Holds(st.ID, st.Gen()) {
+				c.t.Fatalf("%s settle %d: aligner does not hold story %d of %s at Gen %d", c.name, c.settles, st.ID, src, st.Gen())
+			}
+		}
+	}
+	if n := c.e.aligner.Len(); n != live {
+		c.t.Fatalf("%s settle %d: aligner holds %d stories, sources have %d live", c.name, c.settles, n, live)
+	}
+}
+
+// TestEngineAlignerHoldsLiveStories checks the settle's exact dirty set:
+// after every settle the aligner holds each registered source's live
+// stories at their Gen and nothing else. Refinement, identifier repair, story retirement and
+// reactivation, a mid-stream source removal (whose later snippets
+// re-register it) and a checkpoint restore all change stories between
+// settles.
+func TestEngineAlignerHoldsLiveStories(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		gen := datagen.DefaultConfig()
+		gen.Seed = seed
+		gen.Sources = 4
+		gen.Stories = 12
+		gen.EventsPerStory = 12
+		corpus := datagen.Generate(gen)
+		arrivals := corpus.Shuffled(0.3, 40, seed)
+
+		opts := DefaultOptions()
+		opts.RefineOnAlign = true
+		opts.AutoAlignEvery = 32
+		opts.Identify.RepairEvery = 8
+		mgr, err := retire.Open(retire.Config{
+			Window:      15 * 24 * time.Hour,
+			Dir:         t.TempDir(),
+			IdentWindow: opts.Identify.Window,
+			AlignSlack:  opts.Align.Slack,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("seed %d", seed)
+		check := &holdsCheck{t: t, name: name}
+		attach := func(e *Engine) {
+			check.e = e
+			e.SetRetirer(mgr)
+			e.AddResultSink(check)
+		}
+		e := NewEngine(opts)
+		attach(e)
+		removed := corpus.Sources[1]
+		var held []*event.Snippet // the snippets a checkpoint covers
+		for i, sn := range arrivals {
+			switch i {
+			case len(arrivals) / 2:
+				e.RemoveSource(removed)
+				held = slices.DeleteFunc(held, func(s *event.Snippet) bool { return s.Source == removed })
+			case 3 * len(arrivals) / 4:
+				if e, err = RestoreEngineArchived(opts, held, e.Checkpoint(), mgr.Has); err != nil {
+					t.Fatalf("%s: restore: %v", name, err)
+				}
+				attach(e)
+			}
+			if _, err := e.Ingest(sn); err != nil {
+				t.Fatalf("%s: ingest %d: %v", name, sn.ID, err)
+			}
+			held = append(held, sn)
+		}
+		e.Align()
+		v := mgr.Snapshot()
+		if v.Retired == 0 || v.Reactivated == 0 || check.settles < len(arrivals)/32 {
+			t.Fatalf("%s: %d settles, %d stories retired, %d reactivated: the check saw too little",
+				name, check.settles, v.Retired, v.Reactivated)
+		}
+		t.Logf("%s: %d settles, %d stories retired, %d reactivated", name, check.settles, v.Retired, v.Reactivated)
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -20,7 +20,7 @@ var (
 	metSourcesGauge = obs.GetGauge("storypivot_stream_sources",
 		"registered data sources")
 	metDirtyGauge = obs.GetGauge("storypivot_stream_dirty_stories",
-		"stories awaiting re-alignment")
+		"stories awaiting re-alignment, repair-touched ones included")
 	metIngestLat = obs.GetHistogram("storypivot_stream_ingest_seconds",
 		"per-snippet ingest latency through identification")
 	metAlignLat = obs.GetHistogram("storypivot_stream_align_seconds",

@@ -189,11 +189,16 @@ gate "self-healing cluster chaos" \
 # nothing over an unchanged corpus and never rewrite a published result, a
 # persistent Refiner must return a fresh one's corrections after every edit
 # and score nothing over an unchanged result, and identically fed
-# refinement-on pipelines must agree at every settle.
+# refinement-on pipelines must agree at every settle. The dirty set is
+# exact: an identifier's Drain must name every story whose presence or Gen
+# changed, and after every settle the aligner must hold each live story at
+# its Gen and nothing else, through repair, refinement, retirement, source
+# removal racing ingest, and checkpoint restore.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
-  TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic
+  TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic TestIdentifierDrainMatchesGenDiff \
+  TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip
 
 if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
