@@ -14,11 +14,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	storypivot "repro"
@@ -199,15 +201,7 @@ func main() {
 	}
 
 	fmt.Printf("\ntop %d integrated stories by size:\n", *topK)
-	stories := res.Integrated()
-	// Select the topK largest.
-	for i := 0; i < len(stories); i++ {
-		for j := i + 1; j < len(stories); j++ {
-			if stories[j].Len() > stories[i].Len() {
-				stories[i], stories[j] = stories[j], stories[i]
-			}
-		}
-	}
+	stories := largestFirst(res.Integrated())
 	if len(stories) > *topK {
 		stories = stories[:*topK]
 	}
@@ -225,6 +219,20 @@ func main() {
 		}
 		fmt.Printf("    entities:%s\n", ents)
 	}
+}
+
+// largestFirst returns a copy of stories sorted by size, largest first,
+// ties by ascending ID. The input is a published result's slice, which
+// must not be reordered.
+func largestFirst(stories []*storypivot.IntegratedStory) []*storypivot.IntegratedStory {
+	out := slices.Clone(stories)
+	slices.SortFunc(out, func(x, y *storypivot.IntegratedStory) int {
+		if c := cmp.Compare(y.Len(), x.Len()); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	return out
 }
 
 // loadDocuments streams a JSONL document file into the pipeline.

@@ -215,7 +215,7 @@ func TestAlignerEmptyUpsertRemovesKnownStory(t *testing.T) {
 	if got := len(a.Matches()); got != 1 {
 		t.Fatalf("fixture has %d matches, want 1", got)
 	}
-	before := a.entTotal
+	before := a.live.Total()
 	a.Upsert(event.NewStory(2, "wsj")) // the wsj crash story, now empty
 	if a.Len() != 2 {
 		t.Fatalf("Len = %d after the empty upsert, want 2", a.Len())
@@ -228,8 +228,8 @@ func TestAlignerEmptyUpsertRemovesKnownStory(t *testing.T) {
 			t.Fatalf("story 1 still lists the emptied story among its candidates %v", a.adj[1])
 		}
 	}
-	if a.entTotal >= before {
-		t.Fatalf("entity mentions %d -> %d: the emptied story's counts are still resident", before, a.entTotal)
+	if a.live.Total() >= before {
+		t.Fatalf("entity mentions %d -> %d: the emptied story's counts are still resident", before, a.live.Total())
 	}
 	if len(a.Result().MultiSource()) != 0 {
 		t.Fatal("emptied story still integrated")

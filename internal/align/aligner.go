@@ -145,12 +145,12 @@ type Aligner struct {
 	// sketch) filters, including pairs that scored below threshold. The
 	// lists are symmetric and are the only record of the pairs, so removing
 	// a story costs its degree, not a scan of the corpus. Under IDF entity
-	// weighting every score reads the frozen statistics epoch (frozen*
+	// weighting every score reads the frozen statistics epoch (frozen
 	// below), never the live counts, so an edge's score is a pure function
 	// of its two stories and the epoch: upsert order cannot change it, and
 	// re-upserting an unchanged story reproduces the edges it already has.
 	adj map[event.StoryID][]event.StoryID
-	// lastScored is the entTotal at the last freeze; the live total
+	// lastScored is the live total at the last freeze; the live total
 	// drifting more than 20% from it in either direction (growth from
 	// upserts, shrinkage from source removal) makes the next Result start
 	// a new epoch.
@@ -165,22 +165,14 @@ type Aligner struct {
 	bucketWidth time.Duration
 	buckets     map[int64][]event.StoryID
 
-	// entCount accumulates entity mention counts over all upserted
-	// stories, indexed by interned entity symbol; it backs the IDF entity
-	// weighting. entTotal is the count sum and entDistinct the number of
-	// entities with a nonzero count, for mean normalisation.
-	entCount    []int32
-	entTotal    int
-	entDistinct int
-	// frozenCount/Total/Distinct are the statistics epoch the IDF weights
-	// are read from: a copy of the live table taken by rescoreIfDrifted
-	// right before it rescores every candidate pair. Until the next freeze
-	// the weights do not move however many stories arrive or leave; an
-	// entity unseen at freeze time counts 0.
-	frozenCount    []int32
-	frozenTotal    int
-	frozenDistinct int
-	storyCfg       similarity.StoryConfig // cfg.Story plus the weighter
+	// live counts entity mentions over all upserted stories; it backs the
+	// IDF entity weighting. frozen is the statistics epoch the weights are
+	// read from: a copy of live taken by rescoreIfDrifted right before it
+	// rescores every candidate pair. Until the next freeze the weights do
+	// not move however many stories arrive or leave; an entity unseen at
+	// freeze time counts 0.
+	live, frozen similarity.EntityIDF
+	storyCfg     similarity.StoryConfig // cfg.Story plus the weighter
 
 	// What Result keeps between passes. touched holds every story upserted
 	// or removed since the last pass and every story that shared an
@@ -225,20 +217,7 @@ func NewAligner(cfg Config) *Aligner {
 	}
 	a.storyCfg = cfg.Story
 	if cfg.UseEntityIDF {
-		// Mean-normalised inverse-frequency weighting over interned entity
-		// symbols, read from the frozen epoch; see the identify package for
-		// rationale.
-		a.storyCfg.EntityWeight = func(e uint32) float64 {
-			mean := 1.0
-			if a.frozenDistinct > 0 {
-				mean = float64(a.frozenTotal) / float64(a.frozenDistinct)
-			}
-			var c int32
-			if int(e) < len(a.frozenCount) {
-				c = a.frozenCount[e]
-			}
-			return 1 / (1 + logFloat(1+float64(c)/mean))
-		}
+		a.storyCfg.EntityWeight = a.frozen.Weight
 	}
 	if cfg.UseSketchFilter {
 		n := cfg.SketchLength
@@ -264,35 +243,6 @@ func (a *Aligner) Len() int { return len(a.stories) }
 func (a *Aligner) Holds(id event.StoryID, gen uint64) bool {
 	st := a.stories[id]
 	return st != nil && st.Gen() == gen
-}
-
-// noteEntity adjusts the IDF statistics by delta mentions of entity
-// symbol e (negative when a story is removed).
-func (a *Aligner) noteEntity(e uint32, delta int32) {
-	if int(e) >= len(a.entCount) {
-		if delta <= 0 {
-			return
-		}
-		if int(e) < cap(a.entCount) {
-			a.entCount = a.entCount[:int(e)+1]
-		} else {
-			grown := make([]int32, int(e)+1, (int(e)+1)*2)
-			copy(grown, a.entCount)
-			a.entCount = grown
-		}
-	}
-	before := a.entCount[e]
-	after := before + delta
-	if after < 0 {
-		after = 0
-	}
-	a.entCount[e] = after
-	a.entTotal += int(after - before)
-	if before == 0 && after > 0 {
-		a.entDistinct++
-	} else if before > 0 && after == 0 {
-		a.entDistinct--
-	}
 }
 
 func edgeKey(x, y event.StoryID) [2]event.StoryID {
@@ -341,7 +291,7 @@ func (a *Aligner) Upsert(st *event.Story) {
 	st.CentroidNorm()
 	a.stories[st.ID] = st
 	for _, ec := range st.EntityFreq {
-		a.noteEntity(ec.ID, ec.N)
+		a.live.Add(ec.ID, ec.N)
 	}
 	lo, hi := a.bucketRange(st)
 	for b := lo; b <= hi; b++ {
@@ -438,10 +388,8 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 	st := a.stories[id]
 	if st != nil {
 		for _, ec := range st.EntityFreq {
-			a.noteEntity(ec.ID, -ec.N)
+			a.live.Add(ec.ID, -ec.N)
 		}
-	}
-	if st != nil {
 		lo, hi := a.bucketRange(st)
 		for b := lo; b <= hi; b++ {
 			bucket := dropID(a.buckets[b], id)
@@ -481,11 +429,10 @@ func (a *Aligner) rescoreIfDrifted() {
 		return // uniform weights never drift
 	}
 	lo, hi := a.lastScored-a.lastScored/5, a.lastScored+a.lastScored/5
-	if a.lastScored > 0 && a.entTotal >= lo && a.entTotal <= hi {
+	if total := a.live.Total(); a.lastScored > 0 && total >= lo && total <= hi {
 		return
 	}
-	a.frozenCount = append(a.frozenCount[:0], a.entCount...)
-	a.frozenTotal, a.frozenDistinct = a.entTotal, a.entDistinct
+	a.frozen.CopyFrom(&a.live)
 	a.edges = make(map[[2]event.StoryID]float64, len(a.edges))
 	for id, nbrs := range a.adj {
 		for _, o := range nbrs {
@@ -502,7 +449,7 @@ func (a *Aligner) rescoreIfDrifted() {
 	for id := range a.stories {
 		a.touched[id] = struct{}{}
 	}
-	a.lastScored = a.entTotal
+	a.lastScored = a.live.Total()
 }
 
 // Matches returns every raw above-threshold match edge sorted by
@@ -756,10 +703,12 @@ func (a *Aligner) componentsSimilar(x, y *component) bool {
 // from a result never comes back. A new statistics epoch touches every
 // story, so its pass regroups them all.
 //
-// Every Result has its own Integrated and Matches slices and lookup map,
-// and none of them is written after it is returned. The integrated
-// stories, their Roles and their members are shared with the aligner and
-// with every other Result that holds them: they are read-only. Members
+// Every Result has its own Integrated and Matches slices, so no caller can
+// reach the aligner's merge state through them. Neither is written after
+// it is returned, by the aligner or by a caller: the stream engine hands
+// one Result to every sink and reader. The integrated stories, their
+// Roles and their members are shared with the aligner and with every
+// other Result that holds them: they are read-only. Members
 // are the upserted stories themselves, not copies. They stay valid after
 // the live stories change, because Upsert's caller hands over a story it
 // no longer mutates (the stream engine's snapshots), and a re-upsert
@@ -783,14 +732,9 @@ func (a *Aligner) Result() *Result {
 	a.integ = keepMerge(a.integ, fresh, func(is *event.IntegratedStory) bool { return regrouped(is.Members[0].ID) }, byID)
 	a.honoured = keepMerge(a.honoured, honoured, func(m Match) bool { return regrouped(m.A) }, byScore)
 
-	res := &Result{Matches: slices.Clone(a.honoured), byStory: make(map[event.StoryID]*event.IntegratedStory, len(a.stories))}
+	res := &Result{Matches: slices.Clone(a.honoured)}
 	if len(a.integ) > 0 {
 		res.Integrated = slices.Clone(a.integ)
-	}
-	for _, is := range a.integ {
-		for _, m := range is.Members {
-			res.byStory[m.ID] = is
-		}
 	}
 	return res
 }
@@ -1001,14 +945,19 @@ func entityElems(st *event.Story) []string {
 type Result struct {
 	Integrated []*event.IntegratedStory
 	Matches    []Match
-
-	byStory map[event.StoryID]*event.IntegratedStory
 }
 
 // IntegratedOf returns the integrated story containing the given
-// per-source story, or nil.
+// per-source story, or nil. It walks every member of the result.
 func (r *Result) IntegratedOf(id event.StoryID) *event.IntegratedStory {
-	return r.byStory[id]
+	for _, is := range r.Integrated {
+		for _, m := range is.Members {
+			if m.ID == id {
+				return is
+			}
+		}
+	}
+	return nil
 }
 
 // MultiSource returns only the integrated stories spanning at least two
@@ -1095,5 +1044,3 @@ func Align(bySource map[event.SourceID][]*event.Story, cfg Config) *Result {
 	}
 	return a.Result()
 }
-
-func logFloat(x float64) float64 { return math.Log(x) }

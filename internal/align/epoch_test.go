@@ -120,8 +120,8 @@ func adjSets(a *Aligner) map[event.StoryID][]event.StoryID {
 // order, at a's frozen statistics epoch and drift reference.
 func freshTwin(a *Aligner) *Aligner {
 	b := NewAligner(a.cfg)
-	b.frozenCount = append([]int32(nil), a.frozenCount...)
-	b.frozenTotal, b.frozenDistinct, b.lastScored = a.frozenTotal, a.frozenDistinct, a.lastScored
+	b.frozen.CopyFrom(&a.frozen)
+	b.lastScored = a.lastScored
 	ids := make([]event.StoryID, 0, len(a.stories))
 	for id := range a.stories {
 		ids = append(ids, id)

@@ -7,9 +7,37 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/event"
+	"repro/internal/identify"
 	"repro/internal/vocab"
 )
+
+// TestIdleResultAllocsIndependentOfCorpus pins the cost of a pass with
+// nothing touched: the allocation count of Result must not grow with the
+// number of resident stories (no per-story lookup built per Result).
+func TestIdleResultAllocsIndependentOfCorpus(t *testing.T) {
+	allocs := func(stories int) (float64, int) {
+		cfg := datagen.DefaultConfig()
+		cfg.Sources, cfg.Stories = 8, stories
+		c := datagen.Generate(cfg)
+		ids := identify.RunAll(c.Snippets, identify.DefaultConfig(), nil)
+		a := NewAligner(DefaultConfig())
+		for _, src := range c.Sources {
+			for _, st := range ids[src].Stories() {
+				a.Upsert(st)
+			}
+		}
+		a.Result()
+		return testing.AllocsPerRun(20, func() { a.Result() }), a.Len()
+	}
+	small, nSmall := allocs(40)
+	large, nLarge := allocs(160)
+	if small != large {
+		t.Fatalf("an idle Result allocates %v times over %d stories and %v over %d", small, nSmall, large, nLarge)
+	}
+	t.Logf("an idle Result allocates %v times over %d and over %d stories", small, nSmall, nLarge)
+}
 
 // TestResultRegroupsOnlyWhatChanged reads Stats.Regrouped over two
 // aligned pairs (MH17 and Google, one story of each in each source): a
@@ -195,14 +223,11 @@ func referenceResult(a *Aligner) *Result {
 			matches = append(matches, m)
 		}
 	}
-	res := &Result{Matches: matches, byStory: make(map[event.StoryID]*event.IntegratedStory)}
+	res := &Result{Matches: matches}
 	for _, r := range roots {
 		is := event.NewIntegratedStory(event.IntegratedID(minStoryID(groups[r])), groups[r])
 		classifyRoles(is, a.cfg)
 		res.Integrated = append(res.Integrated, is)
-		for _, m := range is.Members {
-			res.byStory[m.ID] = is
-		}
 	}
 	return res
 }

@@ -97,10 +97,10 @@ func TestGenerateSnippetsShareStorySignal(t *testing.T) {
 	// Two snippets of the same story should share at least one entity far
 	// more often than snippets of different stories.
 	c := Generate(smallConfig())
-	byStory := map[uint64][]*event.Snippet{}
+	byLabel := map[uint64][]*event.Snippet{}
 	for _, s := range c.Snippets {
 		l := c.Truth[s.ID]
-		byStory[l] = append(byStory[l], s)
+		byLabel[l] = append(byLabel[l], s)
 	}
 	shareEntity := func(a, b *event.Snippet) bool {
 		for _, e := range a.Entities {
@@ -111,7 +111,7 @@ func TestGenerateSnippetsShareStorySignal(t *testing.T) {
 		return false
 	}
 	sameShare, sameTotal := 0, 0
-	for _, sns := range byStory {
+	for _, sns := range byLabel {
 		for i := 0; i+1 < len(sns) && i < 20; i++ {
 			sameTotal++
 			if shareEntity(sns[i], sns[i+1]) {

@@ -40,16 +40,10 @@ type Identifier struct {
 	// saves in comparison count).
 	winCache map[event.StoryID]*windowAggregate
 
-	// entCount tracks how many processed snippets mention each entity,
-	// indexed by interned entity symbol; it backs the IDF-style entity
-	// weighting (popular entities carry little story-discriminating signal
-	// on real news streams). entTotal is the sum of all counts and
-	// entDistinct the number of entities seen at least once, so the
-	// weighter can normalise by the mean and stay neutral on corpora with
-	// near-uniform entity usage.
-	entCount    []int32
-	entTotal    int
-	entDistinct int
+	// ents counts how many processed snippets mention each entity; it
+	// backs the IDF-style entity weighting (popular entities carry little
+	// story-discriminating signal on real news streams).
+	ents similarity.EntityIDF
 
 	// ew is the entity weighter handed to the similarity kernels, bound
 	// once at construction: rebuilding the method value per score call
@@ -95,7 +89,7 @@ func New(source event.SourceID, cfg Config, alloc *IDAlloc) *Identifier {
 		touched:  make(map[event.StoryID]struct{}),
 	}
 	if cfg.UseEntityIDF {
-		id.ew = id.entityWeightID
+		id.ew = id.ents.Weight
 	}
 	if cfg.UseSketchIndex {
 		bands, rows := cfg.SketchBands, cfg.SketchRows
@@ -136,7 +130,7 @@ func (id *Identifier) Process(s *event.Snippet) event.StoryID {
 	id.stats.Processed++
 	if id.cfg.UseEntityIDF {
 		for _, e := range s.EntityIDs {
-			id.noteEntity(e)
+			id.ents.Add(e, 1)
 		}
 	}
 
@@ -267,44 +261,6 @@ type windowAggregate struct {
 	ents     []vocab.IDCount
 	norm     float64
 }
-
-// noteEntity records one mention of entity symbol e for the IDF
-// statistics, growing the count table on first sight of a new symbol.
-func (id *Identifier) noteEntity(e uint32) {
-	if int(e) >= len(id.entCount) {
-		if int(e) < cap(id.entCount) {
-			id.entCount = id.entCount[:int(e)+1]
-		} else {
-			grown := make([]int32, int(e)+1, (int(e)+1)*2)
-			copy(grown, id.entCount)
-			id.entCount = grown
-		}
-	}
-	if id.entCount[e] == 0 {
-		id.entDistinct++
-	}
-	id.entCount[e]++
-	id.entTotal++
-}
-
-// entityWeightID is the IDF-style weighter over the source's
-// entity-mention counts, normalised by the mean count:
-// w(e) = 1 / (1 + ln(1 + c(e)/mean)). On near-uniform corpora every
-// weight is ≈ 1/(1+ln 2) and the weighted Jaccard reduces to the
-// unweighted one; only genuinely skewed entities are down-weighted.
-func (id *Identifier) entityWeightID(e uint32) float64 {
-	mean := 1.0
-	if id.entDistinct > 0 {
-		mean = float64(id.entTotal) / float64(id.entDistinct)
-	}
-	var c int32
-	if int(e) < len(id.entCount) {
-		c = id.entCount[e]
-	}
-	return 1 / (1 + logf(1+float64(c)/mean))
-}
-
-func (id *Identifier) weighter() similarity.IDWeighter { return id.ew }
 
 // score computes the snippet-story similarity. In temporal mode the story
 // is summarised by only the snippets inside the window, so the comparison

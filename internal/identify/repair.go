@@ -1,14 +1,11 @@
 package identify
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/event"
 	"repro/internal/similarity"
 )
-
-func logf(x float64) float64 { return math.Log(x) }
 
 // splitWeights is the similarity combination used for the intra-story
 // connectivity graph. Story splits are about *content* divergence despite
@@ -155,7 +152,7 @@ func (id *Identifier) repairMerges() {
 		Weights:          id.cfg.Weights,
 		GapScale:         id.cfg.TemporalScale,
 		EvolutionBuckets: 0, // shape comparison is an alignment concern
-		EntityWeight:     id.weighter(),
+		EntityWeight:     id.ew,
 	}
 	// Candidate pairs: stories with overlapping extents. Sort by start
 	// time and sweep.

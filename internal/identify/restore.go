@@ -66,7 +66,7 @@ func RestoreWithArchived(source event.SourceID, cfg Config, alloc *IDAlloc,
 			id.stats.Processed++
 			if cfg.UseEntityIDF {
 				for _, e := range sn.EntityIDs {
-					id.noteEntity(e)
+					id.ents.Add(e, 1)
 				}
 			}
 			continue
@@ -83,7 +83,7 @@ func RestoreWithArchived(source event.SourceID, cfg Config, alloc *IDAlloc,
 		id.stats.Processed++
 		if cfg.UseEntityIDF {
 			for _, e := range sn.EntityIDs {
-				id.noteEntity(e)
+				id.ents.Add(e, 1)
 			}
 		}
 	}

@@ -123,13 +123,20 @@ func (c *checkedIndex) compare(res *align.Result, got, want [3]uint64) error {
 	if held != len(res.Integrated) {
 		return fmt.Errorf("%d slots held for %d integrated stories", held, len(res.Integrated))
 	}
+	// Built once per publish: Result.IntegratedOf walks every member.
+	integratedOf := make(map[event.StoryID]*event.IntegratedStory)
+	for _, is := range res.Integrated {
+		for _, m := range is.Members {
+			integratedOf[m.ID] = is
+		}
+	}
 	for _, is := range res.Integrated {
 		for _, m := range is.Members {
 			e, want := c.x.stories[m.ID], c.want.stories[m.ID]
 			if e == nil || e.gen != want.gen || e.npost != want.npost {
 				return fmt.Errorf("story %d: entry %+v, the Gen diff %+v", m.ID, e, want)
 			}
-			if c.x.slots[e.slot] != res.IntegratedOf(m.ID) {
+			if c.x.slots[e.slot] != integratedOf[m.ID] {
 				return fmt.Errorf("story %d: slot %d holds another integrated story than %d", m.ID, e.slot, is.ID)
 			}
 		}

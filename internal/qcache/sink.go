@@ -9,10 +9,10 @@
 // components' rendered pages without either unchanged member mutating).
 // The aligner's IntegratedStory.Version says exactly that: a story it
 // kept has the version it had, and any other story has a new one. So the
-// sink remembers, per integrated ID of the last publish, the version and
-// the story's symbol-group bitmap, and bumps the old bitmap of every ID
-// that is gone or has a new version and the new bitmap of every new
-// version. A publish of the same versions bumps nothing.
+// sink remembers the last publish's integrated stories, bumps the groups
+// of every new version and, for every ID that is gone or has a new
+// version, the groups of the old story, which nothing writes once it is
+// published. A publish of the same versions bumps nothing.
 package qcache
 
 import (
@@ -22,14 +22,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/vocab"
 )
-
-// seen is what the sink remembers about one integrated story of the last
-// publish.
-type seen struct {
-	id   event.IntegratedID
-	ver  uint64
-	bits Bits
-}
 
 // Sink subscribes a Cache to an engine's alignment publishes (attach
 // with stream.Engine.AddResultSink, AFTER the index's primary slot so
@@ -45,8 +37,10 @@ type Sink struct {
 	// mu serialises Publish (the engine already does, under its own
 	// mutex, but the sink must also stay safe if an orphaned engine
 	// publishes concurrently with its replacement's sink).
-	mu   sync.Mutex
-	last []seen // the last publish's integrated stories, by ascending ID
+	mu sync.Mutex
+	// last is the last publish's integrated stories by ascending ID; next
+	// is the buffer changes builds the new list in.
+	last, next []*event.IntegratedStory
 }
 
 // NewSink creates an invalidator feeding c.
@@ -66,29 +60,28 @@ func (s *Sink) Publish(res *align.Result) {
 // ascending ID, so one merge walk pairs old and new.
 func (s *Sink) changes(res *align.Result) Bits {
 	var acc Bits
-	next := make([]seen, 0, len(res.Integrated))
-	i := 0
+	next, i := s.next[:0], 0
 	for _, is := range res.Integrated {
-		for ; i < len(s.last) && s.last[i].id < is.ID; i++ {
-			acc = acc.Or(s.last[i].bits) // gone
+		for ; i < len(s.last) && s.last[i].ID < is.ID; i++ {
+			acc = acc.Or(storyBits(s.last[i])) // gone
 		}
-		if i < len(s.last) && s.last[i].id == is.ID {
+		if i < len(s.last) && s.last[i].ID == is.ID {
 			old := s.last[i]
 			i++
-			if old.ver == is.Version {
-				next = append(next, old)
+			if old.Version == is.Version {
+				next = append(next, is)
 				continue
 			}
-			acc = acc.Or(old.bits)
+			acc = acc.Or(storyBits(old)) // renewed
 		}
-		e := seen{id: is.ID, ver: is.Version, bits: storyBits(is)}
-		acc = acc.Or(e.bits)
-		next = append(next, e)
+		acc = acc.Or(storyBits(is))
+		next = append(next, is)
 	}
 	for ; i < len(s.last); i++ {
-		acc = acc.Or(s.last[i].bits)
+		acc = acc.Or(storyBits(s.last[i]))
 	}
-	s.last = next
+	clear(s.last) // the spare buffer must not pin old versions
+	s.last, s.next = next, s.last[:0]
 	return acc
 }
 

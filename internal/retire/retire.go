@@ -99,7 +99,7 @@ type Manager struct {
 
 	arch    *storage.Archive
 	groups  map[uint64]*group
-	byStory map[event.StoryID]uint64 // story → owning group
+	groupOf map[event.StoryID]uint64 // story → owning group
 	// buckets index groups by coarse time: a group appears in every
 	// bucket its members' (pad-widened) extents touch, so a snippet
 	// lookup probes exactly one bucket.
@@ -155,7 +155,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:         cfg,
 		arch:        arch,
 		groups:      make(map[uint64]*group),
-		byStory:     make(map[event.StoryID]uint64),
+		groupOf:     make(map[event.StoryID]uint64),
 		buckets:     make(map[int64][]uint64),
 		bucketWidth: bw,
 		pending:     make(map[uint64][]storage.ArchivedStoryMeta),
@@ -177,7 +177,7 @@ func Open(cfg Config) (*Manager, error) {
 	for _, sid := range order {
 		m.indexStory(latest[sid])
 	}
-	metArchived.Set(int64(len(m.byStory)))
+	metArchived.Set(int64(len(m.groupOf)))
 	return m, nil
 }
 
@@ -203,7 +203,7 @@ func (m *Manager) indexStory(meta storage.ArchivedStoryMeta) {
 		sort.Slice(mem.terms, func(i, j int) bool { return mem.terms[i] < mem.terms[j] })
 	}
 	g.members = append(g.members, mem)
-	m.byStory[meta.ID] = meta.Group
+	m.groupOf[meta.ID] = meta.Group
 	m.bucketGroup(g.id, meta)
 }
 
@@ -321,7 +321,7 @@ func (m *Manager) Commit(ticket uint64, retired []event.StoryID) {
 		m.retired++
 		metRetired.Inc()
 	}
-	metArchived.Set(int64(len(m.byStory)))
+	metArchived.Set(int64(len(m.groupOf)))
 	m.compactBuckets()
 }
 
@@ -371,7 +371,7 @@ func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 		m.dropGroup(gid)
 	}
 	if out != nil {
-		metArchived.Set(int64(len(m.byStory)))
+		metArchived.Set(int64(len(m.groupOf)))
 		m.compactBuckets()
 	}
 	return out
@@ -424,7 +424,7 @@ func (m *Manager) dropGroup(gid uint64) {
 		return
 	}
 	for _, mem := range g.members {
-		delete(m.byStory, mem.meta.ID)
+		delete(m.groupOf, mem.meta.ID)
 	}
 	delete(m.groups, gid)
 	m.deadGroups++
@@ -432,7 +432,7 @@ func (m *Manager) dropGroup(gid uint64) {
 
 // removeStory prunes one story from its group (under mu).
 func (m *Manager) removeStory(sid event.StoryID) {
-	gid, ok := m.byStory[sid]
+	gid, ok := m.groupOf[sid]
 	if !ok {
 		return
 	}
@@ -450,7 +450,7 @@ func (m *Manager) removeStory(sid event.StoryID) {
 			m.deadGroups++
 		}
 	}
-	delete(m.byStory, sid)
+	delete(m.groupOf, sid)
 }
 
 // ForgetSource drops every archived story of a removed source from the
@@ -459,7 +459,7 @@ func (m *Manager) ForgetSource(src event.SourceID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var drop []event.StoryID
-	for sid, gid := range m.byStory {
+	for sid, gid := range m.groupOf {
 		g := m.groups[gid]
 		if g == nil {
 			continue
@@ -473,7 +473,7 @@ func (m *Manager) ForgetSource(src event.SourceID) {
 	for _, sid := range drop {
 		m.removeStory(sid)
 	}
-	metArchived.Set(int64(len(m.byStory)))
+	metArchived.Set(int64(len(m.groupOf)))
 	m.compactBuckets()
 }
 
@@ -484,7 +484,7 @@ func (m *Manager) ArchivedIDs(src event.SourceID) []event.StoryID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []event.StoryID
-	for sid, gid := range m.byStory {
+	for sid, gid := range m.groupOf {
 		g := m.groups[gid]
 		if g == nil {
 			continue
@@ -505,7 +505,7 @@ func (m *Manager) ArchivedIDs(src event.SourceID) []event.StoryID {
 func (m *Manager) Has(sid event.StoryID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.byStory[sid]
+	_, ok := m.groupOf[sid]
 	return ok
 }
 
@@ -517,7 +517,7 @@ func (m *Manager) Reconcile(keep map[event.StoryID]bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var drop []event.StoryID
-	for sid := range m.byStory {
+	for sid := range m.groupOf {
 		if !keep[sid] {
 			drop = append(drop, sid)
 		}
@@ -525,7 +525,7 @@ func (m *Manager) Reconcile(keep map[event.StoryID]bool) {
 	for _, sid := range drop {
 		m.removeStory(sid)
 	}
-	metArchived.Set(int64(len(m.byStory)))
+	metArchived.Set(int64(len(m.groupOf)))
 	m.compactBuckets()
 }
 
@@ -536,7 +536,7 @@ func (m *Manager) Reset() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.groups = make(map[uint64]*group)
-	m.byStory = make(map[event.StoryID]uint64)
+	m.groupOf = make(map[event.StoryID]uint64)
 	m.buckets = make(map[int64][]uint64)
 	m.pending = make(map[uint64][]storage.ArchivedStoryMeta)
 	m.grace = make(map[event.StoryID]time.Time)
@@ -578,7 +578,7 @@ func (m *Manager) Snapshot() View {
 		MinResident:   m.cfg.MinResident,
 		Watermark:     m.watermark,
 		Resident:      m.resident,
-		Archived:      len(m.byStory),
+		Archived:      len(m.groupOf),
 		Retired:       m.retired,
 		Reactivated:   m.reactivated,
 		ArchivedBytes: m.archivedBytes,

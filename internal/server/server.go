@@ -848,15 +848,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		DocumentCount: docCount,
 	}
 	for _, src := range p.Sources() {
-		id := p.Engine().Identifier(src)
-		if id == nil {
+		st, stories, ok := p.Engine().SourceStats(src)
+		if !ok {
 			continue
 		}
-		st := id.Stats()
 		view.Sources = append(view.Sources, SourceStatsView{
 			Source:      string(src),
 			Snippets:    st.Processed,
-			Stories:     id.StoryCount(),
+			Stories:     stories,
 			Comparisons: st.Comparisons,
 			Splits:      st.Splits,
 			Merges:      st.Merges,

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/event"
@@ -18,6 +19,73 @@ import (
 // discriminating signal), which matters on the Zipf-distributed entity
 // mentions of real event feeds. A nil IDWeighter means uniform weights.
 type IDWeighter func(uint32) float64
+
+// EntityIDF holds entity mention counts indexed by interned entity symbol,
+// their sum and the number of entities with a nonzero count, and weights
+// an entity by its mean-normalised inverse frequency (Weight). The zero
+// value is an empty table. Identification keeps one per source; alignment
+// keeps a live one and the frozen epoch its scores read.
+type EntityIDF struct {
+	count    []int32
+	total    int
+	distinct int
+}
+
+// Add adjusts entity e's count by delta (negative when mentions leave); a
+// count never drops below zero.
+func (t *EntityIDF) Add(e uint32, delta int32) {
+	if int(e) >= len(t.count) {
+		if delta <= 0 {
+			return
+		}
+		if n := len(t.count); int(e) < cap(t.count) {
+			t.count = t.count[:int(e)+1]
+			clear(t.count[n:])
+		} else {
+			grown := make([]int32, int(e)+1, (int(e)+1)*2)
+			copy(grown, t.count)
+			t.count = grown
+		}
+	}
+	before := t.count[e]
+	after := before + delta
+	if after < 0 {
+		after = 0
+	}
+	t.count[e] = after
+	t.total += int(after - before)
+	if before == 0 && after > 0 {
+		t.distinct++
+	} else if before > 0 && after == 0 {
+		t.distinct--
+	}
+}
+
+// Weight is the IDF-style weight of entity e, normalised by the mean
+// count: w(e) = 1 / (1 + ln(1 + c(e)/mean)). On near-uniform corpora
+// every weight is ≈ 1/(1+ln 2) and the weighted Jaccard reduces to the
+// unweighted one; only genuinely skewed entities are down-weighted. An
+// entity the table has never counted weighs as count 0.
+func (t *EntityIDF) Weight(e uint32) float64 {
+	mean := 1.0
+	if t.distinct > 0 {
+		mean = float64(t.total) / float64(t.distinct)
+	}
+	var c int32
+	if int(e) < len(t.count) {
+		c = t.count[e]
+	}
+	return 1 / (1 + math.Log(1+float64(c)/mean))
+}
+
+// Total returns the sum of all counts.
+func (t *EntityIDF) Total() int { return t.total }
+
+// CopyFrom makes t a copy of src, reusing t's table.
+func (t *EntityIDF) CopyFrom(src *EntityIDF) {
+	t.count = append(t.count[:0], src.count...)
+	t.total, t.distinct = src.total, src.distinct
+}
 
 // CosineIDs computes cosine similarity between two sorted weighted ID
 // vectors. Empty vectors yield 0.

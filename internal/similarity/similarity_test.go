@@ -452,3 +452,80 @@ func TestExtentGapDirections(t *testing.T) {
 		t.Fatalf("gap direction asymmetry: %g vs %g", s1, s2)
 	}
 }
+
+// idfWeightReference is the IDF weight expression identification and
+// alignment each computed before EntityIDF, copied verbatim: Weight must
+// reproduce it bit for bit.
+func idfWeightReference(c int32, total, distinct int) float64 {
+	mean := 1.0
+	if distinct > 0 {
+		mean = float64(total) / float64(distinct)
+	}
+	return 1 / (1 + math.Log(1+float64(c)/mean))
+}
+
+// TestEntityIDFMatchesReference drives an EntityIDF, and copies of it,
+// with random ±delta sequences over symbols it has and has not seen, and
+// requires its counts, total and weights to equal a map-based reference
+// after every step.
+func TestEntityIDFMatchesReference(t *testing.T) {
+	check := func(t *testing.T, step int, got *EntityIDF, ref map[uint32]int32, syms uint32) {
+		t.Helper()
+		total, distinct := 0, 0
+		for _, c := range ref {
+			total += int(c)
+			if c > 0 {
+				distinct++
+			}
+		}
+		if got.Total() != total || got.distinct != distinct {
+			t.Fatalf("step %d: total %d distinct %d, reference %d %d", step, got.Total(), got.distinct, total, distinct)
+		}
+		for e := uint32(0); e < syms; e++ {
+			var c int32
+			if int(e) < len(got.count) {
+				c = got.count[e]
+			}
+			if c != ref[e] {
+				t.Fatalf("step %d: count[%d] = %d, reference %d", step, e, c, ref[e])
+			}
+			if w, want := got.Weight(e), idfWeightReference(ref[e], total, distinct); math.Float64bits(w) != math.Float64bits(want) {
+				t.Fatalf("step %d: Weight(%d) = %v, reference %v", step, e, w, want)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const syms = 300
+		var live, frozen, short EntityIDF
+		ref := map[uint32]int32{}
+		frozenRef := map[uint32]int32{}
+		for step := 0; step < 2000; step++ {
+			// Mostly a small hot range, sometimes a far symbol that grows the
+			// table; deltas of both signs drive counts into the clamp at zero.
+			e := uint32(rng.Intn(20))
+			if rng.Intn(10) == 0 {
+				e = uint32(rng.Intn(syms))
+			}
+			delta := int32(rng.Intn(9) - 4)
+			live.Add(e, delta)
+			ref[e] = max(ref[e]+delta, 0)
+			check(t, step, &live, ref, syms)
+
+			switch rng.Intn(50) {
+			case 0: // a new epoch
+				frozen.CopyFrom(&live)
+				clear(frozenRef)
+				for k, v := range ref {
+					frozenRef[k] = v
+				}
+			case 1: // a shorter table into a longer one, then growth past it
+				frozen.CopyFrom(&short)
+				clear(frozenRef)
+				frozen.Add(syms-1, 1)
+				frozenRef[syms-1] = 1
+			}
+			check(t, step, &frozen, frozenRef, syms)
+		}
+	}
+}

@@ -238,3 +238,41 @@ func TestEngineConcurrentIngestWithAutoAlign(t *testing.T) {
 		t.Fatal("no integrated stories after concurrent ingest with auto-align")
 	}
 }
+
+// TestEngineSourceStatsConcurrentWithIngest reads a source's statistics
+// and assignments through the engine while another goroutine ingests into
+// the same source. Under -race it fails if either accessor reads the
+// identifier outside its shard lock.
+func TestEngineSourceStatsConcurrentWithIngest(t *testing.T) {
+	const n = 300
+	e := NewEngine(DefaultOptions())
+	ents := []event.Entity{"UKR", "MAL"}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= n; i++ {
+			if _, err := e.Ingest(snip(event.SnippetID(i), "nyt", 1+i%28, ents, "crash", "plane")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			st, stories, ok := e.SourceStats("nyt")
+			if !ok || st.Processed != n || stories == 0 {
+				t.Fatalf("after ingest: SourceStats = %+v, %d stories, %v", st, stories, ok)
+			}
+			if e.StoryOf("nyt", n) == 0 {
+				t.Fatalf("after ingest: snippet %d has no story", n)
+			}
+			return
+		default:
+		}
+		if st, stories, ok := e.SourceStats("nyt"); ok && stories > st.Processed {
+			t.Fatalf("%d stories from %d snippets", stories, st.Processed)
+		}
+		e.StoryOf("nyt", event.SnippetID(1+reads%n))
+	}
+}

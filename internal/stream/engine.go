@@ -699,15 +699,34 @@ func (e *Engine) Stories(src event.SourceID) []*event.Story {
 	return e.snapshotStories(src)
 }
 
-// Identifier exposes a source's identifier (primarily for the statistics
-// module and tests). Callers must not invoke it concurrently with
-// ingestion for the same source.
-func (e *Engine) Identifier(src event.SourceID) *identify.Identifier {
+// SourceStats returns a source's identification work counters and story
+// count, read under its shard lock; ok is false for an unknown source.
+func (e *Engine) SourceStats(src event.SourceID) (st identify.Stats, stories int, ok bool) {
+	e.withIdentifier(src, func(id *identify.Identifier) {
+		st, stories, ok = id.Stats(), id.StoryCount(), true
+	})
+	return st, stories, ok
+}
+
+// StoryOf returns the story a snippet of src is currently assigned to (0
+// if the source or the snippet is unknown).
+func (e *Engine) StoryOf(src event.SourceID, snID event.SnippetID) (sid event.StoryID) {
+	e.withIdentifier(src, func(id *identify.Identifier) { sid = id.StoryOf(snID) })
+	return sid
+}
+
+// withIdentifier runs f on src's identifier under its shard lock, if the
+// source is registered.
+func (e *Engine) withIdentifier(src event.SourceID, f func(*identify.Identifier)) {
 	sh := e.lookupShard(src)
 	if sh == nil {
-		return nil
+		return
 	}
-	return sh.id
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !sh.gone {
+		f(sh.id)
+	}
 }
 
 // Ingested returns the number of accepted snippets.

@@ -14,8 +14,15 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/event"
+	"repro/internal/identify"
 	"repro/internal/retire"
 )
+
+// identifierOf returns src's live identifier, bypassing the shard lock:
+// only for tests that ingest from a single goroutine.
+func identifierOf(e *Engine, src event.SourceID) *identify.Identifier {
+	return e.lookupShard(src).id
+}
 
 func day(d int) time.Time { return time.Date(2014, 7, d, 0, 0, 0, 0, time.UTC) }
 
@@ -59,8 +66,14 @@ func TestEngineBasicFlow(t *testing.T) {
 	if got := e.Stories("nyt"); len(got) != 1 {
 		t.Fatalf("nyt stories = %d", len(got))
 	}
-	if e.Identifier("nyt") == nil || e.Identifier("nope") != nil {
-		t.Fatal("Identifier accessor wrong")
+	if st, stories, ok := e.SourceStats("nyt"); !ok || st.Processed != 2 || stories != 1 {
+		t.Fatalf("SourceStats(nyt) = %+v, %d, %v", st, stories, ok)
+	}
+	if _, _, ok := e.SourceStats("nope"); ok {
+		t.Fatal("SourceStats reports an unknown source")
+	}
+	if e.StoryOf("nyt", 2) != sid1 || e.StoryOf("nyt", 11) != 0 || e.StoryOf("nope", 1) != 0 {
+		t.Fatal("StoryOf accessor wrong")
 	}
 }
 
@@ -210,7 +223,7 @@ func TestEngineRefineOnAlign(t *testing.T) {
 
 	// Inject a mistake directly through the identifier, then re-align
 	// with refinement enabled.
-	nyt := e.Identifier("nyt")
+	nyt := identifierOf(e, "nyt")
 	if !nyt.Move(2, nyt.StoryOf(3)) {
 		t.Fatal("setup move failed")
 	}
@@ -411,7 +424,7 @@ func TestEngineSoakBoundedState(t *testing.T) {
 	// Repair churn actually happened (the soak is meaningless otherwise).
 	splits, merges := 0, 0
 	for _, src := range e.Sources() {
-		st := e.Identifier(src).Stats()
+		st, _, _ := e.SourceStats(src)
 		splits += st.Splits
 		merges += st.Merges
 	}
@@ -434,7 +447,7 @@ func (c *holdsCheck) Publish(*align.Result) {
 	c.settles++
 	live := 0
 	for _, src := range c.e.Sources() {
-		for _, st := range c.e.Identifier(src).Stories() {
+		for _, st := range identifierOf(c.e, src).Stories() {
 			live++
 			if !c.e.aligner.Holds(st.ID, st.Gen()) {
 				c.t.Fatalf("%s settle %d: aligner does not hold story %d of %s at Gen %d", c.name, c.settles, st.ID, src, st.Gen())

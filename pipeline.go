@@ -399,11 +399,7 @@ func (p *Pipeline) IntegratedStories() []*IntegratedStory { return p.Result().In
 // StoryOf returns the per-source story a snippet currently belongs to
 // (0 if unknown).
 func (p *Pipeline) StoryOf(src SourceID, id SnippetID) StoryID {
-	ident := p.engine.Identifier(src)
-	if ident == nil {
-		return 0
-	}
-	return ident.StoryOf(id)
+	return p.engine.StoryOf(src, id)
 }
 
 // Snippet returns a persisted snippet by ID (requires WithStorage).

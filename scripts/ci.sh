@@ -193,12 +193,16 @@ gate "self-healing cluster chaos" \
 # exact: an identifier's Drain must name every story whose presence or Gen
 # changed, and after every settle the aligner must hold each live story at
 # its Gen and nothing else, through repair, refinement, retirement, source
-# removal racing ingest, and checkpoint restore.
+# removal racing ingest, and checkpoint restore. The entity statistics
+# must reproduce the IDF weight bit for bit, an idle Result must allocate
+# the same at any corpus size, and a source's statistics must be readable
+# while it ingests.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
   TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic TestIdentifierDrainMatchesGenDiff \
-  TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip
+  TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip \
+  TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest
 
 if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
