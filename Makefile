@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race fuzz bench ci feed-demo cluster-demo scale-demo clean
+.PHONY: all build vet test race fuzz bench ci feed-demo cluster-demo clean
 
 all: build test
 
@@ -30,6 +30,10 @@ fuzz:
 	$(GO) test ./internal/text/ -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/text/ -run '^$$' -fuzz FuzzSentences -fuzztime $(FUZZTIME)
 
+# bench runs every Go benchmark once: the regenerators of the paper's
+# figures and EXPERIMENTS.md (bench_test.go), so they cannot rot. Perf
+# claims are stated against bench/ (BENCHMARK.json); ci.sh gates its
+# -smoke counts against scripts/bench-smoke.baseline.json.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
@@ -48,14 +52,6 @@ feed-demo:
 # kills a worker to show degraded (partial, never 5xx) serving.
 cluster-demo:
 	./scripts/cluster_demo.sh
-
-# scale-demo runs the GDELT-scale store benchmarks (tiered vs flat,
-# 1M/5M/10M snippets — shrink with STORYPIVOT_SCALE_EVENTS) and prints
-# the heap/throughput/cold-read table; the tiered heap must stay flat
-# while the flat store grows with the corpus.
-scale-demo:
-	$(GO) test -run '^$$' -bench 'BenchmarkScale(Tiered|Flat)(1M|5M|10M)$$' \
-		-timeout 60m -benchtime 1x ./internal/storage
 
 clean:
 	$(GO) clean ./...

@@ -2,9 +2,11 @@ package httpx
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -384,5 +386,42 @@ func TestRetryAfterSecondsRoundsUpAndClamps(t *testing.T) {
 		if got := RetryAfterSeconds(c.d); got != c.want {
 			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
 		}
+	}
+}
+
+// failingWriter accepts headers but fails every body write, as a
+// connection the client cut does.
+type failingWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *failingWriter) Header() http.Header  { return w.header }
+func (w *failingWriter) WriteHeader(code int) { w.code = code }
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return 0, io.ErrClosedPipe
+}
+
+func TestErrorCountsWriteFailure(t *testing.T) {
+	const msg = "bad <query> & more"
+	var want strings.Builder // what Error streamed before it went through WriteBody
+	json.NewEncoder(&want).Encode(map[string]string{"error": msg})
+
+	before := metWriteErrors.Value()
+	w := &failingWriter{header: http.Header{}}
+	Error(w, http.StatusBadRequest, msg)
+	if got := metWriteErrors.Value(); got != before+1 {
+		t.Fatalf("write errors = %d, want %d", got, before+1)
+	}
+	if w.code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", w.code)
+	}
+	if string(w.body) != want.String() {
+		t.Fatalf("body = %q, want %q", w.body, want.String())
+	}
+	if cl := w.header.Get("Content-Length"); cl != strconv.Itoa(len(w.body)) {
+		t.Fatalf("Content-Length = %q, want %d", cl, len(w.body))
 	}
 }

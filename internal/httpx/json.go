@@ -78,11 +78,12 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// Error answers with the API's error envelope, {"error": msg}.
+// Error answers with the API's error envelope, {"error": msg}, through
+// WriteBody like every other response.
 func Error(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(map[string]string{"error": msg})
+	WriteBody(w, code, buf.Bytes())
 }
 
 // PageParams parses offset/limit from already-parsed query values (the

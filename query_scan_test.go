@@ -7,25 +7,8 @@ import (
 )
 
 // The full-scan query implementations the index replaced, kept as the
-// reference the differential tests (query_differential_test.go) and the
-// scan rows of bench_query_test.go compare the indexed path against.
-
-// pageOf windows a fully materialised result list (the scan path's
-// pagination).
-func pageOf[T any](all []T, offset, limit int) ([]T, int) {
-	total := len(all)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	hi := total
-	if limit >= 0 && offset+limit < total {
-		hi = offset + limit
-	}
-	return all[offset:hi], total
-}
+// reference the differential tests (query_differential_test.go) compare
+// the indexed path against.
 
 // scanStoriesByEntity walks every integrated story and materialises its
 // merged entity-frequency map.

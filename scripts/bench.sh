@@ -1,87 +1,25 @@
 #!/bin/sh
 # bench.sh — run the Figure-7 identification benchmarks (E1: complete vs
-# temporal vs temporal+sketch) and the query-serving benchmarks (indexed
-# vs full-scan) with allocation reporting, writing the results to
-# BENCH_identify.json and BENCH_query.json for regression tracking.
+# temporal vs temporal+sketch) with allocation reporting and write them to
+# BENCH_identify.json, one object per execution mode with ns/op, B/op,
+# allocs/op and comparisons/op. EXPERIMENTS.md E1 quotes that file.
 #
 # Usage:
 #   scripts/bench.sh            # full run (benchtime from go defaults)
-#   scripts/bench.sh --smoke    # few iterations per benchmark (CI gate:
-#                               # the point is "still runs and reports",
-#                               # not stable numbers)
+#   scripts/bench.sh --smoke    # one iteration per mode, written to
+#                               # BENCH_identify.smoke.json (CI: the
+#                               # benchmarks still run and report)
 #
-# Output: BENCH_identify.json — one object per benchmark with ns/op,
-# B/op, allocs/op, and comparisons/op. BENCH_query.json — one object per
-# query benchmark with ns/op, QPS, p50/p99 microseconds, and allocs/op,
-# split indexed vs scan. BENCH_cache.json — the served-query cache
-# benchmarks (zipfian replay under concurrent feed ingest), cached vs
-# uncached, with QPS, hit rate, and the derived speedup.
-# BENCH_window.json — the bounded-memory soak (retirement window on vs
-# off): heap at mid-stream and stream end (the on-slope must be flat),
-# resident/retired/reactivated story counts, and the query-panel tail
-# latency over the soaked pipelines, with the derived p99 ratio.
-# BENCH_scale.json — the GDELT-scale store benchmarks (1M/5M/10M
-# snippets, tiered vs flat): ingest ns/event, post-ingest heap, and
-# random-read p50/p99 (the tiered p99 is the cold-read path), with the
-# derived 1M→10M heap ratios — tiered must stay flat, flat grows.
-# BENCH_failover.json — the self-healing loop (one op = a full worker
-# kill → quarantine → restart → readmission cycle with queries through
-# every phase): availability % across the cycle (contract: 100) and the
-# query p99 during the outage window.
+# Every other perf number is stated against bench/ (BENCHMARK.json).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCHTIME=""
-QUERYTIME=""
-CACHETIME=""
-# Cluster ops are milliseconds-to-hundreds-of-milliseconds each (the
-# single-node configuration stalls behind whole-corpus realigns — that
-# stall is the phenomenon under measurement), so the iteration count is
-# fixed instead of time-based to keep the run bounded.
-SHARDTIME="-benchtime=300x"
-# One failover op is a whole kill→quarantine→readmit cycle (tens of
-# milliseconds of phased queries plus two health cooldowns), so the
-# iteration count is fixed.
-FAILTIME="-benchtime=20x"
-# One soak iteration IS the measurement (a whole stream per op), so the
-# iteration count is pinned; the window-query panel needs enough
-# iterations for stable percentiles.
-WSOAKTIME="-benchtime=1x"
-WQUERYTIME="-benchtime=200x"
 OUT="BENCH_identify.json"
-QOUT="BENCH_query.json"
-COUT="BENCH_cache.json"
-SOUT="BENCH_shard.json"
-WOUT="BENCH_window.json"
-SCOUT="BENCH_scale.json"
-FOUT="BENCH_failover.json"
 if [ "${1:-}" = "--smoke" ]; then
     BENCHTIME="-benchtime=1x"
-    # Queries are microseconds each; a handful of iterations still
-    # finishes instantly and keeps the percentile fields meaningful.
-    QUERYTIME="-benchtime=20x"
-    # Enough replay iterations to warm the cache past its first misses;
-    # the smoke hit rate is indicative, not gated.
-    CACHETIME="-benchtime=200x"
-    SHARDTIME="-benchtime=30x"
-    FAILTIME="-benchtime=3x"
-    WQUERYTIME="-benchtime=50x"
-    # Shrink the soak stream: the unbounded arm is superlinear in it by
-    # design, and the smoke only proves the benchmarks still run.
-    STORYPIVOT_SOAK_EVENTS=4000
-    export STORYPIVOT_SOAK_EVENTS
-    # Shrink the scale base unit (the "1M" label) to a few thousand
-    # events; the smoke proves the benchmarks run and report, not shape.
-    STORYPIVOT_SCALE_EVENTS="${STORYPIVOT_SCALE_EVENTS:-5000}"
-    export STORYPIVOT_SCALE_EVENTS
     OUT="BENCH_identify.smoke.json"
-    QOUT="BENCH_query.smoke.json"
-    COUT="BENCH_cache.smoke.json"
-    SOUT="BENCH_shard.smoke.json"
-    WOUT="BENCH_window.smoke.json"
-    SCOUT="BENCH_scale.smoke.json"
-    FOUT="BENCH_failover.smoke.json"
 fi
 
 TMP="$(mktemp)"
@@ -115,239 +53,3 @@ END {
 
 echo "==> wrote $OUT"
 cat "$OUT"
-
-# --- Query serving: indexed vs full-scan ---------------------------------
-
-# shellcheck disable=SC2086  # QUERYTIME is deliberately word-split
-go test -run '^$' -bench 'BenchmarkQuery(Search|Entity|Timeline)(Indexed|Scan)$' \
-    -benchmem $QUERYTIME . | tee "$TMP"
-
-awk '
-/^BenchmarkQuery/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = p50 = p99 = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op")     ns = $i
-        if ($(i + 1) == "B/op")      bytes = $i
-        if ($(i + 1) == "allocs/op") allocs = $i
-        if ($(i + 1) == "p50_us")    p50 = $i
-        if ($(i + 1) == "p99_us")    p99 = $i
-    }
-    qps = (ns == "null" || ns + 0 == 0) ? "null" : sprintf("%.1f", 1e9 / ns)
-    rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"qps\": %s, \"p50_us\": %s, \"p99_us\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, qps, p50, p99, bytes, allocs)
-}
-END {
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$QOUT"
-
-echo "==> wrote $QOUT"
-cat "$QOUT"
-
-# --- Served queries: result cache on vs off ------------------------------
-
-# shellcheck disable=SC2086  # CACHETIME is deliberately word-split
-go test -run '^$' -bench 'BenchmarkSearch(Cached|Uncached)$' \
-    -benchmem $CACHETIME ./internal/server | tee "$TMP"
-
-awk '
-/^BenchmarkSearch/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = hitrate = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op")     ns = $i
-        if ($(i + 1) == "B/op")      bytes = $i
-        if ($(i + 1) == "allocs/op") allocs = $i
-        if ($(i + 1) == "hitrate")   hitrate = $i
-    }
-    qps = (ns == "null" || ns + 0 == 0) ? "null" : sprintf("%.1f", 1e9 / ns)
-    if (name ~ /Uncached/) uncached_ns = ns; else cached_ns = ns
-    rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"qps\": %s, \"hit_rate\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, ns, qps, hitrate, bytes, allocs)
-}
-END {
-    speedup = (cached_ns != "" && uncached_ns != "" && cached_ns + 0 > 0) \
-        ? sprintf("%.2f", uncached_ns / cached_ns) : "null"
-    rows[++n] = sprintf("  {\"cached_vs_uncached_speedup\": %s}", speedup)
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$COUT"
-
-echo "==> wrote $COUT"
-cat "$COUT"
-
-# --- Scatter-gather sharding: 1/2/4 shards vs single node ----------------
-#
-# Saturating mixed query+ingest workload (cache off everywhere). The
-# headline number is shards4_vs_single_qps — the router over four
-# workers against the bare single node on identical traffic — plus
-# routed-vs-direct ingest overhead.
-
-# shellcheck disable=SC2086  # SHARDTIME is deliberately word-split
-go test -run '^$' -bench 'BenchmarkCluster(Query(Single|Shards[124])|Ingest(Direct|Routed))$' \
-    $SHARDTIME ./internal/cluster | tee "$TMP"
-
-awk '
-/^BenchmarkCluster/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = p50 = p99 = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op")  ns = $i
-        if ($(i + 1) == "p50_us") p50 = $i
-        if ($(i + 1) == "p99_us") p99 = $i
-    }
-    qps = (ns == "null" || ns + 0 == 0) ? "null" : sprintf("%.1f", 1e9 / ns)
-    if (name ~ /QuerySingle/)   single_ns = ns
-    if (name ~ /QueryShards4/)  shards4_ns = ns
-    if (name ~ /IngestDirect/)  direct_ns = ns
-    if (name ~ /IngestRouted/)  routed_ns = ns
-    rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"qps\": %s, \"p50_us\": %s, \"p99_us\": %s}", name, ns, qps, p50, p99)
-}
-END {
-    speedup = (single_ns != "" && shards4_ns != "" && shards4_ns + 0 > 0) \
-        ? sprintf("%.2f", single_ns / shards4_ns) : "null"
-    overhead = (direct_ns != "" && routed_ns != "" && direct_ns + 0 > 0) \
-        ? sprintf("%.2f", routed_ns / direct_ns) : "null"
-    rows[++n] = sprintf("  {\"shards4_vs_single_qps\": %s, \"ingest_routed_vs_direct\": %s}", speedup, overhead)
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$SOUT"
-
-echo "==> wrote $SOUT"
-cat "$SOUT"
-
-# --- Self-healing failover: availability and outage tail latency ---------
-#
-# One iteration is a full kill → passive detection → quarantine →
-# restart → half-open readmission cycle over three workers, querying
-# through every phase. The availability contract is 100% (outages
-# degrade to partial responses, never errors); outage_p99_us is the
-# query tail while the dead member is being detected and skipped.
-
-# shellcheck disable=SC2086  # FAILTIME is deliberately word-split
-go test -run '^$' -bench 'BenchmarkFailoverAvailability$' \
-    $FAILTIME ./internal/cluster | tee "$TMP"
-
-awk '
-/^BenchmarkFailoverAvailability/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = avail = p99 = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op")     ns = $i
-        if ($(i + 1) == "avail_pct") avail = $i
-        if ($(i + 1) == "p99_us")    p99 = $i
-    }
-    rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_cycle\": %s, \"availability_pct\": %s, \"outage_p99_us\": %s}", name, ns, avail, p99)
-}
-END {
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$FOUT"
-
-echo "==> wrote $FOUT"
-cat "$FOUT"
-
-# --- Bounded-memory window: soak + query tail latency ---------------------
-#
-# The soak drives a compressed-clock two-year stream through the pipeline
-# with the retirement window on and off; the headline numbers are the
-# heap growth between mid-stream and stream end per arm (flat on, growing
-# off) and the query-panel p99 ratio off/on over the soaked pipelines.
-
-# shellcheck disable=SC2086  # WSOAKTIME/WQUERYTIME are deliberately word-split
-go test -run '^$' -bench 'BenchmarkWindowSoak(On|Off)$' \
-    -timeout 30m $WSOAKTIME . | tee "$TMP"
-go test -run '^$' -bench 'BenchmarkWindowQuery(On|Off)$' \
-    -timeout 30m $WQUERYTIME . | tee -a "$TMP"
-
-awk '
-/^BenchmarkWindow/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = mid = end = res = ret = rea = p50 = p99 = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op")       ns = $i
-        if ($(i + 1) == "heap_mid_MB") mid = $i
-        if ($(i + 1) == "heap_end_MB") end = $i
-        if ($(i + 1) == "resident")    res = $i
-        if ($(i + 1) == "retired")     ret = $i
-        if ($(i + 1) == "reactivated") rea = $i
-        if ($(i + 1) == "p50_us")      p50 = $i
-        if ($(i + 1) == "p99_us")      p99 = $i
-    }
-    if (name ~ /SoakOn/)   { on_mid = mid; on_end = end }
-    if (name ~ /SoakOff/)  { off_mid = mid; off_end = end }
-    if (name ~ /QueryOn/)  on_p99 = p99
-    if (name ~ /QueryOff/) off_p99 = p99
-    if (name ~ /Soak/)
-        rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"heap_mid_mb\": %s, \"heap_end_mb\": %s, \"resident_stories\": %s, \"retired_total\": %s, \"reactivated_total\": %s}", name, ns, mid, end, res, ret, rea)
-    else
-        rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"p50_us\": %s, \"p99_us\": %s}", name, ns, p50, p99)
-}
-END {
-    slope_on = (on_mid != "" && on_mid != "null") ? sprintf("%.2f", on_end - on_mid) : "null"
-    slope_off = (off_mid != "" && off_mid != "null") ? sprintf("%.2f", off_end - off_mid) : "null"
-    ratio = (on_p99 != "" && on_p99 != "null" && on_p99 + 0 > 0) ? sprintf("%.2f", off_p99 / on_p99) : "null"
-    rows[++n] = sprintf("  {\"heap_growth_on_mb\": %s, \"heap_growth_off_mb\": %s, \"query_p99_off_vs_on\": %s}", slope_on, slope_off, ratio)
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$WOUT"
-
-echo "==> wrote $WOUT"
-cat "$WOUT"
-
-# --- GDELT scale: tiered vs flat store at 1M/5M/10M snippets --------------
-#
-# One iteration ingests the whole corpus into a fresh store and then
-# probes random reads across the full ID space. The headline numbers are
-# the 1M→10M heap ratios per arm: the tiered store's heap must stay flat
-# (hot tier + chunk metadata only; warm chunks are mmap'd and cold
-# chunks live on disk) while the flat store grows with the corpus.
-
-go test -run '^$' -bench 'BenchmarkScale(Tiered|Flat)(1M|5M|10M)$' \
-    -timeout 60m -benchtime=1x ./internal/storage | tee "$TMP"
-
-awk '
-/^BenchmarkScale/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ev = heap = p50 = p99 = mean = cold = "null"
-    for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/event")    ev = $i
-        if ($(i + 1) == "heap_MB")     heap = $i
-        if ($(i + 1) == "read_us")     mean = $i
-        if ($(i + 1) == "read_p50_us") p50 = $i
-        if ($(i + 1) == "read_p99_us") p99 = $i
-        if ($(i + 1) == "cold_chunks") cold = $i
-    }
-    if (name ~ /Tiered1M$/)  t1 = heap
-    if (name ~ /Tiered10M$/) t10 = heap
-    if (name ~ /Flat1M$/)    f1 = heap
-    if (name ~ /Flat10M$/)   f10 = heap
-    rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ingest_ns_per_event\": %s, \"heap_mb\": %s, \"read_us\": %s, \"read_p50_us\": %s, \"read_p99_us\": %s, \"cold_chunks\": %s}", name, ev, heap, mean, p50, p99, cold)
-}
-END {
-    tr = (t1 != "" && t1 + 0 > 0) ? sprintf("%.2f", t10 / t1) : "null"
-    fr = (f1 != "" && f1 + 0 > 0) ? sprintf("%.2f", f10 / f1) : "null"
-    rows[++n] = sprintf("  {\"tiered_heap_10m_vs_1m\": %s, \"flat_heap_10m_vs_1m\": %s}", tr, fr)
-    print "["
-    for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
-    print "]"
-}
-' "$TMP" > "$SCOUT"
-
-echo "==> wrote $SCOUT"
-cat "$SCOUT"

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: build, vet, gofmt, the unused-function check, unit tests, the
 # full suite once under the race detector with the named gate tests checked
-# off against that pass, then a one-iteration smoke run of the Figure-7
-# benchmarks (catches benchmark bit-rot; the numbers themselves are not
-# gated).
+# off against that pass, then bench/'s four workloads at -smoke, whose
+# repeatable numbers are gated against scripts/bench-smoke.baseline.json,
+# and a one-iteration run of the Figure-7 E1 benchmarks (bit-rot only).
 # Fails on the first broken step. Run from the repo root (the script
 # cd's there itself so it also works from hooks).
 set -eu
@@ -209,7 +209,62 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 
-echo "==> bench smoke (scripts/bench.sh --smoke)"
+# Bench smoke gate: each workload BENCHMARK.json declares, run by bench/
+# at -smoke, must pass its output checks and repeat the committed baseline
+# on the numbers that repeat: the input digest and f1_integrated exactly,
+# no failed op, allocs_per_op within a factor of 1.05 and heap_mb within
+# 1.10 either way (5 repeats per workload spread up to 1.9 % and 0.4 %).
+# Time metrics are not gated; time claims rest on paired
+# `bench -repeat N -against` runs. A change that moves a gated number on
+# purpose rewrites the baseline from fresh runs and says why in CHANGES.md.
+baseline=scripts/bench-smoke.baseline.json
+seed=$(jq -r .seed "$baseline")
+echo "==> bench smoke gate (bench -smoke -seed $seed against $baseline)"
+smokedir=$(mktemp -d)
+trap 'rm -rf "$log" "$smokedir"' EXIT
+go build -o "$smokedir/bin/bench" ./bench
+smokefail=0
+for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+  if ! base=$(jq -e --arg w "$w" '.workloads[$w]' "$baseline"); then
+    echo "ci: bench smoke $w: $baseline has no entry for it" >&2
+    smokefail=1
+    continue
+  fi
+  if ! out=$("$smokedir/bin/bench" -workload "$w" -smoke -seed "$seed" 2>"$smokedir/$w.log"); then
+    echo "ci: bench smoke $w: the run failed:" >&2
+    echo "$out" | cat "$smokedir/$w.log" - >&2
+    smokefail=1
+    continue
+  fi
+  digest=$(echo "$out" | sed -n 's/.* input_digest=\([0-9a-f]*\)$/\1/p')
+  verdict=$(echo "$out" | tail -n 1 | jq -r --arg w "$w" --arg digest "$digest" \
+    --argjson base "$base" '
+    . as $r
+    | def within($m; $tol): $r.metrics[$m].value as $o
+        | ($o / $base[$m]) as $q
+        | if (if $q < 1 then 1 / $q else $q end) > 1 + $tol
+          then "\($m): baseline \($base[$m]), observed \($o) (allowed ±\($tol * 100) %)" else empty end;
+    [ (if $digest != $base.input_digest
+       then "input_digest: baseline \($base.input_digest), observed \($digest)" else empty end),
+      (if $r.failed != 0 then "failed: baseline 0, observed \($r.failed)" else empty end),
+      (if $r.metrics.f1_integrated.value != $base.f1_integrated
+       then "f1_integrated: baseline \($base.f1_integrated), observed \($r.metrics.f1_integrated.value) (must be exact)" else empty end),
+      within("allocs_per_op"; 0.05),
+      within("heap_mb"; 0.10) ]
+    | if length == 0
+      then "ok  \($w)  input_digest=\($digest) f1_integrated=\($r.metrics.f1_integrated.value) allocs_per_op=\($r.metrics.allocs_per_op.value) heap_mb=\($r.metrics.heap_mb.value)"
+      else .[] | "ci: bench smoke \($w) \(.)" end')
+  case "$verdict" in
+  ok*) echo "$verdict" ;;
+  *) echo "$verdict" >&2; smokefail=1 ;;
+  esac
+done
+if [ "$smokefail" -ne 0 ]; then
+  echo "ci: a bench smoke run left its baseline" >&2
+  exit 1
+fi
+
+echo "==> E1 smoke (scripts/bench.sh --smoke)"
 ./scripts/bench.sh --smoke
 
 echo "==> ci ok"
