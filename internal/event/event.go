@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vocab"
@@ -74,6 +75,10 @@ type Snippet struct {
 	TermNorm float64
 
 	interned bool
+
+	// rendered is the snippet's encoded display rendering, filled by the
+	// first reader that renders it (see Rendered).
+	rendered atomic.Pointer[[]byte]
 }
 
 // Validation errors returned by Snippet.Validate.
@@ -182,15 +187,35 @@ func (s *Snippet) HasEntity(e Entity) bool {
 	return i < len(s.Entities) && s.Entities[i] == e
 }
 
-// Clone returns a deep copy of the snippet.
+// Clone returns a deep copy of the snippet. The copy starts without a
+// rendering: callers clone to change fields (an ID, the display text),
+// and a rendering of the original would describe the original.
 func (s *Snippet) Clone() *Snippet {
-	c := *s
-	c.Entities = append([]Entity(nil), s.Entities...)
-	c.Terms = append([]Term(nil), s.Terms...)
-	c.EntityIDs = append([]uint32(nil), s.EntityIDs...)
-	c.TermIDs = append([]vocab.IDWeight(nil), s.TermIDs...)
-	return &c
+	return &Snippet{
+		ID:        s.ID,
+		Source:    s.Source,
+		Timestamp: s.Timestamp,
+		Entities:  append([]Entity(nil), s.Entities...),
+		Terms:     append([]Term(nil), s.Terms...),
+		Text:      s.Text,
+		Document:  s.Document,
+		TermIDs:   append([]vocab.IDWeight(nil), s.TermIDs...),
+		EntityIDs: append([]uint32(nil), s.EntityIDs...),
+		TermNorm:  s.TermNorm,
+		interned:  s.interned,
+	}
 }
+
+// Rendered returns the encoded rendering stored by SetRendered, or nil
+// before the first. A reader may load it without a lock while another
+// stores it.
+func (s *Snippet) Rendered() *[]byte { return s.rendered.Load() }
+
+// SetRendered memoizes an encoded rendering of the snippet. It is only
+// sound while every field the rendering shows stays as it is, which holds
+// for snippets the engine holds: they are never written after ingest. The
+// slot dies with the snippet, so there is nothing to invalidate.
+func (s *Snippet) SetRendered(b *[]byte) { s.rendered.Store(b) }
 
 // String returns a short human-readable rendering used in logs and the demo
 // UI.

@@ -34,12 +34,12 @@ func TestSnippetValidate(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		s    Snippet
+		s    *Snippet
 		want error
 	}{
-		{"no source", Snippet{Timestamp: ts(1), Entities: []Entity{"A"}}, ErrNoSource},
-		{"no timestamp", Snippet{Source: "nyt", Entities: []Entity{"A"}}, ErrNoTimestamp},
-		{"empty content", Snippet{Source: "nyt", Timestamp: ts(1)}, ErrEmpty},
+		{"no source", &Snippet{Timestamp: ts(1), Entities: []Entity{"A"}}, ErrNoSource},
+		{"no timestamp", &Snippet{Source: "nyt", Entities: []Entity{"A"}}, ErrNoTimestamp},
+		{"empty content", &Snippet{Source: "nyt", Timestamp: ts(1)}, ErrEmpty},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSnippetNormalize(t *testing.T) {
 
 func TestSnippetNormalizeIdempotent(t *testing.T) {
 	s := snip(1, "nyt", 17, []Entity{"B", "A", "B"}, Term{"x", 1}, Term{"a", 2})
-	before := *s.Clone()
+	before := s.Clone()
 	s.Normalize()
 	if len(s.Entities) != len(before.Entities) || len(s.Terms) != len(before.Terms) {
 		t.Fatalf("second Normalize changed snippet: %+v vs %+v", s, before)

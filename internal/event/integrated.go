@@ -3,6 +3,7 @@ package event
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vocab"
@@ -59,6 +60,10 @@ type IntegratedStory struct {
 
 	// Roles records the computed role of each member snippet.
 	Roles map[SnippetID]SnippetRole
+
+	// rendered is the story's encoded summary rendering, filled by the
+	// first reader that renders it (see Rendered).
+	rendered atomic.Pointer[[]byte]
 }
 
 // NewIntegratedStory creates an integrated story over the given members.
@@ -72,6 +77,18 @@ func NewIntegratedStory(id IntegratedID, members []*Story) *IntegratedStory {
 	})
 	return &IntegratedStory{ID: id, Members: ms, Roles: make(map[SnippetID]SnippetRole)}
 }
+
+// Rendered returns the encoded rendering stored by SetRendered, or nil
+// before the first. A reader may load it without a lock while another
+// stores it.
+func (is *IntegratedStory) Rendered() *[]byte { return is.rendered.Load() }
+
+// SetRendered memoizes an encoded rendering of the story. It is only sound
+// for a story with a Version: a version names one member list whose
+// members are never written again, and a new version is a new object, so
+// the rendering cannot go stale. A hand-built story (Version 0) carries no
+// such promise and must not be memoized.
+func (is *IntegratedStory) SetRendered(b *[]byte) { is.rendered.Store(b) }
 
 // Sources returns the distinct sources contributing to the integrated
 // story, sorted.

@@ -41,20 +41,30 @@ const (
 // EncodeJSON renders v exactly as WriteJSON would send it: two-space
 // indent, trailing newline. Split out so a cache can store the encoded
 // bytes and later serve them — or a 304 — without re-running the
-// encoder. (json.Indent re-tokenises embedded RawMessage contents, so a
-// router's worker-encoded members come out in canonical form.) An
-// encoding failure is counted and answered with a clean 500 before any
-// byte of a half-written 200 exists; ok is then false.
+// encoder. Embedded RawMessage values may arrive compact: the worker's
+// pre-encoded story and snippet fragments, a router's worker-encoded
+// members. The one indent pass re-tokenises them like the rest of the
+// body, so a fragment comes out byte for byte as the struct it was
+// encoded from would. An encoding failure is counted and answered with
+// a clean 500 before any byte of a half-written 200 exists; ok is then
+// false.
 func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		metEncodeErrors.Inc()
-		Error(w, http.StatusInternalServerError, "response encoding failed: "+err.Error())
+		EncodeError(w, err)
 		return nil, false
 	}
 	return buf.Bytes(), true
+}
+
+// EncodeError counts a response whose JSON encoding failed and answers it
+// with a clean 500. Handlers that encode parts of a response ahead of
+// EncodeJSON report their failures through it too.
+func EncodeError(w http.ResponseWriter, err error) {
+	metEncodeErrors.Inc()
+	Error(w, http.StatusInternalServerError, "response encoding failed: "+err.Error())
 }
 
 // WriteBody commits an already-encoded JSON body: the status line goes

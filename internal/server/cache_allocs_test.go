@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -70,6 +71,65 @@ func TestCacheHitAllocs(t *testing.T) {
 			t.Logf("%s: %.1f allocs/op", tc.name, got)
 			if got > tc.max {
 				t.Errorf("%s allocates %.1f per op, pinned at %.0f — did the hit path regain encoding?",
+					tc.name, got, tc.max)
+			}
+		})
+	}
+}
+
+// TestCacheMissAllocs pins the allocation profile of a cache miss whose
+// story and snippet slots are warm: the query runs and the page envelope
+// is encoded, but every result is a memoized fragment, so the cost is the
+// index query, a slice of fragment pointers and one indent pass. If a
+// change makes the miss path build views again (maps, sorts, reflective
+// encoding per result), these numbers grow several-fold.
+func TestCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins hold only in normal builds")
+	}
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.EnableCache(qcache.Config{TTL: -1, MaxEntries: -1, SweepInterval: -1})
+	s.Preload(demoDocs()...)
+	if err := s.SelectAll(); err != nil {
+		t.Fatal(err)
+	}
+	mux := s.rawMux()
+
+	cases := []struct {
+		name, path string
+		max        float64
+	}{
+		// Measured 70, 48 and 50; the view-building path cost 100, 64 and
+		// 72 on the same requests.
+		{"Search", "/api/search?q=plane+crash&limit=10", 84},
+		{"ByEntity", "/api/stories/by-entity?entity=UKR&limit=10", 58},
+		{"Timeline", "/api/timeline?entity=UKR&limit=20", 60},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() *httptest.ResponseRecorder {
+				req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+				req.Header.Set("Cache-Control", "no-store")
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, req)
+				return rec
+			}
+			rec := run() // fills the slots
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "BYPASS" {
+				t.Fatalf("status %d X-Cache %q, want 200 BYPASS", rec.Code, rec.Header().Get("X-Cache"))
+			}
+			if !bytes.Contains(rec.Body.Bytes(), []byte(`"id"`)) {
+				t.Fatalf("%s answers no result; the pin would measure nothing: %s", tc.path, rec.Body)
+			}
+			got := testing.AllocsPerRun(200, func() { run() })
+			t.Logf("%s: %.1f allocs/op", tc.name, got)
+			if got > tc.max {
+				t.Errorf("%s miss allocates %.1f per op, pinned at %.0f — did the miss path regain view building?",
 					tc.name, got, tc.max)
 			}
 		})

@@ -14,7 +14,6 @@ import (
 
 	storypivot "repro"
 	"repro/internal/eval"
-	"repro/internal/event"
 	"repro/internal/feed"
 	"repro/internal/httpx"
 	"repro/internal/obs"
@@ -469,11 +468,12 @@ func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 		httpx.Error(w, http.StatusBadRequest, "missing source parameter")
 		return
 	}
+	detail := r.URL.Query().Get("detail") == "1"
 	p := s.Pipeline()
 	stories := p.Stories(storypivot.SourceID(src))
 	out := make([]StoryView, 0, len(stories))
 	for _, st := range stories {
-		out = append(out, storyView(p, st, r.URL.Query().Get("detail") == "1"))
+		out = append(out, storyView(p, st, detail))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	httpx.WriteJSON(w, http.StatusOK, out)
@@ -481,14 +481,11 @@ func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIntegrated(w http.ResponseWriter, _ *http.Request) {
 	start := time.Now()
-	p := s.Pipeline()
-	res := p.Result()
+	res := s.Pipeline().Result()
 	s.alignT.Observe(time.Since(start))
-	out := make([]IntegratedView, 0, len(res.Integrated()))
-	for _, is := range res.Integrated() {
-		out = append(out, integratedView(p, is, false))
+	if out, ok := fragments(w, res.Integrated(), storyFragment); ok {
+		httpx.WriteJSON(w, http.StatusOK, out)
 	}
-	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleIntegratedOne(w http.ResponseWriter, r *http.Request) {
@@ -568,20 +565,42 @@ func serveEncoded(w http.ResponseWriter, r *http.Request, body []byte, etag, xca
 	httpx.WriteBody(w, http.StatusOK, body)
 }
 
-func searchPage(rd snippetTexter, hits []*storypivot.IntegratedStory, scores []float64, total, offset, limit int) SearchPageView {
-	out := make([]IntegratedView, 0, len(hits))
-	for _, is := range hits {
-		out = append(out, integratedView(rd, is, false))
+// fragments renders each item through render (storyFragment or
+// snippetFragment). A failed render is answered as a failed encoding and
+// ok is false.
+func fragments[T any](w http.ResponseWriter, items []T, render func(T) (*json.RawMessage, error)) (out []*json.RawMessage, ok bool) {
+	out = make([]*json.RawMessage, 0, len(items))
+	for _, it := range items {
+		b, err := render(it)
+		if err != nil {
+			httpx.EncodeError(w, err)
+			return nil, false
+		}
+		out = append(out, b)
 	}
-	return SearchPageView{Total: total, Offset: offset, Limit: limit, Results: out, Scores: scores}
+	return out, true
 }
 
-func timelinePage(rd snippetTexter, sns []*storypivot.Snippet, total, offset, limit int) TimelinePageView {
-	out := make([]SnippetView, 0, len(sns))
-	for _, sn := range sns {
-		out = append(out, snippetView(rd, sn, event.RoleUnknown))
+// storiesPage renders one page of ranked integrated stories, the
+// SearchPageView of /api/search and /api/stories/by-entity.
+func storiesPage(w http.ResponseWriter, hits []*storypivot.IntegratedStory, scores []float64, total, offset, limit int) (any, bool) {
+	out, ok := fragments(w, hits, storyFragment)
+	if !ok {
+		return nil, false
 	}
-	return TimelinePageView{Total: total, Offset: offset, Limit: limit, Results: out}
+	return fragmentPage{Total: total, Offset: offset, Limit: limit, Results: out, Scores: scores}, true
+}
+
+// snippetsPage renders one page of a timeline, the TimelinePageView of
+// /api/timeline.
+func snippetsPage(w http.ResponseWriter, rd snippetTexter, sns []*storypivot.Snippet, total, offset, limit int) (any, bool) {
+	out, ok := fragments(w, sns, func(sn *storypivot.Snippet) (*json.RawMessage, error) {
+		return snippetFragment(rd, sn)
+	})
+	if !ok {
+		return nil, false
+	}
+	return fragmentPage{Total: total, Offset: offset, Limit: limit, Results: out}, true
 }
 
 // scoredEndpoint appends the scores=1 marker to a cache-key endpoint
@@ -609,14 +628,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	compute := func(p *storypivot.Pipeline) (any, bool) {
 		if withScores {
 			hits, scores, total := p.SearchScoredN(q, offset, limit)
-			return searchPage(p, hits, scores, total, offset, limit), true
+			return storiesPage(w, hits, scores, total, offset, limit)
 		}
 		hits, total := p.SearchN(q, offset, limit)
-		return searchPage(p, hits, nil, total, offset, limit), true
+		return storiesPage(w, hits, nil, total, offset, limit)
 	}
 	if s.cache == nil {
-		view, _ := compute(s.Pipeline())
-		httpx.WriteJSON(w, http.StatusOK, view)
+		if view, ok := compute(s.Pipeline()); ok {
+			httpx.WriteJSON(w, http.StatusOK, view)
+		}
 		return
 	}
 	s.cachedQuery(w, r, scoredEndpoint("search", withScores), q,
@@ -648,14 +668,15 @@ func (s *Server) handleStoriesByEntity(w http.ResponseWriter, r *http.Request) {
 	compute := func(p *storypivot.Pipeline) (any, bool) {
 		if withScores {
 			hits, scores, total := p.StoriesByEntityScoredN(storypivot.Entity(e), offset, limit)
-			return searchPage(p, hits, scores, total, offset, limit), true
+			return storiesPage(w, hits, scores, total, offset, limit)
 		}
 		hits, total := p.StoriesByEntityN(storypivot.Entity(e), offset, limit)
-		return searchPage(p, hits, nil, total, offset, limit), true
+		return storiesPage(w, hits, nil, total, offset, limit)
 	}
 	if s.cache == nil {
-		view, _ := compute(s.Pipeline())
-		httpx.WriteJSON(w, http.StatusOK, view)
+		if view, ok := compute(s.Pipeline()); ok {
+			httpx.WriteJSON(w, http.StatusOK, view)
+		}
 		return
 	}
 	s.cachedQuery(w, r, scoredEndpoint("by-entity", withScores), e,
@@ -674,18 +695,19 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.cache == nil {
-		p := s.Pipeline()
+	compute := func(p *storypivot.Pipeline) (any, bool) {
 		sns, total := p.TimelineN(storypivot.Entity(e), offset, limit)
-		httpx.WriteJSON(w, http.StatusOK, timelinePage(p, sns, total, offset, limit))
+		return snippetsPage(w, p, sns, total, offset, limit)
+	}
+	if s.cache == nil {
+		if view, ok := compute(s.Pipeline()); ok {
+			httpx.WriteJSON(w, http.StatusOK, view)
+		}
 		return
 	}
 	s.cachedQuery(w, r, "timeline", e,
 		func(deps *qcache.Deps) { deps.AddEntity(e) },
-		func(p *storypivot.Pipeline) (any, bool) {
-			sns, total := p.TimelineN(storypivot.Entity(e), offset, limit)
-			return timelinePage(p, sns, total, offset, limit), true
-		}, offset, limit)
+		compute, offset, limit)
 }
 
 // cachedQuery is the shared cache protocol for the paged query
@@ -792,6 +814,14 @@ type TrendView struct {
 	Score  float64        `json:"score"`
 }
 
+// trendRow is what the server encodes for a TrendView: the story arrives
+// as its storyFragment.
+type trendRow struct {
+	Story  *json.RawMessage `json:"story"`
+	Recent int              `json:"recent"`
+	Score  float64          `json:"score"`
+}
+
 // handleTrending ranks stories by recent activity relative to their own
 // history. `now` defaults to the corpus's latest timestamp (demo corpora
 // are historical, so wall-clock now would always be quiet); `window`
@@ -818,13 +848,14 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 		window = d
 	}
 	trends := p.Trending(now, window)
-	out := make([]TrendView, 0, len(trends))
+	out := make([]trendRow, 0, len(trends))
 	for _, tr := range trends {
-		out = append(out, TrendView{
-			Story:  integratedView(p, tr.Story, false),
-			Recent: tr.Recent,
-			Score:  tr.Score,
-		})
+		story, err := storyFragment(tr.Story)
+		if err != nil {
+			httpx.EncodeError(w, err)
+			return
+		}
+		out = append(out, trendRow{Story: story, Recent: tr.Recent, Score: tr.Score})
 	}
 	httpx.WriteJSON(w, http.StatusOK, out)
 }

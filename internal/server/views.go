@@ -6,6 +6,7 @@
 package server
 
 import (
+	"encoding/json"
 	"sort"
 	"time"
 
@@ -32,8 +33,10 @@ type snippetTexter interface {
 	SnippetText(id event.SnippetID) (text, document string, ok bool)
 }
 
-func snippetView(rd snippetTexter, s *event.Snippet, role event.SnippetRole) SnippetView {
-	v := SnippetView{
+// snippetView renders s; hydrated reports that its display text came
+// from the store rather than from the resident snippet.
+func snippetView(rd snippetTexter, s *event.Snippet, role event.SnippetRole) (v SnippetView, hydrated bool) {
+	v = SnippetView{
 		ID:        uint64(s.ID),
 		Source:    string(s.Source),
 		Timestamp: s.Timestamp,
@@ -46,7 +49,7 @@ func snippetView(rd snippetTexter, s *event.Snippet, role event.SnippetRole) Sni
 		// identical) or it was stripped for the tiers and the store
 		// holds the payload.
 		if text, doc, ok := rd.SnippetText(s.ID); ok {
-			v.Text, v.Document = text, doc
+			v.Text, v.Document, hydrated = text, doc, true
 		}
 	}
 	for _, e := range s.Entities {
@@ -58,7 +61,27 @@ func snippetView(rd snippetTexter, s *event.Snippet, role event.SnippetRole) Sni
 	if role != event.RoleUnknown {
 		v.Role = role.String()
 	}
-	return v
+	return v, hydrated
+}
+
+// snippetFragment returns the compact encoding of s's role-less
+// SnippetView, rendered once per snippet: the first render fills the
+// snippet's slot and later ones read it. A snippet whose text was
+// hydrated from the tiered store is rendered every time and never
+// memoized, so the tiers' bound on resident text holds.
+func snippetFragment(rd snippetTexter, s *event.Snippet) (*json.RawMessage, error) {
+	if b := s.Rendered(); b != nil {
+		return (*json.RawMessage)(b), nil
+	}
+	v, hydrated := snippetView(rd, s, event.RoleUnknown)
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	if !hydrated {
+		s.SetRendered(&b)
+	}
+	return (*json.RawMessage)(&b), nil
 }
 
 // EntityCountView renders "{UKR,5}" style entries of the story panels.
@@ -102,7 +125,8 @@ func storyView(rd snippetTexter, st *event.Story, withSnippets bool) StoryView {
 	}
 	if withSnippets {
 		for _, s := range st.Snippets {
-			v.Snippets = append(v.Snippets, snippetView(rd, s, event.RoleUnknown))
+			sv, _ := snippetView(rd, s, event.RoleUnknown)
+			v.Snippets = append(v.Snippets, sv)
 		}
 	}
 	return v
@@ -128,6 +152,20 @@ type TimelinePageView struct {
 	Offset  int           `json:"offset"`
 	Limit   int           `json:"limit"`
 	Results []SnippetView `json:"results"`
+}
+
+// fragmentPage is what the server encodes for SearchPageView and
+// TimelinePageView: the same fields, with each result already encoded by
+// storyFragment or snippetFragment. The results are pointers because
+// encoding/json boxes a RawMessage value into an interface once per
+// element; a pointer needs no box. A timeline page has no scores, and
+// omitempty drops the field, so one envelope serves both.
+type fragmentPage struct {
+	Total   int                `json:"total"`
+	Offset  int                `json:"offset"`
+	Limit   int                `json:"limit"`
+	Results []*json.RawMessage `json:"results"`
+	Scores  []float64          `json:"scores,omitempty"`
 }
 
 // IntegratedView renders an integrated story (Figures 4 and 6).
@@ -176,10 +214,29 @@ func integratedView(rd snippetTexter, is *event.IntegratedStory, detail bool) In
 			v.Members = append(v.Members, storyView(rd, m, false))
 		}
 		for _, s := range is.Snippets() {
-			v.Snippets = append(v.Snippets, snippetView(rd, s, is.Roles[s.ID]))
+			sv, _ := snippetView(rd, s, is.Roles[s.ID])
+			v.Snippets = append(v.Snippets, sv)
 		}
 	}
 	return v
+}
+
+// storyFragment returns the compact encoding of is's summary (non-detail)
+// IntegratedView, rendered once per story version: the first render fills
+// the story's slot and later ones read it. A hand-built story (Version 0)
+// is rendered every time.
+func storyFragment(is *event.IntegratedStory) (*json.RawMessage, error) {
+	if b := is.Rendered(); b != nil {
+		return (*json.RawMessage)(b), nil
+	}
+	b, err := json.Marshal(integratedView(nil, is, false))
+	if err != nil {
+		return nil, err
+	}
+	if is.Version != 0 {
+		is.SetRendered(&b)
+	}
+	return (*json.RawMessage)(&b), nil
 }
 
 // DocumentView renders an entry of the document-selection module

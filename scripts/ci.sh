@@ -104,9 +104,15 @@ gate "feed fault injection (feed + checkpoint restore)" \
 # refinement on and mid-stream source removal, the version sink must
 # bump what the fingerprint sink it replaced bumped, and the hammer must
 # survive concurrent query/ingest/invalidation/sweep/admin-update
-# traffic under the race detector.
+# traffic under the race detector. The render-once slots a miss splices
+# must encode byte for byte as the struct views they replaced, across
+# ingest rounds that orphan old slots and on a tiered pipeline whose
+# hydrated snippets stay unmemoized; the worker side of the slots is
+# covered by TestClusterDifferential and the tier side by
+# TestTieredServerDifferential (both gated below).
 gate "cache coherence + quota" \
   TestCacheCoherenceDifferential TestHTTPCacheCoherence TestSinkMatchesFingerprintOracle TestCacheQuotaIngestRace \
+  TestFragmentRenderingMatchesStructOracle \
   TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
 
 # Query-index gate: indexed queries must return the scan oracle's
