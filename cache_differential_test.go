@@ -18,7 +18,8 @@ import (
 // mid-stream — through a pipeline with a qcache attached to the
 // engine's publish hook, and at every checkpoint fetches a panel of
 // paged search/timeline responses through the cache protocol the HTTP
-// layer uses (settle → Get → Begin → compute → Put). Every response —
+// layer uses (Get → Begin → compute → Put, after the settle a write
+// runs before its ack). Every response —
 // whether it was a HIT stored at an earlier checkpoint or a fresh MISS
 // — must be byte-identical to an uncached computation at the same
 // settled snapshot. A HIT that survives 150 ingests and still matches
@@ -122,9 +123,10 @@ func (f *cachedFetcher) comparePanel(t *testing.T, entities []Entity, queries []
 }
 
 // fetch is the cache protocol under test. Order matters and matches
-// the HTTP handlers: settle the pipeline (runs pending publishes and
-// their invalidations), consult the cache, and on a miss capture the
-// token BEFORE the index reads.
+// the HTTP handlers, preceded by the settle a server write path runs
+// before its ack (it runs pending publishes and their invalidations):
+// consult the cache, and on a miss capture the token BEFORE the index
+// reads.
 func (f *cachedFetcher) fetch(t *testing.T, endpoint, query string, off, lim int) []byte {
 	t.Helper()
 	if f.stored == nil {

@@ -71,11 +71,18 @@ func registerFeedFlags(ff *feedFlags) {
 // pipelineSink routes feed snippets to the server's *live* pipeline
 // snapshot — a rebuild (document deselection) must not strand the feed
 // on a closed pipeline — and forwards checkpoint requests so cursors
-// are persisted alongside pipeline state.
+// are persisted alongside pipeline state. Like every server write path
+// it settles before it acknowledges: after each batch (feed.Settler) and
+// after a source removal, so the server's reads never settle.
 type pipelineSink struct{ s *server.Server }
 
 func (ps pipelineSink) Ingest(sn *storypivot.Snippet) error {
 	return ps.s.Pipeline().Ingest(sn)
+}
+
+// Settle implements feed.Settler.
+func (ps pipelineSink) Settle() {
+	ps.s.Pipeline().Result()
 }
 
 func (ps pipelineSink) WriteCheckpoint() error {
@@ -86,7 +93,10 @@ func (ps pipelineSink) WriteCheckpoint() error {
 // an interim feed tenure from this worker, the tenure's ingested data is
 // deleted so the returning ring owner's copy is the only one visible.
 func (ps pipelineSink) RemoveSource(src event.SourceID) bool {
-	return ps.s.Pipeline().RemoveSource(src)
+	p := ps.s.Pipeline()
+	ok := p.RemoveSource(src)
+	p.Result()
+	return ok
 }
 
 // replaySpecFetcher builds fetchers for cluster-assigned "replay" specs:

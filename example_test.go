@@ -44,6 +44,7 @@ func ExamplePipeline_Search() {
 	for _, d := range exampleDocs() {
 		p.AddDocument(d)
 	}
+	p.Result() // settle: queries read what the last settle published
 	hits := p.Search("plane crash missile")
 	fmt.Println(len(hits) > 0)
 	// Output: true
@@ -56,6 +57,7 @@ func ExamplePipeline_Timeline() {
 	for _, d := range exampleDocs() {
 		p.AddDocument(d)
 	}
+	p.Result() // settle: queries read what the last settle published
 	tl := p.Timeline("UKR")
 	fmt.Println(len(tl) >= 3)
 	// Output: true
@@ -104,6 +106,7 @@ func ExamplePipeline_SourceProfiles() {
 	for _, d := range exampleDocs() {
 		p.AddDocument(d)
 	}
+	p.Result() // settle: queries read what the last settle published
 	for _, pr := range p.SourceProfiles() {
 		fmt.Printf("%s: %d snippets\n", pr.Source, pr.Snippets)
 	}

@@ -81,6 +81,8 @@ func main() {
 		}
 	}
 
+	// Queries read what the last settle (Result, Align) published.
+	p.Result()
 	fmt.Println("\n-- query: timeline of UKR --")
 	for _, sn := range p.Timeline("UKR") {
 		fmt.Printf("  %s  %s: %s\n", sn.Timestamp.Format("2006-01-02"), sn.Source, firstWords(sn.Text, 8))

@@ -91,6 +91,16 @@ type Checkpointer interface {
 	WriteCheckpoint() error
 }
 
+// Settler is optionally implemented by a Sink whose readers see only what
+// a settle published (a server's pipeline). When present, a runner
+// settles the sink once each batch is acknowledged and before its cursor
+// advances, so every record a cursor covers is already visible. A
+// count-triggered settle (storypivot.WithAutoAlign) cannot stand in: it
+// would leave the tail of a batch invisible until more records arrive.
+type Settler interface {
+	Settle()
+}
+
 // Config tunes the manager and its runners. The zero value is usable;
 // every field falls back to the default below.
 type Config struct {

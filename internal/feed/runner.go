@@ -11,9 +11,9 @@ import (
 	"repro/internal/retry"
 )
 
-// runner drives one source: fetch → decode → enqueue → ack → advance
-// cursor, forever. All failure handling is local to the runner, so a
-// flapping or quarantined source never stalls its siblings — the only
+// runner drives one source: fetch → decode → enqueue → ack → settle →
+// advance cursor, forever. All failure handling is local to the runner,
+// so a flapping or quarantined source never stalls its siblings — the only
 // shared resource is the bounded ingest queue, and that is bounded
 // precisely so one fast source cannot starve the sink either.
 type runner struct {
@@ -91,6 +91,9 @@ func (r *runner) run(ctx context.Context) {
 		}
 		if !r.m.submit(ctx, r, batch.Snippets) {
 			return // cancelled mid-batch: cursor stays put, redelivered next run
+		}
+		if st, ok := r.m.sink.(Settler); ok && len(batch.Snippets) > 0 {
+			st.Settle()
 		}
 		r.advance(batch.Next, batch.Done)
 		if batch.Done {

@@ -45,7 +45,7 @@ func TestHTTPCacheCoherence(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			f := &httpFetcher{t: t, base: ts.URL, stored: map[string]int{}}
+			f := &httpFetcher{t: t, s: s, base: ts.URL, stored: map[string]int{}}
 			entities := corpusEntities(corpus, 6)
 			queries := corpusQueries(corpus, 4)
 
@@ -82,6 +82,7 @@ func TestHTTPCacheCoherence(t *testing.T) {
 // the test can prove entries actually survived ingests.
 type httpFetcher struct {
 	t    *testing.T
+	s    *Server
 	base string
 
 	lookups   int
@@ -95,6 +96,9 @@ var coherencePages = []struct{ off, lim int }{{0, 5}, {5, 5}, {0, 50}}
 
 func (f *httpFetcher) comparePanel(entities []event.Entity, queries []string, at string) {
 	f.t.Helper()
+	// The test writes through the library, which does not settle; settle
+	// once here, as the server's own write paths do before they return.
+	f.s.Pipeline().Result()
 	f.round++
 	for _, e := range entities {
 		for _, ps := range coherencePages {

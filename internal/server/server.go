@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/quota"
+	"repro/internal/stream"
 	"repro/internal/text"
 )
 
@@ -37,12 +38,16 @@ var metEncodesSkipped = obs.GetCounter("storypivot_http_encodes_skipped_total",
 // displayed stories" interaction.
 //
 // Locking: the live pipeline is an atomic snapshot that read handlers
-// load without taking any lock, so query traffic (microsecond-fast
-// since the PR-3 index) never queues behind a slow deselect-rebuild.
-// Mutations serialize on writeMu for their whole duration — including
-// the rebuild ingest — and take stateMu only for the brief selection
-// swap; read handlers that need selection metadata take stateMu.RLock
-// and therefore block only for that swap, not the rebuild.
+// load without taking any lock, so query traffic never queues behind a
+// slow deselect-rebuild. Mutations serialize on writeMu for their whole
+// duration — including the rebuild ingest — and take stateMu only for the
+// brief selection swap; read handlers that need selection metadata take
+// stateMu.RLock and therefore block only for that swap, not the rebuild.
+//
+// Settling: every write path settles the pipeline before it returns (New,
+// AddDocument, and a rebuild before its swap), so an acknowledged write is
+// visible to the next read, and no read settles: handlers read the last
+// published index and result without the engine mutex.
 type Server struct {
 	opts []storypivot.Option
 
@@ -69,7 +74,6 @@ type Server struct {
 	feedEpoch atomic.Uint64
 
 	ingestT *eval.Timer
-	alignT  *eval.Timer
 
 	// cache, when enabled, serves /api/search and /api/timeline from
 	// encoded bytes, invalidated by the engine's result publishes via a
@@ -96,17 +100,18 @@ type Server struct {
 	rebuildHook func()
 }
 
-// New creates a server; opts configure every pipeline it builds.
+// New creates a server; opts configure every pipeline it builds. A
+// pipeline restored from a store is settled before New returns.
 func New(opts ...storypivot.Option) (*Server, error) {
 	p, err := storypivot.New(opts...)
 	if err != nil {
 		return nil, err
 	}
+	p.Result()
 	s := &Server{
 		opts:     opts,
 		selected: make(map[string]bool),
 		ingestT:  eval.NewTimer(),
-		alignT:   eval.NewTimer(),
 	}
 	s.pipeline.Store(p)
 	return s, nil
@@ -171,10 +176,11 @@ func (s *Server) Select(urls []string) error {
 	return s.rebuild(want)
 }
 
-// rebuild constructs a fresh pipeline over the wanted subset and swaps
-// it in. The caller holds writeMu; readers keep serving the old
-// snapshot until the swap, so the (potentially slow) ingest below
-// blocks no read traffic.
+// rebuild constructs a fresh pipeline over the wanted subset, settles it
+// and swaps it in. The caller holds writeMu; readers keep serving the old
+// snapshot until the swap, so the (potentially slow) ingest and settle
+// below block no read traffic, and no reader ever sees the new pipeline
+// unsettled.
 func (s *Server) rebuild(want map[string]bool) error {
 	p, err := storypivot.New(s.opts...)
 	if err != nil {
@@ -194,6 +200,7 @@ func (s *Server) rebuild(want map[string]bool) error {
 			sel[d.URL] = true
 		}
 	}
+	p.Result()
 	if s.rebuildHook != nil {
 		s.rebuildHook()
 	}
@@ -219,11 +226,13 @@ func (s *Server) rebuild(want map[string]bool) error {
 }
 
 // AddDocument registers a new document, selects it, and ingests it
-// incrementally into the live pipeline (the engine supports concurrent
-// query-vs-ingest, so readers are not paused). It returns how many
-// extracted snippets the engine accepted and any per-snippet ingest
-// errors; the document is registered as long as extraction produced
-// something, even if individual snippets were rejected.
+// incrementally into the live pipeline, which it settles before it
+// returns: the write is visible to every read after the ack (readers are
+// not paused meanwhile; they keep reading the previous publish). It
+// returns how many extracted snippets the engine accepted and any
+// per-snippet ingest errors; the document is registered as long as
+// extraction produced something, even if individual snippets were
+// rejected.
 func (s *Server) AddDocument(d *storypivot.Document) (accepted int, errs []error, err error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -235,14 +244,17 @@ func (s *Server) AddDocument(d *storypivot.Document) (accepted int, errs []error
 		}
 	}
 	s.stateMu.RUnlock()
+	p := s.pipeline.Load()
 	start := time.Now()
-	_, accepted, errs = s.pipeline.Load().AddDocumentStats(d)
+	_, accepted, errs = p.AddDocumentStats(d)
+	took := time.Since(start)
+	p.Result()
 	if accepted == 0 && len(errs) > 0 {
 		// Nothing made it in: extraction failed or every snippet was
 		// rejected. The document stays unregistered.
 		return 0, errs, errors.Join(errs...)
 	}
-	s.ingestT.Observe(time.Since(start))
+	s.ingestT.Observe(took)
 	s.stateMu.Lock()
 	s.available = append(s.available, d)
 	s.selected[d.URL] = true
@@ -480,10 +492,7 @@ func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIntegrated(w http.ResponseWriter, _ *http.Request) {
-	start := time.Now()
-	res := s.Pipeline().Result()
-	s.alignT.Observe(time.Since(start))
-	if out, ok := fragments(w, res.Integrated(), storyFragment); ok {
+	if out, ok := fragments(w, s.Pipeline().Published().Integrated(), storyFragment); ok {
 		httpx.WriteJSON(w, http.StatusOK, out)
 	}
 }
@@ -495,7 +504,7 @@ func (s *Server) handleIntegratedOne(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := s.Pipeline()
-	for _, is := range p.Result().Integrated() {
+	for _, is := range p.Published().Integrated() {
 		if uint64(is.ID) == id {
 			httpx.WriteJSON(w, http.StatusOK, integratedView(p, is, true))
 			return
@@ -711,15 +720,14 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // cachedQuery is the shared cache protocol for the paged query
-// endpoints. The order is load-bearing (see the qcache package
-// comment): settle the pipeline first so pending ingests publish —
-// and bump — before the lookup; on a miss, capture the validity token
-// BEFORE the index reads, so a publish racing the computation lands
-// the entry already-invalid instead of stale.
+// endpoints. Every write settled before its ack, so its publish has
+// already bumped what it changed. On a miss the order is load-bearing
+// (see the qcache package comment): capture the validity token BEFORE
+// the index reads, so a publish racing the computation lands the entry
+// already-invalid instead of stale.
 func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, query string,
 	addDeps func(*qcache.Deps), compute func(*storypivot.Pipeline) (any, bool), offset, limit int) {
 	p := s.Pipeline()
-	p.Result() // settle: align pending ingests and run their invalidations
 	key := qcache.Key(endpoint, query, offset, limit)
 	mode := requestCacheMode(r)
 	if mode == modeNormal {
@@ -792,7 +800,7 @@ func (s *Server) handleContext(w http.ResponseWriter, r *http.Request) {
 		httpx.Error(w, http.StatusNotImplemented, "no knowledge base attached")
 		return
 	}
-	for _, is := range p.Result().Integrated() {
+	for _, is := range p.Published().Integrated() {
 		if uint64(is.ID) == id {
 			httpx.WriteJSON(w, http.StatusOK, p.Context(is))
 			return
@@ -866,9 +874,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.stateMu.RUnlock()
 	p := s.Pipeline()
 	ingestMean := s.ingestT.Mean()
-	alignMean := s.alignT.Mean()
+	alignMean := stream.AlignMean()
 
-	res := p.Result()
+	res := p.Published()
 	view := StatsView{
 		Ingested:      p.Engine().Ingested(),
 		Integrated:    len(res.Integrated()),

@@ -162,16 +162,7 @@ func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoi
 		e.shards[src] = sh
 		e.dirty[src] = id.Pending()
 		for _, sn := range bySource[src] {
-			e.ingested++
-			for _, ent := range sn.Entities {
-				e.entHLL.Add(string(ent))
-			}
-			if e.firstTS.IsZero() || sn.Timestamp.Before(e.firstTS) {
-				e.firstTS = sn.Timestamp
-			}
-			if sn.Timestamp.After(e.lastTS) {
-				e.lastTS = sn.Timestamp
-			}
+			e.stats.add(sn)
 		}
 	}
 	metRestoreOK.Inc()

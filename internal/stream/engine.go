@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/align"
@@ -131,9 +132,11 @@ type shard struct {
 // Engine is the live StoryPivot pipeline. It is safe for concurrent use.
 // Ingestion is sharded per source: each source's identifier and dedup
 // filter sit behind a per-shard mutex, so a multi-source feed ingests on
-// all cores; only the narrow shared section (aligner, dirty set, dataset
-// statistics) is serialised behind the engine mutex. Lock order, for any
-// path that holds more than one: mu → regMu → shard.mu.
+// all cores; only the narrow shared section (aligner, dirty set) is
+// serialised behind the engine mutex. Readers take none of these: the
+// last published result is an atomic pointer (Published) and the dataset
+// statistics sit behind their own small lock. Lock order, for any path
+// that holds more than one: mu → regMu → shard.mu, and mu → stats.mu.
 type Engine struct {
 	opts Options
 
@@ -154,8 +157,8 @@ type Engine struct {
 	// survives RemoveSource: the removed source's IDs remain reserved.
 	tagOwner map[uint32]event.SourceID
 
-	// mu guards the shared section: aligner, dirty bookkeeping, the cached
-	// result, and dataset statistics.
+	// mu guards the shared section: the aligner, the refiner, the dirty
+	// bookkeeping and the sinks. A settle holds it throughout.
 	mu      sync.Mutex
 	aligner *align.Aligner
 	// refiner runs every refinement pass. It keeps the last pass's plans,
@@ -166,15 +169,19 @@ type Engine struct {
 	dirty map[event.SourceID]int
 
 	sinceAlign int
-	ingested   uint64
-	result     *align.Result
+	// stale records that the published result still holds stories the
+	// aligner no longer has (RemoveSource), so the next Result must
+	// re-align even with nothing dirty.
+	stale bool
+	// published is the final result of the last settle, stored after every
+	// sink has published it. Readers load it without mu (Published).
+	published atomic.Pointer[align.Result]
 	// sinks receive every freshly computed result, in attach order
-	// (guarded by mu like the result itself). Slot 0 is reserved for
-	// the primary sink set via SetResultSink (the query index; primary
-	// tracks whether that slot is occupied); AddResultSink appends
-	// after it, so secondary consumers — e.g. a result-cache
-	// invalidator — always observe a state the index has already
-	// incorporated.
+	// (guarded by mu). Slot 0 is reserved for the primary sink set via
+	// SetResultSink (the query index; primary tracks whether that slot is
+	// occupied); AddResultSink appends after it, so secondary consumers —
+	// e.g. a result-cache invalidator — always observe a state the index
+	// has already incorporated.
 	sinks   []ResultSink
 	primary bool
 
@@ -182,12 +189,35 @@ type Engine struct {
 	// once during pipeline wiring, before concurrent use.
 	retirer Retirer
 
-	// entHLL estimates the distinct-entity count of everything ingested
-	// (the "# Entities" figure of the statistics module's dataset panel)
-	// in fixed memory.
-	entHLL *sketch.HyperLogLog
-	// firstTS/lastTS track the ingested time range for the same panel.
+	stats datasetStats
+}
+
+// datasetStats holds the statistics module's dataset panel: how many
+// snippets were accepted, an estimate of how many distinct entities they
+// mention, and the time range they cover. It has its own lock, so a reader
+// never waits for a settle holding Engine.mu.
+type datasetStats struct {
+	mu       sync.Mutex
+	ingested uint64
+	// entHLL estimates the distinct-entity count in fixed memory.
+	entHLL          *sketch.HyperLogLog
 	firstTS, lastTS time.Time
+}
+
+// add counts one accepted snippet.
+func (d *datasetStats) add(s *event.Snippet) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ingested++
+	for _, ent := range s.Entities {
+		d.entHLL.Add(string(ent))
+	}
+	if d.firstTS.IsZero() || s.Timestamp.Before(d.firstTS) {
+		d.firstTS = s.Timestamp
+	}
+	if s.Timestamp.After(d.lastTS) {
+		d.lastTS = s.Timestamp
+	}
 }
 
 // NewEngine creates an engine with no sources.
@@ -204,7 +234,7 @@ func NewEngine(opts Options) *Engine {
 		aligner:  align.NewAligner(opts.Align),
 		refiner:  align.NewRefiner(opts.Refine),
 		dirty:    make(map[event.SourceID]int),
-		entHLL:   hll,
+		stats:    datasetStats{entHLL: hll},
 	}
 }
 
@@ -278,8 +308,8 @@ func (e *Engine) SetResultSink(s ResultSink) {
 		e.sinks = append([]ResultSink{s}, e.sinks...)
 		e.primary = true
 	}
-	if s != nil && e.result != nil {
-		s.Publish(e.result)
+	if res := e.published.Load(); s != nil && res != nil {
+		s.Publish(res)
 	}
 }
 
@@ -295,8 +325,8 @@ func (e *Engine) AddResultSink(s ResultSink) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sinks = append(e.sinks, s)
-	if e.result != nil {
-		s.Publish(e.result)
+	if res := e.published.Load(); res != nil {
+		s.Publish(res)
 	}
 }
 
@@ -307,10 +337,11 @@ func (e *Engine) SetRetirer(r Retirer) {
 	e.retirer = r
 }
 
-// RemoveSource detaches a source: its stories leave the aligner and the
-// integrated result (paper §2.4: "any story detection system should allow
-// the addition or removal of data sources"). It reports whether the source
-// existed.
+// RemoveSource detaches a source: its stories leave the aligner, and the
+// next settle publishes a result without them (paper §2.4: "any story
+// detection system should allow the addition or removal of data sources").
+// Until then readers keep the last published result. It reports whether
+// the source existed.
 func (e *Engine) RemoveSource(src event.SourceID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -328,7 +359,7 @@ func (e *Engine) RemoveSource(src event.SourceID) bool {
 	sh.mu.Unlock()
 	e.aligner.RemoveSource(src)
 	delete(e.dirty, src)
-	e.result = nil
+	e.stale = true
 	e.setDirtyGauge()
 	if e.retirer != nil {
 		e.retirer.ForgetSource(src)
@@ -410,18 +441,9 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 		e.dirty[st.Source]++
 	}
 	e.dirty[s.Source] = pending
-	e.ingested++
+	e.stats.add(s)
 	metIngested.Inc()
 	e.setDirtyGauge()
-	for _, ent := range s.Entities {
-		e.entHLL.Add(string(ent))
-	}
-	if e.firstTS.IsZero() || s.Timestamp.Before(e.firstTS) {
-		e.firstTS = s.Timestamp
-	}
-	if s.Timestamp.After(e.lastTS) {
-		e.lastTS = s.Timestamp
-	}
 	// The span stops here: auto-alignment below is measured by its own
 	// histogram, and folding a ms-scale align pass into the µs-scale
 	// ingest distribution would swamp its upper quantiles.
@@ -568,8 +590,8 @@ func (e *Engine) reconcile(byID bool) {
 	}
 }
 
-// Align re-aligns the dirty stories and returns the fresh integrated
-// result.
+// Align settles: it re-aligns the dirty stories, publishes the fresh
+// integrated result to every sink and to Published, and returns it.
 func (e *Engine) Align() *align.Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -581,7 +603,8 @@ func (e *Engine) alignLocked() *align.Result {
 	defer span.End()
 	metAlignRuns.Inc()
 	e.reconcile(false)
-	e.result = e.aligner.Result()
+	e.stale = false
+	res := e.aligner.Result()
 
 	if e.opts.RefineOnAlign {
 		e.regMu.RLock()
@@ -590,11 +613,11 @@ func (e *Engine) alignLocked() *align.Result {
 			movers[src] = lockedMover{e, src, sh}
 		}
 		e.regMu.RUnlock()
-		if corr := e.refiner.Refine(e.result, movers); len(corr) > 0 {
+		if corr := e.refiner.Refine(res, movers); len(corr) > 0 {
 			metRefineMoves.Add(uint64(len(corr)))
 			// Moves changed story contents; reconcile and re-align once.
 			e.reconcile(true)
-			e.result = e.aligner.Result()
+			res = e.aligner.Result()
 		}
 	}
 	// Retirement walks the settled (post-refinement) active set: cold
@@ -602,23 +625,27 @@ func (e *Engine) alignLocked() *align.Result {
 	// recomputed once so the publish below already excludes them — the
 	// sinks (query index liveness, cache invalidation) see the eviction
 	// as stories gone from an ordinary result.
-	if e.retirer != nil && e.retirer.Due(e.aligner.Len(), e.lastTS) {
-		if e.retireLocked() > 0 {
-			e.result = e.aligner.Result()
+	if e.retirer != nil {
+		_, watermark := e.TimeRange()
+		if e.retirer.Due(e.aligner.Len(), watermark) && e.retireLocked(watermark) > 0 {
+			res = e.aligner.Result()
 		}
 	}
 	// Only the final result of the pass is published. Each sink compares
 	// it with the last one it saw by IntegratedStory.Version (the index
 	// and the cache invalidator alike), so the results computed in
-	// between need no record.
+	// between need no record. Readers of Published see it only after
+	// every sink has it.
 	for _, s := range e.sinks {
-		s.Publish(e.result)
+		s.Publish(res)
 	}
-	return e.result
+	e.published.Store(res)
+	return res
 }
 
-// retireLocked runs one retirement walk under e.mu and returns how many
-// stories were retired. Per retirable set the protocol is:
+// retireLocked runs one retirement walk under e.mu at the given event-time
+// watermark and returns how many stories were retired. Per retirable set
+// the protocol is:
 //
 //  1. verify under each member's shard lock that the live story still is
 //     the snapshot the aligner holds (any member that changed aborts the
@@ -631,8 +658,7 @@ func (e *Engine) alignLocked() *align.Result {
 //
 // The ordering makes the archive a superset of what was detached at
 // every instant, so a crash anywhere loses at most a retirement.
-func (e *Engine) retireLocked() int {
-	watermark := e.lastTS
+func (e *Engine) retireLocked(watermark time.Time) int {
 	cold := func(st *event.Story) bool {
 		return e.retirer.Cold(st.ID, st.End, watermark)
 	}
@@ -682,15 +708,31 @@ func (e *Engine) retireLocked() int {
 	return total
 }
 
-// Result returns the most recent alignment result, aligning first if none
-// exists or ingests happened since.
+// Result settles and returns the most recent alignment result: it aligns
+// first if nothing was published yet or anything changed since (ingests,
+// refinement moves, a removed source). Queries do not call it; they read
+// Published.
 func (e *Engine) Result() *align.Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.result == nil || len(e.dirty) > 0 {
-		return e.alignLocked()
+	if res := e.published.Load(); res != nil && !e.stale && len(e.dirty) == 0 {
+		return res
 	}
-	return e.result
+	return e.alignLocked()
+}
+
+// noResult is what Published returns before the first settle.
+var noResult = &align.Result{}
+
+// Published returns the result of the last settle without settling and
+// without taking the engine mutex, so it never waits for a settle in
+// progress; before the first settle it is an empty result. Every sink has
+// already published it, so the query index is at least as new.
+func (e *Engine) Published() *align.Result {
+	if res := e.published.Load(); res != nil {
+		return res
+	}
+	return noResult
 }
 
 // Stories returns the current per-source stories of one source, as
@@ -731,23 +773,23 @@ func (e *Engine) withIdentifier(src event.SourceID, f func(*identify.Identifier)
 
 // Ingested returns the number of accepted snippets.
 func (e *Engine) Ingested() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ingested
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	return e.stats.ingested
 }
 
 // DistinctEntities estimates the number of distinct entities ingested
 // (HyperLogLog, ~1.6% standard error).
 func (e *Engine) DistinctEntities() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.entHLL.Count()
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	return e.stats.entHLL.Count()
 }
 
 // TimeRange returns the [earliest, latest] snippet timestamps ingested;
 // zero times when nothing was ingested.
 func (e *Engine) TimeRange() (start, end time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.firstTS, e.lastTS
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	return e.stats.firstTS, e.stats.lastTS
 }

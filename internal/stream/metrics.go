@@ -1,6 +1,10 @@
 package stream
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // Instrumentation points of the live pipeline. Counters and histograms
 // are process-global (registered in obs.Default); the gauges reflect
@@ -32,3 +36,7 @@ var (
 	metRetireArchiveErrors = obs.GetCounter("storypivot_stream_retire_archive_errors_total",
 		"retirement passes aborted by an archive write failure")
 )
+
+// AlignMean is the mean latency of the alignment passes (settles) this
+// process has run, over every engine: the statistics module's align time.
+func AlignMean() time.Duration { return metAlignLat.Snapshot().Mean() }

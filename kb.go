@@ -64,10 +64,10 @@ func (p *Pipeline) Context(is *IntegratedStory) *StoryContext {
 }
 
 // SourceProfiles derives per-source reporting profiles (timeliness,
-// coverage, exclusivity) from the current alignment result, sorted by
-// source ID. See the sourceprof package for metric definitions.
+// coverage, exclusivity) from the last published alignment result, sorted
+// by source ID. See the sourceprof package for metric definitions.
 func (p *Pipeline) SourceProfiles() []SourceProfile {
-	res := p.engine.Result()
+	res := p.engine.Published()
 	profiles := sourceprof.Build(res, sourceprof.DefaultConfig())
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Source < profiles[j].Source })
 	return profiles

@@ -95,6 +95,7 @@ func TestSourceProfilesFromPipeline(t *testing.T) {
 	for _, d := range mh17Docs() {
 		p.AddDocument(d)
 	}
+	p.Result()
 	profiles := p.SourceProfiles()
 	if len(profiles) != 2 {
 		t.Fatalf("profiles = %d", len(profiles))

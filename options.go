@@ -90,8 +90,9 @@ func WithRefinement(on bool) Option {
 	return func(c *config) { c.stream.RefineOnAlign = on }
 }
 
-// WithAutoAlign re-aligns automatically every n ingested snippets
-// (0 = align lazily on demand, the default).
+// WithAutoAlign settles automatically every n ingested snippets (0 = only
+// Result and Align settle, the default). Queries read what the last settle
+// published.
 func WithAutoAlign(n int) Option {
 	return func(c *config) { c.stream.AutoAlignEvery = n }
 }

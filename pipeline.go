@@ -385,15 +385,23 @@ func (p *Pipeline) RemoveSource(src SourceID) bool { return p.engine.RemoveSourc
 // Source" module, paper Figure 5).
 func (p *Pipeline) Stories(src SourceID) []*Story { return p.engine.Stories(src) }
 
-// Align forces a re-alignment and returns the fresh result.
+// Align forces a settle: a re-alignment whose fresh result is published
+// to the queries and returned.
 func (p *Pipeline) Align() *Result { return &Result{inner: p.engine.Align()} }
 
-// Result returns the current alignment result, aligning lazily if
-// anything changed since the last call.
+// Result settles and returns the current alignment result, aligning only
+// if anything changed since the last settle. A settle publishes the
+// result: queries (Search, Timeline, Published, ...) see what the last
+// settle published and never settle themselves.
 func (p *Pipeline) Result() *Result { return &Result{inner: p.engine.Result()} }
 
-// IntegratedStories returns all current integrated stories ("Snippets per
-// Story" module, paper Figure 6).
+// Published returns the result of the last settle without settling and
+// without waiting for a settle in progress; it is empty before the first.
+func (p *Pipeline) Published() *Result { return &Result{inner: p.engine.Published()} }
+
+// IntegratedStories settles and returns all current integrated stories
+// ("Snippets per Story" module, paper Figure 6); it is
+// Result().Integrated().
 func (p *Pipeline) IntegratedStories() []*IntegratedStory { return p.Result().Integrated() }
 
 // StoryOf returns the per-source story a snippet currently belongs to

@@ -14,6 +14,11 @@ import (
 // delta on every alignment pass, so query cost scales with the result set
 // instead of the corpus. The full-scan implementations the index replaced
 // live on in query_scan_test.go as the differential tests' oracle.
+//
+// Queries never settle. They read what the last settle published, without
+// the engine mutex, so a query never waits for an alignment pass. The
+// contract is: ingest, then settle (Result, Align, or WithAutoAlign), then
+// query. Snippets ingested after the last settle are not visible yet.
 
 // StoriesByEntity returns the integrated stories mentioning the entity,
 // ordered by how prominently they mention it (descending mention count,
@@ -27,7 +32,6 @@ func (p *Pipeline) StoriesByEntity(e Entity) []*IntegratedStory {
 // ranked window [offset, offset+limit) and the total hit count.
 // limit < 0 returns everything from offset on.
 func (p *Pipeline) StoriesByEntityN(e Entity, offset, limit int) ([]*IntegratedStory, int) {
-	p.engine.Result() // re-align (and publish) if ingests happened
 	return p.index.StoriesByEntity(e, offset, limit)
 }
 
@@ -44,7 +48,6 @@ func (p *Pipeline) Search(query string) []*IntegratedStory {
 // [offset, offset+limit) and the total hit count. limit < 0 returns
 // everything from offset on.
 func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory, int) {
-	p.engine.Result()
 	return p.index.Search(query, offset, limit)
 }
 
@@ -54,14 +57,12 @@ func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory,
 // ties by ascending integrated ID); they are not part of the public
 // response envelope unless explicitly requested.
 func (p *Pipeline) SearchScoredN(query string, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	p.engine.Result()
 	return p.index.SearchScored(query, offset, limit)
 }
 
 // StoriesByEntityScoredN is StoriesByEntityN plus the per-result ranking
 // scores, for the same router-side merge as SearchScoredN.
 func (p *Pipeline) StoriesByEntityScoredN(e Entity, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	p.engine.Result()
 	return p.index.StoriesByEntityScored(e, offset, limit)
 }
 
@@ -77,7 +78,6 @@ func (p *Pipeline) Timeline(e Entity) []*Snippet {
 // window [offset, offset+limit) and the total snippet count. limit < 0
 // returns everything from offset on.
 func (p *Pipeline) TimelineN(e Entity, offset, limit int) ([]*Snippet, int) {
-	p.engine.Result()
 	return p.index.Timeline(e, offset, limit)
 }
 

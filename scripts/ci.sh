@@ -210,6 +210,20 @@ gate "settle exactness (align + engine digest)" \
   TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip \
   TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest
 
+# Settle-on-write gate: reads never settle and never wait on the engine
+# mutex. A POST parked mid-settle must leave every query route, the
+# unindexed ones and /api/stats and /api/trending included, answering
+# with the pre-write state, and the same reads must show the write after
+# the ack; every server write path (POST, select, remove-document, a feed
+# batch, a feed-tenure source removal, New over a restored store) must
+# return with the write visible and nothing left to align, and N POSTs
+# under concurrent reads must run exactly N alignment passes. The cache
+# hammer, the HTTP cache-coherence oracle and the cluster differential,
+# whose harnesses settle once per ingested prefix, cover the read side.
+gate "settle on write (reads never settle)" \
+  TestReadsDoNotWaitForSettle TestWritePathsSettle TestPostsSettleOnceEach \
+  TestCacheQuotaIngestRace TestHTTPCacheCoherence TestClusterDifferential
+
 if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
   exit 1

@@ -26,9 +26,9 @@ func (p *Pipeline) Bursts(is *IntegratedStory, cfg TrendConfig) []Burst {
 	return trend.StoryBursts(is, cfg)
 }
 
-// Trending ranks the current integrated stories by their activity inside
-// [now−window, now] relative to their own history — the "what is hot
-// right now" view for the casual-reader use case (paper §3).
+// Trending ranks the last published integrated stories by their activity
+// inside [now−window, now] relative to their own history — the "what is
+// hot right now" view for the casual-reader use case (paper §3).
 func (p *Pipeline) Trending(now time.Time, window time.Duration) []Trend {
-	return trend.Trending(p.Result().Integrated(), now, window, trend.DefaultConfig())
+	return trend.Trending(p.engine.Published().Integrated, now, window, trend.DefaultConfig())
 }

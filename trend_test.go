@@ -16,6 +16,7 @@ func TestPipelineTrending(t *testing.T) {
 	defer p.Close()
 	corpus := datagen.Generate(experiments.CorpusScale(1500, 4, 31))
 	p.IngestAll(corpus.Snippets)
+	p.Result()
 
 	_, end := p.Engine().TimeRange()
 	trends := p.Trending(end, 7*24*time.Hour)
