@@ -1,7 +1,9 @@
 package align
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,7 +113,15 @@ type Refiner struct {
 	snips   []snipMemo
 	targets []target
 
+	// The memo of the pass before last, whose buffers the next pass
+	// writes into (DESIGN.md §3.3). It holds no pointers, so keeping it
+	// keeps nothing else alive.
+	spareHomes   []homeMemo
+	spareSnips   []snipMemo
+	spareTargets []target
+
 	// Scratch, valid within one pass.
+	plans []Correction
 	multi []reach
 	near  []int32 // indexes into multi within reach of one home story
 	cen   []vocab.IDWeight
@@ -171,12 +181,7 @@ func (r *Refiner) Refine(res *Result, movers map[event.SourceID]Mover) []Correct
 	// move, the remaining plans that read or write it are stale — their
 	// scores were computed against the old contents — so they are skipped
 	// and left for the next refinement round.
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].Gain != plans[j].Gain {
-			return plans[i].Gain > plans[j].Gain
-		}
-		return plans[i].Snippet < plans[j].Snippet
-	})
+	slices.SortFunc(plans, compareByGain)
 	var corrections []Correction
 	touched := make(map[event.StoryID]bool)
 	for _, c := range plans {
@@ -189,7 +194,17 @@ func (r *Refiner) Refine(res *Result, movers map[event.SourceID]Mover) []Correct
 			touched[c.To] = true
 		}
 	}
+	r.plans = plans[:0]
 	return corrections
+}
+
+// compareByGain orders plans by descending gain, then ascending snippet
+// ID. A snippet has at most one plan per pass, so the order is total.
+func compareByGain(a, b Correction) int {
+	if c := cmp.Compare(b.Gain, a.Gain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Snippet, b.Snippet)
 }
 
 // plan returns each snippet's best supported move, reusing the last
@@ -201,10 +216,11 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 	// versions up to planned.
 	planned := r.planned
 	r.planned = r.collectMulti(res)
-	homes := make([]homeMemo, 0, len(r.homes))
-	snips := make([]snipMemo, 0, len(r.snips))
-	targets := make([]target, 0, len(r.targets))
-	var plans []Correction
+	// This pass's memo goes into the buffers of the pass before last.
+	homes := slices.Grow(r.spareHomes[:0], len(r.homes))
+	snips := slices.Grow(r.spareSnips[:0], len(r.snips))
+	targets := slices.Grow(r.spareTargets[:0], len(r.targets))
+	plans := r.plans[:0]
 	scores := 0
 	for _, is := range res.Integrated {
 		for _, home := range is.Members {
@@ -326,6 +342,7 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 	for i, h := range homes {
 		r.homeAt[h.id] = int32(i)
 	}
+	r.spareHomes, r.spareSnips, r.spareTargets = r.homes, r.snips, r.targets
 	r.homes, r.snips, r.targets = homes, snips, targets
 	clear(r.multi) // the memo keeps no pointer into res
 	r.multi = r.multi[:0]

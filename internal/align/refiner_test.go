@@ -386,3 +386,41 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 		t.Fatalf("bound %d is not well below a pass from scratch (%d): the fixture changed too much", bound, scratch)
 	}
 }
+
+// refusingMover declines every move, so a pass changes nothing and the
+// next pass sees the same result.
+type refusingMover struct{}
+
+func (refusingMover) Move(event.SnippetID, event.StoryID) bool { return false }
+
+// TestWarmRefinerAllocsIndependentOfCorpus pins the cost of the memo: a
+// Refiner pass over an unchanged result writes its memo into the buffers
+// of the pass before last, so once two passes have run the allocation
+// count of a pass does not grow with the number of snippets planned.
+func TestWarmRefinerAllocsIndependentOfCorpus(t *testing.T) {
+	allocs := func(stories int) (float64, int) {
+		cfg := datagen.DefaultConfig()
+		cfg.Sources, cfg.Stories = 8, stories
+		c := datagen.Generate(cfg)
+		ids := identify.RunAll(c.Snippets, identify.DefaultConfig(), nil)
+		a := NewAligner(DefaultConfig())
+		movers := map[event.SourceID]Mover{}
+		for _, src := range c.Sources {
+			for _, st := range ids[src].Stories() {
+				a.Upsert(st)
+			}
+			movers[src] = refusingMover{}
+		}
+		res := a.Result()
+		r := NewRefiner(DefaultRefineConfig())
+		r.Refine(res, movers)
+		r.Refine(res, movers)
+		return testing.AllocsPerRun(20, func() { r.Refine(res, movers) }), len(r.snips)
+	}
+	small, nSmall := allocs(20)
+	large, nLarge := allocs(80)
+	if small != large {
+		t.Fatalf("a warm Refiner pass allocates %v times over %d snippets and %v over %d", small, nSmall, large, nLarge)
+	}
+	t.Logf("a warm Refiner pass allocates %v times over %d and over %d snippets", small, nSmall, nLarge)
+}

@@ -1,7 +1,7 @@
 package curated
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,7 +80,7 @@ func TestExtractionFindsCuratedEntities(t *testing.T) {
 func TestCuratedPipelineQuality(t *testing.T) {
 	x := extract.NewExtractor(Gazetteer())
 	sns, rawTruth := TruthBySnippet(x)
-	sort.Sort(event.ByTimestamp(sns))
+	slices.SortFunc(sns, event.CompareByTimestamp)
 
 	// Curated story arcs span July–September with multi-week coverage
 	// gaps; a 14-day window fragments them by design (that trade-off is

@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -425,7 +426,7 @@ func Generate(cfg Config) *Corpus {
 		}
 		corpus.Stories = append(corpus.Stories, st.truth)
 	}
-	sort.Sort(event.ByTimestamp(corpus.Snippets))
+	slices.SortFunc(corpus.Snippets, event.CompareByTimestamp)
 	return corpus
 }
 

@@ -10,6 +10,7 @@
 package event
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -228,15 +229,11 @@ func (s *Snippet) String() string {
 		s.Timestamp.Format("2006-01-02"), strings.Join(ents, ","))
 }
 
-// ByTimestamp sorts snippets chronologically, breaking ties by ID so the
-// order is deterministic.
-type ByTimestamp []*Snippet
-
-func (b ByTimestamp) Len() int      { return len(b) }
-func (b ByTimestamp) Swap(i, j int) { b[i], b[j] = b[j], b[i] }
-func (b ByTimestamp) Less(i, j int) bool {
-	if !b[i].Timestamp.Equal(b[j].Timestamp) {
-		return b[i].Timestamp.Before(b[j].Timestamp)
+// CompareByTimestamp orders snippets chronologically, breaking ties by ID
+// so the order is deterministic; it is the order of a story's Snippets.
+func CompareByTimestamp(a, b *Snippet) int {
+	if c := a.Timestamp.Compare(b.Timestamp); c != 0 {
+		return c
 	}
-	return b[i].ID < b[j].ID
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -117,19 +118,22 @@ func TestByTimestampOrdering(t *testing.T) {
 	a := snip(2, "nyt", 17, []Entity{"A"})
 	b := snip(1, "nyt", 17, []Entity{"A"}) // same time, lower ID
 	c := snip(3, "nyt", 16, []Entity{"A"})
+	if CompareByTimestamp(c, a) >= 0 {
+		t.Error("earlier timestamp should compare lower")
+	}
+	if CompareByTimestamp(b, a) >= 0 {
+		t.Error("same timestamp: lower ID should compare lower")
+	}
+	if CompareByTimestamp(a, b) <= 0 {
+		t.Error("same timestamp: higher ID should compare higher")
+	}
+	if CompareByTimestamp(a, a) != 0 {
+		t.Error("a snippet should compare equal to itself")
+	}
 	got := []*Snippet{a, b, c}
-	ByTimestamp(got).Swap(0, 2)
-	if got[0] != c {
-		t.Fatal("Swap broken")
-	}
-	if !ByTimestamp([]*Snippet{c, a}).Less(0, 1) {
-		t.Error("earlier timestamp should be Less")
-	}
-	if !ByTimestamp([]*Snippet{b, a}).Less(0, 1) {
-		t.Error("same timestamp: lower ID should be Less")
-	}
-	if ByTimestamp([]*Snippet{a, b}).Less(0, 1) {
-		t.Error("same timestamp: higher ID should not be Less")
+	slices.SortFunc(got, CompareByTimestamp)
+	if got[0] != c || got[1] != b || got[2] != a {
+		t.Errorf("sorted order = %v, want c, b, a", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -67,15 +69,21 @@ type IntegratedStory struct {
 }
 
 // NewIntegratedStory creates an integrated story over the given members.
+// Its Roles map is sized for every member snippet.
 func NewIntegratedStory(id IntegratedID, members []*Story) *IntegratedStory {
-	ms := append([]*Story(nil), members...)
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Source != ms[j].Source {
-			return ms[i].Source < ms[j].Source
-		}
-		return ms[i].ID < ms[j].ID
-	})
-	return &IntegratedStory{ID: id, Members: ms, Roles: make(map[SnippetID]SnippetRole)}
+	ms := slices.Clone(members)
+	slices.SortFunc(ms, compareMembers)
+	is := &IntegratedStory{ID: id, Members: ms}
+	is.Roles = make(map[SnippetID]SnippetRole, is.Len())
+	return is
+}
+
+// compareMembers orders member stories by (source, story ID).
+func compareMembers(a, b *Story) int {
+	if c := cmp.Compare(a.Source, b.Source); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Rendered returns the encoded rendering stored by SetRendered, or nil
@@ -105,13 +113,14 @@ func (is *IntegratedStory) Sources() []SourceID {
 	return out
 }
 
-// Snippets returns all member snippets in chronological order.
+// Snippets returns all member snippets in chronological order, in one
+// allocation.
 func (is *IntegratedStory) Snippets() []*Snippet {
-	var out []*Snippet
+	out := make([]*Snippet, 0, is.Len())
 	for _, m := range is.Members {
 		out = append(out, m.Snippets...)
 	}
-	sort.Sort(ByTimestamp(out))
+	slices.SortFunc(out, CompareByTimestamp)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -86,5 +87,61 @@ func TestSnippetRoleString(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", r, got, want)
 		}
+	}
+}
+
+// spreadMembers returns three stories of three sources holding n snippets
+// between them, with interleaved and tied timestamps and IDs that fall as
+// time rises.
+func spreadMembers(n int) []*Story {
+	srcs := []SourceID{"wsj", "nyt", "ft"}
+	ms := make([]*Story, len(srcs))
+	for i, src := range srcs {
+		ms[i] = NewStory(StoryID(i+1), src)
+	}
+	for i := 0; i < n; i++ {
+		ms[i%3].Add(snip(SnippetID(n-i), srcs[i%3], 1+i%20, []Entity{"UKR"}))
+	}
+	return ms
+}
+
+var sinkIntegrated *IntegratedStory
+
+// TestIntegratedSnippetsAllocatesOnce pins Snippets to its result slice:
+// it is sized up front and sorted without a closure or a swapper.
+func TestIntegratedSnippetsAllocatesOnce(t *testing.T) {
+	is := NewIntegratedStory(1, spreadMembers(200))
+	var out []*Snippet
+	if n := testing.AllocsPerRun(50, func() { out = is.Snippets() }); n != 1 {
+		t.Fatalf("Snippets allocates %v times, want 1", n)
+	}
+	if len(out) != 200 || !slices.IsSortedFunc(out, CompareByTimestamp) {
+		t.Fatalf("Snippets returned %d snippets, sorted %v", len(out), slices.IsSortedFunc(out, CompareByTimestamp))
+	}
+}
+
+// TestNewIntegratedStoryAllocsIndependentOfSnippets pins the Roles map to
+// its final size: building an integrated story and giving every member
+// snippet a role, as the aligner does, allocates as often over 16 snippets
+// as over 640 (both fit one map table, so the map never grows).
+func TestNewIntegratedStoryAllocsIndependentOfSnippets(t *testing.T) {
+	allocs := func(n int) float64 {
+		ms := spreadMembers(n)
+		return testing.AllocsPerRun(50, func() {
+			is := NewIntegratedStory(1, ms)
+			for _, m := range is.Members {
+				for _, sn := range m.Snippets {
+					is.Roles[sn.ID] = RoleAligning
+				}
+			}
+			sinkIntegrated = is
+		})
+	}
+	small, large := allocs(16), allocs(640)
+	if small != large {
+		t.Fatalf("NewIntegratedStory with roles allocates %v times over 16 snippets and %v over 640", small, large)
+	}
+	if m := sinkIntegrated.Members; m[0].Source != "ft" || m[1].Source != "nyt" || m[2].Source != "wsj" {
+		t.Fatalf("members not sorted by source: %s, %s, %s", m[0].Source, m[1].Source, m[2].Source)
 	}
 }

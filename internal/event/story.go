@@ -23,7 +23,7 @@ type Story struct {
 	ID     StoryID
 	Source SourceID
 
-	// Snippets in chronological order (ByTimestamp order).
+	// Snippets in chronological order (CompareByTimestamp order).
 	Snippets []*Snippet
 
 	// EntityFreq counts, for every entity (by vocab symbol, ascending),

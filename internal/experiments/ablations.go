@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/align"
@@ -96,7 +96,7 @@ func RunAblations(cfg AblationConfig) []AblationRow {
 		x := extract.NewExtractor(curated.Gazetteer())
 		x.Bigrams = bigrams
 		sns, rawTruth := curated.TruthBySnippet(x)
-		sort.Sort(event.ByTimestamp(sns))
+		slices.SortFunc(sns, event.CompareByTimestamp)
 		idCfg := identify.DefaultConfig()
 		idCfg.Mode = identify.ModeComplete
 		cids := identify.RunAll(sns, idCfg, nil)

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/align"
@@ -43,7 +43,7 @@ func RunCurated() []CuratedRow {
 	} {
 		x := extract.NewExtractor(curated.Gazetteer())
 		sns, rawTruth := curated.TruthBySnippet(x)
-		sort.Sort(event.ByTimestamp(sns))
+		slices.SortFunc(sns, event.CompareByTimestamp)
 
 		idCfg := identify.DefaultConfig()
 		idCfg.Mode = v.mode

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -38,10 +39,54 @@ const (
 	DeepPageLimit    = 10000
 )
 
+// encoder is one reusable indenting encoder and the buffer it writes
+// into. json.Encoder keeps its indent scratch between calls, so a pooled
+// pair encodes a body without growing either buffer from empty.
+type encoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBuffer caps the buffer a pooled encoder keeps (its indent
+// scratch grows to the same size): one deep page must not pin its buffer
+// in the pool after the response has gone.
+const maxPooledBuffer = 256 << 10
+
+var encoders = sync.Pool{New: func() any {
+	e := &encoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// encode renders v into a pooled encoder's buffer, which is valid until
+// release. A failed encode is counted and answered with a clean 500.
+func encode(w http.ResponseWriter, v any) (*encoder, bool) {
+	e := encoders.Get().(*encoder)
+	if err := e.enc.Encode(v); err != nil {
+		e.release()
+		EncodeError(w, err)
+		return nil, false
+	}
+	return e, true
+}
+
+// release returns the encoder to the pool with an empty buffer, whatever
+// a failed encode left in it, or drops it if its buffer outgrew the cap.
+func (e *encoder) release() {
+	if e.buf.Cap() > maxPooledBuffer {
+		return
+	}
+	e.buf.Reset()
+	encoders.Put(e)
+}
+
 // EncodeJSON renders v exactly as WriteJSON would send it: two-space
-// indent, trailing newline. Split out so a cache can store the encoded
-// bytes and later serve them — or a 304 — without re-running the
-// encoder. Embedded RawMessage values may arrive compact: the worker's
+// indent, HTML escaping, trailing newline. Split out so a cache can store
+// the encoded bytes and later serve them — or a 304 — without re-running
+// the encoder. It encodes through a pooled encoder and returns one
+// exact-size copy that the caller owns; nothing of it aliases the pool.
+// Embedded RawMessage values may arrive compact: the worker's
 // pre-encoded story and snippet fragments, a router's worker-encoded
 // members. The one indent pass re-tokenises them like the rest of the
 // body, so a fragment comes out byte for byte as the struct it was
@@ -49,14 +94,14 @@ const (
 // a clean 500 before any byte of a half-written 200 exists; ok is then
 // false.
 func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		EncodeError(w, err)
+	e, ok := encode(w, v)
+	if !ok {
 		return nil, false
 	}
-	return buf.Bytes(), true
+	body = make([]byte, e.buf.Len())
+	copy(body, e.buf.Bytes())
+	e.release()
+	return body, true
 }
 
 // EncodeError counts a response whose JSON encoding failed and answers it
@@ -81,10 +126,14 @@ func WriteBody(w http.ResponseWriter, code int, body []byte) {
 
 // WriteJSON encodes v completely before touching the connection, so an
 // encoding failure becomes a clean 500 instead of a half-written
-// response that the instrumentation would count as a success.
+// response that the instrumentation would count as a success. The body
+// goes out straight from the pooled encoder's buffer (an io.Writer may
+// not retain what it is given), which then returns to the pool; nothing
+// is copied.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	if body, ok := EncodeJSON(w, v); ok {
-		WriteBody(w, code, body)
+	if e, ok := encode(w, v); ok {
+		WriteBody(w, code, e.buf.Bytes())
+		e.release()
 	}
 }
 

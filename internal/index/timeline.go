@@ -1,6 +1,8 @@
 package index
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,28 +78,31 @@ func (x *Index) addTimelinePosts(st *event.Story, gen uint64) int {
 }
 
 // finishTimelines restores sorted order in every segment touched by the
-// current publish. Called under the write lock, once per publish.
+// current publish. Called under the write lock, once per publish; the
+// comparator captures nothing, so a re-sort allocates nothing.
 func (x *Index) finishTimelines() {
 	for _, seg := range x.dirtySegs {
-		sort.Slice(seg.posts, func(i, j int) bool {
-			a, b := seg.posts[i].sn, seg.posts[j].sn
-			if !a.Timestamp.Equal(b.Timestamp) {
-				return a.Timestamp.Before(b.Timestamp)
-			}
-			if a.ID != b.ID {
-				return a.ID < b.ID
-			}
-			// Same snippet posted for an old and a new story generation:
-			// order is immaterial (at most one is live) but must be
-			// deterministic.
-			if seg.posts[i].story != seg.posts[j].story {
-				return seg.posts[i].story < seg.posts[j].story
-			}
-			return seg.posts[i].gen < seg.posts[j].gen
-		})
+		slices.SortFunc(seg.posts, compareTLPosts)
 		seg.dirty = false
 	}
 	x.dirtySegs = x.dirtySegs[:0]
+}
+
+// compareTLPosts orders postings by (timestamp, snippet ID, story, gen),
+// a strict total order over a segment's postings.
+func compareTLPosts(a, b tlPost) int {
+	if c := a.sn.Timestamp.Compare(b.sn.Timestamp); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.sn.ID, b.sn.ID); c != 0 {
+		return c
+	}
+	// Same snippet posted for an old and a new story generation: order is
+	// immaterial (at most one is live) but must be deterministic.
+	if c := cmp.Compare(a.story, b.story); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.gen, b.gen)
 }
 
 // defaultTimelineBucket partitions entity timelines into 3-day runs: a

@@ -10,7 +10,6 @@
 package quota
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -306,9 +305,7 @@ func Middleware(l *Limiter) func(http.Handler) http.Handler {
 			// under-waiting the header and sometimes reading 0).
 			secs := httpx.RetryAfterSeconds(retry)
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			_ = json.NewEncoder(w).Encode(throttleBody{
+			httpx.WriteJSON(w, http.StatusTooManyRequests, throttleBody{
 				Error:      "tenant quota exceeded",
 				Tenant:     tenant,
 				RetryAfter: float64(secs),

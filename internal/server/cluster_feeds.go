@@ -59,9 +59,7 @@ func (s *Server) handleFeedAssignPut(w http.ResponseWriter, r *http.Request) {
 	// check-then-apply race converges next round (the coordinator adopts
 	// the higher epoch off the 409 and re-reconciles).
 	if cur := s.feedEpoch.Load(); req.Epoch < cur {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(map[string]any{
+		httpx.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error": "stale epoch",
 			"epoch": cur,
 		})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/feed"
@@ -93,7 +92,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		view.Status = "closed"
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(view)
+	httpx.WriteJSON(w, code, view)
 }

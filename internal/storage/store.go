@@ -3,7 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/event"
@@ -165,7 +165,7 @@ func (s *Store) All() []*event.Snippet {
 		}
 	}
 	s.mu.Unlock()
-	sort.Sort(event.ByTimestamp(out))
+	slices.SortFunc(out, event.CompareByTimestamp)
 	return out
 }
 

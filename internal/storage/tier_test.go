@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -481,7 +481,7 @@ func TestOpenMigratesFlatSegments(t *testing.T) {
 		}
 	}
 	sorted := append([]*event.Snippet(nil), want...)
-	sort.Sort(event.ByTimestamp(sorted))
+	slices.SortFunc(sorted, event.CompareByTimestamp)
 	open := func(dir string) *Store {
 		t.Helper()
 		st, err := Open(dir, Options{Tier: &TierOptions{ChunkRows: 8}})

@@ -109,10 +109,17 @@ gate "feed fault injection (feed + checkpoint restore)" \
 # ingest rounds that orphan old slots and on a tiered pipeline whose
 # hydrated snippets stay unmemoized; the worker side of the slots is
 # covered by TestClusterDifferential and the tier side by
-# TestTieredServerDifferential (both gated below).
+# TestTieredServerDifferential (both gated below). The pooled encoder the
+# cached bodies come from must match a fresh encoder byte for byte, hand
+# the cache bodies nothing of the pool aliases, leave no residue after a
+# failed encode and hold under eight concurrent encoders; the responses
+# that bypassed it (healthz, the stale-epoch 409, the quota 429) now go
+# through it.
 gate "cache coherence + quota" \
   TestCacheCoherenceDifferential TestHTTPCacheCoherence TestSinkMatchesFingerprintOracle TestCacheQuotaIngestRace \
   TestFragmentRenderingMatchesStructOracle \
+  TestPooledEncodeMatchesFreshEncoder TestPooledEncodeDoesNotAlias TestPooledEncodeFailureLeavesNoResidue \
+  TestPooledEncodeConcurrent TestBareWritersGoThroughWriteBody \
   TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
 
 # Query-index gate: indexed queries must return the scan oracle's
@@ -202,13 +209,18 @@ gate "self-healing cluster chaos" \
 # removal racing ingest, and checkpoint restore. The entity statistics
 # must reproduce the IDF weight bit for bit, an idle Result must allocate
 # the same at any corpus size, and a source's statistics must be readable
-# while it ingests.
+# while it ingests. The settle's allocation pins: the index re-sorts dirty
+# timeline segments with no allocation, an integrated story's Snippets
+# allocates once and its construction does not grow with its snippets,
+# and a warm Refiner pass allocates the same at any corpus size.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
   TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic TestIdentifierDrainMatchesGenDiff \
   TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip \
-  TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest
+  TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest \
+  TestFinishTimelinesAllocatesNothing TestIntegratedSnippetsAllocatesOnce \
+  TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the
