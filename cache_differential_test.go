@@ -8,23 +8,22 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/qcache"
-	"repro/internal/text"
 )
 
 // TestCacheCoherenceDifferential is the correctness oracle for the
 // query-result cache, the companion of TestQueryDifferential: it
 // replays the same synthetic corpora — refinement on, a source removed
-// mid-stream — through a pipeline with a qcache attached to the
-// engine's publish hook, and at every checkpoint fetches a panel of
-// paged search/timeline responses through the cache protocol the HTTP
-// layer uses (Get → Begin → compute → Put, after the settle a write
-// runs before its ack). Every response —
-// whether it was a HIT stored at an earlier checkpoint or a fresh MISS
-// — must be byte-identical to an uncached computation at the same
-// settled snapshot. A HIT that survives 150 ingests and still matches
-// is the property this PR exists for: the Gen-delta invalidation never
-// leaves an entry alive whose content changed.
+// mid-stream — through a pipeline with a qcache over its index, and at
+// every checkpoint fetches a panel of paged search/timeline responses
+// through the cache protocol the HTTP layer uses (Get → index query →
+// Put with the query's stamp, after the settle a write runs before its
+// ack). Every response — whether it was a HIT stored at an earlier
+// checkpoint or a fresh MISS — must be byte-identical to an uncached
+// computation at the same settled snapshot. A HIT that survives 150
+// ingests and still matches is the property under test: the index's
+// publish stamps never leave an entry alive whose content changed.
 func TestCacheCoherenceDifferential(t *testing.T) {
 	for _, seed := range []int64{7, 21, 63} {
 		seed := seed
@@ -36,11 +35,10 @@ func TestCacheCoherenceDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			// No TTL, no cap, no sweeper: only Gen-delta invalidation may
-			// drop entries, so a stale survivor cannot hide behind an
-			// expiry.
-			cache := qcache.New(qcache.Config{TTL: -1, MaxEntries: -1, SweepInterval: -1})
-			p.Engine().AddResultSink(qcache.NewSink(cache))
+			// No TTL, no cap, no sweeper: only the stamps may drop
+			// entries, so a stale survivor cannot hide behind an expiry.
+			cache := qcache.New(qcache.Config{TTL: -1, MaxEntries: -1, SweepInterval: -1},
+				func() *index.Index { return p.Index() })
 			f := &cachedFetcher{p: p, c: cache}
 
 			entities := panelEntities(corpus, 8)
@@ -122,11 +120,11 @@ func (f *cachedFetcher) comparePanel(t *testing.T, entities []Entity, queries []
 	}
 }
 
-// fetch is the cache protocol under test. Order matters and matches
-// the HTTP handlers, preceded by the settle a server write path runs
-// before its ack (it runs pending publishes and their invalidations):
-// consult the cache, and on a miss capture the token BEFORE the index
-// reads.
+// fetch is the cache protocol under test, as the HTTP handlers run it,
+// preceded by the settle a server write path runs before its ack (it
+// runs pending publishes, which stamp what they change): consult the
+// cache, and on a miss query the index and Put the page with the
+// query's stamp.
 func (f *cachedFetcher) fetch(t *testing.T, endpoint, query string, off, lim int) []byte {
 	t.Helper()
 	if f.stored == nil {
@@ -145,26 +143,21 @@ func (f *cachedFetcher) fetch(t *testing.T, endpoint, query string, off, lim int
 		}
 		return body
 	}
-	var deps qcache.Deps
-	switch endpoint {
-	case "timeline":
-		deps.AddEntity(query)
-	case "search":
-		for _, tok := range text.Pipeline(query) {
-			deps.AddTerm(tok)
-		}
-	}
-	tok := f.c.Begin(deps)
 	var body []byte
+	var st index.Stamp
 	switch endpoint {
 	case "timeline":
-		sns, total := f.p.TimelineN(Entity(query), off, lim)
+		var sns []*Snippet
+		var total int
+		sns, total, st = f.p.Index().Timeline(Entity(query), off, lim)
 		body = encodePage(snippetIDs(sns), total)
 	case "search":
-		hits, total := f.p.SearchN(query, off, lim)
+		var hits []*IntegratedStory
+		var total int
+		hits, total, st = f.p.Index().Search(query, off, lim)
 		body = encodePage(storyIDs(hits), total)
 	}
-	f.c.Put(key, tok, body, qcache.ETagFor(body))
+	f.c.Put(key, st, body, qcache.ETagFor(body))
 	f.stored[key] = f.round
 	return body
 }

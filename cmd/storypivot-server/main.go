@@ -247,8 +247,8 @@ func main() {
 
 	// Serve until signal or listener failure, then drain: in-flight
 	// requests get shutdown-grace to finish, the feed subsystem flushes
-	// and checkpoints, the pipeline (and its index background
-	// compactor) stops, and the metrics listener closes cleanly.
+	// and checkpoints, the pipeline closes, and the metrics listener
+	// closes cleanly.
 	err = httpx.Serve(mctx, srv, ln, *shutdownGrace)
 	if err != nil {
 		log.Printf("serve: %v", err)

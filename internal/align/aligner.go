@@ -809,12 +809,12 @@ func (a *Aligner) regroup(region []event.StoryID, at map[event.StoryID]int32) ([
 	// grouping — deterministic across processes, which is what lets a
 	// sharded deployment produce byte-identical results to a single node
 	// — while keeping the stability downstream consumers (the demo's
-	// /api/integrated/{id} links, the Gen-keyed query cache) rely on: the
+	// /api/integrated/{id} links, the stamp-checked query cache) rely on: the
 	// ID only moves when a regrouping actually gains or loses the
 	// smallest member. IDs are unique within a pass because components
 	// partition the member stories. Results list them in ascending
-	// IntegratedID order, so the query index and the cache invalidator
-	// pair a result with the last one in a single merge walk.
+	// IntegratedID order, so the query index pairs a result with the
+	// last one in a single merge walk.
 	slices.SortFunc(live, func(x, y int32) int { return cmp.Compare(parent[x], parent[y]) })
 	var fresh []*event.IntegratedStory
 	var group []*event.Story

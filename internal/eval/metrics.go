@@ -222,18 +222,6 @@ func ARI(pred, truth Assignment) float64 {
 	return (sumCells - expected) / (maxIdx - expected)
 }
 
-// FromStories converts a set of per-source stories into an Assignment
-// using story IDs as labels.
-func FromStories(stories []*event.Story) Assignment {
-	a := make(Assignment)
-	for _, st := range stories {
-		for _, sn := range st.Snippets {
-			a[sn.ID] = uint64(st.ID)
-		}
-	}
-	return a
-}
-
 // FromIntegrated converts integrated stories into an Assignment over all
 // member snippets, using integrated IDs as labels.
 func FromIntegrated(stories []*event.IntegratedStory) Assignment {

@@ -143,19 +143,6 @@ func TestMetricsBoundsQuick(t *testing.T) {
 	}
 }
 
-func TestFromStories(t *testing.T) {
-	st1 := event.NewStory(1, "nyt")
-	st1.Add(&event.Snippet{ID: 1, Source: "nyt", Timestamp: time.Unix(1, 0)})
-	st1.Add(&event.Snippet{ID: 2, Source: "nyt", Timestamp: time.Unix(2, 0)})
-	st2 := event.NewStory(2, "nyt")
-	st2.Add(&event.Snippet{ID: 3, Source: "nyt", Timestamp: time.Unix(3, 0)})
-
-	a := FromStories([]*event.Story{st1, st2})
-	if len(a) != 3 || a[1] != 1 || a[2] != 1 || a[3] != 2 {
-		t.Fatalf("FromStories = %v", a)
-	}
-}
-
 func TestFromIntegrated(t *testing.T) {
 	st1 := event.NewStory(1, "nyt")
 	st1.Add(&event.Snippet{ID: 1, Source: "nyt", Timestamp: time.Unix(1, 0)})

@@ -50,10 +50,9 @@ type IntegratedStory struct {
 	// counter that only grows: no two stories of one aligner share a
 	// version, and a story the aligner keeps from pass to pass keeps it.
 	// A version therefore names one member list, whose members are never
-	// written again. Zero means the story was built by hand. The Refiner,
-	// the query index and the cache invalidator skip a story whose version
-	// they saw last; since versions are numbered per aligner, one index
-	// or invalidator belongs to one engine.
+	// written again. Zero means the story was built by hand. The Refiner
+	// and the query index skip a story whose version they saw last; since
+	// versions are numbered per aligner, one index belongs to one engine.
 	Version uint64
 
 	// Members are the per-source stories merged into this integrated

@@ -37,9 +37,9 @@ type Extractor struct {
 	MinTokens int
 
 	// Bigrams additionally emits adjacent-token bigrams ("shot_down")
-	// as description terms. Phrase matches are a much stronger story
-	// signal than the individual words; the cost is a larger term
-	// vocabulary.
+	// as description terms. Off by default: the extraction-terms
+	// ablation (experiments.RunAblations) sets it and shows bigrams
+	// rarely repeat across differently-worded reports, costing recall.
 	Bigrams bool
 
 	mu sync.Mutex

@@ -20,8 +20,13 @@
 // Story.Gen is unchanged only moves to the new version's slot; a changed
 // member tombstones its old postings in O(1) — the entry's generation
 // moves past them — and appends new ones. Stale postings are skipped by
-// readers and physically removed by the compactor once they exceed a
-// fraction of the live set.
+// readers and physically removed by the sweep a publish runs once they
+// exceed a fraction of the live set.
+//
+// Every query also returns a Stamp: the index, the publish epoch it read
+// and the symbols it depends on. The walk that applies a publish stamps
+// the entity and term symbols of every integrated story it changed, so
+// Current tells, without a lock, whether a cached answer still holds.
 //
 // Reads run under an RWMutex read lock and never block each other;
 // Publish and sweeps take the write lock. Queries therefore never
@@ -31,6 +36,7 @@ package index
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/align"
@@ -108,29 +114,26 @@ type Index struct {
 	// in-progress publish; finishTimelines drains it.
 	dirtySegs []*tlSegment
 
-	epoch uint64
-
-	// Compactor lifecycle. lifeMu makes StartCompactor/Close safe to
-	// race from different goroutines (the server's shutdown path closes
-	// the pipeline from a signal handler while the serving goroutines
-	// are still live).
-	lifeMu   sync.Mutex
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	done     chan struct{}
+	// id names the index in the Stamps its queries return; epoch counts
+	// publishes; entStamps and termStamps hold, per vocab ID, the epoch of
+	// the last publish that changed an integrated story carrying the
+	// symbol (see stamp.go).
+	id                    uint64
+	epoch                 atomic.Uint64
+	entStamps, termStamps stampTable
 }
 
 // New creates an empty index.
 func New(opts Options) *Index {
 	opts = opts.withDefaults()
 	return &Index{
+		id:          indexIDs.Add(1),
 		opts:        opts,
 		bucketWidth: opts.TimelineBucket,
 		stories:     make(map[event.StoryID]*storyEntry),
 		ents:        make(map[uint32][]post),
 		terms:       make(map[uint32][]post),
 		timelines:   make(map[uint32]*timeline),
-		stopCh:      make(chan struct{}),
 	}
 }
 
@@ -141,7 +144,9 @@ func New(opts Options) *Index {
 // (same Story.Gen) or rebuilds its postings from the flat vocab vectors
 // (EntityFreq, Centroid, snippet EntityIDs). Gone and renewed stories
 // then free their slots and tombstone the members no new version claimed:
-// those still pointing at the old slot.
+// those still pointing at the old slot. The same walk stamps the symbols
+// of every new, renewed and gone story, which is all a cached query page
+// needs to know about the publish (see Current).
 func (x *Index) Publish(res *align.Result) {
 	if res == nil {
 		return
@@ -150,7 +155,7 @@ func (x *Index) Publish(res *align.Result) {
 	defer span.End()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.epoch++
+	epoch := x.epoch.Add(1)
 	metPublishes.Inc()
 
 	var updated, skipped, removed uint64
@@ -171,6 +176,7 @@ func (x *Index) Publish(res *align.Result) {
 		}
 		slot := x.takeSlot(is)
 		next = append(next, held{is: is, slot: slot})
+		x.stamp(is, epoch)
 		for _, m := range is.Members {
 			e := x.stories[m.ID]
 			if e != nil && e.gen == m.Gen() {
@@ -195,6 +201,7 @@ func (x *Index) Publish(res *align.Result) {
 		if j < i && x.slots[old.slot] != nil {
 			continue // kept
 		}
+		x.stamp(old.is, epoch)
 		for _, m := range old.is.Members {
 			if e := x.stories[m.ID]; e != nil && e.slot == old.slot {
 				x.stalePosts += int(e.npost)
@@ -219,6 +226,21 @@ func (x *Index) Publish(res *align.Result) {
 	metStoriesGauge.Set(int64(len(x.stories)))
 	metLiveGauge.Set(int64(x.livePosts))
 	metStaleGauge.Set(int64(x.stalePosts))
+}
+
+// stamp records that the publish in progress, at epoch, changed is: every
+// entity and centroid term of every member is stamped with the epoch.
+// Publish stamps each new version and each version that is gone or
+// renewed, so a query page that named either one sees its symbols move.
+func (x *Index) stamp(is *event.IntegratedStory, epoch uint64) {
+	for _, m := range is.Members {
+		for _, ec := range m.EntityFreq {
+			x.entStamps.set(ec.ID, epoch)
+		}
+		for _, tw := range m.Centroid {
+			x.termStamps.set(tw.ID, epoch)
+		}
+	}
 }
 
 // takeSlot puts is in a free slot, or a new one, and returns it. Slots
@@ -265,11 +287,7 @@ func (x *Index) live(story event.StoryID, gen uint64) (*storyEntry, bool) {
 
 // Epoch returns the number of publishes applied so far (diagnostics and
 // tests).
-func (x *Index) Epoch() uint64 {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.epoch
-}
+func (x *Index) Epoch() uint64 { return x.epoch.Load() }
 
 // Stats is a point-in-time size snapshot of the index.
 type Stats struct {
@@ -301,18 +319,6 @@ func (x *Index) Sweep() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.sweepLocked()
-}
-
-// SweepIfStale sweeps only when the stale fraction crossed the
-// configured thresholds; the background compactor calls this.
-func (x *Index) SweepIfStale() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if !x.shouldSweepLocked() {
-		return false
-	}
-	x.sweepLocked()
-	return true
 }
 
 // sweepLocked compacts every posting list and timeline segment in
@@ -371,51 +377,4 @@ func (x *Index) sweepPosts(lists map[uint32][]post) (swept uint64) {
 		}
 	}
 	return swept
-}
-
-// StartCompactor launches the background tombstone compactor: a
-// goroutine that periodically sweeps stale postings once they cross the
-// configured thresholds. Stop it with Close. Calling StartCompactor
-// more than once, or after Close, is a no-op.
-func (x *Index) StartCompactor(interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	x.lifeMu.Lock()
-	defer x.lifeMu.Unlock()
-	select {
-	case <-x.stopCh:
-		return // already closed
-	default:
-	}
-	if x.done != nil {
-		return // already running
-	}
-	x.done = make(chan struct{})
-	go func() {
-		defer close(x.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-x.stopCh:
-				return
-			case <-t.C:
-				x.SweepIfStale()
-			}
-		}
-	}()
-}
-
-// Close stops the background compactor (if started) and waits for it
-// to exit. The index remains queryable after Close; it is idempotent
-// and safe to race with StartCompactor.
-func (x *Index) Close() {
-	x.stopOnce.Do(func() { close(x.stopCh) })
-	x.lifeMu.Lock()
-	done := x.done
-	x.lifeMu.Unlock()
-	if done != nil {
-		<-done
-	}
 }

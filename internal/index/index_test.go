@@ -2,7 +2,6 @@ package index_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -138,10 +137,10 @@ func TestPublishDelta(t *testing.T) {
 	if s := h.idx.Stats(); s.StalePostings != 0 {
 		t.Fatalf("stale after sweep: %+v", s)
 	}
-	if got, total := h.idx.StoriesByEntity("MAL", 0, -1); total == 0 || len(got) != total {
+	if got, total, _ := h.idx.StoriesByEntity("MAL", 0, -1); total == 0 || len(got) != total {
 		t.Fatalf("post-sweep query broken: %d hits, total %d", len(got), total)
 	}
-	if got, total := h.idx.Timeline("UKR", 0, -1); total == 0 || len(got) != total {
+	if got, total, _ := h.idx.Timeline("UKR", 0, -1); total == 0 || len(got) != total {
 		t.Fatalf("post-sweep timeline broken: %d hits, total %d", len(got), total)
 	}
 	// Publishing nil is a no-op.
@@ -185,8 +184,11 @@ func TestTiesRankByIntegratedID(t *testing.T) {
 		name string
 		run  func(limit int) []*event.IntegratedStory
 	}{
-		{"Search", func(limit int) []*event.IntegratedStory { got, _ := idx.Search("crash", 0, limit); return got }},
-		{"StoriesByEntity", func(limit int) []*event.IntegratedStory { got, _ := idx.StoriesByEntity("MAL", 0, limit); return got }},
+		{"Search", func(limit int) []*event.IntegratedStory { got, _, _ := idx.Search("crash", 0, limit); return got }},
+		{"StoriesByEntity", func(limit int) []*event.IntegratedStory {
+			got, _, _ := idx.StoriesByEntity("MAL", 0, limit)
+			return got
+		}},
 	} {
 		if got := tc.run(-1); len(got) != 2 || got[0] != low || got[1] != high {
 			t.Errorf("%s: got %v, want integrated stories 3 then 5", tc.name, got)
@@ -212,33 +214,6 @@ func TestAutoSweep(t *testing.T) {
 	}
 }
 
-// TestCompactor verifies the background compactor sweeps without an
-// explicit call, and that Close is safe and idempotent.
-func TestCompactor(t *testing.T) {
-	h := newHarness(t, index.Options{SweepMinStale: 1, SweepRatio: 0.01, TimelineBucket: time.Hour})
-	h.idx.StartCompactor(5 * time.Millisecond)
-	h.seed()
-	h.eng.Result()
-	// Create tombstones without triggering the inline sweep: mutate,
-	// then publish through a result whose sweep check races the ticker.
-	// (Inline sweeping may beat the compactor; either way stale must hit
-	// zero, and the compactor path is exercised across iterations.)
-	h.add("wsj", 6, soccerEnts, "final", "trophy")
-	h.eng.Result()
-	deadline := time.Now().Add(2 * time.Second)
-	for h.idx.Stats().StalePostings != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("compactor never swept: %+v", h.idx.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.idx.Close()
-	h.idx.Close() // idempotent
-	if _, total := h.idx.StoriesByEntity("FIFA", 0, -1); total == 0 {
-		t.Fatal("index unreadable after Close")
-	}
-}
-
 // TestPaginationBounds exercises the paging edge cases of all three
 // queries directly against the index.
 func TestPaginationBounds(t *testing.T) {
@@ -246,7 +221,7 @@ func TestPaginationBounds(t *testing.T) {
 	h.seed()
 	h.eng.Result()
 
-	full, total := h.idx.Timeline("MAL", 0, -1)
+	full, total, _ := h.idx.Timeline("MAL", 0, -1)
 	if total == 0 || len(full) != total {
 		t.Fatalf("timeline: %d of %d", len(full), total)
 	}
@@ -261,7 +236,7 @@ func TestPaginationBounds(t *testing.T) {
 		{"clamped-tail", total - 1, 10, 1, total},
 		{"negative-offset", -3, 2, 2, total},
 	} {
-		got, gotT := h.idx.Timeline("MAL", tc.offset, tc.limit)
+		got, gotT, _ := h.idx.Timeline("MAL", tc.offset, tc.limit)
 		if len(got) != tc.wantLen || gotT != tc.wantT {
 			t.Errorf("timeline %s: %d items total %d, want %d/%d",
 				tc.name, len(got), gotT, tc.wantLen, tc.wantT)
@@ -269,50 +244,25 @@ func TestPaginationBounds(t *testing.T) {
 	}
 	// Ranked queries: the paged window is the same slice of the full
 	// ranking.
-	fullHits, ht := h.idx.StoriesByEntity("MAL", 0, -1)
+	fullHits, ht, _ := h.idx.StoriesByEntity("MAL", 0, -1)
 	if ht == 0 {
 		t.Fatal("no entity hits")
 	}
-	page, _ := h.idx.StoriesByEntity("MAL", 0, 1)
+	page, _, _ := h.idx.StoriesByEntity("MAL", 0, 1)
 	if len(page) != 1 || page[0] != fullHits[0] {
 		t.Fatalf("top-1 page != head of full ranking")
 	}
 	// Misses and empty queries.
-	if got, total := h.idx.StoriesByEntity("NOPE", 0, -1); len(got) != 0 || total != 0 {
+	if got, total, _ := h.idx.StoriesByEntity("NOPE", 0, -1); len(got) != 0 || total != 0 {
 		t.Fatalf("miss: %d/%d", len(got), total)
 	}
-	if got, total := h.idx.Search("", 0, -1); got == nil || len(got) != 0 || total != 0 {
+	if got, total, _ := h.idx.Search("", 0, -1); got == nil || len(got) != 0 || total != 0 {
 		t.Fatalf("empty query: %v/%d", got, total)
 	}
-	if got, total := h.idx.Timeline("NOPE", 0, -1); got == nil || len(got) != 0 || total != 0 {
+	if got, total, _ := h.idx.Timeline("NOPE", 0, -1); got == nil || len(got) != 0 || total != 0 {
 		t.Fatalf("timeline miss must be empty, not nil: %v/%d", got, total)
 	}
-	if got, total := h.idx.Search("crash", 0, 0); len(got) != 0 || total == 0 {
+	if got, total, _ := h.idx.Search("crash", 0, 0); len(got) != 0 || total == 0 {
 		t.Fatalf("zero-limit search: %d/%d", len(got), total)
 	}
-}
-
-// TestCompactorLifecycleRaces exercises StartCompactor/Close from
-// concurrent goroutines (the shutdown path can race the serving path);
-// under -race this pins the lifecycle's lock discipline, and repeated
-// or post-Close starts must be harmless no-ops.
-func TestCompactorLifecycleRaces(t *testing.T) {
-	h := newHarness(t, index.Options{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.idx.StartCompactor(time.Millisecond)
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.idx.Close()
-		}()
-	}
-	wg.Wait()
-	h.idx.Close()
-	h.idx.StartCompactor(time.Millisecond) // post-Close start: no-op
-	h.idx.Close()
 }

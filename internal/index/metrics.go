@@ -15,7 +15,7 @@ var (
 	metStoriesRemoved = obs.GetCounter("storypivot_index_stories_removed_total",
 		"stories tombstoned because they left the alignment result")
 	metSweeps = obs.GetCounter("storypivot_index_sweeps_total",
-		"tombstone sweep passes executed by the compactor")
+		"tombstone sweep passes, run by a publish past the stale thresholds or forced by Sweep")
 	metSweptPostings = obs.GetCounter("storypivot_index_swept_postings_total",
 		"stale postings physically removed by sweeps")
 	metQueries = obs.GetCounter("storypivot_index_queries_total",

@@ -12,7 +12,7 @@ import (
 // exists and records the same generation. Mutating a story therefore
 // tombstones all of its old postings in O(1) — the entry's generation
 // moves on — and the stale entries are physically removed later by the
-// compactor (see sweepLocked). Readers only ever skip them.
+// sweep a publish runs past its thresholds (see sweepLocked). Readers only ever skip them.
 
 // post is one ranked posting: the story scores w for the symbol — for an
 // entity the number of snippets mentioning it, for a term its centroid

@@ -144,6 +144,56 @@ func (c *checkedIndex) compare(res *align.Result, got, want [3]uint64) error {
 	return nil
 }
 
+// oracleStream drives a refinement-on engine with a retirement window
+// over seed's generated stream into sink, removes a source three fifths
+// of the way in, and fails the test on the first error failed reports
+// after an ingest. It returns the snippet count and how many stories
+// retired.
+func oracleStream(t *testing.T, seed int64, sink stream.ResultSink, failed func() error) (snippets, retired int) {
+	t.Helper()
+	gen := datagen.DefaultConfig()
+	gen.Seed, gen.Sources, gen.Stories, gen.EventsPerStory = seed, 5, 24, 10
+	corpus := datagen.Generate(gen)
+
+	opts := stream.DefaultOptions()
+	opts.RefineOnAlign = true
+	opts.AutoAlignEvery = 32
+	e := stream.NewEngine(opts)
+	mgr, err := retire.Open(retire.Config{
+		Window:      16 * 24 * time.Hour,
+		Dir:         t.TempDir(),
+		IdentWindow: opts.Identify.Window,
+		AlignSlack:  opts.Align.Slack,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	e.SetRetirer(mgr)
+	e.SetResultSink(sink)
+
+	removeAt := len(corpus.Snippets) * 3 / 5
+	for i, sn := range corpus.Snippets {
+		if _, err := e.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+		if i == removeAt {
+			if !e.RemoveSource(corpus.Snippets[0].Source) {
+				t.Fatal("RemoveSource had nothing to remove")
+			}
+			e.Align()
+		}
+		if err := failed(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Align()
+	if err := failed(); err != nil {
+		t.Fatal(err)
+	}
+	return len(corpus.Snippets), int(mgr.Snapshot().Retired)
+}
+
 // TestPublishMatchesGenDiff drives refinement-on engines with a retirement
 // window over generated streams, removes a source mid-stream, and requires
 // the index's entries, slots, stats and counters to equal the Gen-diff
@@ -151,52 +201,12 @@ func (c *checkedIndex) compare(res *align.Result, got, want [3]uint64) error {
 func TestPublishMatchesGenDiff(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			gen := datagen.DefaultConfig()
-			gen.Seed, gen.Sources, gen.Stories, gen.EventsPerStory = seed, 5, 24, 10
-			corpus := datagen.Generate(gen)
-
-			opts := stream.DefaultOptions()
-			opts.RefineOnAlign = true
-			opts.AutoAlignEvery = 32
-			e := stream.NewEngine(opts)
-			mgr, err := retire.Open(retire.Config{
-				Window:      16 * 24 * time.Hour,
-				Dir:         t.TempDir(),
-				IdentWindow: opts.Identify.Window,
-				AlignSlack:  opts.Align.Slack,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mgr.Close()
-			e.SetRetirer(mgr)
 			x := New(Options{})
 			c := &checkedIndex{x: x, want: &genDiff{opts: x.opts, stories: make(map[event.StoryID]genEntry)}}
-			e.SetResultSink(c)
-
-			removeAt := len(corpus.Snippets) * 3 / 5
-			for i, sn := range corpus.Snippets {
-				if _, err := e.Ingest(sn); err != nil {
-					t.Fatal(err)
-				}
-				if i == removeAt {
-					if !e.RemoveSource(corpus.Snippets[0].Source) {
-						t.Fatal("RemoveSource had nothing to remove")
-					}
-					e.Align()
-				}
-				if c.err != nil {
-					t.Fatal(c.err)
-				}
-			}
-			e.Align()
-			if c.err != nil {
-				t.Fatal(c.err)
-			}
-			view := mgr.Snapshot()
+			snippets, retired := oracleStream(t, seed, c, func() error { return c.err })
 			t.Logf("%d snippets, %d publishes, %d integrated IDs renewed, %d gone, %d members removed, %d stories retired",
-				len(corpus.Snippets), c.publishes, c.renewed, c.gone, c.removed, view.Retired)
-			if c.renewed == 0 || c.gone == 0 || c.removed == 0 || view.Retired == 0 {
+				snippets, c.publishes, c.renewed, c.gone, c.removed, retired)
+			if c.renewed == 0 || c.gone == 0 || c.removed == 0 || retired == 0 {
 				t.Fatal("no ID was renewed, none went, no member was removed or nothing retired: the comparison is vacuous")
 			}
 		})

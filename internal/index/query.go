@@ -8,8 +8,8 @@ import (
 
 // Query evaluation. All queries run under the read lock, rank with the
 // per-query pooled accumulator, and return a page [offset, offset+limit)
-// of the ranked hits plus the total hit count. limit < 0 returns
-// everything from offset on. Ranking and tie-breaking reproduce the
+// of the ranked hits, the total hit count and the Stamp that says when
+// the page goes stale. limit < 0 returns everything from offset on. Ranking and tie-breaking reproduce the
 // legacy scan path exactly: Search orders by summed centroid weight of
 // the matched terms, StoriesByEntity by total mention count, both with
 // ties broken by ascending integrated ID; Timeline is chronological
@@ -26,28 +26,29 @@ var (
 
 // Search answers free-text queries: the query is tokenised, stopword-
 // filtered, and stemmed, then scored through the term postings.
-func (x *Index) Search(query string, offset, limit int) ([]*event.IntegratedStory, int) {
-	out, _, total := x.searchOpt(query, offset, limit, false)
-	return out, total
+func (x *Index) Search(query string, offset, limit int) ([]*event.IntegratedStory, int, Stamp) {
+	out, _, total, st := x.searchOpt(query, offset, limit, false)
+	return out, total, st
 }
 
 // SearchScored is Search plus the per-result scores — the side channel a
 // scatter-gather router needs to merge shard pages under the exact
 // single-node ordering (see MergeRanked in ranked.go).
-func (x *Index) SearchScored(query string, offset, limit int) ([]*event.IntegratedStory, []float64, int) {
+func (x *Index) SearchScored(query string, offset, limit int) ([]*event.IntegratedStory, []float64, int, Stamp) {
 	return x.searchOpt(query, offset, limit, true)
 }
 
-func (x *Index) searchOpt(query string, offset, limit int, withScores bool) ([]*event.IntegratedStory, []float64, int) {
+func (x *Index) searchOpt(query string, offset, limit int, withScores bool) ([]*event.IntegratedStory, []float64, int, Stamp) {
 	toks := text.Pipeline(query)
 	if len(toks) == 0 {
-		return emptyStories, emptyScores, 0
+		return emptyStories, emptyScores, 0, Stamp{index: x.id}
 	}
 	span := metQueryLat.Start()
 	defer span.End()
 	metQueries.Inc()
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	st := Stamp{index: x.id, epoch: x.epoch.Load(), terms: toks}
 	a := getAccum(len(x.slots))
 	defer putAccum(a)
 	for _, tok := range toks {
@@ -61,31 +62,33 @@ func (x *Index) searchOpt(query string, offset, limit int, withScores bool) ([]*
 			}
 		}
 	}
-	return x.pageHits(a, offset, limit, withScores)
+	out, scores, total := x.pageHits(a, offset, limit, withScores)
+	return out, scores, total, st
 }
 
 // StoriesByEntity answers entity queries through the entity postings,
 // ranked by how prominently the integrated story mentions the entity.
-func (x *Index) StoriesByEntity(ent event.Entity, offset, limit int) ([]*event.IntegratedStory, int) {
-	out, _, total := x.entityOpt(ent, offset, limit, false)
-	return out, total
+func (x *Index) StoriesByEntity(ent event.Entity, offset, limit int) ([]*event.IntegratedStory, int, Stamp) {
+	out, _, total, st := x.entityOpt(ent, offset, limit, false)
+	return out, total, st
 }
 
 // StoriesByEntityScored is StoriesByEntity plus per-result scores, for
 // the same router-side merge as SearchScored.
-func (x *Index) StoriesByEntityScored(ent event.Entity, offset, limit int) ([]*event.IntegratedStory, []float64, int) {
+func (x *Index) StoriesByEntityScored(ent event.Entity, offset, limit int) ([]*event.IntegratedStory, []float64, int, Stamp) {
 	return x.entityOpt(ent, offset, limit, true)
 }
 
-func (x *Index) entityOpt(ent event.Entity, offset, limit int, withScores bool) ([]*event.IntegratedStory, []float64, int) {
+func (x *Index) entityOpt(ent event.Entity, offset, limit int, withScores bool) ([]*event.IntegratedStory, []float64, int, Stamp) {
 	span := metQueryLat.Start()
 	defer span.End()
 	metQueries.Inc()
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	st := Stamp{index: x.id, epoch: x.epoch.Load(), entity: string(ent)}
 	eid, ok := vocab.Entities.Lookup(string(ent))
 	if !ok {
-		return emptyStories, emptyScores, 0
+		return emptyStories, emptyScores, 0, st
 	}
 	a := getAccum(len(x.slots))
 	defer putAccum(a)
@@ -94,7 +97,8 @@ func (x *Index) entityOpt(ent event.Entity, offset, limit int, withScores bool) 
 			a.add(e.slot, p.w)
 		}
 	}
-	return x.pageHits(a, offset, limit, withScores)
+	out, scores, total := x.pageHits(a, offset, limit, withScores)
+	return out, scores, total, st
 }
 
 // pageHits ranks the accumulated scores and materialises the requested
@@ -131,19 +135,20 @@ func (x *Index) pageHits(a *accum, offset, limit int, withScores bool) ([]*event
 
 // Timeline answers per-entity chronology queries by walking only the
 // entity's timeline segments in bucket order.
-func (x *Index) Timeline(ent event.Entity, offset, limit int) ([]*event.Snippet, int) {
+func (x *Index) Timeline(ent event.Entity, offset, limit int) ([]*event.Snippet, int, Stamp) {
 	span := metQueryLat.Start()
 	defer span.End()
 	metQueries.Inc()
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	st := Stamp{index: x.id, epoch: x.epoch.Load(), entity: string(ent)}
 	eid, ok := vocab.Entities.Lookup(string(ent))
 	if !ok {
-		return emptySnippets, 0
+		return emptySnippets, 0, st
 	}
 	tl := x.timelines[eid]
 	if tl == nil {
-		return emptySnippets, 0
+		return emptySnippets, 0, st
 	}
 	lo := max(offset, 0)
 	if limit < 0 {
@@ -178,7 +183,7 @@ func (x *Index) Timeline(ent event.Entity, offset, limit int) ([]*event.Snippet,
 		}
 	}
 	if out == nil {
-		return emptySnippets, total
+		return emptySnippets, total, st
 	}
-	return out, total
+	return out, total, st
 }

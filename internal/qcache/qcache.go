@@ -1,30 +1,23 @@
 // Package qcache is the query-result cache: a sharded, expiring map
 // from (endpoint, query, offset, limit) to the encoded response bytes
-// and their ETag, invalidated by the same alignment publishes that
-// maintain internal/index. Stories' entity and term symbols are hashed
-// into numGroups invalidation groups, each with a version stamp; an entry
-// remembers which groups its query depends on and the global stamp at
-// which its computation began, and is valid only while none of those
-// groups (nor the coarse epoch) was bumped past that stamp. Publishes
-// whose integrated stories keep their versions bump nothing, so a quiet engine
-// serves hits indefinitely (until TTL); a publish that changes stories
-// bumps only the groups their integrated stories' symbols hash into.
+// and their ETag.
 //
-// Correctness protocol (the part the differential suite proves): a
-// caller must capture its Token with Begin BEFORE reading the index
-// and encode the result, then Put. Any publish that lands between
-// Begin and Put bumps a dep group past the token's stamp, so the entry
-// is stored already-invalid — conservatively wasted work, never a
-// stale read. Get re-validates the stored token on every lookup.
+// It keeps no account of publishes. Every entry holds the index.Stamp of
+// the query read it encodes, and Get asks the live index whether that
+// stamp is still current: the same index answered it, and no later
+// publish stamped one of its symbols. Publishes whose integrated stories
+// keep their versions stamp nothing, so a quiet engine serves hits
+// indefinitely (until TTL). A page read from a pipeline that was swapped
+// out names an index that is no longer live, so it is never served and
+// never stored; callers follow no ordering rule.
 package qcache
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/obs"
 )
 
@@ -44,103 +37,17 @@ func fnv64aString(h uint64, s string) uint64 {
 	return h
 }
 
-func fnv64aByte(h uint64, b byte) uint64 {
-	h ^= uint64(b)
-	h *= fnvPrime64
-	return h
-}
-
 var (
 	metHits          = obs.GetCounter("storypivot_cache_hits_total", "query-cache lookups served from a valid entry")
 	metMisses        = obs.GetCounter("storypivot_cache_misses_total", "query-cache lookups that found no valid entry")
-	metInvalidations = obs.GetCounter("storypivot_cache_invalidations_total", "query-cache entries dropped because a dependency group was bumped")
+	metInvalidations = obs.GetCounter("storypivot_cache_invalidations_total", "query-cache entries dropped because a publish changed a symbol they depend on or their index was replaced")
 	metEvictions     = obs.GetCounter("storypivot_cache_evictions_total", "query-cache entries dropped by TTL expiry or capacity pressure")
 )
-
-// numGroups is the invalidation-group fan-out. It must comfortably
-// exceed the active symbol universe a single alignment delta touches:
-// one changed integrated story carries every distinct entity and term
-// of all its members (easily hundreds of symbols), and a batched
-// publish carries several such stories. At 4096 groups (a 512-byte
-// bitmap) a realistic delta bumps a few percent of the space, so
-// queries over untouched symbols keep their entries; at 256 the same
-// delta saturates half the space and the coarse-epoch fallback would
-// flush the whole cache on every batch.
-const numGroups = 4096
-
-// Bits is a set of invalidation groups.
-type Bits [numGroups / 64]uint64
-
-// Set adds group g.
-func (b *Bits) Set(g uint16) { b[g>>6] |= 1 << (g & 63) }
-
-// Or returns the union.
-func (b Bits) Or(o Bits) Bits {
-	for i := range b {
-		b[i] |= o[i]
-	}
-	return b
-}
-
-// Count returns the number of set groups.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Any reports whether any group is set.
-func (b Bits) Any() bool {
-	var or uint64
-	for _, w := range b {
-		or |= w
-	}
-	return or != 0
-}
-
-// Symbol kinds. Entities and terms are distinct vocab namespaces
-// (vocab.Entities vs vocab.Terms), so the group hash must separate
-// them too: entity "ukraine" and term "ukraine" land in independent
-// groups.
-const (
-	kindEntity = 'e'
-	kindTerm   = 't'
-)
-
-// groupOf hashes a symbol STRING (not its vocab ID) into a group, so
-// the dependency side can hash query tokens that were never interned:
-// when the symbol later appears in a story, the bump side hashes the
-// same string and hits the same group.
-func groupOf(kind byte, sym string) uint16 {
-	return uint16(fnv64aString(fnv64aByte(fnvOffset64, kind), sym) % numGroups)
-}
-
-// Deps is the dependency set of one cached response.
-type Deps struct {
-	bits Bits
-}
-
-// AddEntity declares a dependency on an entity symbol.
-func (d *Deps) AddEntity(name string) { d.bits.Set(groupOf(kindEntity, name)) }
-
-// AddTerm declares a dependency on a term symbol (callers pass the
-// same processed token form the index matches on, i.e. the output of
-// text.Pipeline).
-func (d *Deps) AddTerm(tok string) { d.bits.Set(groupOf(kindTerm, tok)) }
-
-// Token is the validity witness of one cached computation: the
-// dependency set plus the global bump-clock value at Begin time.
-type Token struct {
-	deps  Deps
-	stamp uint64
-}
 
 type entry struct {
 	body    []byte
 	etag    string
-	tok     Token
+	stamp   index.Stamp
 	expires int64 // unixnano; 0 = never
 }
 
@@ -190,33 +97,30 @@ type Cache struct {
 	perShard int // max entries per shard, <=0 = uncapped
 	shards   []*cshard
 
-	// clock hands out bump ordinals; vers[g] holds the ordinal of
-	// group g's latest bump, epoch the ordinal of the latest coarse
-	// invalidation. An entry begun at stamp s is valid while every
-	// version it depends on is <= s.
-	clock atomic.Uint64
-	vers  [numGroups]atomic.Uint64
-	epoch atomic.Uint64
+	// current returns the index whose stamps decide validity: the one
+	// live queries read.
+	current func() *index.Index
 
 	now func() time.Time
 
-	// Sweeper lifecycle, mirroring the index compactor: lifeMu makes
-	// StartSweeper/Close safe to call in any order and at most one
-	// sweeper run.
+	// Sweeper lifecycle: lifeMu makes StartSweeper/Close safe to call in
+	// any order and at most one sweeper run.
 	lifeMu   sync.Mutex
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	done     chan struct{}
 }
 
-// New creates a cache. Call Close when done if StartSweeper was used.
-func New(cfg Config) *Cache {
+// New creates a cache whose entries hold while current() says their
+// stamps do. Call Close when done if StartSweeper was used.
+func New(cfg Config, current func() *index.Index) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		cfg:    cfg,
-		shards: make([]*cshard, cfg.Shards),
-		now:    time.Now,
-		stopCh: make(chan struct{}),
+		cfg:     cfg,
+		shards:  make([]*cshard, cfg.Shards),
+		current: current,
+		now:     time.Now,
+		stopCh:  make(chan struct{}),
 	}
 	if cfg.MaxEntries > 0 {
 		c.perShard = (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards
@@ -243,29 +147,8 @@ func (c *Cache) shardFor(key string) *cshard {
 	return c.shards[int(h)&(len(c.shards)-1)]
 }
 
-// Begin captures the validity token for a computation about to start.
-// It MUST be called before the caller reads the index; see the package
-// comment for why the order matters.
-func (c *Cache) Begin(deps Deps) Token {
-	return Token{deps: deps, stamp: c.clock.Load()}
-}
-
-// valid reports whether no dependency of tok was bumped past its stamp.
-func (c *Cache) valid(tok Token) bool {
-	if c.epoch.Load() > tok.stamp {
-		return false
-	}
-	for i, w := range tok.deps.bits {
-		for w != 0 {
-			g := i<<6 + bits.TrailingZeros64(w)
-			if c.vers[g].Load() > tok.stamp {
-				return false
-			}
-			w &= w - 1
-		}
-	}
-	return true
-}
+// valid reports whether the live index still stands behind st.
+func (c *Cache) valid(st *index.Stamp) bool { return c.current().Current(st) }
 
 // Get returns the cached body and ETag for key if a fresh, valid entry
 // exists. The returned body is shared — callers must not mutate it.
@@ -284,7 +167,7 @@ func (c *Cache) Get(key string) (body []byte, etag string, ok bool) {
 		metMisses.Inc()
 		return nil, "", false
 	}
-	if !c.valid(e.tok) {
+	if !c.valid(&e.stamp) {
 		c.deleteIf(sh, key, e)
 		metInvalidations.Inc()
 		metMisses.Inc()
@@ -294,14 +177,14 @@ func (c *Cache) Get(key string) (body []byte, etag string, ok bool) {
 	return e.body, e.etag, true
 }
 
-// Put stores an encoded response under key. A token whose dependencies
-// were bumped since Begin is dropped on the floor: the result may
-// reflect a pre-bump index read, and storing it could serve staleness.
-func (c *Cache) Put(key string, tok Token, body []byte, etag string) {
-	if !c.valid(tok) {
+// Put stores an encoded response under key, with the stamp of the index
+// read it encodes. A stamp the live index no longer stands behind is
+// dropped on the floor: a publish or a pipeline swap overtook the read.
+func (c *Cache) Put(key string, st index.Stamp, body []byte, etag string) {
+	if !c.valid(&st) {
 		return
 	}
-	e := &entry{body: body, etag: etag, tok: tok}
+	e := &entry{body: body, etag: etag, stamp: st}
 	if c.cfg.TTL > 0 {
 		e.expires = c.now().Add(c.cfg.TTL).UnixNano()
 	}
@@ -321,7 +204,7 @@ func (c *Cache) evictOneLocked(sh *cshard) {
 	var victim string
 	found := false
 	for k, e := range sh.m {
-		if (e.expires != 0 && now > e.expires) || !c.valid(e.tok) {
+		if (e.expires != 0 && now > e.expires) || !c.valid(&e.stamp) {
 			victim, found = k, true
 			break
 		}
@@ -341,35 +224,6 @@ func (c *Cache) deleteIf(sh *cshard, key string, e *entry) {
 		delete(sh.m, key)
 	}
 	sh.mu.Unlock()
-}
-
-// Bump invalidates every entry depending on any group in b. When more
-// than half the groups are touched at once the coarse epoch is bumped
-// instead — one store instead of 128+, same conservative effect.
-func (c *Cache) Bump(b Bits) {
-	if !b.Any() {
-		return
-	}
-	stamp := c.clock.Add(1)
-	if b.Count() > numGroups/2 {
-		c.epoch.Store(stamp)
-	} else {
-		for i, w := range b {
-			for w != 0 {
-				g := i<<6 + bits.TrailingZeros64(w)
-				c.vers[g].Store(stamp)
-				w &= w - 1
-			}
-		}
-	}
-}
-
-// BumpAll invalidates everything (pipeline rebuild, corpus reload,
-// engine rebind — any event after which per-group accounting restarts
-// from scratch).
-func (c *Cache) BumpAll() {
-	stamp := c.clock.Add(1)
-	c.epoch.Store(stamp)
 }
 
 // Len returns the current entry count (tests and debug).
@@ -393,7 +247,7 @@ func (c *Cache) sweep() {
 			case e.expires != 0 && now > e.expires:
 				delete(sh.m, k)
 				metEvictions.Inc()
-			case !c.valid(e.tok):
+			case !c.valid(&e.stamp):
 				delete(sh.m, k)
 				metInvalidations.Inc()
 			}

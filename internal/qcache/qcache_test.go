@@ -5,27 +5,70 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/align"
+	"repro/internal/event"
+	"repro/internal/index"
 )
 
-// distinctEntities returns n entity names guaranteed to hash into n
-// distinct invalidation groups, so tests can reason about cross-talk
-// precisely.
-func distinctEntities(t *testing.T, n int) []string {
-	t.Helper()
-	used := make(map[uint16]bool)
-	var out []string
-	for i := 0; len(out) < n && i < 10000; i++ {
-		name := fmt.Sprintf("entity_%d", i)
-		g := groupOf(kindEntity, name)
-		if !used[g] {
-			used[g] = true
-			out = append(out, name)
+// world is one live index with one story per entity, each at a version a
+// publish can renew: the cache's view of a pipeline.
+type world struct {
+	x     *index.Index
+	ents  []string
+	vers  []uint64
+	snips event.SnippetID
+}
+
+func newWorld(ents ...string) *world {
+	w := &world{x: index.New(index.Options{}), ents: ents, vers: make([]uint64, len(ents))}
+	for i := range w.vers {
+		w.vers[i] = 1
+	}
+	w.publish()
+	return w
+}
+
+// publish publishes every story at its current version.
+func (w *world) publish() {
+	res := &align.Result{}
+	for i, ent := range w.ents {
+		w.snips++
+		st := event.NewStory(event.StoryID(i+1), "src")
+		sn := &event.Snippet{
+			ID:        w.snips,
+			Source:    "src",
+			Timestamp: time.Unix(int64(1000+i), 0),
+			Entities:  []event.Entity{event.Entity(ent)},
 		}
+		sn.Intern()
+		st.Add(sn)
+		is := event.NewIntegratedStory(event.IntegratedID(i+1), []*event.Story{st})
+		is.Version = w.vers[i]*uint64(len(w.ents)) + uint64(i)
+		res.Integrated = append(res.Integrated, is)
 	}
-	if len(out) < n {
-		t.Fatalf("could not find %d group-distinct entities", n)
-	}
-	return out
+	w.x.Publish(res)
+}
+
+// renew publishes a new version of entity i's story.
+func (w *world) renew(i int) {
+	w.vers[i]++
+	w.publish()
+}
+
+func (w *world) cache(cfg Config) *Cache {
+	return New(cfg, func() *index.Index { return w.x })
+}
+
+// stamp returns the Stamp of a timeline query on ent.
+func (w *world) stamp(ent string) index.Stamp {
+	_, _, st := w.x.Timeline(event.Entity(ent), 0, 10)
+	return st
+}
+
+// put caches an entry that depends on ent under key.
+func (w *world) put(c *Cache, key, ent string) {
+	c.Put(key, w.stamp(ent), []byte(key), ETagFor([]byte(key)))
 }
 
 func TestKeyDistinct(t *testing.T) {
@@ -58,18 +101,16 @@ func TestETagFor(t *testing.T) {
 }
 
 func TestHitMissAndTTL(t *testing.T) {
-	c := New(Config{TTL: time.Second, SweepInterval: -1})
+	w := newWorld("qc_ttl")
+	c := w.cache(Config{TTL: time.Second, SweepInterval: -1})
 	now := time.Unix(1000, 0)
 	c.SetNow(func() time.Time { return now })
 
-	key := Key("search", "q", 0, 10)
+	key := Key("timeline", "qc_ttl", 0, 10)
 	if _, _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	var d Deps
-	d.AddTerm("q")
-	tok := c.Begin(d)
-	c.Put(key, tok, []byte("body"), `"etag"`)
+	c.Put(key, w.stamp("qc_ttl"), []byte("body"), `"etag"`)
 	body, etag, ok := c.Get(key)
 	if !ok || string(body) != "body" || etag != `"etag"` {
 		t.Fatalf("Get = %q, %q, %v", body, etag, ok)
@@ -84,101 +125,72 @@ func TestHitMissAndTTL(t *testing.T) {
 	}
 }
 
-func TestBumpInvalidatesOnlyDependents(t *testing.T) {
-	ents := distinctEntities(t, 3)
-	c := New(Config{SweepInterval: -1})
+func TestPublishInvalidatesOnlyDependents(t *testing.T) {
+	w := newWorld("qc_dep_0", "qc_dep_1", "qc_dep_2")
+	c := w.cache(Config{SweepInterval: -1})
+	w.put(c, "k0", "qc_dep_0")
+	w.put(c, "k1", "qc_dep_1")
 
-	put := func(key, ent string) {
-		var d Deps
-		d.AddEntity(ent)
-		c.Put(key, c.Begin(d), []byte(key), ETagFor([]byte(key)))
-	}
-	put("k0", ents[0])
-	put("k1", ents[1])
-
-	var hit Bits
-	hit.Set(groupOf(kindEntity, ents[0]))
-	c.Bump(hit)
+	w.renew(0)
 
 	if _, _, ok := c.Get("k0"); ok {
-		t.Fatal("entry survived a bump of its dependency group")
+		t.Fatal("entry survived a publish that changed its entity's story")
 	}
 	if _, _, ok := c.Get("k1"); !ok {
 		t.Fatal("unrelated entry was invalidated")
 	}
-	// The third entity's group was never bumped: entries put BEFORE the
-	// bump with that dep are still valid.
-	put("k2", ents[2])
+	// An entry put after the publish is valid.
+	w.put(c, "k2", "qc_dep_2")
 	if _, _, ok := c.Get("k2"); !ok {
 		t.Fatal("fresh entry invalid")
 	}
 }
 
-func TestBeginBeforeBumpIsConservative(t *testing.T) {
-	ents := distinctEntities(t, 1)
-	c := New(Config{SweepInterval: -1})
-	var d Deps
-	d.AddEntity(ents[0])
-	tok := c.Begin(d)
-	// A publish lands between Begin and Put: the computation may have
-	// read the pre-publish index, so the entry must never be served.
-	var b Bits
-	b.Set(groupOf(kindEntity, ents[0]))
-	c.Bump(b)
-	c.Put("k", tok, []byte("maybe stale"), `"t"`)
+func TestPublishBeforePutIsConservative(t *testing.T) {
+	w := newWorld("qc_race")
+	c := w.cache(Config{SweepInterval: -1})
+	st := w.stamp("qc_race")
+	// A publish lands between the query's read and its Put: the page
+	// encodes the pre-publish index, so the entry must never be served.
+	w.renew(0)
+	c.Put("k", st, []byte("maybe stale"), `"t"`)
 	if _, _, ok := c.Get("k"); ok {
-		t.Fatal("entry computed before an overlapping bump was served")
+		t.Fatal("entry read before an overlapping publish was served")
 	}
 	if c.Len() != 0 {
 		t.Fatal("known-stale entry was stored")
 	}
 }
 
+// TestWildcardAndEpoch: a publish leaves an entry on another entity alone,
+// while replacing the live index — a pipeline rebuild — is the wildcard
+// that takes out every entry, whatever its symbols and epoch.
 func TestWildcardAndEpoch(t *testing.T) {
-	ents := distinctEntities(t, 2)
-	c := New(Config{SweepInterval: -1})
-
-	// A narrow bump leaves an entry on another group alone; BumpAll is
-	// the wildcard that takes it out regardless of its dependencies.
-	var d Deps
-	d.AddEntity(ents[1])
-	c.Put("narrow", c.Begin(d), []byte("y"), `"t"`)
-	var one Bits
-	one.Set(groupOf(kindEntity, ents[0]))
-	c.Bump(one)
+	w := newWorld("qc_wild_0", "qc_wild_1")
+	c := w.cache(Config{SweepInterval: -1})
+	w.put(c, "narrow", "qc_wild_1")
+	w.renew(0)
 	if _, _, ok := c.Get("narrow"); !ok {
-		t.Fatal("entry lost to a bump of a group it does not depend on")
+		t.Fatal("entry lost to a publish of a story it does not depend on")
 	}
-	c.BumpAll()
+	old := w.x
+	w.x = index.New(index.Options{})
+	w.publish()
 	if _, _, ok := c.Get("narrow"); ok {
-		t.Fatal("entry survived BumpAll")
+		t.Fatal("entry survived the index it was read from")
 	}
-}
-
-func TestWideBumpUsesEpoch(t *testing.T) {
-	c := New(Config{SweepInterval: -1})
-	var d Deps
-	d.AddTerm("somewhere")
-	c.Put("k", c.Begin(d), []byte("x"), `"t"`)
-	// Bump more than half the groups at once: the epoch path must kill
-	// everything, including deps whose own group bit wasn't in the set.
-	var wide Bits
-	for g := 0; g < numGroups*3/4; g++ {
-		wide.Set(uint16(g))
-	}
-	c.Bump(wide)
-	if _, _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived a wide (epoch) bump")
+	_, _, st := old.Timeline("qc_wild_1", 0, 10)
+	c.Put("late", st, []byte("late"), `"t"`)
+	if c.Len() != 0 {
+		t.Fatal("a page read from a swapped-out index was stored")
 	}
 }
 
 func TestCapacityEviction(t *testing.T) {
-	c := New(Config{Shards: 1, MaxEntries: 4, SweepInterval: -1})
-	var d Deps
-	d.AddTerm("t")
+	w := newWorld("qc_cap")
+	c := w.cache(Config{Shards: 1, MaxEntries: 4, SweepInterval: -1})
 	for i := 0; i < 20; i++ {
-		key := Key("search", fmt.Sprintf("q%d", i), 0, 10)
-		c.Put(key, c.Begin(d), []byte("x"), `"t"`)
+		w.put(c, Key("timeline", fmt.Sprintf("q%d", i), 0, 10), "qc_cap")
 	}
 	if n := c.Len(); n > 4 {
 		t.Fatalf("cache over capacity: %d entries, cap 4", n)
@@ -186,25 +198,19 @@ func TestCapacityEviction(t *testing.T) {
 }
 
 func TestSweepRemovesExpiredAndInvalid(t *testing.T) {
-	ents := distinctEntities(t, 2)
-	c := New(Config{TTL: time.Second, SweepInterval: -1})
+	w := newWorld("qc_sweep_0", "qc_sweep_1")
+	c := w.cache(Config{TTL: time.Second, SweepInterval: -1})
 	now := time.Unix(1000, 0)
 	c.SetNow(func() time.Time { return now })
 
-	var d0, d1 Deps
-	d0.AddEntity(ents[0])
-	d1.AddEntity(ents[1])
-	c.Put("expired", c.Begin(d0), []byte("x"), `"t"`)
-	c.Put("invalid", c.Begin(d1), []byte("y"), `"t"`)
+	w.put(c, "expired", "qc_sweep_0")
+	w.put(c, "invalid", "qc_sweep_1")
 
 	now = now.Add(2 * time.Second) // "expired" ages out
-	var b Bits
-	b.Set(groupOf(kindEntity, ents[1])) // "invalid" loses its dep
-	c.Bump(b)
+	w.renew(1)                     // "invalid" loses its story
 
-	// Re-add a live entry after the bump.
-	c.SetNow(func() time.Time { return now })
-	c.Put("live", c.Begin(d1), []byte("z"), `"t"`)
+	// Re-add a live entry after the publish.
+	w.put(c, "live", "qc_sweep_1")
 
 	c.sweep()
 	if c.Len() != 1 {
@@ -216,10 +222,9 @@ func TestSweepRemovesExpiredAndInvalid(t *testing.T) {
 }
 
 func TestSweeperLifecycle(t *testing.T) {
-	c := New(Config{TTL: 10 * time.Millisecond, SweepInterval: 5 * time.Millisecond})
-	var d Deps
-	d.AddTerm("x")
-	c.Put("k", c.Begin(d), []byte("x"), `"t"`)
+	w := newWorld("qc_life")
+	c := w.cache(Config{TTL: 10 * time.Millisecond, SweepInterval: 5 * time.Millisecond})
+	w.put(c, "k", "qc_life")
 	c.StartSweeper()
 	c.StartSweeper() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
@@ -235,36 +240,39 @@ func TestSweeperLifecycle(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	ents := distinctEntities(t, 8)
-	c := New(Config{MaxEntries: 64, SweepInterval: -1})
+	ents := make([]string, 8)
+	for i := range ents {
+		ents[i] = fmt.Sprintf("qc_conc_%d", i)
+	}
+	w := newWorld(ents...)
+	c := w.cache(Config{MaxEntries: 64, SweepInterval: -1})
 	defer c.Close()
+	var publisher sync.Mutex // world.renew is not safe for concurrent use
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(g int) {
 			defer wg.Done()
-			ent := ents[w]
-			var d Deps
-			d.AddEntity(ent)
-			var b Bits
-			b.Set(groupOf(kindEntity, ent))
+			ent := ents[g]
 			for i := 0; i < 500; i++ {
-				key := Key("search", ent, 0, 10)
+				key := Key("timeline", ent, 0, 10)
 				if body, _, ok := c.Get(key); ok {
 					if string(body) != ent {
 						t.Errorf("cross-tenant body: got %q want %q", body, ent)
 					}
 				} else {
-					c.Put(key, c.Begin(d), []byte(ent), `"t"`)
+					c.Put(key, w.stamp(ent), []byte(ent), `"t"`)
 				}
 				if i%50 == 0 {
-					c.Bump(b)
+					publisher.Lock()
+					w.renew(g)
+					publisher.Unlock()
 				}
 				if i%100 == 0 {
 					c.sweep()
 				}
 			}
-		}(w)
+		}(g)
 	}
 	wg.Wait()
 }

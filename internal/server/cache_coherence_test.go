@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 
 	storypivot "repro"
@@ -38,9 +40,9 @@ func TestHTTPCacheCoherence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			// No TTL, no cap, no sweeper: only Gen-delta invalidation
-			// may drop entries, so a stale survivor cannot hide behind
-			// an expiry.
+			// No TTL, no cap, no sweeper: only the index's publish
+			// stamps may drop entries, so a stale survivor cannot hide
+			// behind an expiry.
 			s.EnableCache(qcache.Config{TTL: -1, MaxEntries: -1, SweepInterval: -1})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
@@ -216,4 +218,44 @@ func corpusQueries(c *datagen.Corpus, n int) []string {
 		out = append(out, stable[i]+" "+stable[i+1])
 	}
 	return out
+}
+
+// TestRebuildDuringMissServesNoStaleHit: a rebuild that swaps the
+// pipeline after a cache miss loaded it, and before the miss read its
+// index, leaves the miss holding a page of the swapped-out pipeline. That
+// page must never be served as a hit: the next plain GET answers what the
+// rebuilt pipeline holds.
+func TestRebuildDuringMissServesNoStaleHit(t *testing.T) {
+	s, ts := newCachedTestServer(t)
+	u := ts.URL + "/api/search?q=giant"
+	var once sync.Once
+	s.missHook = func() {
+		once.Do(func() {
+			if ok, err := s.RemoveDocument("http://online.wsj.com/doc4.html"); !ok || err != nil {
+				t.Errorf("RemoveDocument = %v, %v", ok, err)
+			}
+		})
+	}
+	total := func(body []byte) int {
+		var page struct{ Total int }
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		return page.Total
+	}
+
+	// The miss reads the pipeline it loaded before the rebuild.
+	if r, b := doGet(t, u, nil); r.Header.Get("X-Cache") != "MISS" || total(b) != 1 {
+		t.Fatalf("first fetch: X-Cache %q, total %d; want a MISS over the Google/Yelp story",
+			r.Header.Get("X-Cache"), total(b))
+	}
+	r, b := doGet(t, u, nil)
+	_, fresh := doGet(t, u, map[string]string{"Cache-Control": "no-store"})
+	if total(fresh) != 0 {
+		t.Fatalf("the rebuilt pipeline still finds the removed story: %s", fresh)
+	}
+	if !bytes.Equal(b, fresh) {
+		t.Fatalf("after the rebuild a plain GET (X-Cache %s) served\n%s\nwhile the rebuilt pipeline answers\n%s",
+			r.Header.Get("X-Cache"), b, fresh)
+	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // newCachedTestServer is newTestServer plus a cache with no expiry, so
-// conformance tests observe pure Gen-delta invalidation.
+// conformance tests observe pure publish-stamp invalidation.
 func newCachedTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New()

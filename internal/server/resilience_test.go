@@ -316,8 +316,8 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
-// TestServerClose verifies Close is idempotent and stops the pipeline
-// (index compactor included) while leaving already-held snapshots
+// TestServerClose verifies Close is idempotent and closes the pipeline
+// while leaving already-held snapshots
 // queryable — the shutdown-sequence contract.
 func TestServerClose(t *testing.T) {
 	s, ts := newTestServer(t)

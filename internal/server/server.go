@@ -16,11 +16,11 @@ import (
 	"repro/internal/eval"
 	"repro/internal/feed"
 	"repro/internal/httpx"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/quota"
 	"repro/internal/stream"
-	"repro/internal/text"
 )
 
 // Response-path instrumentation; request counting, latency and the
@@ -75,10 +75,9 @@ type Server struct {
 
 	ingestT *eval.Timer
 
-	// cache, when enabled, serves /api/search and /api/timeline from
-	// encoded bytes, invalidated by the engine's result publishes via a
-	// qcache.Sink attached per pipeline (rebuilds rebind a fresh sink
-	// and bump the epoch, so entries never outlive their engine).
+	// cache, when enabled, serves the paged query endpoints from encoded
+	// bytes, each entry valid while the live pipeline's index stands
+	// behind its stamp (a rebuild swaps in an index no entry names).
 	cache *qcache.Cache
 
 	// quotas, when enabled, backs the /api/admin/quotas endpoints; the
@@ -98,6 +97,10 @@ type Server struct {
 	// rebuild after ingest and before the snapshot swap, with writeMu
 	// held — the window in which readers must keep being served.
 	rebuildHook func()
+
+	// missHook, when set (tests), runs on a cache miss after the query
+	// loaded the pipeline and before it reads the index.
+	missHook func()
 }
 
 // New creates a server; opts configure every pipeline it builds. A
@@ -121,10 +124,9 @@ func New(opts ...storypivot.Option) (*Server, error) {
 // server starts handling requests. The returned cache is the one the
 // server consults; tests use it to reach Len and the metrics.
 func (s *Server) EnableCache(cfg qcache.Config) *qcache.Cache {
-	c := qcache.New(cfg)
+	c := qcache.New(cfg, func() *index.Index { return s.Pipeline().Index() })
 	c.StartSweeper()
 	s.cache = c
-	s.Pipeline().Engine().AddResultSink(qcache.NewSink(c))
 	return c
 }
 
@@ -204,21 +206,10 @@ func (s *Server) rebuild(want map[string]bool) error {
 	if s.rebuildHook != nil {
 		s.rebuildHook()
 	}
-	if s.cache != nil {
-		// Rebind BEFORE the swap so no publish of the new engine is
-		// missed, and bump the epoch AFTER so every entry computed
-		// against the old pipeline dies. The old pipeline's orphaned
-		// sink can still fire until Close; its bumps are conservative
-		// extra invalidations, never missing ones.
-		p.Engine().AddResultSink(qcache.NewSink(s.cache))
-	}
 	s.stateMu.Lock()
 	old := s.pipeline.Swap(p)
 	s.selected = sel
 	s.stateMu.Unlock()
-	if s.cache != nil {
-		s.cache.BumpAll()
-	}
 	if old != nil {
 		old.Close()
 	}
@@ -306,9 +297,9 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, _ *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, map[string]any{"role": role, "peers": peers})
 }
 
-// Close releases the server's pipeline: the index background compactor
-// stops and any persistence flushes. Call it during shutdown after the
-// HTTP listener has drained; it is idempotent.
+// Close stops the cache sweeper and closes the pipeline, which flushes any
+// persistence. Call it during shutdown after the HTTP listener has
+// drained; it is idempotent.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -634,27 +625,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	withScores := vals.Get("scores") == "1"
-	compute := func(p *storypivot.Pipeline) (any, bool) {
-		if withScores {
-			hits, scores, total := p.SearchScoredN(q, offset, limit)
-			return storiesPage(w, hits, scores, total, offset, limit)
-		}
-		hits, total := p.SearchN(q, offset, limit)
-		return storiesPage(w, hits, nil, total, offset, limit)
-	}
-	if s.cache == nil {
-		if view, ok := compute(s.Pipeline()); ok {
-			httpx.WriteJSON(w, http.StatusOK, view)
-		}
-		return
-	}
-	s.cachedQuery(w, r, scoredEndpoint("search", withScores), q,
-		func(deps *qcache.Deps) {
-			for _, tok := range text.Pipeline(q) {
-				deps.AddTerm(tok)
+	s.cachedQuery(w, r, scoredEndpoint("search", withScores), q, offset, limit,
+		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+			if withScores {
+				hits, scores, total, st := p.Index().SearchScored(q, offset, limit)
+				view, ok := storiesPage(w, hits, scores, total, offset, limit)
+				return view, st, ok
 			}
-		},
-		compute, offset, limit)
+			hits, total, st := p.Index().Search(q, offset, limit)
+			view, ok := storiesPage(w, hits, nil, total, offset, limit)
+			return view, st, ok
+		})
 }
 
 // handleStoriesByEntity serves the ranked integrated stories mentioning
@@ -674,23 +655,17 @@ func (s *Server) handleStoriesByEntity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	withScores := vals.Get("scores") == "1"
-	compute := func(p *storypivot.Pipeline) (any, bool) {
-		if withScores {
-			hits, scores, total := p.StoriesByEntityScoredN(storypivot.Entity(e), offset, limit)
-			return storiesPage(w, hits, scores, total, offset, limit)
-		}
-		hits, total := p.StoriesByEntityN(storypivot.Entity(e), offset, limit)
-		return storiesPage(w, hits, nil, total, offset, limit)
-	}
-	if s.cache == nil {
-		if view, ok := compute(s.Pipeline()); ok {
-			httpx.WriteJSON(w, http.StatusOK, view)
-		}
-		return
-	}
-	s.cachedQuery(w, r, scoredEndpoint("by-entity", withScores), e,
-		func(deps *qcache.Deps) { deps.AddEntity(e) },
-		compute, offset, limit)
+	s.cachedQuery(w, r, scoredEndpoint("by-entity", withScores), e, offset, limit,
+		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+			if withScores {
+				hits, scores, total, st := p.Index().StoriesByEntityScored(storypivot.Entity(e), offset, limit)
+				view, ok := storiesPage(w, hits, scores, total, offset, limit)
+				return view, st, ok
+			}
+			hits, total, st := p.Index().StoriesByEntity(storypivot.Entity(e), offset, limit)
+			view, ok := storiesPage(w, hits, nil, total, offset, limit)
+			return view, st, ok
+		})
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
@@ -704,30 +679,33 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	compute := func(p *storypivot.Pipeline) (any, bool) {
-		sns, total := p.TimelineN(storypivot.Entity(e), offset, limit)
-		return snippetsPage(w, p, sns, total, offset, limit)
-	}
+	s.cachedQuery(w, r, "timeline", e, offset, limit,
+		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+			sns, total, st := p.Index().Timeline(storypivot.Entity(e), offset, limit)
+			view, ok := snippetsPage(w, p, sns, total, offset, limit)
+			return view, st, ok
+		})
+}
+
+// cachedQuery serves one paged index query: straight from the live pipeline
+// when the cache is off, through the cache otherwise. compute reads the
+// index of the pipeline it is given and returns the page view with the
+// index's stamp for it, or false once it has written an error response.
+//
+// Every write settled before its ack, so its publish has already stamped
+// what it changed. The cache checks each entry's stamp against the live
+// index on Get and Put, so no step below has to come before another: a
+// publish or a rebuild that overtakes the index read leaves a stamp the
+// live index no longer stands behind, and the page is not stored.
+func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, query string, offset, limit int,
+	compute func(*storypivot.Pipeline) (any, index.Stamp, bool)) {
+	p := s.Pipeline()
 	if s.cache == nil {
-		if view, ok := compute(s.Pipeline()); ok {
+		if view, _, ok := compute(p); ok {
 			httpx.WriteJSON(w, http.StatusOK, view)
 		}
 		return
 	}
-	s.cachedQuery(w, r, "timeline", e,
-		func(deps *qcache.Deps) { deps.AddEntity(e) },
-		compute, offset, limit)
-}
-
-// cachedQuery is the shared cache protocol for the paged query
-// endpoints. Every write settled before its ack, so its publish has
-// already bumped what it changed. On a miss the order is load-bearing
-// (see the qcache package comment): capture the validity token BEFORE
-// the index reads, so a publish racing the computation lands the entry
-// already-invalid instead of stale.
-func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, query string,
-	addDeps func(*qcache.Deps), compute func(*storypivot.Pipeline) (any, bool), offset, limit int) {
-	p := s.Pipeline()
 	key := qcache.Key(endpoint, query, offset, limit)
 	mode := requestCacheMode(r)
 	if mode == modeNormal {
@@ -737,10 +715,10 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, q
 			return
 		}
 	}
-	var deps qcache.Deps
-	addDeps(&deps)
-	tok := s.cache.Begin(deps)
-	view, ok := compute(p)
+	if s.missHook != nil {
+		s.missHook()
+	}
+	view, st, ok := compute(p)
 	if !ok {
 		return // compute wrote its own error response
 	}
@@ -750,7 +728,7 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, q
 	}
 	etag := qcache.ETagFor(body)
 	if mode != modeNoStore {
-		s.cache.Put(key, tok, body, etag)
+		s.cache.Put(key, st, body, etag)
 	}
 	label := "MISS"
 	if mode != modeNormal {

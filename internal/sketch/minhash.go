@@ -3,9 +3,8 @@
 // abstract from snippets and stories into one common format which we refer
 // to as a sketch ... that allows for fast and efficient similarity
 // comparisons"). It contains MinHash signatures with a banded LSH index for
-// candidate retrieval, a Count-Min sketch for frequency estimation, and a
-// Bloom filter for membership tests — all built from scratch on FNV-style
-// hashing, stdlib only.
+// candidate retrieval and a Bloom filter for membership tests — all built
+// from scratch on FNV-style hashing, stdlib only.
 package sketch
 
 import (

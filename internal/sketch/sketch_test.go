@@ -263,72 +263,6 @@ func TestLSHConcurrent(t *testing.T) {
 	}
 }
 
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm := NewCountMin(0.01, 0.01)
-	truth := map[string]uint64{}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		key := fmt.Sprintf("e%d", rng.Intn(200))
-		cm.Add(key, 1)
-		truth[key]++
-	}
-	for k, want := range truth {
-		if got := cm.Count(k); got < want {
-			t.Fatalf("Count(%s) = %d underestimates true %d", k, got, want)
-		}
-	}
-	if cm.Total() != 5000 {
-		t.Errorf("Total = %d", cm.Total())
-	}
-}
-
-func TestCountMinErrorBound(t *testing.T) {
-	eps := 0.005
-	cm := NewCountMin(eps, 0.01)
-	for i := 0; i < 10000; i++ {
-		cm.Add(fmt.Sprintf("k%d", i%500), 1)
-	}
-	// Allow a small number of violations of the eps*N bound (prob delta).
-	violations := 0
-	bound := uint64(float64(cm.Total()) * eps * 2)
-	for i := 0; i < 500; i++ {
-		got := cm.Count(fmt.Sprintf("k%d", i))
-		if got > 20+bound {
-			violations++
-		}
-	}
-	if violations > 5 {
-		t.Fatalf("%d estimates exceeded error bound", violations)
-	}
-}
-
-func TestCountMinUnknownKey(t *testing.T) {
-	cm := NewCountMinSized(4, 1024)
-	if got := cm.Count("never-added"); got != 0 {
-		t.Fatalf("empty sketch Count = %d", got)
-	}
-	if cm.Depth() != 4 || cm.Width() != 1024 {
-		t.Error("dimension accessors wrong")
-	}
-}
-
-func TestCountMinPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewCountMin(0, 0.5) },
-		func() { NewCountMin(0.5, 1.5) },
-		func() { NewCountMinSized(0, 10) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestBloomNoFalseNegatives(t *testing.T) {
 	b := NewBloom(1000, 0.01)
 	for i := 0; i < 1000; i++ {

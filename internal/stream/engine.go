@@ -55,11 +55,10 @@ func DefaultOptions() Options {
 }
 
 // ResultSink consumes every freshly computed alignment result. The
-// query-serving index (internal/index) and the cache invalidator
-// (internal/qcache) implement it; the engine publishes synchronously
-// from every alignment pass — ingest-triggered, auto-align, explicit
-// Align, and post-refinement re-alignment — so a sink always reflects
-// the result the engine would hand to readers.
+// query-serving index (internal/index) implements it; the engine
+// publishes synchronously from every alignment pass — ingest-triggered,
+// auto-align, explicit Align, and post-refinement re-alignment — so a
+// sink always reflects the result the engine would hand to readers.
 type ResultSink interface {
 	Publish(res *align.Result)
 }
@@ -179,9 +178,8 @@ type Engine struct {
 	// sinks receive every freshly computed result, in attach order
 	// (guarded by mu). Slot 0 is reserved for the primary sink set via
 	// SetResultSink (the query index; primary tracks whether that slot is
-	// occupied); AddResultSink appends after it, so secondary consumers —
-	// e.g. a result-cache invalidator — always observe a state the index
-	// has already incorporated.
+	// occupied); AddResultSink appends after it, so secondary consumers
+	// always observe a state the index has already incorporated.
 	sinks   []ResultSink
 	primary bool
 
@@ -315,8 +313,8 @@ func (e *Engine) SetResultSink(s ResultSink) {
 
 // AddResultSink appends a secondary result sink. Sinks are published
 // to in attach order on every alignment pass, after the primary sink,
-// so a secondary consumer (e.g. a cache invalidator) never observes a
-// result the primary index has not yet incorporated. If a result
+// so a secondary consumer never observes a result the primary index
+// has not yet incorporated. If a result
 // already exists it is published to the new sink immediately.
 func (e *Engine) AddResultSink(s ResultSink) {
 	if s == nil {
@@ -631,10 +629,9 @@ func (e *Engine) alignLocked() *align.Result {
 			res = e.aligner.Result()
 		}
 	}
-	// Only the final result of the pass is published. Each sink compares
-	// it with the last one it saw by IntegratedStory.Version (the index
-	// and the cache invalidator alike), so the results computed in
-	// between need no record. Readers of Published see it only after
+	// Only the final result of the pass is published. A sink compares it
+	// with the last one it saw by IntegratedStory.Version (the index
+	// does), so the results computed in between need no record. Readers of Published see it only after
 	// every sink has it.
 	for _, s := range e.sinks {
 		s.Publish(res)

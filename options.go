@@ -15,7 +15,6 @@ type config struct {
 	stream     stream.Options
 	gazetteer  *extract.Gazetteer
 	kb         *kb.KB
-	bigrams    bool
 	storageDir string
 	storageOpt storage.Options
 	retire     retire.Config
@@ -100,13 +99,6 @@ func WithAutoAlign(n int) Option {
 // WithGazetteer replaces the entity gazetteer used by document extraction.
 func WithGazetteer(g *Gazetteer) Option {
 	return func(c *config) { c.gazetteer = g }
-}
-
-// WithBigrams additionally emits adjacent-token bigrams as description
-// terms during extraction; phrase matches ("shot_down") discriminate
-// stories better than their unigrams at the cost of a larger vocabulary.
-func WithBigrams(on bool) Option {
-	return func(c *config) { c.bigrams = on }
 }
 
 // WithStorage persists every ingested snippet to a crash-safe event store

@@ -84,7 +84,6 @@ func New(opts ...Option) (*Pipeline, error) {
 		extractor: extract.NewExtractor(cfg.gazetteer),
 		kb:        cfg.kb,
 	}
-	p.extractor.Bigrams = cfg.bigrams
 	p.stripText = cfg.storageOpt.Tier != nil
 	if cfg.retire.Window > 0 {
 		if cfg.retire.Dir == "" {
@@ -175,7 +174,6 @@ func New(opts ...Option) (*Pipeline, error) {
 	// have replaced it) so its first publish sees whatever result the
 	// engine already computed.
 	p.index = index.New(index.Options{})
-	p.index.StartCompactor(0)
 	p.engine.SetResultSink(p.index)
 	return p, nil
 }
@@ -469,7 +467,6 @@ func (p *Pipeline) Close() error {
 		return ErrClosed
 	}
 	p.closed = true
-	p.index.Close()
 	var err error
 	if p.store != nil {
 		err = p.store.Close()

@@ -32,7 +32,8 @@ func (p *Pipeline) StoriesByEntity(e Entity) []*IntegratedStory {
 // ranked window [offset, offset+limit) and the total hit count.
 // limit < 0 returns everything from offset on.
 func (p *Pipeline) StoriesByEntityN(e Entity, offset, limit int) ([]*IntegratedStory, int) {
-	return p.index.StoriesByEntity(e, offset, limit)
+	out, total, _ := p.index.StoriesByEntity(e, offset, limit)
+	return out, total
 }
 
 // Search returns integrated stories whose description centroid matches the
@@ -48,7 +49,8 @@ func (p *Pipeline) Search(query string) []*IntegratedStory {
 // [offset, offset+limit) and the total hit count. limit < 0 returns
 // everything from offset on.
 func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory, int) {
-	return p.index.Search(query, offset, limit)
+	out, total, _ := p.index.Search(query, offset, limit)
+	return out, total
 }
 
 // SearchScoredN is SearchN plus the per-result ranking scores. The
@@ -57,13 +59,15 @@ func (p *Pipeline) SearchN(query string, offset, limit int) ([]*IntegratedStory,
 // ties by ascending integrated ID); they are not part of the public
 // response envelope unless explicitly requested.
 func (p *Pipeline) SearchScoredN(query string, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	return p.index.SearchScored(query, offset, limit)
+	out, scores, total, _ := p.index.SearchScored(query, offset, limit)
+	return out, scores, total
 }
 
 // StoriesByEntityScoredN is StoriesByEntityN plus the per-result ranking
 // scores, for the same router-side merge as SearchScoredN.
 func (p *Pipeline) StoriesByEntityScoredN(e Entity, offset, limit int) ([]*IntegratedStory, []float64, int) {
-	return p.index.StoriesByEntityScored(e, offset, limit)
+	out, scores, total, _ := p.index.StoriesByEntityScored(e, offset, limit)
+	return out, scores, total
 }
 
 // Timeline returns the chronological snippet sequence for an entity across
@@ -78,7 +82,8 @@ func (p *Pipeline) Timeline(e Entity) []*Snippet {
 // window [offset, offset+limit) and the total snippet count. limit < 0
 // returns everything from offset on.
 func (p *Pipeline) TimelineN(e Entity, offset, limit int) ([]*Snippet, int) {
-	return p.index.Timeline(e, offset, limit)
+	out, total, _ := p.index.Timeline(e, offset, limit)
+	return out, total
 }
 
 // Perspectives summarises how each source covers an integrated story: the

@@ -10,7 +10,7 @@ import (
 
 // TestQueryIngestRace hammers the indexed query path while the sharded
 // engine is ingesting from every source concurrently, one source is
-// removed mid-stream, and the tombstone compactor sweeps in a tight
+// removed mid-stream, and forced tombstone sweeps run in a tight
 // loop. Run under -race it proves the lock discipline: queries take the
 // index read lock only, publishes and sweeps serialise behind the write
 // lock, and no path reads engine state without the engine's own locks.
@@ -74,8 +74,8 @@ func TestQueryIngestRace(t *testing.T) {
 	}
 	readers.Add(1)
 	go func() {
-		// Compactor stand-in: the background goroutine ticks too slowly
-		// for a short test, so force sweeps in a tight loop instead.
+		// Forced sweeps in a tight loop: a publish sweeps only past its
+		// thresholds, so this takes the write lock far more often.
 		defer readers.Done()
 		for {
 			select {
@@ -83,7 +83,6 @@ func TestQueryIngestRace(t *testing.T) {
 				return
 			default:
 			}
-			p.Index().SweepIfStale()
 			p.Index().Sweep()
 		}
 	}()

@@ -101,10 +101,13 @@ gate "feed fault injection (feed + checkpoint restore)" \
 
 # Cache/quota gate: the differential coherence oracles (pipeline-layer
 # and HTTP-layer) must prove zero stale responses across seeds with
-# refinement on and mid-stream source removal, the version sink must
-# bump what the fingerprint sink it replaced bumped, and the hammer must
-# survive concurrent query/ingest/invalidation/sweep/admin-update
-# traffic under the race detector. The render-once slots a miss splices
+# refinement on and mid-stream source removal, the symbols each index
+# publish stamps must equal what the fingerprint invalidator the version
+# walk replaced would have changed, a stamp must break on every publish
+# delta case (a term interned only later and another index included), a
+# rebuild that overtakes a cache miss must never leave a stale hit, and
+# the hammer must survive concurrent query/ingest/invalidation/sweep/
+# admin-update traffic under the race detector. The render-once slots a miss splices
 # must encode byte for byte as the struct views they replaced, across
 # ingest rounds that orphan old slots and on a tiered pipeline whose
 # hydrated snippets stay unmemoized; the worker side of the slots is
@@ -116,7 +119,8 @@ gate "feed fault injection (feed + checkpoint restore)" \
 # that bypassed it (healthz, the stale-epoch 409, the quota 429) now go
 # through it.
 gate "cache coherence + quota" \
-  TestCacheCoherenceDifferential TestHTTPCacheCoherence TestSinkMatchesFingerprintOracle TestCacheQuotaIngestRace \
+  TestCacheCoherenceDifferential TestHTTPCacheCoherence TestStampsMatchFingerprintOracle TestCacheQuotaIngestRace \
+  'TestStamp*' TestRebuildDuringMissServesNoStaleHit \
   TestFragmentRenderingMatchesStructOracle \
   TestPooledEncodeMatchesFreshEncoder TestPooledEncodeDoesNotAlias TestPooledEncodeFailureLeavesNoResidue \
   TestPooledEncodeConcurrent TestBareWritersGoThroughWriteBody \
@@ -126,11 +130,13 @@ gate "cache coherence + quota" \
 # integrated stories, pointer for pointer, across seeds with refinement on
 # and a mid-stream source removal; the index's version walk must keep the
 # per-member Gen diff's entries, slots, stats and counters after every
-# publish; queries must survive ingest and sweeps under the race detector.
-# The allocation pins hold in the plain test step; here the queries run.
+# publish; a publish must leave nothing for a sweep to do (which is why
+# the index has no background compactor); queries must survive ingest and
+# sweeps under the race detector. The allocation pins hold in the plain
+# test step; here the queries run.
 gate "query index" \
   TestQueryDifferential TestQueryIngestRace TestQuerySteadyStateAllocs TestPublishMatchesGenDiff \
-  internal/index/
+  TestPublishLeavesNothingToSweep internal/index/
 
 # Cluster gate: the scatter-gather layer must prove, under the race
 # detector, that the merge agrees with a full sort, the ring is

@@ -31,8 +31,6 @@ var allow = map[string]string{
 	"repro/internal/extract.NormalizeEntityName": "canonical entity key from a surface form, for callers inventing entity universes (TestNormalizeEntityName)",
 	"repro/internal/gdelt.IsConflict":            "CAMEO material-conflict quad class, the paper §1 forecasting use case (TestCameoDescription)",
 	"repro/internal/sketch.Merge":                "the MinHash union property TestMinHashMergeIsUnion pins; stories re-sign incrementally instead",
-	"repro/internal/eval.FromStories":            "kept with its floor test TestFromStories; see CHANGES.md, PR 23",
-	"repro/internal/sketch.NewCountMin":          "kept with its four floor tests TestCountMin*; see CHANGES.md, PR 23",
 }
 
 const module = "repro"
