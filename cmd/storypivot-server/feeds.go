@@ -38,9 +38,6 @@ type feedFlags struct {
 	breakerCooldown  time.Duration
 	fetchTimeout     time.Duration
 	batch            int
-	queue            int
-	shed             bool
-	workers          int
 	poll             time.Duration
 	checkpointEvery  time.Duration
 	stateDir         string
@@ -60,9 +57,6 @@ func registerFeedFlags(ff *feedFlags) {
 	flag.DurationVar(&ff.breakerCooldown, "feed-breaker-cooldown", 30*time.Second, "how long a quarantined source waits before a half-open probe")
 	flag.DurationVar(&ff.fetchTimeout, "feed-fetch-timeout", 10*time.Second, "per-fetch timeout")
 	flag.IntVar(&ff.batch, "feed-batch", 64, "records per fetch")
-	flag.IntVar(&ff.queue, "feed-queue", 256, "bounded ingest queue depth shared by all feed sources")
-	flag.BoolVar(&ff.shed, "feed-shed", false, "shed (drop and count) snippets when the ingest queue is full instead of blocking the source")
-	flag.IntVar(&ff.workers, "feed-workers", 2, "goroutines draining the feed queue into the pipeline")
 	flag.DurationVar(&ff.poll, "feed-poll", 500*time.Millisecond, "poll interval for caught-up sources")
 	flag.DurationVar(&ff.checkpointEvery, "feed-checkpoint-every", 15*time.Second, "period between cursor+pipeline checkpoints (0 = only at shutdown)")
 	flag.StringVar(&ff.stateDir, "feed-state-dir", "", "directory for feed resume cursors and the dead-letter queue (empty = in-memory only)")
@@ -152,9 +146,6 @@ func buildFeeds(s *server.Server, ff feedFlags, clusterWorker bool) (*feed.Manag
 		BreakerCooldown:  ff.breakerCooldown,
 		FetchTimeout:     ff.fetchTimeout,
 		BatchSize:        ff.batch,
-		QueueDepth:       ff.queue,
-		Shed:             ff.shed,
-		IngestWorkers:    ff.workers,
 		PollInterval:     ff.poll,
 		CheckpointEvery:  ff.checkpointEvery,
 	}
@@ -208,8 +199,7 @@ func buildFeeds(s *server.Server, ff feedFlags, clusterWorker bool) (*feed.Manag
 			return nil, err
 		}
 	}
-	log.Printf("feed: %d sources, queue %d (%s), breaker %d/%s, state dir %q",
-		len(fetchers), ff.queue, map[bool]string{true: "shed", false: "block"}[ff.shed],
-		ff.breakerThreshold, ff.breakerCooldown, ff.stateDir)
+	log.Printf("feed: %d sources, breaker %d/%s, state dir %q",
+		len(fetchers), ff.breakerThreshold, ff.breakerCooldown, ff.stateDir)
 	return m, nil
 }

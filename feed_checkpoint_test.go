@@ -45,7 +45,6 @@ func TestFeedCheckpointRestoreUnderIngest(t *testing.T) {
 		BackoffCap:      4 * time.Millisecond,
 		FetchTimeout:    2 * time.Second,
 		BatchSize:       16,
-		QueueDepth:      32,
 		PollInterval:    3 * time.Millisecond,
 		CursorPath:      cursorPath,
 		CheckpointEvery: 10 * time.Millisecond, // fires repeatedly mid-burst

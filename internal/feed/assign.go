@@ -9,11 +9,11 @@ import (
 
 // Assign reconciles the manager's cluster-assigned runners against the
 // desired list: runners for sources no longer assigned here are stopped
-// (drained — their batch in flight is acknowledged — and their final
-// cursor checkpointed), new assignments are started at the requested
-// cursor, and unchanged assignments keep running untouched. Statically
-// Added fetchers are never touched; a desired source that collides with
-// one is an error.
+// (between records — a cut batch leaves the cursor where it was — and
+// their final cursor checkpointed), new assignments are started at the
+// requested cursor, and unchanged assignments keep running untouched.
+// Statically Added fetchers are never touched; a desired source that
+// collides with one is an error.
 //
 // Interim tenures get the inverse treatment on withdrawal: instead of a
 // drain-and-checkpoint, the tenure's ingested data is deleted from the

@@ -94,7 +94,6 @@ func fastCfg() Config {
 		BreakerCooldown:  50 * time.Millisecond,
 		FetchTimeout:     2 * time.Second,
 		BatchSize:        8,
-		QueueDepth:       16,
 		PollInterval:     3 * time.Millisecond,
 	}
 }
@@ -355,15 +354,14 @@ func TestFeedCursorResumeNoDuplicates(t *testing.T) {
 	}
 }
 
-// Scenario 5: graceful drain mid-burst under the lossless (block)
-// policy. Whatever cursor K the final checkpoint acknowledges, records
-// 1..K are all in the sink — no acknowledged loss, nothing shed.
+// Scenario 5: graceful drain mid-burst. Whatever cursor K the final
+// checkpoint acknowledges, records 1..K are all in the sink — no
+// acknowledged loss.
 func TestFeedDrainMidBurstNoAcknowledgedLoss(t *testing.T) {
 	const n = 300
 	cursorPath := filepath.Join(t.TempDir(), "cursors.json")
 	cfg := fastCfg()
 	cfg.CursorPath = cursorPath
-	cfg.QueueDepth = 8
 	sink := newRecSink(200 * time.Microsecond)
 	m, err := NewManager(sink, cfg)
 	if err != nil {
@@ -391,9 +389,6 @@ func TestFeedDrainMidBurstNoAcknowledgedLoss(t *testing.T) {
 		}
 	}
 	st := m.Status()[0]
-	if st.Shed != 0 {
-		t.Fatalf("shed = %d under the block policy, want 0", st.Shed)
-	}
 	if int(st.Snippets) != sink.accepted() {
 		t.Fatalf("runner counted %d ingested, sink accepted %d", st.Snippets, sink.accepted())
 	}
@@ -463,38 +458,128 @@ func TestFeedFetcherPanicContained(t *testing.T) {
 	}
 }
 
-// Under the shed policy a full queue drops overflow instead of
-// blocking, the drops are counted, and the cursor still advances —
-// lossy but live, by construction.
-func TestFeedShedPolicyCountsDrops(t *testing.T) {
-	const n = 200
-	cfg := fastCfg()
-	cfg.Shed = true
-	cfg.QueueDepth = 2
-	cfg.BatchSize = 32
-	cfg.IngestWorkers = 1
-	sink := newRecSink(time.Millisecond)
+// orderSink records, per source, the order in which ingests finish and
+// the most ingests of that source it saw in flight at once.
+type orderSink struct {
+	delay time.Duration
+
+	mu          sync.Mutex
+	inFlight    map[event.SourceID]int
+	maxInFlight map[event.SourceID]int
+	order       map[event.SourceID][]event.SnippetID
+}
+
+func (s *orderSink) Ingest(sn *event.Snippet) error {
+	s.mu.Lock()
+	s.inFlight[sn.Source]++
+	s.maxInFlight[sn.Source] = max(s.maxInFlight[sn.Source], s.inFlight[sn.Source])
+	s.mu.Unlock()
+	time.Sleep(s.delay)
+	s.mu.Lock()
+	s.inFlight[sn.Source]--
+	s.order[sn.Source] = append(s.order[sn.Source], sn.ID)
+	s.mu.Unlock()
+	return nil
+}
+
+// Each source reaches the sink one record at a time and in the order its
+// fetcher returned them, while several sources ingest side by side: the
+// engine identifies stories per source and incrementally, so a source's
+// order is an input to the result.
+func TestFeedIngestsInFetchOrder(t *testing.T) {
+	const n = 120
+	sink := &orderSink{
+		delay:       50 * time.Microsecond,
+		inFlight:    make(map[event.SourceID]int),
+		maxInFlight: make(map[event.SourceID]int),
+		order:       make(map[event.SourceID][]event.SnippetID),
+	}
+	m, err := NewManager(sink, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := []event.SourceID{"srcI", "srcJ", "srcK"}
+	for _, src := range srcs {
+		if err := m.Add(NewReplay(src, makeSnips(string(src), n), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, m.CaughtUp, "every source drained")
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for _, src := range srcs {
+		if got := sink.maxInFlight[src]; got != 1 {
+			t.Errorf("%s: %d records in flight at once, want 1", src, got)
+		}
+		got := sink.order[src]
+		if len(got) != n {
+			t.Fatalf("%s: sink saw %d records, want %d", src, len(got), n)
+		}
+		for i, id := range got {
+			if id != event.SnippetID(i+1) {
+				t.Errorf("%s: record %d reached the sink as number %d, out of fetch order", src, id, i+1)
+				break
+			}
+		}
+	}
+}
+
+// An endpoint that ignores limit and marks every response done still
+// yields batches of at most limit records: the fetcher stops reading at
+// the limit and does not report done, so the runner fetches the rest
+// from where the batch ended and ingests every record exactly once.
+func TestHTTPFetcherHonoursLimit(t *testing.T) {
+	const n = 30
+	sns := makeSnips("srcL", n)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		off, _ := strconv.Atoi(r.URL.Query().Get("offset"))
+		w.Header().Set(feedDoneHeader, "true")
+		for _, sn := range sns[min(off, n):] {
+			w.Write(EncodeNDJSON(sn))
+			w.Write([]byte{'\n'})
+		}
+	}))
+	defer ts.Close()
+
+	cfg := fastCfg() // BatchSize 8
+	inner := NewHTTPFetcher("srcL", ts.URL, nil)
+	var largest atomic.Int64
+	f := &Func{Src: "srcL", Fn: func(ctx context.Context, cursor string, limit int) (Batch, error) {
+		b, err := inner.Fetch(ctx, cursor, limit)
+		if k := int64(len(b.Snippets) + len(b.Malformed)); k > largest.Load() {
+			largest.Store(k)
+		}
+		return b, err
+	}}
+	sink := newRecSink(0)
 	m, err := NewManager(sink, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(NewReplay("srcH", makeSnips("srcH", n), 0)); err != nil {
+	if err := m.Add(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, func() bool { return m.Status()[0].CaughtUp },
-		"replay drained under shed policy")
+	waitFor(t, 10*time.Second, func() bool { return sink.accepted() == n && m.CaughtUp() },
+		"every record ingested")
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Status()[0]
-	if st.Shed == 0 {
-		t.Fatal("expected sheds with a 2-deep queue and a slow sink")
+	if got := largest.Load(); got > int64(cfg.BatchSize) {
+		t.Fatalf("a fetch returned %d records, limit %d", got, cfg.BatchSize)
 	}
-	if int(st.Snippets)+int(st.Shed) != n {
-		t.Fatalf("ingested %d + shed %d != %d", st.Snippets, st.Shed, n)
+	for i := 1; i <= n; i++ {
+		if c := sink.count(event.SnippetID(i)); c != 1 {
+			t.Fatalf("snippet %d ingested %d times, want exactly once", i, c)
+		}
 	}
 }
 

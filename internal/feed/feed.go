@@ -14,8 +14,9 @@
 //     siblings, and re-admitted by a single cheap probe;
 //   - a health state machine (healthy / degraded / quarantined)
 //     exported via obs gauges and GET /api/feeds;
-//   - a bounded ingest queue shared by all runners, with a block-or-
-//     shed backpressure policy;
+//   - ingest in fetch order: a runner hands its own batch to the
+//     pipeline record by record and fetches again only once the batch
+//     is acknowledged, so it never holds more than one batch;
 //   - a dead-letter queue for malformed or unacceptable records, so one
 //     poison record never sinks its batch;
 //   - per-source resume cursors checkpointed atomically alongside the
@@ -41,8 +42,8 @@ type Batch struct {
 	Malformed []Malformed
 	// Next is the opaque resume cursor positioned after this batch. The
 	// runner adopts it only once every record of the batch has been
-	// acknowledged (ingested, dead-lettered, or shed under the shed
-	// policy), so a persisted cursor never claims unacknowledged data.
+	// acknowledged (ingested, a duplicate, or dead-lettered), so a
+	// persisted cursor never claims unacknowledged data.
 	Next string
 	// Done reports that the fetcher is caught up: there was no more
 	// data at Next when the fetch returned. Runners keep polling a
@@ -75,13 +76,6 @@ type Fetcher interface {
 type Sink interface {
 	Ingest(*event.Snippet) error
 }
-
-// SinkFunc adapts a function to a Sink (e.g. routing to the live
-// pipeline snapshot of a server that rebuilds pipelines).
-type SinkFunc func(*event.Snippet) error
-
-// Ingest implements Sink.
-func (f SinkFunc) Ingest(sn *event.Snippet) error { return f(sn) }
 
 // Checkpointer is optionally implemented by a Sink (the pipeline is
 // one). When present, the manager persists the sink's checkpoint
@@ -121,18 +115,9 @@ type Config struct {
 	// FetchTimeout bounds each Fetch call.
 	FetchTimeout time.Duration // default 10s
 
-	// BatchSize is the per-fetch record limit passed to Fetch.
+	// BatchSize is the per-fetch record limit passed to Fetch, and so
+	// the most records a runner holds at once.
 	BatchSize int // default 64
-
-	// QueueDepth bounds the shared ingest queue. When full, runners
-	// either block (default, lossless backpressure) or shed (Shed=true:
-	// drop the snippet, count it, and move on — explicit lossy mode).
-	QueueDepth int  // default 256
-	Shed       bool // default false (block)
-
-	// IngestWorkers is the number of goroutines draining the queue into
-	// the sink.
-	IngestWorkers int // default 2
 
 	// PollInterval is how long a caught-up runner sleeps before polling
 	// its source again.
@@ -177,12 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = 2
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
 	}
@@ -218,7 +197,6 @@ type SourceStatus struct {
 	Duplicates          uint64    `json:"duplicates"`
 	Malformed           uint64    `json:"malformed"`
 	IngestErrors        uint64    `json:"ingest_errors"`
-	Shed                uint64    `json:"shed"`
 	LastError           string    `json:"last_error,omitempty"`
 	LastFetch           time.Time `json:"last_fetch,omitempty"`
 }

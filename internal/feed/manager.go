@@ -11,17 +11,15 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/event"
 	"repro/internal/retry"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
-// Manager owns the feed runners, the shared bounded ingest queue, the
-// dead-letter queue, and the cursor checkpoints. Lifecycle: NewManager
-// → Add fetchers → Start → (serve) → Close. Close stops the runners,
-// drains the queue fully, writes a final cursor checkpoint, and only
-// then returns — the drain ordering the server relies on.
+// Manager owns the feed runners, the dead-letter queue, and the cursor
+// checkpoints. Lifecycle: NewManager → Add fetchers → Start → (serve) →
+// Close. Close stops the runners, waits until each has finished the
+// record in its hands, writes a final cursor checkpoint, and only then
+// returns — the drain ordering the server relies on.
 type Manager struct {
 	cfg  Config
 	sink Sink
@@ -29,10 +27,8 @@ type Manager struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	queue  chan qItem
 
 	runnerWG sync.WaitGroup
-	workerWG sync.WaitGroup
 	loopWG   sync.WaitGroup
 
 	// assignMu serialises Assign calls (the coordinator's reconcile
@@ -47,14 +43,6 @@ type Manager struct {
 	started  bool
 	closing  bool
 	closed   bool
-}
-
-// qItem is one queued snippet awaiting ingest; wg is the owning
-// batch's acknowledgement barrier.
-type qItem struct {
-	sn *event.Snippet
-	r  *runner
-	wg *sync.WaitGroup
 }
 
 // ErrManagerState reports a lifecycle misuse (Add after Start, double
@@ -87,7 +75,6 @@ func NewManager(sink Sink, cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		sink:    sink,
 		cursors: make(map[string]cursorEntry),
-		queue:   make(chan qItem, cfg.QueueDepth),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if cfg.DLQDir != "" {
@@ -175,8 +162,7 @@ func (m *Manager) addRunnerLocked(f Fetcher, cursor string) *runner {
 	return r
 }
 
-// Start launches the ingest workers, one runner per fetcher, and the
-// periodic checkpoint loop.
+// Start launches one runner per fetcher and the periodic checkpoint loop.
 func (m *Manager) Start() error {
 	m.mu.Lock()
 	if m.started {
@@ -184,10 +170,6 @@ func (m *Manager) Start() error {
 		return fmt.Errorf("%w: double Start", ErrManagerState)
 	}
 	m.started = true
-	for i := 0; i < m.cfg.IngestWorkers; i++ {
-		m.workerWG.Add(1)
-		go m.worker()
-	}
 	for _, r := range m.runners {
 		m.startRunnerLocked(r)
 	}
@@ -215,73 +197,6 @@ func (m *Manager) startRunnerLocked(r *runner) {
 		defer close(r.done)
 		r.run(rctx)
 	}()
-}
-
-// worker drains the shared queue into the sink. Duplicate rejections
-// (engine dedup or storage ID collision) are acknowledgements — that
-// is what makes at-least-once redelivery after a cursor rollback safe.
-// Other sink rejections are dead-lettered so the batch they rode in on
-// is not poisoned.
-func (m *Manager) worker() {
-	defer m.workerWG.Done()
-	for it := range m.queue {
-		metQueueDepth.Set(int64(len(m.queue)))
-		err := m.sink.Ingest(it.sn)
-		switch {
-		case err == nil:
-			it.r.snippets.Add(1)
-			metSnippets.Inc()
-		case errors.Is(err, stream.ErrDuplicate) || errors.Is(err, storage.ErrDuplicate):
-			it.r.duplicates.Add(1)
-			metDuplicates.Inc()
-		default:
-			it.r.ingestErrors.Add(1)
-			metIngestErrs.Inc()
-			it.r.setLastError(err.Error())
-			m.deadLetter(it.r, event.Encode(it.sn), err.Error())
-		}
-		it.wg.Done()
-	}
-}
-
-// submit enqueues a batch's snippets and waits until every one is
-// acknowledged. Under the block policy a full queue exerts lossless
-// backpressure on the runner; under the shed policy overflow snippets
-// are dropped and counted. Returns false when shutdown interrupted the
-// enqueue — the caller must not advance its cursor.
-func (m *Manager) submit(ctx context.Context, r *runner, sns []*event.Snippet) bool {
-	wg := new(sync.WaitGroup)
-	aborted := false
-	for _, sn := range sns {
-		it := qItem{sn: sn, r: r, wg: wg}
-		wg.Add(1)
-		if m.cfg.Shed {
-			select {
-			case m.queue <- it:
-				metQueueDepth.Set(int64(len(m.queue)))
-			default:
-				wg.Done()
-				r.shed.Add(1)
-				metShed.Inc()
-			}
-			continue
-		}
-		select {
-		case m.queue <- it:
-			metQueueDepth.Set(int64(len(m.queue)))
-		case <-ctx.Done():
-			wg.Done()
-			aborted = true
-		}
-		if aborted {
-			break
-		}
-	}
-	// Wait for the enqueued part either way: the workers keep draining
-	// until the queue is closed (which happens only after all runners
-	// exit), so this cannot deadlock during shutdown.
-	wg.Wait()
-	return !aborted
 }
 
 // deadLetter persists one record to the DLQ (no-op without one).
@@ -362,22 +277,22 @@ func (m *Manager) checkpointLoop() {
 	}
 }
 
-// Close drains and stops the subsystem: runners stop fetching, the
-// queue flushes through the workers, a final checkpoint persists the
-// cursors (and the sink's checkpoint), and the DLQ closes. Idempotent
-// in effect; second and later calls return ErrManagerState.
+// Close drains and stops the subsystem: runners stop fetching and finish
+// the record in their hands, a final checkpoint persists the cursors
+// (and the sink's checkpoint), and the DLQ closes. Idempotent in effect;
+// second and later calls return ErrManagerState.
 func (m *Manager) Close() error { return m.shutdown(true) }
 
-// Abort stops the subsystem like a crash would: runners and workers
-// stop and the queue drains (acknowledged data is never thrown away),
-// but NO final checkpoint is written — the durable cursor stays wherever
-// the last periodic checkpoint left it. Chaos tests and kill drills use
-// this to exercise the restart path the sink-first checkpoint ordering
-// exists for; production shutdown should use Close.
+// Abort stops the subsystem like a crash would: runners stop (what they
+// acknowledged stays in the sink), but NO final checkpoint is written —
+// the durable cursor stays wherever the last periodic checkpoint left
+// it. Chaos tests and kill drills use this to exercise the restart path
+// the sink-first checkpoint ordering exists for; production shutdown
+// should use Close.
 func (m *Manager) Abort() error { return m.shutdown(false) }
 
-// shutdown is Close (checkpoint set) and Abort: stop the runners, drain
-// the queue, optionally write the final checkpoint, close the DLQ.
+// shutdown is Close (checkpoint set) and Abort: stop the runners,
+// optionally write the final checkpoint, close the DLQ.
 func (m *Manager) shutdown(checkpoint bool) error {
 	m.mu.Lock()
 	if m.closed || m.closing {
@@ -391,8 +306,6 @@ func (m *Manager) shutdown(checkpoint bool) error {
 	m.cancel()
 	if started {
 		m.runnerWG.Wait()
-		close(m.queue)
-		m.workerWG.Wait()
 		m.loopWG.Wait()
 	}
 	var err error
@@ -448,13 +361,10 @@ func (m *Manager) StateCounts() (healthy, degraded, quarantined int) {
 	return
 }
 
-// CaughtUp reports that every runner has drained its source and the
-// ingest queue is empty — the "replay finished" condition for batch
-// demos and tests.
+// CaughtUp reports that every runner has drained its source — the
+// "replay finished" condition for batch demos and tests. A runner is
+// caught up only once its last batch was acknowledged.
 func (m *Manager) CaughtUp() bool {
-	if len(m.queue) > 0 {
-		return false
-	}
 	sts := m.Status()
 	for _, st := range sts {
 		if !st.CaughtUp {

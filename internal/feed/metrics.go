@@ -19,8 +19,6 @@ var (
 		"snippets the sink rejected (dead-lettered when a DLQ is attached)")
 	metMalformed = obs.GetCounter("storypivot_feed_malformed_total",
 		"fetched records that failed to decode (dead-lettered)")
-	metShed = obs.GetCounter("storypivot_feed_shed_total",
-		"snippets dropped by the shed backpressure policy")
 	metBreakerOpens = obs.GetCounter("storypivot_feed_breaker_opens_total",
 		"circuit-breaker open transitions")
 	metCheckpoints = obs.GetCounter("storypivot_feed_checkpoints_total",
@@ -32,8 +30,6 @@ var (
 	metInterimDrops = obs.GetCounter("storypivot_feed_interim_drops_total",
 		"withdrawn interim tenures whose ingested data was removed")
 
-	metQueueDepth = obs.GetGauge("storypivot_feed_queue_depth",
-		"snippets waiting in the bounded ingest queue")
 	metRunners = obs.GetGauge("storypivot_feed_runners",
 		"feed runner goroutines currently live")
 	metHealthy = obs.GetGauge("storypivot_feed_sources_healthy",

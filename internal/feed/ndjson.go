@@ -85,9 +85,11 @@ const feedDoneHeader = "X-Feed-Done"
 // HTTPFetcher pulls NDJSON batches from a URL speaking the offset/limit
 // protocol of NDJSONSource: GET url?offset=N&limit=M returns up to M
 // lines starting at line N, with X-Feed-Done: true when the response
-// reaches the current end of stream. Undecodable lines are returned as
-// Malformed — the transport succeeding while individual records are
-// garbage is the normal failure mode of real feeds.
+// reaches the current end of stream. An endpoint that sends more than M
+// lines is cut at M, and the next fetch resumes after them. Undecodable
+// lines are returned as Malformed — the transport succeeding while
+// individual records are garbage is the normal failure mode of real
+// feeds.
 type HTTPFetcher struct {
 	src    event.SourceID
 	url    string
@@ -142,6 +144,12 @@ func (h *HTTPFetcher) Fetch(ctx context.Context, cursor string, limit int) (Batc
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	for sc.Scan() {
+		if lines == limit {
+			// The body goes on past the limit, so this batch does not
+			// reach the end of the stream, whatever the header says.
+			b.Done = false
+			break
+		}
 		line := sc.Bytes()
 		if len(line) == 0 {
 			lines++ // blank lines advance the cursor but carry nothing

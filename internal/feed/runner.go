@@ -2,20 +2,25 @@ package feed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/retry"
+	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
-// runner drives one source: fetch → decode → enqueue → ack → settle →
-// advance cursor, forever. All failure handling is local to the runner,
-// so a flapping or quarantined source never stalls its siblings — the only
-// shared resource is the bounded ingest queue, and that is bounded
-// precisely so one fast source cannot starve the sink either.
+// runner drives one source: fetch → decode → ingest → settle → advance
+// cursor, forever. It hands its batch to the sink itself, record by
+// record in fetch order, so a source has at most one record in flight and
+// reaches the sink in the order it sent. All failure handling is local to
+// the runner, so a flapping or quarantined source never stalls its
+// siblings; runners of different sources ingest in parallel.
 type runner struct {
 	m   *Manager
 	f   Fetcher
@@ -45,7 +50,6 @@ type runner struct {
 	duplicates   atomic.Uint64
 	malformed    atomic.Uint64
 	ingestErrors atomic.Uint64
-	shed         atomic.Uint64
 }
 
 // run is the runner goroutine body.
@@ -89,8 +93,11 @@ func (r *runner) run(ctx context.Context) {
 			metMalformed.Inc()
 			r.m.deadLetter(r, mf.Raw, mf.Reason)
 		}
-		if !r.m.submit(ctx, r, batch.Snippets) {
-			return // cancelled mid-batch: cursor stays put, redelivered next run
+		for _, sn := range batch.Snippets {
+			if ctx.Err() != nil {
+				return // cancelled mid-batch: cursor stays put, redelivered next run
+			}
+			r.ingest(sn)
 		}
 		if st, ok := r.m.sink.(Settler); ok && len(batch.Snippets) > 0 {
 			st.Settle()
@@ -102,6 +109,28 @@ func (r *runner) run(ctx context.Context) {
 				return
 			}
 		}
+	}
+}
+
+// ingest hands one record to the sink. Duplicate rejections (engine
+// dedup or storage ID collision) are acknowledgements — that is what
+// makes at-least-once redelivery after a cursor rollback safe. Other sink
+// rejections are dead-lettered so the batch they rode in on is not
+// poisoned.
+func (r *runner) ingest(sn *event.Snippet) {
+	err := r.m.sink.Ingest(sn)
+	switch {
+	case err == nil:
+		r.snippets.Add(1)
+		metSnippets.Inc()
+	case errors.Is(err, stream.ErrDuplicate) || errors.Is(err, storage.ErrDuplicate):
+		r.duplicates.Add(1)
+		metDuplicates.Inc()
+	default:
+		r.ingestErrors.Add(1)
+		metIngestErrs.Inc()
+		r.setLastError(err.Error())
+		r.m.deadLetter(r, event.Encode(sn), err.Error())
 	}
 }
 
@@ -126,7 +155,7 @@ func (r *runner) fetch(ctx context.Context) (batch Batch, err error) {
 
 // advance adopts the post-batch cursor. It runs only after every record
 // of the batch was acknowledged, so a checkpointed cursor never claims
-// data that is neither in the sink, the DLQ, nor the shed counter.
+// data that is in neither the sink nor the DLQ.
 func (r *runner) advance(next string, done bool) {
 	r.mu.Lock()
 	if next != "" {
@@ -216,6 +245,5 @@ func (r *runner) status() SourceStatus {
 	st.Duplicates = r.duplicates.Load()
 	st.Malformed = r.malformed.Load()
 	st.IngestErrors = r.ingestErrors.Load()
-	st.Shed = r.shed.Load()
 	return st
 }

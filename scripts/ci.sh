@@ -91,12 +91,17 @@ gate "fault injection (httpx/server/faults)" \
 # via backoff, the breaker quarantines and re-admits via half-open
 # probes, malformed records land in the DLQ without poisoning their
 # batch, cursors resume after restart with zero duplicates, and a
-# mid-burst drain loses nothing it acknowledged. The breaker and the
+# mid-burst drain loses nothing it acknowledged. Each source reaches the
+# sink one record at a time in fetch order, so a source fed through the
+# manager gets the stories of in-order ingest on every run and again
+# when its store's log is replayed; an NDJSON endpoint that ignores the
+# limit still yields batches of at most the limit. The breaker and the
 # backoff themselves live in internal/retry, which passes whole.
 gate "feed fault injection (feed + checkpoint restore)" \
   internal/retry/ TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
   TestFeedCursorResumeNoDuplicates TestFeedDrainMidBurstNoAcknowledgedLoss \
-  TestFeedFetchTimeoutRecovers TestFeedFetcherPanicContained TestFeedShedPolicyCountsDrops \
+  TestFeedFetchTimeoutRecovers TestFeedFetcherPanicContained TestFeedIngestsInFetchOrder \
+  TestFeedMatchesOrderedIngest TestHTTPFetcherHonoursLimit \
   TestFeedCheckpointRestoreUnderIngest TestFeedsEndpointAndHealthz TestHealthzWithoutFeeds
 
 # Cache/quota gate: the differential coherence oracles (pipeline-layer
