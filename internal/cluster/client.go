@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,20 +22,6 @@ var (
 	metPartial = obs.GetCounter("storypivot_cluster_partial_responses_total",
 		"router responses served degraded because at least one shard failed")
 )
-
-// PageEnv is the paged query envelope as workers serialise it
-// (server.SearchPageView / TimelinePageView). Results stay raw: the
-// router re-ranks by the score/timestamp side channels and re-emits the
-// winning members verbatim, so worker bytes flow through untouched and
-// the merged response is byte-identical to a single node's.
-type PageEnv struct {
-	Total   int               `json:"total"`
-	Offset  int               `json:"offset"`
-	Limit   int               `json:"limit"`
-	Results []json.RawMessage `json:"results"`
-	Scores  []float64         `json:"scores,omitempty"`
-	Partial bool              `json:"partial,omitempty"`
-}
 
 // Client issues requests to worker shards. One Client serves all
 // shards: the transport below it keeps per-host connection pools, so
@@ -85,10 +70,18 @@ type httpResult struct {
 // A non-2xx status is returned with err == nil; transport failures and
 // deadline overruns come back as err.
 func (c *Client) Get(ctx context.Context, base, path string, query url.Values) (int, []byte, error) {
-	u := base + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
+	return c.get(ctx, shardURL(base, path, query.Encode()))
+}
+
+// shardURL joins a shard's base URL, a path and an encoded query.
+func shardURL(base, path, rawQuery string) string {
+	if rawQuery == "" {
+		return base + path
 	}
+	return base + path + "?" + rawQuery
+}
+
+func (c *Client) get(ctx context.Context, u string) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	ch := make(chan httpResult, 2)
@@ -115,10 +108,7 @@ func (c *Client) Get(ctx context.Context, base, path string, query url.Values) (
 // Post forwards a request body to a shard. Never hedged: ingest is not
 // idempotent.
 func (c *Client) Post(ctx context.Context, method, base, path string, query url.Values, body []byte, contentType string) (int, []byte, error) {
-	u := base + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
-	}
+	u := shardURL(base, path, query.Encode())
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	metShardRequests.Inc()
@@ -153,11 +143,29 @@ func (c *Client) do(ctx context.Context, method, u string, body []byte, contentT
 		return httpResult{err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp)
 	if err != nil {
 		return httpResult{err: err}
 	}
 	return httpResult{status: resp.StatusCode, body: b}
+}
+
+// maxPresize caps the buffer readBody sizes from a Content-Length
+// header, so that a shard announcing a huge body cannot make the router
+// allocate it before a byte has arrived; a larger body grows the buffer
+// as it is read.
+const maxPresize = 4 << 20
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length, where io.ReadAll would grow one from 512 bytes.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := resp.ContentLength
+	if size < 0 || size > maxPresize {
+		size = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // StatusError reports a shard answering with an unexpected HTTP status.
@@ -170,18 +178,20 @@ type StatusError struct {
 
 func (e *StatusError) Error() string { return fmt.Sprintf("shard status %d", e.Code) }
 
-// GetPage fetches and decodes a worker's paged query envelope.
-func (c *Client) GetPage(ctx context.Context, base, path string, query url.Values) (*PageEnv, error) {
-	status, body, err := c.Get(ctx, base, path, query)
+// GetPage fetches a worker's paged query envelope and parses it as
+// bytes (parsePage). rawQuery is the encoded query string: a scatter
+// encodes it once for all of its shards.
+func (c *Client) GetPage(ctx context.Context, base, path, rawQuery string) (Page, error) {
+	status, body, err := c.get(ctx, shardURL(base, path, rawQuery))
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("cluster: shard %s%s: %w", base, path, &StatusError{Code: status})
+		return Page{}, fmt.Errorf("cluster: shard %s%s: %w", base, path, &StatusError{Code: status})
 	}
-	var env PageEnv
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, fmt.Errorf("cluster: shard %s%s: %w", base, path, err)
+	p, err := parsePage(body)
+	if err != nil {
+		return Page{}, fmt.Errorf("cluster: shard %s%s: %w", base, path, err)
 	}
-	return &env, nil
+	return p, nil
 }

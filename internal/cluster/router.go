@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -263,7 +265,7 @@ func scatter[T any](ctx context.Context, members []Member, f func(ctx context.Co
 // (/api/search, /api/stories/by-entity). Global pagination: every shard
 // is asked for its top offset+limit with scores, the router merges them
 // under index.MergeRanked — the exact ordering the worker index uses —
-// and re-emits the winning window's raw members.
+// and splices the winning window's result bytes into its own envelope.
 func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, param string) {
 	vals := r.URL.Query()
 	qv := vals.Get(param)
@@ -275,7 +277,61 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 	if !ok {
 		return
 	}
-	k := offset + limit
+	k, shardLimit := window(offset, limit)
+	q := url.Values{
+		param:    {qv},
+		"offset": {"0"},
+		"limit":  {strconv.Itoa(shardLimit)},
+		"scores": {"1"},
+		"deep":   {"1"},
+	}.Encode()
+	members, skipped := rt.scatterSet()
+	pages, errs := scatter(r.Context(), members, func(ctx context.Context, m Member) (Page, error) {
+		p, err := rt.client.GetPage(ctx, m.URL, path, q)
+		if err == nil && len(p.Scores) != len(p.Results) {
+			// An unpaired result would rank at an invented score and
+			// could push a real hit out of the merged window.
+			err = fmt.Errorf("cluster: shard %s%s: %d scores for %d results", m.URL, path, len(p.Scores), len(p.Results))
+		}
+		return p, err
+	})
+	rt.recordScatter(members, errs)
+	partial := skipped
+	total := 0
+	ranked := make([][]index.Ranked, 0, len(pages))
+	for si, p := range pages {
+		if errs[si] != nil {
+			partial = true
+			continue
+		}
+		total += p.Total
+		page := make([]index.Ranked, 0, len(p.Results))
+		for i, res := range p.Results {
+			if !res.BadID {
+				page = append(page, index.Ranked{Key: res.ID, Score: p.Scores[i], Shard: int32(si), Pos: int32(i)})
+			}
+		}
+		ranked = append(ranked, page)
+	}
+	merged := index.MergeRanked(ranked, k)
+	var results [][]byte
+	if offset < len(merged) {
+		results = make([][]byte, 0, len(merged)-offset)
+		for _, m := range merged[offset:] {
+			results = append(results, pages[m.Shard].Results[m.Pos].Bytes)
+		}
+	}
+	if partial {
+		metPartial.Inc()
+	}
+	httpx.WritePage(w, total, offset, limit, results, partial)
+}
+
+// window returns how many merged results a page at offset/limit needs,
+// k = offset+limit, and the limit each shard is asked for: k capped at
+// the deep page cap.
+func window(offset, limit int) (k, shardLimit int) {
+	k = offset + limit
 	if k < 0 {
 		// offset+limit overflowed int. A window that deep is empty on
 		// any real corpus, but the envelope must still carry the true
@@ -283,59 +339,7 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 		// 400 every worker and "merge" a partial zero.
 		k = math.MaxInt
 	}
-	shardLimit := k
-	if shardLimit > httpx.DeepPageLimit {
-		shardLimit = httpx.DeepPageLimit
-	}
-	q := url.Values{
-		param:    {qv},
-		"offset": {"0"},
-		"limit":  {strconv.Itoa(shardLimit)},
-		"scores": {"1"},
-		"deep":   {"1"},
-	}
-	members, skipped := rt.scatterSet()
-	envs, errs := scatter(r.Context(), members, func(ctx context.Context, m Member) (*PageEnv, error) {
-		return rt.client.GetPage(ctx, m.URL, path, q)
-	})
-	rt.recordScatter(members, errs)
-	partial := skipped
-	total := 0
-	pages := make([][]index.Ranked, 0, len(envs))
-	for si, env := range envs {
-		if errs[si] != nil || env == nil {
-			partial = true
-			continue
-		}
-		total += env.Total
-		page := make([]index.Ranked, 0, len(env.Results))
-		for i, raw := range env.Results {
-			var idv struct {
-				ID uint64 `json:"id"`
-			}
-			if err := json.Unmarshal(raw, &idv); err != nil {
-				continue
-			}
-			var score float64
-			if i < len(env.Scores) {
-				score = env.Scores[i]
-			}
-			page = append(page, index.Ranked{Key: idv.ID, Score: score, Shard: int32(si), Pos: int32(i)})
-		}
-		pages = append(pages, page)
-	}
-	merged := index.MergeRanked(pages, k)
-	results := make([]json.RawMessage, 0, limit)
-	for i := offset; i < len(merged) && i < k; i++ {
-		results = append(results, envs[merged[i].Shard].Results[merged[i].Pos])
-	}
-	if partial {
-		metPartial.Inc()
-	}
-	httpx.WriteJSON(w, http.StatusOK, PageEnv{
-		Total: total, Offset: offset, Limit: limit,
-		Results: results, Partial: partial,
-	})
+	return k, min(k, httpx.DeepPageLimit)
 }
 
 // handleTimeline merges per-shard chronological windows. Snippets carry
@@ -353,71 +357,55 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	k := offset + limit
-	if k < 0 {
-		// offset+limit overflowed int. A window that deep is empty on
-		// any real corpus, but the envelope must still carry the true
-		// total — forwarding the negative sum as the shard limit would
-		// 400 every worker and "merge" a partial zero.
-		k = math.MaxInt
-	}
-	shardLimit := k
-	if shardLimit > httpx.DeepPageLimit {
-		shardLimit = httpx.DeepPageLimit
-	}
+	k, shardLimit := window(offset, limit)
 	q := url.Values{
 		"entity": {e},
 		"offset": {"0"},
 		"limit":  {strconv.Itoa(shardLimit)},
 		"deep":   {"1"},
-	}
+	}.Encode()
 	members, skipped := rt.scatterSet()
-	envs, errs := scatter(r.Context(), members, func(ctx context.Context, m Member) (*PageEnv, error) {
+	pages, errs := scatter(r.Context(), members, func(ctx context.Context, m Member) (Page, error) {
 		return rt.client.GetPage(ctx, m.URL, "/api/timeline", q)
 	})
 	rt.recordScatter(members, errs)
-	type entry struct {
-		ts         time.Time
-		id         uint64
-		shard, pos int
+	n := 0
+	for _, p := range pages {
+		n += len(p.Results)
 	}
 	partial := skipped
 	total := 0
-	var all []entry
-	for si, env := range envs {
-		if errs[si] != nil || env == nil {
+	all := make([]*Result, 0, n)
+	for si, p := range pages {
+		if errs[si] != nil {
 			partial = true
 			continue
 		}
-		total += env.Total
-		for i, raw := range env.Results {
-			var sv struct {
-				ID        uint64    `json:"id"`
-				Timestamp time.Time `json:"timestamp"`
+		total += p.Total
+		for i := range p.Results {
+			if res := &p.Results[i]; !res.BadID && !res.BadTime {
+				all = append(all, res)
 			}
-			if err := json.Unmarshal(raw, &sv); err != nil {
-				continue
-			}
-			all = append(all, entry{ts: sv.Timestamp, id: sv.ID, shard: si, pos: i})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if !all[i].ts.Equal(all[j].ts) {
-			return all[i].ts.Before(all[j].ts)
+	slices.SortFunc(all, func(a, b *Result) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
 		}
-		return all[i].id < all[j].id
+		return cmp.Compare(a.ID, b.ID)
 	})
-	results := make([]json.RawMessage, 0, limit)
-	for i := offset; i < len(all) && i < k; i++ {
-		results = append(results, envs[all[i].shard].Results[all[i].pos])
+	all = all[:min(len(all), k)]
+	var results [][]byte
+	if offset < len(all) {
+		results = make([][]byte, 0, len(all)-offset)
+		for _, res := range all[offset:] {
+			results = append(results, res.Bytes)
+		}
 	}
 	if partial {
 		metPartial.Inc()
 	}
-	httpx.WriteJSON(w, http.StatusOK, PageEnv{
-		Total: total, Offset: offset, Limit: limit,
-		Results: results, Partial: partial,
-	})
+	httpx.WritePage(w, total, offset, limit, results, partial)
 }
 
 // handleDocuments aggregates every shard's document list, ordered by

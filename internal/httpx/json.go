@@ -15,7 +15,9 @@ import (
 // (internal/server) and the router's (internal/cluster). One copy, so a
 // sharded deployment's merged response is byte-identical to a single
 // node's by construction: same indent, same error shape, same page
-// clamping.
+// clamping. The encoder renders every body; WritePage, beside it, is the
+// router's paged envelope written in the encoder's layout around result
+// bytes the workers' encoders already rendered.
 
 // Response-path instrumentation; request counting and latency live in
 // Instrument.
@@ -86,13 +88,12 @@ func (e *encoder) release() {
 // the encoded bytes and later serve them — or a 304 — without re-running
 // the encoder. It encodes through a pooled encoder and returns one
 // exact-size copy that the caller owns; nothing of it aliases the pool.
-// Embedded RawMessage values may arrive compact: the worker's
-// pre-encoded story and snippet fragments, a router's worker-encoded
-// members. The one indent pass re-tokenises them like the rest of the
-// body, so a fragment comes out byte for byte as the struct it was
-// encoded from would. An encoding failure is counted and answered with
-// a clean 500 before any byte of a half-written 200 exists; ok is then
-// false.
+// Embedded RawMessage values may arrive compact, as the worker's
+// pre-encoded story and snippet fragments do. The one indent pass
+// re-tokenises them like the rest of the body, so a fragment comes out
+// byte for byte as the struct it was encoded from would. An encoding
+// failure is counted and answered with a clean 500 before any byte of a
+// half-written 200 exists; ok is then false.
 func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
 	e, ok := encode(w, v)
 	if !ok {
@@ -102,6 +103,61 @@ func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
 	copy(body, e.buf.Bytes())
 	e.release()
 	return body, true
+}
+
+// WritePage answers 200 with the paged envelope
+// {"total", "offset", "limit", "results", ["partial"]} laid out exactly
+// as the encoder lays out the equivalent struct (Results
+// []json.RawMessage, Partial bool with omitempty). Each result is spliced
+// in verbatim, so it must already be in the encoder's layout at the
+// results' depth: the bytes of one element of "results" in a body this
+// package encoded, which is what a router holds after reading the
+// workers' pages.
+func WritePage(w http.ResponseWriter, total, offset, limit int, results [][]byte, partial bool) {
+	WriteBody(w, http.StatusOK, encodePage(total, offset, limit, results, partial))
+}
+
+// encodePage renders WritePage's body into one buffer, allocated once
+// at an upper bound of its size.
+func encodePage(total, offset, limit int, results [][]byte, partial bool) []byte {
+	const (
+		head    = "{\n  \"total\": "
+		elem    = "\n    " // a result's line start, after the comma that ends the one before
+		tail    = "\n  ]"
+		partTag = ",\n  \"partial\": true"
+		// the fixed bytes, the three ints at their widest, and the
+		// trailing "\n}\n"
+		fixed = len(head) + len(",\n  \"offset\": ") + len(",\n  \"limit\": ") +
+			len(",\n  \"results\": [") + len(tail) + len(partTag) + 3*20 + 3
+	)
+	size := fixed
+	for _, r := range results {
+		size += len(",") + len(elem) + len(r)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, head...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, ",\n  \"offset\": "...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	b = append(b, ",\n  \"limit\": "...)
+	b = strconv.AppendInt(b, int64(limit), 10)
+	b = append(b, ",\n  \"results\": ["...)
+	for i, r := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, elem...)
+		b = append(b, r...)
+	}
+	if len(results) > 0 {
+		b = append(b, tail...)
+	} else {
+		b = append(b, ']')
+	}
+	if partial {
+		b = append(b, partTag...)
+	}
+	return append(b, "\n}\n"...)
 }
 
 // EncodeError counts a response whose JSON encoding failed and answers it

@@ -186,3 +186,71 @@ func TestPooledEncodeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWritePageMatchesEncoder: WritePage's body equals EncodeJSON of the
+// equivalent struct page, whose results the encoder re-indents, for
+// results rendered in the encoder's layout at the results' depth (as a
+// router holds them, cut from a worker's body); and rendering a page
+// allocates once, whatever the number of results.
+func TestWritePageMatchesEncoder(t *testing.T) {
+	type page struct {
+		Total   int               `json:"total"`
+		Offset  int               `json:"offset"`
+		Limit   int               `json:"limit"`
+		Results []json.RawMessage `json:"results"`
+		Partial bool              `json:"partial,omitempty"`
+	}
+	// atDepth renders v as the encoder lays out an element of "results".
+	atDepth := func(v any) []byte {
+		b, err := json.MarshalIndent(v, "    ", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	story := map[string]any{
+		"id": 7, "title": "MH17 <crash> & \"aftermath\"\u2028", "sources": []string{"nyt", "wsj"},
+		"members": []any{map[string]any{"id": 1, "entities": []any{}}, []int{1, 2}}, "extent": nil,
+	}
+	var many [][]byte
+	for i := 0; i < 100; i++ {
+		many = append(many, atDepth(map[string]any{"id": i, "text": fmt.Sprint("snippet ", i, " Zürich")}))
+	}
+	for _, tc := range []struct {
+		name                 string
+		total, offset, limit int
+		results              [][]byte
+	}{
+		{"zero results", 0, 0, 10, nil},
+		{"zero results past the end", 12, 100000, 5, [][]byte{}},
+		{"one result", 1, 0, 10, [][]byte{atDepth(story)}},
+		{"scalar results", 3, 1, 3, [][]byte{atDepth(1.5), atDepth("x<y>"), atDepth(nil)}},
+		{"many results", 1 << 20, 40, 100, many},
+		{"max ints", math.MaxInt, math.MaxInt, math.MaxInt, [][]byte{atDepth(story)}},
+	} {
+		for _, partial := range []bool{false, true} {
+			raws := make([]json.RawMessage, 0, len(tc.results))
+			for _, r := range tc.results {
+				raws = append(raws, r)
+			}
+			want, ok := EncodeJSON(httptest.NewRecorder(), page{tc.total, tc.offset, tc.limit, raws, partial})
+			if !ok {
+				t.Fatal("encode failed")
+			}
+			rec := httptest.NewRecorder()
+			WritePage(rec, tc.total, tc.offset, tc.limit, tc.results, partial)
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+				t.Fatalf("%s partial=%v: status %d, Content-Length %s, want 200, %d",
+					tc.name, partial, rec.Code, rec.Header().Get("Content-Length"), len(want))
+			}
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%s partial=%v:\n%s\nencoder:\n%s", tc.name, partial, got, want)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, len(many)} {
+		if a := testing.AllocsPerRun(100, func() { encodePage(n, 0, n, many[:n], true) }); a != 1 {
+			t.Errorf("a page of %d results allocates %v times, want 1", n, a)
+		}
+	}
+}

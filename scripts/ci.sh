@@ -149,11 +149,18 @@ gate "query index" \
 # byte-identically to a single node across three seeds (including
 # paged windows and a mid-stream source removal on one shard), a dead
 # worker degrades to 200 + "partial": true (never 5xx) with quorum
-# health semantics, and routed ingest lands on the ring owner.
+# health semantics, and routed ingest lands on the ring owner. The merge
+# splices the workers' result bytes: the shard-page parser must agree
+# with decoding the page (and reject what decoding rejects), the page
+# writer must lay the envelope out as the encoder does, the timeline must
+# merge by (instant, id), and a ranked page whose scores do not pair with
+# its results must count as a failed shard.
 gate "cluster scatter-gather" \
   'TestMergeRanked*' 'TestRing*' TestClusterDifferential TestClusterDegradedServing \
   TestClusterIngestRouting TestClusterMembersReconfigure \
-  TestEmptyResultsSerialiseAsArray TestStoriesByEntityEndpoint
+  TestEmptyResultsSerialiseAsArray TestStoriesByEntityEndpoint \
+  TestParsePageMatchesDecoder FuzzParsePage TestResultKeysMatchDecoder TestWritePageMatchesEncoder \
+  TestTimelineMergeOrdersByInstant TestRankedScoreCountMismatchIsPartial
 
 # Retirement gate: the lifecycle differential must prove byte-identical
 # active-window responses across seeds (refinement on, mid-stream source
