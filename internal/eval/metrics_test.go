@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -166,35 +165,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	tm := NewTimer()
-	if tm.Mean() != 0 || tm.Percentile(50) != 0 {
-		t.Fatal("empty timer should report zeros")
-	}
-	for i := 1; i <= 100; i++ {
-		tm.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if tm.Count() != 100 {
-		t.Fatalf("Count = %d", tm.Count())
-	}
-	if got := tm.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := tm.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := tm.Percentile(100); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	tm.Time(func() { time.Sleep(time.Millisecond) })
-	if tm.Count() != 101 {
-		t.Error("Time did not record")
-	}
-	if tm.Summary() == "" {
-		t.Error("Summary empty")
-	}
-}
-
 func TestARI(t *testing.T) {
 	truth := asg(1, 1, 2, 1, 3, 2, 4, 2)
 	// Identical partition (labels renamed) -> 1.
@@ -241,32 +211,5 @@ func TestARIBoundsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTimerConcurrent hammers a shared timer from many goroutines; run
-// under -race this pins the documented "safe for concurrent use"
-// contract that the HTTP handlers rely on.
-func TestTimerConcurrent(t *testing.T) {
-	tm := NewTimer()
-	const workers, perWorker = 8, 250
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				tm.Observe(time.Millisecond)
-				_ = tm.Mean()
-				_ = tm.Percentile(95)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tm.Count(); got != workers*perWorker {
-		t.Fatalf("Count = %d, want %d", got, workers*perWorker)
-	}
-	if got := tm.Total(); got != workers*perWorker*time.Millisecond {
-		t.Fatalf("Total = %v", got)
 	}
 }

@@ -488,32 +488,3 @@ func TestOrderCompaction(t *testing.T) {
 		t.Fatalf("order not compacted: %d entries for %d stories", got, len(id.stories))
 	}
 }
-
-func TestRunAllParallelMatchesSequential(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.Sources = 4
-	cfg.Stories = 8
-	cfg.EventsPerStory = 6
-	c := datagen.Generate(cfg)
-	truth := eval.Assignment{}
-	for id, l := range c.Truth {
-		truth[id] = l
-	}
-	toAsg := func(ids map[event.SourceID]*Identifier) eval.Assignment {
-		a := eval.Assignment{}
-		for k, v := range MergedAssignment(ids) {
-			a[k] = uint64(v)
-		}
-		return a
-	}
-	seq := toAsg(RunAll(c.Snippets, DefaultConfig(), nil))
-	par := toAsg(RunAllParallel(c.Snippets, DefaultConfig(), nil))
-	// Story IDs differ across runs (allocation order), but the partition
-	// must be identical.
-	if f := eval.Pairwise(par, seq).F1; f != 1 {
-		t.Fatalf("parallel partition differs from sequential: F1 = %.3f", f)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("coverage differs: %d vs %d", len(par), len(seq))
-	}
-}

@@ -2,7 +2,6 @@ package identify
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/event"
 )
@@ -41,37 +40,6 @@ func RunAll(snippets []*event.Snippet, cfg Config, alloc *IDAlloc) map[event.Sou
 	for _, src := range order {
 		out[src] = RunSource(src, bySource[src], cfg, alloc)
 	}
-	return out
-}
-
-// RunAllParallel is RunAll with one goroutine per source. Sources are
-// identified independently (paper Figure 1b), so this is an
-// embarrassingly parallel speedup on multi-core machines; results are
-// identical to RunAll because identifiers share only the atomic story-ID
-// allocator (story ID *values* differ between runs, but the partition is
-// the same).
-func RunAllParallel(snippets []*event.Snippet, cfg Config, alloc *IDAlloc) map[event.SourceID]*Identifier {
-	if alloc == nil {
-		alloc = &IDAlloc{}
-	}
-	bySource := make(map[event.SourceID][]*event.Snippet)
-	for _, s := range snippets {
-		bySource[s.Source] = append(bySource[s.Source], s)
-	}
-	out := make(map[event.SourceID]*Identifier, len(bySource))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for src, sns := range bySource {
-		wg.Add(1)
-		go func(src event.SourceID, sns []*event.Snippet) {
-			defer wg.Done()
-			id := RunSource(src, sns, cfg, alloc)
-			mu.Lock()
-			out[src] = id
-			mu.Unlock()
-		}(src, sns)
-	}
-	wg.Wait()
 	return out
 }
 

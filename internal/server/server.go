@@ -13,7 +13,6 @@ import (
 	"time"
 
 	storypivot "repro"
-	"repro/internal/eval"
 	"repro/internal/feed"
 	"repro/internal/httpx"
 	"repro/internal/index"
@@ -73,7 +72,9 @@ type Server struct {
 	// PUT /api/cluster/feeds; older epochs are rejected with 409.
 	feedEpoch atomic.Uint64
 
-	ingestT *eval.Timer
+	// ingestN and ingestNs count the timed document ingests and their
+	// summed duration, from which /api/stats reports the mean.
+	ingestN, ingestNs atomic.Int64
 
 	// cache, when enabled, serves the paged query endpoints from encoded
 	// bytes, each entry valid while the live pipeline's index stands
@@ -114,7 +115,6 @@ func New(opts ...storypivot.Option) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		selected: make(map[string]bool),
-		ingestT:  eval.NewTimer(),
 	}
 	s.pipeline.Store(p)
 	return s, nil
@@ -198,7 +198,7 @@ func (s *Server) rebuild(want map[string]bool) error {
 			if _, err := p.AddDocument(d); err != nil {
 				continue // documents with no extractable content stay unselected
 			}
-			s.ingestT.Observe(time.Since(start))
+			s.observeIngest(time.Since(start))
 			sel[d.URL] = true
 		}
 	}
@@ -214,6 +214,12 @@ func (s *Server) rebuild(want map[string]bool) error {
 		old.Close()
 	}
 	return nil
+}
+
+// observeIngest records one document ingest's duration for /api/stats.
+func (s *Server) observeIngest(d time.Duration) {
+	s.ingestNs.Add(int64(d))
+	s.ingestN.Add(1)
 }
 
 // AddDocument registers a new document, selects it, and ingests it
@@ -245,7 +251,7 @@ func (s *Server) AddDocument(d *storypivot.Document) (accepted int, errs []error
 		// rejected. The document stays unregistered.
 		return 0, errs, errors.Join(errs...)
 	}
-	s.ingestT.Observe(took)
+	s.observeIngest(took)
 	s.stateMu.Lock()
 	s.available = append(s.available, d)
 	s.selected[d.URL] = true
@@ -851,7 +857,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	docCount := len(s.selected)
 	s.stateMu.RUnlock()
 	p := s.Pipeline()
-	ingestMean := s.ingestT.Mean()
+	var ingestMean time.Duration
+	if n := s.ingestN.Load(); n > 0 {
+		ingestMean = time.Duration(s.ingestNs.Load() / n)
+	}
 	alignMean := stream.AlignMean()
 
 	res := p.Published()

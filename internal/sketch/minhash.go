@@ -3,8 +3,8 @@
 // abstract from snippets and stories into one common format which we refer
 // to as a sketch ... that allows for fast and efficient similarity
 // comparisons"). It contains MinHash signatures with a banded LSH index for
-// candidate retrieval and a Bloom filter for membership tests — all built
-// from scratch on FNV-style hashing, stdlib only.
+// candidate retrieval and a HyperLogLog for distinct-entity counts — all
+// built from scratch on FNV-style hashing, stdlib only.
 package sketch
 
 import (
@@ -127,16 +127,6 @@ func (m *MinHasher) UpdateHash(sig Signature, h uint64) bool {
 func ResetSignature(sig Signature) {
 	for i := range sig {
 		sig[i] = math.MaxUint64
-	}
-}
-
-// Merge combines two signatures element-wise (the signature of the union
-// of the underlying sets). dst and src must have equal length.
-func Merge(dst, src Signature) {
-	for i := range dst {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
 	}
 }
 

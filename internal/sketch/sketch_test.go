@@ -82,19 +82,6 @@ func TestMinHashIncrementalUpdateEqualsBatch(t *testing.T) {
 	}
 }
 
-func TestMinHashMergeIsUnion(t *testing.T) {
-	m := NewMinHasher(128, 7)
-	a, b := setOf(30, "a"), setOf(30, "b")
-	union := m.Sign(append(append([]string{}, a...), b...))
-	merged := m.Sign(a)
-	Merge(merged, m.Sign(b))
-	for i := range union {
-		if union[i] != merged[i] {
-			t.Fatalf("merge != union signature at %d", i)
-		}
-	}
-}
-
 func TestMinHashSignInto(t *testing.T) {
 	m := NewMinHasher(32, 3)
 	a := setOf(10, "z")
@@ -260,45 +247,5 @@ func TestLSHConcurrent(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		b.Add(fmt.Sprintf("snippet-%d", i))
-	}
-	for i := 0; i < 1000; i++ {
-		if !b.Contains(fmt.Sprintf("snippet-%d", i)) {
-			t.Fatalf("false negative for snippet-%d", i)
-		}
-	}
-	if b.Count() != 1000 {
-		t.Errorf("Count = %d", b.Count())
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		b.Add(fmt.Sprintf("in-%d", i))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.Contains(fmt.Sprintf("out-%d", i)) {
-			fp++
-		}
-	}
-	if rate := float64(fp) / probes; rate > 0.05 {
-		t.Fatalf("false positive rate %g far above target 0.01", rate)
-	}
-}
-
-func TestBloomDegenerateParams(t *testing.T) {
-	b := NewBloom(0, 2.0) // both invalid; must still work
-	b.Add("x")
-	if !b.Contains("x") {
-		t.Fatal("degenerate bloom lost element")
 	}
 }

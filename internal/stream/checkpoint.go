@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"repro/internal/event"
 	"repro/internal/identify"
-	"repro/internal/sketch"
 )
 
 // Checkpoint is a serialisable snapshot of the engine's identification
@@ -100,8 +98,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // checkpoint. The snippets are partitioned by source; every snippet must
 // be covered by the checkpoint or ErrCheckpointStale is returned (the
 // caller then falls back to replaying through Ingest). The restored
-// engine's dedup filters, entity statistics, and time range are rebuilt
-// from the snippets.
+// identifiers hold every snippet's assignment, so a redelivery of a
+// restored snippet is a duplicate; the entity statistics and time range
+// are rebuilt from the snippets.
 //
 // For checkpoints written under story retirement, verify reports whether
 // an archived story ID is still present in the cold archive; every ID in
@@ -152,14 +151,7 @@ func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoi
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCheckpointStale, err)
 		}
-		sh := &shard{id: id}
-		if opts.DedupCapacity > 0 {
-			sh.dedup = sketch.NewBloom(opts.DedupCapacity, 0.001)
-			for _, sn := range bySource[src] {
-				sh.dedup.Add(strconv.FormatUint(uint64(sn.ID), 10))
-			}
-		}
-		e.shards[src] = sh
+		e.shards[src] = &shard{id: id}
 		e.dirty[src] = id.Pending()
 		for _, sn := range bySource[src] {
 			e.stats.add(sn)

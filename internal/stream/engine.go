@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,9 +36,6 @@ type Options struct {
 	// AutoAlignEvery re-aligns automatically after this many ingested
 	// snippets (0 disables; callers then call Align explicitly).
 	AutoAlignEvery int
-	// DedupCapacity sizes the per-source duplicate-delivery filter
-	// (0 disables deduplication).
-	DedupCapacity int
 }
 
 // DefaultOptions mirrors the demo system's configuration.
@@ -50,7 +46,6 @@ func DefaultOptions() Options {
 		Refine:         align.DefaultRefineConfig(),
 		RefineOnAlign:  false,
 		AutoAlignEvery: 0,
-		DedupCapacity:  1 << 16,
 	}
 }
 
@@ -98,8 +93,8 @@ var (
 	// ErrUnknownSource is returned by Ingest when the snippet's source was
 	// never added (or was removed) and auto-registration is off.
 	ErrUnknownSource = errors.New("stream: unknown source")
-	// ErrDuplicate is returned for a snippet the per-source deduplication
-	// filter has (very probably) seen before.
+	// ErrDuplicate is returned for a snippet its source's identifier has
+	// already assigned to a story.
 	ErrDuplicate = errors.New("stream: duplicate snippet delivery")
 	// ErrSourceCollision is returned when a source's deterministic
 	// ID-namespace tag (identify.SourceTag) collides with an already
@@ -110,15 +105,15 @@ var (
 	ErrSourceCollision = errors.New("stream: source ID-namespace collision")
 )
 
-// shard is one source's slice of the engine: the identifier and the
-// duplicate-delivery filter, guarded by their own mutex so sources ingest
-// in parallel. Identification is per-source by construction (paper §2.2),
-// which makes the source the natural sharding key: two snippets of
-// different sources share no identifier state at all.
+// shard is one source's slice of the engine: the identifier, guarded by
+// its own mutex so sources ingest in parallel. Identification is
+// per-source by construction (paper §2.2), which makes the source the
+// natural sharding key: two snippets of different sources share no
+// identifier state at all. The identifier also answers duplicate
+// delivery: a snippet it has already assigned is a redelivery.
 type shard struct {
-	mu    sync.Mutex
-	id    *identify.Identifier
-	dedup *sketch.Bloom
+	mu sync.Mutex
+	id *identify.Identifier
 	// gone is set (under mu) when RemoveSource detaches the shard; an
 	// Ingest that raced the removal re-resolves the registry instead of
 	// processing into a dead identifier.
@@ -129,13 +124,13 @@ type shard struct {
 }
 
 // Engine is the live StoryPivot pipeline. It is safe for concurrent use.
-// Ingestion is sharded per source: each source's identifier and dedup
-// filter sit behind a per-shard mutex, so a multi-source feed ingests on
-// all cores; only the narrow shared section (aligner, dirty set) is
-// serialised behind the engine mutex. Readers take none of these: the
-// last published result is an atomic pointer (Published) and the dataset
-// statistics sit behind their own small lock. Lock order, for any path
-// that holds more than one: mu → regMu → shard.mu, and mu → stats.mu.
+// Ingestion is sharded per source: each source's identifier sits behind a
+// per-shard mutex, so a multi-source feed ingests on all cores; only the
+// narrow shared section (aligner, dirty set) is serialised behind the
+// engine mutex. Readers take none of these: the last published result is
+// an atomic pointer (Published) and the dataset statistics sit behind
+// their own small lock. Lock order, for any path that holds more than
+// one: mu → regMu → shard.mu, and mu → stats.mu.
 type Engine struct {
 	opts Options
 
@@ -279,9 +274,6 @@ func (e *Engine) shard(src event.SourceID) *shard {
 		}
 		sh.id = identify.New(src, e.opts.Identify, alloc)
 	}
-	if e.opts.DedupCapacity > 0 {
-		sh.dedup = sketch.NewBloom(e.opts.DedupCapacity, 0.001)
-	}
 	e.shards[src] = sh
 	metSourcesGauge.Set(int64(len(e.shards)))
 	return sh
@@ -415,19 +407,26 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 		sh = e.shard(s.Source)
 		sh.mu.Lock()
 	}
-	if sh.err != nil {
-		sh.mu.Unlock()
+	var refused error
+	switch {
+	case sh.err != nil:
 		metInvalid.Inc()
-		return 0, sh.err
+		refused = sh.err
+	case sh.id.StoryOf(s.ID) != 0:
+		metDuplicates.Inc()
+		refused = fmt.Errorf("%w: snippet %d", ErrDuplicate, s.ID)
 	}
-	if sh.dedup != nil {
-		key := strconv.FormatUint(uint64(s.ID), 10)
-		if sh.dedup.Contains(key) {
-			sh.mu.Unlock()
-			metDuplicates.Inc()
-			return 0, fmt.Errorf("%w: snippet %d", ErrDuplicate, s.ID)
+	if refused != nil {
+		sh.mu.Unlock()
+		if reactivated != nil {
+			// The adopted stories are resident again whatever became of
+			// this snippet: the next settle must align them.
+			e.mu.Lock()
+			e.markReactivated(reactivated)
+			e.setDirtyGauge()
+			e.mu.Unlock()
 		}
-		sh.dedup.Add(key)
+		return 0, refused
 	}
 	sid := sh.id.Process(s)
 	pending := sh.id.Pending()
@@ -435,9 +434,7 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, st := range reactivated {
-		e.dirty[st.Source]++
-	}
+	e.markReactivated(reactivated)
 	e.dirty[s.Source] = pending
 	e.stats.add(s)
 	metIngested.Inc()
@@ -453,6 +450,14 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 		}
 	}
 	return sid, nil
+}
+
+// markReactivated marks the sources of stories Ingest adopted back from
+// the archive dirty. Callers hold e.mu.
+func (e *Engine) markReactivated(stories []*event.Story) {
+	for _, st := range stories {
+		e.dirty[st.Source]++
+	}
 }
 
 // IngestAll ingests a batch, skipping invalid and duplicate snippets, and

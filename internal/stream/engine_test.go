@@ -89,13 +89,49 @@ func TestEngineRejectsInvalidAndDuplicates(t *testing.T) {
 	if _, err := e.Ingest(s); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate delivery error = %v", err)
 	}
-	// With dedup disabled duplicates pass (caller's responsibility).
+	if e.Ingested() != 1 {
+		t.Fatalf("Ingested = %d after a rejected redelivery, want 1", e.Ingested())
+	}
+}
+
+// TestEngineRejectsExactlyRedeliveries feeds one source 100,000
+// distinct snippets, more than any fixed-size membership filter holds
+// without false positives, and then redelivers a sample of them. The
+// engine must accept every first delivery and refuse every redelivery.
+// Each group of 300 snippets is its own story: one entity, 30 days
+// after the previous group, so identification stays cheap.
+func TestEngineRejectsExactlyRedeliveries(t *testing.T) {
+	const n, perStory = 100_000, 300
 	opts := DefaultOptions()
-	opts.DedupCapacity = 0
-	e2 := NewEngine(opts)
-	e2.Ingest(s)
-	if _, err := e2.Ingest(s); err != nil {
-		t.Fatalf("dedup-off duplicate rejected: %v", err)
+	opts.Identify.RepairEvery = 0
+	e := NewEngine(opts)
+	mk := func(id int) *event.Snippet {
+		g := (id - 1) / perStory
+		s := snip(event.SnippetID(id), "nyt", 1, []event.Entity{event.Entity(fmt.Sprintf("E%d", g))}, "report")
+		s.Timestamp = s.Timestamp.AddDate(0, 0, 30*g).Add(time.Duration((id-1)%perStory) * time.Minute)
+		return s
+	}
+	rejected := 0
+	for id := 1; id <= n; id++ {
+		if _, err := e.Ingest(mk(id)); errors.Is(err, ErrDuplicate) {
+			if rejected == 0 {
+				t.Errorf("first delivery of snippet %d refused as a duplicate", id)
+			}
+			rejected++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejected != 0 {
+		t.Fatalf("%d of %d distinct snippets refused as duplicates", rejected, n)
+	}
+	for id := 1; id <= n; id += 997 {
+		if _, err := e.Ingest(mk(id)); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("redelivery of snippet %d: err = %v, want ErrDuplicate", id, err)
+		}
+	}
+	if e.Ingested() != n {
+		t.Fatalf("Ingested = %d, want %d", e.Ingested(), n)
 	}
 }
 
@@ -336,7 +372,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !s1.Equal(s2) || !e1.Equal(e2t) {
 		t.Fatal("time range not rebuilt")
 	}
-	// Dedup filters rebuilt: re-delivery rejected.
+	// Restored assignments dedup: re-delivery rejected.
 	if _, err := e2.Ingest(corpus.Snippets[0]); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("restored dedup missed duplicate: %v", err)
 	}

@@ -14,7 +14,7 @@ var (
 	metIngested = obs.GetCounter("storypivot_stream_ingested_total",
 		"snippets accepted by the stream engine")
 	metDuplicates = obs.GetCounter("storypivot_stream_duplicates_total",
-		"snippets rejected by the per-source duplicate-delivery filter")
+		"snippets rejected as redeliveries: their source's identifier already assigned them")
 	metInvalid = obs.GetCounter("storypivot_stream_invalid_total",
 		"snippets rejected by validation")
 	metAlignRuns = obs.GetCounter("storypivot_stream_align_runs_total",

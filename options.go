@@ -195,11 +195,6 @@ func WithRetireMinResident(n int) Option {
 	return func(c *config) { c.retire.MinResident = n }
 }
 
-// WithDedup sizes the per-source duplicate-delivery filter (0 disables).
-func WithDedup(capacity int) Option {
-	return func(c *config) { c.stream.DedupCapacity = capacity }
-}
-
 func defaultsConfig() *config {
 	return &config{
 		stream:    stream.DefaultOptions(),

@@ -199,7 +199,6 @@ func TestPipelineOptionsApply(t *testing.T) {
 		WithAlignSlack(24*time.Hour),
 		WithRefinement(true),
 		WithAutoAlign(5),
-		WithDedup(1024),
 		WithGazetteer(DefaultGazetteer()),
 	)
 	if err != nil {

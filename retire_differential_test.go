@@ -1,6 +1,7 @@
 package storypivot
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/retire"
+	"repro/internal/stream"
 )
 
 // retireDiffWindow is the retirement window for the differential runs.
@@ -293,6 +295,62 @@ func TestRetireReactivation(t *testing.T) {
 	for _, want := range []uint64{1, 2, 1000} {
 		if !members[want] {
 			t.Fatalf("snippet %d missing after re-merge (have %v)", want, members)
+		}
+	}
+}
+
+// TestRejectedIngestKeepsReactivatedVisible redelivers a snippet of a
+// retired story. The redelivery fingerprints to the archived story, so
+// Ingest adopts it back before it finds the snippet already assigned
+// and refuses it as a duplicate. The adopted story must still reach the
+// next settle: afterwards every story is either served or archived.
+func TestRejectedIngestKeepsReactivatedVisible(t *testing.T) {
+	const window = 21 * 24 * time.Hour
+	t0 := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
+	p, err := New(append(retireDiffOpts(),
+		WithRetireWindow(window),
+		WithRetireDir(t.TempDir()),
+		WithRetireGrace(time.Hour))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	kepler := func(id uint64) *Snippet {
+		return retireSnip(id, "alpha", t0.Add(time.Duration(id-1)*time.Hour), "kepler", "telescope")
+	}
+	for id := uint64(1); id <= 2; id++ {
+		if err := p.Ingest(kepler(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	target := p.StoryOf("alpha", 1)
+	advanceWatermark(t, p, "alpha", 100, t0.Add(48*time.Hour), t0.Add(60*24*time.Hour), 48*time.Hour)
+	if !p.Retire().Has(target) {
+		t.Fatalf("setup: story %d never retired: %+v", target, p.Retire().Snapshot())
+	}
+
+	if err := p.Ingest(kepler(1)); !errors.Is(err, stream.ErrDuplicate) {
+		t.Fatalf("redelivery of a retired snippet: err = %v, want ErrDuplicate", err)
+	}
+	if p.Retire().Snapshot().Reactivated == 0 {
+		t.Fatal("setup: the redelivery reactivated nothing")
+	}
+	res := p.Result()
+	if got, _ := p.StoriesByEntityN("kepler", 0, -1); len(got) != 1 {
+		t.Fatalf("kepler stories served after the refused redelivery: %v, want 1", storyIDs(got))
+	}
+	served := map[StoryID]bool{}
+	for _, is := range res.inner.Integrated {
+		for _, m := range is.Members {
+			served[m.ID] = true
+		}
+	}
+	for _, src := range p.Sources() {
+		for _, st := range p.Engine().Stories(src) {
+			if !served[st.ID] && !p.Retire().Has(st.ID) {
+				t.Errorf("story %d of %s is neither served nor archived", st.ID, src)
+			}
 		}
 	}
 }

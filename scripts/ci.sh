@@ -167,9 +167,11 @@ gate "cluster scatter-gather" \
 # removal), reactivation must restore the original StoryID, a
 # kill-during-retire restart must reconcile the archive against the
 # checkpoint, and the retire/reactivate/ingest/rebase interleaving must
-# survive the race detector.
+# survive the race detector. A story that a refused redelivery
+# reactivated must still be served after the next settle.
 gate "story retirement" \
-  TestRetireDifferential 'TestRetireReactivation*' TestRetireBoundedResident TestRetireIngestRace \
+  TestRetireDifferential 'TestRetireReactivation*' TestRejectedIngestKeepsReactivatedVisible \
+  TestRetireBoundedResident TestRetireIngestRace \
   TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
   'TestArchive*' 'TestWindowEndpoint*'
 
@@ -230,7 +232,8 @@ gate "self-healing cluster chaos" \
 # while it ingests. The settle's allocation pins: the index re-sorts dirty
 # timeline segments with no allocation, an integrated story's Snippets
 # allocates once and its construction does not grow with its snippets,
-# and a warm Refiner pass allocates the same at any corpus size.
+# and a warm Refiner pass allocates the same at any corpus size. The
+# engine refuses exactly the snippets its identifiers already assigned.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
@@ -238,7 +241,8 @@ gate "settle exactness (align + engine digest)" \
   TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip \
   TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest \
   TestFinishTimelinesAllocatesNothing TestIntegratedSnippetsAllocatesOnce \
-  TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus
+  TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus \
+  TestEngineRejectsExactlyRedeliveries
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the

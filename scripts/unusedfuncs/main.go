@@ -25,12 +25,10 @@ import (
 
 // allow names the functions that may stay although only tests call them.
 var allow = map[string]string{
-	"repro/internal/identify.RunAllParallel":     "the parallel form of RunAll that TestRunAllParallel* pins as deterministic; experiments call RunAll",
 	"repro/internal/identify.MergedAssignment":   "cross-package test helper: identify and align tests score identifier output through it",
 	"repro/internal/text.Sentences":              "fuzzed tokenizer surface (FuzzSentences, TestSentences); extraction splits on paragraphs today",
 	"repro/internal/extract.NormalizeEntityName": "canonical entity key from a surface form, for callers inventing entity universes (TestNormalizeEntityName)",
 	"repro/internal/gdelt.IsConflict":            "CAMEO material-conflict quad class, the paper §1 forecasting use case (TestCameoDescription)",
-	"repro/internal/sketch.Merge":                "the MinHash union property TestMinHashMergeIsUnion pins; stories re-sign incrementally instead",
 }
 
 const module = "repro"
