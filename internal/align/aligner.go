@@ -145,15 +145,16 @@ type Aligner struct {
 	// sketch) filters, including pairs that scored below threshold. The
 	// lists are symmetric and are the only record of the pairs, so removing
 	// a story costs its degree, not a scan of the corpus. Under IDF entity
-	// weighting every score reads the frozen statistics epoch (frozen
-	// below), never the live counts, so an edge's score is a pure function
-	// of its two stories and the epoch: upsert order cannot change it, and
+	// weighting every score reads the statistics epoch (frozen below),
+	// never the live counts, so an edge's score is a pure function of its
+	// two stories and the epoch: upsert order cannot change it, and
 	// re-upserting an unchanged story reproduces the edges it already has.
 	adj map[event.StoryID][]event.StoryID
-	// lastScored is the live total at the last freeze; the live total
-	// drifting more than 20% from it in either direction (growth from
-	// upserts, shrinkage from source removal) makes the next Result start
-	// a new epoch.
+	// epochs counts the freezes, and lastScored is the live total at the
+	// last one; the live total drifting more than 20% from it in either
+	// direction (growth from upserts, shrinkage from source removal) makes
+	// the next Result start a new epoch.
+	epochs     int
 	lastScored int
 
 	hasher *sketch.MinHasher
@@ -167,12 +168,13 @@ type Aligner struct {
 
 	// live counts entity mentions over all upserted stories; it backs the
 	// IDF entity weighting. frozen is the statistics epoch the weights are
-	// read from: a copy of live taken by rescoreIfDrifted right before it
-	// rescores every candidate pair. Until the next freeze the weights do
+	// read from: live's weights, tabulated by rescoreIfDrifted right before
+	// it rescores the candidate pairs. Until the next freeze the weights do
 	// not move however many stories arrive or leave; an entity unseen at
-	// freeze time counts 0.
-	live, frozen similarity.EntityIDF
-	storyCfg     similarity.StoryConfig // cfg.Story plus the weighter
+	// freeze time weighs as count 0.
+	live     similarity.EntityIDF
+	frozen   similarity.IDFTable
+	storyCfg similarity.StoryConfig // cfg.Story plus the weighter
 
 	// What Result keeps between passes. touched holds every story upserted
 	// or removed since the last pass and every story that shared an
@@ -418,38 +420,70 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 
 // rescoreIfDrifted starts a new statistics epoch when the live entity
 // statistics have drifted materially from the frozen ones (and on the
-// first Result): it copies the live table into the frozen one, rescores
-// every candidate pair against it and marks every story touched, so the
-// Result that follows regroups them all. Between two epochs every score
-// — from Upsert, from this rescan, from the merge guard — reads the same
-// frozen table, so the edges are a pure function of the resident stories
-// and the epoch, whatever order the stories arrived in.
+// first Result): it tabulates the live weights into the frozen table,
+// rescores the candidate pairs against it and marks every story touched,
+// so the Result that follows regroups them all. A pair whose stories share
+// no entity counted in both keeps its edge, or its absence: its entity
+// term is 0 under any weights, so its score cannot move. Between two
+// epochs every score — from Upsert, from this rescan, from the merge guard
+// — reads the same frozen table, so the edges are a pure function of the
+// resident stories and the epoch, whatever order the stories arrived in.
 func (a *Aligner) rescoreIfDrifted() {
 	if a.storyCfg.EntityWeight == nil {
 		return // uniform weights never drift
 	}
 	lo, hi := a.lastScored-a.lastScored/5, a.lastScored+a.lastScored/5
-	if total := a.live.Total(); a.lastScored > 0 && total >= lo && total <= hi {
+	if total := a.live.Total(); a.epochs > 0 && total >= lo && total <= hi {
 		return
 	}
-	a.frozen.CopyFrom(&a.live)
-	a.edges = make(map[[2]event.StoryID]float64, len(a.edges))
+	a.frozen = a.live.Tabulate(a.frozen)
 	for id, nbrs := range a.adj {
+		x := a.stories[id]
 		for _, o := range nbrs {
 			if id > o {
 				continue // each pair once, from its smaller endpoint
 			}
-			score := similarity.Stories(a.stories[id], a.stories[o], a.storyCfg)
+			y := a.stories[o]
+			if !sharesCountedEntity(x.EntityFreq, y.EntityFreq) {
+				continue
+			}
+			k := [2]event.StoryID{id, o}
+			score := similarity.Stories(x, y, a.storyCfg)
 			a.stats.Comparisons++
 			if score >= a.cfg.MatchThreshold {
-				a.edges[[2]event.StoryID{id, o}] = score
+				a.edges[k] = score
+			} else {
+				delete(a.edges, k)
 			}
 		}
 	}
 	for id := range a.stories {
 		a.touched[id] = struct{}{}
 	}
+	a.epochs++
 	a.lastScored = a.live.Total()
+}
+
+// sharesCountedEntity reports whether two entity frequency vectors hold an
+// entity with a nonzero count in both: without one, their weighted Jaccard
+// has an empty intersection whatever the weights.
+func sharesCountedEntity(a, b []vocab.IDCount) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].ID == b[j].ID:
+			if a[i].N > 0 && b[j].N > 0 {
+				return true
+			}
+			i++
+			j++
+		case a[i].ID < b[j].ID:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // Matches returns every raw above-threshold match edge sorted by

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -120,8 +121,8 @@ func adjSets(a *Aligner) map[event.StoryID][]event.StoryID {
 // order, at a's frozen statistics epoch and drift reference.
 func freshTwin(a *Aligner) *Aligner {
 	b := NewAligner(a.cfg)
-	b.frozen.CopyFrom(&a.frozen)
-	b.lastScored = a.lastScored
+	b.frozen = slices.Clone(a.frozen)
+	b.epochs, b.lastScored = a.epochs, a.lastScored
 	ids := make([]event.StoryID, 0, len(a.stories))
 	for id := range a.stories {
 		ids = append(ids, id)
@@ -221,11 +222,11 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 		epochs, partial := 0, 0
 		for step, op := range schedule {
 			op()
-			before, regrouped := a.lastScored, a.stats.Regrouped
+			before, regrouped := a.epochs, a.stats.Regrouped
 			if err := checkResult(a, &versions); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if a.lastScored != before {
+			if a.epochs != before {
 				epochs++
 			} else if a.stats.Regrouped-regrouped < a.Len() {
 				partial++
@@ -314,5 +315,128 @@ func TestAlignerPureFunctionQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleResultWithoutEntitiesRegroupsNothing runs the aligner over
+// stories that mention no entity, so the live mention total is 0 at every
+// freeze. The first pass starts an epoch; after that a pass regroups only
+// what was upserted since the last one, and a pass with nothing upserted
+// regroups and rescores nothing. (An aligner that read a frozen total of 0
+// as "never frozen" started an epoch on every Result.)
+func TestIdleResultWithoutEntitiesRegroupsNothing(t *testing.T) {
+	a := NewAligner(DefaultConfig())
+	for _, st := range []*event.Story{
+		mkStory(1, "nyt", snip(1, "nyt", 1, nil, "crash", "plane"), snip(2, "nyt", 2, nil, "crash", "investig")),
+		mkStory(2, "wsj", snip(11, "wsj", 1, nil, "crash", "plane"), snip(12, "wsj", 2, nil, "crash", "report")),
+		mkStory(3, "nyt", snip(21, "nyt", 20, nil, "search", "antitrust")),
+		mkStory(4, "nyt", snip(31, "nyt", 28, nil, "launch", "rocket")),
+	} {
+		a.Upsert(st)
+	}
+	pass := func() (regrouped, comparisons int) {
+		before := a.Stats()
+		a.Result()
+		after := a.Stats()
+		return after.Regrouped - before.Regrouped, after.Comparisons - before.Comparisons
+	}
+	if n, _ := pass(); n != 4 {
+		t.Fatalf("the first pass regrouped %d stories, want all 4", n)
+	}
+	if a.epochs != 1 || a.live.Total() != 0 {
+		t.Fatalf("%d epochs over a live mention total of %d, want 1 over 0", a.epochs, a.live.Total())
+	}
+	a.Upsert(mkStory(5, "wsj", snip(41, "wsj", 10, nil, "sanction", "report")))
+	if n, _ := pass(); n != 1 {
+		t.Fatalf("the pass after an isolated story arrived regrouped %d stories, want 1", n)
+	}
+	if n, c := pass(); n != 0 || c != 0 {
+		t.Fatalf("an idle pass regrouped %d stories and rescored %d pairs, want 0 and 0", n, c)
+	}
+	if a.epochs != 1 {
+		t.Fatalf("%d epochs started, want 1", a.epochs)
+	}
+}
+
+// TestEpochRescoresOnlyEntitySharingPairs crosses several statistics
+// epochs and requires each epoch's rescore to score exactly the candidate
+// pairs, found by brute force, whose two stories share an entity counted
+// in both: the entity term of any other pair is 0 under any weights, so
+// its score cannot move. TestAlignerPureFunctionQuick checks that the
+// edges kept this way equal a fresh aligner's at the same epoch.
+func TestEpochRescoresOnlyEntitySharingPairs(t *testing.T) {
+	cfg := datagen.DefaultConfig()
+	cfg.Seed, cfg.Sources, cfg.Stories, cfg.EventsPerStory = 3, 6, 20, 8
+	var pool []*event.Story
+	for _, sts := range identify.StoriesBySource(identify.RunAll(datagen.Generate(cfg).Snippets, identify.DefaultConfig(), nil)) {
+		pool = append(pool, sts...)
+	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
+	a := NewAligner(DefaultConfig())
+	// brute returns the candidate pairs over the resident stories that
+	// share a counted entity, and those that do not.
+	brute := func() (sharing, disjoint int) {
+		for _, x := range a.stories {
+			for _, y := range a.stories {
+				if x.ID >= y.ID || x.Source == y.Source || !x.Overlaps(y, a.cfg.Slack) {
+					continue
+				}
+				counted := map[uint32]bool{}
+				for _, ec := range x.EntityFreq {
+					counted[ec.ID] = ec.N > 0
+				}
+				shares := false
+				for _, ec := range y.EntityFreq {
+					shares = shares || (ec.N > 0 && counted[ec.ID])
+				}
+				if shares {
+					sharing++
+				} else {
+					disjoint++
+				}
+			}
+		}
+		return sharing, disjoint
+	}
+	epochs, rescored, kept := 0, 0, 0
+	settle := func(step int) {
+		t.Helper()
+		before, comparisons := a.epochs, a.stats.Comparisons
+		a.Result()
+		if a.epochs == before {
+			return
+		}
+		sharing, disjoint := brute()
+		if got := a.stats.Comparisons - comparisons; got != sharing {
+			t.Fatalf("step %d: the epoch rescored %d pairs, %d candidate pairs share an entity (%d do not)", step, got, sharing, disjoint)
+		}
+		epochs++
+		rescored += sharing
+		kept += disjoint
+	}
+	// Half the pool, a quarter of it removed, then the rest, settling every
+	// few stories: the mention total drifts past 20 % again and again.
+	for i, st := range pool[:len(pool)/2] {
+		a.Upsert(st)
+		if i%5 == 4 {
+			settle(i)
+		}
+	}
+	for i, st := range pool[:len(pool)/4] {
+		a.Remove(st.ID)
+		if i%5 == 4 {
+			settle(i)
+		}
+	}
+	for i, st := range pool[len(pool)/2:] {
+		a.Upsert(st)
+		if i%5 == 4 {
+			settle(i)
+		}
+	}
+	settle(len(pool))
+	t.Logf("%d epochs rescored %d entity-sharing pairs and kept %d disjoint ones", epochs, rescored, kept)
+	if epochs < 3 || rescored == 0 || kept == 0 {
+		t.Fatalf("%d epochs, %d pairs rescored, %d kept: the schedule does not exercise both kinds of pair", epochs, rescored, kept)
 	}
 }

@@ -84,12 +84,16 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 // is a fold, in result order, over the multi-source integrated stories in
 // its reach, where each contributes its first maximal same-source
 // candidate, that candidate's score and whether the integrated story
-// supports the snippet; those depend on the snippet, its home story's ID
-// and source and the integrated story's members, not on the home score.
-// The home score is re-derived only when the home story's (ID, Gen)
-// changes, the rest only for integrated stories of a version the snippet
-// was not planned against, so every pass returns exactly the corrections
-// a fresh Refiner would.
+// supports the snippet. The candidate and its score depend on the
+// snippet, its home story's ID and the integrated story's members of the
+// snippet's own source; the support verdict on its members of the other
+// sources. The home score is re-derived only when the home story's
+// (ID, Gen) changes. An integrated story's target is reused whole while
+// its version is one the snippet was planned against, and without its
+// support verdict under a new version whose members of the snippet's
+// source are those of the last one, if the snippet lay in the last one's
+// widened extent; it is scored again only otherwise. So every pass
+// returns exactly the corrections a fresh Refiner would.
 //
 // A Refiner reads the results of one Aligner. The aligner's versions only
 // grow, a kept integrated story keeps its version and a dropped one never
@@ -112,6 +116,10 @@ type Refiner struct {
 	homeAt  map[event.StoryID]int32 // index into homes
 	snips   []snipMemo
 	targets []target
+	// The last pass's multi-source integrated stories, in result order,
+	// and their members.
+	multis  []multiMemo
+	members []memberMemo
 
 	// The memo of the pass before last, whose buffers the next pass
 	// writes into (DESIGN.md §3.3). It holds no pointers, so keeping it
@@ -119,11 +127,18 @@ type Refiner struct {
 	spareHomes   []homeMemo
 	spareSnips   []snipMemo
 	spareTargets []target
+	spareMultis  []multiMemo
+	spareMembers []memberMemo
+
+	// srcs numbers every source a memo member has had, so the memo holds
+	// no source name.
+	srcs map[event.SourceID]int32
 
 	// Scratch, valid within one pass.
 	plans []Correction
 	multi []reach
-	near  []int32 // indexes into multi within reach of one home story
+	kept  []int32 // the reaches' unchanged sources, numbered by srcs
+	near  []near
 	cen   []vocab.IDWeight
 	ents  []vocab.IDCount
 }
@@ -155,17 +170,50 @@ type target struct {
 	support int8 // 0 not searched yet, 1 supported, -1 not supported
 }
 
+// multiMemo is one multi-source integrated story of the last pass: its
+// ID, version, extent widened by SupportScale (Unix nanoseconds) and its
+// members members[lo ..+n], in member order.
+type multiMemo struct {
+	id       event.IntegratedID
+	ver      uint64
+	from, to int64
+	lo, n    int32
+}
+
+// memberMemo is one member story of a multi-source integrated story: its
+// (ID, Gen) and its source's number in srcs.
+type memberMemo struct {
+	id  event.StoryID
+	gen uint64
+	src int32
+}
+
 // reach is a multi-source integrated story of the current pass with its
-// extent widened by SupportScale.
+// extent widened by SupportScale. When the last pass had a multi-source
+// integrated story of the same ID at another version, old is that
+// version, oldFrom and oldTo its widened extent, and kept[keptLo ..+keptN]
+// the sources whose members it had too, in the same order at the same
+// Gens.
 type reach struct {
-	is       *event.IntegratedStory
-	from, to time.Time
+	is             *event.IntegratedStory
+	from, to       time.Time
+	old            uint64
+	oldFrom, oldTo int64
+	keptLo, keptN  int32
+}
+
+// near is a multi-source integrated story in reach of one home story:
+// multi[k], and whether its members of the home's source are those of
+// its old version.
+type near struct {
+	k    int32
+	keep bool
 }
 
 // NewRefiner returns a Refiner with an empty memo; its first pass plans
 // everything, as a one-shot Refine does.
 func NewRefiner(cfg RefineConfig) *Refiner {
-	return &Refiner{cfg: cfg, homeAt: make(map[event.StoryID]int32)}
+	return &Refiner{cfg: cfg, homeAt: make(map[event.StoryID]int32), srcs: make(map[event.SourceID]int32)}
 }
 
 // Refine plans one pass over res and applies it through movers, exactly
@@ -262,10 +310,8 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 					homeScore = r.scoreWithoutSelf(sn, home)
 					scores++
 				}
-				// An integrated story whose version is at or below planned had
-				// its current members when the snippet was last planned: its
-				// target, if any, is in prev. A snippet new to its home was
-				// never planned under it.
+				// The snippet's targets of the last pass. A snippet new to its
+				// home was never planned under it.
 				var prev []target
 				if memo != nil {
 					prev = r.targets[memo.lo : memo.lo+memo.n]
@@ -285,24 +331,30 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 				// sit with the candidate story, not the home. Support does
 				// not depend on the scores, so it is searched for only once
 				// a target of the component could win.
-				for _, k := range r.near {
-					m := &r.multi[k]
+				for _, nr := range r.near {
+					m := &r.multi[nr.k]
 					var t target
-					if memo != nil && m.is.Version <= planned {
-						found := false
-						for _, p := range prev {
-							if p.ver == m.is.Version {
-								t, found = p, true
-								break
-							}
-						}
-						if !found {
+					switch {
+					case memo != nil && m.is.Version <= planned:
+						// M had its current members when the snippet was last
+						// planned: its target, if any, is in prev.
+						var ok bool
+						if t, ok = targetAt(prev, m.is.Version); !ok {
 							continue
 						}
-					} else {
-						if sn.Timestamp.Before(m.from) || sn.Timestamp.After(m.to) {
+					case sn.Timestamp.Before(m.from) || sn.Timestamp.After(m.to):
+						continue
+					case memo != nil && nr.keep && m.heldOld(sn.Timestamp):
+						// M's members of the snippet's source are those of its
+						// old version, which was planned for the snippet, so the
+						// candidate and its score are too. The other sources'
+						// members changed, and with them the support.
+						var ok bool
+						if t, ok = targetAt(prev, m.old); !ok {
 							continue
 						}
+						t.ver, t.support = m.is.Version, 0
+					default:
 						var n int
 						t, n = r.bestCandidate(sn, home, m)
 						scores += n
@@ -350,19 +402,112 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 }
 
 // collectMulti collects this pass's multi-source integrated stories into
-// r.multi, in result order, and returns the largest version in res. Only
-// a story spanning two sources can hold both a target of a snippet's own
-// source and support from another.
+// r.multi, in result order, replaces the memo's record of them with this
+// pass's, and returns the largest version in res. Only a story spanning
+// two sources can hold both a target of a snippet's own source and
+// support from another. The last pass's record is found by ID in one
+// merge walk, since results list their integrated stories in ascending ID
+// order.
 func (r *Refiner) collectMulti(res *Result) uint64 {
+	old, oldMembers := r.multis, r.members
+	multis := slices.Grow(r.spareMultis[:0], len(old))
+	members := slices.Grow(r.spareMembers[:0], len(oldMembers))
+	r.kept = r.kept[:0]
 	var top uint64
+	j := 0
 	for _, is := range res.Integrated {
 		top = max(top, is.Version)
-		if multiSource(is) {
-			start, end := is.Extent()
-			r.multi = append(r.multi, reach{is, start.Add(-r.cfg.SupportScale), end.Add(r.cfg.SupportScale)})
+		if !multiSource(is) {
+			continue
+		}
+		start, end := is.Extent()
+		m := reach{is: is, from: start.Add(-r.cfg.SupportScale), to: end.Add(r.cfg.SupportScale)}
+		for j < len(old) && old[j].id < is.ID {
+			j++
+		}
+		var prev []memberMemo
+		if j < len(old) && old[j].id == is.ID {
+			prev = oldMembers[old[j].lo : old[j].lo+old[j].n]
+		}
+		lo := len(members)
+		if prev != nil && old[j].ver == is.Version {
+			members = append(members, prev...)
+		} else {
+			for _, mem := range is.Members {
+				members = append(members, memberMemo{id: mem.ID, gen: mem.Gen(), src: r.sourceNumber(mem.Source)})
+			}
+			if prev != nil {
+				m.old, m.oldFrom, m.oldTo = old[j].ver, old[j].from, old[j].to
+				m.keptLo = int32(len(r.kept))
+				r.kept = keptSources(r.kept, prev, members[lo:])
+				m.keptN = int32(len(r.kept)) - m.keptLo
+			}
+		}
+		multis = append(multis, multiMemo{id: is.ID, ver: is.Version,
+			from: m.from.UnixNano(), to: m.to.UnixNano(), lo: int32(lo), n: int32(len(members) - lo)})
+		r.multi = append(r.multi, m)
+	}
+	r.spareMultis, r.spareMembers = old, oldMembers
+	r.multis, r.members = multis, members
+	return top
+}
+
+// sourceNumber returns src's number in r.srcs, numbering it if it is new.
+func (r *Refiner) sourceNumber(src event.SourceID) int32 {
+	n, ok := r.srcs[src]
+	if !ok {
+		n = int32(len(r.srcs))
+		r.srcs[src] = n
+	}
+	return n
+}
+
+// keptSources appends to dst every source of cur, a member list in member
+// order, whose members old lists too, in the same order at the same Gens.
+func keptSources(dst []int32, old, cur []memberMemo) []int32 {
+	for lo := 0; lo < len(cur); {
+		src := cur[lo].src
+		hi := lo + 1
+		for hi < len(cur) && cur[hi].src == src {
+			hi++
+		}
+		if slices.Equal(sourceRun(old, src), cur[lo:hi]) {
+			dst = append(dst, src)
+		}
+		lo = hi
+	}
+	return dst
+}
+
+// sourceRun returns the members of source src in a member list in member
+// order, which holds them side by side.
+func sourceRun(ms []memberMemo, src int32) []memberMemo {
+	lo := slices.IndexFunc(ms, func(m memberMemo) bool { return m.src == src })
+	if lo < 0 {
+		return nil
+	}
+	hi := lo + 1
+	for hi < len(ms) && ms[hi].src == src {
+		hi++
+	}
+	return ms[lo:hi]
+}
+
+// heldOld reports whether a snippet at ts lay in the widened extent of
+// m's old version.
+func (m *reach) heldOld(ts time.Time) bool {
+	ns := ts.UnixNano()
+	return m.old != 0 && ns >= m.oldFrom && ns <= m.oldTo
+}
+
+// targetAt returns the target of version ver among a snippet's targets.
+func targetAt(prev []target, ver uint64) (target, bool) {
+	for _, p := range prev {
+		if p.ver == ver {
+			return p, true
 		}
 	}
-	return top
+	return target{}, false
 }
 
 // reachOf fills r.near with the multi-source integrated stories whose
@@ -370,10 +515,12 @@ func (r *Refiner) collectMulti(res *Result) uint64 {
 // other can be in reach of any of them.
 func (r *Refiner) reachOf(home *event.Story) {
 	first, last := home.Snippets[0].Timestamp, home.Snippets[home.Len()-1].Timestamp
+	src, numbered := r.srcs[home.Source]
 	r.near = r.near[:0]
 	for k := range r.multi {
 		if m := &r.multi[k]; !first.After(m.to) && !last.Before(m.from) {
-			r.near = append(r.near, int32(k))
+			keep := numbered && slices.Contains(r.kept[m.keptLo:m.keptLo+m.keptN], src)
+			r.near = append(r.near, near{int32(k), keep})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -273,27 +274,35 @@ func TestRefinerHomeScoreAllocs(t *testing.T) {
 
 // refineWork counts the snippet-story scores a pass over next needs when
 // the last pass saw prev: a home score for every snippet of a home story
-// whose (ID, Gen) is new, and a candidate score per same-source member
-// of each multi-source integrated story in a snippet's reach that is new,
-// or for any snippet its home did not hold before. With prev nil it is
-// the count of a pass from scratch.
-func refineWork(prev, next *Result, cfg RefineConfig) int {
+// whose (ID, Gen) is new, and a candidate score per same-source member of
+// each multi-source integrated story M in a snippet's reach, unless the
+// snippet's home held it in prev, prev had a multi-source integrated
+// story of M's ID with the same members of the snippet's source, and the
+// snippet lay in that story's reach too. With prev nil it is the count of
+// a pass from scratch. Home stories of the sources in skip are left out.
+func refineWork(prev, next *Result, cfg RefineConfig, skip ...event.SourceID) int {
 	held := map[event.StoryID]*event.Story{}
+	olds := map[event.IntegratedID]*event.IntegratedStory{}
 	if prev != nil {
 		for _, is := range prev.Integrated {
 			for _, m := range is.Members {
 				held[m.ID] = m
 			}
 		}
+		for _, is := range prev.MultiSource() {
+			olds[is.ID] = is
+		}
 	}
-	var lists map[event.IntegratedID]string
-	if prev != nil {
-		lists = memberLists(prev)
+	inReach := func(sn *event.Snippet, m *event.IntegratedStory) bool {
+		start, end := m.Extent()
+		return !sn.Timestamp.Before(start.Add(-cfg.SupportScale)) && !sn.Timestamp.After(end.Add(cfg.SupportScale))
 	}
-	current := memberLists(next)
 	work := 0
 	for _, is := range next.Integrated {
 		for _, home := range is.Members {
+			if slices.Contains(skip, home.Source) {
+				continue
+			}
 			old := held[home.ID]
 			for _, sn := range home.Snippets {
 				known := false
@@ -306,11 +315,11 @@ func refineWork(prev, next *Result, cfg RefineConfig) int {
 					work++
 				}
 				for _, m := range next.MultiSource() {
-					start, end := m.Extent()
-					if sn.Timestamp.Before(start.Add(-cfg.SupportScale)) || sn.Timestamp.After(end.Add(cfg.SupportScale)) {
+					if !inReach(sn, m) {
 						continue
 					}
-					if known && lists[m.ID] == current[m.ID] {
+					if o := olds[m.ID]; known && o != nil && inReach(sn, o) &&
+						sourceMembers(o, home.Source) == sourceMembers(m, home.Source) {
 						continue
 					}
 					for _, cand := range m.Members {
@@ -325,11 +334,26 @@ func refineWork(prev, next *Result, cfg RefineConfig) int {
 	return work
 }
 
+// sourceMembers lists the (ID, Gen) of is's members of source src, in
+// member order.
+func sourceMembers(is *event.IntegratedStory, src event.SourceID) string {
+	s := ""
+	for _, m := range is.Members {
+		if m.Source == src {
+			s += fmt.Sprintf("%d@%d ", m.ID, m.Gen())
+		}
+	}
+	return s
+}
+
 // TestRefinerScoresOnlyWhatChanged reads storypivot_refine_scores_total:
 // a pass over an unchanged result scores nothing, and after one story
 // gains one snippet a pass scores only the snippets of changed home
-// stories and the snippets in reach of the integrated stories that
-// changed — far fewer than a pass from scratch.
+// stories and, against the integrated stories that changed, only the
+// snippets of the grown story's source or new to the changed stories'
+// reach — far fewer than a pass from scratch. After a member of a
+// multi-source integrated story grows, the snippets of the other sources
+// score nothing at all.
 func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	cfg := DefaultRefineConfig()
 	bySource := identify.StoriesBySource(identify.RunAll(func() []*event.Snippet {
@@ -347,21 +371,35 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 			}
 		}
 	}
+	grow := func(st *event.Story) *event.Story {
+		grown := st.Snapshot()
+		sn := grown.Snippets[grown.Len()-1].Clone()
+		maxID++
+		sn.ID = maxID
+		grown.Add(sn)
+		return grown
+	}
 	res := a.Result()
 	movers := acceptAll(res)
-	r := NewRefiner(cfg)
-	pass := func(res *Result) int {
+	// others follows the same results as r; its last pass below plans the
+	// home stories of every source but the grown one.
+	r, others := NewRefiner(cfg), NewRefiner(cfg)
+	pass := func(r *Refiner, res *Result, movers map[event.SourceID]Mover) int {
 		before := metRefineScores.Value()
 		r.Refine(res, movers)
 		return int(metRefineScores.Value() - before)
 	}
-	if got, want := pass(res), refineWork(nil, res, cfg); got != want {
+	both := func(res *Result) int {
+		pass(others, res, movers)
+		return pass(r, res, movers)
+	}
+	if got, want := both(res), refineWork(nil, res, cfg); got != want {
 		t.Fatalf("first pass scored %d, a pass from scratch needs %d", got, want)
 	}
-	if got := pass(res); got != 0 {
+	if got := both(res); got != 0 {
 		t.Fatalf("a second pass over the same result scored %d, want 0", got)
 	}
-	if got := pass(a.Result()); got != 0 {
+	if got := both(a.Result()); got != 0 {
 		t.Fatalf("a pass over an unchanged recomputed result scored %d, want 0", got)
 	}
 
@@ -370,14 +408,10 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	if len(multi) == 0 {
 		t.Fatal("fixture has no multi-source integrated story")
 	}
-	grown := multi[0].Members[0].Snapshot()
-	sn := grown.Snippets[grown.Len()-1].Clone()
-	sn.ID = maxID + 1
-	grown.Add(sn)
-	a.Upsert(grown)
+	a.Upsert(grow(multi[0].Members[0]))
 	next := a.Result()
 	bound, scratch := refineWork(res, next, cfg), refineWork(nil, next, cfg)
-	got := pass(next)
+	got := both(next)
 	t.Logf("after one snippet: %d scores, bound %d, a pass from scratch %d", got, bound, scratch)
 	if got == 0 || got > bound {
 		t.Fatalf("pass after one added snippet scored %d, want 1..%d", got, bound)
@@ -385,6 +419,78 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	if 4*bound > scratch {
 		t.Fatalf("bound %d is not well below a pass from scratch (%d): the fixture changed too much", bound, scratch)
 	}
+
+	// A member of the multi-source integrated story with the most
+	// candidate scores of other sources' snippets grows. Those scores are
+	// what a target kept per version would redo.
+	var m *event.IntegratedStory
+	var member *event.Story
+	stale := 0
+	for _, is := range next.MultiSource() {
+		for _, mem := range is.Members {
+			if n := candidateScores(is, next, mem.Source, cfg); n > stale {
+				m, member, stale = is, mem, n
+			}
+		}
+	}
+	if m == nil {
+		t.Fatal("no multi-source integrated story has candidates for another source's snippets")
+	}
+	a.Upsert(grow(member))
+	last := a.Result()
+	after := last.IntegratedOf(member.ID)
+	if after == nil || after.ID != m.ID || sourceMembers(after, member.Source) == sourceMembers(m, member.Source) {
+		t.Fatalf("integrated story %d regrouped when member %d grew: the fixture changed too much", m.ID, member.ID)
+	}
+	for src := range movers {
+		if src != member.Source && sourceMembers(after, src) != sourceMembers(m, src) {
+			t.Fatalf("integrated story %d's members of source %s changed when member %d grew", m.ID, src, member.ID)
+		}
+	}
+	if n := refineWork(next, last, cfg, member.Source); n != 0 {
+		t.Fatalf("the bound has %d scores of other sources' snippets after story %d grew, want 0", n, member.ID)
+	}
+	rest := map[event.SourceID]Mover{}
+	for src, mv := range movers {
+		if src != member.Source {
+			rest[src] = mv
+		}
+	}
+	if got := pass(others, last, rest); got != 0 {
+		t.Fatalf("after story %d of source %s grew, the other sources' snippets scored %d, want 0 (a target kept per version would score %d)",
+			member.ID, member.Source, got, stale)
+	}
+	bound = refineWork(next, last, cfg)
+	got = pass(r, last, movers)
+	t.Logf("after story %d grew: %d scores, bound %d; the other sources' snippets scored 0 instead of %d", member.ID, got, bound, stale)
+	if got == 0 || got > bound {
+		t.Fatalf("pass after story %d grew scored %d, want 1..%d", member.ID, got, bound)
+	}
+}
+
+// candidateScores counts the candidate scores of is's members for the
+// snippets in its reach of res's home stories not of source skip.
+func candidateScores(is *event.IntegratedStory, res *Result, skip event.SourceID, cfg RefineConfig) int {
+	start, end := is.Extent()
+	n := 0
+	for _, h := range res.Integrated {
+		for _, home := range h.Members {
+			if home.Source == skip {
+				continue
+			}
+			for _, sn := range home.Snippets {
+				if sn.Timestamp.Before(start.Add(-cfg.SupportScale)) || sn.Timestamp.After(end.Add(cfg.SupportScale)) {
+					continue
+				}
+				for _, cand := range is.Members {
+					if cand.Source == home.Source && cand.ID != home.ID {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
 }
 
 // refusingMover declines every move, so a pass changes nothing and the

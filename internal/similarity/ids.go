@@ -24,7 +24,8 @@ type IDWeighter func(uint32) float64
 // their sum and the number of entities with a nonzero count, and weights
 // an entity by its mean-normalised inverse frequency (Weight). The zero
 // value is an empty table. Identification keeps one per source; alignment
-// keeps a live one and the frozen epoch its scores read.
+// keeps a live one and tabulates its weights into the statistics epoch
+// its scores read (IDFTable).
 type EntityIDF struct {
 	count    []int32
 	total    int
@@ -65,26 +66,53 @@ func (t *EntityIDF) Add(e uint32, delta int32) {
 // count: w(e) = 1 / (1 + ln(1 + c(e)/mean)). On near-uniform corpora
 // every weight is ≈ 1/(1+ln 2) and the weighted Jaccard reduces to the
 // unweighted one; only genuinely skewed entities are down-weighted. An
-// entity the table has never counted weighs as count 0.
+// entity the table has never counted weighs as count 0, which is 1.
 func (t *EntityIDF) Weight(e uint32) float64 {
-	mean := 1.0
-	if t.distinct > 0 {
-		mean = float64(t.total) / float64(t.distinct)
-	}
 	var c int32
 	if int(e) < len(t.count) {
 		c = t.count[e]
 	}
+	return idfWeight(c, t.mean())
+}
+
+func (t *EntityIDF) mean() float64 {
+	if t.distinct > 0 {
+		return float64(t.total) / float64(t.distinct)
+	}
+	return 1
+}
+
+func idfWeight(c int32, mean float64) float64 {
 	return 1 / (1 + math.Log(1+float64(c)/mean))
 }
 
 // Total returns the sum of all counts.
 func (t *EntityIDF) Total() int { return t.total }
 
-// CopyFrom makes t a copy of src, reusing t's table.
-func (t *EntityIDF) CopyFrom(src *EntityIDF) {
-	t.count = append(t.count[:0], src.count...)
-	t.total, t.distinct = src.total, src.distinct
+// Tabulate returns the Weight of every entity the table has a slot for,
+// indexed by symbol, in dst's storage.
+func (t *EntityIDF) Tabulate(dst IDFTable) IDFTable {
+	mean := t.mean()
+	dst = dst[:0]
+	for _, c := range t.count {
+		dst = append(dst, idfWeight(c, mean))
+	}
+	return dst
+}
+
+// IDFTable is an EntityIDF's weights at one instant, as Tabulate returns
+// them. An entity past its end weighs 1, the weight of count 0, so the
+// table answers every symbol exactly as the EntityIDF did, and a weight
+// costs one load instead of a logarithm. Weight has a pointer receiver: a
+// weighter bound to a table's variable reads what it holds now.
+type IDFTable []float64
+
+// Weight is entity e's tabulated weight.
+func (t *IDFTable) Weight(e uint32) float64 {
+	if int(e) < len(*t) {
+		return (*t)[e]
+	}
+	return 1
 }
 
 // CosineIDs computes cosine similarity between two sorted weighted ID

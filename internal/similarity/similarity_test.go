@@ -464,12 +464,17 @@ func idfWeightReference(c int32, total, distinct int) float64 {
 	return 1 / (1 + math.Log(1+float64(c)/mean))
 }
 
-// TestEntityIDFMatchesReference drives an EntityIDF, and copies of it,
-// with random ±delta sequences over symbols it has and has not seen, and
-// requires its counts, total and weights to equal a map-based reference
-// after every step.
+// TestEntityIDFMatchesReference drives an EntityIDF with random ±delta
+// sequences over symbols it has and has not seen, and requires its counts,
+// total and weights to equal a map-based reference after every step. Now
+// and then it tabulates the weights, sometimes from a shorter table into
+// a longer table's storage: each tabulated weight must equal Weight at
+// that instant bit for bit, and must keep reproducing that instant's
+// reference while the counts move on, for the symbols past the table's
+// end too, which weigh 1.
 func TestEntityIDFMatchesReference(t *testing.T) {
-	check := func(t *testing.T, step int, got *EntityIDF, ref map[uint32]int32, syms uint32) {
+	const syms = 300
+	check := func(t *testing.T, step int, got *EntityIDF, ref map[uint32]int32) {
 		t.Helper()
 		total, distinct := 0, 0
 		for _, c := range ref {
@@ -494,12 +499,32 @@ func TestEntityIDFMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// tabulate returns src's table in dst's storage and the reference
+	// weight of every symbol at this instant, checking the one against
+	// Weight.
+	tabulate := func(t *testing.T, step int, src *EntityIDF, dst IDFTable) (IDFTable, []float64) {
+		t.Helper()
+		tab := src.Tabulate(dst)
+		if len(tab) != len(src.count) {
+			t.Fatalf("step %d: table of %d weights over %d counts", step, len(tab), len(src.count))
+		}
+		want := make([]float64, syms+1)
+		for e := range want {
+			want[e] = src.Weight(uint32(e))
+			if e < len(tab) && math.Float64bits(tab[e]) != math.Float64bits(want[e]) {
+				t.Fatalf("step %d: tabulated weight %d = %v, Weight %v", step, e, tab[e], want[e])
+			}
+		}
+		return tab, want
+	}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const syms = 300
-		var live, frozen, short EntityIDF
+		var live, short EntityIDF
+		short.Add(3, 2)
 		ref := map[uint32]int32{}
-		frozenRef := map[uint32]int32{}
+		var tab IDFTable
+		var frozen []float64
+		tabs := 0
 		for step := 0; step < 2000; step++ {
 			// Mostly a small hot range, sometimes a far symbol that grows the
 			// table; deltas of both signs drive counts into the clamp at zero.
@@ -510,22 +535,31 @@ func TestEntityIDFMatchesReference(t *testing.T) {
 			delta := int32(rng.Intn(9) - 4)
 			live.Add(e, delta)
 			ref[e] = max(ref[e]+delta, 0)
-			check(t, step, &live, ref, syms)
+			check(t, step, &live, ref)
 
 			switch rng.Intn(50) {
 			case 0: // a new epoch
-				frozen.CopyFrom(&live)
-				clear(frozenRef)
-				for k, v := range ref {
-					frozenRef[k] = v
-				}
-			case 1: // a shorter table into a longer one, then growth past it
-				frozen.CopyFrom(&short)
-				clear(frozenRef)
-				frozen.Add(syms-1, 1)
-				frozenRef[syms-1] = 1
+				tab, frozen = tabulate(t, step, &live, tab)
+				tabs++
+			case 1: // a shorter table into a longer one's storage
+				tab, frozen = tabulate(t, step, &short, tab)
 			}
-			check(t, step, &frozen, frozenRef, syms)
+			if frozen == nil {
+				continue
+			}
+			for e, want := range frozen {
+				if w := tab.Weight(uint32(e)); math.Float64bits(w) != math.Float64bits(want) {
+					t.Fatalf("step %d: table weight %d = %v, %v when tabulated", step, e, w, want)
+				}
+			}
+			for _, e := range []uint32{uint32(len(tab)), syms * 2, math.MaxUint32} {
+				if w := tab.Weight(e); w != 1 {
+					t.Fatalf("step %d: symbol %d past the table's end (%d) weighs %v, want 1", step, e, len(tab), w)
+				}
+			}
+		}
+		if tabs == 0 || len(short.count) >= len(live.count) {
+			t.Fatalf("seed %d: %d epochs tabulated, short table %d of %d symbols: the table cases are vacuous", seed, tabs, len(short.count), len(live.count))
 		}
 	}
 }

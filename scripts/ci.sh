@@ -233,7 +233,11 @@ gate "self-healing cluster chaos" \
 # timeline segments with no allocation, an integrated story's Snippets
 # allocates once and its construction does not grow with its snippets,
 # and a warm Refiner pass allocates the same at any corpus size. The
-# engine refuses exactly the snippets its identifiers already assigned.
+# engine refuses exactly the snippets its identifiers already assigned. A
+# settle scores only what an edit can change: the other sources' snippets
+# score nothing when one member of a multi-source story grows, an epoch
+# rescores exactly the candidate pairs that share a counted entity, and an
+# idle pass over stories without entities regroups nothing.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
@@ -242,7 +246,8 @@ gate "settle exactness (align + engine digest)" \
   TestEntityIDFMatchesReference TestIdleResultAllocsIndependentOfCorpus TestEngineSourceStatsConcurrentWithIngest \
   TestFinishTimelinesAllocatesNothing TestIntegratedSnippetsAllocatesOnce \
   TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus \
-  TestEngineRejectsExactlyRedeliveries
+  TestEngineRejectsExactlyRedeliveries TestEpochRescoresOnlyEntitySharingPairs \
+  TestIdleResultWithoutEntitiesRegroupsNothing
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the
