@@ -68,8 +68,8 @@ func (h *harness) seed() {
 
 // TestPublishDelta verifies the delta protocol: republishing an
 // unchanged result costs no postings and no allocations, mutating one
-// story tombstones exactly its old postings, and removing a source
-// tombstones its stories.
+// story replaces its postings, and removing a source deletes its
+// stories' entries and postings.
 func TestPublishDelta(t *testing.T) {
 	h := newHarness(t, index.Options{})
 	h.seed()
@@ -82,9 +82,6 @@ func TestPublishDelta(t *testing.T) {
 	s0 := h.idx.Stats()
 	if s0.Stories == 0 || s0.LivePostings == 0 || s0.Integrated == 0 {
 		t.Fatalf("empty index after publish: %+v", s0)
-	}
-	if s0.StalePostings != 0 {
-		t.Fatalf("fresh index already stale: %+v", s0)
 	}
 	epoch := h.idx.Epoch()
 
@@ -107,19 +104,20 @@ func TestPublishDelta(t *testing.T) {
 		t.Fatalf("republishing changed stats: %+v -> %+v", s0, s)
 	}
 
-	// Mutate one story: its entry's generation moves on, tombstoning the
-	// old postings; the rest of the corpus is untouched.
+	// Mutate one story: its old postings give way to the new snapshot's,
+	// one snippet more; the rest of the corpus is untouched.
 	h.add("nyt", 5, crashEnts, "crash", "wreckage")
 	h.eng.Result()
 	s1 := h.idx.Stats()
-	if s1.StalePostings == 0 {
-		t.Fatalf("mutation produced no tombstones: %+v", s1)
+	if s1.LivePostings <= s0.LivePostings {
+		t.Fatalf("mutation did not grow the postings: %+v -> %+v", s0, s1)
 	}
 	if s1.Stories != s0.Stories {
 		t.Fatalf("stories = %d, want %d", s1.Stories, s0.Stories)
 	}
 
-	// Remove a source: its stories leave the entry table entirely.
+	// Remove a source: its stories leave the entry table and their
+	// postings the lists; queries answer from the rest.
 	if !h.eng.RemoveSource("wsj") {
 		t.Fatal("RemoveSource found nothing")
 	}
@@ -128,20 +126,20 @@ func TestPublishDelta(t *testing.T) {
 	if s2.Stories >= s1.Stories {
 		t.Fatalf("stories after removal = %d, want < %d", s2.Stories, s1.Stories)
 	}
-	if s2.StalePostings <= s1.StalePostings {
-		t.Fatalf("removal produced no tombstones: %+v -> %+v", s1, s2)
-	}
-
-	// A manual sweep drops every tombstone; queries still work.
-	h.idx.Sweep()
-	if s := h.idx.Stats(); s.StalePostings != 0 {
-		t.Fatalf("stale after sweep: %+v", s)
+	if s2.LivePostings >= s1.LivePostings {
+		t.Fatalf("removal deleted no postings: %+v -> %+v", s1, s2)
 	}
 	if got, total, _ := h.idx.StoriesByEntity("MAL", 0, -1); total == 0 || len(got) != total {
-		t.Fatalf("post-sweep query broken: %d hits, total %d", len(got), total)
+		t.Fatalf("query after removal broken: %d hits, total %d", len(got), total)
 	}
-	if got, total, _ := h.idx.Timeline("UKR", 0, -1); total == 0 || len(got) != total {
-		t.Fatalf("post-sweep timeline broken: %d hits, total %d", len(got), total)
+	got, total, _ := h.idx.Timeline("UKR", 0, -1)
+	if total == 0 || len(got) != total {
+		t.Fatalf("timeline after removal broken: %d hits, total %d", len(got), total)
+	}
+	for _, sn := range got {
+		if sn.Source == "wsj" {
+			t.Fatalf("timeline still serves snippet %d of the removed source", sn.ID)
+		}
 	}
 	// Publishing nil is a no-op.
 	before := h.idx.Epoch()
@@ -196,21 +194,6 @@ func TestTiesRankByIntegratedID(t *testing.T) {
 		if got := tc.run(1); len(got) != 1 || got[0] != low {
 			t.Errorf("%s top 1: got %v, want integrated story 3", tc.name, got)
 		}
-	}
-}
-
-// TestAutoSweep verifies Publish itself sweeps once the stale fraction
-// crosses the configured thresholds.
-func TestAutoSweep(t *testing.T) {
-	h := newHarness(t, index.Options{SweepMinStale: 1, SweepRatio: 0.01})
-	h.seed()
-	h.eng.Result()
-	// Mutate and republish: the publish sees stale >= thresholds and
-	// sweeps inline.
-	h.add("nyt", 5, crashEnts, "crash", "debris")
-	h.eng.Result()
-	if s := h.idx.Stats(); s.StalePostings != 0 {
-		t.Fatalf("auto-sweep did not run: %+v", s)
 	}
 }
 

@@ -13,23 +13,15 @@ var (
 	metStoriesSkipped = obs.GetCounter("storypivot_index_stories_skipped_total",
 		"member stories skipped at publish because their generation was unchanged")
 	metStoriesRemoved = obs.GetCounter("storypivot_index_stories_removed_total",
-		"stories tombstoned because they left the alignment result")
-	metSweeps = obs.GetCounter("storypivot_index_sweeps_total",
-		"tombstone sweep passes, run by a publish past the stale thresholds or forced by Sweep")
-	metSweptPostings = obs.GetCounter("storypivot_index_swept_postings_total",
-		"stale postings physically removed by sweeps")
+		"stories whose postings were deleted because they left the alignment result")
 	metQueries = obs.GetCounter("storypivot_index_queries_total",
 		"queries answered from the index")
 	metStoriesGauge = obs.GetGauge("storypivot_index_stories",
 		"stories currently indexed")
 	metLiveGauge = obs.GetGauge("storypivot_index_live_postings",
 		"live postings across entity, term, and timeline lists")
-	metStaleGauge = obs.GetGauge("storypivot_index_stale_postings",
-		"tombstoned postings awaiting the next sweep")
 	metPublishLat = obs.GetHistogram("storypivot_index_publish_seconds",
 		"latency of applying one alignment result delta to the index")
 	metQueryLat = obs.GetHistogram("storypivot_index_query_seconds",
 		"index query evaluation latency")
-	metSweepLat = obs.GetHistogram("storypivot_index_sweep_seconds",
-		"tombstone sweep pass latency")
 )

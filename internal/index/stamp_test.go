@@ -193,42 +193,6 @@ func TestStampsMatchFingerprintOracle(t *testing.T) {
 	}
 }
 
-// sweepChecked publishes to the index and keeps the first publish after
-// which a sweep would still find work.
-type sweepChecked struct {
-	x                    *Index
-	publishes, leftStale int
-	sweeps               uint64
-	err                  error
-}
-
-func (s *sweepChecked) Publish(res *align.Result) {
-	s.publishes++
-	before := metSweeps.Value()
-	s.x.Publish(res)
-	s.sweeps += metSweeps.Value() - before
-	if s.x.stalePosts > 0 {
-		s.leftStale++
-	}
-	if s.x.shouldSweepLocked() && s.err == nil {
-		s.err = fmt.Errorf("publish %d left %d stale postings over %d live: a sweep would find work",
-			s.publishes, s.x.stalePosts, s.x.livePosts)
-	}
-}
-
-// TestPublishLeavesNothingToSweep pins why the index needs no background
-// compactor: stale and live posting counts change only in Publish, and
-// Publish ends by sweeping when they cross the thresholds, so after every
-// publish of the oracle stream there is nothing left for a sweep to do.
-func TestPublishLeavesNothingToSweep(t *testing.T) {
-	s := &sweepChecked{x: New(Options{})}
-	oracleStream(t, 1, s, func() error { return s.err })
-	t.Logf("%d publishes, %d swept inline, %d left tombstones below the thresholds", s.publishes, s.sweeps, s.leftStale)
-	if s.sweeps == 0 || s.leftStale == 0 {
-		t.Fatal("no publish swept or none left tombstones: the check is vacuous")
-	}
-}
-
 // The publish-delta cases, one integrated story per scenario. They read
 // the stamps through what the cache asks: whether a query's Stamp is
 // still Current.

@@ -11,7 +11,7 @@ import (
 // TestFinishTimelinesAllocatesNothing pins the per-publish re-sort: with
 // the dirty list at capacity, finishTimelines re-sorts every dirty segment
 // in place with no allocation, and leaves each in (timestamp, snippet ID,
-// story, gen) order.
+// story) order.
 func TestFinishTimelinesAllocatesNothing(t *testing.T) {
 	const segs, posts = 64, 40
 	x := New(Options{})
@@ -23,7 +23,7 @@ func TestFinishTimelinesAllocatesNothing(t *testing.T) {
 			// Timestamps tie in fours and IDs in pairs, so every key of
 			// the order decides somewhere.
 			sn := &event.Snippet{ID: event.SnippetID(p / 2), Timestamp: base.Add(time.Duration(p/4) * time.Hour)}
-			seg.posts = append(seg.posts, tlPost{sn: sn, story: event.StoryID(p % 2), gen: uint64(p % 3)})
+			seg.posts = append(seg.posts, tlPost{sn: sn, story: event.StoryID(p % 2)})
 		}
 		all = append(all, seg)
 	}

@@ -3,8 +3,8 @@
 // abstract from snippets and stories into one common format which we refer
 // to as a sketch ... that allows for fast and efficient similarity
 // comparisons"). It contains MinHash signatures with a banded LSH index for
-// candidate retrieval and a HyperLogLog for distinct-entity counts — all
-// built from scratch on FNV-style hashing, stdlib only.
+// candidate retrieval, built from scratch on FNV-style hashing, stdlib
+// only.
 package sketch
 
 import (

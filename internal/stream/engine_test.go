@@ -364,8 +364,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if e2.Ingested() != e.Ingested() {
 		t.Fatalf("ingested %d, want %d", e2.Ingested(), e.Ingested())
 	}
-	if e2.DistinctEntities() == 0 {
-		t.Fatal("entity HLL not rebuilt")
+	if got, want := e2.DistinctEntities(), e.DistinctEntities(); got != want || want == 0 {
+		t.Fatalf("distinct entities %d after restore, want %d", got, want)
 	}
 	s1, e1 := e.TimeRange()
 	s2, e2t := e2.TimeRange()
@@ -419,6 +419,86 @@ func TestRestoreEngineStaleCheckpoint(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(strings.NewReader("{nope")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDistinctEntitiesExact ingests 20,000 distinct entities over two
+// sources, re-delivers some snippets and refuses one that carries an
+// entity nothing accepted mentions, and requires DistinctEntities to count
+// exactly the entity strings of the accepted snippets, live and after a
+// checkpoint restore from freshly decoded (uninterned) snippets.
+func TestDistinctEntitiesExact(t *testing.T) {
+	const n = 10000 // snippets, two entities of their own each
+	mk := func(i int) *event.Snippet {
+		src := event.SourceID("nyt")
+		if i%2 == 1 {
+			src = "wsj"
+		}
+		s := &event.Snippet{
+			ID:        event.SnippetID(i + 1),
+			Source:    src,
+			Timestamp: day(1).Add(time.Duration(i) * time.Hour),
+			Entities: []event.Entity{
+				event.Entity(fmt.Sprintf("DISTINCT%05da", i)),
+				event.Entity(fmt.Sprintf("DISTINCT%05db", i)),
+			},
+			Terms: []event.Term{{Token: fmt.Sprintf("distinct%d", i%7), Weight: 1}},
+		}
+		s.Normalize()
+		return s
+	}
+	e := NewEngine(DefaultOptions())
+	var accepted []*event.Snippet
+	for i := 0; i < n; i++ {
+		sn := mk(i)
+		if _, err := e.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, sn)
+		if i%97 == 0 { // a redelivery
+			if _, err := e.Ingest(mk(i)); !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("redelivery of snippet %d: %v, want ErrDuplicate", i+1, err)
+			}
+		}
+	}
+	refused := mk(n / 2)
+	refused.Entities = []event.Entity{"DISTINCT_REFUSED"}
+	if _, err := e.Ingest(refused); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("refused snippet: %v, want ErrDuplicate", err)
+	}
+
+	distinct := make(map[event.Entity]bool)
+	for _, sn := range accepted {
+		for _, ent := range sn.Entities {
+			distinct[ent] = true
+		}
+	}
+	want := uint64(len(distinct))
+	if want < 20000 {
+		t.Fatalf("only %d distinct entities ingested", want)
+	}
+	if got := e.DistinctEntities(); got != want {
+		t.Fatalf("DistinctEntities = %d, want %d", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := e.Checkpoint().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := make([]*event.Snippet, n)
+	for i := range decoded {
+		decoded[i] = mk(i)
+	}
+	e2, err := RestoreEngineArchived(DefaultOptions(), decoded, cp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.DistinctEntities(); got != want {
+		t.Fatalf("DistinctEntities after restore = %d, want %d", got, want)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // TestQueryIngestRace hammers the indexed query path while the sharded
-// engine is ingesting from every source concurrently, one source is
-// removed mid-stream, and forced tombstone sweeps run in a tight
-// loop. Run under -race it proves the lock discipline: queries take the
-// index read lock only, publishes and sweeps serialise behind the write
-// lock, and no path reads engine state without the engine's own locks.
+// engine is ingesting from every source concurrently and one source is
+// removed mid-stream. Run under -race it proves the lock discipline:
+// queries take the index read lock only, publishes (and the posting
+// deletes they make) serialise behind the write lock, and no path reads
+// engine state without the engine's own locks.
 func TestQueryIngestRace(t *testing.T) {
 	corpus := datagen.Generate(experiments.CorpusScale(800, 4, 29))
 	p, err := New(WithRefinement(true), WithAutoAlign(64))
@@ -52,7 +52,7 @@ func TestQueryIngestRace(t *testing.T) {
 		}()
 	}
 
-	// Query hammers and a forced sweeper run until the writers finish.
+	// Query hammers run until the writers finish.
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -72,20 +72,6 @@ func TestQueryIngestRace(t *testing.T) {
 			}
 		}()
 	}
-	readers.Add(1)
-	go func() {
-		// Forced sweeps in a tight loop: a publish sweeps only past its
-		// thresholds, so this takes the write lock far more often.
-		defer readers.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			p.Index().Sweep()
-		}
-	}()
 
 	writers.Wait()
 	close(done)
