@@ -71,12 +71,8 @@ type stampTable struct {
 
 // get returns id's stamp, 0 if no publish stamped it.
 func (t *stampTable) get(id uint32) uint64 {
-	sp := t.spine.Load()
-	if sp == nil {
-		return 0
-	}
-	c := int(id >> stampChunkBits)
-	if c >= len(*sp) || (*sp)[c] == nil {
+	sp, c := t.spine.Load(), int(id>>stampChunkBits)
+	if sp == nil || c >= len(*sp) || (*sp)[c] == nil {
 		return 0
 	}
 	return (*sp)[c][id&(1<<stampChunkBits-1)].Load()
