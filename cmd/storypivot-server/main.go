@@ -65,8 +65,7 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated URLs of the other workers (cluster mode, advertised on GET /api/cluster/members)")
 
 		storeDir      = flag.String("store-dir", "", "persist snippets to this event-store directory (replayed on restart)")
-		storeHot      = flag.Int("store-hot-chunks", 0, "bound store residency: sealed chunks kept fully resident in memory; setting any -store-* tier flag bounds the hot and warm tiers and strips display text from the engine (default: every chunk stays hot; 0 = 4 once bounded; requires -store-dir)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: the newest sealed chunks kept mmap'd read-only, older ones go cold; setting any -store-* tier flag bounds the store and strips display text from the engine (default: every sealed chunk stays mapped; 0 = 16 once bounded; requires -store-dir)")
 		storeColdComp = flag.Bool("store-cold-compress", true, "bound store residency: gzip-compress chunks demoted to the cold tier")
 
 		window            = flag.Duration("window", 0, "story retirement window W of event time: stories with no new evidence for W are archived and evicted, bounding resident memory (0 = retirement disabled); tune live via PUT /api/admin/window")
@@ -79,16 +78,16 @@ func main() {
 	flag.Parse()
 
 	// The tier budgets engage when any tier flag is given explicitly; a
-	// plain -store-dir keeps every chunk hot.
+	// plain -store-dir keeps every sealed chunk mapped.
 	tiered := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "store-hot-chunks", "store-warm-mmap", "store-cold-compress":
+		case "store-warm-mmap", "store-cold-compress":
 			tiered = true
 		}
 	})
 	if tiered && *storeDir == "" {
-		log.Fatal("-store-hot-chunks/-store-warm-mmap/-store-cold-compress require -store-dir")
+		log.Fatal("-store-warm-mmap/-store-cold-compress require -store-dir")
 	}
 
 	// Watch for SIGINT/SIGTERM from here on: the drain path below owns
@@ -128,7 +127,7 @@ func main() {
 		// the same overlap -retire-dir already lives with.
 		opts = append(opts, storypivot.WithStorage(*storeDir))
 		if tiered {
-			opts = append(opts, storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
+			opts = append(opts, storypivot.WithTieredStorage(*storeWarm, *storeColdComp))
 		}
 	}
 	if *window > 0 {

@@ -44,8 +44,7 @@ func main() {
 		storeDir  = flag.String("store", "", "persist snippets to this event-store directory")
 		storeDir2 = flag.String("store-dir", "", "alias for -store (matches the server binary's flag)")
 
-		storeHot      = flag.Int("store-hot-chunks", 0, "bound store residency: sealed chunks kept fully resident in memory; setting any -store-* tier flag bounds the hot and warm tiers and strips display text from the engine (default: every chunk stays hot; 0 = 4 once bounded; requires -store)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: the newest sealed chunks kept mmap'd read-only, older ones go cold; setting any -store-* tier flag bounds the store and strips display text from the engine (default: every sealed chunk stays mapped; 0 = 16 once bounded; requires -store)")
 		storeColdComp = flag.Bool("store-cold-compress", true, "bound store residency: gzip-compress chunks demoted to the cold tier")
 		topK          = flag.Int("top", 10, "number of integrated stories to print")
 		profiles      = flag.Bool("profiles", false, "print per-source reporting profiles")
@@ -86,17 +85,17 @@ func main() {
 	tiered := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "store-hot-chunks", "store-warm-mmap", "store-cold-compress":
+		case "store-warm-mmap", "store-cold-compress":
 			tiered = true
 		}
 	})
 	if dir != "" {
 		opts = append(opts, storypivot.WithStorage(dir))
 		if tiered {
-			opts = append(opts, storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
+			opts = append(opts, storypivot.WithTieredStorage(*storeWarm, *storeColdComp))
 		}
 	} else if tiered {
-		log.Fatal("-store-hot-chunks/-store-warm-mmap/-store-cold-compress require -store")
+		log.Fatal("-store-warm-mmap/-store-cold-compress require -store")
 	}
 	if *retireWindow > 0 {
 		opts = append(opts, storypivot.WithRetireWindow(*retireWindow))

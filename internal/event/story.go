@@ -69,9 +69,10 @@ func (st *Story) Gen() uint64 { return st.gen }
 
 // BumpGen advances the mutation counter without a content change.
 // Reactivating an archived story calls it so every downstream consumer
-// keyed on (story, gen) — the query index's liveness table, the result
-// cache — observes the retire→reactivate transition as a delta even when
-// the content round-tripped bit-identically.
+// that skips a story it holds at the same (story, gen) — the aligner's
+// Holds, the refiner's per-home memos, the query index's member
+// snapshots — observes the retire→reactivate transition as a delta even
+// when the content round-tripped bit-identically.
 func (st *Story) BumpGen() { st.gen++ }
 
 // Add inserts a snippet into the story, keeping chronological order and

@@ -98,6 +98,12 @@ type Index struct {
 	dirtySegs []*tlSegment
 	deletes   uint64
 
+	// emptyEnts, emptyTerms and emptySegs record the lists and timeline
+	// segments a delete of the in-progress publish left empty; pruneEmpty
+	// drains them.
+	emptyEnts, emptyTerms []uint32
+	emptySegs             []segRef
+
 	// id names the index in the Stamps its queries return; epoch counts
 	// publishes; entStamps and termStamps hold, per vocab ID, the epoch of
 	// the last publish that changed an integrated story carrying the
@@ -130,10 +136,11 @@ func New(opts Options) *Index {
 // and new ones written from the flat vocab vectors (EntityFreq,
 // Centroid, snippet EntityIDs). Gone and renewed stories then free their
 // slots and delete the postings and entries of the members no new
-// version claimed: those still pointing at the old slot. Either way, the
-// lists the old snapshot named that are then empty are deleted. The same
-// walk stamps the symbols of every new, renewed and gone story, which is
-// all a cached query page needs to know about the publish (see Current).
+// version claimed: those still pointing at the old slot. Last, every
+// list and timeline segment a delete emptied and no add refilled is
+// deleted. The same walk stamps the symbols of every new, renewed and
+// gone story, which is all a cached query page needs to know about the
+// publish (see Current).
 func (x *Index) Publish(res *align.Result) {
 	if res == nil {
 		return
@@ -174,16 +181,11 @@ func (x *Index) Publish(res *align.Result) {
 			if e == nil {
 				e = &storyEntry{}
 				x.stories[m.ID] = e
-			}
-			old := e.st
-			if old != nil {
-				x.deletePostings(old)
+			} else {
+				x.deletePostings(e.st)
 			}
 			e.st, e.slot = m, slot
 			x.addPostings(m)
-			if old != nil {
-				x.pruneEmpty(old)
-			}
 			updated++
 		}
 	}
@@ -195,7 +197,6 @@ func (x *Index) Publish(res *align.Result) {
 		for _, m := range old.is.Members {
 			if e := x.stories[m.ID]; e != nil && e.slot == old.slot {
 				x.deletePostings(e.st)
-				x.pruneEmpty(e.st)
 				delete(x.stories, m.ID)
 				removed++
 			}
@@ -205,6 +206,7 @@ func (x *Index) Publish(res *align.Result) {
 	}
 	clear(x.last) // the spare buffer must not pin old versions
 	x.last, x.next = next, x.last[:0]
+	x.pruneEmpty()
 	x.finishTimelines()
 
 	metStoriesUpdated.Add(updated)
@@ -256,48 +258,55 @@ func (x *Index) addPostings(st *event.Story) {
 
 // deletePostings removes every posting addPostings wrote for st, the
 // snapshot a story was indexed from, visiting only the lists st names.
-// Lists it empties stay until pruneEmpty: a replacing version refills
-// most of them in place.
+// Lists it empties are recorded and stay until pruneEmpty: a replacing
+// version refills most of them in place.
 func (x *Index) deletePostings(st *event.Story) {
 	n := 0
 	for _, ec := range st.EntityFreq {
-		n += dropStory(x.ents, ec.ID, st.ID)
+		n += dropStory(x.ents, ec.ID, st.ID, &x.emptyEnts)
 	}
 	for _, tw := range st.Centroid {
-		n += dropStory(x.terms, tw.ID, st.ID)
+		n += dropStory(x.terms, tw.ID, st.ID, &x.emptyTerms)
 	}
 	x.livePosts -= n + x.deleteTimelinePosts(st)
 }
 
 // dropStory deletes story's posting, the only one it has, from the list
 // of sym, keeping the others in order so score sums are added up as
-// before, and returns how many it deleted.
-func dropStory(lists map[uint32][]post, sym uint32, story event.StoryID) int {
+// before, records sym in emptied if that left the list empty, and
+// returns how many it deleted.
+func dropStory(lists map[uint32][]post, sym uint32, story event.StoryID, emptied *[]uint32) int {
 	list := lists[sym]
 	for i, p := range list {
 		if p.story == story {
-			lists[sym] = slices.Delete(list, i, i+1)
+			list = slices.Delete(list, i, i+1)
+			lists[sym] = list
+			if len(list) == 0 {
+				*emptied = append(*emptied, sym)
+			}
 			return 1
 		}
 	}
 	return 0
 }
 
-// pruneEmpty deletes every list and timeline segment st names that holds
-// no posting, so the index keeps only lists its published members post
-// to. Publish calls it once st's replacement, if any, has posted.
-func (x *Index) pruneEmpty(st *event.Story) {
-	for _, ec := range st.EntityFreq {
-		if len(x.ents[ec.ID]) == 0 {
-			delete(x.ents, ec.ID)
+// pruneEmpty deletes the lists and timeline segments the publish's
+// deletes emptied that are still empty after its adds, so the index keeps
+// only lists its published members post to. Publish calls it once, after
+// its walk.
+func (x *Index) pruneEmpty() {
+	for _, sym := range x.emptyEnts {
+		if len(x.ents[sym]) == 0 {
+			delete(x.ents, sym)
 		}
 	}
-	for _, tw := range st.Centroid {
-		if len(x.terms[tw.ID]) == 0 {
-			delete(x.terms, tw.ID)
+	for _, sym := range x.emptyTerms {
+		if len(x.terms[sym]) == 0 {
+			delete(x.terms, sym)
 		}
 	}
-	x.pruneTimelines(st)
+	x.emptyEnts, x.emptyTerms = x.emptyEnts[:0], x.emptyTerms[:0]
+	x.pruneTimelines()
 }
 
 // Epoch returns the number of publishes applied so far (diagnostics and

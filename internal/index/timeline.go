@@ -32,6 +32,12 @@ type tlSegment struct {
 	deleted uint64 // Index.deletes at the last delete that compacted it
 }
 
+// segRef names the timeline segment of entity eid at bucket key.
+type segRef struct {
+	eid uint32
+	key int64
+}
+
 // timeline is one entity's segment set. keys mirrors the bucket map in
 // ascending order so queries walk chronologically without sorting.
 type timeline struct {
@@ -82,7 +88,8 @@ func (x *Index) addTimelinePosts(st *event.Story) int {
 // deleteTimelinePosts deletes the postings addTimelinePosts wrote for st
 // and returns how many it deleted. Each segment st posted to is compacted
 // once, in one pass that drops all of st's postings there and keeps the
-// order of the others, so a sorted segment stays sorted.
+// order of the others, so a sorted segment stays sorted; a segment the
+// pass empties is recorded for pruneTimelines.
 func (x *Index) deleteTimelinePosts(st *event.Story) int {
 	x.deletes++
 	n := 0
@@ -97,32 +104,35 @@ func (x *Index) deleteTimelinePosts(st *event.Story) int {
 			before := len(seg.posts)
 			seg.posts = slices.DeleteFunc(seg.posts, func(p tlPost) bool { return p.story == st.ID })
 			n += before - len(seg.posts)
+			if before > 0 && len(seg.posts) == 0 {
+				x.emptySegs = append(x.emptySegs, segRef{eid, key})
+			}
 		}
 	}
 	return n
 }
 
-// pruneTimelines deletes every segment st's snippets name that holds no
+// pruneTimelines deletes every recorded segment that still holds no
 // posting, with its key, and an entity's timeline once it has no segment.
-func (x *Index) pruneTimelines(st *event.Story) {
-	for _, sn := range st.Snippets {
-		key := x.bucketKey(sn)
-		for _, eid := range sn.EntityIDs {
-			tl := x.timelines[eid]
-			if tl == nil {
-				continue
-			}
-			if seg := tl.buckets[key]; seg == nil || len(seg.posts) > 0 {
-				continue
-			}
-			delete(tl.buckets, key)
-			i, _ := slices.BinarySearch(tl.keys, key)
-			tl.keys = slices.Delete(tl.keys, i, i+1)
-			if len(tl.keys) == 0 {
-				delete(x.timelines, eid)
-			}
+// A segment emptied twice in one publish is recorded twice and deleted
+// once.
+func (x *Index) pruneTimelines() {
+	for _, r := range x.emptySegs {
+		tl := x.timelines[r.eid]
+		if tl == nil {
+			continue
+		}
+		if seg := tl.buckets[r.key]; seg == nil || len(seg.posts) > 0 {
+			continue
+		}
+		delete(tl.buckets, r.key)
+		i, _ := slices.BinarySearch(tl.keys, r.key)
+		tl.keys = slices.Delete(tl.keys, i, i+1)
+		if len(tl.keys) == 0 {
+			delete(x.timelines, r.eid)
 		}
 	}
+	x.emptySegs = x.emptySegs[:0]
 }
 
 // finishTimelines restores sorted order in every segment touched by the

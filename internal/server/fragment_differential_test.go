@@ -147,7 +147,7 @@ func TestFragmentRenderingMatchesStructOracle(t *testing.T) {
 				tiered, err := New(
 					storypivot.WithRefinement(true),
 					storypivot.WithStorage(t.TempDir()),
-					storypivot.WithTieredStorage(2, 2, true),
+					storypivot.WithTieredStorage(4, true),
 					storypivot.WithTierChunkRows(32),
 					storypivot.WithTierColdCache(1, 2),
 				)

@@ -8,18 +8,13 @@ import (
 )
 
 // mmapFile maps size bytes of f read-only. The mapping outlives the file
-// descriptor, so callers may close f immediately. The second return
-// reports whether the bytes are an actual mapping (and must go through
-// munmapChunk) or a plain heap read.
-func mmapFile(f *os.File, size int64) ([]byte, bool, error) {
+// descriptor, so callers may close f immediately; it is released with
+// munmapChunk.
+func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, false, err
-	}
-	return b, true, nil
+	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
 func munmapChunk(b []byte) error {

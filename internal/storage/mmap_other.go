@@ -8,17 +8,17 @@ import (
 )
 
 // mmapFile on platforms without the mmap syscall wiring falls back to a
-// plain read; the warm tier then behaves like the hot tier (resident
-// bytes) with the same interface.
-func mmapFile(f *os.File, size int64) ([]byte, bool, error) {
+// plain read: a sealed chunk's bytes then live on the heap, as the open
+// chunk's do, behind the same interface.
+func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	b := make([]byte, size)
 	if _, err := io.ReadFull(f, b); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return b, false, nil
+	return b, nil
 }
 
 func munmapChunk(b []byte) error { return nil }

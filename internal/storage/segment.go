@@ -106,20 +106,24 @@ func scanLog(dir string, fn func(seg int, off int64, payload []byte) error, done
 	return indices, nil
 }
 
+// mapFile maps the whole file at path read-only (see mmapFile).
+func mapFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return mmapFile(f, st.Size())
+}
+
 // scanSegmentFile maps one segment and replays it through fn as scanLog
 // describes, returning the number of torn bytes it truncated.
 func scanSegmentFile(path string, seg int, fn func(seg int, off int64, payload []byte) error) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	data, _, err := mmapFile(f, st.Size())
-	f.Close()
+	data, err := mapFile(path)
 	if err != nil {
 		return 0, err
 	}

@@ -29,8 +29,8 @@ type Options struct {
 	Sync SyncPolicy
 	// SyncEvery is the batch size for SyncBatch (default 256).
 	SyncEvery int
-	// Tier bounds how many chunks stay resident (see TierOptions). Nil
-	// keeps every chunk hot: nothing is demoted, mmap'd or compressed.
+	// Tier bounds how many sealed chunks stay mapped (see TierOptions).
+	// Nil maps every sealed chunk: nothing goes cold or is compressed.
 	Tier *TierOptions
 }
 
@@ -62,7 +62,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	span := metOpenLat.Start()
 	defer span.End()
 	opts = opts.withDefaults()
-	tier := TierOptions{HotChunks: math.MaxInt}
+	tier := TierOptions{WarmChunks: math.MaxInt}
 	if opts.Tier != nil {
 		tier = *opts.Tier
 	}

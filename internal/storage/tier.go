@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -17,18 +18,17 @@ import (
 // Chunk storage, the one layout of the event store: snippets live in
 // fixed-row chunk files under <dir>/chunks/. Every append goes into the
 // open chunk (a segment, written like the segment log's, so a crash can
-// only tear the final record), and sealed chunks migrate through three
-// tiers as they age:
+// only tear the final record), which also keeps its bytes in a heap
+// append buffer. A sealed chunk lives in its file, in one of two states:
 //
-//	hot   — the newest sealed chunks, raw bytes resident in memory;
-//	warm  — older chunks mmap'd read-only (page cache owns the bytes);
-//	cold  — the long tail, optionally gzip-compressed on disk
-//	        (chunk-%08d.spz) and inflated on demand into a small LRU.
+//	warm — mmap'd read-only (the page cache owns the bytes);
+//	cold — past the warm budget: unmapped, optionally gzip-compressed on
+//	       disk (chunk-%08d.spz) and inflated on demand into a small LRU.
 //
-// Only per-chunk metadata (ID range, row count, event-time bounds) stays
-// resident for cold chunks, so process RSS is bounded by the hot+warm
-// budgets instead of the corpus size; without budgets (Options.Tier nil)
-// every chunk stays hot. A manifest (chunks/manifest.json) caches
+// No sealed chunk keeps a heap copy: the Go heap holds the open chunk and
+// per-chunk metadata (ID range, row count, event-time bounds), and the
+// warm budget bounds the mappings; without budgets (Options.Tier nil)
+// every sealed chunk stays mapped. A manifest (chunks/manifest.json) caches
 // sealed-chunk metadata so reopen does not have to decode the whole
 // corpus; the chunk files themselves stay the source of truth, and any
 // divergence (crash mid-demotion, deleted manifest) is reconciled at
@@ -40,24 +40,14 @@ const (
 	manifestName    = "manifest.json"
 )
 
-// Chunk tier states.
-const (
-	tierHot = iota
-	tierWarm
-	tierCold
-)
-
-// TierOptions bounds the chunk store's residency. The zero value of every
-// field selects a sensible default; with Options.Tier nil instead, every
-// chunk stays hot.
+// TierOptions bounds how many sealed chunks stay mapped. The zero value of
+// every field selects a sensible default; with Options.Tier nil instead,
+// every sealed chunk stays mapped.
 type TierOptions struct {
 	// ChunkRows is the number of snippets per sealed chunk (default 4096).
 	ChunkRows int
-	// HotChunks is how many sealed chunks stay decoded in memory
-	// (default 4). The open chunk is always resident on top of this.
-	HotChunks int
-	// WarmChunks is how many chunks past the hot tier stay mmap'd
-	// read-only (default 16).
+	// WarmChunks is how many of the newest sealed chunks stay mmap'd
+	// read-only (default 16); older ones go cold.
 	WarmChunks int
 	// Compress gzips chunks demoted past the warm tier. Off, cold chunks
 	// stay raw on disk and are read on demand.
@@ -74,9 +64,6 @@ func (o TierOptions) withDefaults() TierOptions {
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = 4096
 	}
-	if o.HotChunks <= 0 {
-		o.HotChunks = 4
-	}
 	if o.WarmChunks <= 0 {
 		o.WarmChunks = 16
 	}
@@ -91,10 +78,8 @@ func (o TierOptions) withDefaults() TierOptions {
 
 // Tier-store instrumentation.
 var (
-	metTierHot = obs.GetGauge("storypivot_store_hot_chunks",
-		"chunks resident in the hot tier (including the open chunk)")
 	metTierWarm = obs.GetGauge("storypivot_store_warm_chunks",
-		"chunks mmap'd in the warm tier")
+		"sealed chunks mmap'd read-only")
 	metTierCold = obs.GetGauge("storypivot_store_cold_chunks",
 		"chunks demoted to the cold tier")
 	metTierFaults = obs.GetCounter("storypivot_store_chunk_faults_total",
@@ -102,18 +87,18 @@ var (
 	metTierPromotions = obs.GetCounter("storypivot_store_chunk_promotions_total",
 		"cold chunks promoted back to the warm tier")
 	metTierDemotions = obs.GetCounter("storypivot_store_chunk_demotions_total",
-		"chunk demotions (hot→warm and warm→cold)")
+		"sealed chunks unmapped past the warm budget")
 	metTierColdReadLat = obs.GetHistogram("storypivot_store_cold_read_seconds",
 		"latency of snippet reads served from the cold tier")
 )
 
-// chunk is the resident metadata (and, for hot/warm chunks, the bytes)
-// of one chunk file.
+// chunk is the resident metadata (and, unless cold, the bytes) of one
+// chunk file.
 type chunk struct {
 	index int
-	state int
-	// sealed is false only for the single open chunk.
-	sealed bool
+	// sealed is false only for the single open chunk; cold only for
+	// sealed chunks past the warm budget.
+	sealed, cold bool
 	// rows counts frames, dead ones included, so a row is a frame index.
 	rows int
 	// dead counts rows whose payload no longer decodes: they keep their
@@ -132,12 +117,11 @@ type chunk struct {
 	order   []uint32
 	// Event-time bounds (unix nanos) for range pruning.
 	minTS, maxTS int64
-	// data is the raw framed bytes: a heap copy for hot chunks, an mmap
-	// region for warm chunks, nil for cold chunks (cold bytes live in
-	// the store's inflate LRU).
-	data   []byte
-	mapped bool
-	offs   []uint32
+	// data is the raw framed bytes: the append buffer of the open chunk,
+	// the file's read-only mapping for a warm chunk, nil for a cold one
+	// (cold bytes live in the store's inflate LRU).
+	data []byte
+	offs []uint32
 	// rawBytes is the sealed raw file size (manifest-validated on open).
 	rawBytes   int64
 	compressed bool
@@ -251,17 +235,6 @@ type chunkMeta struct {
 	Sources    []string `json:"sources,omitempty"`
 }
 
-func tierStateName(state int) string {
-	switch state {
-	case tierHot:
-		return "hot"
-	case tierWarm:
-		return "warm"
-	default:
-		return "cold"
-	}
-}
-
 func (c *chunk) meta() chunkMeta {
 	m := chunkMeta{
 		Index:      c.index,
@@ -274,7 +247,10 @@ func (c *chunk) meta() chunkMeta {
 		MaxTS:      c.maxTS,
 		RawBytes:   c.rawBytes,
 		Compressed: c.compressed,
-		State:      tierStateName(c.state),
+		State:      "warm",
+	}
+	if c.cold {
+		m.State = "cold"
 	}
 	if !c.dense {
 		m.IDs = make([]uint64, len(c.ids))
@@ -411,11 +387,13 @@ func (t *TierStore) loadManifest() map[int]*chunkMeta {
 // recoverChunk rebuilds one chunk's resident state from its on-disk
 // files, applying the crash rules. last marks the highest-index chunk,
 // which is the only one whose raw file may legitimately have a torn tail.
+// A raw chunk is checked through a mapping of its file, which a sealed
+// chunk keeps; only the open chunk copies its bytes to the heap.
 func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta, last bool) (*chunk, error) {
 	rawPath := chunkRawPath(t.dir, idx)
 	coldPath := chunkColdPath(t.dir, idx)
 	if hasRaw {
-		data, err := os.ReadFile(rawPath)
+		data, err := mapFile(rawPath)
 		if err != nil {
 			return nil, err
 		}
@@ -426,8 +404,10 @@ func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta,
 			// The raw copy, when intact, is authoritative.
 			if valid == len(data) && (meta == nil || len(offs) >= meta.Rows) {
 				os.Remove(coldPath)
-				hasCold = false
 			} else {
+				if err := munmapChunk(data); err != nil {
+					return nil, err
+				}
 				os.Remove(rawPath)
 				t.warnings = append(t.warnings, fmt.Sprintf(
 					"chunk %d: raw copy torn at %d/%d bytes; using compressed copy", idx, valid, len(data)))
@@ -439,6 +419,10 @@ func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta,
 				t.warnings = append(t.warnings, fmt.Sprintf(
 					"chunk %d: sealed chunk truncated from %d to %d rows", idx, meta.Rows, len(offs)))
 			}
+			// The mapping goes before the file shrinks under it.
+			if err := munmapChunk(data); err != nil {
+				return nil, err
+			}
 			if err := truncateTorn(rawPath, int64(valid), int64(len(data))); err != nil {
 				return nil, err
 			}
@@ -447,15 +431,19 @@ func (t *TierStore) recoverChunk(idx int, hasRaw, hasCold bool, meta *chunkMeta,
 				t.warnings = append(t.warnings, fmt.Sprintf(
 					"chunk %d: truncated %d torn-tail bytes", idx, len(data)-valid))
 			}
-			data = data[:valid]
+			if data, err = mapFile(rawPath); err != nil {
+				return nil, err
+			}
 		}
 		c := t.buildChunk(idx, data, offs, meta)
 		c.rawBytes = int64(valid)
-		c.state = tierHot
 		if !last || c.rows >= t.opts.ChunkRows {
 			c.seal()
+			return c, nil
 		}
-		return c, nil
+		// The open chunk appends to a heap copy of its bytes.
+		c.data = bytes.Clone(data)
+		return c, munmapChunk(data)
 	}
 	if hasCold {
 		return t.recoverColdChunk(idx, coldPath, meta)
@@ -474,8 +462,7 @@ func (t *TierStore) recoverColdChunk(idx int, coldPath string, meta *chunkMeta) 
 	if meta != nil && meta.Rows > 0 {
 		c := metaChunk(idx, meta)
 		c.compressed = true
-		c.sealed = true
-		c.state = tierCold
+		c.sealed, c.cold = true, true
 		return c, nil
 	}
 	data, err := inflateFile(coldPath)
@@ -495,7 +482,7 @@ func (t *TierStore) recoverColdChunk(idx int, coldPath string, meta *chunkMeta) 
 	c.rawBytes = int64(valid)
 	c.compressed = true
 	c.seal()
-	c.state = tierCold
+	c.cold = true
 	c.data, c.offs = nil, nil
 	return c, nil
 }
@@ -635,7 +622,7 @@ func (t *TierStore) startChunkLocked(idx int) error {
 	if err != nil {
 		return err
 	}
-	c := &chunk{index: idx, dense: true, state: tierHot}
+	c := &chunk{index: idx, dense: true}
 	t.chunks = append(t.chunks, c)
 	t.open = c
 	t.openFile = seg
@@ -696,14 +683,20 @@ func (t *TierStore) Append(sn *event.Snippet) error {
 	return nil
 }
 
-// sealOpenLocked seals the open chunk, starts a fresh one, rebalances
-// the tiers, and persists the manifest.
+// sealOpenLocked seals the open chunk, which from then on reads from a
+// mapping of its file instead of the append buffer, starts a fresh one,
+// rebalances the tiers, and persists the manifest.
 func (t *TierStore) sealOpenLocked() error {
 	c := t.open
 	if err := t.openFile.Close(); err != nil {
 		return err
 	}
 	t.openFile = nil
+	data, err := mapFile(chunkRawPath(t.dir, c.index))
+	if err != nil {
+		return err
+	}
+	c.data = data
 	c.seal()
 	t.noteSealed(c)
 	if err := t.startChunkLocked(c.index + 1); err != nil {
@@ -716,76 +709,34 @@ func (t *TierStore) sealOpenLocked() error {
 	return t.writeManifest()
 }
 
-// rebalanceLocked enforces the hot and warm budgets, demoting the oldest
-// chunks of an over-budget tier.
+// rebalanceLocked enforces the warm budget, demoting the oldest mapped
+// chunks past it. Age is the chunk index, not promotion recency: a
+// promoted chunk older than the warm window's tail must not evict newer
+// chunks.
 func (t *TierStore) rebalanceLocked() error {
-	var hot, warm []*chunk
+	var warm []*chunk // ascending index, as t.chunks
 	for _, c := range t.chunks {
-		if !c.sealed {
-			continue
-		}
-		switch c.state {
-		case tierHot:
-			hot = append(hot, c)
-		case tierWarm:
+		if c.sealed && !c.cold {
 			warm = append(warm, c)
 		}
 	}
-	for len(hot) > t.opts.HotChunks {
-		c := hot[0]
-		hot = hot[1:]
-		if err := t.demoteHotToWarm(c); err != nil {
-			return err
-		}
-		warm = append(warm, c)
-	}
-	// Demotion order for warm is by age (chunk index), not promotion
-	// recency: a promoted chunk younger than the warm window's tail
-	// should not evict newer chunks.
-	sort.Slice(warm, func(i, j int) bool { return warm[i].index < warm[j].index })
-	for len(warm) > t.opts.WarmChunks {
-		c := warm[0]
-		warm = warm[1:]
-		if err := t.demoteWarmToCold(c); err != nil {
+	for _, c := range warm[:max(len(warm)-t.opts.WarmChunks, 0)] {
+		if err := t.demote(c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// demoteHotToWarm swaps a chunk's resident heap copy for a read-only
-// mmap of its raw file.
-func (t *TierStore) demoteHotToWarm(c *chunk) error {
-	f, err := os.Open(chunkRawPath(t.dir, c.index))
-	if err != nil {
+// demote releases a chunk's mapping and, when compression is enabled,
+// gzips the raw file (tmp + fsync + rename, then unlink raw) so only the
+// compressed copy remains.
+func (t *TierStore) demote(c *chunk) error {
+	if err := munmapChunk(c.data); err != nil {
 		return err
 	}
-	data, mapped, err := mmapFile(f, c.rawBytes)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	c.data = data
-	c.mapped = mapped
-	c.state = tierWarm
-	t.demotions++
-	metTierDemotions.Inc()
-	return nil
-}
-
-// demoteWarmToCold releases a chunk's mapping and, when compression is
-// enabled, gzips the raw file (tmp + fsync + rename, then unlink raw) so
-// only the compressed copy remains.
-func (t *TierStore) demoteWarmToCold(c *chunk) error {
-	if c.mapped {
-		if err := munmapChunk(c.data); err != nil {
-			return err
-		}
-	}
-	c.data = nil
-	c.mapped = false
-	c.offs = nil
-	c.state = tierCold
+	c.data, c.offs = nil, nil
+	c.cold = true
 	c.faults = 0
 	if t.opts.Compress && !c.compressed {
 		if err := t.compressChunk(c); err != nil {
@@ -892,19 +843,12 @@ func (t *TierStore) promote(c *chunk, data []byte, offs []uint32) error {
 			return err
 		}
 	}
-	f, err := os.Open(rawPath)
+	mdata, err := mapFile(rawPath)
 	if err != nil {
 		return err
 	}
-	mdata, mapped, err := mmapFile(f, int64(len(data)))
-	f.Close()
-	if err != nil {
-		return err
-	}
-	c.data = mdata
-	c.mapped = mapped
-	c.offs = offs
-	c.state = tierWarm
+	c.data, c.offs = mdata, offs
+	c.cold = false
 	c.faults = 0
 	// Drop the promoted chunk from the inflate LRU; it is served from
 	// the mapping now.
@@ -926,14 +870,10 @@ func (t *TierStore) promote(c *chunk, data []byte, offs []uint32) error {
 // rowBytes returns the raw bytes and frame offset table for a chunk,
 // whatever its tier.
 func (t *TierStore) rowBytes(c *chunk) ([]byte, []uint32, error) {
-	if c.state != tierCold && c.data != nil {
-		if c.offs == nil {
-			offs, _ := scanFrames(c.data)
-			c.offs = offs
-		}
-		return c.data, c.offs, nil
+	if c.cold {
+		return t.coldBytes(c)
 	}
-	return t.coldBytes(c)
+	return c.data, c.offs, nil
 }
 
 // Get decodes and returns the snippet with the given ID, or nil.
@@ -984,24 +924,23 @@ func (t *TierStore) Scan(fn func(*event.Snippet) error) error {
 func (t *TierStore) Rows() int64 { return t.rows }
 
 func (t *TierStore) updateGauges() {
-	hot, warm, cold := t.tierCounts()
-	metTierHot.Set(int64(hot))
+	warm, cold := t.tierCounts()
 	metTierWarm.Set(int64(warm))
 	metTierCold.Set(int64(cold))
 }
 
-func (t *TierStore) tierCounts() (hot, warm, cold int) {
+// tierCounts counts the sealed chunks by state; the open chunk is in
+// neither count.
+func (t *TierStore) tierCounts() (warm, cold int) {
 	for _, c := range t.chunks {
-		switch c.state {
-		case tierHot:
-			hot++
-		case tierWarm:
-			warm++
-		default:
+		switch {
+		case c.cold:
 			cold++
+		case c.sealed:
+			warm++
 		}
 	}
-	return hot, warm, cold
+	return warm, cold
 }
 
 func (t *TierStore) manifest() chunkManifest {
@@ -1057,17 +996,18 @@ func (t *TierStore) ReconcileManifest(data []byte) []string {
 	return out
 }
 
-// Stats summarises the tier state for tests and benchmarks.
+// TierStats summarises the tier state for tests and benchmarks: Warm and
+// Cold count the sealed chunks mapped and unmapped.
 type TierStats struct {
-	Hot, Warm, Cold               int
+	Warm, Cold                    int
 	Rows                          int64
 	Faults, Promotions, Demotions uint64
 }
 
 func (t *TierStore) Stats() TierStats {
-	hot, warm, cold := t.tierCounts()
+	warm, cold := t.tierCounts()
 	return TierStats{
-		Hot: hot, Warm: warm, Cold: cold,
+		Warm: warm, Cold: cold,
 		Rows:   t.rows,
 		Faults: t.faults, Promotions: t.promotions, Demotions: t.demotions,
 	}
@@ -1085,12 +1025,11 @@ func (t *TierStore) Close() error {
 		t.openFile = nil
 	}
 	for _, c := range t.chunks {
-		if c.mapped {
+		if c.sealed && !c.cold {
 			if err := munmapChunk(c.data); err != nil && first == nil {
 				first = err
 			}
 			c.data = nil
-			c.mapped = false
 		}
 	}
 	if err := t.writeManifest(); err != nil && first == nil {

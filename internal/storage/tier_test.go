@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/event"
 )
@@ -26,7 +28,7 @@ func tsnip(id event.SnippetID, d int) *event.Snippet {
 }
 
 func tinyTier() *TierOptions {
-	return &TierOptions{ChunkRows: 4, HotChunks: 1, WarmChunks: 2, Compress: true, ColdCache: 1, PromoteAfter: -1}
+	return &TierOptions{ChunkRows: 4, WarmChunks: 3, Compress: true, ColdCache: 1, PromoteAfter: -1}
 }
 
 func openTiered(t *testing.T, dir string, opts *TierOptions) *Store {
@@ -68,12 +70,12 @@ func TestTierAppendGetRoundtrip(t *testing.T) {
 		t.Fatal("duplicate append accepted")
 	}
 	stats := st.TierStats()
-	// 50 rows / 4 per chunk = 12 sealed + open. Budgets: 1 hot sealed
-	// (+ open), 2 warm, rest cold.
-	if stats.Cold == 0 || stats.Warm == 0 || stats.Hot == 0 {
-		t.Fatalf("expected all three tiers populated: %+v", stats)
+	// 50 rows / 4 per chunk = 12 sealed + open. Budget: 3 sealed chunks
+	// mapped, the rest cold.
+	if stats.Cold == 0 || stats.Warm == 0 {
+		t.Fatalf("expected both tiers populated: %+v", stats)
 	}
-	if stats.Warm > 2 {
+	if stats.Warm > 3 {
 		t.Fatalf("warm budget exceeded: %+v", stats)
 	}
 	// Compressed cold chunks must actually exist (and their raw twins not).
@@ -84,8 +86,8 @@ func TestTierAppendGetRoundtrip(t *testing.T) {
 }
 
 // TestTieredAccessorsMatchFlat drives the same corpus through a store
-// with no budgets (every chunk hot) and one with tiny budgets (most
-// chunks warm or cold and compressed) and asserts every accessor answers
+// with no budgets (every sealed chunk mapped) and one with tiny budgets
+// (most chunks cold and compressed) and asserts every accessor answers
 // identically.
 func TestTieredAccessorsMatchFlat(t *testing.T) {
 	flat, err := Open(t.TempDir(), Options{})
@@ -117,7 +119,7 @@ func TestTieredAccessorsMatchFlat(t *testing.T) {
 	if f, g := flat.All(), tiered.All(); !reflect.DeepEqual(f, g) {
 		t.Fatalf("All: flat %v vs tiered %v", ids(f), ids(g))
 	}
-	if ts := flat.TierStats(); ts.Warm+ts.Cold != 0 {
+	if ts := flat.TierStats(); ts.Cold != 0 || ts.Demotions != 0 {
 		t.Fatalf("store without budgets demoted chunks: %+v", ts)
 	}
 	if flat.Len() != tiered.Len() {
@@ -239,7 +241,7 @@ func TestTierKillDuringDemotion(t *testing.T) {
 	// crash hit between rename and unlink.
 	var cold *chunk
 	for _, c := range st.tier.chunks {
-		if c.state == tierCold && c.compressed {
+		if c.cold && c.compressed {
 			cold = c
 			break
 		}
@@ -300,7 +302,7 @@ func TestTierKillDuringPromotion(t *testing.T) {
 	}
 	var cold *chunk
 	for _, c := range st.tier.chunks {
-		if c.state == tierCold && c.compressed {
+		if c.cold && c.compressed {
 			cold = c
 			break
 		}
@@ -640,4 +642,136 @@ func TestTierConcurrentHammer(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// mappedFile returns the file /proc/self/maps names for the mapping that
+// holds b's first byte, or "" when that memory is not file-backed (the Go
+// heap, say).
+func mappedFile(t *testing.T, b []byte) string {
+	t.Helper()
+	if len(b) == 0 {
+		return ""
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	addr := uint64(uintptr(unsafe.Pointer(unsafe.SliceData(b))))
+	for _, line := range strings.Split(string(maps), "\n") {
+		f := strings.Fields(line) // start-end perms offset dev inode [path]
+		var start, end uint64
+		if len(f) < 5 {
+			continue
+		}
+		fmt.Sscanf(f[0], "%x-%x", &start, &end)
+		if addr >= start && addr < end {
+			return strings.Join(f[5:], " ")
+		}
+	}
+	return ""
+}
+
+// TestTierSealedChunksLiveInTheirFiles: a store without budgets serves
+// every sealed chunk from a read-only mapping of the chunk's own file,
+// live and after a reopen; no sealed chunk keeps a heap copy of its bytes.
+func TestTierSealedChunksLiveInTheirFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("mmapFile falls back to a heap read off Linux")
+	}
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3*4096 + 10 // three seals at the default 4096 rows per chunk
+	for i := 1; i <= n; i++ {
+		if err := st.Append(tsnip(event.SnippetID(i), 1+i%28)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		sealed := 0
+		for _, c := range st.tier.chunks {
+			if !c.sealed {
+				continue
+			}
+			sealed++
+			want, err := filepath.EvalSymlinks(chunkRawPath(st.tier.dir, c.index))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mappedFile(t, c.data); got != want {
+				t.Fatalf("%s: sealed chunk %d reads from %q, want a mapping of %s", when, c.index, got, want)
+			}
+		}
+		if sealed < 3 {
+			t.Fatalf("%s: %d sealed chunks, want 3", when, sealed)
+		}
+		if sn := st.Get(1); sn == nil || sn.Document != "doc-1" {
+			t.Fatalf("%s: Get(1) = %+v", when, sn)
+		}
+	}
+	check("live")
+	st.Close()
+	if st, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check("reopened")
+}
+
+// TestTierReopenAllocatesNoChunkBytes: reopening a budgeted store whose
+// cold chunks stay raw (Compress off) checks every chunk's frames through
+// a mapping, so Open allocates metadata and frame offsets, not chunk
+// bytes: under a tenth of the corpus, measured as the TotalAlloc delta.
+func TestTierReopenAllocatesNoChunkBytes(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("mmapFile falls back to a heap read off Linux")
+	}
+	dir := t.TempDir()
+	opts := &TierOptions{ChunkRows: 128, WarmChunks: 2}
+	st := openTiered(t, dir, opts)
+	const n = 24*128 + 5 // 24 sealed chunks and an open one
+	for i := 1; i <= n; i++ {
+		sn := tsnip(event.SnippetID(i), 1+i%28)
+		sn.Text = strings.Repeat(sn.Text+" ", 20) // ~1 KB a snippet
+		if err := st.Append(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "chunks", "*"+chunkRawSuffix))
+	var raw uint64
+	for _, p := range logs {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw += uint64(fi.Size())
+	}
+	if len(logs) < 21 {
+		t.Fatalf("%d raw chunk files, want 24 sealed and the open one", len(logs))
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st = openTiered(t, dir, opts)
+	runtime.ReadMemStats(&after)
+	defer st.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc*10 >= raw {
+		t.Fatalf("Open allocated %d bytes for a %d-byte corpus, want under a tenth", alloc, raw)
+	} else {
+		t.Logf("Open allocated %d bytes for a %d-byte corpus", alloc, raw)
+	}
+	if st.Len() != n {
+		t.Fatalf("Len = %d after reopen, want %d", st.Len(), n)
+	}
+	for _, id := range []event.SnippetID{1, n / 2, n} {
+		if sn := st.Get(id); sn == nil || sn.Document != fmt.Sprintf("doc-%d", id) {
+			t.Fatalf("Get(%d) = %+v after reopen", id, sn)
+		}
+	}
 }

@@ -141,9 +141,11 @@ type Engine struct {
 
 	// allocs holds each source's deterministic ID allocator. Entries are
 	// deliberately kept across RemoveSource: a re-registered source must
-	// continue its sequence, never recycle story IDs — stale postings in
-	// downstream consumers (the query index's (story, gen) liveness) may
-	// outlive the removal, and a recycled ID could alias them.
+	// continue its sequence, never recycle story IDs — consumers that
+	// skip a story they hold at the same (story, gen) (the query index's
+	// member snapshots until the next publish, the refiner's memos) may
+	// outlive the removal, and a recycled ID whose Gen matches would be
+	// taken for the removed story.
 	allocs map[event.SourceID]*identify.IDAlloc
 	// tagOwner maps an ID-namespace tag to the source that claimed it,
 	// for collision detection (see ErrSourceCollision). Like allocs it
@@ -630,8 +632,8 @@ func (e *Engine) alignLocked() *align.Result {
 	// Retirement walks the settled (post-refinement) active set: cold
 	// alignment components are archived and detached, then the result is
 	// recomputed once so the publish below already excludes them — the
-	// sinks (query index liveness, cache invalidation) see the eviction
-	// as stories gone from an ordinary result.
+	// sinks (the query index's postings, the cache stamps) see the
+	// eviction as stories gone from an ordinary result.
 	if e.retirer != nil {
 		_, watermark := e.TimeRange()
 		if e.retirer.Due(e.aligner.Len(), watermark) && e.retireLocked(watermark) > 0 {

@@ -104,9 +104,9 @@ func WithGazetteer(g *Gazetteer) Option {
 // WithStorage persists every ingested snippet to a crash-safe event store
 // in dir; on reopening a pipeline over the same directory the snippets are
 // replayed through identification so state survives restarts. Alone it
-// keeps every chunk of the store hot and the engine's snippets keep their
-// text; a directory an older flat segment log wrote is migrated into
-// chunks on first open.
+// keeps every sealed chunk of the store mapped from its file and the
+// engine's snippets keep their text; a directory an older flat segment
+// log wrote is migrated into chunks on first open.
 func WithStorage(dir string) Option {
 	return func(c *config) { c.storageDir = dir }
 }
@@ -118,19 +118,17 @@ func WithStorageSync(policy int) Option {
 }
 
 // WithTieredStorage bounds the event store's residency: the newest
-// hotChunks sealed chunks stay resident in memory, the next warmChunks
-// are mmap'd read-only, and older chunks go cold on disk
-// (gzip-compressed when compress is set) with on-demand inflation.
-// The engine then holds display-text-stripped snippets and query
-// responses hydrate text through the pipeline's SnippetReader, so
+// warmChunks sealed chunks stay mmap'd read-only and older chunks go cold
+// on disk (gzip-compressed when compress is set) with on-demand
+// inflation. The engine then holds display-text-stripped snippets and
+// query responses hydrate text through the pipeline's SnippetReader, so
 // resident memory stops scaling with corpus size while responses stay
-// byte-identical. Values ≤ 0 select the defaults (4 hot, 16 warm).
-// Requires WithStorage: New fails without it, as there would be no store
-// to hydrate the stripped text from.
-func WithTieredStorage(hotChunks, warmChunks int, compress bool) Option {
+// byte-identical. A value ≤ 0 selects the default (16 warm). Requires
+// WithStorage: New fails without it, as there would be no store to
+// hydrate the stripped text from.
+func WithTieredStorage(warmChunks int, compress bool) Option {
 	return func(c *config) {
 		t := ensureTier(c)
-		t.HotChunks = hotChunks
 		t.WarmChunks = warmChunks
 		t.Compress = compress
 	}

@@ -178,7 +178,7 @@ func New(opts ...Option) (*Pipeline, error) {
 	return p, nil
 }
 
-// Index exposes the query-serving index (size stats, manual sweeps).
+// Index exposes the query-serving index (size stats, publish epoch).
 func (p *Pipeline) Index() *index.Index { return p.index }
 
 // errNoCheckpoint reports the benign restore misses: no checkpoint file

@@ -272,7 +272,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"negative slack", []Option{WithAlignSlack(-time.Hour)}},
 		// Tiering strips display text from resident snippets; with no store
 		// to hydrate it from, responses would silently lose it.
-		{"tiered without storage", []Option{WithTieredStorage(2, 2, false)}},
+		{"tiered without storage", []Option{WithTieredStorage(2, false)}},
 		{"tier chunk rows without storage", []Option{WithTierChunkRows(8)}},
 		{"tier cold cache without storage", []Option{WithTierColdCache(1, 2)}},
 	}

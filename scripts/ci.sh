@@ -182,17 +182,18 @@ gate "story retirement" \
 # every byte offset and refuse a record recovery would discard; a flat
 # segment-log directory must migrate into chunks once, crash-safe, with
 # nothing lost or duplicated; sparse (out-of-order) IDs must be found in
-# every chunk and tier; the whole storage package passes; the chunk tier
-# suite (demotion/promotion,
-# crash-point recovery at both the storage and pipeline layers, the
-# manifest reconcile, and the ingest/query/cold-read hammer) must pass
-# under the race detector, and the 3-seed tiered-vs-all-hot server
-# differential must stay byte-identical on every endpoint. The paged
-# envelope boundaries ride along: they share the pagination code the
-# tiers must not perturb.
+# every chunk and tier; no sealed chunk keeps a heap copy: each reads
+# from a mapping of its own file, and a reopen allocates under a tenth of
+# the corpus; the whole storage package passes; the chunk tier suite
+# (demotion/promotion, crash-point recovery at both the storage and
+# pipeline layers, the manifest reconcile, and the ingest/query/cold-read
+# hammer) must pass under the race detector, and the 3-seed
+# tiered-vs-unbudgeted server differential must stay byte-identical on
+# every endpoint. The paged envelope boundaries ride along: they share
+# the pagination code the tiers must not perturb.
 gate "storage logs + tiers" \
   TestSegLogCrashAtEveryOffset TestSegLogRejectsOversizedRecord TestOpenMigratesFlatSegments \
-  TestTierSparseIDs internal/storage/ \
+  TestTierSparseIDs TestTierSealedChunksLiveInTheirFiles TestTierReopenAllocatesNoChunkBytes internal/storage/ \
   'TestTier*' 'TestRecoveryTiered*' TestTieredIngestQueryRace \
   TestTieredServerDifferential TestPagedEnvelopeBoundaries \
   TestClusterPagedEnvelopeEdgeCases 'TestDLQ*' 'TestArchiveTornFrame*' 'TestArchiveReset*'

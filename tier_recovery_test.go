@@ -16,12 +16,12 @@ import (
 )
 
 // tierRecoveryOpts opens a tiered pipeline with chunks small enough
-// that a few hundred snippets span all three tiers: 8 rows per chunk,
-// 2 hot, 2 warm, everything older cold and gzip-compressed.
+// that a few hundred snippets span both tiers: 8 rows per chunk, 4
+// sealed chunks mapped, everything older cold and gzip-compressed.
 func tierRecoveryOpts(dir string) []Option {
 	return []Option{
 		WithStorage(dir),
-		WithTieredStorage(2, 2, true),
+		WithTieredStorage(4, true),
 		WithTierChunkRows(8),
 		WithTierColdCache(1, 2),
 	}
