@@ -68,8 +68,7 @@ func main() {
 		storeWarm     = flag.Int("store-warm-mmap", 0, "bound store residency: the newest sealed chunks kept mmap'd read-only, older ones go cold; setting any -store-* tier flag bounds the store and strips display text from the engine (default: every sealed chunk stays mapped; 0 = 16 once bounded; requires -store-dir)")
 		storeColdComp = flag.Bool("store-cold-compress", true, "bound store residency: gzip-compress chunks demoted to the cold tier")
 
-		window            = flag.Duration("window", 0, "story retirement window W of event time: stories with no new evidence for W are archived and evicted, bounding resident memory (0 = retirement disabled); tune live via PUT /api/admin/window")
-		retireDir         = flag.String("retire-dir", "", "cold-story archive directory (required when -window > 0)")
+		window            = flag.Duration("window", 0, "story retirement window W of event time: stories with no new evidence for W are archived to <store-dir>/archive and evicted, bounding resident memory (0 = retirement disabled; requires -store-dir); tune live via PUT /api/admin/window")
 		retireGrace       = flag.Duration("retire-grace", 0, "holdback before a reactivated story may retire again (0 = W/4)")
 		retireMinResident = flag.Int("retire-min-resident", 0, "skip retirement while at most this many stories are resident")
 	)
@@ -88,6 +87,9 @@ func main() {
 	})
 	if tiered && *storeDir == "" {
 		log.Fatal("-store-warm-mmap/-store-cold-compress require -store-dir")
+	}
+	if *window > 0 && *storeDir == "" {
+		log.Fatal("-window requires -store-dir")
 	}
 
 	// Watch for SIGINT/SIGTERM from here on: the drain path below owns
@@ -122,18 +124,16 @@ func main() {
 	}
 	if *storeDir != "" {
 		// Deselect rebuilds open the new pipeline over the same store
-		// directory before the old one closes; mutations serialize on the
-		// server's write lock and the tier manifest self-heals at open,
-		// the same overlap -retire-dir already lives with.
+		// directory, archive included, before the old one closes;
+		// mutations serialize on the server's write lock and the tier
+		// manifest self-heals at open.
 		opts = append(opts, storypivot.WithStorage(*storeDir))
 		if tiered {
 			opts = append(opts, storypivot.WithTieredStorage(*storeWarm, *storeColdComp))
 		}
 	}
 	if *window > 0 {
-		opts = append(opts,
-			storypivot.WithRetireWindow(*window),
-			storypivot.WithRetireDir(*retireDir))
+		opts = append(opts, storypivot.WithRetireWindow(*window))
 		if *retireGrace > 0 {
 			opts = append(opts, storypivot.WithRetireGrace(*retireGrace))
 		}

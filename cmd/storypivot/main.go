@@ -53,8 +53,7 @@ func main() {
 
 		// Story retirement (-window here is the identification window ω,
 		// so the retirement window gets its own flag).
-		retireWindow      = flag.Duration("retire-window", 0, "story retirement window W of event time: stories with no new evidence for W are archived and evicted (0 = retirement disabled)")
-		retireDir         = flag.String("retire-dir", "", "cold-story archive directory (default: <store>/archive)")
+		retireWindow      = flag.Duration("retire-window", 0, "story retirement window W of event time: stories with no new evidence for W are archived to <store>/archive and evicted (0 = retirement disabled; requires -store)")
 		retireGrace       = flag.Duration("retire-grace", 0, "holdback before a reactivated story may retire again (0 = W/4)")
 		retireMinResident = flag.Int("retire-min-resident", 0, "skip retirement while at most this many stories are resident")
 
@@ -98,10 +97,10 @@ func main() {
 		log.Fatal("-store-warm-mmap/-store-cold-compress require -store")
 	}
 	if *retireWindow > 0 {
-		opts = append(opts, storypivot.WithRetireWindow(*retireWindow))
-		if *retireDir != "" {
-			opts = append(opts, storypivot.WithRetireDir(*retireDir))
+		if dir == "" {
+			log.Fatal("-retire-window requires -store")
 		}
+		opts = append(opts, storypivot.WithRetireWindow(*retireWindow))
 		if *retireGrace > 0 {
 			opts = append(opts, storypivot.WithRetireGrace(*retireGrace))
 		}

@@ -139,6 +139,21 @@ func (c *checkedIndex) compare(res *align.Result, got, want [3]uint64) error {
 	return nil
 }
 
+// snippetStore stands in for the event store a retirer's archive records
+// point into: it holds every snippet of the stream and hands out copies.
+type snippetStore []*event.Snippet
+
+func (s snippetStore) Sync() error { return nil }
+
+func (s snippetStore) Get(id event.SnippetID) *event.Snippet {
+	for _, sn := range s {
+		if sn.ID == id {
+			return sn.Clone()
+		}
+	}
+	return nil
+}
+
 // oracleStream drives a refinement-on engine with a retirement window
 // over seed's generated stream into sink, removes a source three fifths
 // of the way in, and fails the test on the first error failed reports
@@ -159,7 +174,7 @@ func oracleStream(t *testing.T, seed int64, sink stream.ResultSink, failed func(
 		Dir:         t.TempDir(),
 		IdentWindow: opts.Identify.Window,
 		AlignSlack:  opts.Align.Slack,
-	})
+	}, snippetStore(corpus.Snippets))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ var (
 	metArchivedBytes = obs.GetCounter("storypivot_retire_archived_bytes_total",
 		"bytes appended to the cold-story archive")
 	metReactivateErrors = obs.GetCounter("storypivot_retire_reactivate_errors_total",
-		"archived stories that failed to decode during reactivation")
+		"reactivations refused because an archived member failed to read back; the group stays archived")
 	metResident = obs.GetGauge("storypivot_retire_resident_stories",
 		"stories currently resident under alignment")
 	metArchived = obs.GetGauge("storypivot_retire_archived_stories",

@@ -6,13 +6,14 @@
 //
 // The manager implements the stream engine's Retirer hook. The protocol
 // per retirement pass (driven by the engine under its own lock, at
-// alignment-publish time) is snapshot → archive (fsynced) → detach:
-// a story's bytes are durable before its live state is released, so a
-// crash at any point loses at most a retirement, never a story. The
-// resident footprint per archived story is a small metadata record —
-// identity, extent, entity/term fingerprint, disk location — while the
-// full state (members, aggregate vectors, Gen) lives in the archive and
-// is decoded only on reactivation.
+// alignment-publish time) is snapshot → store sync → archive (fsynced)
+// → detach: a story's snippets and its archive record are durable
+// before its live state is released, so a crash at any point loses at
+// most a retirement, never a story. The resident footprint per archived
+// story is a small metadata record — identity, extent, entity/term
+// fingerprint, disk location. An archive record adds the aggregate
+// vectors, Gen and member snippet IDs; the members themselves are read
+// back from the event store, and only on reactivation.
 //
 // Reactivation is evidence-driven: every ingested snippet consults a
 // fingerprint index (time-bucketed, so the common no-match case is one
@@ -34,6 +35,15 @@ import (
 	"repro/internal/vocab"
 )
 
+// Store is the event store archive records point into: Archive syncs it
+// before a record names its members, and reactivation reads them back
+// through Get, which returns nil for a snippet it does not hold and
+// returns each snippet as the engine holds it.
+type Store interface {
+	Sync() error
+	Get(id event.SnippetID) *event.Snippet
+}
+
 // Config parameterises the retirement policy.
 type Config struct {
 	// Window is W: a story is cold once the event-time watermark has
@@ -51,7 +61,8 @@ type Config struct {
 	// CheckEvery runs the retirement walk only every n-th alignment
 	// publish (default 1: every publish).
 	CheckEvery int
-	// Dir is the archive directory.
+	// Dir is the archive directory; the pipeline keeps it under the
+	// store's, so a record never points into another store.
 	Dir string
 
 	// IdentWindow is the identification window ω: same-source
@@ -90,13 +101,15 @@ type group struct {
 }
 
 // Manager owns the archive, the fingerprint index over archived stories,
-// and the policy state. It is safe for concurrent use; its mutex is a
-// leaf in the engine's lock order (engine.mu → shard.mu → retire.mu is
-// never held in reverse).
+// and the policy state. It is safe for concurrent use; in the engine's
+// lock order its mutex comes after engine.mu and shard.mu and before
+// only the store's (engine.mu → shard.mu → retire.mu → store is never
+// taken in reverse).
 type Manager struct {
 	mu  sync.Mutex
 	cfg Config
 
+	store   Store
 	arch    *storage.Archive
 	groups  map[uint64]*group
 	groupOf map[event.StoryID]uint64 // story → owning group
@@ -125,12 +138,13 @@ type Manager struct {
 	resident      int
 }
 
-// Open opens (creating if needed) the archive in cfg.Dir and rebuilds
-// the fingerprint index from the intact records on disk. For stories
-// archived more than once (retire → reactivate → retire), the latest
-// record wins. The caller reconciles the index against its checkpoint
-// (Reconcile) or discards it (Reset) before serving.
-func Open(cfg Config) (*Manager, error) {
+// Open opens (creating if needed) the archive in cfg.Dir, whose records
+// point into store, and rebuilds the fingerprint index from the intact
+// records on disk. For stories archived more than once (retire →
+// reactivate → retire), the latest record wins. The caller reconciles
+// the index against its checkpoint (Reconcile) or discards it (Reset)
+// before serving.
+func Open(cfg Config, store Store) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,6 +167,7 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:         cfg,
+		store:       store,
 		arch:        arch,
 		groups:      make(map[uint64]*group),
 		groupOf:     make(map[event.StoryID]uint64),
@@ -279,12 +294,17 @@ func (m *Manager) Cold(id event.StoryID, end, watermark time.Time) bool {
 	return true
 }
 
-// Archive durably appends a retirement group and returns a ticket. The
-// caller detaches the live stories only after Archive returns, then
-// settles the ticket with Commit (members actually detached) or Abort.
+// Archive durably appends a retirement group and returns a ticket: it
+// syncs the store, so the members a record names outlive a crash even
+// under an unsynced store, then appends the records fsynced. The caller
+// detaches the live stories only after Archive returns, then settles the
+// ticket with Commit (members actually detached) or Abort.
 func (m *Manager) Archive(stories []*event.Story, watermark time.Time) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.store.Sync(); err != nil {
+		return 0, fmt.Errorf("retire: syncing the store: %w", err)
+	}
 	ticket := m.nextGroup
 	m.nextGroup++
 	metas, n, err := m.arch.AppendGroup(ticket, watermark, stories)
@@ -336,8 +356,10 @@ func (m *Manager) Abort(ticket uint64) {
 // TakeForSnippet consults the fingerprint index for archived stories the
 // given snippet is evidence for, removes every matching group from the
 // index, and returns the fully restored stories (original StoryID,
-// bumped Gen). The caller re-adopts them into the engine. A nil return
-// (the overwhelmingly common case) costs one bucket probe.
+// bumped Gen). The caller re-adopts them into the engine. A group comes
+// back whole or not at all: if any member fails to read, the group stays
+// archived and indexed. A nil return (the overwhelmingly common case)
+// costs one bucket probe.
 func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -351,23 +373,23 @@ func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 		if g == nil || !m.groupMatches(g, sn) {
 			continue
 		}
+		stories, err := m.readGroup(g)
+		if err != nil {
+			metReactivateErrors.Inc()
+			continue
+		}
 		until := m.watermark
 		if sn.Timestamp.After(until) {
 			until = sn.Timestamp
 		}
 		until = until.Add(m.cfg.Grace)
-		for _, mem := range g.members {
-			st, err := m.arch.ReadStory(mem.meta.Loc)
-			if err != nil {
-				metReactivateErrors.Inc()
-				continue
-			}
+		for _, st := range stories {
 			st.BumpGen()
 			m.grace[st.ID] = until
-			out = append(out, st)
 			m.reactivated++
 			metReactivated.Inc()
 		}
+		out = append(out, stories...)
 		m.dropGroup(gid)
 	}
 	if out != nil {
@@ -375,6 +397,20 @@ func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 		m.compactBuckets()
 	}
 	return out
+}
+
+// readGroup restores every member of g, failing on the first that cannot
+// be read.
+func (m *Manager) readGroup(g *group) ([]*event.Story, error) {
+	stories := make([]*event.Story, len(g.members))
+	for i, mem := range g.members {
+		st, err := m.arch.ReadStory(mem.meta.Loc, m.store.Get)
+		if err != nil {
+			return nil, err
+		}
+		stories[i] = st
+	}
+	return stories, nil
 }
 
 // groupMatches reports whether the snippet is plausible new evidence for
@@ -531,7 +567,7 @@ func (m *Manager) Reconcile(keep map[event.StoryID]bool) {
 
 // Reset discards the archive — index and segments. The pipeline calls it
 // when state was rebuilt by full replay (everything resident, archive
-// stale by construction) or when running without a persistent store.
+// stale by construction).
 func (m *Manager) Reset() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -543,6 +579,14 @@ func (m *Manager) Reset() error {
 	m.deadGroups = 0
 	metArchived.Set(0)
 	return m.arch.Reset()
+}
+
+// RecoveryWarnings returns the archive records Open cut (torn, or
+// undecodable such as an older record version).
+func (m *Manager) RecoveryWarnings() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.arch.RecoveryWarnings()
 }
 
 // Close releases the archive.

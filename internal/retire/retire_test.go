@@ -1,6 +1,10 @@
 package retire
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,9 +29,54 @@ func testConfig(dir string) Config {
 	}
 }
 
+// fakeStore stands in for the event store archive records point into.
+type fakeStore struct {
+	mu      sync.Mutex
+	m       map[event.SnippetID]*event.Snippet
+	syncErr error
+	syncs   int
+}
+
+func newFakeStore() *fakeStore {
+	return &fakeStore{m: make(map[event.SnippetID]*event.Snippet)}
+}
+
+func (s *fakeStore) put(sns ...*event.Snippet) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sn := range sns {
+		s.m[sn.ID] = sn
+	}
+}
+
+func (s *fakeStore) drop(id event.SnippetID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, id)
+}
+
+func (s *fakeStore) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncs++
+	return s.syncErr
+}
+
+func (s *fakeStore) Get(id event.SnippetID) *event.Snippet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sn := s.m[id]; sn != nil {
+		return sn.Clone()
+	}
+	return nil
+}
+
+// store holds every snippet retireStory archives, across reopens.
+var store = newFakeStore()
+
 func open(t *testing.T, cfg Config) *Manager {
 	t.Helper()
-	m, err := Open(cfg)
+	m, err := Open(cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +113,13 @@ func testStory(id uint64, src string, start, end time.Time, ents ...string) *eve
 	return event.RestoreStory(event.StoryID(id), event.SourceID(src), sns, freq, cen, start, end, 1)
 }
 
-// retireStory runs one story (or group) through Archive+Commit.
+// retireStory runs one story (or group) through Archive+Commit, its
+// snippets stored first as the pipeline's ingest stores them.
 func retireStory(t *testing.T, m *Manager, watermark time.Time, stories ...*event.Story) uint64 {
 	t.Helper()
+	for _, st := range stories {
+		store.put(st.Snippets...)
+	}
 	ticket, err := m.Archive(stories, watermark)
 	if err != nil {
 		t.Fatal(err)
@@ -376,5 +429,75 @@ func TestReset(t *testing.T) {
 	m2 := open(t, cfg)
 	if got := m2.ArchivedIDs("alpha"); len(got) != 0 {
 		t.Fatalf("reset archive still holds %v on reopen", got)
+	}
+}
+
+// TestTakeForSnippetUnreadableGroupStaysArchived: a matched group whose
+// record cannot be read comes back not at all — it stays indexed and
+// archived for a later match instead of leaving both the archive and the
+// engine.
+func TestTakeForSnippetUnreadableGroupStaysArchived(t *testing.T) {
+	dir := t.TempDir()
+	m := open(t, testConfig(dir))
+	retireStory(t, m, t0.Add(40*day), testStory(1, "alpha", t0, t0.Add(2*day), "mh17"))
+
+	seg := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := metReactivateErrors.Value()
+	if got := m.TakeForSnippet(testSnippet(10, "alpha", t0.Add(3*day), "mh17")); got != nil {
+		t.Fatalf("corrupt record reactivated %v", got)
+	}
+	if !m.Has(1) || m.Snapshot().Archived != 1 {
+		t.Fatalf("failed read dropped the story: Has(1)=%v, %+v", m.Has(1), m.Snapshot())
+	}
+	if metReactivateErrors.Value() == before {
+		t.Error("failed read not counted")
+	}
+}
+
+// TestTakeForSnippetMissingMemberKeepsGroup: one member of a co-retired
+// group is missing from the store, so the group stays archived whole;
+// once the store holds it again the group reactivates whole.
+func TestTakeForSnippetMissingMemberKeepsGroup(t *testing.T) {
+	m := open(t, testConfig(t.TempDir()))
+	a := testStory(11, "alpha", t0, t0.Add(2*day), "mh17")
+	b := testStory(12, "beta", t0.Add(day), t0.Add(3*day), "mh17", "ukraine")
+	retireStory(t, m, t0.Add(40*day), a, b)
+	store.drop(b.Snippets[0].ID)
+
+	if got := m.TakeForSnippet(testSnippet(10, "alpha", t0.Add(3*day), "mh17")); got != nil {
+		t.Fatalf("group with a missing member reactivated %v", got)
+	}
+	if !m.Has(11) || !m.Has(12) {
+		t.Fatalf("failed read dropped the group: Has(11)=%v Has(12)=%v", m.Has(11), m.Has(12))
+	}
+	store.put(b.Snippets...)
+	if got := m.TakeForSnippet(testSnippet(10, "alpha", t0.Add(3*day), "mh17")); len(got) != 2 {
+		t.Fatalf("retry returned %d stories, want the whole group", len(got))
+	}
+}
+
+// TestArchiveSyncsStoreFirst: Archive syncs the store before it appends,
+// and a failed sync fails Archive with nothing appended.
+func TestArchiveSyncsStoreFirst(t *testing.T) {
+	bad := newFakeStore()
+	bad.syncErr = errors.New("disk gone")
+	m, err := Open(testConfig(t.TempDir()), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Archive([]*event.Story{testStory(1, "alpha", t0, t0.Add(day), "mh17")}, t0.Add(30*day)); err == nil {
+		t.Fatal("Archive succeeded over a store whose Sync fails")
+	}
+	if v := m.Snapshot(); v.ArchivedBytes != 0 || bad.syncs != 1 {
+		t.Fatalf("failed sync: %d syncs, view %+v; want one sync and no bytes appended", bad.syncs, v)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
+	"time"
 
 	storypivot "repro"
 	"repro/internal/datagen"
@@ -182,5 +184,112 @@ func TestTieredServerDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTieredRetirementRoundTrip retires stories under tiered storage and
+// reactivates one: the reactivated members come back from the store
+// stripped as the engine holds every snippet there, and the search and
+// timeline responses stay byte-identical to an untiered retiring
+// pipeline fed the same snippets, hydrated text included.
+func TestTieredRetirementRoundTrip(t *testing.T) {
+	const window = 16 * 24 * time.Hour
+	corpus := tierDiffCorpus(600, 3, 7)
+	flat, err := New(storypivot.WithStorage(t.TempDir()), storypivot.WithRetireWindow(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	tiered, err := New(
+		storypivot.WithStorage(t.TempDir()),
+		storypivot.WithTieredStorage(4, true),
+		storypivot.WithTierChunkRows(32),
+		storypivot.WithTierColdCache(1, 2),
+		storypivot.WithRetireWindow(window),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiered.Close()
+	ingest := func(sn *storypivot.Snippet) {
+		t.Helper()
+		if err := flat.Pipeline().Ingest(sn.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		if err := tiered.Pipeline().Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sn := range corpus.Snippets {
+		ingest(sn)
+		if (i+1)%32 == 0 {
+			flat.Pipeline().Result()
+			tiered.Pipeline().Result()
+		}
+	}
+	tp := tiered.Pipeline()
+	tp.Result()
+	flat.Pipeline().Result()
+	if st, _ := tp.TierStats(); st.Cold == 0 {
+		t.Fatalf("tiered pipeline has no cold chunks: %+v", st)
+	}
+
+	// New evidence for the earliest retired story: a copy of one of its
+	// snippets under a fresh ID.
+	var late *storypivot.Snippet
+	var target storypivot.StoryID
+	for _, sn := range corpus.Snippets {
+		if sid := tp.StoryOf(sn.Source, sn.ID); tp.Retire().Has(sid) {
+			late, target = sn.Clone(), sid
+			late.ID = corpus.Snippets[len(corpus.Snippets)-1].ID + 1000
+			late.Text = "late evidence"
+			break
+		}
+	}
+	if late == nil {
+		t.Fatalf("nothing retired: %+v", tp.Retire().Snapshot())
+	}
+	ingest(late)
+	tp.Result()
+	flat.Pipeline().Result()
+	if tp.Retire().Snapshot().Reactivated == 0 || tp.Retire().Has(target) {
+		t.Fatalf("story %d not reactivated: %+v", target, tp.Retire().Snapshot())
+	}
+	var reactivated *storypivot.Story
+	for _, st := range tp.Stories(late.Source) {
+		if st.ID == target {
+			reactivated = st
+		}
+	}
+	if reactivated == nil {
+		t.Fatalf("reactivated story %d not resident", target)
+	}
+	for _, sn := range reactivated.Snippets {
+		if sn.Text != "" || sn.Document != "" {
+			t.Fatalf("reactivated snippet %d holds text %q, document %q in the engine", sn.ID, sn.Text, sn.Document)
+		}
+	}
+
+	tsFlat := httptest.NewServer(flat.Handler())
+	defer tsFlat.Close()
+	tsTiered := httptest.NewServer(tiered.Handler())
+	defer tsTiered.Close()
+	var paths []string
+	for _, e := range append(tierDiffEntities(corpus, 6), string(late.Entities[0])) {
+		paths = append(paths, "/api/timeline?entity="+url.QueryEscape(e)+"&limit=500")
+	}
+	for _, q := range tierDiffQueries(corpus, 5) {
+		paths = append(paths, "/api/search?q="+url.QueryEscape(q)+"&limit=500")
+	}
+	for _, path := range paths {
+		codeF, bodyF := fetchRaw(t, tsFlat.URL, path)
+		codeT, bodyT := fetchRaw(t, tsTiered.URL, path)
+		if codeF != codeT || string(bodyF) != string(bodyT) {
+			t.Fatalf("%s: responses diverge\nflat (%d):   %.300s\ntiered (%d): %.300s", path, codeF, bodyF, codeT, bodyT)
+		}
+	}
+	_, body := fetchRaw(t, tsTiered.URL, "/api/timeline?entity="+url.QueryEscape(string(late.Entities[0]))+"&limit=500")
+	if !strings.Contains(string(body), "late evidence") || !strings.Contains(string(body), "display text of snippet") {
+		t.Fatalf("timeline of the reactivated story lacks hydrated text: %.300s", body)
 	}
 }

@@ -16,7 +16,7 @@ func newWindowServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	s, err := New(
 		storypivot.WithRetireWindow(21*24*time.Hour),
-		storypivot.WithRetireDir(t.TempDir()))
+		storypivot.WithStorage(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,28 +13,35 @@ import (
 )
 
 // Archive is the cold-story archive: a reopenable, append-only segment
-// log (segment.go) holding the full state of retired stories — members,
-// aggregate vectors, and mutation counter. One record archives one story;
-// records written in the same retirement pass share a group ticket so
-// reactivation can restore a whole retired alignment component at once.
+// log (segment.go) holding what only retirement knows about a retired
+// story — identity, extent, mutation counter, aggregate vectors — and
+// the IDs of its member snippets, which live in the event store. One
+// record archives one story; records written in the same retirement
+// pass share a group ticket so reactivation can restore a whole retired
+// alignment component at once.
 //
 // The archive is a write-mostly structure: appends happen on every
 // retirement pass and are fsynced before the engine detaches the live
-// story (durable-before-detach — a crash can lose a retirement, never a
-// story). Reads happen only on reactivation, via ReadStory against a
-// record location, so nothing decoded stays resident. Entity and term
-// symbols are stored as strings: vocab IDs are process-local and a
-// reopened archive re-interns on decode.
+// story; the caller syncs the event store first, so the snippets a
+// record names are durable before it is (durable-before-detach — a crash
+// can lose a retirement, never a story). Reads happen only on
+// reactivation, via ReadStory against a record location, so nothing
+// decoded stays resident. Entity and term symbols are stored as strings:
+// vocab IDs are process-local and a reopened archive re-interns on
+// decode.
 //
 // An Archive is not safe for concurrent use; the retirement manager
 // serialises access behind its own lock.
 type Archive struct {
 	*segLog
-	closed bool
+	closed   bool
+	warnings []string // records cut at open
 }
 
 // archiveVersion versions the record payload (inside the storage frame).
-const archiveVersion = 1
+// A record of any other version is cut at open like any undecodable one:
+// the store holds every snippet, so a replay rebuilds what it archived.
+const archiveVersion = 2
 
 // archiveSegLimit rotates archive segments past this size.
 const archiveSegLimit = 64 << 20
@@ -75,8 +82,9 @@ type ArchivedStoryMeta struct {
 // Torn tails are truncated as in every segment log. Unlike the event
 // store, which skips a well-framed record it cannot decode, the archive
 // truncates there too: corruption the CRC cannot explain ends the
-// segment's trusted prefix.
+// segment's trusted prefix. Every cut is reported by RecoveryWarnings.
 func OpenArchive(dir string) (*Archive, []ArchivedStoryMeta, error) {
+	a := &Archive{}
 	var metas []ArchivedStoryMeta
 	log, err := openSegLog(dir, archiveSegLimit, SyncAlways, 0, func(seg int, off int64, payload []byte) error {
 		meta, err := decodeArchiveMeta(payload)
@@ -86,11 +94,23 @@ func OpenArchive(dir string) (*Archive, []ArchivedStoryMeta, error) {
 		meta.Loc = ArchiveLoc{Seg: seg, Off: off, Len: headerSize + len(payload)}
 		metas = append(metas, meta)
 		return nil
-	}, nil)
+	}, func(seg int, torn int64) {
+		if torn > 0 {
+			a.warnings = append(a.warnings, fmt.Sprintf(
+				"archive segment %d: cut %d bytes of torn or undecodable records", seg, torn))
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Archive{segLog: log}, metas, nil
+	a.segLog = log
+	return a, metas, nil
+}
+
+// RecoveryWarnings returns the records OpenArchive cut, one finding per
+// segment; empty means the archive opened clean.
+func (a *Archive) RecoveryWarnings() []string {
+	return append([]string(nil), a.warnings...)
 }
 
 // AppendGroup archives the given stories under one group ticket: all
@@ -127,10 +147,12 @@ func (a *Archive) AppendGroup(group uint64, watermark time.Time, stories []*even
 	return metas, n, nil
 }
 
-// ReadStory decodes the full archived story at loc. The returned story
+// ReadStory decodes the full archived story at loc, resolving each
+// member snippet ID through get, which returns nil for a snippet it
+// does not hold; a missing member fails the read. The returned story
 // carries its archived Gen; reactivation bumps it via BumpGen so caches
 // keyed on (story, gen) observe the transition.
-func (a *Archive) ReadStory(loc ArchiveLoc) (*event.Story, error) {
+func (a *Archive) ReadStory(loc ArchiveLoc, get func(event.SnippetID) *event.Snippet) (*event.Story, error) {
 	if a.closed {
 		return nil, ErrArchiveClosed
 	}
@@ -138,7 +160,7 @@ func (a *Archive) ReadStory(loc ArchiveLoc) (*event.Story, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading archived story: %w", err)
 	}
-	return decodeArchivedStory(payload)
+	return decodeArchivedStory(payload, get)
 }
 
 // Reset deletes every archive segment and starts fresh. The pipeline
@@ -168,11 +190,12 @@ func (a *Archive) Close() error {
 //	u8 version | u64 group | i64 watermark | u64 storyID | str source |
 //	u64 gen | i64 start | i64 end |
 //	u32 #entities (str, u32 count)... | u32 #terms (str, f64 weight)... |
-//	u32 #snippets (u32 len, snippet-encoding)...
+//	u32 #members (u64 snippetID)...
 //
 // Aggregates are stored as the already-summed values so a restore is
 // bit-identical to the archived snapshot; symbols are strings because
-// vocab IDs do not survive the process.
+// vocab IDs do not survive the process. Members are snippet IDs in
+// member order: the snippets themselves are the event store's.
 func appendArchivedStory(buf []byte, group uint64, watermark time.Time, st *event.Story) []byte {
 	buf = append(buf, archiveVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, group)
@@ -194,237 +217,145 @@ func appendArchivedStory(buf []byte, group uint64, watermark time.Time, st *even
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Snippets)))
 	for _, sn := range st.Snippets {
-		lenPos := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = event.AppendEncode(buf, sn)
-		binary.LittleEndian.PutUint32(buf[lenPos:], uint32(len(buf)-lenPos-4))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(sn.ID))
 	}
 	return buf
 }
 
-// archiveCursor walks a record payload. termStrings carries the decoded
-// term symbols from the header to the full-story decode (metadata-only
-// decodes discard it).
+// archiveCursor walks a record payload. The first read the payload
+// cannot satisfy sets err, and every later read returns zero, so a
+// decoder checks err once at the end.
 type archiveCursor struct {
-	buf         []byte
-	termStrings []string
+	buf []byte
+	err error
 }
 
 var errArchiveCorrupt = fmt.Errorf("%w: archive payload", ErrCorruptRecord)
 
-func (c *archiveCursor) u8() (byte, error) {
-	if len(c.buf) < 1 {
-		return 0, errArchiveCorrupt
+func (c *archiveCursor) take(n int) []byte {
+	if c.err == nil && n > len(c.buf) {
+		c.err = errArchiveCorrupt
 	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
-	return v, nil
-}
-
-func (c *archiveCursor) u32() (uint32, error) {
-	if len(c.buf) < 4 {
-		return 0, errArchiveCorrupt
+	if c.err != nil {
+		return nil
 	}
-	v := binary.LittleEndian.Uint32(c.buf)
-	c.buf = c.buf[4:]
-	return v, nil
-}
-
-func (c *archiveCursor) u64() (uint64, error) {
-	if len(c.buf) < 8 {
-		return 0, errArchiveCorrupt
-	}
-	v := binary.LittleEndian.Uint64(c.buf)
-	c.buf = c.buf[8:]
-	return v, nil
-}
-
-func (c *archiveCursor) str() (string, error) {
-	n, err := c.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxRecordSize || int(n) > len(c.buf) {
-		return "", errArchiveCorrupt
-	}
-	s := string(c.buf[:n])
+	b := c.buf[:n]
 	c.buf = c.buf[n:]
-	return s, nil
+	return b
 }
 
-func (c *archiveCursor) skip(n int) error {
-	if n < 0 || n > len(c.buf) {
-		return errArchiveCorrupt
+func (c *archiveCursor) u8() byte {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	c.buf = c.buf[n:]
-	return nil
+	return 0
 }
 
-// decodeArchiveHeader parses the shared prefix of a record payload up to
-// and including the aggregate vectors, leaving the cursor at the snippet
-// section. keepWeights selects whether term weights are materialised.
-func decodeArchiveHeader(c *archiveCursor) (meta ArchivedStoryMeta, entCounts []uint32, termWeights []float64, err error) {
-	v, err := c.u8()
-	if err != nil {
-		return meta, nil, nil, err
+func (c *archiveCursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	if v != archiveVersion {
-		return meta, nil, nil, fmt.Errorf("%w: unknown archive version %d", ErrCorruptRecord, v)
+	return 0
+}
+
+func (c *archiveCursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	if meta.Group, err = c.u64(); err != nil {
-		return meta, nil, nil, err
+	return 0
+}
+
+func (c *archiveCursor) str() string { return string(c.take(int(c.u32()))) }
+
+// count reads an element count that the rest of the payload must be able
+// to hold at size bytes or more per element, so a damaged count cannot
+// force a giant allocation.
+func (c *archiveCursor) count(size int) int {
+	n := int(c.u32())
+	if c.err == nil && n*size > len(c.buf) {
+		c.err = errArchiveCorrupt
 	}
-	wm, err := c.u64()
-	if err != nil {
-		return meta, nil, nil, err
+	if c.err != nil {
+		return 0
 	}
-	_ = wm // informational; not surfaced in meta
-	id, err := c.u64()
-	if err != nil {
-		return meta, nil, nil, err
+	return n
+}
+
+// memberIDs reads the member section, which ends the payload, and
+// returns its 8-byte IDs.
+func (c *archiveCursor) memberIDs() []byte {
+	ids := c.take(8 * c.count(8))
+	if c.err == nil && len(c.buf) != 0 {
+		c.err = errArchiveCorrupt
 	}
-	meta.ID = event.StoryID(id)
-	src, err := c.str()
-	if err != nil {
-		return meta, nil, nil, err
+	return ids
+}
+
+// decodeArchiveHeader parses a record payload up to and including the
+// aggregate vectors, leaving the cursor at the member section.
+func decodeArchiveHeader(c *archiveCursor) (meta ArchivedStoryMeta, entCounts []uint32, terms []string, weights []float64) {
+	if v := c.u8(); c.err == nil && v != archiveVersion {
+		c.err = fmt.Errorf("%w: unknown archive version %d", ErrCorruptRecord, v)
 	}
-	meta.Source = event.SourceID(src)
-	if meta.Gen, err = c.u64(); err != nil {
-		return meta, nil, nil, err
+	meta.Group = c.u64()
+	c.u64() // the retirement watermark: informational
+	meta.ID = event.StoryID(c.u64())
+	meta.Source = event.SourceID(c.str())
+	meta.Gen = c.u64()
+	meta.Start = time.Unix(0, int64(c.u64())).UTC()
+	meta.End = time.Unix(0, int64(c.u64())).UTC()
+	ne := c.count(8)
+	meta.Entities, entCounts = make([]string, ne), make([]uint32, ne)
+	for i := range ne {
+		meta.Entities[i], entCounts[i] = c.str(), c.u32()
 	}
-	start, err := c.u64()
-	if err != nil {
-		return meta, nil, nil, err
+	nt := c.count(12)
+	terms, weights = make([]string, nt), make([]float64, nt)
+	for i := range nt {
+		terms[i], weights[i] = c.str(), math.Float64frombits(c.u64())
 	}
-	end, err := c.u64()
-	if err != nil {
-		return meta, nil, nil, err
+	if ne == 0 {
+		meta.TopTerms = topTermsByWeight(terms, weights, archiveTopTerms)
 	}
-	meta.Start = time.Unix(0, int64(start)).UTC()
-	meta.End = time.Unix(0, int64(end)).UTC()
-	ne, err := c.u32()
-	if err != nil {
-		return meta, nil, nil, err
-	}
-	if int64(ne)*5 > int64(len(c.buf)) {
-		return meta, nil, nil, errArchiveCorrupt
-	}
-	meta.Entities = make([]string, 0, ne)
-	entCounts = make([]uint32, 0, ne)
-	for i := uint32(0); i < ne; i++ {
-		s, err := c.str()
-		if err != nil {
-			return meta, nil, nil, err
-		}
-		n, err := c.u32()
-		if err != nil {
-			return meta, nil, nil, err
-		}
-		meta.Entities = append(meta.Entities, s)
-		entCounts = append(entCounts, n)
-	}
-	nt, err := c.u32()
-	if err != nil {
-		return meta, nil, nil, err
-	}
-	if int64(nt)*12 > int64(len(c.buf)) {
-		return meta, nil, nil, errArchiveCorrupt
-	}
-	terms := make([]string, 0, nt)
-	termWeights = make([]float64, 0, nt)
-	for i := uint32(0); i < nt; i++ {
-		s, err := c.str()
-		if err != nil {
-			return meta, nil, nil, err
-		}
-		w, err := c.u64()
-		if err != nil {
-			return meta, nil, nil, err
-		}
-		terms = append(terms, s)
-		termWeights = append(termWeights, math.Float64frombits(w))
-	}
-	if len(meta.Entities) == 0 {
-		meta.TopTerms = topTermsByWeight(terms, termWeights, archiveTopTerms)
-	}
-	// The full term list rides back via closure state only when decoding
-	// the complete story; metadata keeps just the fingerprint.
-	c.termStrings = terms
-	return meta, entCounts, termWeights, nil
+	return meta, entCounts, terms, weights
 }
 
 // decodeArchiveMeta parses a record payload into resident metadata,
-// skipping over the snippet bytes.
+// checking but not keeping the member IDs.
 func decodeArchiveMeta(payload []byte) (ArchivedStoryMeta, error) {
 	c := &archiveCursor{buf: payload}
-	meta, _, _, err := decodeArchiveHeader(c)
-	if err != nil {
-		return meta, err
-	}
-	ns, err := c.u32()
-	if err != nil {
-		return meta, err
-	}
-	for i := uint32(0); i < ns; i++ {
-		n, err := c.u32()
-		if err != nil {
-			return meta, err
-		}
-		if err := c.skip(int(n)); err != nil {
-			return meta, err
-		}
-	}
-	if len(c.buf) != 0 {
-		return meta, errArchiveCorrupt
-	}
-	return meta, nil
+	meta, _, _, _ := decodeArchiveHeader(c)
+	c.memberIDs()
+	return meta, c.err
 }
 
 // decodeArchivedStory parses a record payload into a fully restored
-// story: snippets decoded through the event codec (which re-interns
-// them), aggregates re-interned and re-sorted by the current process's
-// symbol IDs with their archived values intact.
-func decodeArchivedStory(payload []byte) (*event.Story, error) {
+// story: members resolved through get, aggregates re-interned and
+// re-sorted by the current process's symbol IDs with their archived
+// values intact.
+func decodeArchivedStory(payload []byte, get func(event.SnippetID) *event.Snippet) (*event.Story, error) {
 	c := &archiveCursor{buf: payload}
-	meta, entCounts, termWeights, err := decodeArchiveHeader(c)
-	if err != nil {
-		return nil, err
+	meta, entCounts, terms, weights := decodeArchiveHeader(c)
+	ids := c.memberIDs()
+	if c.err != nil {
+		return nil, c.err
 	}
 	ents := make([]vocab.IDCount, len(meta.Entities))
 	for i, s := range meta.Entities {
 		ents[i] = vocab.IDCount{ID: vocab.Entities.ID(s), N: int32(entCounts[i])}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].ID < ents[j].ID })
-	cen := make([]vocab.IDWeight, len(c.termStrings))
-	for i, s := range c.termStrings {
-		cen[i] = vocab.IDWeight{ID: vocab.Terms.ID(s), W: termWeights[i]}
+	cen := make([]vocab.IDWeight, len(terms))
+	for i, s := range terms {
+		cen[i] = vocab.IDWeight{ID: vocab.Terms.ID(s), W: weights[i]}
 	}
 	sort.Slice(cen, func(i, j int) bool { return cen[i].ID < cen[j].ID })
-	ns, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(ns)*4 > int64(len(c.buf)) {
-		return nil, errArchiveCorrupt
-	}
-	snippets := make([]*event.Snippet, 0, ns)
-	for i := uint32(0); i < ns; i++ {
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
+	snippets := make([]*event.Snippet, len(ids)/8)
+	for i := range snippets {
+		id := event.SnippetID(binary.LittleEndian.Uint64(ids[8*i:]))
+		if snippets[i] = get(id); snippets[i] == nil {
+			return nil, fmt.Errorf("storage: archived story %d: member snippet %d is not in the store", meta.ID, id)
 		}
-		if int(n) > len(c.buf) {
-			return nil, errArchiveCorrupt
-		}
-		sn, err := event.Decode(c.buf[:n])
-		if err != nil {
-			return nil, err
-		}
-		snippets = append(snippets, sn)
-		c.buf = c.buf[n:]
-	}
-	if len(c.buf) != 0 {
-		return nil, errArchiveCorrupt
 	}
 	return event.RestoreStory(meta.ID, meta.Source, snippets, ents, cen, meta.Start, meta.End, meta.Gen), nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -28,6 +29,18 @@ func archStory(id event.StoryID, src event.SourceID, gen uint64, ents ...event.E
 		{ID: vocab.Terms.ID("inquiry"), W: 0.5},
 	}
 	return event.RestoreStory(id, src, sns, freq, cen, day(1), day(3), gen)
+}
+
+// members resolves snippet IDs to the given stories' snippets, as the
+// event store an archive record points into would.
+func members(stories ...*event.Story) func(event.SnippetID) *event.Snippet {
+	byID := make(map[event.SnippetID]*event.Snippet)
+	for _, st := range stories {
+		for _, sn := range st.Snippets {
+			byID[sn.ID] = sn
+		}
+	}
+	return func(id event.SnippetID) *event.Snippet { return byID[id] }
 }
 
 // sameStory compares the archive-visible state of two stories: identity,
@@ -90,7 +103,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 		if !m.Start.Equal(want.Start) || !m.End.Equal(want.End) {
 			t.Fatalf("meta[%d] extent [%v,%v], want [%v,%v]", i, m.Start, m.End, want.Start, want.End)
 		}
-		st, err := arch.ReadStory(m.Loc)
+		st, err := arch.ReadStory(m.Loc, members(a, b))
 		if err != nil {
 			t.Fatalf("ReadStory(%d): %v", want.ID, err)
 		}
@@ -99,7 +112,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err := arch.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := arch.ReadStory(got[0].Loc); err != ErrArchiveClosed {
+	if _, err := arch.ReadStory(got[0].Loc, members(a, b)); err != ErrArchiveClosed {
 		t.Fatalf("read after close: %v, want ErrArchiveClosed", err)
 	}
 }
@@ -136,7 +149,7 @@ func TestArchiveReopenLatestWins(t *testing.T) {
 	if metas[0].Gen != 1 || metas[1].Gen != 4 {
 		t.Fatalf("scan order gens = %d,%d, want 1,4 (oldest first)", metas[0].Gen, metas[1].Gen)
 	}
-	st, err := arch2.ReadStory(metas[1].Loc)
+	st, err := arch2.ReadStory(metas[1].Loc, members(second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +242,7 @@ func TestArchiveSegmentRotation(t *testing.T) {
 	}
 	arch.segLimit = 256 // force rotation quickly
 	var want []event.StoryID
+	var stories []*event.Story
 	locs := make(map[event.StoryID]ArchiveLoc)
 	for i := 1; i <= 20; i++ {
 		st := archStory(event.StoryID(i), "alpha", 1, "mh17", "ukraine")
@@ -237,6 +251,7 @@ func TestArchiveSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, st.ID)
+		stories = append(stories, st)
 		locs[st.ID] = metas[0].Loc
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
@@ -245,7 +260,7 @@ func TestArchiveSegmentRotation(t *testing.T) {
 	}
 	// Records in rotated-out segments stay readable.
 	for id, loc := range locs {
-		if _, err := arch.ReadStory(loc); err != nil {
+		if _, err := arch.ReadStory(loc, members(stories...)); err != nil {
 			t.Fatalf("ReadStory(%d) in seg %d: %v", id, loc.Seg, err)
 		}
 	}
@@ -394,5 +409,73 @@ func TestArchiveResetRemovesAllSegments(t *testing.T) {
 	}
 	if len(metas) != 1 || metas[0].ID != 99 {
 		t.Fatalf("post-reset reopen scanned %v, want just story 99", metas)
+	}
+}
+
+// TestArchiveRecordNamesMembers: a record carries its members' snippet
+// IDs, not their encodings, and a read fails when the store lacks one.
+func TestArchiveRecordNamesMembers(t *testing.T) {
+	arch, _, err := OpenArchive(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	st := archStory(1, "alpha", 1, "mh17")
+	for _, sn := range st.Snippets {
+		sn.Text = "a display excerpt the event store keeps"
+	}
+	metas, _, err := arch.AppendGroup(1, day(10), []*event.Story{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := arch.readAt(metas[0].Loc.Seg, metas[0].Loc.Off, metas[0].Loc.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sn := range st.Snippets {
+		if bytes.Contains(payload, event.Encode(sn)) || bytes.Contains(payload, []byte(sn.Text)) {
+			t.Fatalf("record holds a copy of snippet %d", sn.ID)
+		}
+	}
+	got, err := arch.ReadStory(metas[0].Loc, members(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStory(t, got, st)
+	partial := archStory(1, "alpha", 1, "mh17")
+	partial.Snippets = partial.Snippets[:1]
+	if _, err := arch.ReadStory(metas[0].Loc, members(partial)); err == nil {
+		t.Fatal("read succeeded with a member missing from the store")
+	}
+}
+
+// TestArchiveCutsOlderVersion: a record of another payload version is
+// undecodable, so open cuts the segment there and says so.
+func TestArchiveCutsOlderVersion(t *testing.T) {
+	dir := t.TempDir()
+	arch, _, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := appendArchivedStory(nil, 1, day(10), archStory(1, "alpha", 1, "mh17"))
+	payload[0] = 1
+	if _, _, err := arch.append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if w := arch.RecoveryWarnings(); len(w) != 0 {
+		t.Fatalf("fresh archive has warnings %v", w)
+	}
+	arch.Close()
+
+	arch2, metas, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch2.Close()
+	if len(metas) != 0 {
+		t.Fatalf("version-1 record survived open: %v", metas)
+	}
+	if w := arch2.RecoveryWarnings(); len(w) != 1 {
+		t.Fatalf("cut reported as %v, want one warning", w)
 	}
 }

@@ -600,7 +600,7 @@ func TestEngineAlignerHoldsLiveStories(t *testing.T) {
 			Dir:         t.TempDir(),
 			IdentWindow: opts.Identify.Window,
 			AlignSlack:  opts.Align.Slack,
-		})
+		}, newSnippetStore(corpus.Snippets, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,6 +640,92 @@ func TestEngineAlignerHoldsLiveStories(t *testing.T) {
 		t.Logf("%s: %d settles, %d stories retired, %d reactivated", name, check.settles, v.Retired, v.Reactivated)
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// snippetStore stands in for the event store a retirer's archive records
+// point into: it holds the snippets an engine ingests and hands out
+// copies, as the store decodes them.
+type snippetStore struct {
+	byID    map[event.SnippetID]*event.Snippet
+	syncErr error
+}
+
+func newSnippetStore(sns []*event.Snippet, syncErr error) *snippetStore {
+	s := &snippetStore{byID: make(map[event.SnippetID]*event.Snippet, len(sns)), syncErr: syncErr}
+	for _, sn := range sns {
+		s.byID[sn.ID] = sn
+	}
+	return s
+}
+
+func (s *snippetStore) Sync() error { return s.syncErr }
+
+func (s *snippetStore) Get(id event.SnippetID) *event.Snippet {
+	if sn := s.byID[id]; sn != nil {
+		return sn.Clone()
+	}
+	return nil
+}
+
+// storyMembers renders an integrated story's members and their snippets.
+func storyMembers(is *event.IntegratedStory) string {
+	var b strings.Builder
+	for _, m := range is.Members {
+		fmt.Fprintf(&b, "%s/%d:", m.Source, m.ID)
+		for _, sn := range m.Snippets {
+			fmt.Fprintf(&b, "%d,", sn.ID)
+		}
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// TestRetireStoreSyncFailureDetachesNothing: when the store an archive
+// record would point into cannot sync, Archive fails and the engine
+// keeps every story resident, so its settles publish what an engine
+// without retirement publishes.
+func TestRetireStoreSyncFailureDetachesNothing(t *testing.T) {
+	gen := datagen.DefaultConfig()
+	gen.Seed, gen.Sources, gen.Stories, gen.EventsPerStory = 1, 4, 12, 10
+	corpus := datagen.Generate(gen)
+	opts := DefaultOptions()
+	opts.AutoAlignEvery = 16
+	mgr, err := retire.Open(retire.Config{
+		Window:      10 * 24 * time.Hour,
+		Dir:         t.TempDir(),
+		IdentWindow: opts.Identify.Window,
+		AlignSlack:  opts.Align.Slack,
+	}, newSnippetStore(corpus.Snippets, errors.New("disk gone")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	e, plain := NewEngine(opts), NewEngine(opts)
+	e.SetRetirer(mgr)
+	before := metRetireArchiveErrors.Value()
+	for _, sn := range corpus.Snippets {
+		if _, err := e.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plain.Ingest(sn.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := e.Align(), plain.Align()
+	if metRetireArchiveErrors.Value() == before {
+		t.Fatal("no retirement was attempted: the test exercised nothing")
+	}
+	if v := mgr.Snapshot(); v.Retired != 0 || v.Archived != 0 || v.ArchivedBytes != 0 {
+		t.Fatalf("retired over a failing store: %+v", v)
+	}
+	if len(got.Integrated) != len(want.Integrated) {
+		t.Fatalf("%d integrated stories, want %d as without retirement", len(got.Integrated), len(want.Integrated))
+	}
+	for i := range want.Integrated {
+		if g, w := storyMembers(got.Integrated[i]), storyMembers(want.Integrated[i]); g != w {
+			t.Fatalf("integrated story %d: %s, want %s", i, g, w)
 		}
 	}
 }

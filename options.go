@@ -168,16 +168,12 @@ func ensureTier(c *config) *storage.TierOptions {
 // ID. For query results over the active window to be unchanged by
 // retirement, w must exceed both the alignment slack plus the feed's
 // event-time disorder and the identification window. 0 (the default)
-// disables retirement.
+// disables retirement. Retirement requires WithStorage: an archive
+// record names its member snippets by ID and the store holds them, so
+// the archive lives in the store directory's "archive" subdirectory and
+// New fails without a store.
 func WithRetireWindow(w time.Duration) Option {
 	return func(c *config) { c.retire.Window = w }
-}
-
-// WithRetireDir places the cold-story archive in dir. Defaults to an
-// "archive" subdirectory of the WithStorage directory; required when
-// retirement is enabled without storage.
-func WithRetireDir(dir string) Option {
-	return func(c *config) { c.retire.Dir = dir }
 }
 
 // WithRetireGrace sets how long a reactivated story is held resident

@@ -79,95 +79,24 @@ func New(opts ...Option) (*Pipeline, error) {
 		// lost.
 		return nil, fmt.Errorf("storypivot: tiered storage requires WithStorage")
 	}
+	if cfg.retire.Window > 0 && cfg.storageDir == "" {
+		// An archive record names its members by snippet ID; the store
+		// holds the snippets.
+		return nil, fmt.Errorf("storypivot: retirement requires WithStorage")
+	}
 	p := &Pipeline{
 		engine:    stream.NewEngine(cfg.stream),
 		extractor: extract.NewExtractor(cfg.gazetteer),
 		kb:        cfg.kb,
 	}
 	p.stripText = cfg.storageOpt.Tier != nil
-	if cfg.retire.Window > 0 {
-		if cfg.retire.Dir == "" {
-			if cfg.storageDir == "" {
-				return nil, fmt.Errorf("storypivot: retirement requires WithRetireDir or WithStorage")
-			}
-			cfg.retire.Dir = filepath.Join(cfg.storageDir, "archive")
-		}
-		// The reactivation policy mirrors the matching policies it stands
-		// in for: ω for same-source evidence, alignment slack across
-		// sources.
-		cfg.retire.IdentWindow = cfg.stream.Identify.Window
-		cfg.retire.AlignSlack = cfg.stream.Align.Slack
-		mgr, err := retire.Open(cfg.retire)
-		if err != nil {
-			return nil, fmt.Errorf("storypivot: opening archive: %w", err)
-		}
-		p.retire = mgr
-	}
 	if cfg.storageDir != "" {
-		st, err := storage.Open(cfg.storageDir, cfg.storageOpt)
-		if err != nil {
-			return nil, fmt.Errorf("storypivot: opening store: %w", err)
+		if err := p.open(cfg); err != nil {
+			p.release()
+			return nil, err
 		}
-		p.store = st
-		p.checkpointPath = filepath.Join(cfg.storageDir, "checkpoint.json")
-		p.warnings = append(p.warnings, st.RecoveryWarnings()...)
-		all := st.All()
-		for _, sn := range all {
-			p.stripForEngine(sn) // the decoded copies are ours
-		}
-
-		// Fast path: a valid checkpoint rebuilds identification state in
-		// O(n) map inserts. Any inconsistency (stale, corrupt, missing)
-		// falls back to full replay — the checkpoint is an optimisation,
-		// never a source of truth. A checkpoint that *exists* but fails
-		// to restore is surfaced: it usually means the store and the
-		// checkpoint diverged (partial corruption, manual edits), and
-		// silent replay would hide that signal.
-		engine, err := p.tryRestore(cfg.stream, all)
-		if err == nil {
-			p.engine = engine
-		} else {
-			if !errors.Is(err, errNoCheckpoint) {
-				metRestoreFallbacks.Inc()
-				p.warnings = append(p.warnings, fmt.Sprintf(
-					"checkpoint restore failed (%v); replaying %d snippets", err, len(all)))
-			}
-			if p.retire != nil {
-				// Replay rebuilds every story resident, so whatever the
-				// archive holds is stale by construction. Attaching the
-				// retirer before the loop keeps the replay itself
-				// memory-bounded: cold stories re-retire as the replayed
-				// clock advances.
-				if rerr := p.retire.Reset(); rerr != nil {
-					st.Close()
-					return nil, fmt.Errorf("storypivot: resetting archive: %w", rerr)
-				}
-				p.engine.SetRetirer(p.retire)
-			}
-			metReplayFallbackSnippets.Add(uint64(len(all)))
-			for _, sn := range all {
-				if _, err := p.engine.Ingest(sn); err != nil && !errors.Is(err, stream.ErrDuplicate) {
-					st.Close()
-					return nil, fmt.Errorf("storypivot: replaying snippet %d: %w", sn.ID, err)
-				}
-			}
-		}
-		maxID := SnippetID(0)
-		for _, sn := range all {
-			if sn.ID > maxID {
-				maxID = sn.ID
-			}
-		}
-		p.extractor.SetNextID(uint64(maxID))
 	}
 	if p.retire != nil {
-		if cfg.storageDir == "" {
-			// Without a persistent store there is nothing to replay a
-			// stale archive against; start it empty.
-			if err := p.retire.Reset(); err != nil {
-				return nil, fmt.Errorf("storypivot: resetting archive: %w", err)
-			}
-		}
 		p.engine.SetRetirer(p.retire)
 	}
 	// The query index attaches after the engine is final (restore may
@@ -176,6 +105,81 @@ func New(opts ...Option) (*Pipeline, error) {
 	p.index = index.New(index.Options{})
 	p.engine.SetResultSink(p.index)
 	return p, nil
+}
+
+// open opens the store in cfg.storageDir and, with retirement, the
+// archive under it, then rebuilds identification state from the store:
+// a checkpoint restore, or a replay. On error the caller releases what
+// open opened.
+func (p *Pipeline) open(cfg *config) error {
+	st, err := storage.Open(cfg.storageDir, cfg.storageOpt)
+	if err != nil {
+		return fmt.Errorf("storypivot: opening store: %w", err)
+	}
+	p.store = st
+	p.checkpointPath = filepath.Join(cfg.storageDir, "checkpoint.json")
+	p.warnings = append(p.warnings, st.RecoveryWarnings()...)
+	if cfg.retire.Window > 0 {
+		cfg.retire.Dir = filepath.Join(cfg.storageDir, "archive")
+		// The reactivation policy mirrors the matching policies it stands
+		// in for: ω for same-source evidence, alignment slack across
+		// sources.
+		cfg.retire.IdentWindow = cfg.stream.Identify.Window
+		cfg.retire.AlignSlack = cfg.stream.Align.Slack
+		mgr, err := retire.Open(cfg.retire, engineStore{st, p})
+		if err != nil {
+			return fmt.Errorf("storypivot: opening archive: %w", err)
+		}
+		p.retire = mgr
+		p.warnings = append(p.warnings, mgr.RecoveryWarnings()...)
+	}
+	all := st.All()
+	for _, sn := range all {
+		p.stripForEngine(sn) // the decoded copies are ours
+	}
+
+	// Fast path: a valid checkpoint rebuilds identification state in
+	// O(n) map inserts. Any inconsistency (stale, corrupt, missing)
+	// falls back to full replay — the checkpoint is an optimisation,
+	// never a source of truth. A checkpoint that *exists* but fails
+	// to restore is surfaced: it usually means the store and the
+	// checkpoint diverged (partial corruption, manual edits), and
+	// silent replay would hide that signal.
+	engine, err := p.tryRestore(cfg.stream, all)
+	if err == nil {
+		p.engine = engine
+	} else {
+		if !errors.Is(err, errNoCheckpoint) {
+			metRestoreFallbacks.Inc()
+			p.warnings = append(p.warnings, fmt.Sprintf(
+				"checkpoint restore failed (%v); replaying %d snippets", err, len(all)))
+		}
+		if p.retire != nil {
+			// Replay rebuilds every story resident, so whatever the
+			// archive holds is stale by construction. Attaching the
+			// retirer before the loop keeps the replay itself
+			// memory-bounded: cold stories re-retire as the replayed
+			// clock advances.
+			if err := p.retire.Reset(); err != nil {
+				return fmt.Errorf("storypivot: resetting archive: %w", err)
+			}
+			p.engine.SetRetirer(p.retire)
+		}
+		metReplayFallbackSnippets.Add(uint64(len(all)))
+		for _, sn := range all {
+			if _, err := p.engine.Ingest(sn); err != nil && !errors.Is(err, stream.ErrDuplicate) {
+				return fmt.Errorf("storypivot: replaying snippet %d: %w", sn.ID, err)
+			}
+		}
+	}
+	maxID := SnippetID(0)
+	for _, sn := range all {
+		if sn.ID > maxID {
+			maxID = sn.ID
+		}
+	}
+	p.extractor.SetNextID(uint64(maxID))
+	return nil
 }
 
 // Index exposes the query-serving index (size stats, publish epoch).
@@ -349,6 +353,21 @@ func (p *Pipeline) stripForEngine(sn *Snippet) {
 	}
 }
 
+// engineStore is the store as retirement reads it: archived members
+// come back as the engine holds them (stripForEngine).
+type engineStore struct {
+	*storage.Store
+	p *Pipeline
+}
+
+func (s engineStore) Get(id SnippetID) *Snippet {
+	sn := s.Store.Get(id)
+	if sn != nil {
+		s.p.stripForEngine(sn) // Get decodes a fresh copy
+	}
+	return sn
+}
+
 // IngestAll ingests a batch, skipping snippets that fail, and returns the
 // number accepted.
 func (p *Pipeline) IngestAll(snippets []*Snippet) int {
@@ -467,12 +486,17 @@ func (p *Pipeline) Close() error {
 		return ErrClosed
 	}
 	p.closed = true
+	return p.release()
+}
+
+// release closes the archive and the store, whichever are open.
+func (p *Pipeline) release() error {
 	var err error
-	if p.store != nil {
-		err = p.store.Close()
-	}
 	if p.retire != nil {
-		if cerr := p.retire.Close(); err == nil {
+		err = p.retire.Close()
+	}
+	if p.store != nil {
+		if cerr := p.store.Close(); err == nil {
 			err = cerr
 		}
 	}

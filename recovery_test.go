@@ -1,8 +1,13 @@
 package storypivot
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -306,5 +311,184 @@ func TestRecoveryArchiveReconcile(t *testing.T) {
 	}
 	if got := p2.StoryOf("alpha", 9001); got == 999999 {
 		t.Fatal("stale archive record reactivated after reconcile")
+	}
+}
+
+// downgradeArchive rewrites every record of the archive in dir with
+// payload version 1, the layout whose records carried snippet copies,
+// re-framing each so that only the payload version is foreign.
+func downgradeArchive(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no archive segments in %s (%v)", dir, err)
+	}
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	const header = 13 // u32 magic | u8 version | u32 length | u32 crc
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off+header <= len(data); {
+			n := int(binary.LittleEndian.Uint32(data[off+5:]))
+			payload := data[off+header : off+header+n]
+			payload[0] = 1
+			binary.LittleEndian.PutUint32(data[off+9:], crc32.Checksum(payload, crc))
+			off += header + n
+		}
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// copyStore copies the event store in src to dst without its checkpoint
+// and archive, so a pipeline over dst replays every snippet.
+func copyStore(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		switch {
+		case rel == "archive" || rel == "checkpoint.json":
+			if d.IsDir() {
+				return filepath.SkipDir
+			}
+			return nil
+		case d.IsDir():
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryArchiveOlderVersion: an archive written in the older
+// record layout is cut at open, the checkpoint that calls its stories
+// archived then fails to restore, and New replays the store, which
+// holds every snippet. Both findings reach RecoveryWarnings, and the
+// pipeline answers exactly as a fresh replay of the same store does.
+func TestRecoveryArchiveOlderVersion(t *testing.T) {
+	dir := t.TempDir()
+	corpus := datagen.Generate(experiments.CorpusScale(600, 4, 17))
+	p, err := New(retireRecoveryOpts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sn := range corpus.Snippets {
+		if err := p.Ingest(sn); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%50 == 0 {
+			p.Result()
+		}
+	}
+	p.Result()
+	if p.Retire().Snapshot().Archived == 0 {
+		t.Fatal("setup: nothing archived before the checkpoint")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	downgradeArchive(t, filepath.Join(dir, "archive"))
+	fresh := t.TempDir()
+	copyStore(t, dir, fresh)
+
+	p2, err := New(retireRecoveryOpts(dir)...)
+	if err != nil {
+		t.Fatalf("reopen over an older archive broke New: %v", err)
+	}
+	defer p2.Close()
+	warns := strings.Join(p2.RecoveryWarnings(), "\n")
+	if !strings.Contains(warns, "archive segment") || !strings.Contains(warns, "checkpoint restore failed") {
+		t.Fatalf("warnings = %q, want the archive cut and the checkpoint fallback", warns)
+	}
+	p3, err := New(retireRecoveryOpts(fresh)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	if w := p3.RecoveryWarnings(); len(w) != 0 {
+		t.Fatalf("fresh replay warned: %v", w)
+	}
+	p2.Result()
+	p3.Result()
+	if got, want := p2.Retire().Snapshot().Archived, p3.Retire().Snapshot().Archived; got != want || want == 0 {
+		t.Fatalf("%d stories archived after the cut, %d after a fresh replay", got, want)
+	}
+	for _, e := range panelEntities(corpus, 8) {
+		got, _ := p2.StoriesByEntityN(e, 0, -1)
+		want, _ := p3.StoriesByEntityN(e, 0, -1)
+		if g, w := storyKeys(got), storyKeys(want); !slices.Equal(g, w) {
+			t.Fatalf("StoriesByEntity(%s) = %v, fresh replay %v", e, g, w)
+		}
+		gotTL, _ := p2.TimelineN(e, 0, -1)
+		wantTL, _ := p3.TimelineN(e, 0, -1)
+		if g, w := snippetIDs(gotTL), snippetIDs(wantTL); !slices.Equal(g, w) {
+			t.Fatalf("Timeline(%s) = %v, fresh replay %v", e, g, w)
+		}
+	}
+	for _, q := range panelQueries(corpus, 6) {
+		got, _ := p2.SearchN(q, 0, -1)
+		want, _ := p3.SearchN(q, 0, -1)
+		if g, w := storyKeys(got), storyKeys(want); !slices.Equal(g, w) {
+			t.Fatalf("Search(%q) = %v, fresh replay %v", q, g, w)
+		}
+	}
+}
+
+func storyKeys(in []*IntegratedStory) []string {
+	out := make([]string, len(in))
+	for i, is := range in {
+		out[i] = storyKey(is)
+	}
+	return out
+}
+
+// TestNewClosesWhatItOpenedOnError: every error return of New closes
+// what it opened before it — here the store, when the archive under it
+// cannot open, and nothing when the store itself cannot.
+func TestNewClosesWhatItOpenedOnError(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts the descriptors in /proc/self/fd")
+	}
+	archiveFile := t.TempDir()
+	if err := os.WriteFile(filepath.Join(archiveFile, "archive"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	storeFile := filepath.Join(t.TempDir(), "store")
+	if err := os.WriteFile(storeFile, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	attempt := func() {
+		for _, dir := range []string{archiveFile, storeFile} {
+			if _, err := New(WithStorage(dir), WithRetireWindow(21*24*time.Hour)); err == nil {
+				t.Fatalf("New over %s succeeded", dir)
+			}
+		}
+	}
+	attempt() // the first failure may open the runtime's own descriptors
+	before := fds()
+	for i := 0; i < 5; i++ {
+		attempt()
+	}
+	if after := fds(); after != before {
+		t.Fatalf("5 failed opens left %d descriptors open", after-before)
 	}
 }

@@ -3,6 +3,7 @@ package storypivot
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/retire"
+	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
@@ -60,7 +62,7 @@ func TestRetireDifferential(t *testing.T) {
 			defer pOff.Close()
 			pOn, err := New(append(retireDiffOpts(),
 				WithRetireWindow(retireDiffWindow),
-				WithRetireDir(t.TempDir()))...)
+				WithStorage(t.TempDir()))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +233,7 @@ func TestRetireReactivation(t *testing.T) {
 	t0 := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
 	p, err := New(append(retireDiffOpts(),
 		WithRetireWindow(window),
-		WithRetireDir(t.TempDir()),
+		WithStorage(t.TempDir()),
 		WithRetireGrace(time.Hour))...)
 	if err != nil {
 		t.Fatal(err)
@@ -300,16 +302,16 @@ func TestRetireReactivation(t *testing.T) {
 }
 
 // TestRejectedIngestKeepsReactivatedVisible redelivers a snippet of a
-// retired story. The redelivery fingerprints to the archived story, so
-// Ingest adopts it back before it finds the snippet already assigned
-// and refuses it as a duplicate. The adopted story must still reach the
+// retired story to the engine. The redelivery fingerprints to the
+// archived story, so Ingest adopts it back before it finds the snippet
+// already assigned and refuses it as a duplicate. The adopted story must still reach the
 // next settle: afterwards every story is either served or archived.
 func TestRejectedIngestKeepsReactivatedVisible(t *testing.T) {
 	const window = 21 * 24 * time.Hour
 	t0 := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
 	p, err := New(append(retireDiffOpts(),
 		WithRetireWindow(window),
-		WithRetireDir(t.TempDir()),
+		WithStorage(t.TempDir()),
 		WithRetireGrace(time.Hour))...)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +332,15 @@ func TestRejectedIngestKeepsReactivatedVisible(t *testing.T) {
 		t.Fatalf("setup: story %d never retired: %+v", target, p.Retire().Snapshot())
 	}
 
-	if err := p.Ingest(kepler(1)); !errors.Is(err, stream.ErrDuplicate) {
+	// The store refuses a redelivery before the engine sees it, so it
+	// reactivates nothing; the engine's own refusal is driven directly.
+	if err := p.Ingest(kepler(1)); !errors.Is(err, storage.ErrDuplicate) {
+		t.Fatalf("redelivery through the store: err = %v, want storage.ErrDuplicate", err)
+	}
+	if p.Retire().Snapshot().Reactivated != 0 {
+		t.Fatal("a redelivery the store refused reactivated a story")
+	}
+	if _, err := p.Engine().Ingest(kepler(1)); !errors.Is(err, stream.ErrDuplicate) {
 		t.Fatalf("redelivery of a retired snippet: err = %v, want ErrDuplicate", err)
 	}
 	if p.Retire().Snapshot().Reactivated == 0 {
@@ -355,6 +365,15 @@ func TestRejectedIngestKeepsReactivatedVisible(t *testing.T) {
 	}
 }
 
+// TestRetireRequiresStorage: an archive record names its members by
+// snippet ID, so retirement without a store is refused up front.
+func TestRetireRequiresStorage(t *testing.T) {
+	_, err := New(WithRetireWindow(21 * 24 * time.Hour))
+	if err == nil || !strings.Contains(err.Error(), "WithStorage") {
+		t.Fatalf("New(WithRetireWindow) without a store: err = %v, want one naming WithStorage", err)
+	}
+}
+
 // TestRetireBoundedResident is the compressed-clock soak: a long
 // stream of short-lived stories flows through two pipelines. With the
 // window on, the resident story count must stay flat (bounded by the
@@ -367,7 +386,7 @@ func TestRetireBoundedResident(t *testing.T) {
 	cfg.MeanStoryLife = 5 * 24 * time.Hour
 	corpus := datagen.Generate(cfg)
 
-	pOn, err := New(WithRetireWindow(window), WithRetireDir(t.TempDir()))
+	pOn, err := New(WithRetireWindow(window), WithStorage(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +441,7 @@ func TestRetireBoundedResident(t *testing.T) {
 func TestRetireIngestRace(t *testing.T) {
 	corpus := datagen.Generate(experiments.CorpusScale(800, 4, 13))
 	p, err := New(WithRetireWindow(10*24*time.Hour),
-		WithRetireDir(t.TempDir()),
+		WithStorage(t.TempDir()),
 		WithAutoAlign(25))
 	if err != nil {
 		t.Fatal(err)

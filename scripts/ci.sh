@@ -170,11 +170,18 @@ gate "cluster scatter-gather" \
 # kill-during-retire restart must reconcile the archive against the
 # checkpoint, and the retire/reactivate/ingest/rebase interleaving must
 # survive the race detector. A story that a refused redelivery
-# reactivated must still be served after the next settle.
+# reactivated must still be served after the next settle. Archive
+# records point into the store: retirement needs WithStorage, a store
+# that cannot sync detaches nothing, an older archive is cut at open
+# and replayed from the store with a warning, New's error paths close
+# what they opened, and a tiered pipeline's retire → reactivate round
+# trip answers byte for byte as an untiered one.
 gate "story retirement" \
   TestRetireDifferential 'TestRetireReactivation*' TestRejectedIngestKeepsReactivatedVisible \
-  TestRetireBoundedResident TestRetireIngestRace \
+  TestRetireBoundedResident TestRetireIngestRace TestRetireRequiresStorage \
   TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
+  TestRecoveryArchiveOlderVersion TestNewClosesWhatItOpenedOnError \
+  TestRetireStoreSyncFailureDetachesNothing TestTieredRetirementRoundTrip \
   'TestArchive*' 'TestWindowEndpoint*'
 
 # Storage-log gate: the framed log under the event store, DLQ, archive
