@@ -314,11 +314,11 @@ func (rt *Router) handleRanked(w http.ResponseWriter, r *http.Request, path, par
 		ranked = append(ranked, page)
 	}
 	merged := index.MergeRanked(ranked, k)
-	var results [][]byte
+	var results []*json.RawMessage
 	if offset < len(merged) {
-		results = make([][]byte, 0, len(merged)-offset)
+		results = make([]*json.RawMessage, 0, len(merged)-offset)
 		for _, m := range merged[offset:] {
-			results = append(results, pages[m.Shard].Results[m.Pos].Bytes)
+			results = append(results, (*json.RawMessage)(&pages[m.Shard].Results[m.Pos].Bytes))
 		}
 	}
 	if partial {
@@ -395,11 +395,11 @@ func (rt *Router) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return cmp.Compare(a.ID, b.ID)
 	})
 	all = all[:min(len(all), k)]
-	var results [][]byte
+	var results []*json.RawMessage
 	if offset < len(all) {
-		results = make([][]byte, 0, len(all)-offset)
+		results = make([]*json.RawMessage, 0, len(all)-offset)
 		for _, res := range all[offset:] {
-			results = append(results, res.Bytes)
+			results = append(results, (*json.RawMessage)(&res.Bytes))
 		}
 	}
 	if partial {

@@ -3,8 +3,10 @@ package httpx
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"sync"
 
@@ -15,9 +17,12 @@ import (
 // (internal/server) and the router's (internal/cluster). One copy, so a
 // sharded deployment's merged response is byte-identical to a single
 // node's by construction: same indent, same error shape, same page
-// clamping. The encoder renders every body; WritePage, beside it, is the
-// router's paged envelope written in the encoder's layout around result
-// bytes the workers' encoders already rendered.
+// clamping. The paged query envelopes, the worker's (EncodePage) and the
+// router's (WritePage), come from one hand-written envelope writer that
+// lays the page out as the encoder would and splices in results already
+// rendered in that layout: the worker's memoised fragments, and the
+// bytes a router cuts from the workers' pages. The encoder renders every
+// other body.
 
 // Response-path instrumentation; request counting and latency live in
 // Instrument.
@@ -84,16 +89,17 @@ func (e *encoder) release() {
 }
 
 // EncodeJSON renders v exactly as WriteJSON would send it: two-space
-// indent, HTML escaping, trailing newline. Split out so a cache can store
-// the encoded bytes and later serve them — or a 304 — without re-running
-// the encoder. It encodes through a pooled encoder and returns one
-// exact-size copy that the caller owns; nothing of it aliases the pool.
-// Embedded RawMessage values may arrive compact, as the worker's
-// pre-encoded story and snippet fragments do. The one indent pass
-// re-tokenises them like the rest of the body, so a fragment comes out
-// byte for byte as the struct it was encoded from would. An encoding
-// failure is counted and answered with a clean 500 before any byte of a
-// half-written 200 exists; ok is then false.
+// indent, HTML escaping, trailing newline. No handler calls it: the paged
+// envelopes come from EncodePage and WritePage, every other body from
+// WriteJSON. It is the reference those envelope writers are held
+// byte-equal to, over the equivalent struct pages. It encodes through a
+// pooled encoder and returns one exact-size copy that the caller owns;
+// nothing of it aliases the pool. Embedded RawMessage values are
+// compacted and re-indented like the rest of the body, whatever layout
+// they arrive in, so a fragment comes out byte for byte as the struct it
+// was encoded from would. An encoding failure is counted and answered
+// with a clean 500 before any byte of a half-written 200 exists; ok is
+// then false.
 func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
 	e, ok := encode(w, v)
 	if !ok {
@@ -105,59 +111,144 @@ func EncodeJSON(w http.ResponseWriter, v any) (body []byte, ok bool) {
 	return body, true
 }
 
-// WritePage answers 200 with the paged envelope
-// {"total", "offset", "limit", "results", ["partial"]} laid out exactly
+// EncodePage renders the paged envelope of a worker's query endpoints,
+// {"total", "offset", "limit", "results", ["scores"]}, laid out exactly
 // as the encoder lays out the equivalent struct (Results
-// []json.RawMessage, Partial bool with omitempty). Each result is spliced
-// in verbatim, so it must already be in the encoder's layout at the
-// results' depth: the bytes of one element of "results" in a body this
-// package encoded, which is what a router holds after reading the
-// workers' pages.
-func WritePage(w http.ResponseWriter, total, offset, limit int, results [][]byte, partial bool) {
-	WriteBody(w, http.StatusOK, encodePage(total, offset, limit, results, partial))
+// []json.RawMessage, Scores []float64 with omitempty). Each result is
+// spliced in verbatim, so it must already be in the encoder's layout at
+// the results' depth: json.MarshalIndent(v, "    ", "  "), which is how
+// the worker memoises its story and snippet fragments. The body is one
+// exact-size buffer the caller owns, so a cache can keep it without
+// spare capacity. A score the encoder refuses (NaN, ±Inf) is counted and
+// answered with a clean 500, as EncodeJSON answers it; ok is then false.
+func EncodePage(w http.ResponseWriter, total, offset, limit int, results []*json.RawMessage, scores []float64) (body []byte, ok bool) {
+	body, err := encodePage(total, offset, limit, results, scores, false)
+	if err != nil {
+		EncodeError(w, err)
+		return nil, false
+	}
+	return body, true
 }
 
-// encodePage renders WritePage's body into one buffer, allocated once
-// at an upper bound of its size.
-func encodePage(total, offset, limit int, results [][]byte, partial bool) []byte {
-	const (
-		head    = "{\n  \"total\": "
-		elem    = "\n    " // a result's line start, after the comma that ends the one before
-		tail    = "\n  ]"
-		partTag = ",\n  \"partial\": true"
-		// the fixed bytes, the three ints at their widest, and the
-		// trailing "\n}\n"
-		fixed = len(head) + len(",\n  \"offset\": ") + len(",\n  \"limit\": ") +
-			len(",\n  \"results\": [") + len(tail) + len(partTag) + 3*20 + 3
-	)
-	size := fixed
+// WritePage answers 200 with the router's paged envelope
+// {"total", "offset", "limit", "results", ["partial"]} laid out as the
+// encoder lays out the equivalent struct (Partial bool with omitempty).
+// The results are what a router holds after reading the workers' pages:
+// the bytes of elements of "results" in bodies EncodePage wrote, so they
+// arrive in the layout EncodePage splices.
+func WritePage(w http.ResponseWriter, total, offset, limit int, results []*json.RawMessage, partial bool) {
+	body, _ := encodePage(total, offset, limit, results, nil, partial) // only a score can fail
+	WriteBody(w, http.StatusOK, body)
+}
+
+// The fixed bytes of a page, in the encoder's layout.
+const (
+	pageHead    = "{\n  \"total\": "
+	pageOffset  = ",\n  \"offset\": "
+	pageLimit   = ",\n  \"limit\": "
+	pageResults = ",\n  \"results\": ["
+	pageScores  = ",\n  \"scores\": ["
+	pageElem    = "\n    " // an element's line start, after the comma that ends the one before
+	pageClose   = "\n  ]"
+	pagePartial = ",\n  \"partial\": true"
+	pageTail    = "\n}\n"
+)
+
+// encodePage renders a page into one buffer of exact size: a first pass
+// measures every number, the second writes them. The only failure is a
+// score the encoder refuses.
+func encodePage(total, offset, limit int, results []*json.RawMessage, scores []float64, partial bool) ([]byte, error) {
+	var num [32]byte
+	size := len(pageHead) + len(pageOffset) + len(pageLimit) + len(pageResults) + len(pageTail) +
+		len(strconv.AppendInt(num[:0], int64(total), 10)) +
+		len(strconv.AppendInt(num[:0], int64(offset), 10)) +
+		len(strconv.AppendInt(num[:0], int64(limit), 10)) +
+		arrayLen(len(results))
 	for _, r := range results {
-		size += len(",") + len(elem) + len(r)
+		size += len(*r)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, head...)
-	b = strconv.AppendInt(b, int64(total), 10)
-	b = append(b, ",\n  \"offset\": "...)
-	b = strconv.AppendInt(b, int64(offset), 10)
-	b = append(b, ",\n  \"limit\": "...)
-	b = strconv.AppendInt(b, int64(limit), 10)
-	b = append(b, ",\n  \"results\": ["...)
-	for i, r := range results {
-		if i > 0 {
-			b = append(b, ',')
+	if len(scores) > 0 {
+		size += len(pageScores) + arrayLen(len(scores))
+		for _, f := range scores {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			}
+			size += len(appendFloat(num[:0], f))
 		}
-		b = append(b, elem...)
-		b = append(b, r...)
-	}
-	if len(results) > 0 {
-		b = append(b, tail...)
-	} else {
-		b = append(b, ']')
 	}
 	if partial {
-		b = append(b, partTag...)
+		size += len(pagePartial)
 	}
-	return append(b, "\n}\n"...)
+	b := make([]byte, 0, size)
+	b = append(b, pageHead...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, pageOffset...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	b = append(b, pageLimit...)
+	b = strconv.AppendInt(b, int64(limit), 10)
+	b = append(b, pageResults...)
+	for i, r := range results {
+		b = appendElemStart(b, i)
+		b = append(b, *r...)
+	}
+	b = appendArrayEnd(b, len(results))
+	if len(scores) > 0 {
+		b = append(b, pageScores...)
+		for i, f := range scores {
+			b = appendElemStart(b, i)
+			b = appendFloat(b, f)
+		}
+		b = appendArrayEnd(b, len(scores))
+	}
+	if partial {
+		b = append(b, pagePartial...)
+	}
+	return append(b, pageTail...), nil
+}
+
+// arrayLen is the length of an indented array's punctuation and line
+// starts, after its opening bracket, for n elements: what
+// appendElemStart and appendArrayEnd write.
+func arrayLen(n int) int {
+	if n == 0 {
+		return len("]")
+	}
+	return n*len(pageElem) + (n - 1) + len(pageClose)
+}
+
+// appendElemStart starts element i of an indented array.
+func appendElemStart(b []byte, i int) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	return append(b, pageElem...)
+}
+
+// appendArrayEnd closes an indented array of n elements.
+func appendArrayEnd(b []byte, n int) []byte {
+	if n > 0 {
+		return append(b, pageClose...)
+	}
+	return append(b, ']')
+}
+
+// appendFloat appends a finite f as encoding/json writes a float64: the
+// shortest representation that round-trips, in exponent form below 1e-6
+// and from 1e21 up, with a two-digit negative exponent cut to one.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 to e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // EncodeError counts a response whose JSON encoding failed and answers it

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // freshJSON is the oracle the pooled encoder must match: a new indenting
@@ -187,70 +188,197 @@ func TestPooledEncodeConcurrent(t *testing.T) {
 	}
 }
 
-// TestWritePageMatchesEncoder: WritePage's body equals EncodeJSON of the
-// equivalent struct page, whose results the encoder re-indents, for
-// results rendered in the encoder's layout at the results' depth (as a
-// router holds them, cut from a worker's body); and rendering a page
-// allocates once, whatever the number of results.
+// pageStruct is the struct page the hand-written envelope must match: a
+// router's page (Partial) or a worker's (Scores), never both at once.
+type pageStruct struct {
+	Total   int               `json:"total"`
+	Offset  int               `json:"offset"`
+	Limit   int               `json:"limit"`
+	Results []json.RawMessage `json:"results"`
+	Scores  []float64         `json:"scores,omitempty"`
+	Partial bool              `json:"partial,omitempty"`
+}
+
+// atDepth renders v as the encoder lays out an element of "results".
+func atDepth(t testing.TB, v any) *json.RawMessage {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "    ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (*json.RawMessage)(&b)
+}
+
+// TestWritePageMatchesEncoder: the envelope writer's body equals
+// EncodeJSON of the equivalent struct page, whose results the encoder
+// re-indents, for results rendered in the encoder's layout at the
+// results' depth (as a worker memoises them and a router cuts them from
+// a worker's body). Router pages (WritePage, with and without partial)
+// and worker pages (EncodePage, scored in the encoder's float format
+// and unscored) alike; every body is one allocation of exact size,
+// whatever the number of results and scores.
 func TestWritePageMatchesEncoder(t *testing.T) {
-	type page struct {
-		Total   int               `json:"total"`
-		Offset  int               `json:"offset"`
-		Limit   int               `json:"limit"`
-		Results []json.RawMessage `json:"results"`
-		Partial bool              `json:"partial,omitempty"`
-	}
-	// atDepth renders v as the encoder lays out an element of "results".
-	atDepth := func(v any) []byte {
-		b, err := json.MarshalIndent(v, "    ", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	story := map[string]any{
 		"id": 7, "title": "MH17 <crash> & \"aftermath\"\u2028", "sources": []string{"nyt", "wsj"},
 		"members": []any{map[string]any{"id": 1, "entities": []any{}}, []int{1, 2}}, "extent": nil,
 	}
-	var many [][]byte
+	var many []*json.RawMessage
 	for i := 0; i < 100; i++ {
-		many = append(many, atDepth(map[string]any{"id": i, "text": fmt.Sprint("snippet ", i, " Zürich")}))
+		many = append(many, atDepth(t, map[string]any{"id": i, "text": fmt.Sprint("snippet ", i, " Zürich")}))
 	}
-	for _, tc := range []struct {
+	pages := []struct {
 		name                 string
 		total, offset, limit int
-		results              [][]byte
+		results              []*json.RawMessage
 	}{
 		{"zero results", 0, 0, 10, nil},
-		{"zero results past the end", 12, 100000, 5, [][]byte{}},
-		{"one result", 1, 0, 10, [][]byte{atDepth(story)}},
-		{"scalar results", 3, 1, 3, [][]byte{atDepth(1.5), atDepth("x<y>"), atDepth(nil)}},
+		{"zero results past the end", 12, 100000, 5, []*json.RawMessage{}},
+		{"one result", 1, 0, 10, []*json.RawMessage{atDepth(t, story)}},
+		{"scalar results", 3, 1, 3, []*json.RawMessage{atDepth(t, 1.5), atDepth(t, "x<y>"), atDepth(t, nil)}},
 		{"many results", 1 << 20, 40, 100, many},
-		{"max ints", math.MaxInt, math.MaxInt, math.MaxInt, [][]byte{atDepth(story)}},
-	} {
-		for _, partial := range []bool{false, true} {
-			raws := make([]json.RawMessage, 0, len(tc.results))
-			for _, r := range tc.results {
-				raws = append(raws, r)
-			}
-			want, ok := EncodeJSON(httptest.NewRecorder(), page{tc.total, tc.offset, tc.limit, raws, partial})
-			if !ok {
-				t.Fatal("encode failed")
-			}
-			rec := httptest.NewRecorder()
-			WritePage(rec, tc.total, tc.offset, tc.limit, tc.results, partial)
-			if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
-				t.Fatalf("%s partial=%v: status %d, Content-Length %s, want 200, %d",
-					tc.name, partial, rec.Code, rec.Header().Get("Content-Length"), len(want))
-			}
-			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
-				t.Fatalf("%s partial=%v:\n%s\nencoder:\n%s", tc.name, partial, got, want)
-			}
+		{"max ints", math.MaxInt, math.MaxInt, math.MaxInt, []*json.RawMessage{atDepth(t, story)}},
+		{"negative ints", -1, math.MinInt, -10, []*json.RawMessage{atDepth(t, story)}},
+	}
+	// check compares a written body with the encoder's body for want.
+	check := func(t *testing.T, name string, body []byte, want pageStruct) {
+		t.Helper()
+		enc, ok := EncodeJSON(httptest.NewRecorder(), want)
+		if !ok {
+			t.Fatalf("%s: encode failed", name)
+		}
+		if !bytes.Equal(body, enc) {
+			t.Fatalf("%s:\n%s\nencoder:\n%s", name, body, enc)
+		}
+		if cap(body) != len(body) {
+			t.Fatalf("%s: body of %d bytes has capacity %d, want exact size", name, len(body), cap(body))
 		}
 	}
+	derefAll := func(rs []*json.RawMessage) []json.RawMessage {
+		out := make([]json.RawMessage, 0, len(rs))
+		for _, r := range rs {
+			out = append(out, *r)
+		}
+		return out
+	}
+
+	t.Run("unscored", func(t *testing.T) {
+		for _, tc := range pages {
+			for _, partial := range []bool{false, true} {
+				name := fmt.Sprintf("%s partial=%v", tc.name, partial)
+				want := pageStruct{Total: tc.total, Offset: tc.offset, Limit: tc.limit, Results: derefAll(tc.results), Partial: partial}
+				body, err := encodePage(tc.total, tc.offset, tc.limit, tc.results, nil, partial)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				check(t, name, body, want)
+				rec := httptest.NewRecorder()
+				WritePage(rec, tc.total, tc.offset, tc.limit, tc.results, partial)
+				if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(len(body)) ||
+					!bytes.Equal(rec.Body.Bytes(), body) {
+					t.Fatalf("%s: WritePage answered %d, Content-Length %s, want 200, %d:\n%s",
+						name, rec.Code, rec.Header().Get("Content-Length"), len(body), rec.Body)
+				}
+				if !partial {
+					body, ok := EncodePage(httptest.NewRecorder(), tc.total, tc.offset, tc.limit, tc.results, nil)
+					if !ok {
+						t.Fatalf("%s: EncodePage failed", name)
+					}
+					check(t, name+" (EncodePage)", body, want)
+				}
+			}
+		}
+	})
+
+	t.Run("scored", func(t *testing.T) {
+		scoreSets := [][]float64{
+			nil, {}, {0}, {-3.5}, {1}, {1e-7}, {123456789.125}, {1e21}, {-1e-9},
+			{math.Copysign(0, -1), 0.1, 1e-6, 9.999999e-7, 1e20, 1e-300, math.MaxFloat64, -math.SmallestNonzeroFloat64, 2.5e-10},
+		}
+		for _, tc := range pages {
+			for _, scores := range scoreSets {
+				name := fmt.Sprintf("%s scores=%v", tc.name, scores)
+				body, ok := EncodePage(httptest.NewRecorder(), tc.total, tc.offset, tc.limit, tc.results, scores)
+				if !ok {
+					t.Fatalf("%s: EncodePage failed", name)
+				}
+				check(t, name, body, pageStruct{Total: tc.total, Offset: tc.offset, Limit: tc.limit, Results: derefAll(tc.results), Scores: scores})
+			}
+		}
+		// Scores paired with the results, as a worker answers scores=1.
+		scores := make([]float64, len(many))
+		for i := range scores {
+			scores[i] = 1 / float64(i+3)
+		}
+		body, ok := EncodePage(httptest.NewRecorder(), 1<<20, 0, len(many), many, scores)
+		if !ok {
+			t.Fatal("EncodePage failed")
+		}
+		check(t, "many scored results", body, pageStruct{Total: 1 << 20, Limit: len(many), Results: derefAll(many), Scores: scores})
+	})
+
+	scores := make([]float64, len(many))
+	for i := range scores {
+		scores[i] = -1.0 / float64(i+7)
+	}
 	for _, n := range []int{0, 1, len(many)} {
-		if a := testing.AllocsPerRun(100, func() { encodePage(n, 0, n, many[:n], true) }); a != 1 {
+		if a := testing.AllocsPerRun(100, func() { encodePage(n, 0, n, many[:n], nil, true) }); a != 1 {
 			t.Errorf("a page of %d results allocates %v times, want 1", n, a)
 		}
+		if a := testing.AllocsPerRun(100, func() { encodePage(n, 0, n, many[:n], scores[:n], false) }); a != 1 {
+			t.Errorf("a scored page of %d results allocates %v times, want 1", n, a)
+		}
+	}
+}
+
+// TestEncodePageRefusesNonFiniteScores: a NaN or infinite score is
+// answered as the encoder answers it, with the counted 500 envelope and
+// the encoder's own error text, and no body.
+func TestEncodePageRefusesNonFiniteScores(t *testing.T) {
+	results := []*json.RawMessage{atDepth(t, 1), atDepth(t, 2)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		before := metEncodeErrors.Value()
+		rec := httptest.NewRecorder()
+		body, ok := EncodePage(rec, 2, 0, 10, results, []float64{0.5, bad})
+		if ok || body != nil {
+			t.Fatalf("score %v: EncodePage succeeded: %s", bad, body)
+		}
+		oracle := httptest.NewRecorder()
+		if _, ok := EncodeJSON(oracle, pageStruct{Total: 2, Limit: 10, Results: []json.RawMessage{*results[0], *results[1]}, Scores: []float64{0.5, bad}}); ok {
+			t.Fatalf("score %v: the encoder accepted it", bad)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != oracle.Body.String() {
+			t.Fatalf("score %v: answered %d %q, the encoder %d %q", bad, rec.Code, rec.Body, oracle.Code, oracle.Body)
+		}
+		if got := metEncodeErrors.Value(); got != before+2 {
+			t.Fatalf("score %v: encode errors moved by %d, want 2 (one each)", bad, got-before)
+		}
+	}
+}
+
+// TestAppendFloatMatchesEncoder: for random finite float64 bit patterns,
+// the page writer's float format equals json.Marshal's.
+func TestAppendFloatMatchesEncoder(t *testing.T) {
+	same := func(bits uint64) bool {
+		f := math.Float64frombits(bits)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return true
+		}
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if got := appendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("%v (bits %#x): wrote %s, encoder %s", f, bits, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 200000}); err != nil {
+		t.Fatal(err)
+	}
+	// The format boundaries, which random bit patterns rarely hit.
+	for _, f := range []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+		-1e-6, -1e21, 1e-7, 1e-10, 1e100, 5e-324, math.MaxFloat64} {
+		same(math.Float64bits(f))
 	}
 }

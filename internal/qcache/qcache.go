@@ -13,7 +13,10 @@
 package qcache
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"time"
 
@@ -297,13 +300,20 @@ func (c *Cache) Close() {
 }
 
 // ETagFor computes the strong entity tag for an encoded body: a quoted
-// FNV-64a digest. Equal bodies — the only thing the coherence suite
-// permits for equal tags — always produce equal tags.
+// 64-bit digest, CRC-32C (Castagnoli) in the high half and CRC-32 (IEEE)
+// in the low, both of which the hash/crc32 package computes with the
+// processor's CRC instructions where it has them. Equal bodies — the only
+// thing the coherence suite permits for equal tags — always produce equal
+// tags, and a CRC tells apart any two bodies of equal length that differ
+// in one byte.
 func ETagFor(body []byte) string {
-	h := uint64(fnvOffset64)
-	for _, b := range body {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return fmt.Sprintf("\"%016x\"", h)
+	var sum [8]byte
+	binary.BigEndian.PutUint32(sum[:4], crc32.Checksum(body, castagnoli))
+	binary.BigEndian.PutUint32(sum[4:], crc32.ChecksumIEEE(body))
+	var tag [2 + 2*len(sum)]byte
+	tag[0], tag[len(tag)-1] = '"', '"'
+	hex.Encode(tag[1:len(tag)-1], sum[:])
+	return string(tag[:])
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -2,6 +2,8 @@ package qcache
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,8 +97,31 @@ func TestETagFor(t *testing.T) {
 	if a == c {
 		t.Fatalf("different bodies, equal tags: %s", a)
 	}
-	if a[0] != '"' || a[len(a)-1] != '"' {
-		t.Fatalf("ETag not quoted: %s", a)
+	if len(a) != 18 || a[0] != '"' || a[len(a)-1] != '"' {
+		t.Fatalf("ETag not 16 quoted hex digits: %s", a)
+	}
+	if _, err := strconv.ParseUint(a[1:17], 16, 64); err != nil || strings.ToLower(a) != a {
+		t.Fatalf("ETag not 16 quoted lower-case hex digits: %s", a)
+	}
+
+	// Flipping one byte anywhere in a body of a typical page's size
+	// changes the tag, whatever the flip.
+	body := make([]byte, 5<<10)
+	for i := range body {
+		body[i] = byte(' ' + i*7%95)
+	}
+	base := ETagFor(body)
+	for i := range body {
+		for _, mask := range []byte{0x01, 0x80, 0xff, byte(i) | 1} {
+			body[i] ^= mask
+			if tag := ETagFor(body); tag == base {
+				t.Fatalf("flipping byte %d by %#x keeps the tag %s", i, mask, base)
+			}
+			body[i] ^= mask
+		}
+	}
+	if ETagFor(body) != base {
+		t.Fatal("restoring the body did not restore its tag")
 	}
 }
 

@@ -267,7 +267,17 @@ func TestSnippetCloneRendersOwnID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"id":2,"source":"nyt","timestamp":"2014-07-17T00:00:00Z","entities":["UKR"],"description":null,"text":"t"}`
+	// The page layout: the encoder's indent at the depth of "results".
+	want := `{
+      "id": 2,
+      "source": "nyt",
+      "timestamp": "2014-07-17T00:00:00Z",
+      "entities": [
+        "UKR"
+      ],
+      "description": null,
+      "text": "t"
+    }`
 	if string(*got) != want {
 		t.Fatalf("clone renders %s, want %s (original %s)", *got, want, *orig)
 	}

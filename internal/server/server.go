@@ -587,26 +587,26 @@ func fragments[T any](w http.ResponseWriter, items []T, render func(T) (*json.Ra
 	return out, true
 }
 
-// storiesPage renders one page of ranked integrated stories, the
-// SearchPageView of /api/search and /api/stories/by-entity.
-func storiesPage(w http.ResponseWriter, hits []*storypivot.IntegratedStory, scores []float64, total, offset, limit int) (any, bool) {
+// storiesPage renders the body of one page of ranked integrated stories,
+// the SearchPageView of /api/search and /api/stories/by-entity.
+func storiesPage(w http.ResponseWriter, hits []*storypivot.IntegratedStory, scores []float64, total, offset, limit int) ([]byte, bool) {
 	out, ok := fragments(w, hits, storyFragment)
 	if !ok {
 		return nil, false
 	}
-	return fragmentPage{Total: total, Offset: offset, Limit: limit, Results: out, Scores: scores}, true
+	return httpx.EncodePage(w, total, offset, limit, out, scores)
 }
 
-// snippetsPage renders one page of a timeline, the TimelinePageView of
-// /api/timeline.
-func snippetsPage(w http.ResponseWriter, rd snippetTexter, sns []*storypivot.Snippet, total, offset, limit int) (any, bool) {
+// snippetsPage renders the body of one page of a timeline, the
+// TimelinePageView of /api/timeline.
+func snippetsPage(w http.ResponseWriter, rd snippetTexter, sns []*storypivot.Snippet, total, offset, limit int) ([]byte, bool) {
 	out, ok := fragments(w, sns, func(sn *storypivot.Snippet) (*json.RawMessage, error) {
 		return snippetFragment(rd, sn)
 	})
 	if !ok {
 		return nil, false
 	}
-	return fragmentPage{Total: total, Offset: offset, Limit: limit, Results: out}, true
+	return httpx.EncodePage(w, total, offset, limit, out, nil)
 }
 
 // scoredEndpoint appends the scores=1 marker to a cache-key endpoint
@@ -632,15 +632,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	withScores := vals.Get("scores") == "1"
 	s.cachedQuery(w, r, scoredEndpoint("search", withScores), q, offset, limit,
-		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+		func(p *storypivot.Pipeline) ([]byte, index.Stamp, bool) {
 			if withScores {
 				hits, scores, total, st := p.Index().SearchScored(q, offset, limit)
-				view, ok := storiesPage(w, hits, scores, total, offset, limit)
-				return view, st, ok
+				body, ok := storiesPage(w, hits, scores, total, offset, limit)
+				return body, st, ok
 			}
 			hits, total, st := p.Index().Search(q, offset, limit)
-			view, ok := storiesPage(w, hits, nil, total, offset, limit)
-			return view, st, ok
+			body, ok := storiesPage(w, hits, nil, total, offset, limit)
+			return body, st, ok
 		})
 }
 
@@ -662,15 +662,15 @@ func (s *Server) handleStoriesByEntity(w http.ResponseWriter, r *http.Request) {
 	}
 	withScores := vals.Get("scores") == "1"
 	s.cachedQuery(w, r, scoredEndpoint("by-entity", withScores), e, offset, limit,
-		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+		func(p *storypivot.Pipeline) ([]byte, index.Stamp, bool) {
 			if withScores {
 				hits, scores, total, st := p.Index().StoriesByEntityScored(storypivot.Entity(e), offset, limit)
-				view, ok := storiesPage(w, hits, scores, total, offset, limit)
-				return view, st, ok
+				body, ok := storiesPage(w, hits, scores, total, offset, limit)
+				return body, st, ok
 			}
 			hits, total, st := p.Index().StoriesByEntity(storypivot.Entity(e), offset, limit)
-			view, ok := storiesPage(w, hits, nil, total, offset, limit)
-			return view, st, ok
+			body, ok := storiesPage(w, hits, nil, total, offset, limit)
+			return body, st, ok
 		})
 }
 
@@ -686,17 +686,19 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cachedQuery(w, r, "timeline", e, offset, limit,
-		func(p *storypivot.Pipeline) (any, index.Stamp, bool) {
+		func(p *storypivot.Pipeline) ([]byte, index.Stamp, bool) {
 			sns, total, st := p.Index().Timeline(storypivot.Entity(e), offset, limit)
-			view, ok := snippetsPage(w, p, sns, total, offset, limit)
-			return view, st, ok
+			body, ok := snippetsPage(w, p, sns, total, offset, limit)
+			return body, st, ok
 		})
 }
 
 // cachedQuery serves one paged index query: straight from the live pipeline
 // when the cache is off, through the cache otherwise. compute reads the
-// index of the pipeline it is given and returns the page view with the
+// index of the pipeline it is given and returns the page's body with the
 // index's stamp for it, or false once it has written an error response.
+// The body is exact-size (httpx.EncodePage), so the cache keeps no spare
+// capacity with it.
 //
 // Every write settled before its ack, so its publish has already stamped
 // what it changed. The cache checks each entry's stamp against the live
@@ -704,11 +706,11 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 // publish or a rebuild that overtakes the index read leaves a stamp the
 // live index no longer stands behind, and the page is not stored.
 func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, query string, offset, limit int,
-	compute func(*storypivot.Pipeline) (any, index.Stamp, bool)) {
+	compute func(*storypivot.Pipeline) ([]byte, index.Stamp, bool)) {
 	p := s.Pipeline()
 	if s.cache == nil {
-		if view, _, ok := compute(p); ok {
-			httpx.WriteJSON(w, http.StatusOK, view)
+		if body, _, ok := compute(p); ok {
+			httpx.WriteBody(w, http.StatusOK, body)
 		}
 		return
 	}
@@ -724,13 +726,9 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, endpoint, q
 	if s.missHook != nil {
 		s.missHook()
 	}
-	view, st, ok := compute(p)
+	body, st, ok := compute(p)
 	if !ok {
 		return // compute wrote its own error response
-	}
-	body, ok := httpx.EncodeJSON(w, view)
-	if !ok {
-		return
 	}
 	etag := qcache.ETagFor(body)
 	if mode != modeNoStore {

@@ -6,8 +6,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/event"
@@ -64,17 +66,42 @@ func snippetView(rd snippetTexter, s *event.Snippet, role event.SnippetRole) (v 
 	return v, hydrated
 }
 
-// snippetFragment returns the compact encoding of s's role-less
-// SnippetView, rendered once per snippet: the first render fills the
-// snippet's slot and later ones read it. A snippet whose text was
-// hydrated from the tiered store is rendered every time and never
-// memoized, so the tiers' bound on resident text holds.
+// pageFragment renders v in the layout it has as an element of a page's
+// "results": the encoder's two-space indent at that depth, as
+// json.MarshalIndent(v, "    ", "  ") lays it out, which
+// httpx.EncodePage splices verbatim. The encoder compacts an embedded
+// RawMessage before it indents, so the bodies that go through it
+// (/api/integrated, /api/trending) come out the same from this layout.
+// The fragment is memoised, so it is returned at its exact size: the
+// indent runs in a pooled buffer, and MarshalIndent's own result would
+// keep about a fifth of its capacity spare.
+func pageFragment(v any) ([]byte, error) {
+	compact, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	buf := indentBufs.Get().(*bytes.Buffer)
+	defer indentBufs.Put(buf)
+	buf.Reset()
+	if err := json.Indent(buf, compact, "    ", "  "); err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+}
+
+var indentBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// snippetFragment returns s's role-less SnippetView as a pageFragment,
+// rendered once per snippet: the first render fills the snippet's slot
+// and later ones read it. A snippet whose text was hydrated from the
+// tiered store is rendered every time and never memoized, so the tiers'
+// bound on resident text holds.
 func snippetFragment(rd snippetTexter, s *event.Snippet) (*json.RawMessage, error) {
 	if b := s.Rendered(); b != nil {
 		return (*json.RawMessage)(b), nil
 	}
 	v, hydrated := snippetView(rd, s, event.RoleUnknown)
-	b, err := json.Marshal(v)
+	b, err := pageFragment(v)
 	if err != nil {
 		return nil, err
 	}
@@ -154,20 +181,6 @@ type TimelinePageView struct {
 	Results []SnippetView `json:"results"`
 }
 
-// fragmentPage is what the server encodes for SearchPageView and
-// TimelinePageView: the same fields, with each result already encoded by
-// storyFragment or snippetFragment. The results are pointers because
-// encoding/json boxes a RawMessage value into an interface once per
-// element; a pointer needs no box. A timeline page has no scores, and
-// omitempty drops the field, so one envelope serves both.
-type fragmentPage struct {
-	Total   int                `json:"total"`
-	Offset  int                `json:"offset"`
-	Limit   int                `json:"limit"`
-	Results []*json.RawMessage `json:"results"`
-	Scores  []float64          `json:"scores,omitempty"`
-}
-
 // IntegratedView renders an integrated story (Figures 4 and 6).
 type IntegratedView struct {
 	ID       uint64            `json:"id"`
@@ -221,15 +234,15 @@ func integratedView(rd snippetTexter, is *event.IntegratedStory, detail bool) In
 	return v
 }
 
-// storyFragment returns the compact encoding of is's summary (non-detail)
-// IntegratedView, rendered once per story version: the first render fills
+// storyFragment returns is's summary (non-detail) IntegratedView as a
+// pageFragment, rendered once per story version: the first render fills
 // the story's slot and later ones read it. A hand-built story (Version 0)
 // is rendered every time.
 func storyFragment(is *event.IntegratedStory) (*json.RawMessage, error) {
 	if b := is.Rendered(); b != nil {
 		return (*json.RawMessage)(b), nil
 	}
-	b, err := json.Marshal(integratedView(nil, is, false))
+	b, err := pageFragment(integratedView(nil, is, false))
 	if err != nil {
 		return nil, err
 	}

@@ -117,16 +117,23 @@ gate "feed fault injection (feed + checkpoint restore)" \
 # ingest rounds that orphan old slots and on a tiered pipeline whose
 # hydrated snippets stay unmemoized; the worker side of the slots is
 # covered by TestClusterDifferential and the tier side by
-# TestTieredServerDifferential (both gated below). The pooled encoder the
-# cached bodies come from must match a fresh encoder byte for byte, hand
-# the cache bodies nothing of the pool aliases, leave no residue after a
-# failed encode and hold under eight concurrent encoders; the responses
-# that bypassed it (healthz, the stale-epoch 409, the quota 429) now go
+# TestTieredServerDifferential (both gated below). The cached pages come
+# from the envelope writer, which splices those slots: its search,
+# by-entity and timeline bodies must equal the struct oracle's on empty,
+# deep, scored and tiered pages, every body a real handler stores must
+# have no spare capacity (the cache keeps the slice it is handed), its
+# floats must equal json.Marshal's over random bit patterns, and a NaN or
+# infinite score must get the encoder's 500. The pooled encoder the other
+# bodies come from must match a fresh encoder byte for byte, return
+# copies nothing of the pool aliases, leave no residue after a failed
+# encode and hold under eight concurrent encoders; the responses that
+# bypassed it (healthz, the stale-epoch 409, the quota 429) now go
 # through it.
 gate "cache coherence + quota" \
   TestCacheCoherenceDifferential TestHTTPCacheCoherence TestStampsMatchFingerprintOracle TestCacheQuotaIngestRace \
   'TestStamp*' TestRebuildDuringMissServesNoStaleHit \
-  TestFragmentRenderingMatchesStructOracle \
+  TestFragmentRenderingMatchesStructOracle TestPageWriterMatchesStructOracle TestCachedPageBodiesAreExactSize \
+  TestAppendFloatMatchesEncoder TestEncodePageRefusesNonFiniteScores \
   TestPooledEncodeMatchesFreshEncoder TestPooledEncodeDoesNotAlias TestPooledEncodeFailureLeavesNoResidue \
   TestPooledEncodeConcurrent TestBareWritersGoThroughWriteBody \
   TestQuota429VsGate429 TestQuotaAdminFlow internal/qcache/ internal/quota/
@@ -154,7 +161,8 @@ gate "query index" \
 # health semantics, and routed ingest lands on the ring owner. The merge
 # splices the workers' result bytes: the shard-page parser must agree
 # with decoding the page (and reject what decoding rejects), the page
-# writer must lay the envelope out as the encoder does, the timeline must
+# writer must lay the envelope out as the encoder does, the router's and
+# the worker's scored pages alike, the timeline must
 # merge by (instant, id), and a ranked page whose scores do not pair with
 # its results must count as a failed shard.
 gate "cluster scatter-gather" \
@@ -162,6 +170,7 @@ gate "cluster scatter-gather" \
   TestClusterIngestRouting TestClusterMembersReconfigure \
   TestEmptyResultsSerialiseAsArray TestStoriesByEntityEndpoint \
   TestParsePageMatchesDecoder FuzzParsePage TestResultKeysMatchDecoder TestWritePageMatchesEncoder \
+  TestWritePageMatchesEncoder/scored \
   TestTimelineMergeOrdersByInstant TestRankedScoreCountMismatchIsPartial
 
 # Retirement gate: the lifecycle differential must prove byte-identical

@@ -29,6 +29,7 @@ var allow = map[string]string{
 	"repro/internal/text.Sentences":              "fuzzed tokenizer surface (FuzzSentences, TestSentences); extraction splits on paragraphs today",
 	"repro/internal/extract.NormalizeEntityName": "canonical entity key from a surface form, for callers inventing entity universes (TestNormalizeEntityName)",
 	"repro/internal/gdelt.IsConflict":            "CAMEO material-conflict quad class, the paper §1 forecasting use case (TestCameoDescription)",
+	"repro/internal/httpx.EncodeJSON":            "the encoder's body as an owned copy: the reference the httpx, server and cluster tests hold the hand-written page envelopes byte-equal to",
 }
 
 const module = "repro"
