@@ -102,9 +102,8 @@ type group struct {
 
 // Manager owns the archive, the fingerprint index over archived stories,
 // and the policy state. It is safe for concurrent use; in the engine's
-// lock order its mutex comes after engine.mu and shard.mu and before
-// only the store's (engine.mu → shard.mu → retire.mu → store is never
-// taken in reverse).
+// lock order its mutex comes after Engine.mu and before only the store's
+// (Engine.mu → retire.mu → store is never taken in reverse).
 type Manager struct {
 	mu  sync.Mutex
 	cfg Config
@@ -121,7 +120,6 @@ type Manager struct {
 	deadGroups  int // removed groups still referenced by buckets
 
 	nextGroup uint64
-	pending   map[uint64][]storage.ArchivedStoryMeta // ticket → metas between Archive and Commit
 
 	// grace holds, per reactivated story, the watermark before which it
 	// may not be retired again.
@@ -173,11 +171,10 @@ func Open(cfg Config, store Store) (*Manager, error) {
 		groupOf:     make(map[event.StoryID]uint64),
 		buckets:     make(map[int64][]uint64),
 		bucketWidth: bw,
-		pending:     make(map[uint64][]storage.ArchivedStoryMeta),
 		grace:       make(map[event.StoryID]time.Time),
 	}
 	// Latest record per story wins; groups re-form from the surviving
-	// records' group tickets.
+	// records' group IDs.
 	latest := make(map[event.StoryID]storage.ArchivedStoryMeta, len(metas))
 	order := make([]event.StoryID, 0, len(metas))
 	for _, meta := range metas {
@@ -294,46 +291,27 @@ func (m *Manager) Cold(id event.StoryID, end, watermark time.Time) bool {
 	return true
 }
 
-// Archive durably appends a retirement group and returns a ticket: it
-// syncs the store, so the members a record names outlive a crash even
-// under an unsynced store, then appends the records fsynced. The caller
-// detaches the live stories only after Archive returns, then settles the
-// ticket with Commit (members actually detached) or Abort.
-func (m *Manager) Archive(stories []*event.Story, watermark time.Time) (uint64, error) {
+// Archive durably appends a retirement group and indexes it for
+// reactivation: it syncs the store, so the members a record names
+// outlive a crash even under an unsynced store, then appends the records
+// fsynced. The engine detaches every member once Archive returns, under
+// the same lock it called Archive with, so the index holds exactly the
+// detached stories; on error nothing is indexed and nothing detached.
+func (m *Manager) Archive(stories []*event.Story, watermark time.Time) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.store.Sync(); err != nil {
-		return 0, fmt.Errorf("retire: syncing the store: %w", err)
+		return fmt.Errorf("retire: syncing the store: %w", err)
 	}
-	ticket := m.nextGroup
+	gid := m.nextGroup
 	m.nextGroup++
-	metas, n, err := m.arch.AppendGroup(ticket, watermark, stories)
+	metas, n, err := m.arch.AppendGroup(gid, watermark, stories)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	m.pending[ticket] = metas
 	m.archivedBytes += uint64(n)
 	metArchivedBytes.Add(uint64(n))
-	return ticket, nil
-}
-
-// Commit indexes the members of a ticket that were actually detached
-// from the engine. Members that raced new evidence between snapshot and
-// detach stay resident; their on-disk record is superseded by the next
-// retirement (latest record wins) and ignored by checkpoint reconcile.
-func (m *Manager) Commit(ticket uint64, retired []event.StoryID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	metas := m.pending[ticket]
-	delete(m.pending, ticket)
-	keep := make(map[event.StoryID]bool, len(retired))
-	for _, id := range retired {
-		keep[id] = true
-	}
 	for _, meta := range metas {
-		if !keep[meta.ID] {
-			continue
-		}
 		// A story being re-archived replaces its older record.
 		m.removeStory(meta.ID)
 		m.indexStory(meta)
@@ -343,14 +321,7 @@ func (m *Manager) Commit(ticket uint64, retired []event.StoryID) {
 	}
 	metArchived.Set(int64(len(m.groupOf)))
 	m.compactBuckets()
-}
-
-// Abort discards a ticket whose group could not be detached at all; the
-// orphaned disk records are reconciled away on the next open.
-func (m *Manager) Abort(ticket uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.pending, ticket)
+	return nil
 }
 
 // TakeForSnippet consults the fingerprint index for archived stories the
@@ -574,7 +545,6 @@ func (m *Manager) Reset() error {
 	m.groups = make(map[uint64]*group)
 	m.groupOf = make(map[event.StoryID]uint64)
 	m.buckets = make(map[int64][]uint64)
-	m.pending = make(map[uint64][]storage.ArchivedStoryMeta)
 	m.grace = make(map[event.StoryID]time.Time)
 	m.deadGroups = 0
 	metArchived.Set(0)

@@ -113,23 +113,16 @@ func testStory(id uint64, src string, start, end time.Time, ents ...string) *eve
 	return event.RestoreStory(event.StoryID(id), event.SourceID(src), sns, freq, cen, start, end, 1)
 }
 
-// retireStory runs one story (or group) through Archive+Commit, its
-// snippets stored first as the pipeline's ingest stores them.
-func retireStory(t *testing.T, m *Manager, watermark time.Time, stories ...*event.Story) uint64 {
+// retireStory archives one story (or group), its snippets stored first
+// as the pipeline's ingest stores them.
+func retireStory(t *testing.T, m *Manager, watermark time.Time, stories ...*event.Story) {
 	t.Helper()
 	for _, st := range stories {
 		store.put(st.Snippets...)
 	}
-	ticket, err := m.Archive(stories, watermark)
-	if err != nil {
+	if err := m.Archive(stories, watermark); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]event.StoryID, len(stories))
-	for i, st := range stories {
-		ids[i] = st.ID
-	}
-	m.Commit(ticket, ids)
-	return ticket
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -207,37 +200,6 @@ func TestCold(t *testing.T) {
 	}
 	if _, held := m.grace[1]; held {
 		t.Error("expired grace entry not cleared")
-	}
-}
-
-func TestArchiveCommitAbort(t *testing.T) {
-	m := open(t, testConfig(t.TempDir()))
-	a := testStory(1, "alpha", t0, t0.Add(day), "mh17")
-	b := testStory(2, "beta", t0, t0.Add(day), "mh17")
-
-	// Commit with only one member detached: the other stays unindexed.
-	ticket, err := m.Archive([]*event.Story{a, b}, t0.Add(30*day))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Commit(ticket, []event.StoryID{1})
-	if !m.Has(1) || m.Has(2) {
-		t.Fatalf("partial commit indexed Has(1)=%v Has(2)=%v, want true,false", m.Has(1), m.Has(2))
-	}
-	v := m.Snapshot()
-	if v.Retired != 1 || v.Archived != 1 || v.ArchivedBytes == 0 {
-		t.Fatalf("view after partial commit: %+v", v)
-	}
-
-	// Abort leaves nothing indexed.
-	c := testStory(3, "alpha", t0, t0.Add(day), "gaza")
-	ticket, err = m.Archive([]*event.Story{c}, t0.Add(30*day))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Abort(ticket)
-	if m.Has(3) {
-		t.Error("aborted ticket left story indexed")
 	}
 }
 
@@ -494,7 +456,7 @@ func TestArchiveSyncsStoreFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Archive([]*event.Story{testStory(1, "alpha", t0, t0.Add(day), "mh17")}, t0.Add(30*day)); err == nil {
+	if err := m.Archive([]*event.Story{testStory(1, "alpha", t0, t0.Add(day), "mh17")}, t0.Add(30*day)); err == nil {
 		t.Fatal("Archive succeeded over a store whose Sync fails")
 	}
 	if v := m.Snapshot(); v.ArchivedBytes != 0 || bad.syncs != 1 {

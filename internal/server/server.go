@@ -479,10 +479,15 @@ func (s *Server) handleStories(w http.ResponseWriter, r *http.Request) {
 	}
 	detail := r.URL.Query().Get("detail") == "1"
 	p := s.Pipeline()
-	stories := p.Stories(storypivot.SourceID(src))
-	out := make([]StoryView, 0, len(stories))
-	for _, st := range stories {
-		out = append(out, storyView(p, st, detail))
+	// The source's stories as the last settle published them: every
+	// per-source story is a member of exactly one integrated story.
+	out := []StoryView{}
+	for _, is := range p.Published().Integrated() {
+		for _, st := range is.Members {
+			if st.Source == storypivot.SourceID(src) {
+				out = append(out, storyView(p, st, detail))
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	httpx.WriteJSON(w, http.StatusOK, out)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func TestDocumentsEndpoint(t *testing.T) {
 }
 
 func TestSourcesAndStories(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	var sources []string
 	getJSON(t, ts.URL+"/api/sources", &sources)
 	if len(sources) != 2 {
@@ -94,6 +95,17 @@ func TestSourcesAndStories(t *testing.T) {
 	for _, st := range stories {
 		if st.Source != "nyt" || st.Size == 0 {
 			t.Errorf("bad story view: %+v", st)
+		}
+	}
+	// Served from the published result, the settled server's stories are
+	// the engine's live ones.
+	live := s.Pipeline().Stories("nyt")
+	if len(live) != len(stories) {
+		t.Fatalf("/api/stories lists %d nyt stories, the engine holds %d", len(stories), len(live))
+	}
+	for _, st := range live {
+		if !slices.ContainsFunc(stories, func(v StoryView) bool { return v.ID == uint64(st.ID) && v.Size == st.Len() }) {
+			t.Errorf("/api/stories misses live story %d (%d snippets)", st.ID, st.Len())
 		}
 	}
 	// detail=1 includes snippets.

@@ -286,9 +286,21 @@ func openTierStore(dir string, opts TierOptions, sync SyncPolicy, syncEvery int)
 		return nil, err
 	}
 	manifest := t.loadManifest()
-	indices := unionSorted(raw, cold)
+	listed := make(map[int]bool, len(manifest))
+	for idx := range manifest {
+		listed[idx] = true
+	}
+	// Every chunk the manifest lists is visited too: one with no file left
+	// is reported lost instead of silently skipped.
+	indices := unionSorted(raw, cold, listed)
+	newest := -1
 	for _, idx := range indices {
-		last := idx == indices[len(indices)-1]
+		if raw[idx] || cold[idx] {
+			newest = idx
+		}
+	}
+	for _, idx := range indices {
+		last := idx == newest
 		meta := manifest[idx]
 		if last {
 			// The newest chunk may be the open one, which needs its
@@ -341,19 +353,15 @@ func (t *TierStore) listChunks() (raw, cold map[int]bool, err error) {
 	return raw, cold, nil
 }
 
-func unionSorted(a, b map[int]bool) []int {
-	seen := make(map[int]bool, len(a)+len(b))
+func unionSorted(sets ...map[int]bool) []int {
+	seen := make(map[int]bool)
 	var out []int
-	for k := range a {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	for k := range b {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	for _, set := range sets {
+		for k := range set {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
 		}
 	}
 	sort.Ints(out)

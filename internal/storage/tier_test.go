@@ -586,6 +586,35 @@ func TestTierManifestReconcile(t *testing.T) {
 	}
 }
 
+// TestTierLostChunkReported: a sealed chunk whose files are both gone is
+// named in the recovery warnings with the rows the manifest says it held,
+// whether sealed chunks stay mapped or go cold.
+func TestTierLostChunkReported(t *testing.T) {
+	for _, opts := range []*TierOptions{{ChunkRows: 4}, tinyTier()} {
+		dir := t.TempDir()
+		st := openTiered(t, dir, opts)
+		for i := 1; i <= 20; i++ {
+			if err := st.Append(tsnip(event.SnippetID(i), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(chunkColdPath(filepath.Join(dir, "chunks"), 1))
+		os.Remove(chunkRawPath(filepath.Join(dir, "chunks"), 1))
+		st = openTiered(t, dir, opts)
+		if st.Len() != 16 {
+			t.Errorf("compress %v: reopen holds %d rows, want 16", opts.Compress, st.Len())
+		}
+		w := strings.Join(st.RecoveryWarnings(), "; ")
+		if !strings.Contains(w, "chunk 1: manifest entry has no chunk file; 4 rows lost") {
+			t.Errorf("compress %v: the lost chunk is not reported: %q", opts.Compress, w)
+		}
+		st.Close()
+	}
+}
+
 // TestTierConcurrentHammer mixes ingest, point reads (forcing cold
 // faults and promotions), text hydration, and full scans; run under
 // -race this is the tier manager's concurrency gate.

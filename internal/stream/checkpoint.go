@@ -48,27 +48,16 @@ const checkpointVersion = 3
 // snippets it is being restored against.
 var ErrCheckpointStale = errors.New("stream: checkpoint stale")
 
-// Checkpoint captures the current identification state.
+// Checkpoint captures the current identification state. It holds e.mu,
+// under which retirement and reactivation run too, so a story's snippets
+// and its place in Archived agree.
 func (e *Engine) Checkpoint() *Checkpoint {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.regMu.RLock()
-	shards := make(map[event.SourceID]*shard, len(e.shards))
-	for src, sh := range e.shards {
-		shards[src] = sh
-	}
-	e.regMu.RUnlock()
-	cp := &Checkpoint{Version: checkpointVersion, Sources: make(map[event.SourceID]SourceCheckpoint, len(shards))}
-	for src, sh := range shards {
-		sh.mu.Lock()
-		sc := SourceCheckpoint{Assign: sh.id.Assignments()}
-		sh.mu.Unlock()
+	cp := &Checkpoint{Version: checkpointVersion, Sources: make(map[event.SourceID]SourceCheckpoint, len(e.ids))}
+	for src, id := range e.ids {
+		sc := SourceCheckpoint{Assign: id.Assignments()}
 		if e.retirer != nil {
-			// Retirement (detach + archive-index insert) runs under e.mu,
-			// held here, so Archived can't miss a concurrent retirement.
-			// Reactivation runs outside e.mu; a story taken concurrently
-			// is absent from both sets and restore rebuilds it from its
-			// snippets — correct, just slower for that one story.
 			sc.Archived = e.retirer.ArchivedIDs(src)
 		}
 		cp.Sources[src] = sc
@@ -151,14 +140,15 @@ func RestoreEngineArchived(opts Options, snippets []*event.Snippet, cp *Checkpoi
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCheckpointStale, err)
 		}
-		e.shards[src] = &shard{id: id}
+		e.ids[src] = id
 		e.dirty[src] = id.Pending()
+		row := rowOf(id)
 		for _, sn := range bySource[src] {
-			e.stats.add(sn)
+			e.stats.add(sn, row)
 		}
 	}
 	metRestoreOK.Inc()
-	metSourcesGauge.Set(int64(len(e.shards)))
+	metSourcesGauge.Set(int64(len(e.ids)))
 	e.setDirtyGauge()
 	return e, nil
 }

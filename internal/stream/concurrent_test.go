@@ -91,12 +91,10 @@ func TestEngineConcurrentIngestCounts(t *testing.T) {
 }
 
 // TestEngineConcurrentIngestWithSourceChurn races ingestion against
-// source removal, re-registration, checkpointing, and result reads —
-// the paths where the sharded engine's registry lock, per-shard gone
-// flags, and the aligner's snapshot discipline all interact. Run under
-// -race this is the main correctness check for the per-source sharding;
-// without churn a stale shard could be processed into after removal, or
-// the aligner could observe a story mid-mutation.
+// source removal, re-registration, checkpointing, and result reads.
+// Run under -race it checks that every path reaching an identifier
+// holds Engine.mu, and that published snapshots stay consistent while
+// ingest mutates the live stories.
 func TestEngineConcurrentIngestWithSourceChurn(t *testing.T) {
 	const (
 		workers   = 4
@@ -117,8 +115,9 @@ func TestEngineConcurrentIngestWithSourceChurn(t *testing.T) {
 				id := event.SnippetID(w*perWorker + i + 1)
 				ents := []event.Entity{event.Entity(fmt.Sprintf("ENT%d", w))}
 				// Each snippet is offered once, so even an ingest that
-				// races a removal and lands in the re-created shard finds
-				// it unassigned: no error, ErrDuplicate included, is legal.
+				// follows a removal and lands in the re-registered
+				// identifier finds it unassigned: no error, ErrDuplicate
+				// included, is legal.
 				if _, err := e.Ingest(snip(id, src, 1+i%28, ents, "crash", "plane")); err != nil {
 					t.Errorf("worker %d snippet %d: %v", w, id, err)
 					return
@@ -240,8 +239,9 @@ func TestEngineConcurrentIngestWithAutoAlign(t *testing.T) {
 
 // TestEngineSourceStatsConcurrentWithIngest reads a source's statistics
 // and assignments through the engine while another goroutine ingests into
-// the same source. Under -race it fails if either accessor reads the
-// identifier outside its shard lock.
+// the same source. Under -race it fails if StoryOf reads the identifier
+// outside Engine.mu or SourceStats reads a row outside the statistics
+// lock.
 func TestEngineSourceStatsConcurrentWithIngest(t *testing.T) {
 	const n = 300
 	e := NewEngine(DefaultOptions())

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,10 +59,9 @@ type ResultSink interface {
 // Retirer is the story lifecycle hook (implemented by retire.Manager):
 // it decides when resident stories go cold, archives them durably before
 // the engine detaches them, and hands back archived stories that new
-// evidence reactivates. The engine calls Due/Cold/Archive/Commit/Abort
-// under its own mutex during alignment passes and TakeForSnippet from
-// the lock-free prefix of Ingest; implementations synchronise
-// internally and must never call back into the engine.
+// evidence reactivates. The engine calls every method under Engine.mu;
+// implementations synchronise internally for their other readers and
+// must never call back into the engine.
 type Retirer interface {
 	// Due reports whether a retirement walk should run, given the
 	// resident story count and the event-time watermark. Called on every
@@ -72,12 +70,9 @@ type Retirer interface {
 	// Cold reports whether a story whose last evidence is at end is
 	// retirable at the given watermark.
 	Cold(id event.StoryID, end, watermark time.Time) bool
-	// Archive durably persists a retirement group, returning a ticket.
-	Archive(stories []*event.Story, watermark time.Time) (uint64, error)
-	// Commit finalises a ticket with the members actually detached.
-	Commit(ticket uint64, retired []event.StoryID)
-	// Abort discards a ticket none of whose members could be detached.
-	Abort(ticket uint64)
+	// Archive durably persists a retirement group and indexes it for
+	// reactivation; the engine detaches every member once it returns.
+	Archive(stories []*event.Story, watermark time.Time) error
 	// TakeForSnippet returns archived stories (whole retirement groups)
 	// the snippet is evidence for, removing them from the archive index.
 	TakeForSnippet(sn *event.Snippet) []*event.Story
@@ -89,9 +84,6 @@ type Retirer interface {
 
 // Errors returned by the engine.
 var (
-	// ErrUnknownSource is returned by Ingest when the snippet's source was
-	// never added (or was removed) and auto-registration is off.
-	ErrUnknownSource = errors.New("stream: unknown source")
 	// ErrDuplicate is returned for a snippet its source's identifier has
 	// already assigned to a story.
 	ErrDuplicate = errors.New("stream: duplicate snippet delivery")
@@ -104,41 +96,23 @@ var (
 	ErrSourceCollision = errors.New("stream: source ID-namespace collision")
 )
 
-// shard is one source's slice of the engine: the identifier, guarded by
-// its own mutex so sources ingest in parallel. Identification is
-// per-source by construction (paper §2.2), which makes the source the
-// natural sharding key: two snippets of different sources share no
-// identifier state at all. The identifier also answers duplicate
-// delivery: a snippet it has already assigned is a redelivery.
-type shard struct {
-	mu sync.Mutex
-	id *identify.Identifier
-	// gone is set (under mu) when RemoveSource detaches the shard; an
-	// Ingest that raced the removal re-resolves the registry instead of
-	// processing into a dead identifier.
-	gone bool
-	// err, when set at registration, poisons the shard: Ingest refuses
-	// every snippet with it (currently only ErrSourceCollision).
-	err error
-}
-
 // Engine is the live StoryPivot pipeline. It is safe for concurrent use.
-// Ingestion is sharded per source: each source's identifier sits behind a
-// per-shard mutex, so a multi-source feed ingests on all cores; only the
-// narrow shared section (aligner, dirty set) is serialised behind the
-// engine mutex. Readers take none of these: the last published result is
-// an atomic pointer (Published) and the dataset statistics sit behind
-// their own small lock. Lock order, for any path that holds more than
-// one: mu → regMu → shard.mu, and mu → stats.mu.
+// One mutex, mu, guards every identifier and the alignment state: an
+// ingest, a settle, a source change, a checkpoint and the library
+// accessors Stories and StoryOf serialise on it. Readers take none of
+// it: the last published result is an atomic pointer (Published), and
+// the dataset statistics with their per-source rows sit behind their own
+// small lock, refreshed under mu. Lock order, for any path that holds
+// more than one: Engine.mu → retirer → store, and Engine.mu → stats.mu.
 type Engine struct {
 	opts Options
 
-	// regMu guards the shard registry and the allocator/tag tables. The
-	// common Ingest path takes only the read lock; the write lock is held
-	// for source add/remove.
-	regMu  sync.RWMutex
-	shards map[event.SourceID]*shard
-
+	mu sync.Mutex
+	// ids holds each registered source's identifier. Identification is
+	// per-source by construction (paper §2.2); an identifier also answers
+	// duplicate delivery: a snippet it has already assigned is a
+	// redelivery.
+	ids map[event.SourceID]*identify.Identifier
 	// allocs holds each source's deterministic ID allocator. Entries are
 	// deliberately kept across RemoveSource: a re-registered source must
 	// continue its sequence, never recycle story IDs — consumers that
@@ -152,9 +126,6 @@ type Engine struct {
 	// survives RemoveSource: the removed source's IDs remain reserved.
 	tagOwner map[uint32]event.SourceID
 
-	// mu guards the shared section: the aligner, the refiner, the dirty
-	// bookkeeping and the sinks. A settle holds it throughout.
-	mu      sync.Mutex
 	aligner *align.Aligner
 	// refiner runs every refinement pass. It keeps the last pass's plans,
 	// so a pass re-plans only what changed since.
@@ -171,25 +142,24 @@ type Engine struct {
 	// published is the final result of the last settle, stored after every
 	// sink has published it. Readers load it without mu (Published).
 	published atomic.Pointer[align.Result]
-	// sinks receive every freshly computed result, in attach order
-	// (guarded by mu). Slot 0 is reserved for the primary sink set via
-	// SetResultSink (the query index; primary tracks whether that slot is
-	// occupied); AddResultSink appends after it, so secondary consumers
-	// always observe a state the index has already incorporated.
+	// sinks receive every freshly computed result, in attach order.
+	// Slot 0 is reserved for the primary sink set via SetResultSink (the
+	// query index; primary tracks whether that slot is occupied);
+	// AddResultSink appends after it, so secondary consumers always
+	// observe a state the index has already incorporated.
 	sinks   []ResultSink
 	primary bool
 
-	// retirer, when set, bounds resident memory: see Retirer. Written
-	// once during pipeline wiring, before concurrent use.
+	// retirer, when set, bounds resident memory: see Retirer.
 	retirer Retirer
 
 	stats datasetStats
 }
 
-// datasetStats holds the statistics module's dataset panel: how many
-// snippets were accepted, how many distinct entities they mention, and the
-// time range they cover. It has its own lock, so a reader never waits for
-// a settle holding Engine.mu.
+// datasetStats holds the statistics module's panels: how many snippets
+// were accepted, how many distinct entities they mention, the time range
+// they cover, and one row per registered source. It has its own lock, so
+// a reader never waits for a settle holding Engine.mu.
 type datasetStats struct {
 	mu       sync.Mutex
 	ingested uint64
@@ -198,13 +168,29 @@ type datasetStats struct {
 	entSeen         []uint64
 	entities        uint64
 	firstTS, lastTS time.Time
+	// rows copies each registered source's identification counters and
+	// story count, refreshed under Engine.mu after every ingest, settle
+	// and source change.
+	rows map[event.SourceID]sourceRow
 }
 
-// add counts one accepted snippet, by its interned EntityIDs.
-func (d *datasetStats) add(s *event.Snippet) {
+// sourceRow is one source's row of the statistics module.
+type sourceRow struct {
+	stats   identify.Stats
+	stories int
+}
+
+func rowOf(id *identify.Identifier) sourceRow {
+	return sourceRow{id.Stats(), id.StoryCount()}
+}
+
+// add counts one accepted snippet, by its interned EntityIDs, and
+// stores its source's refreshed row.
+func (d *datasetStats) add(s *event.Snippet, row sourceRow) {
 	s.EnsureInterned()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.rows[s.Source] = row
 	d.ingested++
 	for _, id := range s.EntityIDs {
 		w, bit := int(id/64), uint64(1)<<(id%64)
@@ -228,61 +214,52 @@ func (d *datasetStats) add(s *event.Snippet) {
 func NewEngine(opts Options) *Engine {
 	return &Engine{
 		opts:     opts,
-		shards:   make(map[event.SourceID]*shard),
+		ids:      make(map[event.SourceID]*identify.Identifier),
 		allocs:   make(map[event.SourceID]*identify.IDAlloc),
 		tagOwner: make(map[uint32]event.SourceID),
 		aligner:  align.NewAligner(opts.Align),
 		refiner:  align.NewRefiner(opts.Refine),
 		dirty:    make(map[event.SourceID]int),
+		stats:    datasetStats{rows: make(map[event.SourceID]sourceRow)},
 	}
 }
 
-// AddSource registers a data source. Adding an existing source is a no-op.
-// Snippets for unregistered sources are auto-registered by Ingest, so
-// explicit AddSource is only needed to pre-create empty sources.
-func (e *Engine) AddSource(src event.SourceID) {
-	e.shard(src)
+// AddSource registers a data source; adding an existing source is a
+// no-op. Ingest registers unknown sources on first sight, so AddSource
+// is needed only to pre-create an empty source or to learn, before
+// anything else happens to a snippet, whether its source would be
+// refused (ErrSourceCollision).
+func (e *Engine) AddSource(src event.SourceID) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, err := e.identifier(src)
+	return err
 }
 
-// lookupShard returns the source's shard or nil, taking only the registry
-// read lock.
-func (e *Engine) lookupShard(src event.SourceID) *shard {
-	e.regMu.RLock()
-	sh := e.shards[src]
-	e.regMu.RUnlock()
-	return sh
-}
-
-// shard returns the source's shard, creating it on first sight.
-func (e *Engine) shard(src event.SourceID) *shard {
-	if sh := e.lookupShard(src); sh != nil {
-		return sh
+// identifier returns the source's identifier, registering the source on
+// first sight. A source whose ID-namespace tag another source claimed is
+// refused, not registered. Callers hold e.mu.
+func (e *Engine) identifier(src event.SourceID) (*identify.Identifier, error) {
+	if id := e.ids[src]; id != nil {
+		return id, nil
 	}
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	if sh := e.shards[src]; sh != nil {
-		return sh
-	}
-	sh := &shard{}
 	tag := identify.SourceTag(src)
 	if owner, taken := e.tagOwner[tag]; taken && owner != src {
-		// The source's deterministic ID namespace is already claimed:
-		// poison the shard so Ingest reports the collision instead of
-		// minting IDs that alias the other source's stories.
-		sh.err = fmt.Errorf("%w: %q vs %q (tag %d)", ErrSourceCollision, src, owner, tag)
-		sh.id = identify.New(src, e.opts.Identify, nil)
-	} else {
-		e.tagOwner[tag] = src
-		alloc := e.allocs[src]
-		if alloc == nil {
-			alloc = identify.NewSourceAlloc(src)
-			e.allocs[src] = alloc
-		}
-		sh.id = identify.New(src, e.opts.Identify, alloc)
+		return nil, fmt.Errorf("%w: %q vs %q (tag %d)", ErrSourceCollision, src, owner, tag)
 	}
-	e.shards[src] = sh
-	metSourcesGauge.Set(int64(len(e.shards)))
-	return sh
+	e.tagOwner[tag] = src
+	alloc := e.allocs[src]
+	if alloc == nil {
+		alloc = identify.NewSourceAlloc(src)
+		e.allocs[src] = alloc
+	}
+	id := identify.New(src, e.opts.Identify, alloc)
+	e.ids[src] = id
+	metSourcesGauge.Set(int64(len(e.ids)))
+	e.stats.mu.Lock()
+	e.stats.rows[src] = rowOf(id)
+	e.stats.mu.Unlock()
+	return id, nil
 }
 
 // SetResultSink attaches (or detaches, with nil) the primary alignment
@@ -326,10 +303,10 @@ func (e *Engine) AddResultSink(s ResultSink) {
 	}
 }
 
-// SetRetirer attaches the story lifecycle hook. It must be called during
-// wiring, before the engine sees concurrent traffic: the field is read
-// without synchronisation on the ingest hot path.
+// SetRetirer attaches the story lifecycle hook.
 func (e *Engine) SetRetirer(r Retirer) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.retirer = r
 }
 
@@ -341,18 +318,14 @@ func (e *Engine) SetRetirer(r Retirer) {
 func (e *Engine) RemoveSource(src event.SourceID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.regMu.Lock()
-	sh := e.shards[src]
-	if sh == nil {
-		e.regMu.Unlock()
+	if e.ids[src] == nil {
 		return false
 	}
-	delete(e.shards, src)
-	metSourcesGauge.Set(int64(len(e.shards)))
-	e.regMu.Unlock()
-	sh.mu.Lock()
-	sh.gone = true
-	sh.mu.Unlock()
+	delete(e.ids, src)
+	metSourcesGauge.Set(int64(len(e.ids)))
+	e.stats.mu.Lock()
+	delete(e.stats.rows, src)
+	e.stats.mu.Unlock()
 	e.aligner.RemoveSource(src)
 	delete(e.dirty, src)
 	e.stale = true
@@ -363,86 +336,66 @@ func (e *Engine) RemoveSource(src event.SourceID) bool {
 	return true
 }
 
-// Sources returns the registered sources, sorted.
+// Sources returns the registered sources, sorted. It reads the
+// statistics rows, so it never waits for a settle.
 func (e *Engine) Sources() []event.SourceID {
-	e.regMu.RLock()
-	out := make([]event.SourceID, 0, len(e.shards))
-	for src := range e.shards {
+	e.stats.mu.Lock()
+	out := make([]event.SourceID, 0, len(e.stats.rows))
+	for src := range e.stats.rows {
 		out = append(out, src)
 	}
-	e.regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	e.stats.mu.Unlock()
+	slices.Sort(out)
 	return out
 }
 
 // Ingest routes one snippet through its source's identifier and marks the
-// source dirty for the next alignment. Unknown sources are
-// registered on first sight. Returns the per-source story the snippet
-// joined.
+// source dirty for the next alignment. Unknown sources are registered on
+// first sight. Returns the per-source story the snippet joined.
 //
-// Ingest for different sources runs in parallel: identification — the
-// expensive part — happens under the source's shard lock only; the engine
-// mutex is taken afterwards just for the dirty-set and statistics updates.
+// Ingest holds Engine.mu throughout: the reactivation check, the
+// identification, the dirty mark and, every AutoAlignEvery snippets, the
+// settle. Ingests of different sources therefore serialise too; every
+// ingest path settles often, and a settle needs the lock anyway.
 func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 	if err := s.Validate(); err != nil {
 		metInvalid.Inc()
 		return 0, err
 	}
 	span := metIngestLat.Start()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	// Reactivation: if the snippet fingerprints to archived stories, the
 	// whole retirement groups come back — adopted into their identifiers
 	// *before* this snippet is processed, so it can attach to a
-	// reactivated story exactly as it would have pre-retirement. No lock
-	// is held across adoptions (shards are taken one at a time), so
-	// cross-source groups cannot deadlock concurrent ingests.
-	var reactivated []*event.Story
+	// reactivated story exactly as it would have pre-retirement. The
+	// adopted stories are resident again whatever becomes of this
+	// snippet: the next settle must align them.
 	if e.retirer != nil {
 		s.EnsureInterned()
-		if reactivated = e.retirer.TakeForSnippet(s); reactivated != nil {
+		if reactivated := e.retirer.TakeForSnippet(s); reactivated != nil {
 			for _, st := range reactivated {
-				e.adoptStory(st)
+				if id, err := e.identifier(st.Source); err == nil {
+					id.Adopt(st)
+					e.dirty[st.Source]++
+				}
 			}
-		}
-	}
-	sh := e.shard(s.Source)
-	sh.mu.Lock()
-	for sh.gone {
-		// Raced with RemoveSource after the registry lookup: the shard we
-		// hold is detached, so re-resolve (auto-registering a fresh one).
-		sh.mu.Unlock()
-		sh = e.shard(s.Source)
-		sh.mu.Lock()
-	}
-	var refused error
-	switch {
-	case sh.err != nil:
-		metInvalid.Inc()
-		refused = sh.err
-	case sh.id.StoryOf(s.ID) != 0:
-		metDuplicates.Inc()
-		refused = fmt.Errorf("%w: snippet %d", ErrDuplicate, s.ID)
-	}
-	if refused != nil {
-		sh.mu.Unlock()
-		if reactivated != nil {
-			// The adopted stories are resident again whatever became of
-			// this snippet: the next settle must align them.
-			e.mu.Lock()
-			e.markReactivated(reactivated)
+			e.refreshRows()
 			e.setDirtyGauge()
-			e.mu.Unlock()
 		}
-		return 0, refused
 	}
-	sid := sh.id.Process(s)
-	pending := sh.id.Pending()
-	sh.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.markReactivated(reactivated)
-	e.dirty[s.Source] = pending
-	e.stats.add(s)
+	id, err := e.identifier(s.Source)
+	if err != nil {
+		metInvalid.Inc()
+		return 0, err
+	}
+	if id.StoryOf(s.ID) != 0 {
+		metDuplicates.Inc()
+		return 0, fmt.Errorf("%w: snippet %d", ErrDuplicate, s.ID)
+	}
+	sid := id.Process(s)
+	e.dirty[s.Source] = id.Pending()
+	e.stats.add(s, rowOf(id))
 	metIngested.Inc()
 	e.setDirtyGauge()
 	// The span stops here: auto-alignment below is measured by its own
@@ -458,11 +411,13 @@ func (e *Engine) Ingest(s *event.Snippet) (event.StoryID, error) {
 	return sid, nil
 }
 
-// markReactivated marks the sources of stories Ingest adopted back from
-// the archive dirty. Callers hold e.mu.
-func (e *Engine) markReactivated(stories []*event.Story) {
-	for _, st := range stories {
-		e.dirty[st.Source]++
+// refreshRows copies every registered source's statistics row. Callers
+// hold e.mu.
+func (e *Engine) refreshRows() {
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	for src, id := range e.ids {
+		e.stats.rows[src] = rowOf(id)
 	}
 }
 
@@ -478,71 +433,6 @@ func (e *Engine) IngestAll(snippets []*event.Snippet) int {
 	return n
 }
 
-// snapshotStories returns consistent snapshots of one source's live
-// stories, taken under the shard lock.
-func (e *Engine) snapshotStories(src event.SourceID) []*event.Story {
-	sh := e.lookupShard(src)
-	if sh == nil {
-		return nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.gone {
-		return nil
-	}
-	live := sh.id.Stories()
-	out := make([]*event.Story, len(live))
-	for i, st := range live {
-		out[i] = st.Snapshot()
-	}
-	return out
-}
-
-// changedSince reports whether the live story behind a snapshot the
-// aligner holds has changed or gone since.
-func (e *Engine) changedSince(held *event.Story) bool {
-	sh := e.lookupShard(held.Source)
-	if sh == nil {
-		return true
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	live := sh.id.Story(held.ID)
-	return live == nil || live.Gen() != held.Gen()
-}
-
-// adoptStory re-homes a reactivated story into its source's identifier.
-// A story already resident (the retirement raced a concurrent detach
-// verification and kept it) is left untouched — the live copy is newer
-// than the archived one.
-func (e *Engine) adoptStory(st *event.Story) {
-	sh := e.shard(st.Source)
-	sh.mu.Lock()
-	if !sh.gone && sh.err == nil && sh.id.Story(st.ID) == nil {
-		sh.id.Adopt(st)
-	}
-	sh.mu.Unlock()
-}
-
-// lockedMover applies refinement moves under the shard lock, so refine
-// passes stay correct while other sources keep ingesting, and marks the
-// source dirty (the settle running the refinement holds e.mu).
-type lockedMover struct {
-	e   *Engine
-	src event.SourceID
-	sh  *shard
-}
-
-func (m lockedMover) Move(snID event.SnippetID, to event.StoryID) bool {
-	m.sh.mu.Lock()
-	defer m.sh.mu.Unlock()
-	if m.sh.gone || !m.sh.id.Move(snID, to) {
-		return false
-	}
-	m.e.dirty[m.src] = m.sh.id.Pending()
-	return true
-}
-
 // setDirtyGauge publishes how many stories await the next reconcile.
 func (e *Engine) setDirtyGauge() {
 	n := 0
@@ -552,21 +442,22 @@ func (e *Engine) setDirtyGauge() {
 	metDirtyGauge.Set(int64(n))
 }
 
-// reconcile brings the aligner up to date with the identifiers. Under its
-// shard lock, each dirty source's identifier names every story it created,
-// mutated or dropped since the last reconcile (Identifier.Drain). A gone
-// story is upserted empty, which removes it; a live one is upserted as a
-// snapshot (shards keep mutating their stories while alignment runs)
-// unless the aligner holds it at its Gen, which is exact because every
-// score reads the aligner's frozen statistics epoch (DESIGN.md §3.2).
+// reconcile brings the aligner up to date with the identifiers. Each
+// dirty source's identifier names every story it created, mutated or
+// dropped since the last reconcile (Identifier.Drain). A gone story is
+// upserted empty, which removes it; a live one is upserted as a snapshot
+// (published results share the aligner's stories and are read without
+// the lock while ingest mutates the live ones) unless the aligner holds
+// it at its Gen, which is exact because every score reads the aligner's
+// frozen statistics epoch (DESIGN.md §3.2).
 //
 // Sources go in sorted order, IDs ascending, so new stories join the
 // aligner's insertion order the same way on every run; with byID (after
 // refinement), IDs ascend across sources. The order changes no edge, only
 // whether an Upsert scores a pair against a story the same reconcile
 // removes, which only the comparison counter sees: each phase keeps its
-// order so that counter stays comparable across changes. Called with e.mu
-// held, under which every registered shard is live.
+// order so that counter stays comparable across changes. Callers hold
+// e.mu.
 func (e *Engine) reconcile(byID bool) {
 	sources := make([]event.SourceID, 0, len(e.dirty))
 	for src := range e.dirty {
@@ -577,19 +468,17 @@ func (e *Engine) reconcile(byID bool) {
 	metDirtyGauge.Set(0)
 	var changed []*event.Story
 	for _, src := range sources {
-		sh := e.lookupShard(src)
-		if sh == nil {
+		id := e.ids[src]
+		if id == nil {
 			continue // removed: RemoveSource took its stories out of the aligner
 		}
-		sh.mu.Lock()
-		for _, sid := range sh.id.Drain() {
-			if st := sh.id.Story(sid); st == nil {
+		for _, sid := range id.Drain() {
+			if st := id.Story(sid); st == nil {
 				changed = append(changed, event.NewStory(sid, src))
 			} else if !e.aligner.Holds(sid, st.Gen()) {
 				changed = append(changed, st.Snapshot())
 			}
 		}
-		sh.mu.Unlock()
 	}
 	if byID {
 		slices.SortFunc(changed, func(a, b *event.Story) int { return cmp.Compare(a.ID, b.ID) })
@@ -616,14 +505,15 @@ func (e *Engine) alignLocked() *align.Result {
 	res := e.aligner.Result()
 
 	if e.opts.RefineOnAlign {
-		e.regMu.RLock()
-		movers := make(map[event.SourceID]align.Mover, len(e.shards))
-		for src, sh := range e.shards {
-			movers[src] = lockedMover{e, src, sh}
+		movers := make(map[event.SourceID]align.Mover, len(e.ids))
+		for src, id := range e.ids {
+			movers[src] = id
 		}
-		e.regMu.RUnlock()
 		if corr := e.refiner.Refine(res, movers); len(corr) > 0 {
 			metRefineMoves.Add(uint64(len(corr)))
+			for _, c := range corr {
+				e.dirty[c.Source] = e.ids[c.Source].Pending()
+			}
 			// Moves changed story contents; reconcile and re-align once.
 			e.reconcile(true)
 			res = e.aligner.Result()
@@ -640,10 +530,11 @@ func (e *Engine) alignLocked() *align.Result {
 			res = e.aligner.Result()
 		}
 	}
+	e.refreshRows()
 	// Only the final result of the pass is published. A sink compares it
 	// with the last one it saw by IntegratedStory.Version (the index
-	// does), so the results computed in between need no record. Readers of Published see it only after
-	// every sink has it.
+	// does), so the results computed in between need no record. Readers
+	// of Published see it only after every sink has it.
 	for _, s := range e.sinks {
 		s.Publish(res)
 	}
@@ -653,19 +544,13 @@ func (e *Engine) alignLocked() *align.Result {
 
 // retireLocked runs one retirement walk under e.mu at the given event-time
 // watermark and returns how many stories were retired. Per retirable set
-// the protocol is:
-//
-//  1. verify under each member's shard lock that the live story still is
-//     the snapshot the aligner holds (any member that changed aborts the
-//     set);
-//  2. archive those snapshots durably (fsynced) — on error retirement
-//     stops for this pass, nothing was detached;
-//  3. detach each member, verifying under the shard lock that its Gen
-//     still equals the snapshot's — a story that raced new evidence
-//     between 1 and 3 stays resident and is pruned from the group.
-//
-// The ordering makes the archive a superset of what was detached at
-// every instant, so a crash anywhere loses at most a retirement.
+// it archives the aligner's snapshots durably (the store synced, the
+// records fsynced) and then detaches each member; a failed archive stops
+// retirement for this pass with nothing detached. The snapshots are the
+// live stories at their Gen (reconcile just ran, and nothing changes a
+// story without e.mu), and the archive is a superset of what was
+// detached at every instant, so a crash anywhere loses at most a
+// retirement.
 func (e *Engine) retireLocked(watermark time.Time) int {
 	cold := func(st *event.Story) bool {
 		return e.retirer.Cold(st.ID, st.End, watermark)
@@ -678,40 +563,17 @@ func (e *Engine) retireLocked(watermark time.Time) int {
 	if e.opts.Identify.RepairEvery <= 0 {
 		pad = -1
 	}
-	sets := e.aligner.RetirableSets(cold, pad)
 	total := 0
-	for _, set := range sets {
-		if slices.ContainsFunc(set, e.changedSince) {
-			continue
-		}
-		ticket, err := e.retirer.Archive(set, watermark)
-		if err != nil {
+	for _, set := range e.aligner.RetirableSets(cold, pad) {
+		if err := e.retirer.Archive(set, watermark); err != nil {
 			metRetireArchiveErrors.Inc()
 			break
 		}
-		retired := make([]event.StoryID, 0, len(set))
 		for _, snap := range set {
-			sh := e.lookupShard(snap.Source)
-			if sh == nil {
-				continue
-			}
-			sh.mu.Lock()
-			live := sh.id.Story(snap.ID)
-			if sh.gone || live == nil || live.Gen() != snap.Gen() {
-				sh.mu.Unlock()
-				continue
-			}
-			sh.id.Detach(snap.ID)
-			sh.mu.Unlock()
+			e.ids[snap.Source].Detach(snap.ID)
 			e.aligner.Remove(snap.ID)
-			retired = append(retired, snap.ID)
 		}
-		if len(retired) == 0 {
-			e.retirer.Abort(ticket)
-			continue
-		}
-		e.retirer.Commit(ticket, retired)
-		total += len(retired)
+		total += len(set)
 	}
 	return total
 }
@@ -744,39 +606,43 @@ func (e *Engine) Published() *align.Result {
 }
 
 // Stories returns the current per-source stories of one source, as
-// snapshots that stay consistent while ingestion continues.
+// snapshots that stay consistent while ingestion continues. It reads the
+// live identifier, so it waits for a settle in progress; the server
+// serves the published ones instead.
 func (e *Engine) Stories(src event.SourceID) []*event.Story {
-	return e.snapshotStories(src)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id := e.ids[src]
+	if id == nil {
+		return nil
+	}
+	live := id.Stories()
+	out := make([]*event.Story, len(live))
+	for i, st := range live {
+		out[i] = st.Snapshot()
+	}
+	return out
 }
 
 // SourceStats returns a source's identification work counters and story
-// count, read under its shard lock; ok is false for an unknown source.
+// count as of the last ingest, settle or source change; ok is false for
+// an unknown source. It never waits for a settle.
 func (e *Engine) SourceStats(src event.SourceID) (st identify.Stats, stories int, ok bool) {
-	e.withIdentifier(src, func(id *identify.Identifier) {
-		st, stories, ok = id.Stats(), id.StoryCount(), true
-	})
-	return st, stories, ok
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	row, ok := e.stats.rows[src]
+	return row.stats, row.stories, ok
 }
 
 // StoryOf returns the story a snippet of src is currently assigned to (0
 // if the source or the snippet is unknown).
-func (e *Engine) StoryOf(src event.SourceID, snID event.SnippetID) (sid event.StoryID) {
-	e.withIdentifier(src, func(id *identify.Identifier) { sid = id.StoryOf(snID) })
-	return sid
-}
-
-// withIdentifier runs f on src's identifier under its shard lock, if the
-// source is registered.
-func (e *Engine) withIdentifier(src event.SourceID, f func(*identify.Identifier)) {
-	sh := e.lookupShard(src)
-	if sh == nil {
-		return
+func (e *Engine) StoryOf(src event.SourceID, snID event.SnippetID) event.StoryID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if id := e.ids[src]; id != nil {
+		return id.StoryOf(snID)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.gone {
-		f(sh.id)
-	}
+	return 0
 }
 
 // Ingested returns the number of accepted snippets.

@@ -18,10 +18,11 @@ import (
 	"repro/internal/retire"
 )
 
-// identifierOf returns src's live identifier, bypassing the shard lock:
-// only for tests that ingest from a single goroutine.
+// identifierOf returns src's live identifier, bypassing Engine.mu: only
+// for tests that ingest from a single goroutine, or that call it from a
+// sink, which runs under the lock.
 func identifierOf(e *Engine, src event.SourceID) *identify.Identifier {
-	return e.lookupShard(src).id
+	return e.ids[src]
 }
 
 func day(d int) time.Time { return time.Date(2014, 7, d, 0, 0, 0, 0, time.UTC) }
@@ -638,6 +639,92 @@ func TestEngineAlignerHoldsLiveStories(t *testing.T) {
 				name, check.settles, v.Retired, v.Reactivated)
 		}
 		t.Logf("%s: %d settles, %d stories retired, %d reactivated", name, check.settles, v.Retired, v.Reactivated)
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// archiveCheck is a result sink that checks, at every publish (so after
+// every retirement pass), that the archive indexes exactly the stories
+// the identifiers have detached: the stories their assignments still
+// name that are no longer live.
+type archiveCheck struct {
+	t        *testing.T
+	e        *Engine
+	mgr      *retire.Manager
+	name     string
+	settles  int
+	detached int // the most stories seen detached at once
+}
+
+func (c *archiveCheck) Publish(*align.Result) {
+	c.settles++
+	total := 0
+	for src, id := range c.e.ids {
+		var want []event.StoryID
+		for _, sid := range id.Assignments() {
+			if id.Story(sid) == nil && !slices.Contains(want, sid) {
+				want = append(want, sid)
+			}
+		}
+		slices.Sort(want)
+		if got := c.mgr.ArchivedIDs(src); !slices.Equal(got, want) {
+			c.t.Fatalf("%s settle %d: %s archives %v, its identifier detached %v", c.name, c.settles, src, got, want)
+		}
+		total += len(want)
+	}
+	if n := c.mgr.Snapshot().Archived; n != total {
+		c.t.Fatalf("%s settle %d: the archive indexes %d stories, the identifiers detached %d", c.name, c.settles, n, total)
+	}
+	c.detached = max(c.detached, total)
+}
+
+// TestArchiveIndexMatchesDetached checks retirement's one-step protocol:
+// after every retirement pass the archive's index equals the set of
+// stories the engine detached, through retirement, reactivation,
+// refinement, identifier repair and a mid-stream source removal.
+func TestArchiveIndexMatchesDetached(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		gen := datagen.DefaultConfig()
+		gen.Seed = seed
+		gen.Sources = 4
+		gen.Stories = 12
+		gen.EventsPerStory = 12
+		corpus := datagen.Generate(gen)
+
+		opts := DefaultOptions()
+		opts.RefineOnAlign = true
+		opts.AutoAlignEvery = 32
+		opts.Identify.RepairEvery = 8
+		mgr, err := retire.Open(retire.Config{
+			Window:      15 * 24 * time.Hour,
+			Dir:         t.TempDir(),
+			IdentWindow: opts.Identify.Window,
+			AlignSlack:  opts.Align.Slack,
+		}, newSnippetStore(corpus.Snippets, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(opts)
+		e.SetRetirer(mgr)
+		check := &archiveCheck{t: t, e: e, mgr: mgr, name: fmt.Sprintf("seed %d", seed)}
+		e.AddResultSink(check)
+		arrivals := corpus.Shuffled(0.3, 40, seed)
+		for i, sn := range arrivals {
+			if i == len(arrivals)/2 {
+				e.RemoveSource(corpus.Sources[1])
+			}
+			if _, err := e.Ingest(sn); err != nil {
+				t.Fatalf("%s: ingest %d: %v", check.name, sn.ID, err)
+			}
+		}
+		e.Align()
+		v := mgr.Snapshot()
+		if v.Retired == 0 || v.Reactivated == 0 || check.detached == 0 {
+			t.Fatalf("%s: %d settles, %d retired, %d reactivated, at most %d detached: the check saw too little",
+				check.name, check.settles, v.Retired, v.Reactivated, check.detached)
+		}
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
 		}

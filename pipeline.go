@@ -325,6 +325,12 @@ func (p *Pipeline) Ingest(sn *Snippet) error {
 	p.mu.Unlock()
 	span := metPipelineIngest.Start()
 	if st != nil {
+		// The engine refuses a source whose ID namespace another source
+		// claimed; the store must not hold its snippet, or every replay
+		// of the store would refuse it again and fail the open.
+		if err := p.engine.AddSource(sn.Source); err != nil {
+			return err
+		}
 		if err := st.Append(sn); err != nil {
 			return err
 		}

@@ -8,12 +8,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestQueryIngestRace hammers the indexed query path while the sharded
-// engine is ingesting from every source concurrently and one source is
-// removed mid-stream. Run under -race it proves the lock discipline:
-// queries take the index read lock only, publishes (and the posting
-// deletes they make) serialise behind the write lock, and no path reads
-// engine state without the engine's own locks.
+// TestQueryIngestRace hammers the indexed query path while every source
+// ingests from its own goroutine and one source is removed mid-stream.
+// Run under -race it proves the lock discipline: queries take the index
+// read lock only, publishes (and the posting deletes they make)
+// serialise behind the write lock, and no path reads identifier state
+// without Engine.mu.
 func TestQueryIngestRace(t *testing.T) {
 	corpus := datagen.Generate(experiments.CorpusScale(800, 4, 29))
 	p, err := New(WithRefinement(true), WithAutoAlign(64))
@@ -31,7 +31,7 @@ func TestQueryIngestRace(t *testing.T) {
 		break
 	}
 
-	// Ingest shards: one writer per source; the victim source is removed
+	// One writer per source; the victim source is removed
 	// halfway through its own stream (and keeps ingesting after, which
 	// re-registers it — removal under fire is the point).
 	var writers sync.WaitGroup

@@ -2,6 +2,7 @@ package storypivot
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io/fs"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // TestRecoveryWarningsCleanOpen: a pipeline over a healthy store reports
@@ -103,6 +105,47 @@ func TestRecoveryWarningsMissingCheckpoint(t *testing.T) {
 	}
 	if got := obs.GetCounter("storypivot_stream_checkpoint_restore_failures_total", "").Value(); got != failsBefore {
 		t.Fatal("missing checkpoint counted as a restore failure")
+	}
+}
+
+// TestSourceCollisionLeavesStoreReopenable: sources src977 and src3367
+// share an ID-namespace tag, so the engine refuses the second. The store
+// must not keep the refused snippet: every later open replays the store,
+// which would refuse it again and fail.
+func TestSourceCollisionLeavesStoreReopenable(t *testing.T) {
+	dir := t.TempDir()
+	p, err := New(WithStorage(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snippet := func(id SnippetID, src SourceID) *Snippet {
+		sn := &Snippet{ID: id, Source: src, Timestamp: time.Date(2014, 7, 17, 0, 0, 0, 0, time.UTC),
+			Entities: []Entity{"UKR"}, Terms: []Term{{Token: "crash", Weight: 1}}}
+		sn.Normalize()
+		return sn
+	}
+	if err := p.Ingest(snippet(1, "src977")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Ingest(snippet(2, "src3367")); !errors.Is(err, stream.ErrSourceCollision) {
+		t.Fatalf("Ingest of the colliding source = %v, want ErrSourceCollision", err)
+	}
+	if p.Snippet(2) != nil {
+		t.Fatal("the store holds the snippet the engine refused")
+	}
+	p.Close()
+	for _, replay := range []bool{false, true} {
+		if replay {
+			os.Remove(filepath.Join(dir, "checkpoint.json"))
+		}
+		p2, err := New(WithStorage(dir))
+		if err != nil {
+			t.Fatalf("reopen (replay %v): %v", replay, err)
+		}
+		if got := p2.Engine().Ingested(); got != 1 {
+			t.Errorf("reopen (replay %v) holds %d snippets, want 1", replay, got)
+		}
+		p2.Close()
 	}
 }
 

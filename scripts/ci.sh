@@ -96,9 +96,11 @@ gate "fault injection (httpx/server/faults)" \
 # manager gets the stories of in-order ingest on every run and again
 # when its store's log is replayed; an NDJSON endpoint that ignores the
 # limit still yields batches of at most the limit. The breaker and the
-# backoff themselves live in internal/retry, which passes whole.
+# backoff themselves live in internal/retry, which passes whole. A
+# snippet the engine refuses for a source-tag collision never reaches the
+# store, so the store still reopens, by restore and by replay.
 gate "feed fault injection (feed + checkpoint restore)" \
-  internal/retry/ TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
+  internal/retry/ TestSourceCollisionLeavesStoreReopenable TestFeedFlapAndRecover TestFeedBreakerLifecycle TestFeedDLQCaptureNoPoisoning \
   TestFeedCursorResumeNoDuplicates TestFeedDrainMidBurstNoAcknowledgedLoss \
   TestFeedFetchTimeoutRecovers TestFeedFetcherPanicContained TestFeedIngestsInFetchOrder \
   TestFeedMatchesOrderedIngest TestHTTPFetcherHonoursLimit \
@@ -184,9 +186,12 @@ gate "cluster scatter-gather" \
 # that cannot sync detaches nothing, an older archive is cut at open
 # and replayed from the store with a warning, New's error paths close
 # what they opened, and a tiered pipeline's retire → reactivate round
-# trip answers byte for byte as an untiered one.
+# trip answers byte for byte as an untiered one. Archive, then detach,
+# run under the one engine lock: after every retirement pass the
+# archive's index must equal the set of stories the engine detached.
 gate "story retirement" \
   TestRetireDifferential 'TestRetireReactivation*' TestRejectedIngestKeepsReactivatedVisible \
+  TestArchiveIndexMatchesDetached \
   TestRetireBoundedResident TestRetireIngestRace TestRetireRequiresStorage \
   TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
   TestRecoveryArchiveOlderVersion TestNewClosesWhatItOpenedOnError \
@@ -200,7 +205,9 @@ gate "story retirement" \
 # nothing lost or duplicated; sparse (out-of-order) IDs must be found in
 # every chunk and tier; no sealed chunk keeps a heap copy: each reads
 # from a mapping of its own file, and a reopen allocates under a tenth of
-# the corpus; the whole storage package passes; the chunk tier suite
+# the corpus; a sealed chunk whose files are gone is reported lost with
+# the rows its manifest entry held; the whole storage package passes;
+# the chunk tier suite
 # (demotion/promotion, crash-point recovery at both the storage and
 # pipeline layers, the manifest reconcile, and the ingest/query/cold-read
 # hammer) must pass under the race detector, and the 3-seed
@@ -210,6 +217,7 @@ gate "story retirement" \
 gate "storage logs + tiers" \
   TestSegLogCrashAtEveryOffset TestSegLogRejectsOversizedRecord TestOpenMigratesFlatSegments \
   TestTierSparseIDs TestTierSealedChunksLiveInTheirFiles TestTierReopenAllocatesNoChunkBytes internal/storage/ \
+  TestTierLostChunkReported \
   'TestTier*' 'TestRecoveryTiered*' TestTieredIngestQueryRace \
   TestTieredServerDifferential TestPagedEnvelopeBoundaries \
   TestClusterPagedEnvelopeEdgeCases 'TestDLQ*' 'TestArchiveTornFrame*' 'TestArchiveReset*'
@@ -245,10 +253,12 @@ gate "self-healing cluster chaos" \
 # exact: an identifier's Drain must name every story whose presence or Gen
 # changed, and after every settle the aligner must hold each live story at
 # its Gen and nothing else, through repair, refinement, retirement, source
-# removal racing ingest, and checkpoint restore. The entity statistics
-# must reproduce the IDF weight bit for bit, an idle Result must allocate
-# the same at any corpus size, and a source's statistics must be readable
-# while it ingests. The settle's allocation pins: the index re-sorts dirty
+# removal racing ingest, and checkpoint restore; that is what lets a
+# retirement detach every member it archived without re-checking it
+# under the one engine lock. The entity statistics must reproduce the IDF
+# weight bit for bit, an idle Result must allocate the same at any corpus
+# size, and a source's statistics rows must be readable while it
+# ingests. The settle's allocation pins: the index re-sorts dirty
 # timeline segments with no allocation, an integrated story's Snippets
 # allocates once and its construction does not grow with its snippets,
 # and a warm Refiner pass allocates the same at any corpus size. The
@@ -270,9 +280,9 @@ gate "settle exactness (align + engine digest)" \
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the
-# unindexed ones and /api/stats and /api/trending included, answering
-# with the pre-write state, and the same reads must show the write after
-# the ack; every server write path (POST, select, remove-document, a feed
+# unindexed ones and /api/stats, /api/trending, /api/sources and
+# /api/stories included, answering with the pre-write state, and the same
+# reads must show the write after the ack; every server write path (POST, select, remove-document, a feed
 # batch, a feed-tenure source removal, New over a restored store) must
 # return with the write visible and nothing left to align, and N POSTs
 # under concurrent reads must run exactly N alignment passes. The cache
