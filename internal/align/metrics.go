@@ -22,4 +22,8 @@ var (
 		"refinement passes executed")
 	metRefineScores = obs.GetCounter("storypivot_refine_scores_total",
 		"snippet-story scores computed by refinement (home and candidate)")
+	metRefineHomesWalked = obs.GetCounter("storypivot_refine_homes_walked_total",
+		"home stories refinement planned by walking their snippets")
+	metRefineHomesCarried = obs.GetCounter("storypivot_refine_homes_carried_total",
+		"home stories refinement re-planned from the last pass's memo: unchanged and reached by no changed multi-source story")
 )

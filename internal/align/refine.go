@@ -92,8 +92,11 @@ func Refine(res *Result, movers map[event.SourceID]Mover, cfg RefineConfig) []Co
 // its version is one the snippet was planned against, and without its
 // support verdict under a new version whose members of the snippet's
 // source are those of the last one, if the snippet lay in the last one's
-// widened extent; it is scored again only otherwise. So every pass
-// returns exactly the corrections a fresh Refiner would.
+// widened extent; it is scored again only otherwise. A home story whose
+// (ID, Gen) is the last pass's and which no changed multi-source
+// integrated story reaches is carried, not walked: its memo is copied and
+// its plans are re-derived from it. So every pass returns exactly the
+// corrections a fresh Refiner would.
 //
 // A Refiner reads the results of one Aligner. The aligner's versions only
 // grow, a kept integrated story keeps its version and a dropped one never
@@ -135,12 +138,13 @@ type Refiner struct {
 	srcs map[event.SourceID]int32
 
 	// Scratch, valid within one pass.
-	plans []Correction
-	multi []reach
-	kept  []int32 // the reaches' unchanged sources, numbered by srcs
-	near  []near
-	cen   []vocab.IDWeight
-	ents  []vocab.IDCount
+	plans   []Correction
+	multi   []reach
+	changed []span  // the widened extents a home story must miss to carry
+	kept    []int32 // the reaches' unchanged sources, numbered by srcs
+	near    []near
+	cen     []vocab.IDWeight
+	ents    []vocab.IDCount
 }
 
 // homeMemo is one home story of the last pass: its (ID, Gen) and its
@@ -171,13 +175,21 @@ type target struct {
 }
 
 // multiMemo is one multi-source integrated story of the last pass: its
-// ID, version, extent widened by SupportScale (Unix nanoseconds) and its
-// members members[lo ..+n], in member order.
+// ID, version, extent widened by SupportScale and its members
+// members[lo ..+n], in member order.
 type multiMemo struct {
-	id       event.IntegratedID
-	ver      uint64
-	from, to int64
-	lo, n    int32
+	id    event.IntegratedID
+	ver   uint64
+	span  span
+	lo, n int32
+}
+
+// span is a widened extent, its ends in Unix nanoseconds.
+type span struct{ from, to int64 }
+
+// overlaps reports whether the span meets the time range [first, last].
+func (s span) overlaps(first, last int64) bool {
+	return first <= s.to && last >= s.from
 }
 
 // memberMemo is one member story of a multi-source integrated story: its
@@ -191,15 +203,14 @@ type memberMemo struct {
 // reach is a multi-source integrated story of the current pass with its
 // extent widened by SupportScale. When the last pass had a multi-source
 // integrated story of the same ID at another version, old is that
-// version, oldFrom and oldTo its widened extent, and kept[keptLo ..+keptN]
-// the sources whose members it had too, in the same order at the same
-// Gens.
+// version, oldSpan its widened extent, and kept[keptLo ..+keptN] the
+// sources whose members it had too, in the same order at the same Gens.
 type reach struct {
-	is             *event.IntegratedStory
-	from, to       time.Time
-	old            uint64
-	oldFrom, oldTo int64
-	keptLo, keptN  int32
+	is            *event.IntegratedStory
+	from, to      time.Time
+	old           uint64
+	oldSpan       span
+	keptLo, keptN int32
 }
 
 // near is a multi-source integrated story in reach of one home story:
@@ -257,7 +268,9 @@ func compareByGain(a, b Correction) int {
 
 // plan returns each snippet's best supported move, reusing the last
 // pass's home scores and targets wherever their inputs are unchanged, and
-// replaces the memo with this pass's.
+// replaces the memo with this pass's. A home story is carried when its
+// (ID, Gen) and length are the last pass's and no changed multi-source
+// integrated story reaches it; every other home story is walked.
 func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correction {
 	cfg := r.cfg
 	// Every snippet with a memo was planned in the last pass, against
@@ -269,7 +282,7 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 	snips := slices.Grow(r.spareSnips[:0], len(r.snips))
 	targets := slices.Grow(r.spareTargets[:0], len(r.targets))
 	plans := r.plans[:0]
-	scores := 0
+	scores, walked, carried := 0, 0, 0
 	for _, is := range res.Integrated {
 		for _, home := range is.Members {
 			if movers[home.Source] == nil || home.Len() == 0 {
@@ -283,6 +296,21 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 				old = r.homes[i]
 			}
 			same := old.n > 0 && old.gen == home.Gen() && int(old.n) == home.Len()
+			if same && !r.reached(home) {
+				var ok bool
+				if plans, ok = r.carry(home, old, plans); ok {
+					lo := len(snips)
+					for _, memo := range r.snips[old.lo : old.lo+old.n] {
+						snips = append(snips, snipMemo{id: memo.id, homeScore: memo.homeScore,
+							lo: int32(len(targets)), n: memo.n})
+						targets = append(targets, r.targets[memo.lo:memo.lo+memo.n]...)
+					}
+					homes = append(homes, homeMemo{id: home.ID, gen: old.gen, lo: int32(lo), n: old.n})
+					carried++
+					continue
+				}
+			}
+			walked++
 			r.reachOf(home)
 			cursor := int32(0)
 			lo := len(snips)
@@ -318,10 +346,7 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 				}
 				var best Correction
 				moved := false
-				bestScore := homeScore + cfg.Margin
-				if bestScore < cfg.MinTargetScore {
-					bestScore = cfg.MinTargetScore
-				}
+				bestScore := r.bar(homeScore)
 				first := len(targets)
 				// Candidate targets: other stories of the same source — in
 				// other integrated components or the snippet's own — inside
@@ -390,6 +415,8 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 		}
 	}
 	metRefineScores.Add(uint64(scores))
+	metRefineHomesWalked.Add(uint64(walked))
+	metRefineHomesCarried.Add(uint64(carried))
 	clear(r.homeAt)
 	for i, h := range homes {
 		r.homeAt[h.id] = int32(i)
@@ -407,12 +434,15 @@ func (r *Refiner) plan(res *Result, movers map[event.SourceID]Mover) []Correctio
 // two sources can hold both a target of a snippet's own source and
 // support from another. The last pass's record is found by ID in one
 // merge walk, since results list their integrated stories in ascending ID
-// order.
+// order. The walk also fills r.changed with the widened extents of every
+// story that is new or at a new version, the old extent of one at a new
+// version, and the extent of every story of the last pass it skips past
+// or leaves at the end, which this pass dropped.
 func (r *Refiner) collectMulti(res *Result) uint64 {
 	old, oldMembers := r.multis, r.members
 	multis := slices.Grow(r.spareMultis[:0], len(old))
 	members := slices.Grow(r.spareMembers[:0], len(oldMembers))
-	r.kept = r.kept[:0]
+	r.kept, r.changed = r.kept[:0], r.changed[:0]
 	var top uint64
 	j := 0
 	for _, is := range res.Integrated {
@@ -422,30 +452,37 @@ func (r *Refiner) collectMulti(res *Result) uint64 {
 		}
 		start, end := is.Extent()
 		m := reach{is: is, from: start.Add(-r.cfg.SupportScale), to: end.Add(r.cfg.SupportScale)}
-		for j < len(old) && old[j].id < is.ID {
-			j++
+		cur := span{m.from.UnixNano(), m.to.UnixNano()}
+		for ; j < len(old) && old[j].id < is.ID; j++ {
+			r.changed = append(r.changed, old[j].span)
 		}
+		var was *multiMemo
 		var prev []memberMemo
 		if j < len(old) && old[j].id == is.ID {
-			prev = oldMembers[old[j].lo : old[j].lo+old[j].n]
+			was, prev = &old[j], oldMembers[old[j].lo:old[j].lo+old[j].n]
+			j++
 		}
 		lo := len(members)
-		if prev != nil && old[j].ver == is.Version {
+		if was != nil && was.ver == is.Version {
 			members = append(members, prev...)
 		} else {
 			for _, mem := range is.Members {
 				members = append(members, memberMemo{id: mem.ID, gen: mem.Gen(), src: r.sourceNumber(mem.Source)})
 			}
-			if prev != nil {
-				m.old, m.oldFrom, m.oldTo = old[j].ver, old[j].from, old[j].to
+			r.changed = append(r.changed, cur)
+			if was != nil {
+				m.old, m.oldSpan = was.ver, was.span
 				m.keptLo = int32(len(r.kept))
 				r.kept = keptSources(r.kept, prev, members[lo:])
 				m.keptN = int32(len(r.kept)) - m.keptLo
+				r.changed = append(r.changed, was.span)
 			}
 		}
-		multis = append(multis, multiMemo{id: is.ID, ver: is.Version,
-			from: m.from.UnixNano(), to: m.to.UnixNano(), lo: int32(lo), n: int32(len(members) - lo)})
+		multis = append(multis, multiMemo{id: is.ID, ver: is.Version, span: cur, lo: int32(lo), n: int32(len(members) - lo)})
 		r.multi = append(r.multi, m)
+	}
+	for ; j < len(old); j++ {
+		r.changed = append(r.changed, old[j].span)
 	}
 	r.spareMultis, r.spareMembers = old, oldMembers
 	r.multis, r.members = multis, members
@@ -493,11 +530,69 @@ func sourceRun(ms []memberMemo, src int32) []memberMemo {
 	return ms[lo:hi]
 }
 
+// bar is the score a target must beat to move a snippet whose home score
+// is homeScore.
+func (r *Refiner) bar(homeScore float64) float64 {
+	return max(homeScore+r.cfg.Margin, r.cfg.MinTargetScore)
+}
+
+// reached reports whether the widened extent of a multi-source integrated
+// story that changed since the last pass overlaps home's snippets.
+func (r *Refiner) reached(home *event.Story) bool {
+	first, last := home.Snippets[0].Timestamp.UnixNano(), home.Snippets[home.Len()-1].Timestamp.UnixNano()
+	for _, c := range r.changed {
+		if c.overlaps(first, last) {
+			return true
+		}
+	}
+	return false
+}
+
+// carry appends to plans the moves of home's snippets, re-derived from
+// old, home's memo of the last pass, without scoring or searching for
+// support. It is exact for a home story that kept its (ID, Gen) and that
+// no changed multi-source integrated story reaches: the integrated stories
+// in its reach are then the last pass's, at the same versions, so a walk
+// would take each snippet's targets from its memo in the same order and
+// fold them against the same home score. The last pass stored exactly the
+// targets it folded, each after the fold looked at it, and a target that
+// beat the running best at its turn was given its support verdict then;
+// so this fold, which sees the same targets against the same running
+// best, finds a verdict on every target that beats it. Should one lack a
+// verdict all the same, carry returns plans unchanged and false, and the
+// caller walks the home story.
+func (r *Refiner) carry(home *event.Story, old homeMemo, plans []Correction) ([]Correction, bool) {
+	n := len(plans)
+	for _, memo := range r.snips[old.lo : old.lo+old.n] {
+		bestScore, moved := r.bar(memo.homeScore), false
+		var to event.StoryID
+		for _, t := range r.targets[memo.lo : memo.lo+memo.n] {
+			if !(t.score > bestScore) {
+				continue
+			}
+			if t.support == 0 {
+				return plans[:n], false
+			}
+			if t.support > 0 {
+				bestScore, to, moved = t.score, t.to, true
+			}
+		}
+		if moved {
+			plans = append(plans, Correction{
+				Snippet: memo.id, Source: home.Source,
+				From: home.ID, To: to,
+				Gain: bestScore - memo.homeScore,
+			})
+		}
+	}
+	return plans, true
+}
+
 // heldOld reports whether a snippet at ts lay in the widened extent of
 // m's old version.
 func (m *reach) heldOld(ts time.Time) bool {
 	ns := ts.UnixNano()
-	return m.old != 0 && ns >= m.oldFrom && ns <= m.oldTo
+	return m.old != 0 && m.oldSpan.overlaps(ns, ns)
 }
 
 // targetAt returns the target of version ver among a snippet's targets.

@@ -47,6 +47,39 @@ func sameCorrections(got, want []Correction) error {
 	return nil
 }
 
+// sameMemo reports the first difference between the memo a persistent
+// Refiner left and a fresh one's after a pass over the same result: the
+// home stories at their Gens, their snippets with home scores to the bit,
+// and each snippet's targets in fold order with scores to the bit. A
+// support verdict is compared where the fresh one searched for it; the
+// persistent one may hold a verdict an earlier pass needed.
+func sameMemo(got, want *Refiner) error {
+	if len(got.homes) != len(want.homes) {
+		return fmt.Errorf("%d home stories, want %d", len(got.homes), len(want.homes))
+	}
+	for i, wh := range want.homes {
+		gh := got.homes[i]
+		if gh.id != wh.id || gh.gen != wh.gen || gh.n != wh.n {
+			return fmt.Errorf("home %d = story %d@%d with %d snippets, want %d@%d with %d", i, gh.id, gh.gen, gh.n, wh.id, wh.gen, wh.n)
+		}
+		for k := int32(0); k < wh.n; k++ {
+			gs, ws := got.snips[gh.lo+k], want.snips[wh.lo+k]
+			if gs.id != ws.id || math.Float64bits(gs.homeScore) != math.Float64bits(ws.homeScore) || gs.n != ws.n {
+				return fmt.Errorf("story %d snippet %d = %d (home score %v, %d targets), want %d (%v, %d)",
+					wh.id, k, gs.id, gs.homeScore, gs.n, ws.id, ws.homeScore, ws.n)
+			}
+			for x := int32(0); x < ws.n; x++ {
+				gt, wt := got.targets[gs.lo+x], want.targets[ws.lo+x]
+				if gt.to != wt.to || gt.ver != wt.ver || math.Float64bits(gt.score) != math.Float64bits(wt.score) ||
+					(wt.support != 0 && gt.support != wt.support) {
+					return fmt.Errorf("snippet %d target %d = %+v, want %+v", ws.id, x, gt, wt)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // acceptAll returns an accepting mover for every source of res.
 func acceptAll(res *Result) map[event.SourceID]Mover {
 	movers := map[event.SourceID]Mover{}
@@ -82,6 +115,9 @@ type refinerStream struct {
 	ids      []event.StoryID // every story ID, sorted
 	resident map[event.StoryID]bool
 	spare    map[event.SourceID][]*event.Snippet // snippets taken out of every story
+
+	// How often step swapped a snippet and trimmed an extent.
+	swaps, trims int
 }
 
 func newRefinerStream(seed int64) *refinerStream {
@@ -142,12 +178,60 @@ func (s *refinerStream) edit(id event.StoryID) {
 	s.upsert(st)
 }
 
+// swap takes one snippet out of a resident story and puts a spare one of
+// its source in, so the story's Gen changes and its length does not.
+func (s *refinerStream) swap(id event.StoryID) {
+	st := s.latest[id].Snapshot()
+	spare := s.spare[st.Source]
+	if len(spare) == 0 || st.Len() == 0 {
+		return
+	}
+	in, out := spare[len(spare)-1], st.Snippets[s.rng.Intn(st.Len())]
+	st.Remove(out.ID)
+	st.Add(in)
+	s.spare[st.Source] = append(spare[:len(spare)-1], out)
+	s.upsert(st)
+	s.swaps++
+}
+
+// trim takes the earliest or the latest snippet of a multi-source
+// integrated story out of the member that holds it, so the integrated
+// story comes back at a new version whose extent may no longer reach a
+// home story the old one reached.
+func (s *refinerStream) trim() {
+	multi := s.a.Result().MultiSource()
+	if len(multi) == 0 {
+		return
+	}
+	is := multi[s.rng.Intn(len(multi))]
+	start, end := is.Extent()
+	late := s.rng.Intn(2) == 0
+	for _, k := range s.rng.Perm(len(is.Members)) {
+		st := s.latest[is.Members[k].ID].Snapshot()
+		if st.Len() < 2 {
+			continue
+		}
+		sn, edge := st.Snippets[0], start
+		if late {
+			sn, edge = st.Snippets[st.Len()-1], end
+		}
+		if sn.Timestamp.Equal(edge) {
+			st.Remove(sn.ID)
+			s.spare[st.Source] = append(s.spare[st.Source], sn)
+			s.upsert(st)
+			s.trims++
+			return
+		}
+	}
+}
+
 // step applies one random operation: upsert a story that is not
-// resident, edit a resident one, move a snippet between two resident
-// stories of one source, or remove a story.
+// resident, edit a resident one, swap a snippet of one, move a snippet
+// between two resident stories of one source, trim a multi-source
+// integrated story's extent, or remove a story.
 func (s *refinerStream) step() {
 	residentOK := func(st *event.Story) bool { return s.resident[st.ID] }
-	switch s.rng.Intn(6) {
+	switch s.rng.Intn(8) {
 	case 0, 1:
 		if id := s.pick(func(st *event.Story) bool { return !s.resident[st.ID] && st.Len() > 0 }); id != 0 {
 			s.upsert(s.latest[id])
@@ -177,21 +261,34 @@ func (s *refinerStream) step() {
 			s.a.Remove(id)
 			s.resident[id] = false
 		}
+	case 6:
+		if id := s.pick(residentOK); id != 0 {
+			s.swap(id)
+		}
+	case 7:
+		s.trim()
 	}
 }
 
 // TestRefinerMatchesOneShotQuick drives one persistent Refiner through a
-// random stream of story upserts, edits, snippet moves and removals with
-// IDF weighting on, and requires every pass to return exactly the
-// corrections of a fresh Refiner on the same result. Right after the
-// first pass it edits members of two multi-source integrated stories, so
-// several integrated stories get new member lists in one pass while every
-// snippet holds a memo.
+// random stream of story upserts, edits, snippet swaps, snippet moves,
+// extent trims and removals with IDF weighting on, and requires every
+// pass to return exactly the corrections of a fresh Refiner on the same
+// result. Right after the first pass it edits members of two multi-source
+// integrated stories, so several integrated stories get new member lists
+// in one pass while every snippet holds a memo. A swap changes a home
+// story's Gen but not its length, and a trim moves a re-versioned
+// integrated story's extent off home stories it reached: a home story
+// carried on either would keep a stale plan. So after every pass the
+// persistent Refiner's memo must equal the fresh one's too, which shows a
+// stale carried target even where it does not win.
 func TestRefinerMatchesOneShotQuick(t *testing.T) {
 	cfg := DefaultRefineConfig()
-	passes, fired, crowded := 0, 0, 0
+	passes, fired, crowded, swaps, trims := 0, 0, 0, 0, 0
+	carried := metRefineHomesCarried.Value()
 	f := func(seed int64) bool {
 		s := newRefinerStream(seed)
+		defer func() { swaps, trims = swaps+s.swaps, trims+s.trims }()
 		for _, id := range s.ids {
 			if s.rng.Intn(3) > 0 {
 				s.upsert(s.latest[id])
@@ -223,9 +320,14 @@ func TestRefinerMatchesOneShotQuick(t *testing.T) {
 			}
 			prev = lists
 			movers := acceptAll(res)
-			want := Refine(res, movers, cfg)
+			fresh := NewRefiner(cfg)
+			want := fresh.Refine(res, movers)
 			if err := sameCorrections(r.Refine(res, movers), want); err != nil {
 				t.Logf("seed %d round %d: persistent Refiner differs from a fresh one: %v", seed, round, err)
+				return false
+			}
+			if err := sameMemo(r, fresh); err != nil {
+				t.Logf("seed %d round %d: persistent Refiner's memo differs from a fresh one's: %v", seed, round, err)
 				return false
 			}
 			passes++
@@ -236,9 +338,11 @@ func TestRefinerMatchesOneShotQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d passes, %d corrections, %d passes with >= 2 new multi-source integrated stories", passes, fired, crowded)
-	if fired == 0 || crowded == 0 {
-		t.Fatal("no pass moved a snippet or none renewed two multi-source integrated stories: the comparison is vacuous")
+	carried = metRefineHomesCarried.Value() - carried
+	t.Logf("%d passes, %d corrections, %d passes with >= 2 new multi-source integrated stories, %d swaps, %d trims, %d home stories carried",
+		passes, fired, crowded, swaps, trims, carried)
+	if fired == 0 || crowded == 0 || swaps == 0 || trims == 0 || carried == 0 {
+		t.Fatal("no pass moved a snippet, none renewed two multi-source integrated stories, no swap or trim ran, or no home story was carried: the comparison is vacuous")
 	}
 }
 
@@ -334,6 +438,63 @@ func refineWork(prev, next *Result, cfg RefineConfig, skip ...event.SourceID) in
 	return work
 }
 
+// walkBound counts the home stories of next that a pass after one over
+// prev may walk, and all of next's home stories: a home story is walked
+// unless prev held it at the same (ID, Gen) and no multi-source
+// integrated story that is new in next, at a new version or dropped
+// reaches its snippets with its widened extent in either result.
+func walkBound(prev, next *Result, cfg RefineConfig) (walk, homes int) {
+	held := map[event.StoryID]uint64{}
+	for _, is := range prev.Integrated {
+		for _, m := range is.Members {
+			held[m.ID] = m.Gen()
+		}
+	}
+	olds, news := map[event.IntegratedID]*event.IntegratedStory{}, map[event.IntegratedID]*event.IntegratedStory{}
+	for _, is := range prev.MultiSource() {
+		olds[is.ID] = is
+	}
+	for _, is := range next.MultiSource() {
+		news[is.ID] = is
+	}
+	var changed []*event.IntegratedStory
+	for id, is := range news {
+		if o := olds[id]; o == nil || o.Version != is.Version {
+			changed = append(changed, is)
+			if o != nil {
+				changed = append(changed, o)
+			}
+		}
+	}
+	for id, o := range olds {
+		if news[id] == nil {
+			changed = append(changed, o)
+		}
+	}
+	reached := func(home *event.Story) bool {
+		first, last := home.Snippets[0].Timestamp, home.Snippets[home.Len()-1].Timestamp
+		for _, is := range changed {
+			start, end := is.Extent()
+			if !first.After(end.Add(cfg.SupportScale)) && !last.Before(start.Add(-cfg.SupportScale)) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, is := range next.Integrated {
+		for _, home := range is.Members {
+			if home.Len() == 0 {
+				continue
+			}
+			homes++
+			if gen, ok := held[home.ID]; !ok || gen != home.Gen() || reached(home) {
+				walk++
+			}
+		}
+	}
+	return walk, homes
+}
+
 // sourceMembers lists the (ID, Gen) of is's members of source src, in
 // member order.
 func sourceMembers(is *event.IntegratedStory, src event.SourceID) string {
@@ -346,14 +507,16 @@ func sourceMembers(is *event.IntegratedStory, src event.SourceID) string {
 	return s
 }
 
-// TestRefinerScoresOnlyWhatChanged reads storypivot_refine_scores_total:
-// a pass over an unchanged result scores nothing, and after one story
+// TestRefinerScoresOnlyWhatChanged reads storypivot_refine_scores_total
+// and storypivot_refine_homes_walked_total: a pass over an unchanged
+// result scores nothing and walks no home story, and after one story
 // gains one snippet a pass scores only the snippets of changed home
 // stories and, against the integrated stories that changed, only the
 // snippets of the grown story's source or new to the changed stories'
-// reach — far fewer than a pass from scratch. After a member of a
-// multi-source integrated story grows, the snippets of the other sources
-// score nothing at all.
+// reach — far fewer than a pass from scratch — and walks only the home
+// stories that changed or that a changed integrated story reaches, far
+// fewer than all. After a member of a multi-source integrated story
+// grows, the snippets of the other sources score nothing at all.
 func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	cfg := DefaultRefineConfig()
 	bySource := identify.StoriesBySource(identify.RunAll(func() []*event.Snippet {
@@ -384,9 +547,11 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	// others follows the same results as r; its last pass below plans the
 	// home stories of every source but the grown one.
 	r, others := NewRefiner(cfg), NewRefiner(cfg)
+	var walked int
 	pass := func(r *Refiner, res *Result, movers map[event.SourceID]Mover) int {
-		before := metRefineScores.Value()
+		before, homes := metRefineScores.Value(), metRefineHomesWalked.Value()
 		r.Refine(res, movers)
+		walked = int(metRefineHomesWalked.Value() - homes)
 		return int(metRefineScores.Value() - before)
 	}
 	both := func(res *Result) int {
@@ -396,11 +561,11 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	if got, want := both(res), refineWork(nil, res, cfg); got != want {
 		t.Fatalf("first pass scored %d, a pass from scratch needs %d", got, want)
 	}
-	if got := both(res); got != 0 {
-		t.Fatalf("a second pass over the same result scored %d, want 0", got)
+	if got := both(res); got != 0 || walked != 0 {
+		t.Fatalf("a second pass over the same result scored %d and walked %d home stories, want 0 and 0", got, walked)
 	}
-	if got := both(a.Result()); got != 0 {
-		t.Fatalf("a pass over an unchanged recomputed result scored %d, want 0", got)
+	if got := both(a.Result()); got != 0 || walked != 0 {
+		t.Fatalf("a pass over an unchanged recomputed result scored %d and walked %d home stories, want 0 and 0", got, walked)
 	}
 
 	// One story of a multi-source integrated story gains one snippet.
@@ -411,13 +576,21 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 	a.Upsert(grow(multi[0].Members[0]))
 	next := a.Result()
 	bound, scratch := refineWork(res, next, cfg), refineWork(nil, next, cfg)
+	walkMax, homes := walkBound(res, next, cfg)
 	got := both(next)
-	t.Logf("after one snippet: %d scores, bound %d, a pass from scratch %d", got, bound, scratch)
+	t.Logf("after one snippet: %d scores, bound %d, a pass from scratch %d; %d of %d home stories walked, bound %d",
+		got, bound, scratch, walked, homes, walkMax)
 	if got == 0 || got > bound {
 		t.Fatalf("pass after one added snippet scored %d, want 1..%d", got, bound)
 	}
 	if 4*bound > scratch {
 		t.Fatalf("bound %d is not well below a pass from scratch (%d): the fixture changed too much", bound, scratch)
+	}
+	if walked == 0 || walked > walkMax {
+		t.Fatalf("pass after one added snippet walked %d home stories, want 1..%d", walked, walkMax)
+	}
+	if 3*walked > homes {
+		t.Fatalf("pass after one added snippet walked %d of %d home stories, want at most a third", walked, homes)
 	}
 
 	// A member of the multi-source integrated story with the most
@@ -461,10 +634,15 @@ func TestRefinerScoresOnlyWhatChanged(t *testing.T) {
 			member.ID, member.Source, got, stale)
 	}
 	bound = refineWork(next, last, cfg)
+	walkMax, homes = walkBound(next, last, cfg)
 	got = pass(r, last, movers)
-	t.Logf("after story %d grew: %d scores, bound %d; the other sources' snippets scored 0 instead of %d", member.ID, got, bound, stale)
+	t.Logf("after story %d grew: %d scores, bound %d; the other sources' snippets scored 0 instead of %d; %d of %d home stories walked, bound %d",
+		member.ID, got, bound, stale, walked, homes, walkMax)
 	if got == 0 || got > bound {
 		t.Fatalf("pass after story %d grew scored %d, want 1..%d", member.ID, got, bound)
+	}
+	if walked == 0 || walked > walkMax {
+		t.Fatalf("pass after story %d grew walked %d home stories, want 1..%d", member.ID, walked, walkMax)
 	}
 }
 
@@ -500,9 +678,10 @@ type refusingMover struct{}
 func (refusingMover) Move(event.SnippetID, event.StoryID) bool { return false }
 
 // TestWarmRefinerAllocsIndependentOfCorpus pins the cost of the memo: a
-// Refiner pass over an unchanged result writes its memo into the buffers
-// of the pass before last, so once two passes have run the allocation
-// count of a pass does not grow with the number of snippets planned.
+// Refiner pass over an unchanged result, which carries every home story,
+// writes its memo into the buffers of the pass before last, so once two
+// passes have run the allocation count of a pass does not grow with the
+// number of snippets planned.
 func TestWarmRefinerAllocsIndependentOfCorpus(t *testing.T) {
 	allocs := func(stories int) (float64, int) {
 		cfg := datagen.DefaultConfig()

@@ -36,7 +36,8 @@ echo "==> go test ./..."
 go test ./...
 
 # The one race pass. Every expensive suite runs exactly once, here; the
-# gates below do not run anything again, they read this pass's event log
+# gates below do not run anything again (but for two cheap Refiner tests
+# the settle exactness gate reruns), they read this pass's event log
 # and fail unless each test they name ran in it and passed (-count=1: a
 # cached result is not a run; a skipped or deleted test is not a pass).
 echo "==> go test -race -count=1 -json ./..."
@@ -266,7 +267,13 @@ gate "self-healing cluster chaos" \
 # settle scores only what an edit can change: the other sources' snippets
 # score nothing when one member of a multi-source story grows, an epoch
 # rescores exactly the candidate pairs that share a counted entity, and an
-# idle pass over stories without entities regroups nothing.
+# idle pass over stories without entities regroups nothing. A home story
+# that kept its (ID, Gen) and that no new, re-versioned or dropped
+# multi-source story reaches carries its plan without being walked, so the
+# Refiner's oracle compares its memo with a fresh one's after random swaps
+# and extent trims, and the walk count must stay within the homes a change
+# reaches; the oracle draws new random streams on every run, so both run
+# three more times below.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
@@ -277,6 +284,8 @@ gate "settle exactness (align + engine digest)" \
   TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus \
   TestEngineRejectsExactlyRedeliveries TestEpochRescoresOnlyEntitySharingPairs \
   TestIdleResultWithoutEntitiesRegroupsNothing
+echo "==> go test -race -count=3 (the Refiner's carry oracles)"
+go test -race -count=3 -run '^(TestRefinerMatchesOneShotQuick|TestRefinerScoresOnlyWhatChanged)$' ./internal/align
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the
