@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strconv"
 	"strings"
@@ -40,27 +39,29 @@ type Result struct {
 // parsePage reads a shard page without decoding its results. It rejects
 // every body that decoding into the page struct
 // ({total, offset, limit int; results []json.RawMessage;
-// scores []float64; partial bool}) would reject: the body is validated
-// once with json.Valid, and then the envelope's members are type-checked
-// as that decode would check them, keys matched the way encoding/json
-// matches field names. A body that is not an object is rejected too.
+// scores []float64; partial bool}) would reject: one pass checks the
+// syntax json.Valid checks while it finds the values' spans, and the
+// envelope's members are type-checked as that decode would check them,
+// keys matched the way encoding/json matches field names. A body that is
+// not an object is rejected too.
 func parsePage(body []byte) (Page, error) {
 	var p Page
-	if !json.Valid(body) {
-		return p, errors.New("shard page is not valid JSON")
-	}
 	s := scanner{b: body}
 	s.ws()
-	if body[s.i] != '{' {
+	if s.i == len(body) || body[s.i] != '{' {
 		return p, errors.New("shard page is not an object")
 	}
-	s.i++
+	if err := s.open(); err != nil {
+		return p, err
+	}
 	for {
-		key, ok := s.member()
-		if !ok {
-			return p, nil
+		key, more, err := s.member()
+		if err != nil {
+			return Page{}, err
 		}
-		var err error
+		if !more {
+			break
+		}
 		switch {
 		case keyIs(key, "total"):
 			p.Total, err = s.int(p.Total)
@@ -73,147 +74,267 @@ func parsePage(body []byte) (Page, error) {
 		case keyIs(key, "results"):
 			p.Results, err = s.results(p.Results)
 		default:
-			s.value()
+			_, err = s.value()
 		}
 		if err != nil {
 			return Page{}, err
 		}
 	}
+	if s.ws(); s.i != len(body) {
+		return Page{}, errSyntax
+	}
+	return p, nil
 }
 
-// scanner walks JSON that json.Valid has accepted, so it checks no
-// syntax: it only tracks strings and nesting depth to find where values
-// start and end.
+var errSyntax = errors.New("shard page is not valid JSON")
+
+// maxDepth is encoding/json's nesting limit: objects and arrays together
+// may nest this deep and no deeper.
+const maxDepth = 10000
+
+// scanner walks a JSON body, checking its syntax as encoding/json's
+// scanner does, and stops on the first error.
 type scanner struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	depth int
+}
+
+// space and plain classify bytes for the two hot loops: whitespace, and
+// string bytes that need no look (not a quote, a backslash or a control
+// byte; invalid UTF-8 is valid in a JSON string, as encoding/json reads it).
+var space, plain [256]bool
+
+func init() {
+	for _, c := range " \t\n\r" {
+		space[c] = true
+	}
+	for c := 0x20; c < 256; c++ {
+		plain[c] = c != '"' && c != '\\'
+	}
 }
 
 func (s *scanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
+	b, i := s.b, s.i
+	for i < len(b) && space[b[i]] {
+		i++
 	}
+	s.i = i
 }
 
-// str steps over the string starting at s.i: to the first quote that an
-// even run of backslashes precedes.
-func (s *scanner) str() {
+// open steps into the object or array whose opening byte is at s.i.
+func (s *scanner) open() error {
 	s.i++
-	for {
-		s.i += bytes.IndexByte(s.b[s.i:], '"')
-		escaped := false
-		for k := s.i - 1; s.b[k] == '\\'; k-- {
-			escaped = !escaped
-		}
-		s.i++
-		if !escaped {
-			return
-		}
+	if s.depth++; s.depth > maxDepth {
+		return errSyntax
 	}
+	return nil
 }
 
-// value steps over the value starting at s.i and returns its span.
-func (s *scanner) value() (start, end int) {
-	start = s.i
-	depth := 0
+// str steps over the string starting at s.i, checking its escapes and
+// that it holds no control byte.
+func (s *scanner) str() error {
+	b, i := s.b, s.i+1
 	for {
-		switch s.b[s.i] {
-		case '"':
-			s.str()
-			if depth == 0 {
-				return start, s.i
+		for i < len(b) && plain[b[i]] {
+			i++
+		}
+		if i == len(b) || b[i] < 0x20 {
+			return errSyntax
+		}
+		if b[i] == '"' {
+			s.i = i + 1
+			return nil
+		}
+		if i++; i == len(b) {
+			return errSyntax
+		}
+		switch b[i] {
+		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			i++
+		case 'u':
+			if i+5 > len(b) {
+				return errSyntax
 			}
-			continue
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-			if depth == 0 {
-				s.i++
-				return start, s.i
-			}
-		default:
-			if depth == 0 {
-				for s.i < len(s.b) && !delim(s.b[s.i]) {
-					s.i++
+			for _, c := range b[i+1 : i+5] {
+				if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+					return errSyntax
 				}
-				return start, s.i
 			}
+			i += 5
+		default:
+			return errSyntax
 		}
-		s.i++
 	}
 }
 
-// delim reports whether c ends a number or literal.
-func delim(c byte) bool {
-	switch c {
-	case ',', '}', ']', ' ', '\t', '\n', '\r':
-		return true
+// num steps over the number starting at s.i: -?(0|[1-9][0-9]*)(.[0-9]+)?
+// ([eE][+-]?[0-9]+)?. What follows it is the caller's to check.
+func (s *scanner) num() error {
+	b, i := s.b, s.i
+	if b[i] == '-' {
+		i++
 	}
-	return false
+	switch {
+	case i == len(b) || !digit(b[i]):
+		return errSyntax
+	case b[i] == '0':
+		i++
+	default:
+		i = digits(b, i)
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; i == len(b) || !digit(b[i]) {
+			return errSyntax
+		}
+		i = digits(b, i)
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i == len(b) || !digit(b[i]) {
+			return errSyntax
+		}
+		i = digits(b, i)
+	}
+	s.i = i
+	return nil
+}
+
+func digit(c byte) bool { return '0' <= c && c <= '9' }
+
+func digits(b []byte, i int) int {
+	for i < len(b) && digit(b[i]) {
+		i++
+	}
+	return i
+}
+
+// value steps over the value starting at s.i, checking its syntax, and
+// returns its bytes. member and elem leave the scanner on a byte.
+func (s *scanner) value() ([]byte, error) {
+	start := s.i
+	var err error
+	switch s.b[start] {
+	case '"':
+		err = s.str()
+	case '{':
+		err = s.open()
+		for more := true; more && err == nil; {
+			if _, more, err = s.member(); more && err == nil {
+				_, err = s.value()
+			}
+		}
+	case '[':
+		err = s.open()
+		for more := true; more && err == nil; {
+			if more, err = s.elem(); more && err == nil {
+				_, err = s.value()
+			}
+		}
+	case 't':
+		err = s.lit("true")
+	case 'f':
+		err = s.lit("false")
+	case 'n':
+		err = s.lit("null")
+	default:
+		err = s.num()
+	}
+	return s.b[start:s.i], err
+}
+
+// lit steps over the literal word starting at s.i.
+func (s *scanner) lit(word string) error {
+	if !bytes.HasPrefix(s.b[s.i:], []byte(word)) {
+		return errSyntax
+	}
+	s.i += len(word)
+	return nil
 }
 
 // member steps to the next member of the object being walked, which
 // starts just past its '{' or just past the previous member's value. It
-// returns the member's key, still escaped, with the scanner on the
-// value; ok is false, and the scanner past the closing brace, when the
-// object has no more members.
-func (s *scanner) member() (key []byte, ok bool) {
-	s.ws()
-	if s.b[s.i] == ',' {
-		s.i++
-		s.ws()
-	}
-	if s.b[s.i] == '}' {
-		s.i++
-		return nil, false
+// checks the separator, the key and the colon, and returns the key, still
+// escaped, with the scanner on the value; more is false, and the scanner
+// past the closing brace, when the object has no more members.
+func (s *scanner) member() (key []byte, more bool, err error) {
+	// A value never ends in '{', so this is the first member's turn.
+	first := s.b[s.i-1] == '{'
+	if more, err = s.next('}', first); !more || err != nil {
+		return nil, more, err
 	}
 	start := s.i
-	s.str()
+	if s.b[start] != '"' {
+		return nil, false, errSyntax
+	}
+	if err := s.str(); err != nil {
+		return nil, false, err
+	}
 	key = s.b[start+1 : s.i-1]
-	s.ws()
-	s.i++ // ':'
-	s.ws()
-	return key, true
+	if s.ws(); s.i == len(s.b) || s.b[s.i] != ':' {
+		return nil, false, errSyntax
+	}
+	s.i++
+	if s.ws(); s.i == len(s.b) {
+		return nil, false, errSyntax
+	}
+	return key, true, nil
 }
 
 // elem steps to the next element of the array being walked, the
 // array-side twin of member.
-func (s *scanner) elem() bool {
+func (s *scanner) elem() (more bool, err error) {
+	return s.next(']', s.b[s.i-1] == '[')
+}
+
+// next steps over the whitespace and the comma before the next member or
+// element, or over the closer that ends the container instead.
+func (s *scanner) next(closer byte, first bool) (bool, error) {
 	s.ws()
-	if s.b[s.i] == ',' {
+	if s.i == len(s.b) {
+		return false, errSyntax
+	}
+	if s.b[s.i] == closer {
+		s.i++
+		s.depth--
+		return false, nil
+	}
+	if !first {
+		if s.b[s.i] != ',' {
+			return false, errSyntax
+		}
 		s.i++
 		s.ws()
+		if s.i == len(s.b) {
+			return false, errSyntax
+		}
 	}
-	if s.b[s.i] == ']' {
-		s.i++
-		return false
-	}
-	return true
+	return true, nil
 }
 
 // int reads an int member as encoding/json would: null leaves it at
 // prev, any other value must be an integer literal in range.
 func (s *scanner) int(prev int) (int, error) {
-	start, end := s.value()
-	v := s.b[start:end]
-	if v[0] == 'n' {
+	v, err := s.value()
+	switch {
+	case err != nil:
+		return 0, err
+	case v[0] == 'n':
 		return prev, nil
-	}
-	if !number(v[0]) {
+	case !number(v[0]):
 		return 0, errors.New("shard page: non-number where an integer belongs")
 	}
 	return strconv.Atoi(string(v))
 }
 
 func (s *scanner) bool() error {
-	start, _ := s.value()
-	switch s.b[start] {
+	v, err := s.value()
+	if err != nil {
+		return err
+	}
+	switch v[0] {
 	case 't', 'f', 'n':
 		return nil
 	}
@@ -223,23 +344,23 @@ func (s *scanner) bool() error {
 // floats reads a []float64 member into dst's storage: null gives nil,
 // a null element 0.
 func (s *scanner) floats(dst []float64) ([]float64, error) {
-	if s.b[s.i] == 'n' {
-		s.value()
-		return nil, nil
+	if ok, err := s.array("scores"); !ok || err != nil {
+		return nil, err
 	}
-	if s.b[s.i] != '[' {
-		return nil, errors.New("shard page: scores is not an array")
-	}
-	s.i++
 	dst = dst[:0]
-	for s.elem() {
-		start, end := s.value()
-		v := s.b[start:end]
+	for {
+		more, err := s.elem()
+		if !more || err != nil {
+			return dst, err
+		}
+		v, err := s.value()
+		if err != nil {
+			return nil, err
+		}
 		var f float64
 		switch {
 		case v[0] == 'n':
 		case number(v[0]):
-			var err error
 			if f, err = strconv.ParseFloat(string(v), 64); err != nil {
 				return nil, err
 			}
@@ -248,68 +369,83 @@ func (s *scanner) floats(dst []float64) ([]float64, error) {
 		}
 		dst = append(dst, f)
 	}
-	return dst, nil
 }
 
 // results reads a []json.RawMessage member into dst's storage: null
 // gives nil.
 func (s *scanner) results(dst []Result) ([]Result, error) {
-	if s.b[s.i] == 'n' {
-		s.value()
-		return nil, nil
+	if ok, err := s.array("results"); !ok || err != nil {
+		return nil, err
 	}
-	if s.b[s.i] != '[' {
-		return nil, errors.New("shard page: results is not an array")
-	}
-	s.i++
 	dst = dst[:0]
-	for s.elem() {
-		dst = append(dst, s.result())
+	for {
+		more, err := s.elem()
+		if !more || err != nil {
+			return dst, err
+		}
+		r, err := s.result()
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, r)
 	}
-	return dst, nil
+}
+
+// array steps into the array member starting at s.i, as decoding it
+// into a slice would: ok is false, and the member stepped over, when it
+// is null.
+func (s *scanner) array(name string) (ok bool, err error) {
+	switch s.b[s.i] {
+	case 'n':
+		_, err := s.value()
+		return false, err
+	case '[':
+		return true, s.open()
+	}
+	return false, errors.New("shard page: " + name + " is not an array")
 }
 
 // result steps over the result starting at s.i, reading its keys on the
 // way.
-func (s *scanner) result() Result {
+func (s *scanner) result() (Result, error) {
 	start := s.i
+	if s.b[start] != '{' {
+		v, err := s.value()
+		bad := s.b[start] != 'n'
+		return Result{Bytes: v[:len(v):len(v)], BadID: bad, BadTime: bad}, err
+	}
 	var r Result
-	switch s.b[s.i] {
-	case '{':
-		s.i++
-	case 'n':
-		s.value()
-		r.Bytes = s.b[start:s.i:s.i]
-		return r
-	default:
-		s.value()
-		return Result{Bytes: s.b[start:s.i:s.i], BadID: true, BadTime: true}
+	if err := s.open(); err != nil {
+		return r, err
 	}
 	for {
-		key, ok := s.member()
-		if !ok {
+		key, more, err := s.member()
+		if err != nil {
+			return r, err
+		}
+		if !more {
 			r.Bytes = s.b[start:s.i:s.i]
-			return r
+			return r, nil
+		}
+		v, err := s.value()
+		if err != nil {
+			return r, err
 		}
 		switch {
 		case keyIs(key, "id"):
-			vs, ve := s.value()
-			if v := s.b[vs:ve]; v[0] != 'n' {
+			if v[0] != 'n' {
 				id, err := strconv.ParseUint(string(v), 10, 64)
 				r.ID, r.BadID = id, r.BadID || err != nil
 			}
 		case keyIs(key, "timestamp"):
-			vs, ve := s.value()
-			if r.Time.UnmarshalJSON(s.b[vs:ve]) != nil {
+			if r.Time.UnmarshalJSON(v) != nil {
 				r.BadTime = true
 			}
-		default:
-			s.value()
 		}
 	}
 }
 
-func number(c byte) bool { return c == '-' || '0' <= c && c <= '9' }
+func number(c byte) bool { return c == '-' || digit(c) }
 
 // keyIs reports whether an object key, still escaped, names a struct
 // field as encoding/json matches them: exactly, or else under

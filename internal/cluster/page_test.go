@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +194,62 @@ func TestParsePageMatchesDecoder(t *testing.T) {
 	}
 }
 
+// TestParsePageSyntaxMatchesDecoder: parsePage checks the syntax itself,
+// so it accepts exactly the bodies the decode into the page struct
+// accepts at the edges of the grammar: nesting depth, escapes, raw
+// control bytes, the number grammar, literals, separators and trailing
+// bytes, in the members it reads and in those it only steps over.
+func TestParsePageSyntaxMatchesDecoder(t *testing.T) {
+	// nest(n) is a value nested n deep, arrays and objects alternating.
+	nest := func(n int) string {
+		v := strings.Repeat(`[{"k":`, n/2) + "1" + strings.Repeat(`}]`, n/2)
+		if n%2 == 1 {
+			v = "[" + v + "]"
+		}
+		return v
+	}
+	bodies := []string{
+		"", " ", "\n\t\r ", `{}`, `{"results":[]}`, `{} `, "{}\n\t", `{} x`, `{} {}`, "{}\x00", "\xef\xbb\xbf{}",
+		`{"total":1 "limit":2}`, `{"total" 1}`, `{:1}`, `{"x":}`, `{"x"}`, `{'x':1}`, `{"a":1]`, `{"a":[1}}`,
+		`{"results":[1 2]}`, `{"results":[{"x":[1 2]}]}`, `{"results":[{"x" 1}]}`, `{"results":[{"x":{"a":1 "b":2}}]}`,
+		`{"results":[{"x":[1,]}]}`, `{"results":[{"x":{"a":1,}}]}`, `{"results":[{"x":[,1]}]}`, `{"results":[{"x":{,}}]}`,
+		`{"results":[1,]}`, `{"results":[{},]}`, `{"x":[1,,2]}`, `{"results":[{"id":1,"id":2,}]}`,
+		"{\"results\":[{\"t\":{\"a\":\"x\ty\"}}]}", "{\"results\":[{\"t\":[\"\x01\"]}]}", "{\"x\":\"a\nb\"}", "{\"x\":\"\x7f\"}",
+		`{"tot\x61l":1}`, `{"\u00":1}`, `{"\u12G4":1}`, `{"tot\u0061l":1}`, "{\"\xff\":1}", "{\"results\":[\"\xff\xfe\"],\"x\":\"\xc3\"}",
+		`{"x":` + nest(9999) + `}`, `{"x":` + nest(10000) + `}`,
+		`{"results":[` + nest(9998) + `]}`, `{"results":[` + nest(9999) + `]}`,
+		`{"results":[{"id":1,"t":` + nest(9997) + `}]}`, `{"results":[{"id":1,"t":` + nest(9998) + `}]}`,
+		`{"scores":[` + nest(9998) + `]}`, `{"scores":[` + nest(9999) + `]}`,
+	}
+	for _, v := range []string{
+		`0`, `-0`, `01`, `-01`, `1.`, `.5`, `1e`, `1E+`, `1e-5`, `1E+5`, `-`, `+1`, `0.0`, `1.5e3`, `1.e3`, `0x10`, `1e400`,
+		`null`, `nulll`, `nul`, `true`, `tru`, `falsey`, `false`, `True`, `NaN`,
+		`"\x"`, `"\u12G4"`, `"\u12"`, `"\u12`, `"\uABCD"`, `"\ud800\udc00"`, `"\/\b\f\n\r\t\"\\"`, `"\`, `"`, `"\'"`,
+	} {
+		bodies = append(bodies,
+			`{"x":`+v+`}`, `{"total":`+v+`}`, `{"scores":[`+v+`]}`,
+			`{"results":[`+v+`]}`, `{"results":[{"y":[`+v+`]}]}`, `{"results":[{"id":`+v+`}]}`)
+	}
+	for _, body := range bodies {
+		p, perr := parsePage([]byte(body))
+		var d decodedPage
+		derr := json.Unmarshal([]byte(body), &d)
+		show := body
+		if len(show) > 80 {
+			show = show[:40] + "…" + show[len(show)-40:]
+		}
+		if (perr == nil) != (derr == nil) {
+			t.Errorf("%q: parsePage error %v, decoder error %v", show, perr, derr)
+			continue
+		}
+		if perr == nil {
+			if err := agree(p, d); err != nil {
+				t.Errorf("%q: %v", show, err)
+			}
+		}
+	}
+}
+
 // FuzzParsePage: parsePage rejects every body the decode into the page
 // struct rejects, and where both accept they agree on the total and the
 // result bytes.
@@ -279,5 +336,22 @@ func TestResultKeysMatchDecoder(t *testing.T) {
 		if err := keysAgree(p.Results[0]); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// BenchmarkParsePage reads pages of 10, 100 and 540 results (540 the
+// deepest timeline limit a shard is asked for: offset+limit full rows).
+func BenchmarkParsePage(b *testing.B) {
+	for _, n := range []int{10, 100, 540} {
+		body := encodedPage(b, rand.New(rand.NewSource(int64(n))), n)
+		b.Run(fmt.Sprintf("results=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := parsePage(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

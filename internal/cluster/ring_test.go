@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 )
 
@@ -100,4 +105,50 @@ func TestRingPins(t *testing.T) {
 			t.Fatalf("pin changed placement of unpinned %s", src)
 		}
 	}
+}
+
+// FuzzMembersPut: PUT /api/cluster/members accepts a body exactly when
+// json.Unmarshal of the whole body into the request struct succeeds and
+// NewRing accepts the result, swapping in that ring; a rejected body
+// leaves the ring as it was. The handler is called directly, so a panic
+// is the fuzzer's finding rather than httpx's contained 500.
+func FuzzMembersPut(f *testing.F) {
+	for _, s := range []string{
+		`{"members":[{"name":"b","url":"http://127.0.0.1:2"}]}`,
+		`{"members":[{"name":"b","url":"http://127.0.0.1:2"}]} this is not json`,
+		`{"members":[{"name":"b","url":"http://127.0.0.1:2"}]} {}`,
+		"{\"members\":[{\"name\":\"b\",\"url\":\"http://127.0.0.1:2\"}]}\n\t ",
+		`{"MEMBERS":[{"Name":"a","URL":"http://h:1"},{"name":"c","url":"https://h:2"}],"pins":{"s":"c"}}`,
+		`{"members":[{"name":"a","url":"http://h:1"}],"pins":{"s":"nope"}}`,
+		`{"members":[{"name":"a","url":"ftp://h:1"}]}`,
+		`{"members":[]}`, `{"members":[{"name":"a","url":"http://h:1"}]`, `null`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	rt, err := NewRouter(Config{Members: testMembers(1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := rt.Ring()
+		w := httptest.NewRecorder()
+		rt.handleMembersPut(w, httptest.NewRequest(http.MethodPut, "/api/cluster/members", bytes.NewReader(body)))
+
+		var req struct {
+			Members []Member          `json:"members"`
+			Pins    map[string]string `json:"pins"`
+		}
+		var want *Ring
+		if json.Unmarshal(body, &req) == nil {
+			want, _ = NewRing(req.Members, req.Pins)
+		}
+		switch {
+		case (w.Code == http.StatusOK) != (want != nil):
+			t.Fatalf("status %d, want accepted = %v: %q", w.Code, want != nil, body)
+		case want == nil && rt.Ring() != before:
+			t.Fatalf("rejected body swapped the ring: %q", body)
+		case want != nil && (!reflect.DeepEqual(rt.Ring().Members(), want.Members()) || !reflect.DeepEqual(rt.Ring().Pins(), want.Pins())):
+			t.Fatalf("ring %v %v after PUT, want %v %v: %q", rt.Ring().Members(), rt.Ring().Pins(), want.Members(), want.Pins(), body)
+		}
+	})
 }

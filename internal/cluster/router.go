@@ -671,7 +671,14 @@ func (rt *Router) handleMembersPut(w http.ResponseWriter, r *http.Request) {
 		Members []Member          `json:"members"`
 		Pins    map[string]string `json:"pins"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		httpx.Error(w, http.StatusBadRequest, "reading members body: "+err.Error())
+		return
+	}
+	// Unmarshal, not a Decoder: a Decoder stops after the first value
+	// and would let trailing bytes through.
+	if err := json.Unmarshal(body, &req); err != nil {
 		httpx.Error(w, http.StatusBadRequest, "invalid members JSON: "+err.Error())
 		return
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: build, vet, gofmt, the unused-function check, unit tests, the
 # full suite once under the race detector with the named gate tests checked
-# off against that pass, then bench/'s four workloads at -smoke, whose
+# off against that pass, a bounded fuzz of the router's two decoders of
+# outside bytes, then bench/'s four workloads at -smoke, whose
 # repeatable numbers are gated against scripts/bench-smoke.baseline.json,
 # and a one-iteration run of the Figure-7 E1 benchmarks (bit-rot only).
 # Fails on the first broken step. Run from the repo root (the script
@@ -162,17 +163,19 @@ gate "query index" \
 # paged windows and a mid-stream source removal on one shard), a dead
 # worker degrades to 200 + "partial": true (never 5xx) with quorum
 # health semantics, and routed ingest lands on the ring owner. The merge
-# splices the workers' result bytes: the shard-page parser must agree
-# with decoding the page (and reject what decoding rejects), the page
-# writer must lay the envelope out as the encoder does, the router's and
-# the worker's scored pages alike, the timeline must
+# splices the workers' result bytes: the shard-page parser checks the
+# JSON syntax itself in its one pass, so it must agree with decoding the
+# page (and reject what decoding rejects) at every edge of the grammar,
+# the page writer must lay the envelope out as the encoder does, the
+# router's and the worker's scored pages alike, the timeline must
 # merge by (instant, id), and a ranked page whose scores do not pair with
-# its results must count as a failed shard.
+# its results must count as a failed shard. A members PUT swaps the ring
+# exactly when its whole body decodes and the ring validates.
 gate "cluster scatter-gather" \
   'TestMergeRanked*' 'TestRing*' TestClusterDifferential TestClusterDegradedServing \
-  TestClusterIngestRouting TestClusterMembersReconfigure \
+  TestClusterIngestRouting TestClusterMembersReconfigure FuzzMembersPut \
   TestEmptyResultsSerialiseAsArray TestStoriesByEntityEndpoint \
-  TestParsePageMatchesDecoder FuzzParsePage TestResultKeysMatchDecoder TestWritePageMatchesEncoder \
+  TestParsePageMatchesDecoder TestParsePageSyntaxMatchesDecoder FuzzParsePage TestResultKeysMatchDecoder TestWritePageMatchesEncoder \
   TestWritePageMatchesEncoder/scored \
   TestTimelineMergeOrdersByInstant TestRankedScoreCountMismatchIsPartial
 
@@ -305,6 +308,13 @@ if [ "$missing" -ne 0 ]; then
   echo "ci: a gate names a test the race pass did not run and pass" >&2
   exit 1
 fi
+
+# Bounded fuzzing of the two decoders that take outside bytes on the
+# router: shard pages (parsePage against json.Unmarshal) and the members
+# PUT body.
+echo "==> go test -fuzz FuzzParsePage (30s), FuzzMembersPut (15s)"
+go test -run '^$' -fuzz '^FuzzParsePage$' -fuzztime 30s ./internal/cluster
+go test -run '^$' -fuzz '^FuzzMembersPut$' -fuzztime 15s ./internal/cluster
 
 # Bench smoke gate: each workload BENCHMARK.json declares, run by bench/
 # at -smoke, must pass its output checks and repeat the committed baseline
