@@ -16,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/event"
@@ -126,7 +128,7 @@ type Match struct {
 type Stats struct {
 	CandidatePairs int // pairs surviving the temporal filter
 	SketchSkipped  int // pairs rejected by the sketch filter
-	Comparisons    int // full story-similarity evaluations
+	Comparisons    int // story pairs scored against the match threshold
 	Matches        int // pairs above threshold
 	Regrouped      int // stories whose component Result recomputed
 }
@@ -329,9 +331,9 @@ func (a *Aligner) Upsert(st *event.Story) {
 			}
 			own = append(own, oid)
 			a.adj[oid] = append(a.adj[oid], st.ID)
-			score := similarity.Stories(st, other, a.storyCfg)
+			score, ok := similarity.Stories(st, other, a.storyCfg, a.cfg.MatchThreshold)
 			a.stats.Comparisons++
-			if score >= a.cfg.MatchThreshold {
+			if ok {
 				a.edges[edgeKey(st.ID, oid)] = score
 				a.touched[oid] = struct{}{}
 				a.stats.Matches++
@@ -428,6 +430,11 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 // epochs every score — from Upsert, from this rescan, from the merge guard
 // — reads the same frozen table, so the edges are a pure function of the
 // resident stories and the epoch, whatever order the stories arrived in.
+//
+// The pairs are scored on every core: worker w takes every workers-th
+// story of the insertion order and scores the pairs whose smaller
+// endpoint it is. The workers only read the aligner, and the edges they
+// change are written afterwards in one serial pass.
 func (a *Aligner) rescoreIfDrifted() {
 	if a.storyCfg.EntityWeight == nil {
 		return // uniform weights never drift
@@ -437,23 +444,25 @@ func (a *Aligner) rescoreIfDrifted() {
 		return
 	}
 	a.frozen = a.live.Tabulate(a.frozen)
-	for id, nbrs := range a.adj {
-		x := a.stories[id]
-		for _, o := range nbrs {
-			if id > o {
-				continue // each pair once, from its smaller endpoint
-			}
-			y := a.stories[o]
-			if !sharesCountedEntity(x.EntityFreq, y.EntityFreq) {
-				continue
-			}
-			k := [2]event.StoryID{id, o}
-			score := similarity.Stories(x, y, a.storyCfg)
-			a.stats.Comparisons++
-			if score >= a.cfg.MatchThreshold {
-				a.edges[k] = score
+	workers := max(1, min(runtime.GOMAXPROCS(0), (len(a.order)+rescorePerWorker-1)/rescorePerWorker))
+	scored, changed := make([]int, workers), make([][]rescored, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scored[w], changed[w] = a.rescorePart(w, workers)
+		}()
+	}
+	scored[0], changed[0] = a.rescorePart(0, workers)
+	wg.Wait()
+	for w := range workers {
+		a.stats.Comparisons += scored[w]
+		for _, r := range changed[w] {
+			if r.ok {
+				a.edges[r.key] = r.score
 			} else {
-				delete(a.edges, k)
+				delete(a.edges, r.key)
 			}
 		}
 	}
@@ -462,6 +471,46 @@ func (a *Aligner) rescoreIfDrifted() {
 	}
 	a.epochs++
 	a.lastScored = a.live.Total()
+}
+
+// rescorePerWorker is the number of stories that brings one more worker
+// to an epoch rescore: an aligner of up to this many stories rescores on
+// the calling goroutine alone.
+const rescorePerWorker = 64
+
+// rescored is a candidate pair whose edge an epoch rescore changes: it
+// gets score, or with ok false, loses its edge.
+type rescored struct {
+	key   [2]event.StoryID
+	score float64
+	ok    bool // the score reaches the match threshold
+}
+
+// rescorePart scores, against the frozen epoch, the candidate pairs that
+// share a counted entity and whose smaller endpoint is one of every
+// workers-th story of the insertion order, from the w-th on. It returns
+// how many it scored and those whose edge the scores change.
+func (a *Aligner) rescorePart(w, workers int) (scored int, changed []rescored) {
+	for i := w; i < len(a.order); i += workers {
+		id := a.order[i]
+		x := a.stories[id]
+		for _, o := range a.adj[id] {
+			if id > o {
+				continue // each pair once, from its smaller endpoint
+			}
+			y := a.stories[o]
+			if !sharesCountedEntity(x.EntityFreq, y.EntityFreq) {
+				continue
+			}
+			k := [2]event.StoryID{id, o}
+			score, ok := similarity.Stories(x, y, a.storyCfg, a.cfg.MatchThreshold)
+			scored++
+			if old, had := a.edges[k]; ok != had || (ok && old != score) {
+				changed = append(changed, rescored{k, score, ok})
+			}
+		}
+	}
+	return scored, changed
 }
 
 // sharesCountedEntity reports whether two entity frequency vectors hold an

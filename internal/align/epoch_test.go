@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -365,13 +366,6 @@ func TestIdleResultWithoutEntitiesRegroupsNothing(t *testing.T) {
 // its score cannot move. TestAlignerPureFunctionQuick checks that the
 // edges kept this way equal a fresh aligner's at the same epoch.
 func TestEpochRescoresOnlyEntitySharingPairs(t *testing.T) {
-	cfg := datagen.DefaultConfig()
-	cfg.Seed, cfg.Sources, cfg.Stories, cfg.EventsPerStory = 3, 6, 20, 8
-	var pool []*event.Story
-	for _, sts := range identify.StoriesBySource(identify.RunAll(datagen.Generate(cfg).Snippets, identify.DefaultConfig(), nil)) {
-		pool = append(pool, sts...)
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
 	a := NewAligner(DefaultConfig())
 	// brute returns the candidate pairs over the resident stories that
 	// share a counted entity, and those that do not.
@@ -399,7 +393,7 @@ func TestEpochRescoresOnlyEntitySharingPairs(t *testing.T) {
 		return sharing, disjoint
 	}
 	epochs, rescored, kept := 0, 0, 0
-	settle := func(step int) {
+	feedEpochRounds(epochPool(), a.Upsert, a.Remove, func(step int) {
 		t.Helper()
 		before, comparisons := a.epochs, a.stats.Comparisons
 		a.Result()
@@ -413,30 +407,100 @@ func TestEpochRescoresOnlyEntitySharingPairs(t *testing.T) {
 		epochs++
 		rescored += sharing
 		kept += disjoint
+	})
+	t.Logf("%d epochs rescored %d entity-sharing pairs and kept %d disjoint ones", epochs, rescored, kept)
+	if epochs < 3 || rescored == 0 || kept == 0 {
+		t.Fatalf("%d epochs, %d pairs rescored, %d kept: the schedule does not exercise both kinds of pair", epochs, rescored, kept)
 	}
-	// Half the pool, a quarter of it removed, then the rest, settling every
-	// few stories: the mention total drifts past 20 % again and again.
+}
+
+// epochPool returns the stories identified from a six-source corpus,
+// ascending by ID.
+func epochPool() []*event.Story {
+	cfg := datagen.DefaultConfig()
+	cfg.Seed, cfg.Sources, cfg.Stories, cfg.EventsPerStory = 3, 6, 20, 8
+	var pool []*event.Story
+	for _, sts := range identify.StoriesBySource(identify.RunAll(datagen.Generate(cfg).Snippets, identify.DefaultConfig(), nil)) {
+		pool = append(pool, sts...)
+	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i].ID < pool[j].ID })
+	return pool
+}
+
+// feedEpochRounds upserts half the pool, removes a quarter of it, then
+// upserts the rest, calling settle after every fifth step of each phase
+// and at the end: the mention total drifts past 20 % again and again.
+func feedEpochRounds(pool []*event.Story, upsert func(*event.Story), remove func(event.StoryID), settle func(step int)) {
 	for i, st := range pool[:len(pool)/2] {
-		a.Upsert(st)
+		upsert(st)
 		if i%5 == 4 {
 			settle(i)
 		}
 	}
 	for i, st := range pool[:len(pool)/4] {
-		a.Remove(st.ID)
+		remove(st.ID)
 		if i%5 == 4 {
 			settle(i)
 		}
 	}
 	for i, st := range pool[len(pool)/2:] {
-		a.Upsert(st)
+		upsert(st)
 		if i%5 == 4 {
 			settle(i)
 		}
 	}
 	settle(len(pool))
-	t.Logf("%d epochs rescored %d entity-sharing pairs and kept %d disjoint ones", epochs, rescored, kept)
-	if epochs < 3 || rescored == 0 || kept == 0 {
-		t.Fatalf("%d epochs, %d pairs rescored, %d kept: the schedule does not exercise both kinds of pair", epochs, rescored, kept)
+}
+
+// TestEpochRescoreIndependentOfProcs feeds two aligners the rounds of
+// TestEpochRescoresOnlyEntitySharingPairs, one settling under
+// GOMAXPROCS 1 (an epoch rescores on the calling goroutine alone) and one
+// under GOMAXPROCS 4 (an epoch of more than rescorePerWorker stories
+// splits its pairs among workers), and requires the same edges, bit for
+// bit, the same counters, matches and integrated stories after every
+// Result. Under -race it also checks the workers only read the aligner.
+func TestEpochRescoreIndependentOfProcs(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	serial, parallel := NewAligner(DefaultConfig()), NewAligner(DefaultConfig())
+	integrated := func(res *Result) [][2]uint64 {
+		var out [][2]uint64
+		for _, is := range res.Integrated {
+			out = append(out, [2]uint64{uint64(is.ID), is.Version})
+		}
+		return out
+	}
+	split := 0 // epochs the parallel aligner split among workers
+	feedEpochRounds(epochPool(),
+		func(st *event.Story) { serial.Upsert(st); parallel.Upsert(st) },
+		func(id event.StoryID) { serial.Remove(id); parallel.Remove(id) },
+		func(step int) {
+			runtime.GOMAXPROCS(1)
+			want := serial.Result()
+			runtime.GOMAXPROCS(4)
+			before := parallel.epochs
+			got := parallel.Result()
+			if parallel.epochs > before && len(parallel.order) > rescorePerWorker {
+				split++
+			}
+			if len(parallel.edges) != len(serial.edges) {
+				t.Fatalf("step %d: %d edges under 4 procs, %d under 1", step, len(parallel.edges), len(serial.edges))
+			}
+			for k, s := range serial.edges {
+				if p, ok := parallel.edges[k]; !ok || math.Float64bits(p) != math.Float64bits(s) {
+					t.Fatalf("step %d: edge %v scores %v under 4 procs (present %v), %v under 1", step, k, p, ok, s)
+				}
+			}
+			if parallel.stats != serial.stats {
+				t.Fatalf("step %d: stats %+v under 4 procs, %+v under 1", step, parallel.stats, serial.stats)
+			}
+			if !reflect.DeepEqual(got.Matches, want.Matches) || !reflect.DeepEqual(integrated(got), integrated(want)) ||
+				resultDigest([sha256.Size]byte{}, got) != resultDigest([sha256.Size]byte{}, want) {
+				t.Fatalf("step %d: the results differ", step)
+			}
+		})
+	t.Logf("%d epochs of more than %d stories", split, rescorePerWorker)
+	if split < 3 {
+		t.Fatalf("%d epochs of more than %d stories: the schedule does not split an epoch among workers", split, rescorePerWorker)
 	}
 }

@@ -11,7 +11,7 @@ var (
 	metResultLat = obs.GetHistogram("storypivot_align_result_seconds",
 		"integrated-result construction latency")
 	metComparisons = obs.GetCounter("storypivot_align_comparisons_total",
-		"full story-story similarity evaluations")
+		"story pairs scored against the match threshold")
 	metMatches = obs.GetCounter("storypivot_align_matches_total",
 		"story pairs scoring above the match threshold")
 	metSketchSkipped = obs.GetCounter("storypivot_align_sketch_skipped_total",

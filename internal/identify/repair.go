@@ -172,7 +172,7 @@ func (id *Identifier) repairMerges() {
 			if b.Start.After(a.End.Add(id.cfg.Window)) {
 				break // sweep: no later story can overlap a
 			}
-			if similarity.Stories(a, b, storyCfg) < id.cfg.MergeThreshold {
+			if _, ok := similarity.Stories(a, b, storyCfg, id.cfg.MergeThreshold); !ok {
 				continue
 			}
 			// Merge the smaller into the larger.

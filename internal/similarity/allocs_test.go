@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestKernelAllocs(t *testing.T) {
 			SnippetStoryIDs(sn, counts, a, an, ref, 72*time.Hour, DefaultWeights(), ew)
 		},
 		"SnippetsIDs": func() { SnippetsIDs(sn, sn2, 72*time.Hour, DefaultWeights()) },
-		"Stories":     func() { Stories(st1, st2, storyCfg) },
+		"Stories":     func() { Stories(st1, st2, storyCfg, math.Inf(-1)) },
 	}
 	for name, fn := range kernels {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

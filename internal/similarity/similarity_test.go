@@ -252,6 +252,12 @@ func TestCosineSnippetTerms(t *testing.T) {
 	}
 }
 
+// score is the raw story score: Stories under a floor every score reaches.
+func score(a, b *event.Story, cfg StoryConfig) float64 {
+	s, _ := Stories(a, b, cfg, math.Inf(-1))
+	return s
+}
+
 func TestStoriesSimilarity(t *testing.T) {
 	cfg := DefaultStoryConfig()
 
@@ -267,8 +273,8 @@ func TestStoriesSimilarity(t *testing.T) {
 	b := mk(2, "wsj", []int{17, 19, 20}, "crash", "UKR", "MAL")
 	c := mk(3, "wsj", []int{17, 18}, "search", "GOOG")
 
-	sab := Stories(a, b, cfg)
-	sac := Stories(a, c, cfg)
+	sab := score(a, b, cfg)
+	sac := score(a, c, cfg)
 	if !(sab > sac) {
 		t.Fatalf("same-story pair %g must outscore different-story %g", sab, sac)
 	}
@@ -276,12 +282,12 @@ func TestStoriesSimilarity(t *testing.T) {
 		t.Fatalf("score out of range: %g", sab)
 	}
 	// Symmetry (centroid-norm caching must not break it).
-	if sba := Stories(b, a, cfg); math.Abs(sab-sba) > 1e-9 {
+	if sba := score(b, a, cfg); math.Abs(sab-sba) > 1e-9 {
 		t.Fatalf("Stories not symmetric: %g vs %g", sab, sba)
 	}
 	// Empty story.
 	empty := event.NewStory(9, "nyt")
-	if Stories(a, empty, cfg) != 0 || Stories(empty, a, cfg) != 0 {
+	if score(a, empty, cfg) != 0 || score(empty, a, cfg) != 0 {
 		t.Error("empty story similarity must be 0")
 	}
 }
@@ -300,7 +306,7 @@ func TestStoriesTemporalGapPenalty(t *testing.T) {
 	base := mk(1, []int{1, 2, 3})
 	near := mk(2, []int{3, 4})
 	far := mk(3, []int{25, 26})
-	if !(Stories(base, near, cfg) > Stories(base, far, cfg)) {
+	if !(score(base, near, cfg) > score(base, far, cfg)) {
 		t.Fatal("temporally distant story must score lower (paper §2.3)")
 	}
 }
@@ -448,7 +454,7 @@ func TestExtentGapDirections(t *testing.T) {
 	late := event.NewStory(2, "t")
 	late.Add(snip(11, "t", 20, []event.Entity{"A"}, event.Term{Token: "x", Weight: 1}))
 	// Both directions produce the same gap decay.
-	if s1, s2 := Stories(early, late, cfg), Stories(late, early, cfg); math.Abs(s1-s2) > 1e-9 {
+	if s1, s2 := score(early, late, cfg), score(late, early, cfg); math.Abs(s1-s2) > 1e-9 {
 		t.Fatalf("gap direction asymmetry: %g vs %g", s1, s2)
 	}
 }

@@ -39,22 +39,45 @@ func DefaultStoryConfig() StoryConfig {
 // entity overlap, description-centroid cosine, evolution-shape similarity,
 // and temporal-extent proximity (paper §2.3: "two stories are likely to
 // refer to the same real-world story if their evolution is similar and
-// their content is similar as well").
-func Stories(a, b *event.Story, cfg StoryConfig) float64 {
+// their content is similar as well"), and reports whether the score
+// reaches floor. Callers only test the score against a threshold, so the
+// evolution term, the costly one, is computed only when the score with a
+// perfect evolution term could still reach floor: the term lies in [0, 1]
+// and, under a non-negative description weight, every step of the score
+// rounds monotonically in it, so that score bounds the real one exactly.
+// When ok is false, score is an upper bound, not the score.
+func Stories(a, b *event.Story, cfg StoryConfig, floor float64) (score float64, ok bool) {
 	if a.Len() == 0 || b.Len() == 0 {
-		return 0
+		return 0, 0 >= floor
 	}
 	w := cfg.Weights.Normalized()
-
+	entity := WeightedJaccardIDSets(a.EntityFreq, b.EntityFreq, cfg.EntityWeight)
 	content := CosineIDsNorm(a.Centroid, a.CentroidNorm(), b.Centroid, b.CentroidNorm())
+	gap := GapDecay(extentGap(a, b), cfg.GapScale)
 	if cfg.EvolutionBuckets > 1 && cfg.EvolutionWeight > 0 {
-		evo := evolutionSimilarity(a, b, cfg.EvolutionBuckets)
-		content = (1-cfg.EvolutionWeight)*content + cfg.EvolutionWeight*evo
+		if bound := storyScore(w, entity, blend(content, 1, cfg.EvolutionWeight), gap); w.Description >= 0 && !(bound >= floor) {
+			return bound, false
+		}
+		content = blend(content, evolutionSimilarity(a, b, cfg.EvolutionBuckets), cfg.EvolutionWeight)
 	}
+	score = storyScore(w, entity, content, gap)
+	return score, score >= floor
+}
 
-	sim := w.Entity * WeightedJaccardIDSets(a.EntityFreq, b.EntityFreq, cfg.EntityWeight)
-	sim += w.Description * content
-	sim += w.Temporal * GapDecay(extentGap(a, b), cfg.GapScale)
+// blend mixes the evolution-shape similarity into the description cosine.
+// Stories computes its bound and its score through blend and storyScore
+// alike, and the explicit conversions round every product on its own (the
+// language lets a compiler fuse a multiply-add otherwise), so the two round
+// the same way wherever they are inlined.
+func blend(cosine, evolution, weight float64) float64 {
+	return float64((1-weight)*cosine) + float64(weight*evolution)
+}
+
+// storyScore combines the entity, description and temporal terms.
+func storyScore(w Weights, entity, content, gap float64) float64 {
+	sim := float64(w.Entity * entity)
+	sim += float64(w.Description * content)
+	sim += float64(w.Temporal * gap)
 	return sim
 }
 

@@ -276,7 +276,10 @@ gate "self-healing cluster chaos" \
 # Refiner's oracle compares its memo with a fresh one's after random swaps
 # and extent trims, and the walk count must stay within the homes a change
 # reaches; the oracle draws new random streams on every run, so both run
-# three more times below.
+# three more times below. A story score that stops at its threshold
+# reports exactly what the full score would, and an epoch rescore split
+# among workers writes the edges a serial one does, so that test reruns
+# below with the two.
 gate "settle exactness (align + engine digest)" \
   TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
@@ -286,9 +289,10 @@ gate "settle exactness (align + engine digest)" \
   TestFinishTimelinesAllocatesNothing TestIntegratedSnippetsAllocatesOnce \
   TestNewIntegratedStoryAllocsIndependentOfSnippets TestWarmRefinerAllocsIndependentOfCorpus \
   TestEngineRejectsExactlyRedeliveries TestEpochRescoresOnlyEntitySharingPairs \
-  TestIdleResultWithoutEntitiesRegroupsNothing
-echo "==> go test -race -count=3 (the Refiner's carry oracles)"
-go test -race -count=3 -run '^(TestRefinerMatchesOneShotQuick|TestRefinerScoresOnlyWhatChanged)$' ./internal/align
+  TestIdleResultWithoutEntitiesRegroupsNothing TestStoriesFloorMatchesFullScore \
+  TestEpochRescoreIndependentOfProcs
+echo "==> go test -race -count=3 (the Refiner's carry oracles, the parallel epoch rescore)"
+go test -race -count=3 -run '^(TestRefinerMatchesOneShotQuick|TestRefinerScoresOnlyWhatChanged|TestEpochRescoreIndependentOfProcs)$' ./internal/align
 
 # Settle-on-write gate: reads never settle and never wait on the engine
 # mutex. A POST parked mid-settle must leave every query route, the
