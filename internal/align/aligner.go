@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/extent"
 	"repro/internal/similarity"
 	"repro/internal/sketch"
 	"repro/internal/vocab"
@@ -162,11 +163,9 @@ type Aligner struct {
 	hasher *sketch.MinHasher
 	sigs   map[event.StoryID]sketch.Signature
 
-	// buckets index stories by coarse time intervals for candidate
-	// retrieval; a story appears in every bucket its (slack-widened)
-	// extent touches.
-	bucketWidth time.Duration
-	buckets     map[int64][]event.StoryID
+	// extents keys each story by the time buckets its slack-widened
+	// extent spans, for candidate retrieval.
+	extents *extent.Index
 
 	// live counts entity mentions over all upserted stories; it backs the
 	// IDF entity weighting. frozen is the statistics epoch the weights are
@@ -210,14 +209,13 @@ func NewAligner(cfg Config) *Aligner {
 		bw = 7 * 24 * time.Hour
 	}
 	a := &Aligner{
-		cfg:         cfg,
-		stories:     make(map[event.StoryID]*event.Story),
-		edges:       make(map[[2]event.StoryID]float64),
-		adj:         make(map[event.StoryID][]event.StoryID),
-		bucketWidth: bw,
-		buckets:     make(map[int64][]event.StoryID),
-		touched:     make(map[event.StoryID]struct{}),
-		best:        make(map[event.StoryID][]slot),
+		cfg:     cfg,
+		stories: make(map[event.StoryID]*event.Story),
+		edges:   make(map[[2]event.StoryID]float64),
+		adj:     make(map[event.StoryID][]event.StoryID),
+		extents: extent.New(bw, cfg.Slack),
+		touched: make(map[event.StoryID]struct{}),
+		best:    make(map[event.StoryID][]slot),
 	}
 	a.storyCfg = cfg.Story
 	if cfg.UseEntityIDF {
@@ -256,12 +254,6 @@ func edgeKey(x, y event.StoryID) [2]event.StoryID {
 	return [2]event.StoryID{x, y}
 }
 
-func (a *Aligner) bucketRange(st *event.Story) (lo, hi int64) {
-	lo = st.Start.Add(-a.cfg.Slack).UnixNano() / int64(a.bucketWidth)
-	hi = st.End.Add(a.cfg.Slack).UnixNano() / int64(a.bucketWidth)
-	return lo, hi
-}
-
 // Upsert adds a story to the aligner, or refreshes a story whose content
 // changed, recomputing only that story's match edges. A story that has
 // lost all its snippets is removed. The aligner keeps st itself and
@@ -297,10 +289,7 @@ func (a *Aligner) Upsert(st *event.Story) {
 	for _, ec := range st.EntityFreq {
 		a.live.Add(ec.ID, ec.N)
 	}
-	lo, hi := a.bucketRange(st)
-	for b := lo; b <= hi; b++ {
-		a.buckets[b] = append(a.buckets[b], st.ID)
-	}
+	a.extents.Add(st.ID, st.Start, st.End)
 	var sig sketch.Signature
 	if a.hasher != nil {
 		sig = a.hasher.Sign(entityElems(st))
@@ -310,13 +299,14 @@ func (a *Aligner) Upsert(st *event.Story) {
 	// A story sits in a contiguous run of buckets, so a pair is handled
 	// only in the first bucket both runs share.
 	own := a.adj[st.ID]
+	lo, hi := a.extents.Span(st.Start, st.End)
 	for b := lo; b <= hi; b++ {
-		for _, oid := range a.buckets[b] {
+		for _, oid := range a.extents.Bucket(b) {
 			other := a.stories[oid]
 			if other == nil || other.Source == st.Source {
 				continue
 			}
-			if otherLo, _ := a.bucketRange(other); b != max(lo, otherLo) {
+			if otherLo, _ := a.extents.Span(other.Start, other.End); b != max(lo, otherLo) {
 				continue
 			}
 			if !st.Overlaps(other, a.cfg.Slack) {
@@ -373,17 +363,6 @@ func (a *Aligner) RemoveSource(src event.SourceID) {
 	}
 }
 
-// dropID swap-removes the first occurrence of id from list.
-func dropID(list []event.StoryID, id event.StoryID) []event.StoryID {
-	for i, x := range list {
-		if x == id {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
-}
-
 // removeInternal clears indexes and edges but keeps the story's place in
 // the insertion order and the capacity of its neighbour list, which a
 // re-upsert refills. It marks the stories it drops a match edge to as
@@ -394,15 +373,7 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 		for _, ec := range st.EntityFreq {
 			a.live.Add(ec.ID, -ec.N)
 		}
-		lo, hi := a.bucketRange(st)
-		for b := lo; b <= hi; b++ {
-			bucket := dropID(a.buckets[b], id)
-			if len(bucket) == 0 {
-				delete(a.buckets, b)
-			} else {
-				a.buckets[b] = bucket
-			}
-		}
+		a.extents.Remove(id, st.Start, st.End)
 	}
 	if nbrs := a.adj[id]; len(nbrs) > 0 {
 		for _, o := range nbrs {
@@ -411,7 +382,7 @@ func (a *Aligner) removeInternal(id event.StoryID) {
 				a.touched[o] = struct{}{}
 				delete(a.edges, k)
 			}
-			a.adj[o] = dropID(a.adj[o], id)
+			a.adj[o] = extent.DropID(a.adj[o], id)
 		}
 		a.adj[id] = nbrs[:0]
 	}

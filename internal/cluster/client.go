@@ -81,28 +81,31 @@ func shardURL(base, path, rawQuery string) string {
 	return base + path + "?" + rawQuery
 }
 
+// get fetches u. With hedging on, a second identical GET goes out if the
+// first has not answered within hedgeAfter, and the first answer wins.
 func (c *Client) get(ctx context.Context, u string) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
+	if c.hedgeAfter <= 0 {
+		metShardRequests.Inc()
+		return finish(c.do(ctx, http.MethodGet, u, nil, ""))
+	}
 	ch := make(chan httpResult, 2)
 	issue := func() {
 		metShardRequests.Inc()
 		ch <- c.do(ctx, http.MethodGet, u, nil, "")
 	}
 	go issue()
-	if c.hedgeAfter > 0 {
-		t := time.NewTimer(c.hedgeAfter)
-		defer t.Stop()
-		select {
-		case res := <-ch:
-			return finish(res)
-		case <-t.C:
-			metShardHedges.Inc()
-			go issue()
-		}
+	t := time.NewTimer(c.hedgeAfter)
+	defer t.Stop()
+	select {
+	case res := <-ch:
+		return finish(res)
+	case <-t.C:
+		metShardHedges.Inc()
+		go issue()
 	}
-	res := <-ch
-	return finish(res)
+	return finish(<-ch)
 }
 
 // Post forwards a request body to a shard. Never hedged: ingest is not

@@ -26,11 +26,13 @@ package retire
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/extent"
 	"repro/internal/storage"
 	"repro/internal/vocab"
 )
@@ -112,12 +114,11 @@ type Manager struct {
 	arch    *storage.Archive
 	groups  map[uint64]*group
 	groupOf map[event.StoryID]uint64 // story → owning group
-	// buckets index groups by coarse time: a group appears in every
-	// bucket its members' (pad-widened) extents touch, so a snippet
-	// lookup probes exactly one bucket.
-	buckets     map[int64][]uint64
+	// extents keys every archived story by the time buckets its
+	// pad-widened extent spans, so a snippet lookup probes one bucket.
+	// The buckets, and the pad, are bucketWidth wide.
+	extents     *extent.Index
 	bucketWidth time.Duration
-	deadGroups  int // removed groups still referenced by buckets
 
 	nextGroup uint64
 
@@ -156,10 +157,7 @@ func Open(cfg Config, store Store) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := cfg.AlignSlack
-	if cfg.IdentWindow > bw {
-		bw = cfg.IdentWindow
-	}
+	bw := max(cfg.AlignSlack, cfg.IdentWindow)
 	if bw <= 0 {
 		bw = 24 * time.Hour
 	}
@@ -169,7 +167,7 @@ func Open(cfg Config, store Store) (*Manager, error) {
 		arch:        arch,
 		groups:      make(map[uint64]*group),
 		groupOf:     make(map[event.StoryID]uint64),
-		buckets:     make(map[int64][]uint64),
+		extents:     extent.New(bw, bw),
 		bucketWidth: bw,
 		grace:       make(map[event.StoryID]time.Time),
 	}
@@ -216,38 +214,7 @@ func (m *Manager) indexStory(meta storage.ArchivedStoryMeta) {
 	}
 	g.members = append(g.members, mem)
 	m.groupOf[meta.ID] = meta.Group
-	m.bucketGroup(g.id, meta)
-}
-
-// bucketGroup registers the group in every time bucket the member's
-// pad-widened extent touches.
-func (m *Manager) bucketGroup(gid uint64, meta storage.ArchivedStoryMeta) {
-	pad := m.bucketWidth
-	lo := meta.Start.Add(-pad).UnixNano() / int64(m.bucketWidth)
-	hi := meta.End.Add(pad).UnixNano() / int64(m.bucketWidth)
-	for b := lo; b <= hi; b++ {
-		ids := m.buckets[b]
-		if n := len(ids); n > 0 && ids[n-1] == gid {
-			continue
-		}
-		m.buckets[b] = append(ids, gid)
-	}
-}
-
-// compactBuckets rebuilds the bucket index once dead references
-// dominate; the long-running ingest path otherwise scans ever-growing
-// bucket lists.
-func (m *Manager) compactBuckets() {
-	if m.deadGroups <= len(m.groups)+16 {
-		return
-	}
-	m.buckets = make(map[int64][]uint64)
-	for _, g := range m.groups {
-		for _, mem := range g.members {
-			m.bucketGroup(g.id, mem.meta)
-		}
-	}
-	m.deadGroups = 0
+	m.extents.Add(meta.ID, meta.Start, meta.End)
 }
 
 // Due reports whether a retirement walk should run now, and feeds the
@@ -320,31 +287,32 @@ func (m *Manager) Archive(stories []*event.Story, watermark time.Time) error {
 		metRetired.Inc()
 	}
 	metArchived.Set(int64(len(m.groupOf)))
-	m.compactBuckets()
 	return nil
 }
 
 // TakeForSnippet consults the fingerprint index for archived stories the
 // given snippet is evidence for, removes every matching group from the
 // index, and returns the fully restored stories (original StoryID,
-// bumped Gen). The caller re-adopts them into the engine. A group comes
-// back whole or not at all: if any member fails to read, the group stays
-// archived and indexed. A nil return (the overwhelmingly common case)
-// costs one bucket probe.
+// bumped Gen), group by group in ascending group ID. The caller re-adopts
+// them into the engine. A group comes back whole or not at all: if any
+// member fails to read, the group stays archived and indexed. A nil return
+// (the overwhelmingly common case) costs one bucket probe.
 func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.groups) == 0 {
-		return nil
-	}
-	b := sn.Timestamp.UnixNano() / int64(m.bucketWidth)
-	var out []*event.Story
-	for _, gid := range m.buckets[b] {
-		g := m.groups[gid]
-		if g == nil || !m.groupMatches(g, sn) {
-			continue
+	// Every member the snippet can match lies in its bucket: the pad is
+	// the wider of the two match windows.
+	var gids []uint64
+	for _, sid := range m.extents.At(sn.Timestamp) {
+		gid := m.groupOf[sid]
+		if !slices.Contains(gids, gid) && m.groupMatches(m.groups[gid], sn) {
+			gids = append(gids, gid)
 		}
-		stories, err := m.readGroup(g)
+	}
+	slices.Sort(gids)
+	var out []*event.Story
+	for _, gid := range gids {
+		stories, err := m.readGroup(m.groups[gid])
 		if err != nil {
 			metReactivateErrors.Inc()
 			continue
@@ -365,7 +333,6 @@ func (m *Manager) TakeForSnippet(sn *event.Snippet) []*event.Story {
 	}
 	if out != nil {
 		metArchived.Set(int64(len(m.groupOf)))
-		m.compactBuckets()
 	}
 	return out
 }
@@ -423,39 +390,33 @@ func containsSym(sorted []uint32, x uint32) bool {
 	return i < len(sorted) && sorted[i] == x
 }
 
-// dropGroup removes a group from the index (buckets keep stale refs
-// until compaction).
+// dropGroup removes a group and its members from the index.
 func (m *Manager) dropGroup(gid uint64) {
-	g := m.groups[gid]
-	if g == nil {
-		return
-	}
-	for _, mem := range g.members {
+	for _, mem := range m.groups[gid].members {
 		delete(m.groupOf, mem.meta.ID)
+		m.extents.Remove(mem.meta.ID, mem.meta.Start, mem.meta.End)
 	}
 	delete(m.groups, gid)
-	m.deadGroups++
 }
 
-// removeStory prunes one story from its group (under mu).
+// removeStory prunes one story from its group and the index (under mu).
 func (m *Manager) removeStory(sid event.StoryID) {
 	gid, ok := m.groupOf[sid]
 	if !ok {
 		return
 	}
 	g := m.groups[gid]
-	if g != nil {
-		kept := g.members[:0]
-		for _, mem := range g.members {
-			if mem.meta.ID != sid {
-				kept = append(kept, mem)
-			}
+	kept := g.members[:0]
+	for _, mem := range g.members {
+		if mem.meta.ID == sid {
+			m.extents.Remove(sid, mem.meta.Start, mem.meta.End)
+		} else {
+			kept = append(kept, mem)
 		}
-		g.members = kept
-		if len(g.members) == 0 {
-			delete(m.groups, gid)
-			m.deadGroups++
-		}
+	}
+	g.members = kept
+	if len(g.members) == 0 {
+		delete(m.groups, gid)
 	}
 	delete(m.groupOf, sid)
 }
@@ -481,7 +442,6 @@ func (m *Manager) ForgetSource(src event.SourceID) {
 		m.removeStory(sid)
 	}
 	metArchived.Set(int64(len(m.groupOf)))
-	m.compactBuckets()
 }
 
 // ArchivedIDs returns the archived story IDs of one source, sorted —
@@ -533,7 +493,6 @@ func (m *Manager) Reconcile(keep map[event.StoryID]bool) {
 		m.removeStory(sid)
 	}
 	metArchived.Set(int64(len(m.groupOf)))
-	m.compactBuckets()
 }
 
 // Reset discards the archive — index and segments. The pipeline calls it
@@ -544,9 +503,8 @@ func (m *Manager) Reset() error {
 	defer m.mu.Unlock()
 	m.groups = make(map[uint64]*group)
 	m.groupOf = make(map[event.StoryID]uint64)
-	m.buckets = make(map[int64][]uint64)
+	m.extents = extent.New(m.bucketWidth, m.bucketWidth)
 	m.grace = make(map[event.StoryID]time.Time)
-	m.deadGroups = 0
 	metArchived.Set(0)
 	return m.arch.Reset()
 }

@@ -273,6 +273,50 @@ func TestTakeForSnippetGroup(t *testing.T) {
 	}
 }
 
+// TestTakeForSnippetGroupsInIDOrder: one snippet that matches two
+// archived groups reactivates both, in ascending group ID, even when the
+// removals from their shared bucket have left it in another order.
+func TestTakeForSnippetGroupsInIDOrder(t *testing.T) {
+	m := open(t, testConfig(t.TempDir()))
+	// Twenty single-story groups first, then the two under test: every
+	// padded extent holds the bucket of t0+day.
+	for i := uint64(0); i < 20; i++ {
+		src := "gamma"
+		if i == 0 {
+			src = "delta"
+		}
+		retireStory(t, m, t0.Add(40*day), testStory(500+i, src, t0, t0.Add(day), "filler"))
+	}
+	low := testStory(601, "alpha", t0, t0.Add(day), "mh17")
+	high := testStory(600, "beta", t0.Add(day), t0.Add(2*day), "mh17")
+	// The low group holds the higher story ID: the order is by group.
+	retireStory(t, m, t0.Add(40*day), low)
+	retireStory(t, m, t0.Add(40*day), high)
+	if gl, gh := m.groupOf[low.ID], m.groupOf[high.ID]; gl >= gh {
+		t.Fatalf("setup: group IDs %d, %d not ascending", gl, gh)
+	}
+
+	// Drop the delta filler, then reactivate the gamma ones. Each removal
+	// swaps the bucket's last story into the gap, which leaves the high
+	// group's story ahead of the low one's.
+	m.ForgetSource("delta")
+	if got := m.TakeForSnippet(testSnippet(10, "gamma", t0.Add(day), "filler")); len(got) != 19 {
+		t.Fatalf("filler reactivation returned %d stories, want 19", len(got))
+	}
+
+	got := m.TakeForSnippet(testSnippet(11, "alpha", t0.Add(day), "mh17"))
+	if len(got) != 2 || got[0].ID != low.ID || got[1].ID != high.ID {
+		ids := make([]event.StoryID, len(got))
+		for i, st := range got {
+			ids[i] = st.ID
+		}
+		t.Fatalf("one take returned %v, want [%d %d]: both groups, ascending group ID", ids, low.ID, high.ID)
+	}
+	if v := m.Snapshot(); v.Archived != 0 {
+		t.Fatalf("%d stories still archived, want 0", v.Archived)
+	}
+}
+
 func TestTakeForSnippetTermFallback(t *testing.T) {
 	m := open(t, testConfig(t.TempDir()))
 	// An entity-free story is fingerprinted by its top terms.

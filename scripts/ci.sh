@@ -192,10 +192,12 @@ gate "cluster scatter-gather" \
 # what they opened, and a tiered pipeline's retire → reactivate round
 # trip answers byte for byte as an untiered one. Archive, then detach,
 # run under the one engine lock: after every retirement pass the
-# archive's index must equal the set of stories the engine detached.
+# archive's index must equal the set of stories the engine detached. One
+# snippet that matches two archived groups reactivates both in ascending
+# group ID, whatever order removals left their shared bucket in.
 gate "story retirement" \
   TestRetireDifferential 'TestRetireReactivation*' TestRejectedIngestKeepsReactivatedVisible \
-  TestArchiveIndexMatchesDetached \
+  TestArchiveIndexMatchesDetached TestTakeForSnippetGroupsInIDOrder \
   TestRetireBoundedResident TestRetireIngestRace TestRetireRequiresStorage \
   TestRecoveryKillDuringRetire TestRecoveryArchiveReconcile internal/retire/ \
   TestRecoveryArchiveOlderVersion TestNewClosesWhatItOpenedOnError \
@@ -244,7 +246,10 @@ gate "self-healing cluster chaos" \
   TestIngestRetryAfterFollowsCooldown
 
 # Settle exactness gate: Refine must return the corrections of the
-# literal support-first loop, the aligner's candidate graph must equal
+# literal support-first loop, the time-bucket index the aligner draws
+# candidates from must hold in every bucket exactly the stories whose
+# widened extent spans it, in append/swap-remove order, under random
+# add, remove and re-extent, the aligner's candidate graph must equal
 # the brute-force one under interleaved Upsert/Remove/Result, aligners
 # fed the same rounds in different orders must agree after every round,
 # the aligner must equal a fresh one built from its live stories at the
@@ -281,7 +286,7 @@ gate "self-healing cluster chaos" \
 # among workers writes the edges a serial one does, so that test reruns
 # below with the two.
 gate "settle exactness (align + engine digest)" \
-  TestRefineMatchesReference TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
+  TestRefineMatchesReference TestIndexMatchesBruteForce TestAlignerStructureQuick TestAlignerUpsertOrderIndependent \
   TestAlignerPureFunctionQuick TestResultRegroupsOnlyWhatChanged TestRefinerMatchesOneShotQuick \
   TestRefinerScoresOnlyWhatChanged TestSettleDigestDeterministic TestIdentifierDrainMatchesGenDiff \
   TestEngineAlignerHoldsLiveStories TestEngineConcurrentIngestWithSourceChurn TestCheckpointRoundTrip \
